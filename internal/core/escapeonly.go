@@ -16,10 +16,8 @@ import (
 // throughput of a tree") and serves as the floor the SurePath combination
 // is measured against. A single virtual channel suffices.
 type EscapeOnly struct {
-	esc  *escape.Subnetwork
-	root int32
-	rule escape.Rule
-	vcs  int
+	esc *escape.Subnetwork
+	vcs int
 }
 
 // NewEscapeOnly builds the escape-only mechanism on nw rooted at root.
@@ -31,7 +29,7 @@ func NewEscapeOnly(nw *topo.Network, root int32, rule escape.Rule, vcs int) (*Es
 	if err != nil {
 		return nil, err
 	}
-	return &EscapeOnly{esc: esc, root: root, rule: rule, vcs: vcs}, nil
+	return &EscapeOnly{esc: esc, vcs: vcs}, nil
 }
 
 // Name implements routing.Mechanism.
@@ -75,12 +73,7 @@ func (e *EscapeOnly) Advance(cur int32, port, _ int, st *routing.PacketState) {
 
 // Rebuild implements routing.Mechanism.
 func (e *EscapeOnly) Rebuild(nw *topo.Network) error {
-	esc, err := escape.BuildWithRule(nw, e.root, e.rule)
-	if err != nil {
-		return err
-	}
-	e.esc = esc
-	return nil
+	return e.esc.Rebuild(nw, nw.LiveNeighbors())
 }
 
 var _ routing.Mechanism = (*EscapeOnly)(nil)

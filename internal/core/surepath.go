@@ -16,8 +16,8 @@
 // escape hops strictly reduce the Up/Down distance to the destination and
 // the escape channel dependency graph is acyclic (verified by
 // escape.CheckDeadlockFree in the tests), every packet is delivered while a
-// path exists, whatever the fault set. Tables rebuild with a BFS per
-// failure, the same cost as Minimal routing.
+// path exists, whatever the fault set. Tables rebuild with one breadth-first
+// pass per failure, the same cost as Minimal routing.
 package core
 
 import (
@@ -184,18 +184,26 @@ func (s *SurePath) Advance(cur int32, port, vc int, st *routing.PacketState) {
 	s.alg.Advance(cur, port, st)
 }
 
-// Rebuild implements routing.Mechanism: BFS table refresh for both the base
-// algorithm and the escape subnetwork, keeping the same root.
+// Rebuild implements routing.Mechanism: both the base algorithm's tables
+// and the escape subnetwork, same root, are recomputed in place. Either
+// half refuses a disconnected network before it overwrites anything, so a
+// failed Rebuild leaves the mechanism routing on its previous tables.
 func (s *SurePath) Rebuild(nw *topo.Network) error {
 	if err := s.alg.Rebuild(nw); err != nil {
 		return err
 	}
-	esc, err := escape.BuildWithRule(nw, s.root, s.rule)
-	if err != nil {
-		return err
+	return s.esc.Rebuild(nw, liveOf(s.alg, nw))
+}
+
+// liveOf returns the flattened live topology of nw for the escape rebuild:
+// the one a table-driven base algorithm (Polarized, Minimal) has just
+// built its distances from, so a fault flattens the network once, or a
+// fresh one under a coordinate-driven base.
+func liveOf(alg routing.Algorithm, nw *topo.Network) *topo.Live {
+	if tabled, ok := alg.(interface{ Tables() *routing.Tables }); ok {
+		return tabled.Tables().Live()
 	}
-	s.esc = esc
-	return nil
+	return nw.LiveNeighbors()
 }
 
 var _ routing.Mechanism = (*SurePath)(nil)

@@ -273,6 +273,50 @@ func TestRebuildKeepsRootAndDelivers(t *testing.T) {
 	if err := sp.Rebuild(topo.NewNetwork(h, f)); err == nil {
 		t.Error("rebuild accepted disconnected network")
 	}
+	// ... and must leave the mechanism on the tables it had: they are
+	// rebuilt in place, so a refusal has to come before the first write.
+	for trial := 0; trial < 200; trial++ {
+		src, dst := int32(r.Intn(16)), int32(r.Intn(16))
+		if spWalk(sp, nw2, src, dst, r, 64) == nil {
+			t.Fatalf("walk %d->%d failed after a refused rebuild", src, dst)
+		}
+	}
+}
+
+// TestRebuildChainInPlace fails links one at a time under both SurePath
+// configurations, each Rebuild reusing the tables and bitsets of the last:
+// after every fault the escape channel dependency graph is still acyclic
+// and every sampled pair is still delivered.
+func TestRebuildChainInPlace(t *testing.T) {
+	for _, base := range []BaseRoutes{PolarizedRoutes, OmniRoutes} {
+		h := topo.MustHyperX(3, 5, 4)
+		nw := topo.NewNetwork(h, topo.NewFaultSet())
+		sp := mustSP(t, nw, base, 4, WithRoot(11))
+		r := rng.New(21)
+		failed := 0
+		for _, e := range topo.RandomFaultSequence(h, 3) {
+			if failed == 10 {
+				break
+			}
+			if cut := nw.Graph().RemoveEdges([]topo.Edge{e}); !cut.Connected() {
+				continue
+			}
+			nw.Faults.Add(e.U, e.V)
+			failed++
+			if err := sp.Rebuild(nw); err != nil {
+				t.Fatal(err)
+			}
+			if ok, cycle := sp.Escape().CheckDeadlockFree(); !ok {
+				t.Fatalf("%s, %d faults: escape CDG cycle through %v", sp.Name(), failed, cycle)
+			}
+			for trial := 0; trial < 100; trial++ {
+				src, dst := int32(r.Intn(60)), int32(r.Intn(60))
+				if spWalk(sp, nw, src, dst, r, 200) == nil {
+					t.Fatalf("%s, %d faults: walk %d->%d failed", sp.Name(), failed, src, dst)
+				}
+			}
+		}
+	}
 }
 
 func TestPaperEscapeRuleOption(t *testing.T) {

@@ -30,22 +30,23 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 	}
 	n := s.n
 	if s.rule == RuleUDTable {
-		row := s.ud[int(t)*n:]
+		row := s.tab[int(t)*n:]
 		return row[y] < row[x] && row[z] < row[y]
 	}
-	ddr := s.ddr[int(t)*n:]
-	uddr := s.uddr[int(t)*n:]
+	row := s.tab[int(t)*n*3:]
+	ddr := func(v int32) int32 { return row[v*3+1] }
+	uddr := func(v int32) int32 { return row[v*3+2] }
 	upIn := s.level[y] == s.level[x]-1
 	upOut := s.level[z] == s.level[y]-1
 	if upIn {
 		// Holder is in the Up phase after an up hop.
-		if uddr[y] >= uddr[x] {
+		if uddr(y) >= uddr(x) {
 			return false // entry hop was not legal
 		}
 		if upOut {
-			return uddr[z] < uddr[y]
+			return uddr(z) < uddr(y)
 		}
-		return s.descentEdge(y, z) && ddr[z] < topo.Unreachable
+		return s.descentEdge(y, z) && ddr(z) < topo.Unreachable
 	}
 	// Holder crossed a descent edge: it is in the Down phase and can only
 	// continue descending. Entry legality (transition or Down hop) is
@@ -53,7 +54,7 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 	if !s.descentEdge(x, y) || upOut {
 		return false
 	}
-	return ddr[y] < topo.Unreachable && s.descentEdge(y, z) && ddr[z] < ddr[y]
+	return ddr(y) < topo.Unreachable && s.descentEdge(y, z) && ddr(z) < ddr(y)
 }
 
 // usable reports whether channel (x -> y) can carry any escape packet at

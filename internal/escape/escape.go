@@ -81,29 +81,32 @@ const (
 )
 
 // Subnetwork is the escape subnetwork built for one network and root.
-// Rebuild it (Build again) whenever the fault set changes.
+// Rebuild it whenever the fault set changes.
 type Subnetwork struct {
 	nw    *topo.Network
 	root  int32
 	rule  Rule
 	level []int32 // BFS distance from root over live links
-	ud    []int32 // ud[t*n+x]: black-only Up/Down distance x -> t
-	ddr   []int32 // ddr[t*n+x]: descent-DAG distance x -> t (RulePhased)
-	uddr  []int32 // uddr[t*n+x]: up-prefix + descent distance (RulePhased)
-	// nbr[x*radix+p] is PortNeighbor(x, p) when the link is alive, -1 when
-	// it has failed: one load replaces two coordinate decodes and a
-	// fault-set probe in the candidate scan, and the subnetwork is rebuilt
-	// whole on every fault, so the table can never go stale.
+	// tab holds cols distances per pair, interleaved: for RulePhased and
+	// RuleTree tab[(t*n+x)*3 .. +2] = (ud, ddr, uddr) — ud the black-only
+	// Up/Down distance x -> t, ddr the descent-DAG distance, uddr the best
+	// up-prefix plus descent — so the candidate scan touches one cache
+	// line per neighbor instead of one line in each of three n*n arrays;
+	// the scan is the hottest loop of the simulator. RuleUDTable consults
+	// ud alone and keeps cols = 1.
+	tab  []int32
+	cols int
+	// nbr is the port scan table of the topo.Live the tables were built
+	// from; it is replaced with them on every fault, so it can never go
+	// stale.
 	nbr   []int32
 	radix int
 	n     int
-	// pk interleaves (ud, ddr, uddr) as pk[(t*n+x)*3 .. +2] so the
-	// candidate scan touches one cache line per neighbor instead of one
-	// line in each of three n*n arrays — the scan is the hottest loop of
-	// the simulator and the three separate rows were three misses per
-	// port. Built from the finished tables at construction (RulePhased and
-	// RuleTree only); a read-optimized copy, never mutated.
-	pk []int32
+
+	// Storage of the table build, kept so that a rebuild allocates nothing
+	// that grows with n*n: the relations of Rebuild and their closures.
+	links, up, down, into   topo.Adj
+	below, cUD, cDDR, cUDDR topo.Closure
 }
 
 // Build constructs the escape subnetwork of nw rooted at root using
@@ -116,104 +119,84 @@ func Build(nw *topo.Network, root int32) (*Subnetwork, error) {
 // BuildWithRule constructs the escape subnetwork with an explicit legality
 // rule.
 func BuildWithRule(nw *topo.Network, root int32, rule Rule) (*Subnetwork, error) {
-	g := nw.Graph()
-	n := g.N()
-	if root < 0 || int(root) >= n {
-		return nil, fmt.Errorf("escape: root %d out of range [0,%d)", root, n)
-	}
-	s := &Subnetwork{nw: nw, root: root, rule: rule, n: n}
-	s.level = make([]int32, n)
-	if g.BFS(root, s.level) != n {
-		return nil, fmt.Errorf("escape: network is disconnected (%d faults)", nw.Faults.Len())
-	}
-	s.radix = nw.H.SwitchRadix()
-	s.nbr = make([]int32, n*s.radix)
-	for x := int32(0); x < int32(n); x++ {
-		for p := 0; p < s.radix; p++ {
-			if nw.PortAlive(x, p) {
-				s.nbr[int(x)*s.radix+p] = nw.H.PortNeighbor(x, p)
-			} else {
-				s.nbr[int(x)*s.radix+p] = -1
-			}
-		}
-	}
-	s.ud = make([]int32, n*n)
-	s.computeBlackUpDown(g)
-	if rule == RulePhased || rule == RuleTree {
-		s.ddr = make([]int32, n*n)
-		s.uddr = make([]int32, n*n)
-		s.computePhased(g)
-		s.pk = make([]int32, 3*n*n)
-		for i := 0; i < n*n; i++ {
-			s.pk[i*3] = s.ud[i]
-			s.pk[i*3+1] = s.ddr[i]
-			s.pk[i*3+2] = s.uddr[i]
-		}
+	s := &Subnetwork{root: root, rule: rule}
+	if err := s.Rebuild(nw, nw.LiveNeighbors()); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// byLevelOrder returns the switches sorted by increasing level.
-func (s *Subnetwork) byLevelOrder() []int32 {
-	maxLevel := int32(0)
-	for _, l := range s.level {
-		if l > maxLevel {
-			maxLevel = l
-		}
-	}
-	order := make([]int32, 0, s.n)
-	for l := int32(0); l <= maxLevel; l++ {
-		for v := int32(0); v < int32(s.n); v++ {
-			if s.level[v] == l {
-				order = append(order, v)
-			}
-		}
-	}
-	return order
-}
-
-// computeBlackUpDown fills s.ud. For each target t it first computes
-// down(w) = min black hops w -> t moving strictly away from the root at
-// every step (reverse BFS over Down edges), then folds in up-prefixes with a
-// dynamic program over increasing levels:
+// Rebuild recomputes the subnetwork, same root and rule, for the current
+// fault set of nw; lv is nw.LiveNeighbors(), which the caller shares with
+// the other tables of the same rebuild. Tables and bitsets are reused in
+// place, and a disconnected network is reported before anything is
+// overwritten, so a failed Rebuild leaves the subnetwork on its previous
+// tables.
 //
-//	ud(x,t) = min( down(x), 1 + min{ ud(y,t) : y black neighbor one level
-//	               closer to the root } )
-func (s *Subnetwork) computeBlackUpDown(g *topo.Graph) {
-	n := s.n
-	order := s.byLevelOrder()
-	down := make([]int32, n)
-	queue := make([]int32, 0, n)
-	for t := int32(0); t < int32(n); t++ {
-		for i := range down {
-			down[i] = topo.Unreachable
-		}
-		down[t] = 0
-		queue = append(queue[:0], t)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			dv := down[v]
-			for _, w := range g.Neighbors(v) {
-				if s.level[w] == s.level[v]-1 && down[w] == topo.Unreachable {
-					down[w] = dv + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		row := s.ud[int(t)*n : int(t)*n+n]
-		for _, x := range order {
-			best := down[x]
-			lx := s.level[x]
-			for _, y := range g.Neighbors(x) {
-				if s.level[y] == lx-1 && row[y]+1 < best {
-					best = row[y] + 1
-				}
-			}
-			// best is always finite: every switch reaches the root going up
-			// and the root reaches t going down.
-			row[x] = best
+// Every table comes out of one level-synchronous pass of topo.Closure. The
+// sets are indexed by target t and hold sources x: bit x enters the set of
+// t at level k exactly when the distance x -> t is k, so a level of set t
+// is written along row t of the table. A legal route x -> t is an Up path
+// followed by a descent. By its last hop it is therefore either a pure Up
+// path — x lies below t, the closure of the Down links — or a shorter
+// legal route to a predecessor z of t plus the hop z -> t:
+//
+//	below_k[t] = below_k-1[t] ∪ ⋃ below_k-1[z], z a Down neighbor of t
+//	ud_k[t]    = ud_k-1[t] ∪ below_k[t] ∪ ⋃ ud_k-1[z], z -> t a Down link
+//	ddr_k[t]   = ddr_k-1[t] ∪ ⋃ ddr_k-1[z], z -> t a descent edge
+//	uddr_k[t]  = uddr_k-1[t] ∪ below_k[t] ∪ ⋃ uddr_k-1[z], likewise
+//
+// The four advance in lock-step, so no level of below is ever stored.
+func (s *Subnetwork) Rebuild(nw *topo.Network, lv *topo.Live) error {
+	n := lv.N
+	if s.root < 0 || int(s.root) >= n {
+		return fmt.Errorf("escape: root %d out of range [0,%d)", s.root, n)
+	}
+	s.links = lv.Adj(s.links, nil)
+	level := make([]int32, n)
+	if s.links.BFS(s.root, level, nil) != n {
+		return fmt.Errorf("escape: network is disconnected (%d faults)", nw.Faults.Len())
+	}
+	s.nw, s.level, s.n = nw, level, n
+	s.nbr, s.radix = lv.Nbr, lv.Radix
+	s.up = lv.Adj(s.up, func(x, y int32) bool { return level[y] == level[x]-1 })
+	s.down = lv.Adj(s.down, func(x, y int32) bool { return level[y] == level[x]+1 })
+
+	s.below.Reset(n)
+	s.cUD.Reset(n)
+	s.cols = 1
+	if s.rule != RuleUDTable {
+		s.cols = 3
+		s.into = lv.Adj(s.into, func(t, z int32) bool { return s.descentEdge(z, t) })
+		s.cDDR.Reset(n)
+		s.cUDDR.Reset(n)
+	}
+	cols := s.cols
+	if cap(s.tab) < n*n*cols {
+		s.tab = make([]int32, n*n*cols)
+	}
+	s.tab = s.tab[:n*n*cols]
+	tab := s.tab
+	if cols == 3 {
+		// ud and uddr are finite for every pair of a connected network
+		// (through the root), so the pass below writes all of them; ddr
+		// is not.
+		for i := 1; i < len(tab); i += 3 {
+			tab[i] = topo.Unreachable
 		}
 	}
+	for x := 0; x < n; x++ {
+		clear(tab[(x*n+x)*cols : (x*n+x+1)*cols])
+	}
+	for k, grew := int32(1), true; grew; k++ {
+		grew = s.below.Step(s.down, nil, k, nil, 0)
+		grew = s.cUD.Step(s.up, &s.below, k, tab, cols) || grew
+		if cols == 3 {
+			grew = s.cDDR.Step(s.into, nil, k, tab[1:], 3) || grew
+			grew = s.cUDDR.Step(s.into, &s.below, k, tab[2:], 3) || grew
+		}
+	}
+	return nil
 }
 
 // descentEdge reports whether the directed hop x -> y belongs to the
@@ -229,48 +212,6 @@ func (s *Subnetwork) descentEdge(x, y int32) bool {
 	return s.rule != RuleTree && x < y
 }
 
-// computePhased fills ddr (descent-DAG distances) and uddr (optimal
-// up-prefix plus descent) for every target.
-func (s *Subnetwork) computePhased(g *topo.Graph) {
-	n := s.n
-	order := s.byLevelOrder()
-	queue := make([]int32, 0, n)
-	for t := int32(0); t < int32(n); t++ {
-		ddr := s.ddr[int(t)*n : int(t)*n+n]
-		for i := range ddr {
-			ddr[i] = topo.Unreachable
-		}
-		// Reverse BFS from t over descent edges.
-		ddr[t] = 0
-		queue = append(queue[:0], t)
-		for head := 0; head < len(queue); head++ {
-			v := queue[head]
-			dv := ddr[v]
-			for _, w := range g.Neighbors(v) {
-				if s.descentEdge(w, v) && ddr[w] == topo.Unreachable {
-					ddr[w] = dv + 1
-					queue = append(queue, w)
-				}
-			}
-		}
-		// uddr(x) = min(ddr(x), 1 + min over up-neighbors y of uddr(y)),
-		// processed by increasing level so up-neighbors are final.
-		uddr := s.uddr[int(t)*n : int(t)*n+n]
-		for _, x := range order {
-			best := ddr[x]
-			lx := s.level[x]
-			for _, y := range g.Neighbors(x) {
-				if s.level[y] == lx-1 && uddr[y]+1 < best {
-					best = uddr[y] + 1
-				}
-			}
-			// Finite via the root: ddr(root, t) <= level(t) because BFS
-			// shortest paths from the root descend one level per hop.
-			uddr[x] = best
-		}
-	}
-}
-
 // Root returns the root switch of the subnetwork.
 func (s *Subnetwork) Root() int32 { return s.root }
 
@@ -281,15 +222,15 @@ func (s *Subnetwork) RuleUsed() Rule { return s.rule }
 func (s *Subnetwork) Level(x int32) int32 { return s.level[x] }
 
 // UpDownDist returns the black-only Up/Down distance from x to t.
-func (s *Subnetwork) UpDownDist(x, t int32) int32 { return s.ud[int(t)*s.n+int(x)] }
+func (s *Subnetwork) UpDownDist(x, t int32) int32 { return s.tab[(int(t)*s.n+int(x))*s.cols] }
 
 // DescentDist returns the descent-DAG distance from x to t under
 // RulePhased, or Unreachable when x cannot reach t by descending.
 func (s *Subnetwork) DescentDist(x, t int32) int32 {
-	if s.ddr == nil {
+	if s.cols != 3 {
 		return topo.Unreachable
 	}
-	return s.ddr[int(t)*s.n+int(x)]
+	return s.tab[(int(t)*s.n+int(x))*3+1]
 }
 
 // IsHorizontal reports whether the live link (x,y) is a horizontal
@@ -302,10 +243,10 @@ func (s *Subnetwork) IsHorizontal(x, y int32) bool { return s.level[x] == s.leve
 // near-minimal paths; on other topologies they are much longer than graph
 // distance. Unavailable (Unreachable) under RuleUDTable.
 func (s *Subnetwork) RouteLen(x, t int32) int32 {
-	if s.uddr == nil {
+	if s.cols != 3 {
 		return topo.Unreachable
 	}
-	return s.uddr[int(t)*s.n+int(x)]
+	return s.tab[(int(t)*s.n+int(x))*3+2]
 }
 
 // shortcutPenalty grades a shortcut by its black Up/Down distance reduction,
@@ -338,7 +279,7 @@ func (s *Subnetwork) Candidates(cur, dst int32, phase int8, buf []routing.PortCa
 	// One interleaved row per target: pk[x*3..+2] = (ud, ddr, uddr). The
 	// branch structure mirrors descentEdge inline — ln is already loaded,
 	// so the DAG test costs only compares.
-	pk := s.pk[int(dst)*s.n*3:]
+	pk := s.tab[int(dst)*s.n*3:]
 	lc := s.level[cur]
 	cb := int(cur) * 3
 	udCur, ddrCur, uddrCur := pk[cb], pk[cb+1], pk[cb+2]
@@ -380,7 +321,7 @@ func (s *Subnetwork) Candidates(cur, dst int32, phase int8, buf []routing.PortCa
 
 // udTableCandidates implements the paper's literal rule.
 func (s *Subnetwork) udTableCandidates(cur, dst int32, buf []routing.PortCandidate) []routing.PortCandidate {
-	row := s.ud[int(dst)*s.n:]
+	row := s.tab[int(dst)*s.n:]
 	udCur := row[cur]
 	lc := s.level[cur]
 	nbr := s.nbr[int(cur)*s.radix : int(cur+1)*s.radix]

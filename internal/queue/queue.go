@@ -1209,7 +1209,6 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 			go func() {
 				defer wg.Done()
 				defer func() { <-sem }()
-				defer outstanding.Add(-1)
 				reply := message{Type: "result", ID: id, Fence: fence}
 				var res *sim.Result
 				runErr := err
@@ -1234,6 +1233,7 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 					// wire. Leave the job unanswered — the server requeues
 					// it with that snapshot — and let the watcher send the
 					// worker bye once every slot has stopped.
+					outstanding.Add(-1)
 					return
 				}
 				if runErr != nil {
@@ -1244,7 +1244,12 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 					reply.Result = base64.StdEncoding.EncodeToString(raw)
 					reply.Sum = hex.EncodeToString(sum[:])
 				}
+				// The job stops counting as outstanding before its answer
+				// can reach the server — a server that hangs up on reading
+				// it must find this session idle — and under the write
+				// lock, so a drain bye still queues behind the answer.
 				wmu.Lock()
+				outstanding.Add(-1)
 				_ = writeMessage(conn, &reply)
 				wmu.Unlock()
 			}()

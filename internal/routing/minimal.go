@@ -12,7 +12,7 @@ import (
 // compares against.
 type MinimalAlg struct {
 	nw  *topo.Network
-	tab *Tables
+	tab Tables
 }
 
 // NewMinimal builds Minimal routing on nw.
@@ -59,13 +59,12 @@ func (m *MinimalAlg) MaxHops(*topo.Network) int { return int(m.tab.Diameter()) }
 
 // Rebuild implements Algorithm.
 func (m *MinimalAlg) Rebuild(nw *topo.Network) error {
-	tab, err := BuildTables(nw)
-	if err != nil {
+	if err := m.tab.Rebuild(nw); err != nil {
 		return err
 	}
-	m.nw, m.tab = nw, tab
+	m.nw = nw
 	return nil
 }
 
 // Tables exposes the distance tables for reuse by wrappers (Valiant).
-func (m *MinimalAlg) Tables() *Tables { return m.tab }
+func (m *MinimalAlg) Tables() *Tables { return &m.tab }

@@ -26,7 +26,7 @@ import (
 // the property SurePath leans on in Section 6.
 type PolarizedAlg struct {
 	nw  *topo.Network
-	tab *Tables
+	tab Tables
 }
 
 // NewPolarized builds Polarized routing on nw.
@@ -51,11 +51,12 @@ func (p *PolarizedAlg) PortCandidates(cur int32, st *PacketState, buf []PortCand
 	if cur == st.Dst {
 		return buf
 	}
-	tab := p.tab
+	tab := &p.tab
 	n := tab.n
 	srcRow := tab.dist[int(st.Src)*n:]
 	dstRow := tab.dist[int(st.Dst)*n:]
-	nbr := tab.nbr[int(cur)*tab.radix : int(cur+1)*tab.radix]
+	lv := tab.live
+	nbr := lv.Nbr[int(cur)*lv.Radix : int(cur+1)*lv.Radix]
 	ds0 := srcRow[cur]
 	dt0 := dstRow[cur]
 	for port, next := range nbr {
@@ -94,16 +95,15 @@ func (p *PolarizedAlg) Advance(cur int32, port int, st *PacketState) {
 // diameter (Section 3.1.2).
 func (p *PolarizedAlg) MaxHops(*topo.Network) int { return 2 * int(p.tab.Diameter()) }
 
-// Rebuild implements Algorithm: BFS table refresh, the "discovery at boot,
+// Rebuild implements Algorithm: in-place table refresh, the "discovery at boot,
 // upgrade or failure" of the paper.
 func (p *PolarizedAlg) Rebuild(nw *topo.Network) error {
-	tab, err := BuildTables(nw)
-	if err != nil {
+	if err := p.tab.Rebuild(nw); err != nil {
 		return err
 	}
-	p.nw, p.tab = nw, tab
+	p.nw = nw
 	return nil
 }
 
 // Tables exposes the distance tables (shared with SurePath's diagnostics).
-func (p *PolarizedAlg) Tables() *Tables { return p.tab }
+func (p *PolarizedAlg) Tables() *Tables { return &p.tab }

@@ -19,49 +19,58 @@ func requireHyperX(nw *topo.Network, alg string) (*topo.HyperX, error) {
 
 // Tables holds the all-pairs distance table of the live topology, the state
 // the paper's table-based routings (Minimal, Valiant, Polarized) consult.
-// They are rebuilt by BFS whenever the fault set changes, which the paper
-// argues keeps SurePath's cost in the order of plain Minimal routing.
+// They are rebuilt whenever the fault set changes, which the paper argues
+// keeps SurePath's cost in the order of plain Minimal routing. The zero
+// value is ready for Rebuild.
 type Tables struct {
 	n    int
 	dist []int32 // row-major n*n live-graph distances
-	// nbr flattens the live topology: nbr[x*radix+p] is PortNeighbor(x, p)
-	// when the link is alive, -1 when it has failed. Port scans are the
-	// hottest loop of every distance-driven algorithm, and the table turns
-	// two coordinate decodes and a fault-set probe per port into one load;
-	// it is rebuilt with the distances on every fault, so it can never go
-	// stale.
-	nbr   []int32
-	radix int
+	// live is the flattened topology the distances were built from, the
+	// port scan table of PortCandidates. It is replaced with the distances
+	// on every fault, so it can never go stale.
+	live  *topo.Live
+	links topo.Adj     // the live links, kept for their storage
+	reach topo.Closure // the distance build's bitsets, likewise
 }
 
 // BuildTables computes distance tables for the live links of nw. It fails if
 // the live graph is disconnected, since distance-driven routing is undefined
 // across components.
 func BuildTables(nw *topo.Network) (*Tables, error) {
-	g := nw.Graph()
-	t := &Tables{n: g.N(), dist: g.Distances()}
-	for _, d := range t.dist {
-		if d == topo.Unreachable {
-			return nil, fmt.Errorf("routing: network is disconnected (%d faults)", nw.Faults.Len())
-		}
-	}
-	t.radix = nw.H.SwitchRadix()
-	t.nbr = make([]int32, t.n*t.radix)
-	for x := int32(0); x < int32(t.n); x++ {
-		for p := 0; p < t.radix; p++ {
-			if nw.PortAlive(x, p) {
-				t.nbr[int(x)*t.radix+p] = nw.H.PortNeighbor(x, p)
-			} else {
-				t.nbr[int(x)*t.radix+p] = -1
-			}
-		}
+	t := &Tables{}
+	if err := t.Rebuild(nw); err != nil {
+		return nil, err
 	}
 	return t, nil
 }
 
+// Rebuild recomputes the tables for the current fault set of nw, in place:
+// the distance table and the bitsets it is built from are reused. A
+// disconnected network is reported before anything is overwritten, so a
+// failed Rebuild leaves the previous tables intact.
+func (t *Tables) Rebuild(nw *topo.Network) error {
+	lv := nw.LiveNeighbors()
+	n := lv.N
+	t.links = lv.Adj(t.links, nil)
+	if !t.links.Connected() {
+		return fmt.Errorf("routing: network is disconnected (%d faults)", nw.Faults.Len())
+	}
+	if cap(t.dist) < n*n {
+		t.dist = make([]int32, n*n)
+	}
+	t.n, t.dist = n, t.dist[:n*n]
+	t.reach.Distances(t.links, t.dist)
+	t.live = lv
+	return nil
+}
+
+// Live returns the flattened live topology the tables were last built
+// from, for table builders refreshed in the same rebuild.
+func (t *Tables) Live() *topo.Live { return t.live }
+
 // LiveNeighbor returns PortNeighbor(x, p) from the flattened live-topology
 // table, or -1 when the link has failed.
-func (t *Tables) LiveNeighbor(x int32, p int) int32 { return t.nbr[int(x)*t.radix+p] }
+func (t *Tables) LiveNeighbor(x int32, p int) int32 { return t.live.Nbr[int(x)*t.live.Radix+p] }
 
 // N returns the number of switches covered by the tables.
 func (t *Tables) N() int { return t.n }

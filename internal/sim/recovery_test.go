@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/core"
@@ -174,5 +176,62 @@ func TestEscapeOnlyMechanism(t *testing.T) {
 	}
 	if resLow.AcceptedLoad < 0.08 {
 		t.Errorf("escape-only at low load accepted %.3f", resLow.AcceptedLoad)
+	}
+}
+
+// faultScheduleGolden pins the Result codec bytes (SHA-256) of two mid-run
+// fault-schedule runs as the engine produced them before the table rebuild
+// went bit-parallel (per-target BFS builders, fresh tables per fault). The
+// rebuilt tables are byte-identical, so the Results must be too — at any
+// worker count — which is why that change kept sim.EngineVersion.
+var faultScheduleGolden = map[string]string{
+	"PolSP-3x5x4": "ad1d4638e69acb777f85079bcd5915331b7b9c40a42db7478f6eb32831c9d500",
+	"OmniSP-4x4":  "dca9db0d0e65511e3f1f5b7c805c36a938315671f085119a4e8afc2a45320f86",
+}
+
+func TestFaultScheduleGoldenBytes(t *testing.T) {
+	runs := map[string]func(workers int) RunOptions{
+		"PolSP-3x5x4": func(workers int) RunOptions {
+			h := topo.MustHyperX(3, 5, 4)
+			nw := topo.NewNetwork(h, topo.NewFaultSet())
+			mech, err := core.New(nw, core.PolarizedRoutes, 4, core.WithRoot(7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := topo.RandomFaultSequence(h, 5)
+			return RunOptions{
+				Net: nw, ServersPerSwitch: 3, Mechanism: mech, Pattern: uniformOn(t, h, 3),
+				Load: 0.5, WarmupCycles: 200, MeasureCycles: 1500, Seed: 31, Workers: workers,
+				FaultSchedule: []FaultEvent{
+					{Cycle: 150, Edge: seq[0]}, {Cycle: 600, Edge: seq[1]},
+					{Cycle: 600, Edge: seq[2]}, {Cycle: 1100, Edge: seq[3]},
+				},
+			}
+		},
+		"OmniSP-4x4": func(workers int) RunOptions {
+			h := topo.MustHyperX(4, 4)
+			nw := topo.NewNetwork(h, topo.NewFaultSet())
+			mech, err := core.New(nw, core.OmniRoutes, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seq := topo.RandomFaultSequence(h, 7)
+			return RunOptions{
+				Net: nw, ServersPerSwitch: 4, Mechanism: mech, Pattern: uniformOn(t, h, 4),
+				Load: 0.6, WarmupCycles: 0, MeasureCycles: 2000, Seed: 23, Workers: workers,
+				FaultSchedule: []FaultEvent{{Cycle: 500, Edge: seq[0]}, {Cycle: 1200, Edge: seq[1]}},
+			}
+		},
+	}
+	for name, want := range faultScheduleGolden {
+		for _, workers := range []int{1, 4} {
+			res, err := Run(runs[name](workers))
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(res.AppendBinary(nil))); got != want {
+				t.Errorf("%s workers=%d: result bytes hash to %s, pinned %s", name, workers, got, want)
+			}
+		}
 	}
 }

@@ -82,19 +82,22 @@ const spinParkAfter = 64 * spinYieldEvery
 // is what the spin removes.
 //
 // The spin→park hybrid: a waiter (worker or collecting caller) that
-// exhausts its spin budget registers itself in a parked counter, rechecks
-// the condition it is waiting on, and only then blocks on a buffered wake
-// channel; the releasing side updates the condition first and then sends
-// one token per registered waiter, non-blocking (the channel's capacity
-// banks any token a waiter no longer needs, and a banked token wakes the
-// next parked waiter, which simply rechecks and re-parks). Go atomics are
-// sequentially consistent, so the register→recheck order against the
-// release→read-parked order makes a lost wake-up impossible; a spurious
-// one costs a recheck. Under oversubscription — more engine workers in
-// the process than GOMAXPROCS — startPool shrinks the spin budget to a
-// single yield round, so the surplus workers park almost immediately and
-// the barrier degrades toward a channel pool instead of spinning against
-// goroutines that have no P to run on.
+// exhausts its spin budget raises its own parked flag, rechecks the
+// condition it is waiting on, and only then blocks on its own one-slot
+// wake channel; the releasing side updates the condition first and then
+// sends, non-blocking, to every waiter whose flag is up. Go atomics are
+// sequentially consistent, so flag→recheck on one side against
+// release→read-flag on the other means a waiter that missed the release
+// has its flag seen by the releaser, and since nobody else receives from
+// its channel the token cannot go to another waiter: a lost wake-up is
+// impossible by construction. A token the waiter turned out not to need
+// stays in the slot (a full slot makes the next send a no-op) and costs
+// one spurious wake-up, after which the waiter rechecks and parks again.
+// Under oversubscription — more engine workers in the process than
+// GOMAXPROCS — startPool shrinks the spin budget to a single yield round,
+// so the surplus workers park almost immediately and the barrier degrades
+// toward a channel pool instead of spinning against goroutines that have
+// no P to run on.
 //
 // Correctness of the handoff: run publishes fn with a plain store before
 // the gen.Add release, and workers read it after observing the new
@@ -114,10 +117,10 @@ type spinPool struct {
 	arrived atomic.Int32
 	_       [64]byte
 
-	parked       atomic.Int32 // workers blocked (or about to block) on wake
-	callerParked atomic.Bool  // collecting caller blocked on doneWake
+	parked       []atomic.Bool   // per worker: blocked (or about to block) on its wake channel
+	wake         []chan struct{} // per worker: one-slot wake token
+	callerParked atomic.Bool     // collecting caller blocked on doneWake
 	stop         atomic.Bool
-	wake         chan struct{} // worker wake tokens, cap extra
 	doneWake     chan struct{} // caller wake token, cap 1
 	wg           sync.WaitGroup
 }
@@ -126,12 +129,15 @@ func newSpinPool(extra int, spinBudget int32) *spinPool {
 	p := &spinPool{
 		extra:      int32(extra),
 		spinBudget: spinBudget,
-		wake:       make(chan struct{}, extra),
+		parked:     make([]atomic.Bool, extra),
+		wake:       make([]chan struct{}, extra),
 		doneWake:   make(chan struct{}, 1),
 	}
 	p.wg.Add(extra)
 	for i := 0; i < extra; i++ {
 		w := i + 1
+		parked, wake := &p.parked[i], make(chan struct{}, 1)
+		p.wake[i] = wake
 		go func() {
 			defer p.wg.Done()
 			last := uint32(0)
@@ -144,15 +150,14 @@ func newSpinPool(extra int, spinBudget int32) *spinPool {
 						runtime.Gosched()
 						continue
 					}
-					// Register, recheck, then block: a release between
-					// the register and the recheck is caught by the
-					// recheck, one between the recheck and the receive
-					// reads parked afterwards and sends a token.
-					p.parked.Add(1)
+					// Flag, recheck, then block: a release before the
+					// recheck is caught by the recheck, one after it
+					// reads the flag and fills this worker's slot.
+					parked.Store(true)
 					if p.gen.Load() == last {
-						<-p.wake
+						<-wake
 					}
-					p.parked.Add(-1)
+					parked.Store(false)
 					spins = 0
 				}
 				last++
@@ -176,12 +181,7 @@ func (p *spinPool) run(fn func(w int)) {
 	p.fn = fn
 	p.arrived.Store(0)
 	p.gen.Add(1)
-	for n := p.parked.Load(); n > 0; n-- {
-		select {
-		case p.wake <- struct{}{}:
-		default: // full: enough banked tokens for every parked worker
-		}
-	}
+	p.wakeParked()
 	fn(0)
 	for spins := int32(1); p.arrived.Load() != p.extra; spins++ {
 		if spins%spinYieldEvery != 0 {
@@ -191,7 +191,7 @@ func (p *spinPool) run(fn func(w int)) {
 			runtime.Gosched()
 			continue
 		}
-		// Same register→recheck→block shape as the workers; the last
+		// Same flag→recheck→block shape as the workers; the last
 		// arriver sends the token. A banked token from an earlier phase
 		// wakes the caller spuriously, which rechecks and re-parks.
 		p.callerParked.Store(true)
@@ -203,14 +203,25 @@ func (p *spinPool) run(fn func(w int)) {
 	}
 }
 
+// wakeParked fills the slot of every worker whose parked flag is up; the
+// caller has already advanced gen.
+func (p *spinPool) wakeParked() {
+	for i := range p.wake {
+		if p.parked[i].Load() {
+			select {
+			case p.wake[i] <- struct{}{}:
+			default: // the slot already holds a token
+			}
+		}
+	}
+}
+
 func (p *spinPool) close() {
 	p.stop.Store(true)
 	p.gen.Add(1)
-	// Closing wake releases every parked worker (and any future park
-	// attempt) without token accounting; each rechecks gen, sees the
-	// bumped generation and exits through the stop check. run is never
-	// called after close, so nothing sends on the closed channel.
-	close(p.wake)
+	// Each woken worker rechecks gen, sees the bumped generation and
+	// exits through the stop check.
+	p.wakeParked()
 	p.wg.Wait()
 }
 

@@ -133,66 +133,43 @@ func (g *Graph) Edges() []Edge {
 	return edges
 }
 
+// adj views the graph as the adjacency relation BFS and Closure walk.
+func (g *Graph) adj() Adj { return Adj{Off: g.off, Val: g.val} }
+
 // BFS fills dist with hop distances from src, using Unreachable for vertices
 // in other components. dist must have length N(). It returns the number of
 // reached vertices (including src).
-func (g *Graph) BFS(src int32, dist []int32) int {
-	if len(dist) != g.N() {
-		panic("topo: BFS dist slice has wrong length")
-	}
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	queue := make([]int32, 0, g.N())
-	dist[src] = 0
-	queue = append(queue, src)
-	reached := 1
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		dv := dist[v]
-		for _, w := range g.Neighbors(v) {
-			if dist[w] == Unreachable {
-				dist[w] = dv + 1
-				queue = append(queue, w)
-				reached++
-			}
-		}
-	}
-	return reached
-}
+func (g *Graph) BFS(src int32, dist []int32) int { return g.adj().BFS(src, dist, nil) }
 
 // Distances returns the full all-pairs distance table, row-major n*n, with
 // Unreachable for disconnected pairs.
 func (g *Graph) Distances() []int32 {
 	n := g.N()
 	d := make([]int32, n*n)
-	for v := 0; v < n; v++ {
-		g.BFS(int32(v), d[v*n:(v+1)*n])
-	}
+	var reach Closure
+	reach.Distances(g.adj(), d)
 	return d
 }
 
 // Connected reports whether the graph has a single connected component
 // (vacuously true for empty and single-vertex graphs).
 func (g *Graph) Connected() bool {
-	if g.N() <= 1 {
-		return true
-	}
-	dist := make([]int32, g.N())
-	return g.BFS(0, dist) == g.N()
+	return g.N() <= 1 || g.adj().Connected()
 }
 
 // Eccentricity returns the greatest distance from v to any reachable vertex,
 // and whether all vertices were reachable.
 func (g *Graph) Eccentricity(v int32) (ecc int32, connected bool) {
-	dist := make([]int32, g.N())
-	reached := g.BFS(v, dist)
+	n := g.N()
+	buf := make([]int32, 2*n) // distances and the search queue in one allocation
+	dist := buf[:n]
+	reached := g.adj().BFS(v, dist, buf[n:])
 	for _, d := range dist {
 		if d != Unreachable && d > ecc {
 			ecc = d
 		}
 	}
-	return ecc, reached == g.N()
+	return ecc, reached == n
 }
 
 // Diameter returns the largest finite distance between any pair. The second
@@ -201,9 +178,9 @@ func (g *Graph) Eccentricity(v int32) (ecc int32, connected bool) {
 func (g *Graph) Diameter() (int32, bool) {
 	var diam int32
 	connected := true
-	dist := make([]int32, g.N())
+	adj, dist, queue := g.adj(), make([]int32, g.N()), make([]int32, g.N())
 	for v := 0; v < g.N(); v++ {
-		if g.BFS(int32(v), dist) != g.N() {
+		if adj.BFS(int32(v), dist, queue) != g.N() {
 			connected = false
 		}
 		for _, d := range dist {
@@ -225,9 +202,9 @@ func (g *Graph) AvgDistance(inclSelf bool) float64 {
 		return 0
 	}
 	var sum, pairs int64
-	dist := make([]int32, n)
+	adj, dist, queue := g.adj(), make([]int32, n), make([]int32, n)
 	for v := 0; v < n; v++ {
-		g.BFS(int32(v), dist)
+		adj.BFS(int32(v), dist, queue)
 		for w, d := range dist {
 			if d == Unreachable || (w == v && !inclSelf) {
 				continue
@@ -263,13 +240,13 @@ func (g *Graph) RemoveEdges(remove []Edge) *Graph {
 func (g *Graph) ComponentSizes() []int {
 	n := g.N()
 	seen := make([]bool, n)
-	dist := make([]int32, n)
+	adj, dist, queue := g.adj(), make([]int32, n), make([]int32, n)
 	var sizes []int
 	for v := 0; v < n; v++ {
 		if seen[v] {
 			continue
 		}
-		g.BFS(int32(v), dist)
+		adj.BFS(int32(v), dist, queue)
 		size := 0
 		for w, d := range dist {
 			if d != Unreachable {
