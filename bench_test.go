@@ -398,6 +398,24 @@ func BenchmarkPolarizedCandidates(b *testing.B) {
 	}
 }
 
+// BenchmarkOmniCandidates measures Omnidimensional candidate generation on
+// the paper's 8x8x8, deroutes allowed (the common case and the longer
+// scan: every port of every unaligned dimension is a candidate).
+func BenchmarkOmniCandidates(b *testing.B) {
+	nw := topo.NewNetwork(topo.MustHyperX(8, 8, 8), nil)
+	alg, err := routing.NewOmni(nw)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var st routing.PacketState
+	alg.Init(&st, 0, 511, nil)
+	buf := make([]routing.PortCandidate, 0, 32)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = alg.PortCandidates(int32(i%511), &st, buf[:0])
+	}
+}
+
 // BenchmarkEscapeCandidates measures escape candidate generation.
 func BenchmarkEscapeCandidates(b *testing.B) {
 	nw := topo.NewNetwork(topo.MustHyperX(8, 8, 8), nil)

@@ -65,6 +65,7 @@ var codecTargets = []codecTarget{
 			"ws":            "runtime scheduling state; a snapshot restores under any worker count",
 			"act":           "derived bookkeeping; rebuildActivity reconstructs it from the restored queues and wheel",
 			"penCost":       "derived from Config at construction",
+			"up":            "static far-end port map, derived from the topology at construction; both functions convert the ledger through it (creditsAcrossLinks)",
 			"granted":       "stale after commit; reset by the next allocate phase before any read, so restored empty",
 			"outbox":        "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
 			"freed":         "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",

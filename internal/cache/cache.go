@@ -212,6 +212,24 @@ func (s *Store) GetCheckpoint(key string) (snap []byte, ok bool) {
 	return snap, true
 }
 
+// CompressSnapshot writes the gzip form of an engine snapshot to w: the
+// encoding of .ckpt files and of the queue's ckpt frames. A snapshot is
+// written every checkpoint interval and read at most once, so it takes the
+// fastest level — struct-of-arrays state is mostly zeros and small
+// counters, which the fastest level already shrinks severalfold, and the
+// default level cost more than the capture it stored. Readers are plain
+// gzip readers, indifferent to the level.
+func CompressSnapshot(w io.Writer, snap []byte) error {
+	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
+	if err != nil {
+		return err
+	}
+	if _, err := zw.Write(snap); err != nil {
+		return err
+	}
+	return zw.Close()
+}
+
 // PutCheckpoint stores a compressed engine snapshot under key, atomically —
 // a crash mid-write leaves either the previous checkpoint or a .tmp- file
 // the next GC sweeps up, never a torn .ckpt.
@@ -228,12 +246,7 @@ func (s *Store) PutCheckpoint(key string, snap []byte) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	zw := gzip.NewWriter(tmp)
-	if _, err := zw.Write(snap); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := zw.Close(); err != nil {
+	if err := CompressSnapshot(tmp, snap); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %w", err)
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"compress/gzip"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -295,8 +297,9 @@ func TestStoreGCLegacyMode(t *testing.T) {
 }
 
 // TestCheckpointRoundTrip: a snapshot stores compressed, reads back
-// byte-identical, and disappears on RemoveCheckpoint. A corrupt (non-gzip)
-// checkpoint degrades to absent.
+// byte-identical, and disappears on RemoveCheckpoint. A checkpoint an
+// earlier store wrote at gzip's default level reads back too, and a
+// corrupt (non-gzip) one degrades to absent.
 func TestCheckpointRoundTrip(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -317,6 +320,16 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	p, _ := s.checkpointPath(key)
 	if info, err := os.Stat(p); err != nil || info.Size() >= int64(len(snap)) {
 		t.Errorf("checkpoint not compressed on disk (err %v)", err)
+	}
+	var old bytes.Buffer
+	zw := gzip.NewWriter(&old)
+	zw.Write(snap)
+	zw.Close()
+	if err := os.WriteFile(p, old.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s.GetCheckpoint(key); !ok || !bytes.Equal(got, snap) {
+		t.Error("checkpoint written at the default gzip level does not read back")
 	}
 	if err := os.WriteFile(p, []byte("not gzip"), 0o644); err != nil {
 		t.Fatal(err)

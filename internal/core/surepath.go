@@ -196,12 +196,15 @@ func (s *SurePath) Rebuild(nw *topo.Network) error {
 }
 
 // liveOf returns the flattened live topology of nw for the escape rebuild:
-// the one a table-driven base algorithm (Polarized, Minimal) has just
-// built its distances from, so a fault flattens the network once, or a
-// fresh one under a coordinate-driven base.
+// the one the base algorithm has just rebuilt its own port scan on — with
+// its distances (Polarized, Minimal) or alone (Omnidimensional) — so a
+// fault flattens the network once, or a fresh one under any other base.
 func liveOf(alg routing.Algorithm, nw *topo.Network) *topo.Live {
-	if tabled, ok := alg.(interface{ Tables() *routing.Tables }); ok {
-		return tabled.Tables().Live()
+	switch a := alg.(type) {
+	case interface{ Tables() *routing.Tables }:
+		return a.Tables().Live()
+	case interface{ Live() *topo.Live }:
+		return a.Live()
 	}
 	return nw.LiveNeighbors()
 }

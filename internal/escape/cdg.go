@@ -34,8 +34,8 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 		return row[y] < row[x] && row[z] < row[y]
 	}
 	row := s.tab[int(t)*n*3:]
-	ddr := func(v int32) int32 { return row[v*3+1] }
-	uddr := func(v int32) int32 { return row[v*3+2] }
+	ddr := func(v int32) topo.Dist { return row[v*3+1] }
+	uddr := func(v int32) topo.Dist { return row[v*3+2] }
 	upIn := s.level[y] == s.level[x]-1
 	upOut := s.level[z] == s.level[y]-1
 	if upIn {
@@ -46,7 +46,7 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 		if upOut {
 			return uddr(z) < uddr(y)
 		}
-		return s.descentEdge(y, z) && ddr(z) < topo.Unreachable
+		return s.descentEdge(y, z) && ddr(z) < topo.Far
 	}
 	// Holder crossed a descent edge: it is in the Down phase and can only
 	// continue descending. Entry legality (transition or Down hop) is
@@ -54,7 +54,7 @@ func (s *Subnetwork) holdNext(x, y, z, t int32) bool {
 	if !s.descentEdge(x, y) || upOut {
 		return false
 	}
-	return ddr(y) < topo.Unreachable && s.descentEdge(y, z) && ddr(z) < ddr(y)
+	return ddr(y) < topo.Far && s.descentEdge(y, z) && ddr(z) < ddr(y)
 }
 
 // usable reports whether channel (x -> y) can carry any escape packet at

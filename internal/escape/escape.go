@@ -94,12 +94,16 @@ type Subnetwork struct {
 	// line per neighbor instead of one line in each of three n*n arrays;
 	// the scan is the hottest loop of the simulator. RuleUDTable consults
 	// ud alone and keeps cols = 1.
-	tab  []int32
+	tab  []topo.Dist
 	cols int
 	// nbr is the port scan table of the topo.Live the tables were built
-	// from; it is replaced with them on every fault, so it can never go
-	// stale.
+	// from, and class[x*radix+p] what port p of x is to an escape packet
+	// (linkNone .. linkShortcut): a property of the link alone, so the
+	// scan reads it in place of two levels and skips a port no packet may
+	// take before it touches the table. Both are replaced with the tables
+	// on every fault, so they can never go stale.
 	nbr   []int32
+	class []uint8
 	radix int
 	n     int
 
@@ -108,6 +112,17 @@ type Subnetwork struct {
 	links, up, down, into   topo.Adj
 	below, cUD, cDDR, cUDDR topo.Closure
 }
+
+// What a port is to an escape packet, whatever its target.
+const (
+	linkNone uint8 = iota // failed, or a same-level link no legal hop crosses this way
+	linkUp                // black, one level closer to the root
+	linkDown              // black, one level farther
+	// linkShortcut is a same-level link a hop may cross from this end:
+	// toward the higher id under RulePhased, either way under RuleUDTable,
+	// never under RuleTree.
+	linkShortcut
+)
 
 // Build constructs the escape subnetwork of nw rooted at root using
 // RulePhased. It fails if the live graph is disconnected, since an escape
@@ -152,6 +167,9 @@ func (s *Subnetwork) Rebuild(nw *topo.Network, lv *topo.Live) error {
 	if s.root < 0 || int(s.root) >= n {
 		return fmt.Errorf("escape: root %d out of range [0,%d)", s.root, n)
 	}
+	if n > topo.MaxTableVertices {
+		return fmt.Errorf("escape: %d switches exceed the %d a distance table covers", n, topo.MaxTableVertices)
+	}
 	s.links = lv.Adj(s.links, nil)
 	level := make([]int32, n)
 	if s.links.BFS(s.root, level, nil) != n {
@@ -171,9 +189,25 @@ func (s *Subnetwork) Rebuild(nw *topo.Network, lv *topo.Live) error {
 		s.cDDR.Reset(n)
 		s.cUDDR.Reset(n)
 	}
+	s.class = s.class[:0]
+	for x, lx := range level {
+		for _, y := range lv.Nbr[x*lv.Radix : (x+1)*lv.Radix] {
+			c := linkNone
+			switch {
+			case y < 0:
+			case level[y] == lx-1:
+				c = linkUp
+			case level[y] == lx+1:
+				c = linkDown
+			case s.rule == RuleUDTable || s.descentEdge(int32(x), y):
+				c = linkShortcut
+			}
+			s.class = append(s.class, c)
+		}
+	}
 	cols := s.cols
 	if cap(s.tab) < n*n*cols {
-		s.tab = make([]int32, n*n*cols)
+		s.tab = make([]topo.Dist, n*n*cols)
 	}
 	s.tab = s.tab[:n*n*cols]
 	tab := s.tab
@@ -182,13 +216,13 @@ func (s *Subnetwork) Rebuild(nw *topo.Network, lv *topo.Live) error {
 		// (through the root), so the pass below writes all of them; ddr
 		// is not.
 		for i := 1; i < len(tab); i += 3 {
-			tab[i] = topo.Unreachable
+			tab[i] = topo.Far
 		}
 	}
 	for x := 0; x < n; x++ {
 		clear(tab[(x*n+x)*cols : (x*n+x+1)*cols])
 	}
-	for k, grew := int32(1), true; grew; k++ {
+	for k, grew := topo.Dist(1), true; grew; k++ {
 		grew = s.below.Step(s.down, nil, k, nil, 0)
 		grew = s.cUD.Step(s.up, &s.below, k, tab, cols) || grew
 		if cols == 3 {
@@ -222,7 +256,9 @@ func (s *Subnetwork) RuleUsed() Rule { return s.rule }
 func (s *Subnetwork) Level(x int32) int32 { return s.level[x] }
 
 // UpDownDist returns the black-only Up/Down distance from x to t.
-func (s *Subnetwork) UpDownDist(x, t int32) int32 { return s.tab[(int(t)*s.n+int(x))*s.cols] }
+func (s *Subnetwork) UpDownDist(x, t int32) int32 {
+	return s.tab[(int(t)*s.n+int(x))*s.cols].Hops()
+}
 
 // DescentDist returns the descent-DAG distance from x to t under
 // RulePhased, or Unreachable when x cannot reach t by descending.
@@ -230,7 +266,7 @@ func (s *Subnetwork) DescentDist(x, t int32) int32 {
 	if s.cols != 3 {
 		return topo.Unreachable
 	}
-	return s.tab[(int(t)*s.n+int(x))*3+1]
+	return s.tab[(int(t)*s.n+int(x))*3+1].Hops()
 }
 
 // IsHorizontal reports whether the live link (x,y) is a horizontal
@@ -246,7 +282,7 @@ func (s *Subnetwork) RouteLen(x, t int32) int32 {
 	if s.cols != 3 {
 		return topo.Unreachable
 	}
-	return s.tab[(int(t)*s.n+int(x))*3+2]
+	return s.tab[(int(t)*s.n+int(x))*3+2].Hops()
 }
 
 // shortcutPenalty grades a shortcut by its black Up/Down distance reduction,
@@ -276,44 +312,35 @@ func (s *Subnetwork) Candidates(cur, dst int32, phase int8, buf []routing.PortCa
 	if s.rule == RuleUDTable {
 		return s.udTableCandidates(cur, dst, buf)
 	}
-	// One interleaved row per target: pk[x*3..+2] = (ud, ddr, uddr). The
-	// branch structure mirrors descentEdge inline — ln is already loaded,
-	// so the DAG test costs only compares.
+	// One interleaved row per target: pk[x*3..+2] = (ud, ddr, uddr).
 	pk := s.tab[int(dst)*s.n*3:]
-	lc := s.level[cur]
 	cb := int(cur) * 3
 	udCur, ddrCur, uddrCur := pk[cb], pk[cb+1], pk[cb+2]
-	nbr := s.nbr[int(cur)*s.radix : int(cur+1)*s.radix]
-	for p, next := range nbr {
-		if next < 0 {
-			continue // failed link
-		}
-		ln := s.level[next]
-		nb := int(next) * 3
-		if phase == PhaseUp && ln == lc-1 && pk[nb+2] < uddrCur {
-			buf = append(buf, routing.PortCandidate{Port: p, Penalty: routing.PenaltyEscapeUp})
+	at := int(cur) * s.radix
+	nbr := s.nbr[at : at+s.radix]
+	for p, c := range s.class[at : at+s.radix] {
+		if c == linkNone {
 			continue
 		}
-		// descentEdge(cur, next): a Down link (one level deeper) or — except
-		// under RuleTree — a same-level shortcut oriented by increasing id.
-		if ln == lc {
-			if s.rule == RuleTree || cur >= next {
-				continue
+		nb := int(nbr[p]) * 3
+		if c == linkUp {
+			if phase == PhaseUp && pk[nb+2] < uddrCur {
+				buf = append(buf, routing.PortCandidate{Port: p, Penalty: routing.PenaltyEscapeUp})
 			}
-		} else if ln != lc+1 {
 			continue
 		}
+		// A descent edge: a Down link or a shortcut toward the higher id.
 		ddrN := pk[nb+1]
-		if ddrN >= topo.Unreachable {
+		if ddrN == topo.Far {
 			continue
 		}
 		if phase == PhaseDown && ddrN >= ddrCur {
 			continue // in the Down phase the descent distance must shrink
 		}
-		if ln > lc {
+		if c == linkDown {
 			buf = append(buf, routing.PortCandidate{Port: p, Penalty: routing.PenaltyEscapeDown})
 		} else {
-			buf = append(buf, routing.PortCandidate{Port: p, Penalty: shortcutPenalty(udCur - pk[nb])})
+			buf = append(buf, routing.PortCandidate{Port: p, Penalty: shortcutPenalty(int32(udCur) - int32(pk[nb]))})
 		}
 	}
 	return buf
@@ -322,22 +349,22 @@ func (s *Subnetwork) Candidates(cur, dst int32, phase int8, buf []routing.PortCa
 // udTableCandidates implements the paper's literal rule.
 func (s *Subnetwork) udTableCandidates(cur, dst int32, buf []routing.PortCandidate) []routing.PortCandidate {
 	row := s.tab[int(dst)*s.n:]
-	udCur := row[cur]
-	lc := s.level[cur]
-	nbr := s.nbr[int(cur)*s.radix : int(cur+1)*s.radix]
-	for p, next := range nbr {
-		if next < 0 {
-			continue // failed link
+	udCur := int32(row[cur])
+	at := int(cur) * s.radix
+	nbr := s.nbr[at : at+s.radix]
+	for p, c := range s.class[at : at+s.radix] {
+		if c == linkNone {
+			continue
 		}
-		delta := udCur - row[next]
+		delta := udCur - int32(row[nbr[p]])
 		if delta <= 0 {
 			continue
 		}
 		var penalty int32
-		switch {
-		case s.level[next] < lc:
+		switch c {
+		case linkUp:
 			penalty = routing.PenaltyEscapeUp
-		case s.level[next] > lc:
+		case linkDown:
 			penalty = routing.PenaltyEscapeDown
 		default:
 			penalty = shortcutPenalty(delta)
@@ -355,8 +382,7 @@ func (s *Subnetwork) NextPhase(cur int32, p int, phase int8) int8 {
 	if s.rule == RuleUDTable {
 		return phase
 	}
-	next := s.nw.H.PortNeighbor(cur, p)
-	if s.level[next] == s.level[cur]-1 {
+	if s.class[int(cur)*s.radix+p] == linkUp {
 		return PhaseUp
 	}
 	return PhaseDown

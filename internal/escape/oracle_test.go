@@ -110,11 +110,22 @@ var oracleSpecs = []topo.Spec{
 	{Kind: topo.KindDragonfly, Dims: []int{6, 3}},
 }
 
+// narrow is the table entry for an oracle distance: the same hop count, or
+// topo.Far for Unreachable.
+func narrow(d int32) topo.Dist {
+	if d == topo.Unreachable {
+		return topo.Far
+	}
+	return topo.Dist(d)
+}
+
 // TestTablesEqualPerTargetOracle is the contract of the bit-parallel
 // rebuild: over random topologies, fault sets, rules and roots, the level
 // array, every (ud, ddr, uddr) triple — Unreachable entries included — and
-// the all-pairs distance table equal what the per-target searches compute.
-// Equal tables are why the change needed no engine-version bump.
+// the all-pairs distance table equal what the per-target searches compute,
+// both through the int32 accessors and entry for entry in the narrow
+// topo.Dist table the candidate scans read, where Unreachable is topo.Far.
+// Equal tables are why neither change needed an engine-version bump.
 func TestTablesEqualPerTargetOracle(t *testing.T) {
 	r := rng.New(0x7ab1e5)
 	for _, spec := range oracleSpecs {
@@ -166,9 +177,16 @@ func TestTablesEqualPerTargetOracle(t *testing.T) {
 					for tg := int32(0); tg < int32(n); tg++ {
 						i := int(tg)*n + int(x)
 						got := [3]int32{s.UpDownDist(x, tg), s.DescentDist(x, tg), s.RouteLen(x, tg)}
-						if want := [3]int32{ud[i], ddr[i], uddr[i]}; got != want {
+						want := [3]int32{ud[i], ddr[i], uddr[i]}
+						if got != want {
 							t.Fatalf("%s root %d rule %s: (ud, ddr, uddr)(%d -> %d) = %v, oracle says %v",
 								name, root, rule, x, tg, got, want)
+						}
+						for c, raw := range s.tab[i*s.cols : (i+1)*s.cols] {
+							if raw != narrow(want[c]) {
+								t.Fatalf("%s root %d rule %s: table column %d of (%d -> %d) holds %d, oracle says %d",
+									name, root, rule, c, x, tg, raw, want[c])
+							}
 						}
 					}
 				}
@@ -222,7 +240,7 @@ func TestFailedRebuildKeepsTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := append([]int32(nil), s.tab...)
+	before := append([]topo.Dist(nil), s.tab...)
 	distBefore := tab.D(0, 15)
 
 	cut := topo.NewNetwork(h, topo.NewFaultSet())
@@ -253,5 +271,166 @@ func TestFailedRebuildKeepsTables(t *testing.T) {
 	var buf []routing.PortCandidate
 	if len(s.Candidates(0, 15, PhaseUp, buf)) == 0 {
 		t.Error("subnetwork unusable after a failed rebuild")
+	}
+}
+
+// refCandidates is the escape candidate scan written from the definitions:
+// per port a fault-set probe, the two levels, and the table through its
+// int32 accessors. Candidates must return the same ports, in the same
+// order, with the same penalties.
+func refCandidates(s *Subnetwork, cur, dst int32, phase int8, buf []routing.PortCandidate) []routing.PortCandidate {
+	if cur == dst {
+		return buf
+	}
+	nw := s.nw
+	lc := s.Level(cur)
+	for p := 0; p < nw.H.SwitchRadix(); p++ {
+		if !nw.PortAlive(cur, p) {
+			continue
+		}
+		next := nw.H.PortNeighbor(cur, p)
+		ln := s.Level(next)
+		if s.rule == RuleUDTable {
+			delta := s.UpDownDist(cur, dst) - s.UpDownDist(next, dst)
+			if delta <= 0 {
+				continue
+			}
+			penalty := shortcutPenalty(delta)
+			if ln < lc {
+				penalty = routing.PenaltyEscapeUp
+			} else if ln > lc {
+				penalty = routing.PenaltyEscapeDown
+			}
+			buf = append(buf, routing.PortCandidate{Port: p, Penalty: penalty})
+			continue
+		}
+		if phase == PhaseUp && ln == lc-1 && s.RouteLen(next, dst) < s.RouteLen(cur, dst) {
+			buf = append(buf, routing.PortCandidate{Port: p, Penalty: routing.PenaltyEscapeUp})
+			continue
+		}
+		if !s.descentEdge(cur, next) {
+			continue
+		}
+		ddrN := s.DescentDist(next, dst)
+		if ddrN >= topo.Unreachable {
+			continue
+		}
+		if phase == PhaseDown && ddrN >= s.DescentDist(cur, dst) {
+			continue
+		}
+		if ln > lc {
+			buf = append(buf, routing.PortCandidate{Port: p, Penalty: routing.PenaltyEscapeDown})
+		} else {
+			buf = append(buf, routing.PortCandidate{Port: p, Penalty: shortcutPenalty(s.UpDownDist(cur, dst) - s.UpDownDist(next, dst))})
+		}
+	}
+	return buf
+}
+
+// TestCandidatesEqualReference: the class-byte scan over the narrow table
+// equals the scan written from the definitions — ports, order, penalties,
+// and the phase each offered hop leads to — for every rule and both
+// phases, on HyperX with word-unaligned switch counts, Torus and
+// Dragonfly, fault-free and under random connected fault sets, after a
+// fresh build and after an in-place rebuild.
+func TestCandidatesEqualReference(t *testing.T) {
+	specs := []topo.Spec{
+		{Kind: topo.KindHyperX, Dims: []int{8, 8, 8}},
+		{Kind: topo.KindHyperX, Dims: []int{3, 5, 4}},
+		{Kind: topo.KindHyperX, Dims: []int{5, 13}},
+		{Kind: topo.KindTorus, Dims: []int{4, 5}},
+		{Kind: topo.KindDragonfly, Dims: []int{4, 2}},
+	}
+	r := rng.New(0xe5ca9e)
+	for _, spec := range specs {
+		sw, err := spec.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := sw.Switches()
+		links := n * sw.SwitchRadix() / 2
+		for _, rule := range []Rule{RulePhased, RuleUDTable, RuleTree} {
+			nw := topo.NewNetwork(sw, topo.NewFaultSet())
+			root := int32(r.Intn(n))
+			s, err := BuildWithRule(nw, root, rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, faults := range []int{0, 1 + r.Intn(links/8), 1 + r.Intn(links/4)} {
+				if faults > 0 {
+					nw.Faults = randomConnectedFaults(sw, faults, r.Uint64())
+					if err := s.Rebuild(nw, nw.LiveNeighbors()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				name := fmt.Sprintf("%s/%d faults, root %d, rule %s", spec, nw.Faults.Len(), root, rule)
+				var got, want []routing.PortCandidate
+				for i := 0; i < 20000; i++ {
+					cur, dst, phase := int32(r.Intn(n)), int32(r.Intn(n)), int8(r.Intn(2))
+					got = s.Candidates(cur, dst, phase, got[:0])
+					want = refCandidates(s, cur, dst, phase, want[:0])
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d -> %d, phase %d: candidates %v, reference says %v", name, cur, dst, phase, got, want)
+					}
+					for j, c := range got {
+						if c != want[j] {
+							t.Fatalf("%s: %d -> %d, phase %d: candidates %v, reference says %v", name, cur, dst, phase, got, want)
+						}
+						next := phase
+						if rule != RuleUDTable {
+							next = PhaseDown
+							if s.Level(sw.PortNeighbor(cur, c.Port)) == s.Level(cur)-1 {
+								next = PhaseUp
+							}
+						}
+						if s.NextPhase(cur, c.Port, phase) != next {
+							t.Fatalf("%s: hop %d port %d leads to phase %d, levels say %d", name, cur, c.Port, s.NextPhase(cur, c.Port, phase), next)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestOversizedNetworkRefusedBeforeAnyWrite: topo.Dist cannot hold the
+// distances of more than topo.MaxTableVertices switches, and a 256x256
+// torus — cheap to describe, 65536 switches — is one too many. Both table
+// builders say so before they allocate or overwrite anything: the tables
+// that were serving a small network still do.
+func TestOversizedNetworkRefusedBeforeAnyWrite(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	small := topo.NewNetwork(h, nil)
+	s := build(t, small, 5)
+	tab, err := routing.BuildTables(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]topo.Dist(nil), s.tab...)
+
+	big := topo.NewNetwork(topo.MustTorus(256, 256), nil)
+	if n := big.H.Switches(); n != topo.MaxTableVertices+1 {
+		t.Fatalf("the torus has %d switches, want one more than %d", n, topo.MaxTableVertices)
+	}
+	want := fmt.Sprintf("%d switches exceed the %d a distance table covers", topo.MaxTableVertices+1, topo.MaxTableVertices)
+	if err := tab.Rebuild(big); err == nil || err.Error() != "routing: "+want {
+		t.Errorf("tables rebuild on an oversized network: %v", err)
+	}
+	if _, err := routing.BuildTables(big); err == nil || err.Error() != "routing: "+want {
+		t.Errorf("tables build on an oversized network: %v", err)
+	}
+	if err := s.Rebuild(big, big.LiveNeighbors()); err == nil || err.Error() != "escape: "+want {
+		t.Errorf("escape rebuild on an oversized network: %v", err)
+	}
+	if tab.N() != h.Switches() || tab.D(0, 15) != 2 || tab.LiveNeighbor(0, 0) < 0 {
+		t.Error("refused rebuild disturbed the distance tables")
+	}
+	for i, v := range before {
+		if s.tab[i] != v {
+			t.Fatalf("refused rebuild overwrote table entry %d", i)
+		}
+	}
+	if len(s.Candidates(0, 15, PhaseUp, nil)) == 0 {
+		t.Error("subnetwork unusable after a refused rebuild")
 	}
 }

@@ -1266,11 +1266,7 @@ var testResumeHook func(resumeLen int)
 // base64 for the JSON frame.
 func encodeSnapshotPayload(snap []byte) (string, error) {
 	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(snap); err != nil {
-		return "", err
-	}
-	if err := zw.Close(); err != nil {
+	if err := cache.CompressSnapshot(&buf, snap); err != nil {
 		return "", err
 	}
 	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil

@@ -14,30 +14,36 @@ import (
 // m non-minimal hops. The paper fixes m = n (the number of dimensions),
 // which it notes is always enough.
 type OmniAlg struct {
-	nw         *topo.Network
 	h          *topo.HyperX
 	maxDeroute int32
+	// live is the flattened topology of the last Rebuild, the port scan
+	// table the table-driven routings use too: a dead link costs one load,
+	// not a fault-set probe. coord[x*n+dim] is switch x's coordinate, so a
+	// scan divides nothing.
+	live  *topo.Live
+	coord []int32
 }
 
 // NewOmni builds Omnidimensional routing on nw with the paper's deroute
 // budget m = n. The network must be a HyperX: the algorithm is
 // coordinate-driven.
 func NewOmni(nw *topo.Network) (*OmniAlg, error) {
-	h, err := requireHyperX(nw, "Omnidimensional")
-	if err != nil {
+	o := &OmniAlg{}
+	if err := o.Rebuild(nw); err != nil {
 		return nil, err
 	}
-	return &OmniAlg{nw: nw, h: h, maxDeroute: int32(h.NDims())}, nil
+	o.maxDeroute = int32(o.h.NDims())
+	return o, nil
 }
 
 // NewOmniWithBudget builds Omnidimensional routing with an explicit
 // non-minimal hop budget m (ablation use).
 func NewOmniWithBudget(nw *topo.Network, m int) (*OmniAlg, error) {
-	h, err := requireHyperX(nw, "Omnidimensional")
-	if err != nil {
+	o := &OmniAlg{maxDeroute: int32(m)}
+	if err := o.Rebuild(nw); err != nil {
 		return nil, err
 	}
-	return &OmniAlg{nw: nw, h: h, maxDeroute: int32(m)}, nil
+	return o, nil
 }
 
 // Name implements Algorithm.
@@ -54,18 +60,22 @@ func (o *OmniAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate
 		return buf
 	}
 	h := o.h
+	n := h.NDims()
+	own := o.coord[int(cur)*n:][:n]
+	want := o.coord[int(st.Dst)*n:][:n]
+	nbr := o.live.Nbr[int(cur)*o.live.Radix:]
 	allowDeroute := st.Deroutes < o.maxDeroute
-	for dim := 0; dim < h.NDims(); dim++ {
-		want := h.CoordAt(st.Dst, dim)
-		if h.CoordAt(cur, dim) == want {
+	for dim, w := range want {
+		if own[dim] == w {
 			continue // aligned dimension: no moves, not even deroutes
 		}
 		lo, hi := h.DimPorts(dim)
+		minimal := h.PortToCoord(dim, int(own[dim]), int(w))
 		for p := lo; p < hi; p++ {
-			if !o.nw.PortAlive(cur, p) {
-				continue
+			if nbr[p] < 0 {
+				continue // failed link
 			}
-			if h.CoordAt(h.PortNeighbor(cur, p), dim) == want {
+			if p == minimal {
 				buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyMinimal})
 			} else if allowDeroute {
 				buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyDeroute, Deroute: true})
@@ -79,8 +89,9 @@ func (o *OmniAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate
 func (o *OmniAlg) Advance(cur int32, port int, st *PacketState) {
 	st.Hops++
 	h := o.h
-	dim := h.PortDim(port)
-	if h.CoordAt(h.PortNeighbor(cur, port), dim) == h.CoordAt(st.Dst, dim) {
+	n, dim := h.NDims(), h.PortDim(port)
+	own, want := o.coord[int(cur)*n+dim], o.coord[int(st.Dst)*n+dim]
+	if own != want && port == h.PortToCoord(dim, int(own), int(want)) {
 		st.MinHops++
 	} else {
 		st.Deroutes++
@@ -93,14 +104,28 @@ func (o *OmniAlg) MaxHops(*topo.Network) int {
 }
 
 // Rebuild implements Algorithm. Omnidimensional is coordinate-driven and
-// keeps no tables; it only adopts the fault set. As the paper discusses,
-// this is exactly why it degrades under failures: a dead minimal link is
-// simply not offered, and a packet out of deroutes has no legal hop left.
+// keeps no distance tables; it only adopts the fault set, as a fresh port
+// scan table. As the paper discusses, this is exactly why it degrades under
+// failures: a dead minimal link is simply not offered, and a packet out of
+// deroutes has no legal hop left.
 func (o *OmniAlg) Rebuild(nw *topo.Network) error {
 	h, err := requireHyperX(nw, "Omnidimensional")
 	if err != nil {
 		return err
 	}
-	o.nw, o.h = nw, h
+	if o.h != h {
+		n := h.NDims()
+		o.coord = make([]int32, h.Switches()*n)
+		for x := range h.Switches() {
+			for dim := range n {
+				o.coord[x*n+dim] = int32(h.CoordAt(int32(x), dim))
+			}
+		}
+	}
+	o.h, o.live = h, nw.LiveNeighbors()
 	return nil
 }
+
+// Live returns the flattened live topology of the last Rebuild, for table
+// builders refreshed in the same rebuild.
+func (o *OmniAlg) Live() *topo.Live { return o.live }

@@ -46,6 +46,29 @@ func (p *PolarizedAlg) Init(st *PacketState, src, dst int32, _ *rng.Rand) {
 	*st = PacketState{Src: src, Dst: dst, CloserToSrc: src != dst}
 }
 
+// polarizedPenalty is Table 1 indexed by [header bit][3*(ds+1) + (dt+1)]:
+// the penalty of the move, or -1 where mu would decrease. Only the two
+// dmu = 0 cells depend on the header bit (row 1: closer to the source).
+var polarizedPenalty = [2][9]int8{
+	{
+		0: PenaltyPolarized0, // (-1,-1): approach both, closer to the target
+		1: -1, 2: -1,
+		3: PenaltyPolarized1, // ( 0,-1)
+		4: -1, 5: -1,
+		6: PenaltyPolarized2, // (+1,-1)
+		7: PenaltyPolarized1, // (+1, 0)
+		8: -1,
+	},
+	{
+		0: -1, 1: -1, 2: -1,
+		3: PenaltyPolarized1,
+		4: -1, 5: -1,
+		6: PenaltyPolarized2,
+		7: PenaltyPolarized1,
+		8: PenaltyPolarized0, // (+1,+1): depart both, closer to the source
+	},
+}
+
 // PortCandidates implements Algorithm.
 func (p *PolarizedAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
 	if cur == st.Dst {
@@ -57,27 +80,20 @@ func (p *PolarizedAlg) PortCandidates(cur int32, st *PacketState, buf []PortCand
 	dstRow := tab.dist[int(st.Dst)*n:]
 	lv := tab.live
 	nbr := lv.Nbr[int(cur)*lv.Radix : int(cur+1)*lv.Radix]
-	ds0 := srcRow[cur]
-	dt0 := dstRow[cur]
+	lut := &polarizedPenalty[0]
+	if st.CloserToSrc {
+		lut = &polarizedPenalty[1]
+	}
+	// Neighbours are one hop apart, so both differences are in {-1, 0, +1}
+	// and the biased sums below are 0, 1 or 2 in unsigned arithmetic.
+	ds1 := 1 - srcRow[cur]
+	dt1 := 1 - dstRow[cur]
 	for port, next := range nbr {
 		if next < 0 {
 			continue // failed link
 		}
-		ds := srcRow[next] - ds0
-		dt := dstRow[next] - dt0
-		var penalty int32 = -1
-		switch {
-		case ds == 1 && dt == -1:
-			penalty = PenaltyPolarized2
-		case ds == 1 && dt == 0, ds == 0 && dt == -1:
-			penalty = PenaltyPolarized1
-		case ds == 1 && dt == 1 && st.CloserToSrc:
-			penalty = PenaltyPolarized0
-		case ds == -1 && dt == -1 && !st.CloserToSrc:
-			penalty = PenaltyPolarized0
-		}
-		if penalty >= 0 {
-			buf = append(buf, PortCandidate{Port: port, Penalty: penalty})
+		if penalty := lut[3*(srcRow[next]+ds1)+(dstRow[next]+dt1)]; penalty >= 0 {
+			buf = append(buf, PortCandidate{Port: port, Penalty: int32(penalty)})
 		}
 	}
 	return buf

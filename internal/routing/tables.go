@@ -24,7 +24,7 @@ func requireHyperX(nw *topo.Network, alg string) (*topo.HyperX, error) {
 // value is ready for Rebuild.
 type Tables struct {
 	n    int
-	dist []int32 // row-major n*n live-graph distances
+	dist []topo.Dist // row-major n*n live-graph distances
 	// live is the flattened topology the distances were built from, the
 	// port scan table of PortCandidates. It is replaced with the distances
 	// on every fault, so it can never go stale.
@@ -46,9 +46,13 @@ func BuildTables(nw *topo.Network) (*Tables, error) {
 
 // Rebuild recomputes the tables for the current fault set of nw, in place:
 // the distance table and the bitsets it is built from are reused. A
-// disconnected network is reported before anything is overwritten, so a
-// failed Rebuild leaves the previous tables intact.
+// network that is disconnected, or has more switches than a topo.Dist
+// table covers, is reported before anything is overwritten, so a failed
+// Rebuild leaves the previous tables intact.
 func (t *Tables) Rebuild(nw *topo.Network) error {
+	if n := nw.H.Switches(); n > topo.MaxTableVertices {
+		return fmt.Errorf("routing: %d switches exceed the %d a distance table covers", n, topo.MaxTableVertices)
+	}
 	lv := nw.LiveNeighbors()
 	n := lv.N
 	t.links = lv.Adj(t.links, nil)
@@ -56,7 +60,7 @@ func (t *Tables) Rebuild(nw *topo.Network) error {
 		return fmt.Errorf("routing: network is disconnected (%d faults)", nw.Faults.Len())
 	}
 	if cap(t.dist) < n*n {
-		t.dist = make([]int32, n*n)
+		t.dist = make([]topo.Dist, n*n)
 	}
 	t.n, t.dist = n, t.dist[:n*n]
 	t.reach.Distances(t.links, t.dist)
@@ -76,15 +80,15 @@ func (t *Tables) LiveNeighbor(x int32, p int) int32 { return t.live.Nbr[int(x)*t
 func (t *Tables) N() int { return t.n }
 
 // D returns the live-graph distance between switches a and b.
-func (t *Tables) D(a, b int32) int32 { return t.dist[int(a)*t.n+int(b)] }
+func (t *Tables) D(a, b int32) int32 { return t.dist[int(a)*t.n+int(b)].Hops() }
 
 // Diameter returns the largest tabulated distance.
 func (t *Tables) Diameter() int32 {
-	var m int32
+	var m topo.Dist
 	for _, d := range t.dist {
 		if d > m {
 			m = d
 		}
 	}
-	return m
+	return m.Hops()
 }

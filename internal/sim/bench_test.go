@@ -151,11 +151,11 @@ func BenchmarkAllocationStep(b *testing.B) {
 					continue
 				}
 				if !rq.eject {
-					dn := e.pq[rq.outPort].dnInVC + int32(rq.vc)
-					if e.credits[dn]-credUsed[dn] <= 0 {
+					out := rq.outPort*int32(e.V) + int32(rq.vc)
+					if e.credits[out]-credUsed[out] <= 0 {
 						continue
 					}
-					credUsed[dn]++
+					credUsed[out]++
 				}
 				inUsed[rq.inPort]++
 				outUsed[rq.outPort]++

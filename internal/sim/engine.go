@@ -88,25 +88,38 @@ type engine struct {
 	// RunOptions.DisableActivity selects the full-walk baseline.
 	act *activityState
 
-	// Static maps (pq[gp].dnInVC/portDead mutate on scheduled mid-run
-	// faults).
+	// portDead mutates on scheduled mid-run faults; up never does.
 	portDead []bool // per global port: link failed mid-run
 
-	// pq packs the three per-gport words the allocation cost function
-	// reads — total output occupancy (outQ.len()+outReserved), the port's
-	// credit sum, and the downstream input-VC base — into one 8-byte entry
-	// so each qCost call touches a single cache line instead of three
-	// arrays. qCost dominates the allocate phase and runs once per route
-	// candidate of every eligible head, so the scattered loads it issues
-	// are the per-cycle cost floor at low load.
+	// up[gp] is the global port at the far end of gp's link: the neighbor's
+	// reverse port for a link port (dead or alive), gp itself for a server
+	// port. One map serves both directions of a link — the port an output
+	// feeds is the port whose sender fills this port's input buffers.
+	up []int32
+
+	// pq packs the two per-gport words the allocation cost function reads
+	// — total output occupancy (outQ.len()+outReserved) and the credit sum
+	// of the port's own input buffers — into one entry, so each qCost call
+	// touches a single cache line instead of two arrays. qCost dominates
+	// the allocate phase and runs once per route candidate of every
+	// eligible head, so the scattered loads it issues are the per-cycle
+	// cost floor at low load.
 	pq []portq
 
 	// Input side.
 	inQ         []ring
 	inBusyUntil []int64
-	credits     []int16 // per input VC, as seen by its upstream sender
-	inInflight  []int8  // per global port: outgoing crossbar transfers
-	inOcc       []int8  // per global port: count of nonempty input VCs
+	inInflight  []int8 // per global port: outgoing crossbar transfers
+	inOcc       []int8 // per global port: count of nonempty input VCs
+
+	// credits is the credit ledger, indexed by the SENDER's (gport, vc):
+	// credits[gp*V+vc] is the free space of the input buffer that output
+	// (gp, vc) feeds — input VC vc of port up[gp] — and, on a server port,
+	// what the server may still inject into the port's own input VC. A
+	// switch prices, checks and spends credits on its own lines; only the
+	// return of one, when the receiver frees the slot, reaches across
+	// through up[].
+	credits []int16
 
 	// Per-switch port-occupancy bitmasks: bit p of inMask[sw] is set iff
 	// port p has a nonempty input VC (inOcc > 0), bit p of outMask[sw] iff
@@ -314,19 +327,21 @@ func newEngine(o RunOptions) (*engine, error) {
 		return nil, err
 	}
 	e.portDead = make([]bool, SP)
+	e.up = make([]int32, SP)
 	e.pq = make([]portq, SP)
 	for sw := int32(0); sw < int32(e.S); sw++ {
 		for p := 0; p < e.P; p++ {
 			gp := int(sw)*e.P + p
 			e.pq[gp].credSum = int16(e.V * e.cfg.InputBufPkts)
-			if p >= e.R || !e.nw.PortAlive(sw, p) {
-				e.pq[gp].dnInVC = -1
+			if p >= e.R {
+				e.up[gp] = int32(gp)
 				continue
 			}
 			nbr := h.PortNeighbor(sw, p)
-			rev := h.PortTo(nbr, sw)
-			e.pq[gp].dnInVC = (nbr*int32(e.P) + int32(rev)) * int32(e.V)
-			e.liveDirLinks++
+			e.up[gp] = nbr*int32(e.P) + int32(h.PortTo(nbr, sw))
+			if e.nw.PortAlive(sw, p) {
+				e.liveDirLinks++
+			}
 		}
 	}
 	e.inQ = make([]ring, SP*e.V)
@@ -490,7 +505,9 @@ func (e *engine) generate(src int32) bool {
 // processEventsSwitch drains switch sw's calendar slot for the current
 // cycle. Every event on a switch's calendar targets state that switch owns
 // in this phase (arrivals into its input VCs, transfers into its output
-// buffers, credits of its own input VCs, deliveries at its servers).
+// buffers, deliveries at its servers); a credit of one of its input VCs
+// goes back to the sender's ledger entry, which only this switch writes in
+// this phase (shard.go).
 func (e *engine) processEventsSwitch(sw int32) {
 	if a := e.act; a != nil && a.evWork[sw] == 0 {
 		// Not a single event of sw's is scheduled anywhere in the wheel, so
@@ -548,8 +565,11 @@ func (e *engine) processEventsSwitch(sw int32) {
 			// input released the packet (evCredit below shares the timing),
 			// so only the output side is handled here.
 		case evCredit:
-			e.credits[ev.a]++
-			e.pq[ev.a/int32(e.V)].credSum++
+			V := int32(e.V)
+			gp := ev.a / V
+			vc := ev.a - gp*V
+			e.credits[e.up[gp]*V+vc]++
+			e.pq[gp].credSum++
 		case evDeliver:
 			e.deliverSw(sw, ev.pkt)
 		}
@@ -648,14 +668,25 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 // the engine field comment).
 type portq struct {
 	outTotal int16 // outQ.len() + outReserved
-	credSum  int16 // sum of credits over the port's input VCs
-	dnInVC   int32 // downstream input VC base of the link port, -1 if dead
+	// credSum is the sum of credits over the port's own INPUT VCs: the
+	// free space of the buffers this port receives into, i.e. of the
+	// reverse direction of its link. In the sender-indexed ledger that is
+	// the sum of credits[up[gp]*V .. +V).
+	credSum int16
 }
 
-// qCost computes the allocation cost Q of requesting (gport, vc): the
-// requested queue counted twice plus the rest of the port's queues, as in
-// Section 3. Occupancy of a queue is its output-buffer share plus the
-// consumed credits of the downstream input buffer.
+// qCost computes the allocation cost Q of requesting (gport, vc). Section 3
+// counts the requested queue twice plus the rest of the port's queues, the
+// occupancy of a queue being its output-buffer share plus the consumed
+// credits of the downstream input buffer. The requested queue is priced
+// exactly so. The "rest of the port" term is not: it adds the port's whole
+// output occupancy and the consumed credits of the port's own input
+// buffers (pq.credSum) — the packets waiting to cross the link the other
+// way — where the paper means the downstream buffers of the other VCs,
+// V·InputBufPkts minus the sum of credits[gport*V .. +V). Every cached
+// result and golden digest of hyperx-sim/4 is computed with the term as it
+// stands, so it stays until an engine-version bump (README, "Engine
+// architecture").
 func (e *engine) qCost(gport int32, vc int, eject bool) int64 {
 	V := int32(e.V)
 	pq := &e.pq[gport]
@@ -665,7 +696,7 @@ func (e *engine) qCost(gport int32, vc int, eject bool) int64 {
 		// No downstream credits: the server always sinks.
 		return qs + outTotal
 	}
-	qs += int64(e.cfg.InputBufPkts) - int64(e.credits[pq.dnInVC+int32(vc)])
+	qs += int64(e.cfg.InputBufPkts) - int64(e.credits[gport*V+int32(vc)])
 	consumed := int64(V)*int64(e.cfg.InputBufPkts) - int64(pq.credSum)
 	return qs + outTotal + consumed
 }
@@ -687,8 +718,8 @@ func (e *engine) penaltyCost(p int32) int64 {
 // allocateSwitch is the per-switch half of the allocation step: it gathers
 // one request per eligible head packet of switch sw and arbitrates them with
 // per-output buckets, leaving the winners in sw's granted list for the
-// commit phase. It reads neighbor credit state (stable in this phase) but
-// writes only switch-local state, so switches allocate in parallel.
+// commit phase. It reads and writes only switch-local state — the credits
+// it reads are its own outputs' — so switches allocate in parallel.
 //
 // Arbitration walks the output ports in index order; within an output the
 // bucket is served in ascending (cost, tie) order — the per-output-local
@@ -791,7 +822,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 						continue
 					}
 					if !rq.eject {
-						if int(e.credits[e.pq[gport].dnInVC+int32(rq.vc)])-int(ws.vcUsed[rq.vc]) <= 0 {
+						if int(e.credits[gport*int32(V)+int32(rq.vc)])-int(ws.vcUsed[rq.vc]) <= 0 {
 							continue
 						}
 						ws.vcUsed[rq.vc]++
@@ -883,7 +914,7 @@ func (e *engine) bestRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws 
 
 // commitSwitch applies switch sw's arbitration winners: the write half of
 // the allocation step. The only state it touches outside the switch is the
-// credit ledger of its own downstream input buffers, which no other switch
+// credit sum of the input port a grant sends into, which no other switch
 // reads or writes during this phase.
 func (e *engine) commitSwitch(sw int32) {
 	granted := e.granted[sw]
@@ -893,9 +924,8 @@ func (e *engine) commitSwitch(sw int32) {
 	for i := range granted {
 		rq := &granted[i]
 		if !rq.eject {
-			dn := e.pq[rq.outPort].dnInVC + int32(rq.vc)
-			e.credits[dn]--
-			e.pq[dn/V].credSum--
+			e.credits[rq.outPort*V+int32(rq.vc)]--
+			e.pq[e.up[rq.outPort]].credSum--
 		}
 		e.inQ[rq.invc].pop()
 		if e.inQ[rq.invc].len() == 0 {
@@ -1019,7 +1049,7 @@ func (e *engine) transmitSwitch(sw int32) {
 		}
 		outbox = append(outbox, timedEvent{
 			at: e.now + arriveDelay,
-			ev: event{kind: evArrive, a: e.pq[gport].dnInVC + int32(vc), pkt: id},
+			ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
 		})
 	}
 	if a != nil && e.outMask != nil {

@@ -70,7 +70,6 @@ func (e *engine) failLink(edge topo.Edge) error {
 		port int
 	}{{edge.U, pU}, {edge.V, pV}} {
 		gp := side.sw*int32(e.P) + int32(side.port)
-		e.pq[gp].dnInVC = -1
 		e.portDead[gp] = true
 		e.liveDirLinks--
 		// Packets already committed to this output are lost with the link.

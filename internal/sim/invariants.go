@@ -7,70 +7,8 @@ import "fmt"
 // first violation — an accounting bug would otherwise surface as subtly
 // wrong throughput numbers rather than a failure.
 func (e *engine) verifyInvariants() {
+	e.verifyPorts()
 	V := e.V
-	SP := e.S * e.P
-	for gp := 0; gp < SP; gp++ {
-		// Credit bounds and per-port sum consistency.
-		var sum int32
-		var occ8 int8
-		for v := 0; v < V; v++ {
-			if e.inQ[gp*V+v].len() > 0 {
-				occ8++
-			}
-		}
-		if occ8 != e.inOcc[gp] {
-			panic(fmt.Sprintf("sim: inOcc[%d] = %d, actual %d at cycle %d — a drifted "+
-				"occupancy count would silently skip an allocate scan with real work in it",
-				gp, e.inOcc[gp], occ8, e.now))
-		}
-		if e.inMask != nil {
-			sw, p := gp/e.P, gp%e.P
-			if got := e.inMask[sw]&(1<<uint32(p)) != 0; got != (occ8 > 0) {
-				panic(fmt.Sprintf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
-					sw, p, got, occ8, e.now))
-			}
-			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ[gp].len() > 0) {
-				panic(fmt.Sprintf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
-					sw, p, got, e.outQ[gp].len(), e.now))
-			}
-		}
-		for v := 0; v < V; v++ {
-			c := e.credits[gp*V+v]
-			if c < 0 || int(c) > e.cfg.InputBufPkts {
-				panic(fmt.Sprintf("sim: credits[%d,%d] = %d out of [0,%d] at cycle %d",
-					gp, v, c, e.cfg.InputBufPkts, e.now))
-			}
-			sum += int32(c)
-			if e.outVCCount[gp*V+v] < 0 {
-				panic(fmt.Sprintf("sim: outVCCount[%d,%d] = %d negative at cycle %d",
-					gp, v, e.outVCCount[gp*V+v], e.now))
-			}
-		}
-		if sum != int32(e.pq[gp].credSum) {
-			panic(fmt.Sprintf("sim: credSum[%d] = %d, actual %d at cycle %d",
-				gp, e.pq[gp].credSum, sum, e.now))
-		}
-		// Output buffer occupancy within capacity.
-		if occ := e.outQ[gp].len() + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
-			panic(fmt.Sprintf("sim: output %d holds %d > %d packets at cycle %d",
-				gp, occ, e.cfg.OutputBufPkts, e.now))
-		}
-		if got := e.outQ[gp].len() + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
-			panic(fmt.Sprintf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
-				"would silently misprice every allocation through this output",
-				gp, e.pq[gp].outTotal, got, e.now))
-		}
-		if e.outReserved[gp] < 0 {
-			panic(fmt.Sprintf("sim: outReserved[%d] = %d negative at cycle %d", gp, e.outReserved[gp], e.now))
-		}
-		// Crossbar concurrency within speedup.
-		if e.inInflight[gp] < 0 || int(e.inInflight[gp]) > e.cfg.XbarSpeedup {
-			panic(fmt.Sprintf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now))
-		}
-		if e.outInflight[gp] < 0 || int(e.outInflight[gp]) > e.cfg.XbarSpeedup {
-			panic(fmt.Sprintf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now))
-		}
-	}
 	// Packet conservation: every live packet is somewhere.
 	if e.inFlight < 0 {
 		panic(fmt.Sprintf("sim: inFlight = %d negative at cycle %d", e.inFlight, e.now))
@@ -104,4 +42,79 @@ func (e *engine) verifyInvariants() {
 	e.verifyActivity()
 	// Arrival-calendar integrity (no-op in burst and legacy modes).
 	e.verifyArrivals()
+}
+
+// verifyPorts is the per-port half of the audit — the credit ledger, the
+// occupancy counts and masks, buffer and crossbar bounds. Unlike the
+// activity and arrival audits it holds at any inter-cycle point, a freshly
+// restored snapshot included.
+func (e *engine) verifyPorts() {
+	V := e.V
+	SP := e.S * e.P
+	for gp := 0; gp < SP; gp++ {
+		// Credit bounds, per-port sum consistency and link conservation.
+		var sum int32
+		var occ8 int8
+		for v := 0; v < V; v++ {
+			if e.inQ[gp*V+v].len() > 0 {
+				occ8++
+			}
+		}
+		if occ8 != e.inOcc[gp] {
+			panic(fmt.Sprintf("sim: inOcc[%d] = %d, actual %d at cycle %d — a drifted "+
+				"occupancy count would silently skip an allocate scan with real work in it",
+				gp, e.inOcc[gp], occ8, e.now))
+		}
+		if e.inMask != nil {
+			sw, p := gp/e.P, gp%e.P
+			if got := e.inMask[sw]&(1<<uint32(p)) != 0; got != (occ8 > 0) {
+				panic(fmt.Sprintf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
+					sw, p, got, occ8, e.now))
+			}
+			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ[gp].len() > 0) {
+				panic(fmt.Sprintf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
+					sw, p, got, e.outQ[gp].len(), e.now))
+			}
+		}
+		// The ledger is indexed by sender: the credits for gp's input VCs are
+		// the entries of the port at the far end of its link, and a sender
+		// never holds more credits than its receiver has free slots.
+		sender := int(e.up[gp])
+		for v := 0; v < V; v++ {
+			c := e.credits[sender*V+v]
+			if c < 0 || int(c) > e.cfg.InputBufPkts-e.inQ[gp*V+v].len() {
+				panic(fmt.Sprintf("sim: credits[%d,%d] = %d for input VC (%d,%d) holding %d of %d packets at cycle %d",
+					sender, v, c, gp, v, e.inQ[gp*V+v].len(), e.cfg.InputBufPkts, e.now))
+			}
+			sum += int32(c)
+			if e.outVCCount[gp*V+v] < 0 {
+				panic(fmt.Sprintf("sim: outVCCount[%d,%d] = %d negative at cycle %d",
+					gp, v, e.outVCCount[gp*V+v], e.now))
+			}
+		}
+		if sum != int32(e.pq[gp].credSum) {
+			panic(fmt.Sprintf("sim: credSum[%d] = %d, but the credits for its input VCs (ledger of port %d) sum to %d at cycle %d",
+				gp, e.pq[gp].credSum, sender, sum, e.now))
+		}
+		// Output buffer occupancy within capacity.
+		if occ := e.outQ[gp].len() + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
+			panic(fmt.Sprintf("sim: output %d holds %d > %d packets at cycle %d",
+				gp, occ, e.cfg.OutputBufPkts, e.now))
+		}
+		if got := e.outQ[gp].len() + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
+			panic(fmt.Sprintf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
+				"would silently misprice every allocation through this output",
+				gp, e.pq[gp].outTotal, got, e.now))
+		}
+		if e.outReserved[gp] < 0 {
+			panic(fmt.Sprintf("sim: outReserved[%d] = %d negative at cycle %d", gp, e.outReserved[gp], e.now))
+		}
+		// Crossbar concurrency within speedup.
+		if e.inInflight[gp] < 0 || int(e.inInflight[gp]) > e.cfg.XbarSpeedup {
+			panic(fmt.Sprintf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now))
+		}
+		if e.outInflight[gp] < 0 || int(e.outInflight[gp]) > e.cfg.XbarSpeedup {
+			panic(fmt.Sprintf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now))
+		}
+	}
 }

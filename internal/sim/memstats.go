@@ -76,6 +76,7 @@ func arenaBytes[T any](s [][]T) int64 {
 func (e *engine) accountMem(start time.Time) {
 	var b int64
 	b += sliceBytes(e.portDead)
+	b += sliceBytes(e.up)
 	b += sliceBytes(e.pq)
 	b += ringArenaBytes(e.inQ)
 	b += sliceBytes(e.inBusyUntil)

@@ -36,13 +36,18 @@ import (
 //     only by its own switch in every phase.
 //   - Output-side state (outQ, outReserved, outVCCount, outBusy,
 //     outInflight) likewise.
-//   - The credit ledger credits[invc]/credSum[port] of a link input buffer
-//     is the property of the UPSTREAM switch for writes-in-a-phase: the
-//     downstream switch increments it only while draining its own calendar
-//     (phase 1, via evCredit it scheduled for itself at commit time), the
-//     upstream switch decrements it only while committing grants (phase 3),
-//     and allocation (phase 2) only reads it. No two switches touch the
-//     same ledger entry in the same phase.
+//   - A credit ledger entry credits[gport*V+vc] lives in the index range
+//     of the SENDER, the switch whose output (gport, vc) it meters, next to
+//     that output's outVCCount. It is written by the receiver only in
+//     phase 1 — the downstream switch returns the credit, through up[],
+//     while draining the evCredit it scheduled for itself at commit time —
+//     written by the sender only in phase 3 (commit spends it), and read
+//     by the sender only in phase 2 (pricing and the arbitration check).
+//     The per-port sum credSum[port] stays with the RECEIVER's port and
+//     mirrors that: the receiver adds in phase 1 and reads in phase 2
+//     (pricing its own outputs), the sender subtracts through up[] in
+//     phase 3. No two switches touch the same entry or sum in the same
+//     phase, and the barriers between phases order the rest.
 //   - The packet pool only grows in the sequential generate step; a live
 //     packet is referenced by exactly one switch at a time, and retired ids
 //     return to the free list through per-switch freed staging merged

@@ -264,8 +264,10 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	for i, p := range e.pq {
 		pqOut[i] = p.outTotal
 		pqCred[i] = p.credSum
-		pqDn[i] = p.dnInVC
+		pqDn[i] = e.snapDnInVC(i, false)
 	}
+	credits := make([]int16, len(e.credits))
+	e.creditsAcrossLinks(credits, e.credits)
 
 	inQLens := make([]int32, len(e.inQ))
 	var inQData []int32
@@ -377,7 +379,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		InQLens:     inQLens,
 		InQData:     inQData,
 		InBusyUntil: e.inBusyUntil,
-		Credits:     e.credits,
+		Credits:     credits,
 		InInflight:  e.inInflight,
 		InOcc:       e.inOcc,
 		InMask:      e.inMask,
@@ -455,6 +457,29 @@ func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
 		return err
 	}
 	return e.applySnapshot(st, o)
+}
+
+// creditsAcrossLinks copies a credit ledger between the engine's order, by
+// sender (gport, vc), and the order hyperx-ckpt/1 stores, by the input VC
+// the credits are for: dst[gp*V+vc] = src[up[gp]*V+vc]. up is its own
+// inverse, so the same copy converts either way.
+func (e *engine) creditsAcrossLinks(dst, src []int16) {
+	V := e.V
+	for gp, u := range e.up {
+		copy(dst[gp*V:(gp+1)*V], src[int(u)*V:(int(u)+1)*V])
+	}
+}
+
+// snapDnInVC is the word hyperx-ckpt/1 stores per port as PQDnInVC, which
+// engines before the sender-indexed ledger kept: the first input VC a live
+// link port sends into, -1 for a server port and for a link port that is
+// down — failedMidRun, or in the network's fault set.
+func (e *engine) snapDnInVC(gp int, failedMidRun bool) int32 {
+	sw, p := gp/e.P, gp%e.P
+	if p >= e.R || failedMidRun || !e.nw.PortAlive(int32(sw), p) {
+		return -1
+	}
+	return e.up[gp] * int32(e.V)
 }
 
 // applySnapshot validates a decoded snapshot against this engine and run,
@@ -591,6 +616,11 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
 		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
 	}
+	for gp, dn := range st.PQDnInVC {
+		if want := e.snapDnInVC(gp, st.PortDead[gp]); dn != want {
+			return badf("port %d sends into input VC %d, this network says %d", gp, dn, want)
+		}
+	}
 	if st.InFlight != int64(len(st.Pool)-len(st.Free)) {
 		return badf("in-flight count %d, pool says %d", st.InFlight, len(st.Pool)-len(st.Free))
 	}
@@ -632,7 +662,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	for i := range e.pq {
 		e.pq[i].outTotal = st.PQOutTotal[i]
 		e.pq[i].credSum = st.PQCredSum[i]
-		e.pq[i].dnInVC = st.PQDnInVC[i]
 	}
 
 	cursor := 0
@@ -645,7 +674,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		}
 	}
 	copy(e.inBusyUntil, st.InBusyUntil)
-	copy(e.credits, st.Credits)
+	e.creditsAcrossLinks(e.credits, st.Credits)
 	copy(e.inInflight, st.InInflight)
 	copy(e.inOcc, st.InOcc)
 	copy(e.inMask, st.InMask)

@@ -74,36 +74,46 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 // TestSnapshotResumeMidRunFaults pins the fault-schedule path: a snapshot
 // taken between two scheduled link failures must restore the drained ports,
 // the lost-packet accounting and the fault cursor, and replay the already-
-// applied edge into the fresh network before resuming.
+// applied edge into the fresh network before resuming. The second schedule
+// fails its links two cycles and one cycle before a snapshot, so that one
+// is taken while the receivers behind the dead ports still owe credits to
+// the dead ports' ledger entries; every resume runs audited, at the
+// capturing run's worker count and at another.
 func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
-	opts := func() RunOptions {
-		// Each run mutates its network's fault set, so every run — the
-		// reference, the checkpointing run and each resume — gets a fresh
-		// network and mechanism.
-		nw := topo.NewNetwork(h, topo.NewFaultSet())
-		return RunOptions{
-			Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
-			Pattern: uniformOn(t, h, 4),
-			Load:    0.7, WarmupCycles: 0, MeasureCycles: 2000, Seed: 77,
-			FaultSchedule: []FaultEvent{
-				{Cycle: 400, Edge: seq[0]},
-				{Cycle: 1300, Edge: seq[1]},
-			},
+	for _, failAt := range [][2]int64{{400, 1300}, {298, 1199}} {
+		opts := func() RunOptions {
+			// Each run mutates its network's fault set, so every run — the
+			// reference, the checkpointing run and each resume — gets a fresh
+			// network and mechanism.
+			nw := topo.NewNetwork(h, topo.NewFaultSet())
+			return RunOptions{
+				Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
+				Pattern: uniformOn(t, h, 4),
+				Load:    0.7, WarmupCycles: 0, MeasureCycles: 2000, Seed: 77,
+				FaultSchedule: []FaultEvent{
+					{Cycle: failAt[0], Edge: seq[0]},
+					{Cycle: failAt[1], Edge: seq[1]},
+				},
+			}
 		}
-	}
-	ref := runBytes(t, opts())
-	_, snaps := collectSnapshots(t, opts(), 300)
-	if len(snaps) < 3 {
-		t.Fatalf("expected several snapshots, got %d", len(snaps))
-	}
-	for i, snap := range snaps {
-		o := opts()
-		o.Workers = 4
-		o.Checkpoint = &CheckpointOptions{Resume: snap}
-		if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
-			t.Fatalf("snapshot %d resumed across the fault schedule diverged", i)
+		ref := runBytes(t, opts())
+		_, snaps := collectSnapshots(t, opts(), 300)
+		if len(snaps) < 3 {
+			t.Fatalf("expected several snapshots, got %d", len(snaps))
+		}
+		for i, snap := range snaps {
+			for _, workers := range []int{1, 4} {
+				o := opts()
+				o.Workers = workers
+				o.Config = DefaultConfig()
+				o.Config.CheckInvariants = true
+				o.Checkpoint = &CheckpointOptions{Resume: snap}
+				if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
+					t.Fatalf("faults at %v: snapshot %d resumed at workers=%d diverged", failAt, i, workers)
+				}
+			}
 		}
 	}
 }

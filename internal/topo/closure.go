@@ -52,6 +52,30 @@ func (a Adj) Connected() bool {
 	return n == 0 || a.BFS(0, buf[:n], buf[n:]) == n
 }
 
+// Dist is the element of a routing table: a hop count, or Far. A table
+// holds one or three of them per pair of switches and a route lookup reads
+// a few dozen, scattered over the rows of its target, so the type is the
+// narrowest one no distance can overflow: a path never repeats a vertex,
+// hence a finite distance among n <= MaxTableVertices vertices is below
+// Far. Builders refuse anything larger before they write.
+type Dist uint16
+
+// Far marks a pair with no path in a Dist table. It is the largest value,
+// so comparisons treat it as farther than any real distance.
+const Far Dist = 1<<16 - 1
+
+// MaxTableVertices is the largest vertex count a Dist table can cover.
+const MaxTableVertices = int(Far)
+
+// Hops widens d for arithmetic and for callers that work in int32
+// distances: Far becomes Unreachable.
+func (d Dist) Hops() int32 {
+	if d == Far {
+		return Unreachable
+	}
+	return int32(d)
+}
+
 // Closure builds a whole distance table at once, 64 pairs per machine
 // word. Every vertex x owns a bitset S[x] over the vertices; Reset makes
 // S_0[x] = {x} and each Step advances all of them one level,
@@ -94,7 +118,7 @@ func (c *Closure) Reset(n int) {
 // stores k at out[(x*n+t)*stride] — the row of x in a table interleaving
 // stride columns; a nil out stores nothing. It reports whether any set
 // grew: a closure with no base that did not grow has reached its fixpoint.
-func (c *Closure) Step(adj Adj, base *Closure, k int32, out []int32, stride int) bool {
+func (c *Closure) Step(adj Adj, base *Closure, k Dist, out []Dist, stride int) bool {
 	if c.closed && base == nil {
 		return false
 	}
@@ -131,16 +155,17 @@ func (c *Closure) Step(adj Adj, base *Closure, k int32, out []int32, stride int)
 }
 
 // Distances overwrites d, row-major n*n, with the all-pairs hop distances
-// along adj, Unreachable where there is no path.
-func (c *Closure) Distances(adj Adj, d []int32) {
+// along adj, Far where there is no path. adj has at most MaxTableVertices
+// vertices.
+func (c *Closure) Distances(adj Adj, d []Dist) {
 	n := adj.N()
 	for i := range d {
-		d[i] = Unreachable
+		d[i] = Far
 	}
 	for v := 0; v < n; v++ {
 		d[v*n+v] = 0
 	}
 	c.Reset(n)
-	for k := int32(1); c.Step(adj, nil, k, d, 1); k++ {
+	for k := Dist(1); c.Step(adj, nil, k, d, 1); k++ {
 	}
 }

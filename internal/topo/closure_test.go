@@ -8,8 +8,9 @@ import (
 
 // TestDistancesEqualPerSourceBFS checks the bit-parallel all-pairs table
 // against one search per source on random sparse graphs — disconnected
-// ones included, so Unreachable entries are compared too — with vertex
-// counts on both sides of the 64-bit word and a Closure reused throughout.
+// ones included, so Far entries must sit exactly where BFS says
+// Unreachable — with vertex counts on both sides of the 64-bit word and a
+// Closure reused throughout.
 func TestDistancesEqualPerSourceBFS(t *testing.T) {
 	r := rng.New(0xd157)
 	var reach Closure
@@ -25,13 +26,13 @@ func TestDistancesEqualPerSourceBFS(t *testing.T) {
 				}
 			}
 			g := MustGraph(n, edges)
-			got := make([]int32, n*n)
+			got := make([]Dist, n*n)
 			reach.Distances(g.adj(), got)
 			want := make([]int32, n)
 			for v := 0; v < n; v++ {
 				g.BFS(int32(v), want)
 				for w, d := range want {
-					if got[v*n+w] != d {
+					if got[v*n+w].Hops() != d {
 						t.Fatalf("n=%d, %d edges: d(%d,%d) = %d, BFS says %d", n, len(edges), v, w, got[v*n+w], d)
 					}
 				}

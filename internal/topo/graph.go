@@ -146,8 +146,10 @@ func (g *Graph) BFS(src int32, dist []int32) int { return g.adj().BFS(src, dist,
 func (g *Graph) Distances() []int32 {
 	n := g.N()
 	d := make([]int32, n*n)
-	var reach Closure
-	reach.Distances(g.adj(), d)
+	adj, queue := g.adj(), make([]int32, n)
+	for v := 0; v < n; v++ {
+		adj.BFS(int32(v), d[v*n:(v+1)*n], queue)
+	}
 	return d
 }
 

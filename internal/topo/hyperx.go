@@ -138,13 +138,18 @@ func (h *HyperX) PortTo(x, y int32) int {
 			diffDim = i
 		}
 	}
-	own := h.CoordAt(x, diffDim)
-	val := h.CoordAt(y, diffDim)
+	return h.PortToCoord(diffDim, h.CoordAt(x, diffDim), h.CoordAt(y, diffDim))
+}
+
+// PortToCoord returns the port of dimension dim that leads, from a switch
+// whose coordinate there is own, to the neighbor with coordinate val: the
+// slots of a dimension list the other k-1 values in increasing order.
+func (h *HyperX) PortToCoord(dim, own, val int) int {
 	slot := val
 	if val > own {
 		slot = val - 1
 	}
-	return h.portOff[diffDim] + slot
+	return h.portOff[dim] + slot
 }
 
 // PortDim returns the dimension a port index belongs to.
