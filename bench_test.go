@@ -398,6 +398,42 @@ func BenchmarkPolarizedCandidates(b *testing.B) {
 	}
 }
 
+// benchMinimalScan measures the per-hop scan of a distance-driven ladder
+// baseline on the paper's 8x8x8, fault-free and with the first 100 links
+// of a random failure sequence down: both read the same flattened tables,
+// so a dead link must cost one load, not a fault-set probe.
+func benchMinimalScan(b *testing.B, build func(*topo.Network) (routing.Algorithm, error)) {
+	for _, faults := range []int{0, 100} {
+		b.Run(fmt.Sprintf("faults=%d", faults), func(b *testing.B) {
+			h := topo.MustHyperX(8, 8, 8)
+			alg, err := build(topo.NewNetwork(h, topo.NewFaultSet(topo.RandomFaultSequence(h, 3)[:faults]...)))
+			if err != nil {
+				b.Fatal(err)
+			}
+			var init, st routing.PacketState
+			alg.Init(&init, 0, 511, rng.New(1))
+			buf := make([]routing.PortCandidate, 0, 32)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st = init // Valiant flips the phase at the intermediate
+				buf = alg.PortCandidates(int32(i%512), &st, buf[:0])
+			}
+		})
+	}
+}
+
+// BenchmarkMinimalCandidates measures Minimal's per-hop scan.
+func BenchmarkMinimalCandidates(b *testing.B) {
+	benchMinimalScan(b, func(nw *topo.Network) (routing.Algorithm, error) { return routing.NewMinimal(nw) })
+}
+
+// BenchmarkValiantCandidates measures Valiant's per-hop scan in its first
+// phase (toward the intermediate), the same Minimal scan with another
+// target.
+func BenchmarkValiantCandidates(b *testing.B) {
+	benchMinimalScan(b, func(nw *topo.Network) (routing.Algorithm, error) { return routing.NewValiant(nw) })
+}
+
 // BenchmarkOmniCandidates measures Omnidimensional candidate generation on
 // the paper's 8x8x8, deroutes allowed (the common case and the longer
 // scan: every port of every unaligned dimension is a candidate).

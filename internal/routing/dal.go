@@ -16,21 +16,20 @@ import (
 // demonstrate the fragility (a stuck packet needs exactly the scenario the
 // paper describes), and SurePath over DAL routes lifts it.
 type DALAlg struct {
-	nw *topo.Network
-	h  *topo.HyperX
+	coordTables
 }
 
 // NewDAL builds DAL routing on nw.
 func NewDAL(nw *topo.Network) (*DALAlg, error) {
-	h, err := requireHyperX(nw, "DAL")
-	if err != nil {
+	d := &DALAlg{}
+	if err := d.Rebuild(nw); err != nil {
 		return nil, err
 	}
-	if h.NDims() > 30 {
+	if d.h.NDims() > 30 {
 		// DerouteMask packs one bit per dimension into an int32.
-		return nil, fmt.Errorf("routing: DAL supports at most 30 dimensions, got %d", h.NDims())
+		return nil, fmt.Errorf("routing: DAL supports at most 30 dimensions, got %d", d.h.NDims())
 	}
-	return &DALAlg{nw: nw, h: h}, nil
+	return d, nil
 }
 
 // Name implements Algorithm.
@@ -45,22 +44,20 @@ func (d *DALAlg) Init(st *PacketState, src, dst int32, _ *rng.Rand) {
 // aligning neighbor (minimal) plus — while the dimension's deroute is
 // unspent — the other neighbors of that dimension.
 func (d *DALAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
-	if cur == st.Dst {
-		return buf
-	}
 	h := d.h
-	for dim := 0; dim < h.NDims(); dim++ {
-		want := h.CoordAt(st.Dst, dim)
-		if h.CoordAt(cur, dim) == want {
+	own, want, nbr := d.rows(cur, st.Dst)
+	for dim, w := range want {
+		if own[dim] == w {
 			continue
 		}
 		spent := st.DerouteMask&(1<<dim) != 0
 		lo, hi := h.DimPorts(dim)
+		minimal := h.PortToCoord(dim, int(own[dim]), int(w))
 		for p := lo; p < hi; p++ {
-			if !d.nw.PortAlive(cur, p) {
-				continue
+			if nbr[p] < 0 {
+				continue // failed link
 			}
-			if h.CoordAt(h.PortNeighbor(cur, p), dim) == want {
+			if p == minimal {
 				buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyMinimal})
 			} else if !spent {
 				buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyDeroute, Deroute: true})
@@ -73,9 +70,8 @@ func (d *DALAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate)
 // Advance implements Algorithm.
 func (d *DALAlg) Advance(cur int32, port int, st *PacketState) {
 	st.Hops++
-	h := d.h
-	dim := h.PortDim(port)
-	if h.CoordAt(h.PortNeighbor(cur, port), dim) == h.CoordAt(st.Dst, dim) {
+	dim := d.h.PortDim(port)
+	if d.minimalHop(cur, st.Dst, port, dim) {
 		st.MinHops++
 	} else {
 		st.Deroutes++
@@ -88,11 +84,4 @@ func (d *DALAlg) MaxHops(*topo.Network) int { return 2 * d.h.NDims() }
 
 // Rebuild implements Algorithm: DAL is coordinate-driven like
 // Omnidimensional; it only adopts the new fault set.
-func (d *DALAlg) Rebuild(nw *topo.Network) error {
-	h, err := requireHyperX(nw, "DAL")
-	if err != nil {
-		return err
-	}
-	d.nw, d.h = nw, h
-	return nil
-}
+func (d *DALAlg) Rebuild(nw *topo.Network) error { return d.rebuild(nw, "DAL") }

@@ -12,17 +12,16 @@ import (
 // leaves the pair disconnected. It is included as the fragility baseline;
 // PortCandidates simply returns nothing when the required link is dead.
 type DORAlg struct {
-	nw *topo.Network
-	h  *topo.HyperX
+	coordTables
 }
 
 // NewDOR builds DOR on nw. The network must be a HyperX.
 func NewDOR(nw *topo.Network) (*DORAlg, error) {
-	h, err := requireHyperX(nw, "DOR")
-	if err != nil {
+	d := &DORAlg{}
+	if err := d.Rebuild(nw); err != nil {
 		return nil, err
 	}
-	return &DORAlg{nw: nw, h: h}, nil
+	return d, nil
 }
 
 // Name implements Algorithm.
@@ -36,14 +35,12 @@ func (d *DORAlg) Init(st *PacketState, src, dst int32, _ *rng.Rand) {
 // PortCandidates implements Algorithm: the unique next hop, if its link is
 // alive.
 func (d *DORAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
-	h := d.h
-	for dim := 0; dim < h.NDims(); dim++ {
-		want := h.CoordAt(st.Dst, dim)
-		if h.CoordAt(cur, dim) == want {
+	own, want, nbr := d.rows(cur, st.Dst)
+	for dim, w := range want {
+		if own[dim] == w {
 			continue
 		}
-		p := h.PortTo(cur, h.WithCoord(cur, dim, want))
-		if d.nw.PortAlive(cur, p) {
+		if p := d.h.PortToCoord(dim, int(own[dim]), int(w)); nbr[p] >= 0 {
 			buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyMinimal})
 		}
 		return buf // first unaligned dimension only; dead link means stuck
@@ -57,13 +54,7 @@ func (d *DORAlg) Advance(_ int32, _ int, st *PacketState) { st.Hops++ }
 // MaxHops implements Algorithm: one hop per dimension.
 func (d *DORAlg) MaxHops(*topo.Network) int { return d.h.NDims() }
 
-// Rebuild implements Algorithm. DOR is table-free; it only adopts the new
-// fault set (and stays broken for pairs whose route died, by design).
-func (d *DORAlg) Rebuild(nw *topo.Network) error {
-	h, err := requireHyperX(nw, "DOR")
-	if err != nil {
-		return err
-	}
-	d.nw, d.h = nw, h
-	return nil
-}
+// Rebuild implements Algorithm. DOR keeps no distances; it only adopts the
+// new fault set, as a fresh port scan table (and stays broken for pairs
+// whose route died, by design).
+func (d *DORAlg) Rebuild(nw *topo.Network) error { return d.rebuild(nw, "DOR") }

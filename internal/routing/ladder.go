@@ -71,6 +71,8 @@ func (l *Ladder) Candidates(cur int32, st *PacketState, _ int, scr *Scratch, buf
 	ports := l.alg.PortCandidates(cur, st, scr.Ports())
 	scr.KeepPorts(ports)
 	base := l.vcBase(st.Hops)
+	// Scan order, and within a port the lower VC first: the engine draws one
+	// tie-break per candidate in this order, so it is part of a Result.
 	for _, pc := range ports {
 		buf = append(buf, Candidate{Port: pc.Port, VC: base, Penalty: pc.Penalty})
 		if l.step == 2 {

@@ -81,16 +81,25 @@ func (s *Scratch) Ports() []PortCandidate {
 	return s.ports[:0]
 }
 
-// KeepPorts stores a possibly-grown buffer back into the scratch so the
-// next Ports call reuses its capacity.
+// KeepPorts stores a grown buffer back into the scratch so the next Ports
+// call reuses its capacity. A buffer that did not grow is the one the
+// scratch already holds, and is not written again: scratches live on the
+// heap, and the store would cost a write barrier per Candidates call.
 func (s *Scratch) KeepPorts(buf []PortCandidate) {
-	if s != nil {
+	if s != nil && cap(buf) != cap(s.ports) {
 		s.ports = buf
 	}
 }
 
 // Algorithm yields raw port candidates for the head packet of a queue.
-// Implementations must return only ports whose links are alive.
+//
+// The per-hop methods (PortCandidates, Advance) read only the tables of the
+// last Rebuild — the flattened topo.Live row of the switch, narrow
+// topo.Dist rows, coordinates — never the network or its fault set. So the
+// ports they return are the ones alive as of the last Rebuild: a caller
+// that mutates Network.Faults rebuilds before it routes again, as the
+// engine does (both at the same inter-cycle point). No algorithm of this
+// package keeps a *topo.Network, so none can probe it per hop.
 type Algorithm interface {
 	// Name identifies the algorithm in results ("Polarized", ...).
 	Name() string
@@ -100,7 +109,8 @@ type Algorithm interface {
 	// empty result at cur != dst means the algorithm is stuck (under
 	// SurePath the packet then takes a forced escape hop).
 	PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate
-	// Advance updates st after the packet crossed the link at port of cur.
+	// Advance updates st after the packet crossed the link at port of cur,
+	// a port PortCandidates offered since the last Rebuild.
 	Advance(cur int32, port int, st *PacketState)
 	// MaxHops bounds route length on the given network, used to size VC
 	// ladders.

@@ -11,7 +11,6 @@ import (
 // in any connected faulty network — the baseline resilience the paper
 // compares against.
 type MinimalAlg struct {
-	nw  *topo.Network
 	tab Tables
 }
 
@@ -35,20 +34,7 @@ func (m *MinimalAlg) Init(st *PacketState, src, dst int32, _ *rng.Rand) {
 // PortCandidates implements Algorithm: all alive ports decreasing the
 // distance to the destination, penalty 0.
 func (m *MinimalAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
-	if cur == st.Dst {
-		return buf
-	}
-	h := m.nw.H
-	dc := m.tab.D(cur, st.Dst)
-	for p := 0; p < h.SwitchRadix(); p++ {
-		if !m.nw.PortAlive(cur, p) {
-			continue
-		}
-		if m.tab.D(h.PortNeighbor(cur, p), st.Dst) == dc-1 {
-			buf = append(buf, PortCandidate{Port: p, Penalty: PenaltyMinimal})
-		}
-	}
-	return buf
+	return m.tab.minimalPorts(cur, st.Dst, buf)
 }
 
 // Advance implements Algorithm.
@@ -58,13 +44,7 @@ func (m *MinimalAlg) Advance(_ int32, _ int, st *PacketState) { st.Hops++ }
 func (m *MinimalAlg) MaxHops(*topo.Network) int { return int(m.tab.Diameter()) }
 
 // Rebuild implements Algorithm.
-func (m *MinimalAlg) Rebuild(nw *topo.Network) error {
-	if err := m.tab.Rebuild(nw); err != nil {
-		return err
-	}
-	m.nw = nw
-	return nil
-}
+func (m *MinimalAlg) Rebuild(nw *topo.Network) error { return m.tab.Rebuild(nw) }
 
 // Tables exposes the distance tables for reuse by wrappers (Valiant).
 func (m *MinimalAlg) Tables() *Tables { return &m.tab }

@@ -14,14 +14,8 @@ import (
 // m non-minimal hops. The paper fixes m = n (the number of dimensions),
 // which it notes is always enough.
 type OmniAlg struct {
-	h          *topo.HyperX
+	coordTables
 	maxDeroute int32
-	// live is the flattened topology of the last Rebuild, the port scan
-	// table the table-driven routings use too: a dead link costs one load,
-	// not a fault-set probe. coord[x*n+dim] is switch x's coordinate, so a
-	// scan divides nothing.
-	live  *topo.Live
-	coord []int32
 }
 
 // NewOmni builds Omnidimensional routing on nw with the paper's deroute
@@ -56,14 +50,8 @@ func (o *OmniAlg) Init(st *PacketState, src, dst int32, _ *rng.Rand) {
 
 // PortCandidates implements Algorithm.
 func (o *OmniAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
-	if cur == st.Dst {
-		return buf
-	}
 	h := o.h
-	n := h.NDims()
-	own := o.coord[int(cur)*n:][:n]
-	want := o.coord[int(st.Dst)*n:][:n]
-	nbr := o.live.Nbr[int(cur)*o.live.Radix:]
+	own, want, nbr := o.rows(cur, st.Dst)
 	allowDeroute := st.Deroutes < o.maxDeroute
 	for dim, w := range want {
 		if own[dim] == w {
@@ -88,10 +76,7 @@ func (o *OmniAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate
 // Advance implements Algorithm: classifies the hop as minimal or deroute.
 func (o *OmniAlg) Advance(cur int32, port int, st *PacketState) {
 	st.Hops++
-	h := o.h
-	n, dim := h.NDims(), h.PortDim(port)
-	own, want := o.coord[int(cur)*n+dim], o.coord[int(st.Dst)*n+dim]
-	if own != want && port == h.PortToCoord(dim, int(own), int(want)) {
+	if o.minimalHop(cur, st.Dst, port, o.h.PortDim(port)) {
 		st.MinHops++
 	} else {
 		st.Deroutes++
@@ -108,24 +93,4 @@ func (o *OmniAlg) MaxHops(*topo.Network) int {
 // scan table. As the paper discusses, this is exactly why it degrades under
 // failures: a dead minimal link is simply not offered, and a packet out of
 // deroutes has no legal hop left.
-func (o *OmniAlg) Rebuild(nw *topo.Network) error {
-	h, err := requireHyperX(nw, "Omnidimensional")
-	if err != nil {
-		return err
-	}
-	if o.h != h {
-		n := h.NDims()
-		o.coord = make([]int32, h.Switches()*n)
-		for x := range h.Switches() {
-			for dim := range n {
-				o.coord[x*n+dim] = int32(h.CoordAt(int32(x), dim))
-			}
-		}
-	}
-	o.h, o.live = h, nw.LiveNeighbors()
-	return nil
-}
-
-// Live returns the flattened live topology of the last Rebuild, for table
-// builders refreshed in the same rebuild.
-func (o *OmniAlg) Live() *topo.Live { return o.live }
+func (o *OmniAlg) Rebuild(nw *topo.Network) error { return o.rebuild(nw, "Omnidimensional") }

@@ -25,7 +25,6 @@ import (
 // Polarized adapts to any connected faulty topology after a table rebuild —
 // the property SurePath leans on in Section 6.
 type PolarizedAlg struct {
-	nw  *topo.Network
 	tab Tables
 }
 
@@ -103,8 +102,9 @@ func (p *PolarizedAlg) PortCandidates(cur int32, st *PacketState, buf []PortCand
 // header bit.
 func (p *PolarizedAlg) Advance(cur int32, port int, st *PacketState) {
 	st.Hops++
-	next := p.nw.H.PortNeighbor(cur, port)
-	st.CloserToSrc = p.tab.D(st.Src, next) < p.tab.D(st.Dst, next)
+	tab := &p.tab
+	next := int(tab.LiveNeighbor(cur, port))
+	st.CloserToSrc = tab.dist[int(st.Src)*tab.n+next] < tab.dist[int(st.Dst)*tab.n+next]
 }
 
 // MaxHops implements Algorithm: polarized routes are at most twice the
@@ -113,13 +113,7 @@ func (p *PolarizedAlg) MaxHops(*topo.Network) int { return 2 * int(p.tab.Diamete
 
 // Rebuild implements Algorithm: in-place table refresh, the "discovery at boot,
 // upgrade or failure" of the paper.
-func (p *PolarizedAlg) Rebuild(nw *topo.Network) error {
-	if err := p.tab.Rebuild(nw); err != nil {
-		return err
-	}
-	p.nw = nw
-	return nil
-}
+func (p *PolarizedAlg) Rebuild(nw *topo.Network) error { return p.tab.Rebuild(nw) }
 
 // Tables exposes the distance tables (shared with SurePath's diagnostics).
 func (p *PolarizedAlg) Tables() *Tables { return &p.tab }

@@ -36,32 +36,22 @@ func (v *ValiantAlg) Init(st *PacketState, src, dst int32, r *rng.Rand) {
 	}
 }
 
-// target returns the goal of the current phase.
-func (v *ValiantAlg) target(st *PacketState) int32 {
-	if st.Phase == 0 {
-		return st.Intermediate
-	}
-	return st.Dst
-}
-
 // PortCandidates implements Algorithm: minimal candidates toward the
 // current phase's target.
 func (v *ValiantAlg) PortCandidates(cur int32, st *PacketState, buf []PortCandidate) []PortCandidate {
-	if st.Phase == 0 && cur == st.Intermediate {
+	if st.Phase == 0 {
+		if cur != st.Intermediate {
+			return v.min.tab.minimalPorts(cur, st.Intermediate, buf)
+		}
 		st.Phase = 1
 	}
-	if cur == st.Dst && st.Phase == 1 {
-		return buf
-	}
-	sub := PacketState{Src: st.Src, Dst: v.target(st)}
-	return v.min.PortCandidates(cur, &sub, buf)
+	return v.min.tab.minimalPorts(cur, st.Dst, buf)
 }
 
 // Advance implements Algorithm.
 func (v *ValiantAlg) Advance(cur int32, port int, st *PacketState) {
 	st.Hops++
-	next := v.min.nw.H.PortNeighbor(cur, port)
-	if st.Phase == 0 && next == st.Intermediate {
+	if st.Phase == 0 && v.min.tab.LiveNeighbor(cur, port) == st.Intermediate {
 		st.Phase = 1
 	}
 }
