@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"repro/internal/sim"
 	"repro/internal/topo"
@@ -78,36 +79,60 @@ func (s *JobSpec) String() string { return s.label() }
 // microarchitectural defaults invalidates cached results even without an
 // EngineVersion bump.
 func (s *JobSpec) AppendCanonical(b []byte) []byte {
-	w := func(format string, args ...any) {
-		b = fmt.Appendf(b, format, args...)
+	// Hashing a spec is most of a warm-cache grid point, so the bytes are
+	// built with strconv appends rather than one fmt.Appendf per field and
+	// per fault edge; TestAppendCanonicalMatchesFmtReference holds them to
+	// the fmt-formatted layout they replace.
+	str := func(key, v string) {
+		b = append(append(append(b, key...), v...), '\n')
 	}
-	w("topo=%s\n", s.Topo)
-	w("per=%d\n", s.Per)
-	w("mech=%s\n", s.Mechanism)
-	w("pattern=%s\n", s.Pattern)
-	w("vcs=%d\n", s.VCs)
-	w("root=%d\n", s.Root)
-	w("load=%016x\n", math.Float64bits(s.Load))
-	w("warmup=%d\n", s.Budget.Warmup)
-	w("measure=%d\n", s.Budget.Measure)
-	w("burst=%d\n", s.BurstPackets)
-	w("seriesbucket=%d\n", s.SeriesBucket)
-	w("maxcycles=%d\n", s.MaxCycles)
-	w("seed=%d\n", s.Seed)
-	w("patternseed=%d\n", s.PatternSeed)
+	num := func(key string, v int64) {
+		b = append(strconv.AppendInt(append(b, key...), v, 10), '\n')
+	}
+	unum := func(key string, v uint64) {
+		b = append(strconv.AppendUint(append(b, key...), v, 10), '\n')
+	}
+	edge := func(e topo.Edge) {
+		b = strconv.AppendInt(b, int64(e.U), 10)
+		b = append(b, '-')
+		b = strconv.AppendInt(b, int64(e.V), 10)
+		b = append(b, ',')
+	}
+	str("topo=", s.Topo.String())
+	num("per=", int64(s.Per))
+	str("mech=", s.Mechanism)
+	str("pattern=", s.Pattern)
+	num("vcs=", int64(s.VCs))
+	num("root=", int64(s.Root))
+	b = append(b, "load="...)
+	for bits, shift := math.Float64bits(s.Load), 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[bits>>uint(shift)&0xf])
+	}
+	b = append(b, '\n')
+	num("warmup=", s.Budget.Warmup)
+	num("measure=", s.Budget.Measure)
+	num("burst=", int64(s.BurstPackets))
+	num("seriesbucket=", s.SeriesBucket)
+	num("maxcycles=", s.MaxCycles)
+	unum("seed=", s.Seed)
+	unum("patternseed=", s.PatternSeed)
 	b = append(b, "faults="...)
 	for _, e := range canonicalEdges(s.Faults) {
-		w("%d-%d,", e.U, e.V)
+		edge(e)
 	}
 	b = append(b, "\nschedule="...)
 	for _, ev := range canonicalSchedule(s.FaultSchedule) {
-		e := topo.NewEdge(ev.Edge.U, ev.Edge.V)
-		w("%d:%d-%d,", ev.Cycle, e.U, e.V)
+		b = strconv.AppendInt(b, ev.Cycle, 10)
+		b = append(b, ':')
+		edge(topo.NewEdge(ev.Edge.U, ev.Edge.V))
 	}
 	b = append(b, '\n')
-	w("config=%+v\n", sim.DefaultConfig())
-	return b
+	return append(b, canonicalConfigLine...)
 }
+
+// canonicalConfigLine is the last line of the canonical encoding: the Table
+// 2 defaults, which are fixed for the life of the process.
+var canonicalConfigLine = fmt.Sprintf("config=%+v\n", sim.DefaultConfig())
 
 // canonicalEdges returns the edges normalized (U <= V) and in the shared
 // topo.SortEdges order; the input is left untouched.

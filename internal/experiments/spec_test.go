@@ -1,10 +1,15 @@
 package experiments
 
 import (
+	"bytes"
+	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/topo"
 )
@@ -246,5 +251,114 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	}
 	if n, err := store.Len(); err != nil || n != 8 {
 		t.Fatalf("store holds %d entries (err %v), want 8", n, err)
+	}
+}
+
+// refAppendCanonical is the fmt-based canonical encoder AppendCanonical
+// replaced, kept verbatim (its own edge sort included) as the definition of
+// the bytes: every cached result and journaled grid is addressed by their
+// SHA-256.
+func refAppendCanonical(s *JobSpec, b []byte) []byte {
+	w := func(format string, args ...any) {
+		b = fmt.Appendf(b, format, args...)
+	}
+	w("topo=%s\n", s.Topo)
+	w("per=%d\n", s.Per)
+	w("mech=%s\n", s.Mechanism)
+	w("pattern=%s\n", s.Pattern)
+	w("vcs=%d\n", s.VCs)
+	w("root=%d\n", s.Root)
+	w("load=%016x\n", math.Float64bits(s.Load))
+	w("warmup=%d\n", s.Budget.Warmup)
+	w("measure=%d\n", s.Budget.Measure)
+	w("burst=%d\n", s.BurstPackets)
+	w("seriesbucket=%d\n", s.SeriesBucket)
+	w("maxcycles=%d\n", s.MaxCycles)
+	w("seed=%d\n", s.Seed)
+	w("patternseed=%d\n", s.PatternSeed)
+	b = append(b, "faults="...)
+	edges := make([]topo.Edge, len(s.Faults))
+	for i, e := range s.Faults {
+		edges[i] = topo.NewEdge(e.U, e.V)
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].U != edges[j].U {
+			return edges[i].U < edges[j].U
+		}
+		return edges[i].V < edges[j].V
+	})
+	for _, e := range edges {
+		w("%d-%d,", e.U, e.V)
+	}
+	b = append(b, "\nschedule="...)
+	schedule := append([]sim.FaultEvent(nil), s.FaultSchedule...)
+	sort.SliceStable(schedule, func(i, j int) bool { return schedule[i].Cycle < schedule[j].Cycle })
+	for _, ev := range schedule {
+		e := topo.NewEdge(ev.Edge.U, ev.Edge.V)
+		w("%d:%d-%d,", ev.Cycle, e.U, e.V)
+	}
+	b = append(b, '\n')
+	w("config=%+v\n", sim.DefaultConfig())
+	return b
+}
+
+// TestAppendCanonicalMatchesFmtReference: the strconv-built encoding is
+// byte-for-byte the fmt-built one — over fault sets of 0, 1, 50 and 500
+// edges in shuffled order and mixed orientation (duplicates included), an
+// unsorted fault schedule with same-cycle events, negative Root and
+// MaxCycles, seeds at the top of uint64, and load bit patterns with leading
+// zero digits and the sign bit set.
+func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
+	h := topo.MustHyperX(8, 8, 8)
+	seq := topo.RandomFaultSequence(h, 3)
+	r := rng.New(5)
+	faults := func(n int) []topo.Edge {
+		out := append([]topo.Edge(nil), seq[:n]...)
+		r.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
+		for i := range out {
+			if r.Intn(2) == 0 {
+				out[i].U, out[i].V = out[i].V, out[i].U
+			}
+		}
+		if n >= 50 {
+			out = append(out, out[3], out[7]) // the sort sees equal keys
+		}
+		return out
+	}
+	loads := []float64{0, 0.7, 1, math.Float64frombits(1), math.Copysign(0, -1), 1e-300, math.Inf(1)}
+	var specs []JobSpec
+	for i, n := range []int{0, 1, 50, 500} {
+		s := baseSpec()
+		s.Topo = topo.Spec{Kind: topo.KindHyperX, Dims: []int{8, 8, 8}}
+		s.Faults = faults(n)
+		s.Load = loads[i]
+		specs = append(specs, s)
+	}
+	odd := baseSpec()
+	odd.Root, odd.MaxCycles, odd.SeriesBucket = -1, -5, 2000
+	odd.Per, odd.VCs, odd.BurstPackets = 0, -3, 500
+	odd.Budget = Budget{Warmup: -1, Measure: math.MaxInt64}
+	odd.Seed, odd.PatternSeed = math.MaxUint64, math.MaxUint64-1
+	odd.Load = loads[4]
+	odd.Mechanism, odd.Pattern = "", "Regular Permutation to Neighbour"
+	odd.FaultSchedule = []sim.FaultEvent{
+		{Cycle: 900, Edge: topo.Edge{U: 9, V: 1}},
+		{Cycle: 100, Edge: topo.Edge{U: 7, V: 3}},
+		{Cycle: 900, Edge: topo.Edge{U: 2, V: 6}},
+		{Cycle: math.MaxInt64, Edge: topo.Edge{U: 0, V: 4}},
+	}
+	specs = append(specs, odd)
+	for _, load := range loads[4:] {
+		s := baseSpec()
+		s.Load, s.Faults, s.FaultSchedule = load, nil, nil
+		s.Topo = topo.Spec{Kind: topo.KindDragonfly, Dims: []int{4, 2}}
+		specs = append(specs, s)
+	}
+	for i := range specs {
+		s := &specs[i]
+		want := refAppendCanonical(s, []byte("prefix|"))
+		if got := s.AppendCanonical([]byte("prefix|")); !bytes.Equal(got, want) {
+			t.Errorf("spec %d (%d faults): canonical bytes differ\n got: %q\nwant: %q", i, len(s.Faults), got, want)
+		}
 	}
 }

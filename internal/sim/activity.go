@@ -10,7 +10,7 @@ import (
 // that can possibly do something, the per-switch *next-work time* that
 // lets the phases skip switches whose earliest possible action is
 // provably in the future, and the event-calendar fast-forward that jumps
-// the run straight between events — arrivals, releases, serialization
+// the run straight between events — arrivals, credits, serialization
 // completions, faults, warm/measure boundaries — even while packets are
 // in flight.
 //
@@ -18,27 +18,25 @@ import (
 //
 //	evWork[sw] == 0   no events anywhere on its calendar wheel, and
 //	quWork[sw] == 0   empty input VCs, output buffers and injection
-//	                  queues, and no pending input-port releases.
+//	                  queues.
 //
 // A quiescent switch provably no-ops in every phase. The next-work time
 // generalizes that argument to switches that DO hold work, all of it
 // timed: nextWork[sw] is a lower bound on the earliest cycle at which the
 // switch can mutate any state or draw from its tie-break RNG stream. It
-// is the min of five components, each owned by the phase that computes
+// is the min of four components, each owned by the phase that computes
 // it:
 //
 //	evNext   the earliest pending calendar-wheel event (exact; lowered
 //	         by scheduleSw and the transmit merge, re-scanned from the
 //	         wheel by the event phase after a drain)
-//	relNext  the earliest pending input-port release (exact; lowered by
-//	         commit when it defers a release, recomputed by the release
-//	         phase)
 //	inRetry  the allocate phase's verdict on its queued heads: now+1
 //	         ("hot") if any head was *eligible* this cycle — it drew
 //	         tie-break randomness, so every subsequent cycle must run —
 //	         else the earliest inBusyUntil of a non-empty input VC on an
-//	         unsaturated port (a saturated port unblocks via a release,
-//	         which relNext already bounds)
+//	         unsaturated port (a saturated port unblocks when an evCredit
+//	         of its own returns a crossbar slot, which evNext already
+//	         bounds)
 //	outRetry the transmit phase's earliest outBusy expiry over ports
 //	         with queued output packets
 //	injRetry the inject phase's earliest injBusy expiry over non-empty
@@ -51,11 +49,11 @@ import (
 // packet (bestRequest). A head blocked on a busy input VC, a saturated
 // input port, a busy output serializer or a busy/credit-less injection
 // link is never considered, so it draws nothing — skipping those cycles
-// is invisible, and the unblock time is switch-local (a busy-until word,
-// a pending release, or an event on the switch's own wheel). A head that
-// IS eligible draws ties even when arbitration then drops it — e.g.
-// blocked on a downstream credit that only a *remote* switch can return —
-// so its switch reports nextWork = now+1 and is never skipped. That is
+// is invisible, and the unblock time is switch-local (a busy-until word
+// or an event on the switch's own wheel). A head that IS eligible draws
+// ties even when arbitration then drops it — e.g. blocked on a downstream
+// credit that only a *remote* switch can return — so its switch reports
+// nextWork = now+1 and is never skipped. That is
 // the extended skip proof: blocked-on-busy heads are skippable because
 // their wake-up is a switch-local timer; blocked-on-credit heads are not,
 // because their wake-up is a remote write AND the full walk would have
@@ -74,14 +72,12 @@ import (
 // phases, which read it as this cycle's stable skip verdict.
 type activityState struct {
 	// evWork counts pending calendar events per switch; quWork counts
-	// queued packets (input VCs, output buffers, injection queues) plus
-	// pending input-port releases.
+	// queued packets (input VCs, output buffers, injection queues).
 	evWork []int32
 	quWork []int32
-	// The five next-work components (see the file comment) and the folded
+	// The four next-work components (see the file comment) and the folded
 	// per-switch minimum. nwNever means "no locally provable work".
 	evNext   []int64
-	relNext  []int64
 	inRetry  []int64
 	outRetry []int64
 	injRetry []int64
@@ -127,7 +123,6 @@ func newActivityState(switches int, span int64) *activityState {
 		evWork:      make([]int32, switches),
 		quWork:      make([]int32, switches),
 		evNext:      make([]int64, switches),
-		relNext:     make([]int64, switches),
 		inRetry:     make([]int64, switches),
 		outRetry:    make([]int64, switches),
 		injRetry:    make([]int64, switches),
@@ -139,7 +134,6 @@ func newActivityState(switches int, span int64) *activityState {
 	}
 	for i := 0; i < switches; i++ {
 		a.evNext[i] = nwNever
-		a.relNext[i] = nwNever
 		a.inRetry[i] = nwNever
 		a.outRetry[i] = nwNever
 		a.injRetry[i] = nwNever
@@ -286,7 +280,7 @@ func (e *engine) actMergeWoken() {
 }
 
 // actCompact ends the cycle: for every switch that ran this cycle it
-// refolds the next-work word from the five components and books the
+// refolds the next-work word from the four components and books the
 // matching wheel visit, or parks the switch for good when it went
 // quiescent. Only due switches need the refold: a parked switch ran
 // nothing, so its components are unchanged and its fold still equals
@@ -305,19 +299,7 @@ func (e *engine) actCompact() {
 			a.nextWork[sw] = nwNever
 			continue
 		}
-		nw := a.evNext[sw]
-		if a.relNext[sw] < nw {
-			nw = a.relNext[sw]
-		}
-		if a.inRetry[sw] < nw {
-			nw = a.inRetry[sw]
-		}
-		if a.outRetry[sw] < nw {
-			nw = a.outRetry[sw]
-		}
-		if a.injRetry[sw] < nw {
-			nw = a.injRetry[sw]
-		}
+		nw := min(a.evNext[sw], a.inRetry[sw], a.outRetry[sw], a.injRetry[sw])
 		a.nextWork[sw] = nw
 		a.schedAt[sw] = -1
 		a.schedule(sw, nw, e.now)
@@ -357,7 +339,7 @@ func (e *engine) scanSchedMin() int64 {
 //
 // Unlike the pre-calendar engine this jumps even with packets in flight:
 // a switch waiting out an output serialization, a busy input VC or a
-// pending release reports the exact expiry as its next-work time, and the
+// pending credit reports the exact expiry as its next-work time, and the
 // skipped cycles are provably no-ops for it (nothing due, no eligible
 // head, so no state change and no randomness). A switch whose head is
 // eligible — including one that arbitration keeps dropping for lack of a
@@ -414,13 +396,12 @@ func (e *engine) nextWheelEvent(sw int32) int64 {
 
 // verifyActivity audits the activity bookkeeping against the ground
 // truth: recomputed event and queue counts per switch, set membership for
-// every switch with work, the exact next-work components (evNext against
-// a full wheel scan, relNext against the pending releases), the folded
-// per-switch minimum and the cached active-set minimum, and — the safety
-// direction of the skip proof — that no switch's next-work time sleeps
-// past a provable local obligation: a queued output head's busy expiry, a
-// queued input head's busy-until on an unsaturated port, or a blocked
-// injection head's link release. Wrong words would silently skip a switch
+// every switch with work, the exact evNext (against a full wheel scan),
+// the folded per-switch minimum and the cached active-set minimum, and —
+// the safety direction of the skip proof — that no switch's next-work
+// time sleeps past a provable local obligation: a queued output head's
+// busy expiry, a queued input head's busy-until on an unsaturated port,
+// or a blocked injection head's link release. Wrong words would silently skip a switch
 // with real work and corrupt results, so this panics like the
 // flow-control audits. Enabled by Config.CheckInvariants via
 // verifyInvariants, which runs after a full cycle (post-compaction), when
@@ -444,18 +425,8 @@ func (e *engine) verifyActivity() {
 				break
 			}
 		}
-		var qn int32
-		for p := 0; p < e.P; p++ {
-			gp := sw*e.P + p
-			for vc := 0; vc < e.V; vc++ {
-				qn += int32(e.inQ[gp*e.V+vc].len())
-			}
-			qn += int32(e.outQ[gp].len())
-		}
-		for s := 0; s < e.K; s++ {
-			qn += int32(e.injQ[sw*e.K+s].len())
-		}
-		qn += int32(len(e.inReleases[sw]))
+		in, out, inj := e.queuedPackets(sw)
+		qn := in + out + inj
 		if a.evWork[sw] != evn || a.quWork[sw] != qn {
 			panic(fmt.Sprintf("sim: activity counters of switch %d are (ev %d, qu %d), actual (%d, %d) at cycle %d",
 				sw, a.evWork[sw], a.quWork[sw], evn, qn, e.now))
@@ -468,16 +439,6 @@ func (e *engine) verifyActivity() {
 			panic(fmt.Sprintf("sim: switch %d caches evNext %d, wheel says %d at cycle %d",
 				sw, a.evNext[sw], evNext, e.now))
 		}
-		relNext := nwNever
-		for _, rel := range e.inReleases[sw] {
-			if rel.at < relNext {
-				relNext = rel.at
-			}
-		}
-		if a.relNext[sw] != relNext {
-			panic(fmt.Sprintf("sim: switch %d caches relNext %d, pending releases say %d at cycle %d",
-				sw, a.relNext[sw], relNext, e.now))
-		}
 		if evn+qn == 0 {
 			if a.nextWork[sw] != nwNever || a.inRetry[sw] != nwNever ||
 				a.outRetry[sw] != nwNever || a.injRetry[sw] != nwNever {
@@ -486,12 +447,7 @@ func (e *engine) verifyActivity() {
 			}
 			continue
 		}
-		fold := evNext
-		for _, c := range []int64{relNext, a.inRetry[sw], a.outRetry[sw], a.injRetry[sw]} {
-			if c < fold {
-				fold = c
-			}
-		}
+		fold := min(evNext, a.inRetry[sw], a.outRetry[sw], a.injRetry[sw])
 		if a.nextWork[sw] != fold {
 			panic(fmt.Sprintf("sim: switch %d folded next-work %d, components say %d at cycle %d",
 				sw, a.nextWork[sw], fold, e.now))
@@ -544,8 +500,8 @@ func (e *engine) verifyActivity() {
 // evCredit/evArrive chain, which evNext bounds.
 func (e *engine) auditNextWorkBounds(sw int32, nw int64) {
 	for p := 0; p < e.P; p++ {
-		gp := int(sw)*e.P + p
-		if e.outQ[gp].len() > 0 {
+		gp := sw*int32(e.P) + int32(p)
+		if e.outQ.len(gp) > 0 {
 			lim := e.now + 1
 			if e.outBusy[gp] > lim {
 				lim = e.outBusy[gp]
@@ -556,11 +512,11 @@ func (e *engine) auditNextWorkBounds(sw int32, nw int64) {
 			}
 		}
 		if int(e.inInflight[gp]) >= e.cfg.XbarSpeedup {
-			continue // unblocks via a pending release; relNext bounds it
+			continue // unblocks via a pending evCredit; evNext bounds it
 		}
 		for vc := 0; vc < e.V; vc++ {
-			invc := gp*e.V + vc
-			if e.inQ[invc].len() == 0 {
+			invc := gp*int32(e.V) + int32(vc)
+			if e.inQ.len(invc) == 0 {
 				continue
 			}
 			lim := e.now + 1
@@ -574,8 +530,8 @@ func (e *engine) auditNextWorkBounds(sw int32, nw int64) {
 		}
 	}
 	for s := 0; s < e.K; s++ {
-		g := int(sw)*e.K + s
-		if e.injQ[g].len() > 0 && e.injBusy[g] > e.now && nw > e.injBusy[g] {
+		g := sw*int32(e.K) + int32(s)
+		if e.injQ.len(g) > 0 && e.injBusy[g] > e.now && nw > e.injBusy[g] {
 			panic(fmt.Sprintf("sim: switch %d next-work %d sleeps past server %d's injection at %d (cycle %d)",
 				sw, nw, g, e.injBusy[g], e.now))
 		}

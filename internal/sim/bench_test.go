@@ -51,7 +51,6 @@ func loadedPaperEngine(b testing.TB) *engine {
 	// launched.
 	e.forEachSwitch(func(sw int32, _ *workerScratch) {
 		e.processEventsSwitch(sw)
-		e.processInReleasesSwitch(sw)
 	})
 	e.mergeRetire()
 	gen()
@@ -79,7 +78,7 @@ func gatherAllRequests(e *engine, reqs []request, ws *workerScratch) []request {
 			vcBase := gport * int32(V)
 			for vc := 0; vc < V; vc++ {
 				invc := vcBase + int32(vc)
-				if e.inQ[invc].len() == 0 || e.inBusyUntil[invc] > e.now {
+				if e.inQ.len(invc) == 0 || e.inBusyUntil[invc] > e.now {
 					continue
 				}
 				if req, ok := e.bestRequest(sw, gport, invc, vc, tr, ws); ok {
@@ -147,7 +146,7 @@ func BenchmarkAllocationStep(b *testing.B) {
 					e.outInflight[rq.outPort]+outUsed[rq.outPort] >= speedup {
 					continue
 				}
-				if e.outQ[rq.outPort].len()+int(e.outReserved[rq.outPort])+int(outResv[rq.outPort]) >= e.cfg.OutputBufPkts {
+				if e.outQ.len(rq.outPort)+int(e.outReserved[rq.outPort])+int(outResv[rq.outPort]) >= e.cfg.OutputBufPkts {
 					continue
 				}
 				if !rq.eject {

@@ -30,7 +30,7 @@ type packet struct {
 const (
 	evArrive   = iota // packet lands in input VC `a`
 	evXferDone        // packet enters output buffer of global port `a` on VC vc
-	evCredit          // credit returns to input VC `a`
+	evCredit          // input VC `a` frees a slot: credit to its sender, crossbar slot to its port
 	evDeliver         // packet reaches its destination server
 )
 
@@ -106,8 +106,9 @@ type engine struct {
 	// cost floor at low load.
 	pq []portq
 
-	// Input side.
-	inQ         []ring
+	// Input side. inQ, outQ and injQ are ring sets (ring.go): one ring per
+	// input VC, per global port and per server.
+	inQ         ringSet
 	inBusyUntil []int64
 	inInflight  []int8 // per global port: outgoing crossbar transfers
 	inOcc       []int8 // per global port: count of nonempty input VCs
@@ -137,14 +138,14 @@ type engine struct {
 	penCost []int64
 
 	// Output side.
-	outQ        []pvring // per global port: (packet, VC) pairs
-	outReserved []int16  // granted transfers not yet in outQ
-	outVCCount  []int16  // per gport*V+vc: queued+reserved packets for that VC
-	outBusy     []int64  // link serialization busy-until
-	outInflight []int8   // incoming crossbar transfers
+	outQ        ringSet // per global port: (packet, VC) pairs
+	outReserved []int16 // granted transfers not yet in outQ
+	outVCCount  []int16 // per gport*V+vc: queued+reserved packets for that VC
+	outBusy     []int64 // link serialization busy-until
+	outInflight []int8  // incoming crossbar transfers
 
 	// Servers.
-	injQ    []ring
+	injQ    ringSet
 	injBusy []int64
 
 	// Packet pool. Mutated only in sequential phases (generation, merges).
@@ -166,19 +167,17 @@ type engine struct {
 	// carved from one slab per family (see carveStaging), each region
 	// sized at construction from the flow-control worst case —
 	//
-	//	granted    ≤ P·XbarSpeedup   (crossbar slots per cycle)
-	//	outbox     ≤ R               (one link-port pop per cycle)
-	//	freed      ≤ K + P·XbarSpeedup (deliveries + dead-port losses)
-	//	inReleases ≤ P·XbarSpeedup   (pending crossbar releases)
+	//	granted ≤ P·XbarSpeedup     (crossbar slots per cycle)
+	//	outbox  ≤ R                 (one link-port pop per cycle)
+	//	freed   ≤ K + P·XbarSpeedup (deliveries + dead-port losses)
 	//
 	// The regions are three-index slices (len 0, fixed cap), so a switch
 	// that somehow outgrew its bound would spill that one slice to a
 	// private heap array — correct, just slower — instead of bleeding
 	// into its neighbour's region.
-	granted    [][]request    // winners of this cycle's arbitration
-	outbox     [][]timedEvent // link arrivals bound for other switches
-	freed      [][]int32      // packet ids retired this cycle
-	inReleases [][]inRelease  // deferred input-port inflight decrements
+	granted [][]request    // winners of this cycle's arbitration
+	outbox  [][]timedEvent // link arrivals bound for other switches
+	freed   [][]int32      // packet ids retired this cycle
 
 	// Per-cycle counters, folded and reset by the merge steps.
 	swRetired     []int64 // delivered + lost (decrements inFlight)
@@ -273,8 +272,7 @@ type workerScratch struct {
 }
 
 // carveStaging carves n zero-length, fixed-capacity staging slices out of
-// a single slab allocation — the initBacked idiom of ring.go, extended to
-// the append-style staging arenas. The three-index expression pins each
+// a single slab allocation. The three-index expression pins each
 // region's capacity, so an append past it reallocates that one slice to
 // the heap instead of overwriting the next switch's region.
 func carveStaging[T any](n, capacity int) [][]T {
@@ -301,6 +299,14 @@ func newEngine(o RunOptions) (*engine, error) {
 	if v := o.Mechanism.VCs(); v < 1 || v > maxVCs {
 		return nil, fmt.Errorf("sim: mechanism %s needs %d VCs; the engine supports 1..%d",
 			o.Mechanism.Name(), v, maxVCs)
+	}
+	injCap := max(o.Config.InjQueuePkts, o.BurstPackets)
+	if err := errors.Join(
+		ringCapError("InputBufPkts", o.Config.InputBufPkts),
+		ringCapError("OutputBufPkts", o.Config.OutputBufPkts),
+		ringCapError("the injection queue (InjQueuePkts or BurstPackets)", injCap),
+	); err != nil {
+		return nil, err
 	}
 	e := &engine{
 		cfg:  o.Config,
@@ -344,12 +350,7 @@ func newEngine(o RunOptions) (*engine, error) {
 			}
 		}
 	}
-	e.inQ = make([]ring, SP*e.V)
-	inCap := e.cfg.InputBufPkts
-	inSlab := make([]int32, len(e.inQ)*inCap)
-	for i := range e.inQ {
-		e.inQ[i].initBacked(inSlab[i*inCap : (i+1)*inCap])
-	}
+	e.inQ = newRingSet(SP*e.V, e.cfg.InputBufPkts, false)
 	e.inBusyUntil = make([]int64, SP*e.V)
 	e.credits = make([]int16, SP*e.V)
 	for i := range e.credits {
@@ -361,13 +362,7 @@ func newEngine(o RunOptions) (*engine, error) {
 	for p := range e.penCost {
 		e.penCost[p] = int64(e.cfg.PenaltyWeight * float64(p) / float64(e.cfg.PacketPhits))
 	}
-	e.outQ = make([]pvring, SP)
-	outCap := e.cfg.OutputBufPkts
-	outPktSlab := make([]int32, SP*outCap)
-	outVCSlab := make([]int8, SP*outCap)
-	for i := range e.outQ {
-		e.outQ[i].initBacked(outPktSlab[i*outCap:(i+1)*outCap], outVCSlab[i*outCap:(i+1)*outCap])
-	}
+	e.outQ = newRingSet(SP, e.cfg.OutputBufPkts, true)
 	if e.P <= 64 {
 		e.inMask = make([]uint64, e.S)
 		e.outMask = make([]uint64, e.S)
@@ -378,12 +373,7 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.outInflight = make([]int8, SP)
 
 	nServers := e.S * e.K
-	e.injQ = make([]ring, nServers)
-	injCap := max(e.cfg.InjQueuePkts, o.BurstPackets)
-	injSlab := make([]int32, nServers*injCap)
-	for i := range e.injQ {
-		e.injQ[i].initBacked(injSlab[i*injCap : (i+1)*injCap])
-	}
+	e.injQ = newRingSet(nServers, injCap, false)
 	e.injBusy = make([]int64, nServers)
 	e.genPhits = make([]int64, nServers)
 
@@ -407,7 +397,6 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.granted = carveStaging[request](e.S, capGrant)
 	e.outbox = carveStaging[timedEvent](e.S, e.R)
 	e.freed = carveStaging[int32](e.S, e.K+capGrant)
-	e.inReleases = carveStaging[inRelease](e.S, capGrant)
 
 	e.swRetired = make([]int64, e.S)
 	e.swDelivered = make([]int64, e.S)
@@ -433,13 +422,6 @@ func newEngine(o RunOptions) (*engine, error) {
 	}
 	e.accountMem(start)
 	return e, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // scheduleSw enqueues an event on switch sw's calendar at now+delay. Every
@@ -475,7 +457,7 @@ func (e *engine) freePacket(id int32) {
 // all generation randomness draws from the single generation stream in
 // server order, independent of the worker count.
 func (e *engine) generate(src int32) bool {
-	if e.injQ[src].full() {
+	if e.injQ.full(src) {
 		e.stalledGenPkts++
 		return false
 	}
@@ -486,7 +468,7 @@ func (e *engine) generate(src int32) bool {
 	pkt.dstLocal = int16(int(dst) % e.K)
 	pkt.inWindow = e.now >= e.warmStart && e.now < e.warmEnd
 	e.mech.Init(&pkt.st, src/int32(e.K), dst/int32(e.K), e.r)
-	e.injQ[src].push(id)
+	e.injQ.push(src, id)
 	sw := src / int32(e.K)
 	e.swInjPkts[sw]++
 	e.actQu(sw, 1)
@@ -529,16 +511,14 @@ func (e *engine) processEventsSwitch(sw int32) {
 	for _, ev := range evs {
 		switch ev.kind {
 		case evArrive:
-			if q := &e.inQ[ev.a]; q.len() == 0 {
+			if e.inQ.len(ev.a) == 0 {
 				gp := ev.a / int32(e.V)
 				e.inOcc[gp]++
 				if e.inMask != nil {
 					e.inMask[sw] |= 1 << uint32(gp-gpBase)
 				}
-				q.push(ev.pkt)
-			} else {
-				q.push(ev.pkt)
 			}
+			e.inQ.push(ev.a, ev.pkt)
 			e.swInPkts[sw]++
 			e.actQu(sw, 1)
 		case evXferDone:
@@ -555,21 +535,24 @@ func (e *engine) processEventsSwitch(sw int32) {
 				e.freed[sw] = append(e.freed[sw], ev.pkt)
 				continue
 			}
-			if q := &e.outQ[ev.a]; q.len() == 0 && e.outMask != nil {
+			if e.outQ.len(ev.a) == 0 && e.outMask != nil {
 				e.outMask[sw] |= 1 << uint32(ev.a-gpBase)
 			}
-			e.outQ[ev.a].push(ev.pkt, ev.vc)
+			e.outQ.pushVC(ev.a, ev.pkt, ev.vc)
 			e.swOutPkts[sw]++
 			e.actQu(sw, 1)
-			// The input-port inflight counter was decremented when the
-			// input released the packet (evCredit below shares the timing),
-			// so only the output side is handled here.
+			// The input port gave its crossbar slot back XbarLatency cycles
+			// ago, in the evCredit of the same grant, so only the output
+			// side is handled here.
 		case evCredit:
+			// The packet's tail has left input VC ev.a: the slot goes back to
+			// the sender as a credit, and the input port's crossbar slot frees.
 			V := int32(e.V)
 			gp := ev.a / V
 			vc := ev.a - gp*V
 			e.credits[e.up[gp]*V+vc]++
 			e.pq[gp].credSum++
+			e.inInflight[gp]--
 		case evDeliver:
 			e.deliverSw(sw, ev.pkt)
 		}
@@ -621,9 +604,8 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 	// chain, which evNext already bounds (see the skip proof in activity.go).
 	retry := nwNever
 	for s := 0; s < e.K; s++ {
-		g := int(sw)*e.K + s
-		q := &e.injQ[g]
-		if q.len() == 0 {
+		g := sw*int32(e.K) + int32(s)
+		if e.injQ.len(g) == 0 {
 			continue
 		}
 		if e.injBusy[g] > e.now {
@@ -632,7 +614,7 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 			}
 			continue
 		}
-		id := q.peek()
+		id := e.injQ.peek(g)
 		pkt := &e.pool[id]
 		base := (sw*int32(e.P) + int32(e.R+s)) * int32(V)
 		ws.vcBuf = e.mech.InjectVCs(&pkt.st, ws.vcBuf[:0])
@@ -646,14 +628,14 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 		if bestVC < 0 {
 			continue // no space at the switch; retry next cycle
 		}
-		q.pop()
+		e.injQ.pop(g)
 		e.swInjPkts[sw]--
 		e.actQu(sw, -1)
 		invc := base + int32(bestVC)
 		e.credits[invc]--
 		e.pq[invc/int32(V)].credSum--
 		e.injBusy[g] = e.now + int64(e.cfg.PacketPhits)
-		if q.len() > 0 && e.injBusy[g] < retry {
+		if e.injQ.len(g) > 0 && e.injBusy[g] < retry {
 			retry = e.injBusy[g]
 		}
 		e.scheduleSw(sw, int64(e.cfg.PacketPhits+e.cfg.LinkLatency), event{kind: evArrive, a: invc, pkt: id})
@@ -747,7 +729,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	// provable local time: commit is about to make each granted VC busy
 	// until now+xfer, so a queued successor head retries then, and the
 	// other heads wait on busy-untils recorded here. Heads on saturated
-	// ports wake through a pending release, which relNext bounds.
+	// ports wake through a pending evCredit, which evNext bounds.
 	retry := nwNever
 	nEligible := 0
 	scanPort := func(p int) {
@@ -758,7 +740,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 		vcBase := gport * int32(V)
 		for vc := 0; vc < V; vc++ {
 			invc := vcBase + int32(vc)
-			if e.inQ[invc].len() == 0 {
+			if e.inQ.len(invc) == 0 {
 				continue
 			}
 			if e.inBusyUntil[invc] > e.now {
@@ -847,7 +829,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 				// All eligible heads granted. A successor behind a granted
 				// head becomes eligible when its VC's transfer finishes.
 				for i := range granted {
-					if e.inQ[granted[i].invc].len() > 1 {
+					if e.inQ.len(granted[i].invc) > 1 {
 						if t := e.now + e.cfg.xferCycles(); t < retry {
 							retry = t
 						}
@@ -885,7 +867,7 @@ func sortRequests(b []request) {
 // own stream tr = &e.tie[sw], so the draw sequence depends only on the
 // switch's local traffic, never on the worker count.
 func (e *engine) bestRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws *workerScratch) (request, bool) {
-	id := e.inQ[invc].peek()
+	id := e.inQ.peek(invc)
 	pkt := &e.pool[id]
 	gpBase := sw * int32(e.P)
 	var best request
@@ -918,7 +900,6 @@ func (e *engine) bestRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws 
 // reads or writes during this phase.
 func (e *engine) commitSwitch(sw int32) {
 	granted := e.granted[sw]
-	rel := e.inReleases[sw]
 	V := int32(e.V)
 	xfer := e.cfg.xferCycles()
 	for i := range granted {
@@ -927,8 +908,8 @@ func (e *engine) commitSwitch(sw int32) {
 			e.credits[rq.outPort*V+int32(rq.vc)]--
 			e.pq[e.up[rq.outPort]].credSum--
 		}
-		e.inQ[rq.invc].pop()
-		if e.inQ[rq.invc].len() == 0 {
+		e.inQ.pop(rq.invc)
+		if e.inQ.len(rq.invc) == 0 {
 			e.inOcc[rq.inPort]--
 			if e.inOcc[rq.inPort] == 0 && e.inMask != nil {
 				e.inMask[sw] &^= 1 << uint32(rq.inPort-sw*int32(e.P))
@@ -946,54 +927,13 @@ func (e *engine) commitSwitch(sw int32) {
 			port := int(rq.outPort % int32(e.P))
 			e.mech.Advance(sw, port, int(rq.vc), &e.pool[rq.pkt].st)
 		}
-		// The packet's tail leaves the input buffer after the transfer: free
-		// the input slot (credit to the upstream sender) and the input port's
-		// crossbar slot then; the packet lands in the output buffer one
-		// crossbar latency later.
+		// The packet's tail leaves the input buffer after the transfer: the
+		// evCredit then frees the input slot (credit to the upstream sender)
+		// and the input port's crossbar slot; the packet lands in the output
+		// buffer one crossbar latency later.
 		e.scheduleSw(sw, xfer, event{kind: evCredit, a: rq.invc})
-		rel = append(rel, inRelease{at: e.now + xfer, port: rq.inPort})
-		e.actQu(sw, 1)
 		e.scheduleSw(sw, xfer+int64(e.cfg.XbarLatency), event{kind: evXferDone, a: rq.outPort, vc: rq.vc, pkt: rq.pkt})
 		e.swProgressed[sw] = true
-	}
-	e.inReleases[sw] = rel
-	if a := e.act; a != nil && len(granted) > 0 && e.now+xfer < a.relNext[sw] {
-		a.relNext[sw] = e.now + xfer
-	}
-}
-
-// inRelease defers the input-port inflight decrement; encoded as an
-// evCredit-like event on a sentinel VC would be obscure, so it gets its own
-// tiny per-switch queue keyed by cycle.
-type inRelease struct {
-	at   int64
-	port int32
-}
-
-// processInReleasesSwitch applies switch sw's due input-port releases and
-// compacts its queue.
-func (e *engine) processInReleasesSwitch(sw int32) {
-	pending := e.inReleases[sw]
-	keep := pending[:0]
-	applied := int32(0)
-	relNext := nwNever
-	for _, rel := range pending {
-		if rel.at <= e.now {
-			e.inInflight[rel.port]--
-			applied++
-		} else {
-			keep = append(keep, rel)
-			if rel.at < relNext {
-				relNext = rel.at
-			}
-		}
-	}
-	e.inReleases[sw] = keep
-	if e.act != nil {
-		e.act.relNext[sw] = relNext
-	}
-	if applied > 0 {
-		e.actQu(sw, -applied)
 	}
 }
 
@@ -1016,8 +956,7 @@ func (e *engine) transmitSwitch(sw int32) {
 	retry := nwNever
 	xmitPort := func(p int) {
 		gport := gpBase + int32(p)
-		q := &e.outQ[gport]
-		if q.len() == 0 {
+		if e.outQ.len(gport) == 0 {
 			return
 		}
 		if e.outBusy[gport] > e.now {
@@ -1026,15 +965,16 @@ func (e *engine) transmitSwitch(sw int32) {
 			}
 			return
 		}
-		id, vc := q.pop()
+		id, vc := e.outQ.popVC(gport)
 		e.pq[gport].outTotal--
-		if q.len() == 0 && e.outMask != nil {
+		left := e.outQ.len(gport)
+		if left == 0 && e.outMask != nil {
 			e.outMask[sw] &^= 1 << uint32(p)
 		}
 		e.swOutPkts[sw]--
 		e.actQu(sw, -1)
 		e.outBusy[gport] = e.now + serial
-		if q.len() > 0 && e.outBusy[gport] < retry {
+		if left > 0 && e.outBusy[gport] < retry {
 			retry = e.outBusy[gport]
 		}
 		e.outVCCount[gport*V+int32(vc)]--

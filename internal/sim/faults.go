@@ -73,9 +73,8 @@ func (e *engine) failLink(edge topo.Edge) error {
 		e.portDead[gp] = true
 		e.liveDirLinks--
 		// Packets already committed to this output are lost with the link.
-		q := &e.outQ[gp]
-		for q.len() > 0 {
-			id, vc := q.pop()
+		for e.outQ.len(gp) > 0 {
+			id, vc := e.outQ.popVC(gp)
 			e.pq[gp].outTotal--
 			e.swOutPkts[side.sw]--
 			e.actQu(side.sw, -1)

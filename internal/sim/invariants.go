@@ -8,7 +8,6 @@ import "fmt"
 // wrong throughput numbers rather than a failure.
 func (e *engine) verifyInvariants() {
 	e.verifyPorts()
-	V := e.V
 	// Packet conservation: every live packet is somewhere.
 	if e.inFlight < 0 {
 		panic(fmt.Sprintf("sim: inFlight = %d negative at cycle %d", e.inFlight, e.now))
@@ -22,17 +21,7 @@ func (e *engine) verifyInvariants() {
 	// drifted counter would silently skip a phase scan with real work in
 	// it, which is a determinism bug, not just a perf bug.
 	for sw := 0; sw < e.S; sw++ {
-		var in, out, inj int32
-		for p := 0; p < e.P; p++ {
-			gp := sw*e.P + p
-			for vc := 0; vc < V; vc++ {
-				in += int32(e.inQ[gp*V+vc].len())
-			}
-			out += int32(e.outQ[gp].len())
-		}
-		for s := 0; s < e.K; s++ {
-			inj += int32(e.injQ[sw*e.K+s].len())
-		}
+		in, out, inj := e.queuedPackets(sw)
 		if e.swInPkts[sw] != in || e.swOutPkts[sw] != out || e.swInjPkts[sw] != inj {
 			panic(fmt.Sprintf("sim: switch %d queue counters are (in %d, out %d, inj %d), actual (%d, %d, %d) at cycle %d",
 				sw, e.swInPkts[sw], e.swOutPkts[sw], e.swInjPkts[sw], in, out, inj, e.now))
@@ -44,19 +33,34 @@ func (e *engine) verifyInvariants() {
 	e.verifyArrivals()
 }
 
+// queuedPackets counts, from the rings, the packets switch sw holds in its
+// input VCs, output buffers and injection queues.
+func (e *engine) queuedPackets(sw int) (in, out, inj int32) {
+	for gp := int32(sw * e.P); gp < int32((sw+1)*e.P); gp++ {
+		for invc := gp * int32(e.V); invc < (gp+1)*int32(e.V); invc++ {
+			in += int32(e.inQ.len(invc))
+		}
+		out += int32(e.outQ.len(gp))
+	}
+	for g := int32(sw * e.K); g < int32((sw+1)*e.K); g++ {
+		inj += int32(e.injQ.len(g))
+	}
+	return in, out, inj
+}
+
 // verifyPorts is the per-port half of the audit — the credit ledger, the
 // occupancy counts and masks, buffer and crossbar bounds. Unlike the
 // activity and arrival audits it holds at any inter-cycle point, a freshly
 // restored snapshot included.
 func (e *engine) verifyPorts() {
-	V := e.V
-	SP := e.S * e.P
-	for gp := 0; gp < SP; gp++ {
+	V := int32(e.V)
+	P := int32(e.P)
+	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		// Credit bounds, per-port sum consistency and link conservation.
 		var sum int32
 		var occ8 int8
-		for v := 0; v < V; v++ {
-			if e.inQ[gp*V+v].len() > 0 {
+		for v := int32(0); v < V; v++ {
+			if e.inQ.len(gp*V+v) > 0 {
 				occ8++
 			}
 		}
@@ -66,25 +70,25 @@ func (e *engine) verifyPorts() {
 				gp, e.inOcc[gp], occ8, e.now))
 		}
 		if e.inMask != nil {
-			sw, p := gp/e.P, gp%e.P
+			sw, p := gp/P, gp%P
 			if got := e.inMask[sw]&(1<<uint32(p)) != 0; got != (occ8 > 0) {
 				panic(fmt.Sprintf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
 					sw, p, got, occ8, e.now))
 			}
-			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ[gp].len() > 0) {
+			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ.len(gp) > 0) {
 				panic(fmt.Sprintf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
-					sw, p, got, e.outQ[gp].len(), e.now))
+					sw, p, got, e.outQ.len(gp), e.now))
 			}
 		}
 		// The ledger is indexed by sender: the credits for gp's input VCs are
 		// the entries of the port at the far end of its link, and a sender
 		// never holds more credits than its receiver has free slots.
-		sender := int(e.up[gp])
-		for v := 0; v < V; v++ {
+		sender := e.up[gp]
+		for v := int32(0); v < V; v++ {
 			c := e.credits[sender*V+v]
-			if c < 0 || int(c) > e.cfg.InputBufPkts-e.inQ[gp*V+v].len() {
+			if c < 0 || int(c) > e.cfg.InputBufPkts-e.inQ.len(gp*V+v) {
 				panic(fmt.Sprintf("sim: credits[%d,%d] = %d for input VC (%d,%d) holding %d of %d packets at cycle %d",
-					sender, v, c, gp, v, e.inQ[gp*V+v].len(), e.cfg.InputBufPkts, e.now))
+					sender, v, c, gp, v, e.inQ.len(gp*V+v), e.cfg.InputBufPkts, e.now))
 			}
 			sum += int32(c)
 			if e.outVCCount[gp*V+v] < 0 {
@@ -97,11 +101,11 @@ func (e *engine) verifyPorts() {
 				gp, e.pq[gp].credSum, sender, sum, e.now))
 		}
 		// Output buffer occupancy within capacity.
-		if occ := e.outQ[gp].len() + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
+		if occ := e.outQ.len(gp) + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
 			panic(fmt.Sprintf("sim: output %d holds %d > %d packets at cycle %d",
 				gp, occ, e.cfg.OutputBufPkts, e.now))
 		}
-		if got := e.outQ[gp].len() + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
+		if got := e.outQ.len(gp) + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
 			panic(fmt.Sprintf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
 				"would silently misprice every allocation through this output",
 				gp, e.pq[gp].outTotal, got, e.now))

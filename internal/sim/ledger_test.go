@@ -95,7 +95,7 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 	}
 	audit("credit-without-slot", "credits[", func(e *engine, gport, far int32) {
 		// far's input VC 0 holds a packet its sender was never charged for.
-		e.inQ[far*int32(e.V)].push(e.allocPacket())
+		e.inQ.push(far*int32(e.V), e.allocPacket())
 		e.inOcc[far]++
 		e.inMask[far/int32(e.P)] |= 1 << uint32(far%int32(e.P))
 		e.swInPkts[far/int32(e.P)]++

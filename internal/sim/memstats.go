@@ -20,7 +20,7 @@ type MemStats struct {
 	// arrival calendar grow with offered traffic and are excluded.
 	ArenaBytes int64
 	// StagingCapBytes is the slab capacity reserved for the per-cycle
-	// staging arenas (granted/outbox/freed/inReleases); included in
+	// staging arenas (granted/outbox/freed); included in
 	// ArenaBytes.
 	StagingCapBytes int64
 	// PeakStagingBytes is the high-water mark of live staging entries,
@@ -47,7 +47,6 @@ func (m *MemStats) String() string {
 const (
 	sizeofRequest    = int64(unsafe.Sizeof(request{}))
 	sizeofTimedEvent = int64(unsafe.Sizeof(timedEvent{}))
-	sizeofInRelease  = int64(unsafe.Sizeof(inRelease{}))
 	sizeofFreed      = int64(unsafe.Sizeof(int32(0)))
 )
 
@@ -78,7 +77,7 @@ func (e *engine) accountMem(start time.Time) {
 	b += sliceBytes(e.portDead)
 	b += sliceBytes(e.up)
 	b += sliceBytes(e.pq)
-	b += ringArenaBytes(e.inQ)
+	b += e.inQ.bytes()
 	b += sliceBytes(e.inBusyUntil)
 	b += sliceBytes(e.credits)
 	b += sliceBytes(e.inInflight)
@@ -86,19 +85,18 @@ func (e *engine) accountMem(start time.Time) {
 	b += sliceBytes(e.inMask)
 	b += sliceBytes(e.outMask)
 	b += sliceBytes(e.penCost)
-	b += pvringArenaBytes(e.outQ)
+	b += e.outQ.bytes()
 	b += sliceBytes(e.outReserved)
 	b += sliceBytes(e.outVCCount)
 	b += sliceBytes(e.outBusy)
 	b += sliceBytes(e.outInflight)
-	b += ringArenaBytes(e.injQ)
+	b += e.injQ.bytes()
 	b += sliceBytes(e.injBusy)
 	b += sliceBytes(e.genPhits)
 	b += arenaBytes(e.events)
 	b += sliceBytes(e.swInPkts) + sliceBytes(e.swOutPkts) + sliceBytes(e.swInjPkts)
 	b += sliceBytes(e.tie)
-	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) +
-		arenaBytes(e.freed) + arenaBytes(e.inReleases)
+	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) + arenaBytes(e.freed)
 	b += staging
 	b += sliceBytes(e.swRetired) + sliceBytes(e.swDelivered) + sliceBytes(e.swLost) +
 		sliceBytes(e.swSeriesPhits) + sliceBytes(e.swProgressed)
@@ -109,8 +107,8 @@ func (e *engine) accountMem(start time.Time) {
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
 	if a := e.act; a != nil {
 		b += sliceBytes(a.evWork) + sliceBytes(a.quWork) +
-			sliceBytes(a.evNext) + sliceBytes(a.relNext) +
-			sliceBytes(a.inRetry) + sliceBytes(a.outRetry) + sliceBytes(a.injRetry) +
+			sliceBytes(a.evNext) + sliceBytes(a.inRetry) +
+			sliceBytes(a.outRetry) + sliceBytes(a.injRetry) +
 			sliceBytes(a.nextWork) + arenaBytes(a.sched) + sliceBytes(a.schedAt)
 	}
 	e.mem = MemStats{
@@ -120,28 +118,6 @@ func (e *engine) accountMem(start time.Time) {
 		BytesPerSwitch:  float64(b) / float64(e.S),
 		ConstructNanos:  time.Since(start).Nanoseconds(),
 	}
-}
-
-// ringArenaBytes is the footprint of a ring array: the ring structs plus
-// their backing storage. Rings treat len(buf) as their capacity and the
-// slab carve is a plain two-index slice (cap runs to the slab end), so
-// summing lengths — not caps — tiles the shared slab exactly once.
-func ringArenaBytes(s []ring) int64 {
-	b := int64(len(s)) * int64(unsafe.Sizeof(ring{}))
-	for i := range s {
-		b += int64(len(s[i].buf)) * int64(unsafe.Sizeof(int32(0)))
-	}
-	return b
-}
-
-// pvringArenaBytes is ringArenaBytes for the two-slice pvring.
-func pvringArenaBytes(s []pvring) int64 {
-	b := int64(len(s)) * int64(unsafe.Sizeof(pvring{}))
-	for i := range s {
-		b += int64(len(s[i].pkt))*int64(unsafe.Sizeof(int32(0))) +
-			int64(len(s[i].vc))*int64(unsafe.Sizeof(int8(0)))
-	}
-	return b
 }
 
 // MeasureEngineMemory builds the engine for o and returns its arena

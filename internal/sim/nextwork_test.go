@@ -12,8 +12,8 @@ import (
 // Edge cases of the event-calendar jump rule. The property test in
 // activity_test.go samples these regimes randomly; the tests here pin the
 // three ways a jump can go wrong deterministically: a fault landing
-// inside a stretch the engine wants to skip, a pending release due at the
-// exact jump target, and a credit-starved head whose wake-up only a
+// inside a stretch the engine wants to skip, a pending release (an
+// evCredit) due at the exact jump target, and a credit-starved head whose wake-up only a
 // remote switch can provide.
 
 // TestJumpFaultInsideSkipStretch schedules faults at fixed cycles in a
@@ -57,32 +57,26 @@ func TestJumpFaultInsideSkipStretch(t *testing.T) {
 	}
 }
 
-// TestJumpLandsOnReleaseExpiry parks a handcrafted engine with a single
-// pending input-port release and checks the jump rule aims at exactly the
-// release cycle — one cycle late would apply the release a cycle after
-// the full walk, one early would execute a provably idle cycle — and that
-// stepping the landed cycle applies it.
+// TestJumpLandsOnReleaseExpiry parks a handcrafted engine on a single
+// pending evCredit — the event that returns an input port's crossbar slot
+// together with the credit — and checks the jump rule aims at exactly its
+// cycle — one cycle late would free the slot a cycle after the full walk,
+// one early would execute a provably idle cycle — and that stepping the
+// landed cycle drops inInflight there.
 func TestJumpLandsOnReleaseExpiry(t *testing.T) {
-	h := topo.MustHyperX(3, 3)
-	nw := topo.NewNetwork(h, nil)
-	mech, err := core.New(nw, core.PolarizedRoutes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pat := uniformOn(t, h, 3)
-	e, err := newEngine(RunOptions{
-		Net: nw, ServersPerSwitch: 3, Mechanism: mech, Pattern: pat,
-		Load: 0.5, MeasureCycles: 10, Seed: 1, Config: DefaultConfig(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	e := ledgerEngine(t)
 	const sw, relAt = int32(2), int64(10)
 	gp := sw * int32(e.P)
+	invc := gp * int32(e.V)
+	// One granted transfer out of input VC (gp, 0) is crossing the switch:
+	// its slot is taken, the sender is one credit short.
 	e.inInflight[gp] = 1
-	e.inReleases[sw] = append(e.inReleases[sw], inRelease{at: relAt, port: gp})
-	e.actQu(sw, 1) // pending releases count as queued work
-	e.act.relNext[sw] = relAt
+	e.credits[e.up[gp]*int32(e.V)]--
+	e.pq[gp].credSum--
+	e.scheduleSw(sw, relAt, event{kind: evCredit, a: invc})
+	if e.act.quWork[sw] != 0 {
+		t.Fatalf("a pending release counts as queued work: quWork = %d", e.act.quWork[sw])
+	}
 	// Refold and book as the end of a cycle that ran switch 2 would.
 	e.act.nextWork[sw] = e.now
 	e.act.due = append(e.act.due[:0], sw)
@@ -99,9 +93,10 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 	if e.inInflight[gp] != 0 {
 		t.Fatalf("release not applied at the jump target: inInflight = %d", e.inInflight[gp])
 	}
-	if e.act.relNext[sw] != nwNever {
-		t.Fatalf("relNext = %d after applying the only release, want nwNever", e.act.relNext[sw])
+	if e.act.evNext[sw] != nwNever {
+		t.Fatalf("evNext = %d after draining the only event, want nwNever", e.act.evNext[sw])
 	}
+	e.verifyInvariants() // the credit went back with the slot
 	// The switch went quiescent: after one idle cycle (which refreshes the
 	// stale-low cached bound from the wheel) jumps are unbounded again.
 	e.now++
@@ -144,7 +139,7 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	vc := e.mech.InjectVCs(&pkt.st, nil)[0]
 	gp := sw * int32(e.P) // a link port (port 0 < R)
 	invc := gp*int32(e.V) + int32(vc)
-	e.inQ[invc].push(id)
+	e.inQ.push(invc, id)
 	e.inOcc[gp]++
 	if e.inMask != nil {
 		e.inMask[sw] |= 1

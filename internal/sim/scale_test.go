@@ -9,12 +9,12 @@ import (
 )
 
 // maxBytesPerSwitch16 is the allocation budget of the 16x16x16 smoke
-// test. The engine's arena accounting puts the current footprint at
-// ~31.7 KB/switch at this radix (R=45, K=8, V=4); the budget leaves
-// headroom for small honest additions while catching anything that
-// changes the scaling class — a per-pair table, an O(S^2) matrix, a
-// forgotten ring slab.
-const maxBytesPerSwitch16 = 40_000
+// test: the engine's arena accounting puts the footprint at 18 907
+// bytes/switch at this radix (R=45, K=8, V=4), and the budget is that
+// plus 10 % — room for a few words per port, none for anything that
+// changes the scaling class (a per-pair table, an O(S^2) matrix) or
+// undoes the ring sets (a 40-byte header per input VC is +7 600).
+const maxBytesPerSwitch16 = 20_800
 
 // TestLargeTopologySmoke constructs the 4096-switch 16x16x16 cube under a
 // strict per-switch allocation budget and drives a short low-load

@@ -10,7 +10,7 @@ import (
 // cycle runs as three switch-parallel phases separated by cheap sequential
 // merge steps:
 //
-//	1. events    — drain each switch's calendar slot, apply input releases
+//	1. events    — drain each switch's calendar slot
 //	   mergeRetire (sequential): fold retired packets, freed ids, series
 //	2. generate  (sequential): Bernoulli/burst traffic from the single
 //	   generation RNG stream, in server order
@@ -384,11 +384,10 @@ func (e *engine) mergeTransmitSwitch(sw int32) {
 	if e.memTrack {
 		// Sample the staging high-water mark here, where every family of
 		// this cycle's staging is still live: grants (cleared by the next
-		// allocate), the outbox (cleared below), pending releases, plus
-		// the freed ids sampled by mergeRetireSwitch into the same sum.
+		// allocate), the outbox (cleared below), plus the freed ids sampled
+		// by mergeRetireSwitch into the same sum.
 		e.stageLive += int64(len(e.granted[sw]))*sizeofRequest +
-			int64(len(outbox))*sizeofTimedEvent +
-			int64(len(e.inReleases[sw]))*sizeofInRelease
+			int64(len(outbox))*sizeofTimedEvent
 	}
 	PV := int32(e.P * e.V)
 	for _, te := range outbox {
@@ -423,8 +422,8 @@ func (e *engine) mergeTransmitSwitch(sw int32) {
 // arrived, plus switches traffic generation wakes mid-cycle (folded in
 // before inject/allocate); actCompact then re-books every due switch at
 // its refolded next-work time, or parks it for good when quiescent. For
-// everyone else the cycle is provably a no-op — no event due, no release
-// due, no eligible head, so no state change and no randomness drawn (the
+// everyone else the cycle is provably a no-op — no event due, no
+// eligible head, so no state change and no randomness drawn (the
 // extended quiescence proof in activity.go). The folded nextWork word is
 // stable across the cycle's phases — written only by the sequential
 // steps (compaction, generation wake-ups, the transmit merge), never by
@@ -435,7 +434,6 @@ func (e *engine) stepCycle(generate func()) {
 	//hx:parallel-phase
 	e.forEachDue(func(sw int32, _ *workerScratch) {
 		e.processEventsSwitch(sw)
-		e.processInReleasesSwitch(sw)
 	})
 	e.mergeRetire()
 	if generate != nil {

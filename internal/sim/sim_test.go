@@ -454,17 +454,5 @@ func TestZeroWatchdogDisablesDetection(t *testing.T) {
 	}
 }
 
-func TestRingPanicsOnOverflow(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ring overflow did not panic")
-		}
-	}()
-	var r ring
-	r.init(1)
-	r.push(1)
-	r.push(2)
-}
-
 // hx unwraps the test network's HyperX for coordinate helpers.
 func hx(nw *topo.Network) *topo.HyperX { return nw.H.(*topo.HyperX) }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -109,7 +110,10 @@ type eventSnap struct {
 	Pkt  int32
 }
 
-// inRelSnap is the serialized form of one pending input-port release.
+// inRelSnap is the serialized form of one pending input-port release: the
+// port gets a crossbar slot back at cycle At. The engine keeps no such list
+// any more — the release rides the evCredit of the same grant — so the
+// entries are derived from the wheel (pendingInRels).
 type inRelSnap struct {
 	At   int64
 	Port int32
@@ -269,38 +273,9 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	credits := make([]int16, len(e.credits))
 	e.creditsAcrossLinks(credits, e.credits)
 
-	inQLens := make([]int32, len(e.inQ))
-	var inQData []int32
-	for i := range e.inQ {
-		q := &e.inQ[i]
-		inQLens[i] = int32(q.len())
-		for j := 0; j < q.len(); j++ {
-			inQData = append(inQData, q.buf[(q.head+j)%len(q.buf)])
-		}
-	}
-
-	outQLens := make([]int32, len(e.outQ))
-	var outQPkt []int32
-	var outQVC []int8
-	for i := range e.outQ {
-		q := &e.outQ[i]
-		outQLens[i] = int32(q.len())
-		for j := 0; j < q.len(); j++ {
-			k := (q.head + j) % len(q.pkt)
-			outQPkt = append(outQPkt, q.pkt[k])
-			outQVC = append(outQVC, q.vc[k])
-		}
-	}
-
-	injQLens := make([]int32, len(e.injQ))
-	var injQData []int32
-	for i := range e.injQ {
-		q := &e.injQ[i]
-		injQLens[i] = int32(q.len())
-		for j := 0; j < q.len(); j++ {
-			injQData = append(injQData, q.buf[(q.head+j)%len(q.buf)])
-		}
-	}
+	inQLens, inQData, _ := e.inQ.flatten()
+	outQLens, outQPkt, outQVC := e.outQ.flatten()
+	injQLens, injQData, _ := e.injQ.flatten()
 
 	pool := make([]packetSnap, len(e.pool))
 	for i, p := range e.pool {
@@ -316,14 +291,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		}
 	}
 
-	relLens := make([]int32, e.S)
-	var rels []inRelSnap
-	for sw := 0; sw < e.S; sw++ {
-		relLens[sw] = int32(len(e.inReleases[sw]))
-		for _, rel := range e.inReleases[sw] {
-			rels = append(rels, inRelSnap{At: rel.at, Port: rel.port})
-		}
-	}
+	relLens, rels := pendingInRels(e.now, e.horizon, e.V, eventLens, evs)
 
 	arr := make([]arrivalSnap, len(e.arrQ))
 	for i, a := range e.arrQ {
@@ -470,6 +438,68 @@ func (e *engine) creditsAcrossLinks(dst, src []int16) {
 	}
 }
 
+// flatten lists every ring of the set in pop order: per-ring lengths, the
+// entries back to back and, for a tagged set, their VCs alongside.
+func (r *ringSet) flatten() (lens, data []int32, tags []int8) {
+	lens = make([]int32, len(r.hdr))
+	for i := range lens {
+		n := r.len(int32(i))
+		lens[i] = int32(n)
+		for j := 0; j < n; j++ {
+			data = append(data, r.at(int32(i), j))
+			if r.tag != nil {
+				tags = append(tags, r.tag[r.slot(int32(i), j)])
+			}
+		}
+	}
+	return lens, data, tags
+}
+
+// load is the inverse of flatten: every ring is reset and refilled. The
+// caller has checked lens against the capacity and the data lengths.
+func (r *ringSet) load(lens, data []int32, tags []int8) {
+	cursor := 0
+	for i, n := range lens {
+		r.reset(int32(i))
+		for ; n > 0; n-- {
+			k := r.pushSlot(int32(i))
+			r.buf[k] = data[cursor]
+			if tags != nil {
+				r.tag[k] = tags[cursor]
+			}
+			cursor++
+		}
+	}
+}
+
+// pendingInRels derives the two release fields of hyperx-ckpt/1 — per
+// switch, the pending input-port releases as (cycle, port) — from a wheel
+// captured at cycle now. A release is the inInflight decrement of a pending
+// evCredit, so the list of a switch is its evCredits walked by cycle and,
+// within a cycle, by position in the slot: a slot's evCredits all come from
+// the commit one transfer time earlier, in grant order, which is the order
+// engines that kept the list appended to it.
+func pendingInRels(now, horizon int64, V int, eventLens []int32, events []eventSnap) ([]int32, []inRelSnap) {
+	start := make([]int, len(eventLens)+1)
+	for i, n := range eventLens {
+		start[i+1] = start[i] + int(n)
+	}
+	lens := make([]int32, int64(len(eventLens))/horizon)
+	var rels []inRelSnap
+	for sw := range lens {
+		for t := now; t < now+horizon; t++ {
+			slot := int64(sw)*horizon + t%horizon
+			for _, ev := range events[start[slot]:start[slot+1]] {
+				if ev.Kind == evCredit {
+					rels = append(rels, inRelSnap{At: t, Port: ev.A / int32(V)})
+					lens[sw]++
+				}
+			}
+		}
+	}
+	return lens, rels
+}
+
 // snapDnInVC is the word hyperx-ckpt/1 stores per port as PQDnInVC, which
 // engines before the sender-indexed ledger kept: the first input VC a live
 // link port sends into, -1 for a server port and for a link port that is
@@ -608,10 +638,11 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	} else if n != len(st.Events) {
 		return badf("event wheel holds %d events, data has %d", n, len(st.Events))
 	}
-	if n, err := sumLens(st.InRelLens, 0); err != nil {
-		return err
-	} else if n != len(st.InRels) {
-		return badf("pending releases hold %d entries, data has %d", n, len(st.InRels))
+	if st.Now < 0 {
+		return badf("cycle %d is negative", st.Now)
+	}
+	if lens, rels := pendingInRels(st.Now, e.horizon, e.V, st.EventLens, st.Events); !slices.Equal(lens, st.InRelLens) || !slices.Equal(rels, st.InRels) {
+		return badf("pending input-port releases disagree with the %d evCredit events on the wheel", len(rels))
 	}
 	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
 		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
@@ -664,15 +695,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		e.pq[i].credSum = st.PQCredSum[i]
 	}
 
-	cursor := 0
-	for i := range e.inQ {
-		q := &e.inQ[i]
-		q.head, q.n = 0, 0
-		for j := 0; j < int(st.InQLens[i]); j++ {
-			q.push(st.InQData[cursor])
-			cursor++
-		}
-	}
+	e.inQ.load(st.InQLens, st.InQData, nil)
 	copy(e.inBusyUntil, st.InBusyUntil)
 	e.creditsAcrossLinks(e.credits, st.Credits)
 	copy(e.inInflight, st.InInflight)
@@ -680,29 +703,13 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	copy(e.inMask, st.InMask)
 	copy(e.outMask, st.OutMask)
 
-	cursor = 0
-	for i := range e.outQ {
-		q := &e.outQ[i]
-		q.head, q.n = 0, 0
-		for j := 0; j < int(st.OutQLens[i]); j++ {
-			q.push(st.OutQPkt[cursor], st.OutQVC[cursor])
-			cursor++
-		}
-	}
+	e.outQ.load(st.OutQLens, st.OutQPkt, st.OutQVC)
 	copy(e.outReserved, st.OutReserved)
 	copy(e.outVCCount, st.OutVCCount)
 	copy(e.outBusy, st.OutBusy)
 	copy(e.outInflight, st.OutInflight)
 
-	cursor = 0
-	for i := range e.injQ {
-		q := &e.injQ[i]
-		q.head, q.n = 0, 0
-		for j := 0; j < int(st.InjQLens[i]); j++ {
-			q.push(st.InjQData[cursor])
-			cursor++
-		}
-	}
+	e.injQ.load(st.InjQLens, st.InjQData, nil)
 	copy(e.injBusy, st.InjBusy)
 
 	e.pool = e.pool[:0]
@@ -711,23 +718,13 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 	e.free = append(e.free[:0], st.Free...)
 
-	cursor = 0
+	cursor := 0
 	for i := range e.events {
 		e.events[i] = e.events[i][:0]
 		for j := 0; j < int(st.EventLens[i]); j++ {
 			ev := st.Events[cursor]
 			cursor++
 			e.events[i] = append(e.events[i], event{kind: ev.Kind, vc: ev.VC, a: ev.A, pkt: ev.Pkt})
-		}
-	}
-
-	cursor = 0
-	for sw := 0; sw < e.S; sw++ {
-		e.inReleases[sw] = e.inReleases[sw][:0]
-		for j := 0; j < int(st.InRelLens[sw]); j++ {
-			rel := st.InRels[cursor]
-			cursor++
-			e.inReleases[sw] = append(e.inReleases[sw], inRelease{at: rel.At, port: rel.Port})
 		}
 	}
 
@@ -783,7 +780,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // rebuildActivity reconstructs the activity bookkeeping after a restore by
 // conservatively booking every switch that holds any work for a visit at
 // the restored cycle. Snapshots deliberately carry NO activity state — the
-// wheel, the due list and the five next-work components are derived
+// wheel, the due list and the four next-work components are derived
 // bookkeeping — which is what makes a snapshot independent of the worker
 // count and the activity setting of both the run that took it and the run
 // that resumes it.
@@ -793,8 +790,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // extra visit to a switch whose real work lies in the future mutates
 // nothing and draws no randomness), and on that first due visit every phase
 // recomputes its own next-work component exactly (the event phase rescans
-// the wheel, the release phase recomputes relNext, inject/allocate/transmit
-// re-derive their retries), so the end-of-cycle compaction refolds the
+// the wheel, inject/allocate/transmit re-derive their retries), so the end-of-cycle compaction refolds the
 // exact next-work time and the engine is back on the uninterrupted run's
 // trajectory. The CheckInvariants audits only run after a full cycle, when
 // the components are exact again.
@@ -810,8 +806,7 @@ func (e *engine) rebuildActivity() {
 		for s := int64(0); s < e.horizon; s++ {
 			evn += int32(len(e.events[base+s]))
 		}
-		rels := int32(len(e.inReleases[sw]))
-		qn := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw] + rels
+		qn := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]
 		a.evWork[sw] = evn
 		a.quWork[sw] = qn
 		if evn+qn == 0 {
@@ -819,9 +814,6 @@ func (e *engine) rebuildActivity() {
 		}
 		if evn > 0 {
 			a.evNext[sw] = e.now
-		}
-		if rels > 0 {
-			a.relNext[sw] = e.now
 		}
 		if e.swInPkts[sw] > 0 {
 			a.inRetry[sw] = e.now

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"reflect"
@@ -312,5 +313,102 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	bad[0] = 99
 	if _, err := decodeSnapshotState(bad); !errors.Is(err, ErrBadSnapshot) {
 		t.Error("wrong codec version accepted")
+	}
+}
+
+// TestSnapshotRejectsInRelsMismatch: hyperx-ckpt/1 stores the pending
+// input-port releases, which the engine now derives from the evCredit
+// events on the wheel. A snapshot whose list disagrees with its own events
+// — a wrong port, a wrong cycle, a dropped entry, two entries swapped, or
+// an evCredit without its release — is internally inconsistent: it is
+// refused with ErrBadSnapshot before anything is installed. The untouched
+// snapshot passes the same check.
+func TestSnapshotRejectsInRelsMismatch(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	_, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
+	if len(snaps) == 0 {
+		t.Fatal("no snapshots shipped")
+	}
+	body := snaps[0][:len(snaps[0])-sha256.Size]
+	decode := func() *snapshotState {
+		st, err := decodeSnapshotState(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	// The first switch holding two releases on different ports, for the swap.
+	swapAt := -1
+	for sw, at, st := 0, 0, decode(); sw < len(st.InRelLens); sw++ {
+		if n := int(st.InRelLens[sw]); n >= 2 && swapAt < 0 && st.InRels[at] != st.InRels[at+1] {
+			swapAt = at
+		}
+		at += int(st.InRelLens[sw])
+	}
+	if swapAt < 0 {
+		t.Fatal("the snapshot holds no switch with two distinct pending releases: it no longer covers the order check")
+	}
+	cases := []struct {
+		name   string
+		mutate func(st *snapshotState)
+	}{
+		{"intact", func(st *snapshotState) {}},
+		{"wrong port", func(st *snapshotState) { st.InRels[0].Port++ }},
+		{"wrong cycle", func(st *snapshotState) { st.InRels[0].At++ }},
+		{"swapped", func(st *snapshotState) {
+			st.InRels[swapAt], st.InRels[swapAt+1] = st.InRels[swapAt+1], st.InRels[swapAt]
+		}},
+		{"dropped", func(st *snapshotState) {
+			for sw := len(st.InRelLens) - 1; sw >= 0; sw-- {
+				if st.InRelLens[sw] > 0 {
+					st.InRelLens[sw]--
+					break
+				}
+			}
+			st.InRels = st.InRels[:len(st.InRels)-1]
+		}},
+		{"credit without release", func(st *snapshotState) {
+			for i := range st.Events {
+				if st.Events[i].Kind == evXferDone {
+					st.Events[i].Kind = evCredit
+					return
+				}
+			}
+			t.Fatal("no evXferDone on the wheel")
+		}},
+		{"negative cycle", func(st *snapshotState) { st.Now = -1 }},
+	}
+	for _, tc := range cases {
+		st := decode()
+		tc.mutate(st)
+		o := snapshotRun(t, h)
+		o.Config = DefaultConfig()
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+		err = e.applySnapshot(st, o)
+		if tc.name == "intact" {
+			if err != nil || e.now != st.Now {
+				t.Fatalf("intact snapshot: applySnapshot = %v, now %d", err, e.now)
+			}
+			continue
+		}
+		if !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: applySnapshot returned %v, want ErrBadSnapshot", tc.name, err)
+		}
+		if in, out, inj := e.queuedPackets(0); e.now != 0 || len(e.pool) != 0 || in+out+inj != 0 {
+			t.Errorf("%s: the refused snapshot was partly installed (now %d, pool %d)", tc.name, e.now, len(e.pool))
+		}
+		// The same bytes through the public path: re-sealed, so only the
+		// consistency check can refuse them.
+		enc := appendSnapshotState(nil, st)
+		sum := sha256.Sum256(enc)
+		o = snapshotRun(t, h)
+		o.Checkpoint = &CheckpointOptions{Resume: append(enc, sum[:]...)}
+		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: Run resumed it: %v", tc.name, err)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package topo
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Switched is the abstract switch-level topology the routing stack runs
 // on: a set of switches with numbered ports. HyperX is the paper's
@@ -46,11 +49,11 @@ func GraphOf(t Switched) *Graph {
 // derived from a map and by the job-spec canonical encoding (the two must
 // agree or equal fault sets would hash differently).
 func SortEdges(edges []Edge) []Edge {
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if a.U != b.U {
+			return cmp.Compare(a.U, b.U)
 		}
-		return edges[i].V < edges[j].V
+		return cmp.Compare(a.V, b.V)
 	})
 	return edges
 }
