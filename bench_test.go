@@ -513,14 +513,11 @@ func (p inCastPattern) Dest(src int32, _ *rng.Rand) int32 {
 	return p.dst
 }
 
-// benchIdleDrain measures a paper-scale in-cast burst drain: one packet
-// per server (one server per switch), all bound for the center switch.
-// Completion takes ~8k cycles, almost all of them with a handful of dirty
-// switches out of 512; the NoActivity baseline walks the whole switch
-// array every cycle. The acceptance bar for the activity-driven engine is
-// >= 3x on this benchmark.
-func benchIdleDrain(b *testing.B, noActivity bool) {
-	b.Helper()
+// BenchmarkIdleDrain8x8x8 measures a paper-scale in-cast burst drain: one
+// packet per server (one server per switch), all bound for the center
+// switch. Completion takes ~8k cycles, almost all of them with a handful
+// of dirty switches out of 512.
+func BenchmarkIdleDrain8x8x8(b *testing.B) {
 	h := topo.MustHyperX(8, 8, 8)
 	root := h.ID([]int{3, 3, 3})
 	nw := topo.NewNetwork(h, nil)
@@ -534,7 +531,7 @@ func benchIdleDrain(b *testing.B, noActivity bool) {
 	for i := 0; i < b.N; i++ {
 		res, err := sim.Run(sim.RunOptions{
 			Net: nw, ServersPerSwitch: 1, Mechanism: mech, Pattern: pat,
-			BurstPackets: 1, Seed: 9, Workers: 1, DisableActivity: noActivity,
+			BurstPackets: 1, Seed: 9, Workers: 1,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -544,28 +541,12 @@ func benchIdleDrain(b *testing.B, noActivity bool) {
 	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-func BenchmarkIdleDrain8x8x8(b *testing.B) {
-	b.Run("Activity", func(b *testing.B) { benchIdleDrain(b, false) })
-	b.Run("NoActivity", func(b *testing.B) { benchIdleDrain(b, true) })
-}
-
 // benchLowLoad measures open-loop cycle rate on a paper-scale network at
 // the low-load operating points of the figures' left halves — the regime
-// that dominates the wall-clock of the latency-vs-load sweeps. Three
-// engines compete:
-//
-//	Activity:   the geometric arrival calendar + dirty sets + idle-cycle
-//	            fast-forward (the default hyperx-sim/4 engine)
-//	LegacyGen:  per-cycle Bernoulli draws + dirty sets (the PR 4 activity
-//	            engine, -legacy-gen) — generation ticks every cycle, so
-//	            it can never fast-forward an open-loop stretch
-//	NoActivity: per-cycle draws + the full every-switch walk (the
-//	            -no-activity -legacy-gen baseline)
-//
-// At 0.05 most switches see a packet every few cycles and all three run
-// near parity; at 0.01 the arrival calendar's fast-forward is the
-// difference (acceptance: Activity >= 20x NoActivity and >= 2x LegacyGen).
-func benchLowLoad(b *testing.B, load float64, noActivity, legacyGen bool) {
+// that dominates the wall-clock of the latency-vs-load sweeps. At 0.05
+// most switches see a packet every few cycles; at 0.01 the arrival
+// calendar's fast-forward carries the run.
+func benchLowLoad(b *testing.B, load float64) {
 	b.Helper()
 	h := topo.MustHyperX(8, 8, 8)
 	nw := topo.NewNetwork(h, nil)
@@ -585,7 +566,7 @@ func benchLowLoad(b *testing.B, load float64, noActivity, legacyGen bool) {
 		if _, err := sim.Run(sim.RunOptions{
 			Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
 			Load: load, WarmupCycles: 0, MeasureCycles: cycles, Seed: 9,
-			Workers: 1, DisableActivity: noActivity, LegacyGeneration: legacyGen,
+			Workers: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -594,24 +575,12 @@ func benchLowLoad(b *testing.B, load float64, noActivity, legacyGen bool) {
 }
 
 func BenchmarkLowLoadCycleRate(b *testing.B) {
-	modes := []struct {
-		name             string
-		noAct, legacyGen bool
-	}{
-		{"Activity", false, false},
-		{"LegacyGen", false, true},
-		{"NoActivity", true, true},
-	}
 	for _, load := range []float64{0.05, 0.01} {
-		for _, m := range modes {
-			b.Run(fmt.Sprintf("Load%.2f-%s", load, m.name), func(b *testing.B) {
-				benchLowLoad(b, load, m.noAct, m.legacyGen)
-			})
-		}
+		b.Run(fmt.Sprintf("Load%.2f", load), func(b *testing.B) { benchLowLoad(b, load) })
 	}
 }
 
-// benchSparseFaultRecovery measures the Figure 10 operating regime: a
+// BenchmarkSparseFaultRecovery measures the Figure 10 operating regime: a
 // paper-scale network at low load absorbing a sparse schedule of link
 // failures. Between faults the network is mostly quiet — the event
 // calendar should fast-forward the stretches — but every fault bounds
@@ -619,8 +588,7 @@ func BenchmarkLowLoadCycleRate(b *testing.B) {
 // recovery transient after each failure runs dense. A fresh network and
 // mechanism are built per op because failed links accumulate in the
 // fault set.
-func benchSparseFaultRecovery(b *testing.B, noActivity bool) {
-	b.Helper()
+func BenchmarkSparseFaultRecovery(b *testing.B) {
 	h := topo.MustHyperX(8, 8, 8)
 	seq := topo.RandomFaultSequence(h, 7)
 	const cycles = 6000
@@ -641,7 +609,7 @@ func benchSparseFaultRecovery(b *testing.B, noActivity bool) {
 		if _, err := sim.Run(sim.RunOptions{
 			Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
 			Load: 0.01, WarmupCycles: 0, MeasureCycles: cycles, Seed: 9,
-			Workers: 1, DisableActivity: noActivity,
+			Workers: 1,
 			FaultSchedule: []sim.FaultEvent{
 				{Cycle: 1500, Edge: seq[0]},
 				{Cycle: 3000, Edge: seq[1]},
@@ -655,20 +623,13 @@ func benchSparseFaultRecovery(b *testing.B, noActivity bool) {
 	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "cycles/s")
 }
 
-func BenchmarkSparseFaultRecovery(b *testing.B) {
-	b.Run("Activity", func(b *testing.B) { benchSparseFaultRecovery(b, false) })
-	b.Run("NoActivity", func(b *testing.B) { benchSparseFaultRecovery(b, true) })
-}
-
-// benchMidFlightSkip isolates the tentpole capability of the per-switch
-// next-work engine: jumping while packets are in flight. At this load a
-// paper-scale network almost always carries a few packets mid-route, so
-// the PR 5 idle-cycle fast-forward (which required a completely empty
-// network) nearly never fired; the next-work calendar instead jumps
-// between the in-flight packets' event times. The NoActivity sub walks
-// every switch every cycle — the A/B isolates the skip machinery itself.
-func benchMidFlightSkip(b *testing.B, noActivity bool) {
-	b.Helper()
+// BenchmarkMidFlightSkip isolates the tentpole capability of the
+// per-switch next-work engine: jumping while packets are in flight. At
+// this load a paper-scale network almost always carries a few packets
+// mid-route, so a fast-forward that required a completely empty network
+// would nearly never fire; the next-work calendar instead jumps between
+// the in-flight packets' event times.
+func BenchmarkMidFlightSkip(b *testing.B) {
 	h := topo.MustHyperX(8, 8, 8)
 	nw := topo.NewNetwork(h, nil)
 	mech, err := core.New(nw, core.PolarizedRoutes, 4)
@@ -685,17 +646,12 @@ func benchMidFlightSkip(b *testing.B, noActivity bool) {
 		if _, err := sim.Run(sim.RunOptions{
 			Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
 			Load: 0.002, WarmupCycles: 0, MeasureCycles: cycles, Seed: 9,
-			Workers: 1, DisableActivity: noActivity,
+			Workers: 1,
 		}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
-}
-
-func BenchmarkMidFlightSkip(b *testing.B) {
-	b.Run("Activity", func(b *testing.B) { benchMidFlightSkip(b, false) })
-	b.Run("NoActivity", func(b *testing.B) { benchMidFlightSkip(b, true) })
 }
 
 // --- Sequential vs sharded single-run engine. ---

@@ -297,7 +297,7 @@ func figureRegistry() []figure {
 
 func main() {
 	var exps multiFlag
-	flag.Var(&exps, "exp", "experiment to run: table2|table3|table4|fig1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|recovery|cost|section7|all (repeatable); cache-gc prunes and audits a -cache-dir instead of running anything; bench runs the engine wall-clock A/B harness and writes -bench-out")
+	flag.Var(&exps, "exp", "experiment to run: table2|table3|table4|fig1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|recovery|cost|section7|all (repeatable); cache-gc prunes and audits a -cache-dir instead of running anything; bench measures the engine memory ladder and writes -bench-out")
 	full := flag.Bool("full", false, "use the paper's full-size networks and long windows")
 	seed := flag.Uint64("seed", 1, "random seed")
 	workersFlag := flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU); results are identical for any value")
@@ -318,11 +318,7 @@ func main() {
 	memStats := flag.Bool("mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) for each experiment's largest topology before running")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
-	noActivity := flag.Bool("no-activity", false, "disable the engine's dirty-switch tracking and idle-cycle fast-forward (A/B baseline; results are identical either way)")
-	legacyGen := flag.Bool("legacy-gen", false, "use the legacy per-cycle open-loop generation (engine "+sim.LegacyEngineVersion+") instead of the geometric arrival calendar; statistically equivalent but bit-different results, cached and distributed under the legacy version tag")
 	flag.Parse()
-	experiments.SetEngineActivity(!*noActivity)
-	sim.SetLegacyGeneration(*legacyGen)
 
 	workers, err := cliutil.ResolveWorkers(*workersFlag)
 	if err != nil {
@@ -479,9 +475,8 @@ func main() {
 	}
 
 	if want["bench"] {
-		// A wall-clock harness, not an experiment: timing pairs would be
-		// meaningless interleaved with grid simulations, so it refuses to
-		// share an invocation (and is never part of -exp all).
+		// A measurement harness, not an experiment: it refuses to share an
+		// invocation (and is never part of -exp all).
 		if len(want) > 1 {
 			fmt.Fprintln(os.Stderr, "experiments: -exp bench cannot be combined with other experiments")
 			os.Exit(2)
@@ -492,14 +487,20 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.RenderBench(rep))
+		// The baseline is read before the report is written: -bench-out
+		// may name the same file (it does by default in the repo root).
+		var regression error
+		if *benchCompare != "" {
+			regression = experiments.CompareBenchMemory(*benchCompare, rep, 0.10)
+		}
 		if err := experiments.WriteBench(*benchOut, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", *benchOut)
 		if *benchCompare != "" {
-			if err := experiments.CompareBenchMemory(*benchCompare, rep, 0.10); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
+			if regression != nil {
+				fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", regression)
 				os.Exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "bench: memory within 10%% of %s\n", *benchCompare)
@@ -563,10 +564,10 @@ func tableSaver(csvDir, jsonlDir string) func(name string, header []string, rows
 // subtrees and pre-versioning flat shards), then replays each simulating
 // figure's spec enumeration in cache-probe mode — no simulation, no
 // write-backs, no output — and reports the per-figure hit/miss tally,
-// i.e. how much of a real run at the current flags (-full, -seed,
-// -legacy-gen) would come from the cache. The probe walks the same figure
-// registry the run() dispatch does, so it always enumerates exactly the
-// specs a real run at the same flags would.
+// i.e. how much of a real run at the current flags (-full, -seed) would
+// come from the cache. The probe walks the same figure registry the run()
+// dispatch does, so it always enumerates exactly the specs a real run at
+// the same flags would.
 func runCacheGC(store *cache.Store, registry []figure, c figCtx) error {
 	removed, err := store.GC()
 	if err != nil {
@@ -577,7 +578,7 @@ func runCacheGC(store *cache.Store, registry []figure, c figCtx) error {
 		return err
 	}
 	fmt.Printf("cache-gc: %s: pruned %d stale entries, %d remain (engine %s)\n",
-		store.Dir(), removed, entries, sim.ActiveEngineVersion())
+		store.Dir(), removed, entries, sim.EngineVersion)
 	ckpts, reclaimed, err := store.GCCheckpoints()
 	if err != nil {
 		return err

@@ -24,7 +24,7 @@ import (
 func main() {
 	var (
 		dimsFlag       = flag.String("dims", "8x8", "topology sides, e.g. 16x16 or 8x8x8")
-		mechFlag       = flag.String("mech", "PolSP", "mechanism: Minimal|Valiant|OmniWAR|Polarized|DOR|OmniSP|PolSP")
+		mechFlag       = flag.String("mech", "PolSP", "mechanism: Minimal|Valiant|OmniWAR|Polarized|DOR|DAL|EscapeOnly|OmniSP|PolSP")
 		patFlag        = flag.String("pattern", "Uniform", "pattern: Uniform|RSP|DCR|RPN")
 		loadFlag       = flag.Float64("load", 0.5, "offered load in phits/server/cycle (0,1]")
 		loadsFlag      = flag.String("loads", "", "comma-separated load sweep, e.g. 0.1,0.5,1.0 (overrides -load)")
@@ -43,13 +43,9 @@ func main() {
 		ckptEveryFlag  = flag.Duration("checkpoint-every", 0, "snapshot the engine at this wall-clock interval so an interrupted run resumes instead of restarting (needs -checkpoint-dir or -cache-dir); SIGINT/SIGTERM checkpoint and stop")
 		ckptCyclesFlag = flag.Int64("checkpoint-cycles", 0, "snapshot every N simulated cycles instead of on wall-clock time (deterministic trigger for tests)")
 		ckptDirFlag    = flag.String("checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
-		noActivityFlag = flag.Bool("no-activity", false, "disable the engine's dirty-switch tracking and idle-cycle fast-forward (A/B baseline; results are identical either way)")
-		legacyGenFlag  = flag.Bool("legacy-gen", false, "use the legacy per-cycle open-loop generation (engine "+hyperx.LegacyEngineVersion+") instead of the geometric arrival calendar; statistically equivalent but bit-different results, cached under the legacy version tag")
 		memStatsFlag   = flag.Bool("mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) before running")
 	)
 	flag.Parse()
-	hyperx.SetEngineActivity(!*noActivityFlag)
-	hyperx.SetLegacyGeneration(*legacyGenFlag)
 
 	workers, err := cliutil.ResolveWorkers(*workersFlag)
 	check(err)

@@ -283,26 +283,9 @@ func SetRunWorkers(n int) { experiments.SetDefaultRunWorkers(n) }
 // count from its switch count and the CPUs the grid pool leaves free.
 func SetAdaptiveRunWorkers() { experiments.SetAdaptiveRunWorkers() }
 
-// SetEngineActivity toggles the engine's dirty-switch tracking and
-// idle-cycle fast-forward for every spec simulation (default on). Purely a
-// performance A/B knob — results are bit-identical either way.
-func SetEngineActivity(enabled bool) { experiments.SetEngineActivity(enabled) }
-
-// SetLegacyGeneration switches every simulation in this process to the
-// legacy per-cycle open-loop generation (true) instead of the geometric
-// arrival calendar. Unlike the knobs above this is semantic — the two
-// engines produce statistically equivalent but bit-different results — so
-// it also switches the version tag the result cache and the distribution
-// handshake use (LegacyEngineVersion vs EngineVersion).
-func SetLegacyGeneration(on bool) { sim.SetLegacyGeneration(on) }
-
 // EngineVersion tags the simulation semantics of this build; it is folded
 // into every result-cache key and checked by the distribution handshake.
 const EngineVersion = sim.EngineVersion
-
-// LegacyEngineVersion tags the per-cycle-generation engine reproduced by
-// SetLegacyGeneration(true) (the CLIs' -legacy-gen).
-const LegacyEngineVersion = sim.LegacyEngineVersion
 
 // DefaultWorkers resolves a worker-count setting: any value below 1 selects
 // one worker per available CPU.

@@ -34,7 +34,7 @@ import (
 )
 
 // engineDir is the filesystem-safe name of the engine-version directory
-// entries are stored under ("hyperx-sim/3" -> "hyperx-sim_3").
+// entries are stored under ("hyperx-sim/4" -> "hyperx-sim_4").
 func engineDir(version string) string {
 	return strings.Map(func(r rune) rune {
 		switch {
@@ -69,15 +69,14 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path places an entry under the *active* engine version's directory
-// (ActiveEngineVersion: the legacy generation engine stores under its own
-// tag) and shards by the first two key characters to keep directory
-// listings manageable on paper-scale grids (tens of thousands of entries).
+// path places an entry under the engine version's directory and shards by
+// the first two key characters to keep directory listings manageable on
+// paper-scale grids (tens of thousands of entries).
 func (s *Store) path(key string) (string, error) {
 	if len(key) < 3 {
 		return "", fmt.Errorf("cache: key %q too short", key)
 	}
-	return filepath.Join(s.dir, engineDir(sim.ActiveEngineVersion()), key[:2], key[2:]+".res"), nil
+	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+".res"), nil
 }
 
 // Get returns the cached result for key, or ok == false on a miss. A
@@ -183,7 +182,7 @@ func (s *Store) checkpointPath(key string) (string, error) {
 	if len(key) < 3 {
 		return "", fmt.Errorf("cache: key %q too short", key)
 	}
-	return filepath.Join(s.dir, engineDir(sim.ActiveEngineVersion()), key[:2], key[2:]+".ckpt"), nil
+	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+".ckpt"), nil
 }
 
 // GetCheckpoint returns the stored engine snapshot for key, or ok == false
@@ -342,27 +341,20 @@ func countEntries(dir string) (int, error) {
 // GC prunes every entry this build treats as stale: the subtrees of
 // unknown engine versions and any legacy flat-layout shard directories
 // (from stores written before entries were grouped by engine version).
-// The subtree of sim.EngineVersion — the build's primary engine — is
-// ALWAYS kept, even when the process runs -legacy-gen: a maintenance
-// command run with an A/B flag must never destroy the default engine's
-// warmed cache. The deprecated LegacyEngineVersion subtree, by contrast,
-// is kept only while -legacy-gen is active and is otherwise reported
-// stale and pruned. GC returns the number of entry files removed. Only
-// subtrees that look cache-owned — nothing inside but .res entries,
-// leftover .tmp- files and shard directories — are touched, so a
-// -cache-dir pointed at a directory holding unrelated data loses none of
-// it. Concurrent writers of the kept versions are never disturbed.
+// Only the subtree of sim.EngineVersion is kept. GC returns the number of
+// entry files removed. Only subtrees that look cache-owned — nothing
+// inside but .res entries, leftover .tmp- files and shard directories —
+// are touched, so a -cache-dir pointed at a directory holding unrelated
+// data loses none of it. Concurrent writers of the kept version are never
+// disturbed.
 func (s *Store) GC() (removed int, err error) {
-	keep := map[string]bool{
-		engineDir(sim.EngineVersion):         true,
-		engineDir(sim.ActiveEngineVersion()): true,
-	}
+	keep := engineDir(sim.EngineVersion)
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return 0, fmt.Errorf("cache: %w", err)
 	}
 	for _, de := range entries {
-		if !de.IsDir() || keep[de.Name()] {
+		if !de.IsDir() || de.Name() == keep {
 			continue
 		}
 		sub := filepath.Join(s.dir, de.Name())

@@ -194,14 +194,19 @@ func TestStoreGC(t *testing.T) {
 	if err := s.Put(key, &sim.Result{AcceptedLoad: 0.75}); err != nil {
 		t.Fatal(err)
 	}
-	// Two stale entries from an older engine, one from a legacy flat store.
-	old := filepath.Join(dir, "hyperx-sim_1", "ab")
-	if err := os.MkdirAll(old, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"x.res", "y.res"} {
-		if err := os.WriteFile(filepath.Join(old, name), []byte{1}, 0o644); err != nil {
+	// Two stale entries from each of two older engines (hyperx-sim/3 is
+	// the retired per-cycle-generation engine a former build could select
+	// and cache under), one from a legacy flat store.
+	staleEngines := []string{"hyperx-sim_1", "hyperx-sim_3"}
+	for _, engine := range staleEngines {
+		old := filepath.Join(dir, engine, "ab")
+		if err := os.MkdirAll(old, 0o755); err != nil {
 			t.Fatal(err)
+		}
+		for _, name := range []string{"x.res", "y.res"} {
+			if err := os.WriteFile(filepath.Join(old, name), []byte{1}, 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	legacy := filepath.Join(dir, "cd")
@@ -229,8 +234,8 @@ func TestStoreGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 3 {
-		t.Errorf("GC removed %d entries, want 3", removed)
+	if removed != 5 {
+		t.Errorf("GC removed %d entries, want 5", removed)
 	}
 	if n, err := s.Len(); err != nil || n != 1 {
 		t.Errorf("Len after GC = %d (err %v), want 1", n, err)
@@ -238,61 +243,16 @@ func TestStoreGC(t *testing.T) {
 	if got, ok, _ := s.Get(key); !ok || got.AcceptedLoad != 0.75 {
 		t.Error("current-engine entry lost by GC")
 	}
-	if _, err := os.Stat(filepath.Join(dir, "hyperx-sim_1")); !os.IsNotExist(err) {
-		t.Error("stale engine directory survived GC")
+	for _, engine := range staleEngines {
+		if _, err := os.Stat(filepath.Join(dir, engine)); !os.IsNotExist(err) {
+			t.Errorf("stale engine directory %s survived GC", engine)
+		}
 	}
 	if _, err := os.Stat(filepath.Join(foreign, "fig10.png")); err != nil {
 		t.Errorf("GC deleted foreign data: %v", err)
 	}
 	if _, err := os.Stat(empty); err != nil {
 		t.Errorf("GC deleted an empty (unowned) directory: %v", err)
-	}
-}
-
-// TestStoreGCLegacyMode: under -legacy-gen the active version is
-// hyperx-sim/3, entries read and write there — and GC must STILL keep the
-// primary engine's subtree. A maintenance command run with an A/B flag
-// must never destroy the default engine's warmed cache. Conversely, a
-// default-mode GC treats the deprecated legacy subtree as stale.
-func TestStoreGCLegacyMode(t *testing.T) {
-	dir := t.TempDir()
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	primaryKey := testKey(4)
-	if err := s.Put(primaryKey, &sim.Result{AcceptedLoad: 0.5}); err != nil {
-		t.Fatal(err)
-	}
-	sim.SetLegacyGeneration(true)
-	defer sim.SetLegacyGeneration(false)
-	legacyKey := testKey(5)
-	if err := s.Put(legacyKey, &sim.Result{AcceptedLoad: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	// Legacy-mode GC keeps BOTH subtrees (nothing stale to prune).
-	removed, err := s.GC()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if removed != 0 {
-		t.Errorf("legacy-mode GC removed %d entries, want 0", removed)
-	}
-	for _, sub := range []string{engineDir(sim.EngineVersion), engineDir(sim.LegacyEngineVersion)} {
-		if _, err := os.Stat(filepath.Join(dir, sub)); err != nil {
-			t.Errorf("legacy-mode GC lost %s: %v", sub, err)
-		}
-	}
-	// Default-mode GC prunes the deprecated legacy subtree.
-	sim.SetLegacyGeneration(false)
-	if removed, err = s.GC(); err != nil || removed != 1 {
-		t.Errorf("default-mode GC removed %d entries (err %v), want 1", removed, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, engineDir(sim.LegacyEngineVersion))); !os.IsNotExist(err) {
-		t.Error("default-mode GC kept the stale legacy subtree")
-	}
-	if got, ok, _ := s.Get(primaryKey); !ok || got.AcceptedLoad != 0.5 {
-		t.Error("primary-engine entry lost")
 	}
 }
 

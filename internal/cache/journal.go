@@ -65,7 +65,7 @@ type Journal struct {
 // directory: journal records address spec hashes, and hashes are only
 // meaningful within one engine's semantics.
 func (s *Store) journalPath() string {
-	return filepath.Join(s.dir, engineDir(sim.ActiveEngineVersion()), "grid.journal")
+	return filepath.Join(s.dir, engineDir(sim.EngineVersion), "grid.journal")
 }
 
 // OpenJournal opens (creating if needed) the store's grid journal for

@@ -101,7 +101,7 @@ func TestJournalSubtreeStaysCacheOwned(t *testing.T) {
 	if err := s.Put(testKey(1), &sim.Result{AcceptedLoad: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	sub := filepath.Join(dir, engineDir(sim.ActiveEngineVersion()))
+	sub := filepath.Join(dir, engineDir(sim.EngineVersion))
 	owned, entries, err := cacheOwned(sub)
 	if err != nil {
 		t.Fatal(err)

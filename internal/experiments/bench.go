@@ -14,34 +14,19 @@ import (
 	"repro/internal/traffic"
 )
 
-// The engine bench harness behind `experiments -exp bench`: wall-clock
-// A/B pairs of the activity-driven engine against the full-walk
-// -no-activity baseline on the regimes where the per-switch next-work
-// calendar matters, reported as a schema-stable JSON artifact so CI runs
-// leave a comparable perf trail. The *values* are wall-clock and vary
-// with the runner; only the schema and the benchmark set are stable.
+// The engine memory ladder behind `experiments -exp bench`: the arena
+// footprint of the engine at three cube sizes, reported as a schema-stable
+// JSON artifact whose deterministic bytes/switch figures CI gates against
+// the committed BENCH_8.json. The wall-clock fields vary with the runner.
 
 // BenchSchema tags the JSON report; bump only on a breaking shape change.
 const BenchSchema = "hyperx-bench/1"
 
-// BenchResult is one A/B pair of the report.
-type BenchResult struct {
-	Name string `json:"name"`
-	// Cycles simulated per run (identical for both engines: the pair is
-	// bit-identical by the activity contract).
-	Cycles               int64   `json:"cycles"`
-	CyclesPerSec         float64 `json:"cyclesPerSec"`
-	BaselineCyclesPerSec float64 `json:"baselineCyclesPerSec"`
-	Speedup              float64 `json:"speedup"`
-}
-
 // BenchReport is the top-level BENCH artifact.
 type BenchReport struct {
-	Schema     string        `json:"schema"`
-	Engine     string        `json:"engine"`
-	Benchmarks []BenchResult `json:"benchmarks"`
-	// Memory is the arena-footprint scaling ladder (additive to the
-	// schema: absent in pre-memory reports).
+	Schema string `json:"schema"`
+	Engine string `json:"engine"`
+	// Memory is the arena-footprint scaling ladder.
 	Memory []MemBenchResult `json:"memory,omitempty"`
 }
 
@@ -57,109 +42,6 @@ type MemBenchResult struct {
 	BytesPerSwitch   float64 `json:"bytesPerSwitch"`
 	ConstructMillis  float64 `json:"constructMillis"`
 	StepCyclesPerSec float64 `json:"stepCyclesPerSec"`
-}
-
-// benchCase is one entry of the fixed benchmark set. Open-loop cases pin
-// MeasureCycles; burst cases (BurstPackets > 0) run to completion and
-// report the completion cycle count.
-type benchCase struct {
-	name   string
-	load   float64
-	cycles int64
-	burst  int
-	faults int // sparse link failures spread through the run
-}
-
-// benchCases is the fixed benchmark set, in report order.
-func benchCases() []benchCase {
-	return []benchCase{
-		// The low-load left half of the latency sweeps (the acceptance
-		// regime of the next-work engine).
-		{name: "low-load-0.01", load: 0.01, cycles: 6000},
-		// So sparse the network almost always has packets mid-route when
-		// the engine wants to jump — isolates mid-flight skipping.
-		{name: "mid-flight-0.002", load: 0.002, cycles: 6000},
-		// A burst drain: dense start, long sparse tail.
-		{name: "burst-drain", burst: 4},
-		// The Figure 10 recovery regime: low load plus sparse live faults
-		// bounding the jumps.
-		{name: "sparse-fault-recovery", load: 0.01, cycles: 6000, faults: 3},
-	}
-}
-
-// Bench runs the fixed benchmark set on the paper-scale 8x8x8 network,
-// each case once per engine at Workers: 1 (single runs: the artifact is
-// an informative trail, not a timing gate).
-func Bench(seed uint64) (BenchReport, error) {
-	rep := BenchReport{Schema: BenchSchema, Engine: sim.ActiveEngineVersion()}
-	h := topo.MustHyperX(8, 8, 8)
-	faultSeq := topo.RandomFaultSequence(h, seed)
-	for _, c := range benchCases() {
-		var pair [2]struct {
-			cycles int64
-			rate   float64
-		}
-		for i, noActivity := range []bool{false, true} {
-			// Fresh network and mechanism per run: fault schedules
-			// accumulate failed links in the fault set.
-			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			mech, err := core.New(nw, core.PolarizedRoutes, 4)
-			if err != nil {
-				return rep, err
-			}
-			pat, err := traffic.NewUniform(h.Switches() * 8)
-			if err != nil {
-				return rep, err
-			}
-			opts := sim.RunOptions{
-				Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
-				Seed: seed, Workers: 1, DisableActivity: noActivity,
-				// The full-walk baseline also ticks generation per cycle
-				// (-legacy-gen): the pre-calendar engine, as in the root
-				// BenchmarkLowLoadCycleRate matrix.
-				LegacyGeneration: noActivity,
-			}
-			if c.burst > 0 {
-				opts.BurstPackets = c.burst
-				opts.LegacyGeneration = false // burst runs generate nothing
-			} else {
-				opts.Load = c.load
-				opts.MeasureCycles = c.cycles
-			}
-			for f := 0; f < c.faults; f++ {
-				opts.FaultSchedule = append(opts.FaultSchedule, sim.FaultEvent{
-					Cycle: c.cycles * int64(f+1) / int64(c.faults+1),
-					Edge:  faultSeq[f],
-				})
-			}
-			start := time.Now()
-			res, err := sim.Run(opts)
-			if err != nil {
-				return rep, fmt.Errorf("bench %s: %w", c.name, err)
-			}
-			cycles := c.cycles
-			if c.burst > 0 {
-				cycles = res.Cycles
-			}
-			pair[i].cycles = cycles
-			pair[i].rate = float64(cycles) / time.Since(start).Seconds()
-		}
-		if pair[0].cycles != pair[1].cycles {
-			return rep, fmt.Errorf("bench %s: engines disagree on cycle count (%d vs %d)",
-				c.name, pair[0].cycles, pair[1].cycles)
-		}
-		rep.Benchmarks = append(rep.Benchmarks, BenchResult{
-			Name:                 c.name,
-			Cycles:               pair[0].cycles,
-			CyclesPerSec:         pair[0].rate,
-			BaselineCyclesPerSec: pair[1].rate,
-			Speedup:              pair[0].rate / pair[1].rate,
-		})
-	}
-	if err := benchMemory(&rep, seed); err != nil {
-		return rep, err
-	}
-	return rep, nil
 }
 
 // memCases is the memory scaling ladder: cubes from the paper scale up to
@@ -187,11 +69,12 @@ func memCases() []struct {
 	}
 }
 
-// benchMemory fills rep.Memory: one construction plus a short low-load
+// Bench runs the memory ladder: one construction plus a short low-load
 // open-loop window per size, with the engine's own accounting
 // (RunOptions.MemStats) supplying the arena figures and the construction
 // time, so nothing is built twice.
-func benchMemory(rep *BenchReport, seed uint64) error {
+func Bench(seed uint64) (BenchReport, error) {
+	rep := BenchReport{Schema: BenchSchema, Engine: sim.EngineVersion}
 	for _, c := range memCases() {
 		h := topo.MustHyperX(c.side, c.side, c.side)
 		nw := topo.NewNetwork(h, topo.NewFaultSet())
@@ -199,21 +82,21 @@ func benchMemory(rep *BenchReport, seed uint64) error {
 		if c.dor {
 			alg, err := routing.NewDOR(nw)
 			if err != nil {
-				return fmt.Errorf("bench %s: %w", c.name, err)
+				return rep, fmt.Errorf("bench %s: %w", c.name, err)
 			}
 			if mech, err = routing.NewLadder(alg, 4, 1, "DOR"); err != nil {
-				return fmt.Errorf("bench %s: %w", c.name, err)
+				return rep, fmt.Errorf("bench %s: %w", c.name, err)
 			}
 		} else {
 			m, err := core.New(nw, core.PolarizedRoutes, 4)
 			if err != nil {
-				return fmt.Errorf("bench %s: %w", c.name, err)
+				return rep, fmt.Errorf("bench %s: %w", c.name, err)
 			}
 			mech = m
 		}
 		pat, err := traffic.NewUniform(h.Switches() * 8)
 		if err != nil {
-			return fmt.Errorf("bench %s: %w", c.name, err)
+			return rep, fmt.Errorf("bench %s: %w", c.name, err)
 		}
 		var mem sim.MemStats
 		const cycles = 2000
@@ -223,7 +106,7 @@ func benchMemory(rep *BenchReport, seed uint64) error {
 			Load: 0.001, MeasureCycles: cycles, Seed: seed, Workers: 1,
 			MemStats: &mem,
 		}); err != nil {
-			return fmt.Errorf("bench %s: %w", c.name, err)
+			return rep, fmt.Errorf("bench %s: %w", c.name, err)
 		}
 		stepSecs := time.Since(start).Seconds() - float64(mem.ConstructNanos)/1e9
 		row := MemBenchResult{
@@ -239,7 +122,7 @@ func benchMemory(rep *BenchReport, seed uint64) error {
 		}
 		rep.Memory = append(rep.Memory, row)
 	}
-	return nil
+	return rep, nil
 }
 
 // CompareBenchMemory is the CI memory-regression guard: it checks the
@@ -285,7 +168,7 @@ func CompareBenchMemory(baselinePath string, rep BenchReport, tolerance float64)
 }
 
 // WriteBench writes the report as indented JSON (stable key order — the
-// schema is diffable across runs even though the values are wall-clock).
+// schema is diffable across runs even though some values are wall-clock).
 func WriteBench(path string, rep BenchReport) error {
 	data, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -297,21 +180,13 @@ func WriteBench(path string, rep BenchReport) error {
 // RenderBench formats the report for stdout.
 func RenderBench(rep BenchReport) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Engine bench (%s, wall-clock, single runs)\n", rep.Engine)
-	fmt.Fprintf(&b, "  %-22s %10s %14s %14s %8s\n", "benchmark", "cycles", "cycles/s", "baseline c/s", "speedup")
-	for _, r := range rep.Benchmarks {
-		fmt.Fprintf(&b, "  %-22s %10d %14.0f %14.0f %7.1fx\n",
-			r.Name, r.Cycles, r.CyclesPerSec, r.BaselineCyclesPerSec, r.Speedup)
-	}
-	if len(rep.Memory) > 0 {
-		fmt.Fprintf(&b, "Engine memory ladder\n")
-		fmt.Fprintf(&b, "  %-22s %10s %12s %12s %12s %14s\n",
-			"benchmark", "switches", "arena MiB", "bytes/sw", "construct", "step c/s")
-		for _, r := range rep.Memory {
-			fmt.Fprintf(&b, "  %-22s %10d %12.1f %12.0f %10.0fms %14.0f\n",
-				r.Name, r.Switches, float64(r.ArenaBytes)/(1<<20),
-				r.BytesPerSwitch, r.ConstructMillis, r.StepCyclesPerSec)
-		}
+	fmt.Fprintf(&b, "Engine memory ladder (%s)\n", rep.Engine)
+	fmt.Fprintf(&b, "  %-22s %10s %12s %12s %12s %14s\n",
+		"benchmark", "switches", "arena MiB", "bytes/sw", "construct", "step c/s")
+	for _, r := range rep.Memory {
+		fmt.Fprintf(&b, "  %-22s %10d %12.1f %12.0f %10.0fms %14.0f\n",
+			r.Name, r.Switches, float64(r.ArenaBytes)/(1<<20),
+			r.BytesPerSwitch, r.ConstructMillis, r.StepCyclesPerSec)
 	}
 	return b.String()
 }

@@ -9,7 +9,8 @@ import (
 // TestCompareBenchMemory pins the regression guard's arithmetic: growth
 // inside the tolerance passes, growth past it fails naming the row, and a
 // ladder row with no baseline is tolerated (new sizes must not break the
-// guard retroactively).
+// guard retroactively); the baseline is read at the call, so a caller that
+// then writes the report over it has still compared against the old bytes.
 func TestCompareBenchMemory(t *testing.T) {
 	base := BenchReport{
 		Schema: BenchSchema,
@@ -46,5 +47,16 @@ func TestCompareBenchMemory(t *testing.T) {
 
 	if err := CompareBenchMemory(filepath.Join(t.TempDir(), "missing.json"), ok, 0.10); err == nil {
 		t.Fatal("missing baseline file accepted")
+	}
+
+	// -bench-out defaults to the committed baseline's own path, so the CLI
+	// compares before it writes: once the regressed report above has
+	// overwritten the baseline, the guard compares it with itself and
+	// passes.
+	if err := WriteBench(path, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := CompareBenchMemory(path, bad, 0.10); err != nil {
+		t.Fatalf("a report compared with itself failed: %v", err)
 	}
 }

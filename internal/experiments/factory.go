@@ -76,22 +76,6 @@ func noteGridWorkers(workers, jobs int) {
 	lastGridWorkers.Store(int32(workers))
 }
 
-// noEngineActivity, when set, runs every spec simulation with the
-// engine's dirty-switch tracking and idle-cycle fast-forward disabled.
-var noEngineActivity atomic.Bool
-
-// SetEngineActivity toggles the engine's activity tracking for every
-// experiment simulation (the CLIs' -no-activity escape hatch lands here
-// as SetEngineActivity(false)). Like the worker knobs, it can never
-// change results — activity tracking is bit-identical to the full walk —
-// so it is excluded from the job-spec hash and exists purely for A/B
-// performance comparisons.
-func SetEngineActivity(enabled bool) { noEngineActivity.Store(!enabled) }
-
-// EngineActivityDisabled reports the current toggle, for RunOptions
-// plumbing.
-func EngineActivityDisabled() bool { return noEngineActivity.Load() }
-
 // adaptiveMinSwitches is the network size below which the adaptive policy
 // stays sequential: the sharded engine's per-cycle phase barriers cost
 // more than they save on tiny switch arrays.

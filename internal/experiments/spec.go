@@ -160,16 +160,14 @@ func canonicalSchedule(events []sim.FaultEvent) []sim.FaultEvent {
 }
 
 // Hash returns the content address of the spec: the hex SHA-256 of its
-// canonical encoding plus the *active* engine version tag (the legacy
-// per-cycle generation engine, selected by -legacy-gen, is a different
-// semantics and must never share addresses with the geometric engine).
+// canonical encoding plus the engine version tag.
 // Equal hashes mean "the same simulation on the same engine semantics",
 // which is the result cache's key and the distribution protocol's
 // integrity check.
 func (s *JobSpec) Hash() string {
 	b := s.AppendCanonical(nil)
 	b = append(b, "engine="...)
-	b = append(b, sim.ActiveEngineVersion()...)
+	b = append(b, sim.EngineVersion...)
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
 }
@@ -252,8 +250,6 @@ func (s *JobSpec) buildRun() (sim.RunOptions, error) {
 		FaultSchedule:    s.FaultSchedule,
 		Seed:             s.Seed,
 		Workers:          RunWorkersFor(t.Switches()),
-		DisableActivity:  EngineActivityDisabled(),
-		LegacyGeneration: sim.LegacyGenerationDefault(),
 	}, nil
 }
 
@@ -336,7 +332,6 @@ func (s *JobSpec) MeasureMemory() (*sim.MemStats, error) {
 		Load:             s.Load,
 		Seed:             s.Seed,
 		Workers:          RunWorkersFor(t.Switches()),
-		DisableActivity:  EngineActivityDisabled(),
 	})
 }
 

@@ -108,7 +108,7 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 	}
 	defer silent.Close()
 	if err := writeMessage(silent, &message{Type: "hello", Slots: 1,
-		Engine: sim.ActiveEngineVersion(), Name: "silent-worker", CkptCap: true, HBCap: true}); err != nil {
+		Engine: sim.EngineVersion, Name: "silent-worker", CkptCap: true, HBCap: true}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -20,10 +20,9 @@
 //	worker -> server  {"type":"bye"}                            (graceful drain announcement)
 //	server -> worker  {"type":"bye"}                            (graceful shutdown)
 //
-// The version both sides advertise is sim.ActiveEngineVersion() — a
-// -legacy-gen process is a different engine and must only pair with
-// -legacy-gen peers. A worker whose engine version differs is rejected at
-// the handshake — mixed engines would merge semantically divergent rows.
+// The version both sides advertise is sim.EngineVersion. A worker whose
+// engine version differs is rejected at the handshake — mixed engines
+// would merge semantically divergent rows.
 // A job error is final (it is deterministic) and propagates to the
 // caller; every transport fault instead re-dispatches the job, so the
 // merged grid stays bit-identical to an undisturbed local run.
@@ -625,10 +624,10 @@ func (s *Server) serveWorker(conn net.Conn) {
 	if err := readMessage(r, &hello); err != nil || hello.Type != "hello" || hello.Slots < 1 {
 		return
 	}
-	if engine := sim.ActiveEngineVersion(); hello.Engine != engine {
+	if hello.Engine != sim.EngineVersion {
 		wmu.Lock()
 		_ = writeMessage(conn, &message{Type: "error",
-			Error: fmt.Sprintf("engine version %q, server runs %q", hello.Engine, engine)})
+			Error: fmt.Sprintf("engine version %q, server runs %q", hello.Engine, sim.EngineVersion)})
 		wmu.Unlock()
 		return
 	}
@@ -644,7 +643,7 @@ func (s *Server) serveWorker(conn net.Conn) {
 	// unknown frames.
 	hb := s.opts.Heartbeat
 	workerHB := hello.HBCap && hb > 0
-	ack := &message{Type: "hello-ack", Engine: sim.ActiveEngineVersion(), Bye: true, CkptCap: true}
+	ack := &message{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true}
 	if workerHB {
 		ack.HB = int64(hb / time.Millisecond)
 	}
@@ -1072,7 +1071,7 @@ func workOnce(addr, name string, slots int, onFrame func()) (end sessionEnd, err
 	var wmu sync.Mutex
 	var killed atomic.Bool // the chaos harness killed this worker
 	if err := writeMessage(conn, &message{Type: "hello", Slots: slots,
-		Engine: sim.ActiveEngineVersion(), Name: name, CkptCap: true, HBCap: true}); err != nil {
+		Engine: sim.EngineVersion, Name: name, CkptCap: true, HBCap: true}); err != nil {
 		return end, fmt.Errorf("queue: %w", err)
 	}
 	r := bufio.NewReader(conn)

@@ -113,34 +113,38 @@ func TestServeWorkerJobError(t *testing.T) {
 }
 
 // TestWorkerEngineMismatch: the handshake rejects a worker advertising a
-// different engine version (it would merge divergent rows).
+// different engine version (it would merge divergent rows) — an unknown
+// one, and the hyperx-sim/3 that an older build's worker advertises when
+// started on its retired per-cycle-generation engine.
 func TestWorkerEngineMismatch(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: "ancient-sim/0"})
-	if _, err := conn.Write(append(hello, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 4096)
-	n, err := conn.Read(buf)
-	if err != nil {
-		t.Fatalf("no rejection frame: %v", err)
-	}
-	var msg message
-	if err := json.Unmarshal(buf[:n], &msg); err != nil {
-		t.Fatal(err)
-	}
-	if msg.Type != "error" || !strings.Contains(msg.Error, "engine version") {
-		t.Fatalf("expected engine rejection, got %+v", msg)
+	for _, engine := range []string{"ancient-sim/0", "hyperx-sim/3"} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: engine})
+		if _, err := conn.Write(append(hello, '\n')); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		buf := make([]byte, 4096)
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Fatalf("%s: no rejection frame: %v", engine, err)
+		}
+		var msg message
+		if err := json.Unmarshal(buf[:n], &msg); err != nil {
+			t.Fatal(err)
+		}
+		if msg.Type != "error" || !strings.Contains(msg.Error, "engine version") {
+			t.Fatalf("%s: expected engine rejection, got %+v", engine, msg)
+		}
 	}
 }
 
@@ -241,7 +245,7 @@ func TestHelloAckAdvertisesBye(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: sim.ActiveEngineVersion()})
+	hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: sim.EngineVersion})
 	if _, err := conn.Write(append(hello, '\n')); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +254,7 @@ func TestHelloAckAdvertisesBye(t *testing.T) {
 	if err := readMessage(bufio.NewReader(conn), &msg); err != nil {
 		t.Fatalf("no ack frame: %v", err)
 	}
-	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.ActiveEngineVersion() {
+	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.EngineVersion {
 		t.Fatalf("expected hello-ack advertising bye, got %+v", msg)
 	}
 }

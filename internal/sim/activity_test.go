@@ -20,7 +20,7 @@ func runBytes(t *testing.T, o RunOptions) []byte {
 	t.Helper()
 	res, err := Run(o)
 	if err != nil {
-		t.Fatalf("run (activity=%v, workers=%d): %v", !o.DisableActivity, o.Workers, err)
+		t.Fatalf("run (activity=%v, workers=%d): %v", !o.fullWalk, o.Workers, err)
 	}
 	return res.AppendBinary(nil)
 }
@@ -30,9 +30,7 @@ func runBytes(t *testing.T, o RunOptions) []byte {
 // skip modes, series buckets and mid-run fault schedules, the activity-
 // tracked engine (with its dirty sets, per-switch next-work times and
 // event-calendar fast-forward) produces byte-for-byte the Result of the
-// full-walk engine, at several worker counts — for the geometric
-// arrival-calendar engine AND the -legacy-gen per-cycle engine (each
-// self-consistent; the two are bit-different from each other by design).
+// full-walk engine, at several worker counts.
 func TestActivityOnOffBitIdentical(t *testing.T) {
 	dimChoices := [][]int{{3, 3}, {4, 4}, {2, 2, 2}, {3, 3, 3}}
 	check := func(seed uint64) bool {
@@ -70,37 +68,40 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 			o.WarmupCycles = int64(r.Intn(200))
 			o.MeasureCycles = 2000 + int64(r.Intn(1500))
 		}
-		var ref [2][]byte
-		for li, legacy := range []bool{false, true} {
-			for _, workers := range []int{1, 4} {
-				for _, noAct := range []bool{false, true} {
-					// Each run gets a private network and mechanism: fault
-					// schedules mutate the network's fault set.
-					nw := topo.NewNetwork(h, topo.NewFaultSet())
-					mech, err := core.New(nw, base, 4)
-					if err != nil {
-						t.Logf("seed %d: %v", seed, err)
-						return false
-					}
-					pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, seed)
-					if err != nil {
-						return false
-					}
-					run := o
-					run.Net, run.Mechanism, run.Pattern = nw, mech, pat
-					run.Workers = workers
-					run.DisableActivity = noAct
-					run.LegacyGeneration = legacy
-					got := runBytes(t, run)
-					if ref[li] == nil {
-						ref[li] = got
-						continue
-					}
-					if !bytes.Equal(ref[li], got) {
-						t.Logf("seed %d (%v): legacy=%v workers=%d activity=%v diverged",
-							seed, dims, legacy, workers, !noAct)
-						return false
-					}
+		// Each run gets a private network and mechanism: fault schedules
+		// mutate the network's fault set.
+		fresh := func(workers int, noAct bool, ck *CheckpointOptions) ([]byte, bool) {
+			nw := topo.NewNetwork(h, topo.NewFaultSet())
+			mech, err := core.New(nw, base, 4)
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return nil, false
+			}
+			pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, seed)
+			if err != nil {
+				return nil, false
+			}
+			run := o
+			run.Net, run.Mechanism, run.Pattern = nw, mech, pat
+			run.Workers = workers
+			run.fullWalk = noAct
+			run.Checkpoint = ck
+			return runBytes(t, run), true
+		}
+		var ref []byte
+		for _, workers := range []int{1, 4} {
+			for _, noAct := range []bool{false, true} {
+				got, ok := fresh(workers, noAct, nil)
+				if !ok {
+					return false
+				}
+				if ref == nil {
+					ref = got
+					continue
+				}
+				if !bytes.Equal(ref, got) {
+					t.Logf("seed %d (%v): workers=%d activity=%v diverged", seed, dims, workers, !noAct)
+					return false
 				}
 			}
 		}
@@ -108,52 +109,32 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 		// pseudo-random cycle interval, then resume one of the shipped
 		// snapshots in a fresh engine — under a randomly different worker
 		// count and activity setting — and require the exact ref bytes.
-		for li, legacy := range []bool{false, true} {
-			fresh := func(workers int, noAct bool, ck *CheckpointOptions) ([]byte, bool) {
-				nw := topo.NewNetwork(h, topo.NewFaultSet())
-				mech, err := core.New(nw, base, 4)
-				if err != nil {
-					return nil, false
-				}
-				pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, seed)
-				if err != nil {
-					return nil, false
-				}
-				run := o
-				run.Net, run.Mechanism, run.Pattern = nw, mech, pat
-				run.Workers = workers
-				run.DisableActivity = noAct
-				run.LegacyGeneration = legacy
-				run.Checkpoint = ck
-				return runBytes(t, run), true
-			}
-			var snaps [][]byte
-			got, ok := fresh(1, false, &CheckpointOptions{
-				EveryCycles: 40 + int64(r.Intn(400)),
-				Sink: func(s []byte) error {
-					snaps = append(snaps, s)
-					return nil
-				},
-			})
-			if !ok {
-				return false
-			}
-			if !bytes.Equal(ref[li], got) {
-				t.Logf("seed %d (%v): legacy=%v checkpointing run diverged", seed, dims, legacy)
-				return false
-			}
-			if len(snaps) == 0 {
-				continue // run too short for the drawn interval
-			}
-			resumed, ok := fresh(1+r.Intn(8), r.Intn(2) == 0,
-				&CheckpointOptions{Resume: snaps[r.Intn(len(snaps))]})
-			if !ok {
-				return false
-			}
-			if !bytes.Equal(ref[li], resumed) {
-				t.Logf("seed %d (%v): legacy=%v snapshot resume diverged", seed, dims, legacy)
-				return false
-			}
+		var snaps [][]byte
+		got, ok := fresh(1, false, &CheckpointOptions{
+			EveryCycles: 40 + int64(r.Intn(400)),
+			Sink: func(s []byte) error {
+				snaps = append(snaps, s)
+				return nil
+			},
+		})
+		if !ok {
+			return false
+		}
+		if !bytes.Equal(ref, got) {
+			t.Logf("seed %d (%v): checkpointing run diverged", seed, dims)
+			return false
+		}
+		if len(snaps) == 0 {
+			return true // run too short for the drawn interval
+		}
+		resumed, ok := fresh(1+r.Intn(8), r.Intn(2) == 0,
+			&CheckpointOptions{Resume: snaps[r.Intn(len(snaps))]})
+		if !ok {
+			return false
+		}
+		if !bytes.Equal(ref, resumed) {
+			t.Logf("seed %d (%v): snapshot resume diverged", seed, dims)
+			return false
 		}
 		return true
 	}
@@ -302,6 +283,157 @@ func TestFastForwardTarget(t *testing.T) {
 	refold()
 	if _, ok = e.fastForwardTarget(1001, -1); ok {
 		t.Fatal("fast-forward offered with an event due next cycle")
+	}
+}
+
+// handcraftedCalendarEngine builds an open-loop engine whose arrival
+// calendar is fully under test control: every server's first arrival is
+// pinned to `base`, except the overrides. The overrides must not exceed
+// base and the calendar keeps one entry per server, so the heap invariant
+// and the CheckInvariants audit both hold.
+func handcraftedCalendarEngine(t *testing.T, o RunOptions, base int64, overrides map[int32]int64) *engine {
+	t.Helper()
+	if o.Config == (Config{}) {
+		o.Config = DefaultConfig()
+	}
+	e, err := newEngine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.warmStart = o.WarmupCycles
+	e.warmEnd = o.WarmupCycles + o.MeasureCycles
+	e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+	for i := range e.arrQ {
+		e.arrQ[i] = arrival{at: base, server: int32(i)}
+	}
+	for server, at := range overrides {
+		e.arrQ[server] = arrival{at: at, server: server}
+	}
+	// Full build-heap: correct for any override values.
+	for i := len(e.arrQ)/2 - 1; i >= 0; i-- {
+		e.arrSiftDown(i)
+	}
+	return e
+}
+
+// fastForwardFixture is the shared shape of the boundary tests: a 3x3
+// network under PolSP with CheckInvariants on (so the arrival-calendar
+// and activity audits run during the tests themselves).
+func fastForwardFixture(t *testing.T, o RunOptions) RunOptions {
+	t.Helper()
+	h := topo.MustHyperX(3, 3)
+	nw := topo.NewNetwork(h, topo.NewFaultSet())
+	mech, err := core.New(nw, core.PolarizedRoutes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pat, err := traffic.NewUniform(h.Switches() * 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o.Net, o.Mechanism, o.Pattern = nw, mech, pat
+	o.ServersPerSwitch = 2
+	cfg := DefaultConfig()
+	cfg.CheckInvariants = true
+	o.Config = cfg
+	return o
+}
+
+// TestFastForwardArrivalAtWarmEnd: an arrival due exactly at the
+// measurement end must never fire — the run is over at that cycle — and
+// one due a cycle earlier must. The fast-forward jump that covers most of
+// the run cannot blur that edge.
+func TestFastForwardArrivalAtWarmEnd(t *testing.T) {
+	const end = 2000
+	base := RunOptions{Load: 0.05, WarmupCycles: 0, MeasureCycles: end, Seed: 3}
+
+	o := fastForwardFixture(t, base)
+	e := handcraftedCalendarEngine(t, o, end, nil)
+	res, err := e.runOpenLoop(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GeneratedPackets != 0 {
+		t.Errorf("arrival at warmEnd generated %d packets, want 0", res.GeneratedPackets)
+	}
+	if res.Cycles != end {
+		t.Errorf("run lasted %d cycles, want %d", res.Cycles, end)
+	}
+
+	o = fastForwardFixture(t, base)
+	e = handcraftedCalendarEngine(t, o, end, map[int32]int64{0: end - 1})
+	res, err = e.runOpenLoop(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.GeneratedPackets != 1 {
+		t.Errorf("arrival at warmEnd-1 generated %d packets, want exactly 1", res.GeneratedPackets)
+	}
+}
+
+// TestFastForwardFaultInSkippedStretch: a fault scheduled deep inside an
+// otherwise idle stretch must fire at its exact cycle — the jump stops on
+// it — and the whole run must stay byte-identical to the full per-cycle
+// walk, which cannot fast-forward at all.
+func TestFastForwardFaultInSkippedStretch(t *testing.T) {
+	h := topo.MustHyperX(3, 3)
+	seq := topo.RandomFaultSequence(h, 17)
+	base := RunOptions{
+		Load: 0.05, WarmupCycles: 0, MeasureCycles: 2500, Seed: 11,
+		FaultSchedule: []FaultEvent{{Cycle: 700, Edge: seq[0]}},
+	}
+	var ref []byte
+	for _, noAct := range []bool{false, true} {
+		o := fastForwardFixture(t, base)
+		o.fullWalk = noAct
+		// All traffic arrives at cycle 1500: the fault at 700 sits in the
+		// middle of a stretch the activity engine fast-forwards across.
+		e := handcraftedCalendarEngine(t, o, 1500, nil)
+		res, err := e.runOpenLoop(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FaultsApplied != 1 {
+			t.Fatalf("activity=%v: %d faults applied, want 1", !noAct, res.FaultsApplied)
+		}
+		if res.GeneratedPackets == 0 {
+			t.Fatalf("activity=%v: the post-fault arrivals never generated", !noAct)
+		}
+		got := res.AppendBinary(nil)
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(ref, got) {
+			t.Error("fast-forwarding across the fault diverged from the full walk")
+		}
+	}
+}
+
+// TestFastForwardAcrossWarmupBoundary: a jump launched before warmStart is
+// clamped to it, and traffic arriving after the boundary counts in the
+// window exactly as under the full walk.
+func TestFastForwardAcrossWarmupBoundary(t *testing.T) {
+	// The microscopic load makes re-sampled second arrivals land far beyond
+	// the run, so exactly one arrival per server fires.
+	base := RunOptions{Load: 1e-9, WarmupCycles: 500, MeasureCycles: 1500, Seed: 23}
+	var ref []byte
+	for _, noAct := range []bool{false, true} {
+		o := fastForwardFixture(t, base)
+		o.fullWalk = noAct
+		e := handcraftedCalendarEngine(t, o, 1200, nil)
+		res, err := e.runOpenLoop(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.GeneratedPackets != int64(e.S*e.K) {
+			t.Fatalf("activity=%v: %d window packets, want %d (all arrivals are in-window)",
+				!noAct, res.GeneratedPackets, e.S*e.K)
+		}
+		got := res.AppendBinary(nil)
+		if ref == nil {
+			ref = got
+		} else if !bytes.Equal(ref, got) {
+			t.Error("fast-forwarding across warmStart diverged from the full walk")
+		}
 	}
 }
 

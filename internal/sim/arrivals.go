@@ -34,11 +34,10 @@ import (
 // sequential generation phase, so sharded runs stay bit-identical for
 // every worker count, with activity tracking on or off.
 //
-// The RNG *consumption pattern* does change — identical marginals, new
-// draw sequence — which is why this is an EngineVersion bump:
-// RunOptions.LegacyGeneration (the CLIs' -legacy-gen) retains the old
-// per-cycle draw pattern under the old version tag for A/B runs, and
-// TestGeometricGenerationEquivalence locks the statistical agreement in.
+// The RNG *consumption pattern* differs from per-cycle draws — identical
+// marginals, new draw sequence — which is why the calendar was an
+// EngineVersion bump; TestGeometricGenerationEquivalence locks the
+// binomial law in.
 
 // arrival is one pending generation event: server `server` emits its next
 // packet at cycle `at`.
@@ -89,7 +88,7 @@ func (e *engine) initArrivals(genProb float64) {
 }
 
 // nextArrivalCycle reports the earliest pending arrival, or -1 when the
-// calendar is empty (burst and legacy modes).
+// calendar is empty (burst mode).
 func (e *engine) nextArrivalCycle() int64 {
 	if len(e.arrQ) == 0 {
 		return -1

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 )
@@ -22,41 +21,9 @@ import (
 // different RNG consumption, hence the bump.
 const EngineVersion = "hyperx-sim/4"
 
-// LegacyEngineVersion is the per-cycle-generation engine the
-// RunOptions.LegacyGeneration escape hatch reproduces bit-exactly. Results
-// produced under it carry this tag, so they can never be confused with (or
-// cached as) hyperx-sim/4 results.
-const LegacyEngineVersion = "hyperx-sim/3"
-
-// legacyGenDefault is the process-wide -legacy-gen toggle: it selects the
-// version tag every identity check (cache keys and directories, work-queue
-// handshake, spec hashes) uses, and the experiments layer reads it into
-// RunOptions.LegacyGeneration for every spec simulation.
-var legacyGenDefault atomic.Bool
-
-// SetLegacyGeneration switches the whole process between the geometric
-// engine (false, the default) and the legacy per-cycle generation engine
-// (true): both CLIs' -legacy-gen flag lands here. Unlike the worker and
-// activity knobs this IS semantic — the two engines produce statistically
-// equivalent but bit-different results — so it also switches
-// ActiveEngineVersion, keeping the cache and the distribution handshake
-// honest.
-func SetLegacyGeneration(on bool) { legacyGenDefault.Store(on) }
-
-// LegacyGenerationDefault reports the process-wide -legacy-gen toggle, for
-// RunOptions plumbing.
-func LegacyGenerationDefault() bool { return legacyGenDefault.Load() }
-
-// ActiveEngineVersion returns the version tag of the engine the process is
-// configured to run: EngineVersion, or LegacyEngineVersion under
-// SetLegacyGeneration(true). Identity checks (cache, handshake, spec
-// hashes) must use this, not the constant.
-func ActiveEngineVersion() string {
-	if legacyGenDefault.Load() {
-		return LegacyEngineVersion
-	}
-	return EngineVersion
-}
+// ActiveEngineVersion returns EngineVersion. It exists only because the
+// frozen bench/ module still calls it; new code uses the constant.
+func ActiveEngineVersion() string { return EngineVersion }
 
 // resultCodecVersion versions the binary layout below, independently of the
 // engine semantics.

@@ -84,8 +84,8 @@ type engine struct {
 	workers int
 	disp    *spinPool // nil when workers <= 1
 
-	// act is the dirty-switch tracking state (activity.go); nil when
-	// RunOptions.DisableActivity selects the full-walk baseline.
+	// act is the dirty-switch tracking state (activity.go); nil in the
+	// tests' full-walk reference (RunOptions.fullWalk).
 	act *activityState
 
 	// portDead mutates on scheduled mid-run faults; up never does.
@@ -206,8 +206,7 @@ type engine struct {
 	stageLive int64
 
 	// Open-loop geometric generation (arrivals.go): the per-server arrival
-	// calendar and the cached sampling constants. nil/zero in burst mode
-	// and under RunOptions.LegacyGeneration.
+	// calendar and the cached sampling constants. nil/zero in burst mode.
 	arrQ               []arrival
 	genProb            float64
 	logOneMinusGenProb float64
@@ -417,7 +416,7 @@ func newEngine(o RunOptions) (*engine, error) {
 		e.ws[w].inUsed = make([]int8, e.P)
 		e.ws[w].vcUsed = make([]int16, e.V)
 	}
-	if !o.DisableActivity {
+	if !o.fullWalk {
 		e.act = newActivityState(e.S, e.horizon+2)
 	}
 	e.accountMem(start)

@@ -83,26 +83,23 @@ func runOpenLoopEngine(t *testing.T, o RunOptions) (*engine, *Result) {
 	e.warmEnd = o.WarmupCycles + o.MeasureCycles
 	res, err := e.runOpenLoop(o)
 	if err != nil {
-		t.Fatalf("runOpenLoop (legacy=%v): %v", o.LegacyGeneration, err)
+		t.Fatalf("runOpenLoop: %v", err)
 	}
 	return e, res
 }
 
-// TestGeometricGenerationEquivalence is the statistical re-validation of
-// the hyperx-sim/4 bump: for every mechanism, the geometric arrival
-// calendar and the legacy per-cycle Bernoulli draws must agree on the
-// marginal traffic process — every server's measurement-window arrival
-// count lies within binomial confidence bounds of m*p for BOTH engines,
-// and the Jain fairness of generated load matches between them. The
-// engines are bit-different by design (that is the bump), so the
-// comparison is distributional, not byte-wise.
+// TestGeometricGenerationEquivalence is the statistical validation of the
+// geometric arrival calendar: for every mechanism the marginal traffic
+// process is the Bernoulli one the paper specifies — every server's
+// measurement-window arrival count lies within binomial confidence bounds
+// of m*p, and the Jain fairness of generated load is near 1.
 func TestGeometricGenerationEquivalence(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	const (
 		per     = 2
 		load    = 0.2
 		measure = 6000
-		z       = 5.5 // per-server false-positive ~2e-8; ~400 trials total
+		z       = 5.5 // per-server false-positive ~2e-8; ~200 trials total
 	)
 	pat, err := traffic.NewUniform(h.Switches() * per)
 	if err != nil {
@@ -114,32 +111,25 @@ func TestGeometricGenerationEquivalence(t *testing.T) {
 	margin := z * math.Sqrt(measure*p*(1-p))
 	for _, mc := range mechanismsUnderTest(t, h) {
 		t.Run(mc.name, func(t *testing.T) {
-			jain := make(map[bool]float64)
-			for _, legacy := range []bool{false, true} {
-				mech, nw := mc.build()
-				e, res := runOpenLoopEngine(t, RunOptions{
-					Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
-					Load: load, WarmupCycles: 300, MeasureCycles: measure,
-					Seed: 1234, LegacyGeneration: legacy, Config: cfg,
-				})
-				if res.StalledGenerations != 0 {
-					t.Fatalf("legacy=%v: %d stalled generations perturb the binomial law at load %.2f",
-						legacy, res.StalledGenerations, load)
-				}
-				for g, phits := range e.genPhits {
-					count := float64(phits) / float64(cfg.PacketPhits)
-					if math.Abs(count-mean) > margin {
-						t.Errorf("legacy=%v: server %d generated %.0f window packets, want %.1f ± %.1f",
-							legacy, g, count, mean, margin)
-					}
-				}
-				jain[legacy] = res.JainIndex
+			mech, nw := mc.build()
+			e, res := runOpenLoopEngine(t, RunOptions{
+				Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
+				Load: load, WarmupCycles: 300, MeasureCycles: measure,
+				Seed: 1234, Config: cfg,
+			})
+			if res.StalledGenerations != 0 {
+				t.Fatalf("%d stalled generations perturb the binomial law at load %.2f",
+					res.StalledGenerations, load)
 			}
-			if d := math.Abs(jain[false] - jain[true]); d > 0.02 {
-				t.Errorf("Jain index diverges: geometric %.4f vs legacy %.4f", jain[false], jain[true])
+			for g, phits := range e.genPhits {
+				count := float64(phits) / float64(cfg.PacketPhits)
+				if math.Abs(count-mean) > margin {
+					t.Errorf("server %d generated %.0f window packets, want %.1f ± %.1f",
+						g, count, mean, margin)
+				}
 			}
-			if jain[false] < 0.95 || jain[true] < 0.95 {
-				t.Errorf("Jain index implausibly unfair: geometric %.4f, legacy %.4f", jain[false], jain[true])
+			if res.JainIndex < 0.95 {
+				t.Errorf("Jain index implausibly unfair: %.4f", res.JainIndex)
 			}
 		})
 	}
@@ -147,7 +137,7 @@ func TestGeometricGenerationEquivalence(t *testing.T) {
 
 // TestGeometricTotalGenerationBounds checks the aggregate law at a second
 // operating point (very low load, the fast-forward regime): total window
-// generation across all servers within binomial bounds for both engines.
+// generation across all servers within binomial bounds.
 func TestGeometricTotalGenerationBounds(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	const (
@@ -164,22 +154,20 @@ func TestGeometricTotalGenerationBounds(t *testing.T) {
 	n := float64(h.Switches()*per) * measure
 	mean := n * p
 	margin := 5.5 * math.Sqrt(n*p*(1-p))
-	for _, legacy := range []bool{false, true} {
-		nw := topo.NewNetwork(h, nil)
-		mech, err := core.New(nw, core.PolarizedRoutes, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(RunOptions{
-			Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
-			Load: load, WarmupCycles: 0, MeasureCycles: measure,
-			Seed: 99, LegacyGeneration: legacy, Config: cfg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := float64(res.GeneratedPackets); math.Abs(got-mean) > margin {
-			t.Errorf("legacy=%v: %.0f total window packets, want %.0f ± %.0f", legacy, got, mean, margin)
-		}
+	nw := topo.NewNetwork(h, nil)
+	mech, err := core.New(nw, core.PolarizedRoutes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(RunOptions{
+		Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
+		Load: load, WarmupCycles: 0, MeasureCycles: measure,
+		Seed: 99, Config: cfg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := float64(res.GeneratedPackets); math.Abs(got-mean) > margin {
+		t.Errorf("%.0f total window packets, want %.0f ± %.0f", got, mean, margin)
 	}
 }

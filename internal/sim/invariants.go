@@ -29,7 +29,7 @@ func (e *engine) verifyInvariants() {
 	}
 	// Activity bookkeeping against ground truth (no-op when disabled).
 	e.verifyActivity()
-	// Arrival-calendar integrity (no-op in burst and legacy modes).
+	// Arrival-calendar integrity (no-op in burst mode).
 	e.verifyArrivals()
 }
 

@@ -40,7 +40,7 @@ func TestJumpFaultInsideSkipStretch(t *testing.T) {
 			got := runBytes(t, RunOptions{
 				Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
 				Load: 0.006, WarmupCycles: 100, MeasureCycles: 2500, Seed: 23,
-				Workers: workers, DisableActivity: noAct,
+				Workers: workers, fullWalk: noAct,
 				FaultSchedule: []FaultEvent{
 					{Cycle: 777, Edge: seq[0]},
 					{Cycle: 1234, Edge: seq[1]},

@@ -55,22 +55,13 @@ type RunOptions struct {
 	// single runs (paper-scale 8x8x8) and costs a little synchronization
 	// overhead on tiny networks.
 	Workers int
-	// DisableActivity turns off the engine's dirty-switch tracking,
-	// per-switch next-work times and event-calendar fast-forward,
-	// restoring the full every-switch walk of every cycle. Activity
-	// tracking is bit-identical to the full walk — a skipped switch-cycle
-	// cannot mutate state or draw randomness (see activity.go) — so this
-	// is purely an A/B and benchmarking escape hatch (the -no-activity
-	// flag of both CLIs), never a semantic knob.
-	DisableActivity bool
-	// LegacyGeneration restores the pre-hyperx-sim/4 open-loop generation:
-	// one Bernoulli draw per server per cycle instead of the geometric
-	// arrival calendar. The two produce statistically equivalent traffic
-	// but consume the generation RNG differently, so — unlike the knobs
-	// above — this IS semantic: results carry LegacyEngineVersion and the
-	// legacy engine never fast-forwards idle open-loop stretches. The
-	// CLIs' -legacy-gen flag (SetLegacyGeneration) plumbs through here.
-	LegacyGeneration bool
+	// fullWalk turns off the engine's dirty-switch tracking, per-switch
+	// next-work times and event-calendar fast-forward, restoring the full
+	// every-switch walk of every cycle. Activity tracking is bit-identical
+	// to the full walk — a skipped switch-cycle cannot mutate state or draw
+	// randomness (see activity.go) — so the walk survives only as the
+	// reference the tests of this package compare the engine against.
+	fullWalk bool
 	// Config carries the Table 2 microarchitecture; zero means
 	// DefaultConfig.
 	Config Config
@@ -82,8 +73,8 @@ type RunOptions struct {
 	// Checkpoint, when non-nil, enables mid-run snapshots and/or resuming
 	// from one (snapshot.go). Snapshots are taken only at the sequential
 	// inter-cycle point and capturing one never mutates engine state, so —
-	// like Workers and DisableActivity — this never affects results: a
-	// resumed run is bit-identical to an uninterrupted one.
+	// like Workers — this never affects results: a resumed run is
+	// bit-identical to an uninterrupted one.
 	Checkpoint *CheckpointOptions
 }
 
@@ -188,31 +179,18 @@ func Run(o RunOptions) (*Result, error) {
 }
 
 // runOpenLoop is the standard warmup+measurement experiment with Bernoulli
-// generation at the offered load. By default the Bernoulli draws are
-// aggregated into the per-server geometric arrival calendar (arrivals.go),
-// which lets the run fast-forward between events even mid-flight: nothing
-// can happen before the earliest of the per-switch next-work times, the
-// next arrival, the next scheduled fault and the warmup/measure boundary
-// (see fastForwardTarget in activity.go). LegacyGeneration keeps the
-// per-cycle draw over every server (and therefore never fast-forwards —
-// every cycle consumes randomness).
+// generation at the offered load. The Bernoulli draws are aggregated into
+// the per-server geometric arrival calendar (arrivals.go), which lets the
+// run fast-forward between events even mid-flight: nothing can happen
+// before the earliest of the per-switch next-work times, the next arrival,
+// the next scheduled fault and the warmup/measure boundary (see
+// fastForwardTarget in activity.go).
 func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
 	defer e.startPool()()
-	genProb := o.Load / float64(e.cfg.PacketPhits)
 	end := e.warmEnd
-	gen := e.generateArrivals
-	if o.LegacyGeneration {
-		nServers := int32(e.S * e.K)
-		gen = func() {
-			for g := int32(0); g < nServers; g++ {
-				if e.r.Float64() < genProb {
-					e.generate(g)
-				}
-			}
-		}
-	} else if e.arrQ == nil {
+	if e.arrQ == nil {
 		// Tests may pre-seed a handcrafted calendar; a real Run never does.
-		e.initArrivals(genProb)
+		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
 	}
 	// A fresh engine starts at e.now = 0; a restored one continues at its
 	// checkpoint cycle, so the loop deliberately has no init clause.
@@ -224,36 +202,34 @@ func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
 		if err := e.applyDueFaults(); err != nil {
 			return nil, err
 		}
-		e.stepCycle(gen)
+		e.stepCycle(e.generateArrivals)
 		if e.cfg.CheckInvariants && e.now%64 == 0 {
 			e.verifyInvariants()
 		}
 		if err := e.checkWatchdog(); err != nil {
 			return nil, err
 		}
-		if !o.LegacyGeneration {
-			// Event-calendar fast-forward: a cycle before every switch's
-			// next-work time with no due arrival mutates nothing and draws no
-			// randomness — even with packets in flight, waiting out busy links
-			// and buffers — so jumping over the stretch is invisible. The
-			// warmup boundary bounds the jump only out of caution (nothing
-			// triggers at warmStart itself); the measurement end bounds it
-			// because the run is over there. Skipped cycles stamp no progress
-			// with packets in flight, exactly like the full walk (a skipped
-			// cycle is a no-op for every switch), so the watchdog sees the
-			// same stall lengths either way.
-			bound := end
-			if e.now < e.warmStart && e.warmStart < bound {
-				bound = e.warmStart
-			}
-			if next, ok := e.fastForwardTarget(bound, e.nextArrivalCycle()); ok {
-				e.now = next - 1 // the loop increment lands on the target
-				if e.inFlight == 0 {
-					// Per-cycle ticking would have stamped progress on every
-					// skipped (empty-network) cycle; replicate the last stamp
-					// so the watchdog never sees the jump as a stall.
-					e.lastProgress = e.now
-				}
+		// Event-calendar fast-forward: a cycle before every switch's
+		// next-work time with no due arrival mutates nothing and draws no
+		// randomness — even with packets in flight, waiting out busy links
+		// and buffers — so jumping over the stretch is invisible. The
+		// warmup boundary bounds the jump only out of caution (nothing
+		// triggers at warmStart itself); the measurement end bounds it
+		// because the run is over there. Skipped cycles stamp no progress
+		// with packets in flight, exactly like the full walk (a skipped
+		// cycle is a no-op for every switch), so the watchdog sees the
+		// same stall lengths either way.
+		bound := end
+		if e.now < e.warmStart && e.warmStart < bound {
+			bound = e.warmStart
+		}
+		if next, ok := e.fastForwardTarget(bound, e.nextArrivalCycle()); ok {
+			e.now = next - 1 // the loop increment lands on the target
+			if e.inFlight == 0 {
+				// Per-cycle ticking would have stamped progress on every
+				// skipped (empty-network) cycle; replicate the last stamp
+				// so the watchdog never sees the jump as a stall.
+				e.lastProgress = e.now
 			}
 		}
 	}

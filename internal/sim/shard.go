@@ -22,13 +22,14 @@ import (
 //	   mergeTransmit (sequential): route outboxes onto target calendars in
 //	   switch order, fold progress flags
 //
-// With activity tracking on (the default), the phases and merges walk only
-// the sorted dirty list of activity.go instead of the whole switch array,
-// and each phase skips dirty switches whose per-switch next-work time is
-// still in the future (see stepCycle); the compaction at the end of the
-// cycle drops the switches that went quiescent and refolds the next-work
-// words. The iteration order is the ascending switch order of the full
-// walk either way.
+// With activity tracking on (every run but the tests' full-walk
+// reference), the phases and merges walk only the sorted dirty list of
+// activity.go instead of the whole switch array, and each phase skips
+// dirty switches whose per-switch next-work time is still in the future
+// (see stepCycle); the compaction at the end of the cycle drops the
+// switches that went quiescent and refolds the next-work words. The
+// iteration order is the ascending switch order of the full walk either
+// way.
 //
 // Ownership argument (why the phases are race-free):
 //

@@ -61,7 +61,7 @@ func runAtWorkers(t *testing.T, name string, opts RunOptions) {
 		for _, noAct := range []bool{false, true} {
 			o := opts
 			o.Workers = w
-			o.DisableActivity = noAct
+			o.fullWalk = noAct
 			res, err := Run(o)
 			if err != nil {
 				t.Fatalf("%s workers=%d activity=%v: %v", name, w, !noAct, err)

@@ -68,16 +68,6 @@ type CheckpointOptions struct {
 	Interrupt *atomic.Bool
 }
 
-// runEngineVersion is the engine-version tag of one run's semantics: the
-// per-run form of ActiveEngineVersion, keyed off the run's own
-// LegacyGeneration option rather than the process-wide default.
-func runEngineVersion(legacy bool) string {
-	if legacy {
-		return LegacyEngineVersion
-	}
-	return EngineVersion
-}
-
 // burstMaxCycles is the burst-mode cycle budget of a run (the RunOptions
 // default rule), shared by runBurst and the snapshot header validation.
 func burstMaxCycles(o RunOptions) int64 {
@@ -144,7 +134,7 @@ type snapshotState struct {
 	Horizon            int64
 	WarmStart, WarmEnd int64
 	Burst              int64
-	Legacy             bool
+	Legacy             bool // hyperx-ckpt/1's legacy-generation byte: written 0, refused as 1
 	CfgInputBufPkts    int64
 	CfgOutputBufPkts   int64
 	CfgPacketPhits     int64
@@ -311,14 +301,13 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 	return &snapshotState{
 		Magic:    SnapshotVersion,
-		Engine:   runEngineVersion(o.LegacyGeneration),
+		Engine:   EngineVersion,
 		SpecHash: specHash,
 		Seed:     o.Seed,
 		S:        int64(e.S), R: int64(e.R), K: int64(e.K), P: int64(e.P), V: int64(e.V),
 		Horizon:   e.horizon,
 		WarmStart: e.warmStart, WarmEnd: e.warmEnd,
-		Burst:  int64(o.BurstPackets),
-		Legacy: o.LegacyGeneration,
+		Burst: int64(o.BurstPackets),
 
 		CfgInputBufPkts:  int64(e.cfg.InputBufPkts),
 		CfgOutputBufPkts: int64(e.cfg.OutputBufPkts),
@@ -527,8 +516,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Magic != SnapshotVersion {
 		return badf("format %q, want %q", st.Magic, SnapshotVersion)
 	}
-	if want := runEngineVersion(o.LegacyGeneration); st.Engine != want {
-		return badf("engine %q, want %q", st.Engine, want)
+	if st.Engine != EngineVersion {
+		return badf("engine %q, want %q", st.Engine, EngineVersion)
 	}
 	specHash := ""
 	if o.Checkpoint != nil {
@@ -540,8 +529,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Seed != o.Seed {
 		return badf("seed %d, want %d", st.Seed, o.Seed)
 	}
-	if st.Legacy != o.LegacyGeneration {
-		return badf("legacy generation %v, want %v", st.Legacy, o.LegacyGeneration)
+	if st.Legacy {
+		return badf("written by the retired legacy-generation engine")
 	}
 	if st.S != int64(e.S) || st.R != int64(e.R) || st.K != int64(e.K) ||
 		st.P != int64(e.P) || st.V != int64(e.V) {
@@ -656,7 +645,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		return badf("in-flight count %d, pool says %d", st.InFlight, len(st.Pool)-len(st.Free))
 	}
 	wantArr := 0
-	if o.BurstPackets == 0 && !o.LegacyGeneration {
+	if o.BurstPackets == 0 {
 		wantArr = nServers
 	}
 	if len(st.ArrQ) != wantArr {

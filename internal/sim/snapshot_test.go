@@ -62,7 +62,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 			for _, noAct := range []bool{false, true} {
 				o := snapshotRun(t, h)
 				o.Workers = workers
-				o.DisableActivity = noAct
+				o.fullWalk = noAct
 				o.Checkpoint = &CheckpointOptions{Resume: snap}
 				if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
 					t.Fatalf("snapshot %d resumed at workers=%d activity=%v diverged", i, workers, !noAct)
@@ -179,6 +179,14 @@ func TestSnapshotInterruptDrain(t *testing.T) {
 	}
 }
 
+// sealSnapshot encodes st with a valid checksum trailer, so that only the
+// checks behind the checksum can refuse it.
+func sealSnapshot(st *snapshotState) []byte {
+	enc := appendSnapshotState(nil, st)
+	sum := sha256.Sum256(enc)
+	return append(enc, sum[:]...)
+}
+
 // TestSnapshotRejectsCorrupt locks in the torn-checkpoint defense: a
 // truncated file, a flipped byte, or a header that does not match the run
 // must all be rejected with ErrBadSnapshot (so callers fall back to a
@@ -190,6 +198,16 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		t.Fatal("no snapshots shipped")
 	}
 	snap := snaps[0]
+	reseal := func(mutate func(*snapshotState)) func(*RunOptions, []byte) []byte {
+		return func(_ *RunOptions, s []byte) []byte {
+			st, err := decodeSnapshotState(s[:len(s)-sha256.Size])
+			if err != nil {
+				t.Fatal(err)
+			}
+			mutate(st)
+			return sealSnapshot(st)
+		}
+	}
 	cases := []struct {
 		name   string
 		mutate func(o *RunOptions, s []byte) []byte
@@ -202,7 +220,10 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			return s
 		}},
 		{"wrong seed", func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
-		{"wrong engine", func(o *RunOptions, s []byte) []byte { o.LegacyGeneration = true; return s }},
+		// Snapshots of the retired per-cycle-generation engine, re-sealed so
+		// only the header check can refuse them.
+		{"engine hyperx-sim/3", reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
+		{"legacy byte set", reseal(func(st *snapshotState) { st.Legacy = true })},
 	}
 	for _, tc := range cases {
 		o := snapshotRun(t, h)
@@ -403,10 +424,8 @@ func TestSnapshotRejectsInRelsMismatch(t *testing.T) {
 		}
 		// The same bytes through the public path: re-sealed, so only the
 		// consistency check can refuse them.
-		enc := appendSnapshotState(nil, st)
-		sum := sha256.Sum256(enc)
 		o = snapshotRun(t, h)
-		o.Checkpoint = &CheckpointOptions{Resume: append(enc, sum[:]...)}
+		o.Checkpoint = &CheckpointOptions{Resume: sealSnapshot(st)}
 		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: Run resumed it: %v", tc.name, err)
 		}
