@@ -299,14 +299,7 @@ func main() {
 	var exps multiFlag
 	flag.Var(&exps, "exp", "experiment to run: table2|table3|table4|fig1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|recovery|cost|section7|all (repeatable); cache-gc prunes and audits a -cache-dir instead of running anything; bench measures the engine memory ladder and writes -bench-out")
 	full := flag.Bool("full", false, "use the paper's full-size networks and long windows")
-	seed := flag.Uint64("seed", 1, "random seed")
-	workersFlag := flag.Int("workers", 0, "parallel simulation workers (0 = one per CPU); results are identical for any value")
-	runWorkersFlag := flag.Int("run-workers", -1, "intra-run workers per simulation point (-1 = adaptive from switch count and CPUs left by the grid pool, 0 = one per CPU); results are identical for any value. Explicit values multiply with -workers")
 	progressFlag := flag.Bool("progress", true, "report done/total (ETA) progress lines on stderr")
-	cacheDir := flag.String("cache-dir", "", "content-addressed result cache directory; re-runs recompute only changed points")
-	ckptEvery := flag.Duration("checkpoint-every", 0, "snapshot every in-flight simulation at this wall-clock interval, so a killed process resumes mid-point instead of restarting it (needs -checkpoint-dir or -cache-dir; in -worker mode snapshots stream to the server instead)")
-	ckptCycles := flag.Int64("checkpoint-cycles", 0, "snapshot every N simulated cycles instead of on wall-clock time (deterministic trigger for tests)")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
 	serveAddr := flag.String("serve", "", "serve mode: listen on this address and execute every simulation point on connected -worker processes")
 	workerAddr := flag.String("worker", "", "worker mode: connect to a -serve address and run jobs for it (-workers sets the slot count; -exp is ignored)")
 	poisonAttempts := flag.Int("poison-attempts", queue.DefaultPoisonAttempts, "serve mode: quarantine a job after it costs this many distinct workers; the grid completes around the hole")
@@ -315,50 +308,20 @@ func main() {
 	leasePerCycle := flag.Duration("lease-per-cycle", 0, "serve mode: lease time added per simulated cycle of the job's budget (0 = library default)")
 	benchOut := flag.String("bench-out", "BENCH_8.json", "output path for the -exp bench JSON report")
 	benchCompare := flag.String("bench-compare", "", "compare -exp bench memory figures (bytes/switch) against this committed baseline report; exit non-zero on >10% growth")
-	memStats := flag.Bool("mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) for each experiment's largest topology before running")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats
+	run.Register(flag.CommandLine)
 	flag.Parse()
 
-	workers, err := cliutil.ResolveWorkers(*workersFlag)
+	// A worker needs no local checkpoint store: its snapshots stream to the
+	// server.
+	store, err := run.Apply(*workerAddr != "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	if *runWorkersFlag < 0 {
-		experiments.SetAdaptiveRunWorkers()
-	} else {
-		runWorkers, err := cliutil.ResolveWorkers(*runWorkersFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		experiments.SetDefaultRunWorkers(experiments.DefaultWorkers(runWorkers))
-	}
-	var store *cache.Store
-	if *cacheDir != "" {
-		store, err = cache.Open(*cacheDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		experiments.SetResultCache(store)
-	}
-	if *ckptDir != "" {
-		cs, err := cache.Open(*ckptDir)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
-		}
-		experiments.SetCheckpointStore(cs)
-	}
-	if *ckptEvery > 0 || *ckptCycles > 0 {
-		if *ckptDir == "" && *cacheDir == "" && *workerAddr == "" {
-			fmt.Fprintln(os.Stderr, "experiments: -checkpoint-every/-checkpoint-cycles need -checkpoint-dir or -cache-dir to store snapshots (workers stream them to the server instead)")
-			os.Exit(2)
-		}
-		experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{Every: *ckptEvery, EveryCycles: *ckptCycles})
-	}
+	workers, seed := run.Workers, run.Seed
 
 	if *workerAddr != "" {
 		slots := experiments.DefaultWorkers(workers)
@@ -451,19 +414,19 @@ func main() {
 	h2 := experiments.Topology2D(scale)
 	h3 := experiments.Topology3D(scale)
 	ctx := figCtx{
-		scale: scale, budget: budget, seed: *seed, workers: workers, full: *full,
+		scale: scale, budget: budget, seed: seed, workers: workers, full: *full,
 		h2: h2, h3: h3, root2: centerSwitch(h2), root3: centerSwitch(h3),
 		save: tableSaver(*csvDir, *jsonlDir),
 	}
 
-	if *memStats {
+	if run.MemStats {
 		// Construction-only accounting for the grids the experiments run
 		// on, printed up front on stderr (construction time is wall-clock;
 		// stdout stays byte-identical across runs).
 		for _, h := range []*topo.HyperX{h2, h3} {
 			spec := experiments.JobSpec{
 				Topo: experiments.HyperXSpec(h), Mechanism: "PolSP", Pattern: "Uniform",
-				VCs: 2 * h.NDims(), Per: h.Dims()[0], Load: 0.5, Seed: *seed, PatternSeed: *seed,
+				VCs: 2 * h.NDims(), Per: h.Dims()[0], Load: 0.5, Seed: seed, PatternSeed: seed,
 			}
 			mem, err := spec.MeasureMemory()
 			if err != nil {
@@ -481,7 +444,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "experiments: -exp bench cannot be combined with other experiments")
 			os.Exit(2)
 		}
-		rep, err := experiments.Bench(*seed)
+		rep, err := experiments.Bench(seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
 			os.Exit(1)

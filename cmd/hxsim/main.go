@@ -23,55 +23,27 @@ import (
 
 func main() {
 	var (
-		dimsFlag       = flag.String("dims", "8x8", "topology sides, e.g. 16x16 or 8x8x8")
-		mechFlag       = flag.String("mech", "PolSP", "mechanism: Minimal|Valiant|OmniWAR|Polarized|DOR|DAL|EscapeOnly|OmniSP|PolSP")
-		patFlag        = flag.String("pattern", "Uniform", "pattern: Uniform|RSP|DCR|RPN")
-		loadFlag       = flag.Float64("load", 0.5, "offered load in phits/server/cycle (0,1]")
-		loadsFlag      = flag.String("loads", "", "comma-separated load sweep, e.g. 0.1,0.5,1.0 (overrides -load)")
-		vcsFlag        = flag.Int("vcs", 0, "virtual channels per port (0 = paper's 2n)")
-		warmFlag       = flag.Int64("warmup", 3000, "warmup cycles")
-		measFlag       = flag.Int64("measure", 6000, "measurement cycles")
-		faultsFlag     = flag.Int("faults", 0, "random link failures to inject")
-		shapeFlag      = flag.String("shape", "", "structured fault shape: row|subblock|cross (overrides -faults)")
-		rootFlag       = flag.Int("root", 0, "escape subnetwork root switch (SurePath)")
-		burstFlag      = flag.Int("burst", 0, "burst packets per server (completion-time mode)")
-		seedFlag       = flag.Uint64("seed", 1, "random seed")
-		serversFlag    = flag.Int("servers", 0, "servers per switch (0 = side k)")
-		workersFlag    = flag.Int("workers", 0, "parallel workers for -loads sweeps (0 = one per CPU); results are identical for any value")
-		runWorkersFlag = flag.Int("run-workers", -1, "intra-run workers per simulation (-1 = adaptive, 0 = one per CPU); results are identical for any value")
-		cacheDirFlag   = flag.String("cache-dir", "", "content-addressed result cache directory; repeated runs of the same point hit the cache")
-		ckptEveryFlag  = flag.Duration("checkpoint-every", 0, "snapshot the engine at this wall-clock interval so an interrupted run resumes instead of restarting (needs -checkpoint-dir or -cache-dir); SIGINT/SIGTERM checkpoint and stop")
-		ckptCyclesFlag = flag.Int64("checkpoint-cycles", 0, "snapshot every N simulated cycles instead of on wall-clock time (deterministic trigger for tests)")
-		ckptDirFlag    = flag.String("checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
-		memStatsFlag   = flag.Bool("mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) before running")
+		dimsFlag    = flag.String("dims", "8x8", "topology sides, e.g. 16x16 or 8x8x8")
+		mechFlag    = flag.String("mech", "PolSP", "mechanism: Minimal|Valiant|OmniWAR|Polarized|DOR|DAL|EscapeOnly|OmniSP|PolSP")
+		patFlag     = flag.String("pattern", "Uniform", "pattern: Uniform|RSP|DCR|RPN")
+		loadFlag    = flag.Float64("load", 0.5, "offered load in phits/server/cycle (0,1]")
+		loadsFlag   = flag.String("loads", "", "comma-separated load sweep, e.g. 0.1,0.5,1.0 (overrides -load)")
+		vcsFlag     = flag.Int("vcs", 0, "virtual channels per port (0 = paper's 2n)")
+		warmFlag    = flag.Int64("warmup", 3000, "warmup cycles")
+		measFlag    = flag.Int64("measure", 6000, "measurement cycles")
+		faultsFlag  = flag.Int("faults", 0, "random link failures to inject")
+		shapeFlag   = flag.String("shape", "", "structured fault shape: row|subblock|cross (overrides -faults)")
+		rootFlag    = flag.Int("root", 0, "escape subnetwork root switch (SurePath)")
+		burstFlag   = flag.Int("burst", 0, "burst packets per server (completion-time mode)")
+		serversFlag = flag.Int("servers", 0, "servers per switch (0 = side k)")
 	)
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats
+	run.Register(flag.CommandLine)
 	flag.Parse()
 
-	workers, err := cliutil.ResolveWorkers(*workersFlag)
+	store, err := run.Apply(false)
 	check(err)
-	if *runWorkersFlag < 0 {
-		hyperx.SetAdaptiveRunWorkers()
-	} else {
-		runWorkers, err := cliutil.ResolveWorkers(*runWorkersFlag)
-		check(err)
-		hyperx.SetRunWorkers(hyperx.DefaultWorkers(runWorkers))
-	}
-	var store *hyperx.ResultCache
-	if *cacheDirFlag != "" {
-		store, err = hyperx.OpenResultCache(*cacheDirFlag)
-		check(err)
-		hyperx.SetResultCache(store)
-	}
-	if *ckptDirFlag != "" {
-		cs, err := hyperx.OpenResultCache(*ckptDirFlag)
-		check(err)
-		hyperx.SetCheckpointStore(cs)
-	}
-	if *ckptEveryFlag > 0 || *ckptCyclesFlag > 0 {
-		if *ckptDirFlag == "" && *cacheDirFlag == "" {
-			check(fmt.Errorf("-checkpoint-every/-checkpoint-cycles need -checkpoint-dir or -cache-dir to store snapshots"))
-		}
-		hyperx.SetCheckpointPolicy(&hyperx.CheckpointPolicy{Every: *ckptEveryFlag, EveryCycles: *ckptCyclesFlag})
+	if run.Checkpointing() {
 		// SIGINT/SIGTERM becomes a drain: every in-flight point snapshots
 		// at its next inter-cycle boundary and the run stops resumable.
 		sigc := make(chan os.Signal, 1)
@@ -101,7 +73,7 @@ func main() {
 		check(err)
 		faults.AddAll(edges)
 	case *faultsFlag > 0:
-		seq := hyperx.RandomFaultSequence(h, *seedFlag)
+		seq := hyperx.RandomFaultSequence(h, run.Seed)
 		if *faultsFlag > len(seq) {
 			check(fmt.Errorf("at most %d links can fail", len(seq)))
 		}
@@ -118,7 +90,7 @@ func main() {
 	}
 	mech, err := hyperx.NewMechanism(*mechFlag, net, vcs, int32(*rootFlag))
 	check(err)
-	pat, err := hyperx.NewPattern(*patFlag, h, per, *seedFlag)
+	pat, err := hyperx.NewPattern(*patFlag, h, per, run.Seed)
 	check(err)
 
 	fmt.Printf("%s  servers/switch=%d  faults=%d  mech=%s  pattern=%s  vcs=%d\n",
@@ -145,15 +117,15 @@ func main() {
 			Load:        load,
 			Budget:      hyperx.Budget{Warmup: *warmFlag, Measure: *measFlag},
 			Faults:      faults.Edges(),
-			Seed:        *seedFlag,
-			PatternSeed: *seedFlag,
+			Seed:        run.Seed,
+			PatternSeed: run.Seed,
 		}
 		if *burstFlag > 0 {
 			specs[i].BurstPackets = *burstFlag
 			specs[i].SeriesBucket = 2000
 		}
 	}
-	if *memStatsFlag {
+	if run.MemStats {
 		// Construction is load-independent, so one measurement covers the
 		// whole sweep. Stderr, like the cache stats: stdout stays
 		// byte-identical across runs (construction time is wall-clock).
@@ -161,7 +133,7 @@ func main() {
 		check(err)
 		fmt.Fprintln(os.Stderr, mem)
 	}
-	results, err := hyperx.RunSpecs(workers, specs)
+	results, err := hyperx.RunSpecs(run.Workers, specs)
 	if errors.Is(err, hyperx.ErrCheckpointed) {
 		fmt.Fprintln(os.Stderr, "hxsim: checkpointed; rerun the same command to resume")
 		os.Exit(3)

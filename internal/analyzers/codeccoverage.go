@@ -14,7 +14,7 @@ import (
 type codecTarget struct {
 	pkg      string   // package path the struct and codec live in
 	typeName string   // struct type name
-	encode   []string // encode-side functions/methods (all must cover every field)
+	encode   []string // encode-side functions ("Name") and methods ("Recv.Name"); all must cover every field
 	decode   []string // decode-side; empty means decoding is reflective (encoding/json), checked via tag presence instead
 	// unexported widens the check to unexported fields too — for
 	// package-internal serialized structs like the engine, where every
@@ -30,13 +30,15 @@ var codecTargets = []codecTarget{
 	{
 		pkg:      "repro/internal/sim",
 		typeName: "Result",
-		encode:   []string{"AppendBinary"},
-		decode:   []string{"DecodeResult"},
+		// One walk serves both directions (internal/wire): AppendBinary and
+		// DecodeResult are wrappers around it that name no field.
+		encode: []string{"Result.walk"},
+		decode: []string{"Result.walk"},
 	},
 	{
 		pkg:      "repro/internal/experiments",
 		typeName: "JobSpec",
-		encode:   []string{"AppendCanonical"},
+		encode:   []string{"JobSpec.AppendCanonical"},
 		// JSON transport decodes reflectively; the tag-presence check below
 		// pins every field to a stable wire name instead.
 		decode: nil,
@@ -53,8 +55,8 @@ var codecTargets = []codecTarget{
 		// spec are exempted below with the proof obligation each carries.
 		pkg:        "repro/internal/sim",
 		typeName:   "engine",
-		encode:     []string{"captureSnapshot"},
-		decode:     []string{"applySnapshot"},
+		encode:     []string{"engine.captureSnapshot"},
+		decode:     []string{"engine.applySnapshot"},
 		unexported: true,
 		exempt: map[string]string{
 			"nw":            "rebuilt by the caller from the spec; applySnapshot replays already-applied fault edges into it",
@@ -81,12 +83,26 @@ var codecTargets = []codecTarget{
 		},
 	},
 	{
-		// The snapshot wire struct itself: both binary codec halves must
-		// touch every field, same contract as sim.Result.
+		// The snapshot wire struct itself: its one walk must touch every
+		// field, same contract as sim.Result.
 		pkg:      "repro/internal/sim",
 		typeName: "snapshotState",
-		encode:   []string{"appendSnapshotState"},
-		decode:   []string{"decodeSnapshotState"},
+		encode:   []string{"snapshotState.walk"},
+		decode:   []string{"snapshotState.walk"},
+	},
+	{
+		// Two structs whose codec methods share a name: the registry's
+		// Recv.Name keys must tell them apart.
+		pkg:      "codeccoverage",
+		typeName: "Left",
+		encode:   []string{"Left.walk"},
+		decode:   []string{"Left.walk"},
+	},
+	{
+		pkg:      "codeccoverage",
+		typeName: "Right",
+		encode:   []string{"Right.walk"},
+		decode:   []string{"Right.walk"},
 	},
 	{
 		pkg:      "codeccoverage",
@@ -105,11 +121,11 @@ var codecTargets = []codecTarget{
 
 // CodecCoverage asserts that every exported field of a codec-serialized
 // struct is referenced by each of its encode and decode functions. Adding
-// a field to sim.Result without extending AppendBinary AND DecodeResult —
-// or to experiments.JobSpec without extending AppendCanonical — would
+// a field to sim.Result without extending its walk — or to
+// experiments.JobSpec without extending AppendCanonical — would
 // silently corrupt the content-addressed cache: two semantically different
 // values would encode (or hash) identically. With this check, the new
-// field fails lint until both codec halves handle it (or it is registered
+// field fails lint until every listed function handles it (or it is registered
 // as exempt, with the reason in the registry). Structs whose decode side
 // is reflective (encoding/json) instead require an explicit json tag on
 // every exported field, pinning the wire name.
@@ -183,15 +199,29 @@ func checkCodecTarget(pass *framework.Pass, tgt codecTarget) {
 	}
 }
 
-// codecFuncBodies maps every function and method name of the package to
-// its body.
+// codecFuncBodies maps every function of the package to its body, keyed
+// "Name", and every method keyed "Recv.Name" (the receiver's type name,
+// pointer or not): methods of different types may share a name, and a
+// bare-name key would let one silently stand in for the other.
 func codecFuncBodies(pass *framework.Pass) map[string]*ast.BlockStmt {
 	out := make(map[string]*ast.BlockStmt)
 	for _, file := range pass.Files {
 		for _, d := range file.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-				out[fd.Name.Name] = fd.Body
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
 			}
+			name := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				recv := fd.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if id, ok := recv.(*ast.Ident); ok {
+					name = id.Name + "." + name
+				}
+			}
+			out[name] = fd.Body
 		}
 	}
 	return out

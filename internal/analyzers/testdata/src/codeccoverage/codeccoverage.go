@@ -37,3 +37,26 @@ func encodeWireJSON(w *WireJSON) []byte {
 	_ = w.B
 	return nil
 }
+
+// Left and Right each have a walk method: the registry keys them as
+// Left.walk and Right.walk. Left's covers both fields; Right's misses B.
+// Keyed by bare name, the later declaration would answer for both structs:
+// either Right's gap goes unseen or every Left field is reported.
+type Left struct {
+	A int64
+	B int64
+}
+
+func (l *Left) walk() {
+	_ = l.A
+	_ = l.B
+}
+
+type Right struct {
+	A int64
+	B int64 // want `field Right.B is not referenced by codec encode function Right.walk` `field Right.B is not referenced by codec decode function Right.walk`
+}
+
+func (r Right) walk() {
+	_ = r.A
+}

@@ -20,9 +20,7 @@
 package cache
 
 import (
-	"bytes"
 	"compress/gzip"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"os"
@@ -31,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sim"
+	"repro/internal/wire"
 )
 
 // engineDir is the filesystem-safe name of the engine-version directory
@@ -120,15 +119,12 @@ func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
 // no-trailing-bytes decode disambiguates — and anything that fails both
 // ways is reported as damage.
 func decodeEntry(data []byte) (res *sim.Result, damaged bool) {
-	if len(data) > sha256.Size {
-		body, tail := data[:len(data)-sha256.Size], data[len(data)-sha256.Size:]
-		if sum := sha256.Sum256(body); bytes.Equal(sum[:], tail) {
-			res, err := sim.DecodeResult(body)
-			if err != nil {
-				return nil, false // intact bytes, unknown codec: plain miss
-			}
-			return res, false
+	if body, ok := wire.Open(data); ok {
+		res, err := sim.DecodeResult(body)
+		if err != nil {
+			return nil, false // intact bytes, unknown codec: plain miss
 		}
+		return res, false
 	}
 	res, err := sim.DecodeResult(data)
 	if err != nil {
@@ -159,9 +155,7 @@ func (s *Store) Put(key string, res *sim.Result) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	body := res.AppendBinary(nil)
-	sum := sha256.Sum256(body)
-	if _, err := tmp.Write(append(body, sum[:]...)); err != nil {
+	if _, err := tmp.Write(wire.Seal(res.AppendBinary(nil))); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %w", err)
 	}
@@ -199,16 +193,8 @@ func (s *Store) GetCheckpoint(key string) (snap []byte, ok bool) {
 		return nil, false
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, false
-	}
-	defer zr.Close()
-	snap, err = io.ReadAll(zr)
-	if err != nil || len(snap) == 0 {
-		return nil, false
-	}
-	return snap, true
+	snap = DecompressSnapshot(f)
+	return snap, snap != nil
 }
 
 // CompressSnapshot writes the gzip form of an engine snapshot to w: the
@@ -227,6 +213,23 @@ func CompressSnapshot(w io.Writer, snap []byte) error {
 		return err
 	}
 	return zw.Close()
+}
+
+// DecompressSnapshot reads back what CompressSnapshot wrote. Any damage —
+// not gzip, a torn stream, nothing inside — returns nil: to every caller
+// that is "no snapshot", and the run starts from zero, which is always
+// safe (the snapshot's own checksum catches what gzip does not).
+func DecompressSnapshot(r io.Reader) []byte {
+	zr, err := gzip.NewReader(r)
+	if err != nil {
+		return nil
+	}
+	defer zr.Close()
+	snap, err := io.ReadAll(zr)
+	if err != nil || len(snap) == 0 {
+		return nil
+	}
+	return snap
 }
 
 // PutCheckpoint stores a compressed engine snapshot under key, atomically —

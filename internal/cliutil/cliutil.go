@@ -1,12 +1,17 @@
-// Package cliutil holds the small parsing helpers shared by the command
-// line tools, kept out of main packages so they are testable.
+// Package cliutil holds what the command line tools share — the small
+// parsing helpers and the flags both tools declare — kept out of main
+// packages so it is testable.
 package cliutil
 
 import (
+	"flag"
 	"fmt"
 	"strconv"
 	"strings"
+	"time"
 
+	"repro/internal/cache"
+	"repro/internal/experiments"
 	"repro/internal/topo"
 )
 
@@ -75,4 +80,70 @@ func ParseLoads(s string) ([]float64, error) {
 		return nil, fmt.Errorf("no loads in %q", s)
 	}
 	return loads, nil
+}
+
+// RunFlags are the flags cmd/hxsim and cmd/experiments share: one
+// declaration, so the two tools cannot drift in name, default or meaning.
+type RunFlags struct {
+	Seed             uint64
+	Workers          int
+	RunWorkers       int
+	CacheDir         string
+	CheckpointEvery  time.Duration
+	CheckpointCycles int64
+	CheckpointDir    string
+	MemStats         bool
+}
+
+// Register declares the shared flags on fs.
+func (f *RunFlags) Register(fs *flag.FlagSet) {
+	fs.Uint64Var(&f.Seed, "seed", 1, "random seed")
+	fs.IntVar(&f.Workers, "workers", 0, "parallel simulation workers across points (0 = one per CPU); results are identical for any value")
+	fs.IntVar(&f.RunWorkers, "run-workers", -1, "intra-run workers per simulation point (-1 = adaptive from switch count and CPUs left by the -workers pool, 0 = one per CPU); results are identical for any value. Explicit values multiply with -workers")
+	fs.StringVar(&f.CacheDir, "cache-dir", "", "content-addressed result cache directory; re-runs recompute only changed points")
+	fs.DurationVar(&f.CheckpointEvery, "checkpoint-every", 0, "snapshot every in-flight simulation at this wall-clock interval, so an interrupted run resumes mid-point instead of restarting (needs -checkpoint-dir or -cache-dir)")
+	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "snapshot every N simulated cycles instead of on wall-clock time (deterministic trigger for tests)")
+	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
+	fs.BoolVar(&f.MemStats, "mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) on stderr before running")
+}
+
+// Checkpointing reports whether either checkpoint trigger is set.
+func (f *RunFlags) Checkpointing() bool {
+	return f.CheckpointEvery > 0 || f.CheckpointCycles > 0
+}
+
+// Apply validates the parsed flags and installs them in the experiments
+// runner: the intra-run worker policy, the result cache (returned; nil
+// without -cache-dir), the checkpoint store and the checkpoint policy.
+// Checkpointing needs somewhere to keep snapshots unless
+// snapshotsLeaveProcess: a queue worker streams them to its server.
+func (f *RunFlags) Apply(snapshotsLeaveProcess bool) (store *cache.Store, err error) {
+	if _, err := ResolveWorkers(f.Workers); err != nil {
+		return nil, err
+	}
+	if f.RunWorkers < 0 {
+		experiments.SetAdaptiveRunWorkers()
+	} else {
+		experiments.SetDefaultRunWorkers(experiments.DefaultWorkers(f.RunWorkers))
+	}
+	if f.CacheDir != "" {
+		if store, err = cache.Open(f.CacheDir); err != nil {
+			return nil, err
+		}
+		experiments.SetResultCache(store)
+	}
+	if f.CheckpointDir != "" {
+		cs, err := cache.Open(f.CheckpointDir)
+		if err != nil {
+			return nil, err
+		}
+		experiments.SetCheckpointStore(cs)
+	}
+	if f.Checkpointing() {
+		if f.CheckpointDir == "" && f.CacheDir == "" && !snapshotsLeaveProcess {
+			return nil, fmt.Errorf("-checkpoint-every/-checkpoint-cycles need -checkpoint-dir or -cache-dir to store snapshots")
+		}
+		experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{Every: f.CheckpointEvery, EveryCycles: f.CheckpointCycles})
+	}
+	return store, nil
 }

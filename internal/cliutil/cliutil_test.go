@@ -1,8 +1,10 @@
 package cliutil
 
 import (
+	"flag"
 	"testing"
 
+	"repro/internal/experiments"
 	"repro/internal/topo"
 )
 
@@ -84,5 +86,53 @@ func TestResolveWorkers(t *testing.T) {
 	}
 	if n, err := ResolveWorkers(7); err != nil || n != 7 {
 		t.Errorf("ResolveWorkers(7) = %d, %v", n, err)
+	}
+}
+
+// TestRunFlags: the shared flags parse under their names, and Apply
+// refuses what both CLIs refused — negative -workers, and checkpointing
+// with nowhere to keep snapshots unless they leave the process.
+func TestRunFlags(t *testing.T) {
+	parse := func(args ...string) *RunFlags {
+		t.Helper()
+		var f RunFlags
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f.Register(fs)
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		return &f
+	}
+	t.Cleanup(func() {
+		experiments.SetCheckpointPolicy(nil)
+		experiments.SetCheckpointStore(nil)
+		experiments.SetResultCache(nil)
+		experiments.SetDefaultRunWorkers(0)
+	})
+
+	f := parse()
+	if f.Seed != 1 || f.Workers != 0 || f.RunWorkers != -1 || f.Checkpointing() || f.MemStats {
+		t.Errorf("defaults: %+v", f)
+	}
+	if store, err := f.Apply(false); err != nil || store != nil {
+		t.Errorf("default Apply = %v, %v", store, err)
+	}
+	if _, err := parse("-workers", "-1").Apply(false); err == nil {
+		t.Error("negative -workers accepted")
+	}
+	if _, err := parse("-checkpoint-cycles", "100").Apply(false); err == nil {
+		t.Error("checkpointing without a store accepted")
+	}
+	if _, err := parse("-checkpoint-every", "1s").Apply(true); err != nil {
+		t.Errorf("checkpointing whose snapshots leave the process refused: %v", err)
+	}
+	dir := t.TempDir()
+	f = parse("-seed", "9", "-run-workers", "2", "-checkpoint-cycles", "100", "-cache-dir", dir, "-mem-stats")
+	store, err := f.Apply(false)
+	if err != nil || store == nil || store.Dir() != dir || experiments.ResultCache() != store {
+		t.Errorf("Apply with -cache-dir = %v, %v", store, err)
+	}
+	if f.Seed != 9 || !f.MemStats || !f.Checkpointing() || experiments.RunWorkers() != 2 {
+		t.Errorf("parsed: %+v", f)
 	}
 }

@@ -77,7 +77,6 @@ package queue
 import (
 	"bufio"
 	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/base64"
 	"encoding/hex"
@@ -1282,16 +1281,7 @@ func decodeSnapshotPayload(payload string) []byte {
 	if err != nil {
 		return nil
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
-	if err != nil {
-		return nil
-	}
-	defer zr.Close()
-	snap, err := io.ReadAll(zr)
-	if err != nil || len(snap) == 0 {
-		return nil
-	}
-	return snap
+	return cache.DecompressSnapshot(bytes.NewReader(raw))
 }
 
 func isEOF(err error) bool {

@@ -16,7 +16,7 @@ import (
 // runBytes executes one configuration and returns the stable binary
 // encoding of its Result — the byte-identity currency of the cache and the
 // work queue, and so the right equality for the activity contract.
-func runBytes(t *testing.T, o RunOptions) []byte {
+func runBytes(t testing.TB, o RunOptions) []byte {
 	t.Helper()
 	res, err := Run(o)
 	if err != nil {

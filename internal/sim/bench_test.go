@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/topo"
 	"repro/internal/traffic"
+	"repro/internal/wire"
 )
 
 // loadedPaperEngine builds a paper-scale 8x8x8 engine and warms it under
@@ -213,4 +214,57 @@ func BenchmarkSteadyStateStepAllocs(b *testing.B) {
 		e.now++
 		e.stepCycle(nil)
 	}
+}
+
+// BenchmarkSnapshotCodec measures the snapshotState byte codec alone — no
+// capture, no trailer, no gzip — on one real mid-run snapshot of the
+// paper-scale 8x8x8 under PolSP at load 0.7 (a few MB: every queue, the
+// packet pool and the calendar wheel populated). MB/s comes from SetBytes.
+func BenchmarkSnapshotCodec(b *testing.B) {
+	h := topo.MustHyperX(8, 8, 8)
+	nw := topo.NewNetwork(h, nil)
+	mech, err := core.New(nw, core.PolarizedRoutes, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, err := traffic.NewUniform(h.Switches() * 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var snap []byte
+	_, err = Run(RunOptions{
+		Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
+		Load: 0.7, WarmupCycles: 300, MeasureCycles: 300, Seed: 1, Config: DefaultConfig(),
+		Checkpoint: &CheckpointOptions{EveryCycles: 500, Sink: func(s []byte) error {
+			snap = s
+			return nil
+		}},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	body, ok := wire.Open(snap)
+	if !ok {
+		b.Fatal("the shipped snapshot fails its own trailer")
+	}
+	st, err := decodeSnapshotState(body)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Encode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if enc := appendSnapshotState(nil, st); len(enc) != len(body) {
+				b.Fatalf("encoded %d bytes, the snapshot body has %d", len(enc), len(body))
+			}
+		}
+	})
+	b.Run("Decode", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := decodeSnapshotState(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

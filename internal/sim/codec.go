@@ -1,11 +1,10 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
 // EngineVersion tags the simulation semantics of this build. Any change
@@ -29,6 +28,36 @@ func ActiveEngineVersion() string { return EngineVersion }
 // engine semantics.
 const resultCodecVersion = 1
 
+// walk names every Result field once, in layout order, for both directions
+// of the codec (see package wire for the layout rules). A new field goes
+// here and bumps resultCodecVersion.
+func (r *Result) walk(c *wire.Coder) {
+	c.F64(&r.OfferedLoad)
+	c.F64(&r.AcceptedLoad)
+	c.F64(&r.AvgLatency)
+	c.F64(&r.AvgHops)
+	c.F64(&r.JainIndex)
+	c.F64(&r.EscapeFraction)
+	c.F64(&r.LinkUtilization)
+	c.I64(&r.DeliveredPackets)
+	c.I64(&r.GeneratedPackets)
+	c.I64(&r.StalledGenerations)
+	c.I64(&r.LostPackets)
+	c.I64(&r.FaultsApplied)
+	c.I64(&r.Cycles)
+	c.I64(&r.CompletionTime)
+	for i := range wire.Len(c, &r.Series, 8+8) {
+		walkSeriesPoint(c, &r.Series[i])
+	}
+}
+
+// walkSeriesPoint is the 8+8-byte layout of one throughput series point,
+// shared by the result and the snapshot codec.
+func walkSeriesPoint(c *wire.Coder, p *metrics.SeriesPoint) {
+	c.I64(&p.Cycle)
+	c.F64(&p.Accepted)
+}
+
 // AppendBinary appends a stable binary encoding of the result to b and
 // returns the extended slice. The layout is fixed little-endian with
 // float64 bit patterns, so encoding is byte-deterministic and decoding is
@@ -36,95 +65,15 @@ const resultCodecVersion = 1
 // is the on-disk format of the result cache and the wire format of the
 // work queue.
 func (r *Result) AppendBinary(b []byte) []byte {
-	b = append(b, resultCodecVersion)
-	u64 := func(v uint64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		b = append(b, buf[:]...)
-	}
-	i64 := func(v int64) { u64(uint64(v)) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	f64(r.OfferedLoad)
-	f64(r.AcceptedLoad)
-	f64(r.AvgLatency)
-	f64(r.AvgHops)
-	f64(r.JainIndex)
-	f64(r.EscapeFraction)
-	f64(r.LinkUtilization)
-	i64(r.DeliveredPackets)
-	i64(r.GeneratedPackets)
-	i64(r.StalledGenerations)
-	i64(r.LostPackets)
-	i64(r.FaultsApplied)
-	i64(r.Cycles)
-	i64(r.CompletionTime)
-	i64(int64(len(r.Series)))
-	for _, p := range r.Series {
-		i64(p.Cycle)
-		f64(p.Accepted)
-	}
-	return b
+	return wire.Encode(b, resultCodecVersion, r.walk)
 }
 
 // DecodeResult decodes a result encoded by AppendBinary. It fails on a
 // codec version mismatch or a truncated or oversized buffer.
 func DecodeResult(b []byte) (*Result, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("sim: empty result encoding")
-	}
-	if b[0] != resultCodecVersion {
-		return nil, fmt.Errorf("sim: result codec version %d, want %d", b[0], resultCodecVersion)
-	}
-	b = b[1:]
-	var decodeErr error
-	u64 := func() uint64 {
-		if decodeErr != nil {
-			return 0
-		}
-		if len(b) < 8 {
-			decodeErr = fmt.Errorf("sim: truncated result encoding")
-			return 0
-		}
-		v := binary.LittleEndian.Uint64(b)
-		b = b[8:]
-		return v
-	}
-	i64 := func() int64 { return int64(u64()) }
-	f64 := func() float64 { return math.Float64frombits(u64()) }
 	r := &Result{}
-	r.OfferedLoad = f64()
-	r.AcceptedLoad = f64()
-	r.AvgLatency = f64()
-	r.AvgHops = f64()
-	r.JainIndex = f64()
-	r.EscapeFraction = f64()
-	r.LinkUtilization = f64()
-	r.DeliveredPackets = i64()
-	r.GeneratedPackets = i64()
-	r.StalledGenerations = i64()
-	r.LostPackets = i64()
-	r.FaultsApplied = i64()
-	r.Cycles = i64()
-	r.CompletionTime = i64()
-	n := i64()
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if n < 0 || n > int64(len(b)/16) {
-		return nil, fmt.Errorf("sim: result encoding claims %d series points, %d bytes left", n, len(b))
-	}
-	if n > 0 {
-		r.Series = make([]metrics.SeriesPoint, n)
-		for i := range r.Series {
-			r.Series[i].Cycle = i64()
-			r.Series[i].Accepted = f64()
-		}
-	}
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("sim: %d trailing bytes after result encoding", len(b))
+	if err := wire.Decode(b, resultCodecVersion, r.walk); err != nil {
+		return nil, fmt.Errorf("sim: result encoding: %w", err)
 	}
 	return r, nil
 }

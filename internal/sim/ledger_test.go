@@ -124,13 +124,10 @@ const (
 	resultFromPR12   = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
 )
 
-// TestSnapshotFromReceiverIndexedEngine: checkpoints written before the
-// ledger moved still resume. The old snapshot installs into the new engine
-// with every audit clean, re-encodes to the very bytes it was read from
-// (so the conversion through up[] loses nothing in either direction), and
-// runs on — at two worker counts, audited — to the old engine's Result.
-func TestSnapshotFromReceiverIndexedEngine(t *testing.T) {
-	f, err := os.Open(snapshotFromPR12)
+// readGzip returns the decompressed content of a testdata file.
+func readGzip(t testing.TB, path string) []byte {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,10 +136,20 @@ func TestSnapshotFromReceiverIndexedEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := io.ReadAll(zr)
+	data, err := io.ReadAll(zr)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return data
+}
+
+// TestSnapshotFromReceiverIndexedEngine: checkpoints written before the
+// ledger moved still resume. The old snapshot installs into the new engine
+// with every audit clean, re-encodes to the very bytes it was read from
+// (so the conversion through up[] loses nothing in either direction), and
+// runs on — at two worker counts, audited — to the old engine's Result.
+func TestSnapshotFromReceiverIndexedEngine(t *testing.T) {
+	snap := readGzip(t, snapshotFromPR12)
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
 	opts := func() RunOptions {

@@ -12,7 +12,7 @@ import (
 )
 
 // buildMech constructs a named mechanism on nw with the 2n-VC budget.
-func buildMech(t *testing.T, name string, nw *topo.Network) routing.Mechanism {
+func buildMech(t testing.TB, name string, nw *topo.Network) routing.Mechanism {
 	t.Helper()
 	vcs := 2 * hx(nw).NDims()
 	var (
@@ -50,7 +50,7 @@ func buildMech(t *testing.T, name string, nw *topo.Network) routing.Mechanism {
 	return mech
 }
 
-func uniformOn(t *testing.T, h *topo.HyperX, per int) traffic.Pattern {
+func uniformOn(t testing.TB, h *topo.HyperX, per int) traffic.Pattern {
 	t.Helper()
 	u, err := traffic.NewUniform(h.Switches() * per)
 	if err != nil {

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"slices"
@@ -11,6 +9,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/routing"
+	"repro/internal/wire"
 )
 
 // SnapshotVersion tags the mid-run checkpoint format. It versions the
@@ -120,9 +119,9 @@ type arrivalSnap struct {
 // point. Ring buffers are flattened in pop order, the calendar wheel slot
 // by slot (valid because the header pins horizon and now), and the two RNG
 // families as raw xoshiro256** state words so restored streams resume
-// mid-sequence. The codeccoverage analyzer holds appendSnapshotState and
-// decodeSnapshotState to every field of this struct, and captureSnapshot
-// and applySnapshot to every field of the engine itself.
+// mid-sequence. The codeccoverage analyzer holds the codec's walk to
+// every field of this struct, and captureSnapshot and applySnapshot to
+// every field of the engine itself.
 type snapshotState struct {
 	// Self-check header: a snapshot can never be resumed against the wrong
 	// format, engine semantics, spec, seed, topology shape or Table 2 point.
@@ -393,21 +392,15 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 // snapshotState body followed by a SHA-256 checksum trailer, so a torn or
 // truncated file is detected on restore instead of resuming corrupt state.
 func (e *engine) encodeSnapshot(o RunOptions) []byte {
-	body := appendSnapshotState(nil, e.captureSnapshot(o))
-	sum := sha256.Sum256(body)
-	return append(body, sum[:]...)
+	return wire.Seal(appendSnapshotState(nil, e.captureSnapshot(o)))
 }
 
 // restoreSnapshot verifies and applies an encodeSnapshot buffer to a
 // freshly constructed engine. All rejection paths wrap ErrBadSnapshot.
 func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
-	if len(snap) < sha256.Size+1 {
-		return fmt.Errorf("%w: %d bytes is shorter than the checksum trailer", ErrBadSnapshot, len(snap))
-	}
-	body, trailer := snap[:len(snap)-sha256.Size], snap[len(snap)-sha256.Size:]
-	sum := sha256.Sum256(body)
-	if !bytes.Equal(sum[:], trailer) {
-		return fmt.Errorf("%w: checksum mismatch (torn or corrupt checkpoint)", ErrBadSnapshot)
+	body, ok := wire.Open(snap)
+	if !ok {
+		return fmt.Errorf("%w: %d bytes fail the checksum trailer (torn or corrupt checkpoint)", ErrBadSnapshot, len(snap))
 	}
 	st, err := decodeSnapshotState(body)
 	if err != nil {

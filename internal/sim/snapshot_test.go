@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/topo"
+	"repro/internal/wire"
 )
 
 // snapshotRun is the reference configuration of the snapshot unit tests:
@@ -17,7 +18,7 @@ import (
 // checkpoint holds packets in flight, pending events and releases. Every
 // call builds a fresh network and mechanism, so resumed runs cannot share
 // mutable state with the run that produced the snapshot.
-func snapshotRun(t *testing.T, h *topo.HyperX) RunOptions {
+func snapshotRun(t testing.TB, h *topo.HyperX) RunOptions {
 	t.Helper()
 	nw := topo.NewNetwork(h, nil)
 	return RunOptions{
@@ -29,7 +30,7 @@ func snapshotRun(t *testing.T, h *topo.HyperX) RunOptions {
 
 // collectSnapshots runs o with periodic cycle checkpoints and returns the
 // result bytes plus every shipped snapshot.
-func collectSnapshots(t *testing.T, o RunOptions, everyCycles int64) ([]byte, [][]byte) {
+func collectSnapshots(t testing.TB, o RunOptions, everyCycles int64) ([]byte, [][]byte) {
 	t.Helper()
 	var snaps [][]byte
 	o.Checkpoint = &CheckpointOptions{
@@ -182,9 +183,7 @@ func TestSnapshotInterruptDrain(t *testing.T) {
 // sealSnapshot encodes st with a valid checksum trailer, so that only the
 // checks behind the checksum can refuse it.
 func sealSnapshot(st *snapshotState) []byte {
-	enc := appendSnapshotState(nil, st)
-	sum := sha256.Sum256(enc)
-	return append(enc, sum[:]...)
+	return wire.Seal(appendSnapshotState(nil, st))
 }
 
 // TestSnapshotRejectsCorrupt locks in the torn-checkpoint defense: a

@@ -1,227 +1,161 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
-	"repro/internal/metrics"
+	"repro/internal/wire"
 )
 
-// This file is the binary codec of snapshotState: the result codec's
-// closure idiom (codec.go) extended with narrow fixed-width writers,
-// because the flattened arenas reach tens of millions of entries at
-// paper scale and 8-byte-per-element encoding would triple checkpoint
-// size and wire cost. Layout: one version byte, then every field of
-// snapshotState in declaration order, little-endian, slices prefixed
-// with an int64 length. The SHA-256 trailer is applied by
-// encodeSnapshot, above this layer.
+// This file is the binary codec of snapshotState, under the layout rules
+// of package wire. Every integer goes at the narrow fixed width of its
+// field type, because the flattened arenas reach tens of millions of
+// entries at paper scale and 8-byte-per-element encoding would triple
+// checkpoint size and wire cost. Layout: one version byte, then every
+// field of snapshotState in declaration order. The SHA-256 trailer is
+// applied by encodeSnapshot, above this layer.
+
+// walk names every snapshotState field once, in layout order, for both
+// directions of the codec. A new field goes here and bumps SnapshotVersion.
+func (st *snapshotState) walk(c *wire.Coder) {
+	c.String(&st.Magic)
+	c.String(&st.Engine)
+	c.String(&st.SpecHash)
+	c.U64(&st.Seed)
+	c.I64(&st.S)
+	c.I64(&st.R)
+	c.I64(&st.K)
+	c.I64(&st.P)
+	c.I64(&st.V)
+	c.I64(&st.Horizon)
+	c.I64(&st.WarmStart)
+	c.I64(&st.WarmEnd)
+	c.I64(&st.Burst)
+	c.Bool(&st.Legacy)
+	c.I64(&st.CfgInputBufPkts)
+	c.I64(&st.CfgOutputBufPkts)
+	c.I64(&st.CfgPacketPhits)
+	c.I64(&st.CfgLinkLatency)
+	c.I64(&st.CfgXbarLatency)
+	c.I64(&st.CfgXbarSpeedup)
+	c.I64(&st.CfgInjQueuePkts)
+	c.F64(&st.CfgPenaltyWeight)
+
+	c.I64(&st.Now)
+	c.I64(&st.LastProgress)
+	c.I64(&st.InFlight)
+	c.I64(&st.TotalDelivered)
+	c.I64(&st.LostPkts)
+	c.I64(&st.StalledGenPkts)
+	c.I64(&st.NextFault)
+	c.I64(&st.LiveDirLinks)
+	c.I64(&st.LinkBusyCycles)
+	c.I64(&st.DeliveredPkts)
+	c.I64(&st.DeliveredPhits)
+	c.I64(&st.LatencySum)
+	c.I64(&st.HopSum)
+	c.I64(&st.EscapedPkts)
+	c.I64(&st.LastDeliveryCycle)
+
+	wire.Ints(c, &st.GenRNG)
+	wire.Ints(c, &st.TieRNG)
+
+	for i := range wire.Len(c, &st.PortDead, 1) {
+		c.Bool(&st.PortDead[i])
+	}
+	wire.Ints(c, &st.PQOutTotal)
+	wire.Ints(c, &st.PQCredSum)
+	wire.Ints(c, &st.PQDnInVC)
+
+	wire.Ints(c, &st.InQLens)
+	wire.Ints(c, &st.InQData)
+	wire.Ints(c, &st.InBusyUntil)
+	wire.Ints(c, &st.Credits)
+	wire.Ints(c, &st.InInflight)
+	wire.Ints(c, &st.InOcc)
+	wire.Ints(c, &st.InMask)
+	wire.Ints(c, &st.OutMask)
+
+	wire.Ints(c, &st.OutQLens)
+	wire.Ints(c, &st.OutQPkt)
+	wire.Ints(c, &st.OutQVC)
+	wire.Ints(c, &st.OutReserved)
+	wire.Ints(c, &st.OutVCCount)
+	wire.Ints(c, &st.OutBusy)
+	wire.Ints(c, &st.OutInflight)
+
+	wire.Ints(c, &st.InjQLens)
+	wire.Ints(c, &st.InjQData)
+	wire.Ints(c, &st.InjBusy)
+
+	for i := range wire.Len(c, &st.Pool, 8+2+1+7*4+1+1+1+1) {
+		p := &st.Pool[i]
+		c.I64(&p.Birth)
+		c.I16(&p.DstLocal)
+		c.Bool(&p.InWindow)
+		c.I32(&p.St.Src)
+		c.I32(&p.St.Dst)
+		c.I32(&p.St.Hops)
+		c.I32(&p.St.Deroutes)
+		c.I32(&p.St.MinHops)
+		c.I32(&p.St.DerouteMask)
+		c.I32(&p.St.Intermediate)
+		c.I8(&p.St.Phase)
+		c.Bool(&p.St.CloserToSrc)
+		c.Bool(&p.St.InEscape)
+		c.I8(&p.St.EscPhase)
+	}
+	wire.Ints(c, &st.Free)
+
+	wire.Ints(c, &st.EventLens)
+	for i := range wire.Len(c, &st.Events, 1+1+4+4) {
+		ev := &st.Events[i]
+		c.I8(&ev.Kind)
+		c.I8(&ev.VC)
+		c.I32(&ev.A)
+		c.I32(&ev.Pkt)
+	}
+
+	wire.Ints(c, &st.InRelLens)
+	for i := range wire.Len(c, &st.InRels, 8+4) {
+		rel := &st.InRels[i]
+		c.I64(&rel.At)
+		c.I32(&rel.Port)
+	}
+
+	wire.Ints(c, &st.SwInPkts)
+	wire.Ints(c, &st.SwOutPkts)
+	wire.Ints(c, &st.SwInjPkts)
+
+	wire.Ints(c, &st.WinDeliveredPkts)
+	wire.Ints(c, &st.WinDeliveredPhits)
+	wire.Ints(c, &st.WinLatencySum)
+	wire.Ints(c, &st.WinHopSum)
+	wire.Ints(c, &st.WinEscapedPkts)
+	wire.Ints(c, &st.WinLinkBusy)
+	wire.Ints(c, &st.WinLastDelivery)
+	wire.Ints(c, &st.GenPhits)
+
+	for i := range wire.Len(c, &st.ArrQ, 8+4) {
+		a := &st.ArrQ[i]
+		c.I64(&a.At)
+		c.I32(&a.Server)
+	}
+	c.F64(&st.GenProb)
+	c.F64(&st.LogOneMinusGenProb)
+
+	c.Bool(&st.HasSeries)
+	c.I64(&st.SeriesBucket)
+	c.I64(&st.SeriesServers)
+	c.I64(&st.SeriesCur)
+	c.I64(&st.SeriesCurBucket)
+	for i := range wire.Len(c, &st.SeriesPoints, 8+8) {
+		walkSeriesPoint(c, &st.SeriesPoints[i])
+	}
+}
 
 // appendSnapshotState appends the binary encoding of st to b.
 func appendSnapshotState(b []byte, st *snapshotState) []byte {
-	b = append(b, snapshotCodecVersion)
-	u64 := func(v uint64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		b = append(b, buf[:]...)
-	}
-	i64 := func(v int64) { u64(uint64(v)) }
-	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	u32 := func(v uint32) {
-		var buf [4]byte
-		binary.LittleEndian.PutUint32(buf[:], v)
-		b = append(b, buf[:]...)
-	}
-	i32 := func(v int32) { u32(uint32(v)) }
-	i16 := func(v int16) {
-		var buf [2]byte
-		binary.LittleEndian.PutUint16(buf[:], uint16(v))
-		b = append(b, buf[:]...)
-	}
-	i8 := func(v int8) { b = append(b, byte(v)) }
-	bo := func(v bool) {
-		if v {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	str := func(s string) {
-		u32(uint32(len(s)))
-		b = append(b, s...)
-	}
-	u64s := func(vs []uint64) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			u64(v)
-		}
-	}
-	i64s := func(vs []int64) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			i64(v)
-		}
-	}
-	i32s := func(vs []int32) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			i32(v)
-		}
-	}
-	i16s := func(vs []int16) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			i16(v)
-		}
-	}
-	i8s := func(vs []int8) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			i8(v)
-		}
-	}
-	bos := func(vs []bool) {
-		i64(int64(len(vs)))
-		for _, v := range vs {
-			bo(v)
-		}
-	}
-
-	str(st.Magic)
-	str(st.Engine)
-	str(st.SpecHash)
-	u64(st.Seed)
-	i64(st.S)
-	i64(st.R)
-	i64(st.K)
-	i64(st.P)
-	i64(st.V)
-	i64(st.Horizon)
-	i64(st.WarmStart)
-	i64(st.WarmEnd)
-	i64(st.Burst)
-	bo(st.Legacy)
-	i64(st.CfgInputBufPkts)
-	i64(st.CfgOutputBufPkts)
-	i64(st.CfgPacketPhits)
-	i64(st.CfgLinkLatency)
-	i64(st.CfgXbarLatency)
-	i64(st.CfgXbarSpeedup)
-	i64(st.CfgInjQueuePkts)
-	f64(st.CfgPenaltyWeight)
-
-	i64(st.Now)
-	i64(st.LastProgress)
-	i64(st.InFlight)
-	i64(st.TotalDelivered)
-	i64(st.LostPkts)
-	i64(st.StalledGenPkts)
-	i64(st.NextFault)
-	i64(st.LiveDirLinks)
-	i64(st.LinkBusyCycles)
-	i64(st.DeliveredPkts)
-	i64(st.DeliveredPhits)
-	i64(st.LatencySum)
-	i64(st.HopSum)
-	i64(st.EscapedPkts)
-	i64(st.LastDeliveryCycle)
-
-	u64s(st.GenRNG)
-	u64s(st.TieRNG)
-
-	bos(st.PortDead)
-	i16s(st.PQOutTotal)
-	i16s(st.PQCredSum)
-	i32s(st.PQDnInVC)
-
-	i32s(st.InQLens)
-	i32s(st.InQData)
-	i64s(st.InBusyUntil)
-	i16s(st.Credits)
-	i8s(st.InInflight)
-	i8s(st.InOcc)
-	u64s(st.InMask)
-	u64s(st.OutMask)
-
-	i32s(st.OutQLens)
-	i32s(st.OutQPkt)
-	i8s(st.OutQVC)
-	i16s(st.OutReserved)
-	i16s(st.OutVCCount)
-	i64s(st.OutBusy)
-	i8s(st.OutInflight)
-
-	i32s(st.InjQLens)
-	i32s(st.InjQData)
-	i64s(st.InjBusy)
-
-	i64(int64(len(st.Pool)))
-	for _, p := range st.Pool {
-		i64(p.Birth)
-		i16(p.DstLocal)
-		bo(p.InWindow)
-		i32(p.St.Src)
-		i32(p.St.Dst)
-		i32(p.St.Hops)
-		i32(p.St.Deroutes)
-		i32(p.St.MinHops)
-		i32(p.St.DerouteMask)
-		i32(p.St.Intermediate)
-		i8(p.St.Phase)
-		bo(p.St.CloserToSrc)
-		bo(p.St.InEscape)
-		i8(p.St.EscPhase)
-	}
-	i32s(st.Free)
-
-	i32s(st.EventLens)
-	i64(int64(len(st.Events)))
-	for _, ev := range st.Events {
-		i8(ev.Kind)
-		i8(ev.VC)
-		i32(ev.A)
-		i32(ev.Pkt)
-	}
-
-	i32s(st.InRelLens)
-	i64(int64(len(st.InRels)))
-	for _, rel := range st.InRels {
-		i64(rel.At)
-		i32(rel.Port)
-	}
-
-	i32s(st.SwInPkts)
-	i32s(st.SwOutPkts)
-	i32s(st.SwInjPkts)
-
-	i64s(st.WinDeliveredPkts)
-	i64s(st.WinDeliveredPhits)
-	i64s(st.WinLatencySum)
-	i64s(st.WinHopSum)
-	i64s(st.WinEscapedPkts)
-	i64s(st.WinLinkBusy)
-	i64s(st.WinLastDelivery)
-	i64s(st.GenPhits)
-
-	i64(int64(len(st.ArrQ)))
-	for _, a := range st.ArrQ {
-		i64(a.At)
-		i32(a.Server)
-	}
-	f64(st.GenProb)
-	f64(st.LogOneMinusGenProb)
-
-	bo(st.HasSeries)
-	i64(st.SeriesBucket)
-	i64(st.SeriesServers)
-	i64(st.SeriesCur)
-	i64(st.SeriesCurBucket)
-	i64(int64(len(st.SeriesPoints)))
-	for _, p := range st.SeriesPoints {
-		i64(p.Cycle)
-		f64(p.Accepted)
-	}
-	return b
+	return wire.Encode(b, snapshotCodecVersion, st.walk)
 }
 
 // decodeSnapshotState decodes an appendSnapshotState buffer (without the
@@ -229,307 +163,9 @@ func appendSnapshotState(b []byte, st *snapshotState) []byte {
 // version mismatch, implausible slice lengths and trailing bytes are all
 // "no usable checkpoint" to the caller.
 func decodeSnapshotState(b []byte) (*snapshotState, error) {
-	if len(b) < 1 {
-		return nil, fmt.Errorf("%w: empty encoding", ErrBadSnapshot)
-	}
-	if b[0] != snapshotCodecVersion {
-		return nil, fmt.Errorf("%w: codec version %d, want %d", ErrBadSnapshot, b[0], snapshotCodecVersion)
-	}
-	b = b[1:]
-	var decodeErr error
-	fail := func(format string, args ...any) {
-		if decodeErr == nil {
-			decodeErr = fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-		}
-	}
-	take := func(n int) []byte {
-		if decodeErr != nil {
-			return nil
-		}
-		if len(b) < n {
-			fail("truncated encoding")
-			return nil
-		}
-		v := b[:n]
-		b = b[n:]
-		return v
-	}
-	u64 := func() uint64 {
-		if v := take(8); v != nil {
-			return binary.LittleEndian.Uint64(v)
-		}
-		return 0
-	}
-	i64 := func() int64 { return int64(u64()) }
-	f64 := func() float64 { return math.Float64frombits(u64()) }
-	u32 := func() uint32 {
-		if v := take(4); v != nil {
-			return binary.LittleEndian.Uint32(v)
-		}
-		return 0
-	}
-	i32 := func() int32 { return int32(u32()) }
-	i16 := func() int16 {
-		if v := take(2); v != nil {
-			return int16(binary.LittleEndian.Uint16(v))
-		}
-		return 0
-	}
-	i8 := func() int8 {
-		if v := take(1); v != nil {
-			return int8(v[0])
-		}
-		return 0
-	}
-	bo := func() bool {
-		if v := take(1); v != nil {
-			return v[0] != 0
-		}
-		return false
-	}
-	str := func() string {
-		n := u32()
-		if v := take(int(n)); v != nil {
-			return string(v)
-		}
-		return ""
-	}
-	// slen reads a slice length prefix and sanity-checks it against the
-	// bytes remaining at elemSize bytes per element, so a corrupt length
-	// cannot provoke a huge allocation before the truncation is noticed.
-	slen := func(elemSize int) int {
-		n := i64()
-		if decodeErr != nil {
-			return 0
-		}
-		if n < 0 || n > int64(len(b))/int64(elemSize) {
-			fail("slice of %d elements with %d bytes left", n, len(b))
-			return 0
-		}
-		return int(n)
-	}
-	u64s := func() []uint64 {
-		n := slen(8)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]uint64, n)
-		for i := range vs {
-			vs[i] = u64()
-		}
-		return vs
-	}
-	i64s := func() []int64 {
-		n := slen(8)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]int64, n)
-		for i := range vs {
-			vs[i] = i64()
-		}
-		return vs
-	}
-	i32s := func() []int32 {
-		n := slen(4)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]int32, n)
-		for i := range vs {
-			vs[i] = i32()
-		}
-		return vs
-	}
-	i16s := func() []int16 {
-		n := slen(2)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]int16, n)
-		for i := range vs {
-			vs[i] = i16()
-		}
-		return vs
-	}
-	i8s := func() []int8 {
-		n := slen(1)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]int8, n)
-		for i := range vs {
-			vs[i] = i8()
-		}
-		return vs
-	}
-	bos := func() []bool {
-		n := slen(1)
-		if n == 0 {
-			return nil
-		}
-		vs := make([]bool, n)
-		for i := range vs {
-			vs[i] = bo()
-		}
-		return vs
-	}
-
 	st := &snapshotState{}
-	st.Magic = str()
-	st.Engine = str()
-	st.SpecHash = str()
-	st.Seed = u64()
-	st.S = i64()
-	st.R = i64()
-	st.K = i64()
-	st.P = i64()
-	st.V = i64()
-	st.Horizon = i64()
-	st.WarmStart = i64()
-	st.WarmEnd = i64()
-	st.Burst = i64()
-	st.Legacy = bo()
-	st.CfgInputBufPkts = i64()
-	st.CfgOutputBufPkts = i64()
-	st.CfgPacketPhits = i64()
-	st.CfgLinkLatency = i64()
-	st.CfgXbarLatency = i64()
-	st.CfgXbarSpeedup = i64()
-	st.CfgInjQueuePkts = i64()
-	st.CfgPenaltyWeight = f64()
-
-	st.Now = i64()
-	st.LastProgress = i64()
-	st.InFlight = i64()
-	st.TotalDelivered = i64()
-	st.LostPkts = i64()
-	st.StalledGenPkts = i64()
-	st.NextFault = i64()
-	st.LiveDirLinks = i64()
-	st.LinkBusyCycles = i64()
-	st.DeliveredPkts = i64()
-	st.DeliveredPhits = i64()
-	st.LatencySum = i64()
-	st.HopSum = i64()
-	st.EscapedPkts = i64()
-	st.LastDeliveryCycle = i64()
-
-	st.GenRNG = u64s()
-	st.TieRNG = u64s()
-
-	st.PortDead = bos()
-	st.PQOutTotal = i16s()
-	st.PQCredSum = i16s()
-	st.PQDnInVC = i32s()
-
-	st.InQLens = i32s()
-	st.InQData = i32s()
-	st.InBusyUntil = i64s()
-	st.Credits = i16s()
-	st.InInflight = i8s()
-	st.InOcc = i8s()
-	st.InMask = u64s()
-	st.OutMask = u64s()
-
-	st.OutQLens = i32s()
-	st.OutQPkt = i32s()
-	st.OutQVC = i8s()
-	st.OutReserved = i16s()
-	st.OutVCCount = i16s()
-	st.OutBusy = i64s()
-	st.OutInflight = i8s()
-
-	st.InjQLens = i32s()
-	st.InjQData = i32s()
-	st.InjBusy = i64s()
-
-	if n := slen(30); n > 0 { // 8+2+1 + 7*4 + 1+1+1+1 bytes per packet
-		st.Pool = make([]packetSnap, n)
-		for i := range st.Pool {
-			p := &st.Pool[i]
-			p.Birth = i64()
-			p.DstLocal = i16()
-			p.InWindow = bo()
-			p.St.Src = i32()
-			p.St.Dst = i32()
-			p.St.Hops = i32()
-			p.St.Deroutes = i32()
-			p.St.MinHops = i32()
-			p.St.DerouteMask = i32()
-			p.St.Intermediate = i32()
-			p.St.Phase = i8()
-			p.St.CloserToSrc = bo()
-			p.St.InEscape = bo()
-			p.St.EscPhase = i8()
-		}
-	}
-	st.Free = i32s()
-
-	st.EventLens = i32s()
-	if n := slen(10); n > 0 { // 1+1+4+4 bytes per event
-		st.Events = make([]eventSnap, n)
-		for i := range st.Events {
-			ev := &st.Events[i]
-			ev.Kind = i8()
-			ev.VC = i8()
-			ev.A = i32()
-			ev.Pkt = i32()
-		}
-	}
-
-	st.InRelLens = i32s()
-	if n := slen(12); n > 0 { // 8+4 bytes per release
-		st.InRels = make([]inRelSnap, n)
-		for i := range st.InRels {
-			rel := &st.InRels[i]
-			rel.At = i64()
-			rel.Port = i32()
-		}
-	}
-
-	st.SwInPkts = i32s()
-	st.SwOutPkts = i32s()
-	st.SwInjPkts = i32s()
-
-	st.WinDeliveredPkts = i64s()
-	st.WinDeliveredPhits = i64s()
-	st.WinLatencySum = i64s()
-	st.WinHopSum = i64s()
-	st.WinEscapedPkts = i64s()
-	st.WinLinkBusy = i64s()
-	st.WinLastDelivery = i64s()
-	st.GenPhits = i64s()
-
-	if n := slen(12); n > 0 { // 8+4 bytes per arrival
-		st.ArrQ = make([]arrivalSnap, n)
-		for i := range st.ArrQ {
-			a := &st.ArrQ[i]
-			a.At = i64()
-			a.Server = i32()
-		}
-	}
-	st.GenProb = f64()
-	st.LogOneMinusGenProb = f64()
-
-	st.HasSeries = bo()
-	st.SeriesBucket = i64()
-	st.SeriesServers = i64()
-	st.SeriesCur = i64()
-	st.SeriesCurBucket = i64()
-	if n := slen(16); n > 0 { // 8+8 bytes per point
-		st.SeriesPoints = make([]metrics.SeriesPoint, n)
-		for i := range st.SeriesPoints {
-			st.SeriesPoints[i].Cycle = i64()
-			st.SeriesPoints[i].Accepted = f64()
-		}
-	}
-
-	if decodeErr != nil {
-		return nil, decodeErr
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSnapshot, len(b))
+	if err := wire.Decode(b, snapshotCodecVersion, st.walk); err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadSnapshot, err)
 	}
 	return st, nil
 }
