@@ -181,9 +181,9 @@ func (c *Chaos) takeTruncate() bool {
 	return true
 }
 
-// chaosConn is a worker connection under injection. Writes are already
-// serialized by the session's write mutex, so the per-connection state
-// needs no extra locking.
+// chaosConn is a worker connection under injection. The session loop is
+// the connection's only writer, so the per-connection state needs no
+// locking.
 type chaosConn struct {
 	net.Conn
 	c    *Chaos

@@ -168,14 +168,14 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 	experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{EveryCycles: 200})
 	defer experiments.SetCheckpointPolicy(nil)
 
-	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 4 * time.Second})
+	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 900 * time.Millisecond})
 	InstallChaos(chaos)
 	defer InstallChaos(nil)
 
 	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
 		Heartbeat:     50 * time.Millisecond,
-		LeaseBase:     time.Second,
-		LeasePerCycle: 100 * time.Microsecond,
+		LeaseBase:     200 * time.Millisecond,
+		LeasePerCycle: 10 * time.Microsecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		TruncateFrames: 1,
 		PoisonLabel:    "poison-property",
 		StallLabel:     specs[1].String(),
-		StallFor:       3 * time.Second,
+		StallFor:       900 * time.Millisecond,
 	})
 	InstallChaos(chaos)
 	defer InstallChaos(nil)
@@ -356,8 +356,8 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		Store:          store,
 		PoisonAttempts: 6,
 		Heartbeat:      100 * time.Millisecond,
-		LeaseBase:      time.Second,
-		LeasePerCycle:  100 * time.Microsecond,
+		LeaseBase:      200 * time.Millisecond,
+		LeasePerCycle:  10 * time.Microsecond,
 	}
 	srv1, err := ServeWith("127.0.0.1:0", opts)
 	if err != nil {

@@ -72,7 +72,7 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 	if chaos.Disconnected.Load() == 0 {
 		t.Error("harness never severed a connection")
 	}
-	if _, crashed := srv.WorkerExits(); crashed == 0 {
+	if srv.Stats().Crashed == 0 {
 		t.Error("no worker exit tallied as crashed despite injected disconnects")
 	}
 
@@ -133,7 +133,7 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 
 	// Wait until the job has shipped at least one snapshot, so the drain
 	// lands mid-run with state worth handing off.
-	for deadline := time.Now().Add(10 * time.Second); srv.CheckpointFrames() == 0; {
+	for deadline := time.Now().Add(10 * time.Second); srv.Stats().CheckpointFrames == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no checkpoint frame arrived")
 		}
@@ -151,12 +151,12 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	}
 	// The server tallies the exit on its own goroutine; give it a moment.
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-		drained, crashed := srv.WorkerExits()
-		if drained == 1 && crashed == 0 {
+		st := srv.Stats()
+		if st.Drained == 1 && st.Crashed == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker exits drained=%d crashed=%d, want 1/0", drained, crashed)
+			t.Fatalf("worker exits drained=%d crashed=%d, want 1/0", st.Drained, st.Crashed)
 		}
 	}
 

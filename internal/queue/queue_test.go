@@ -231,9 +231,8 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 }
 
 // TestHelloAckAdvertisesBye: the server's first frame after a valid hello
-// is the capability ack promising the bye shutdown frame — the
-// negotiation that lets modern workers tell a finished legacy server from
-// a crashed modern one.
+// is the capability ack promising the bye shutdown frame — what lets a
+// worker treat every hangup without bye as a fault.
 func TestHelloAckAdvertisesBye(t *testing.T) {
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -256,67 +255,6 @@ func TestHelloAckAdvertisesBye(t *testing.T) {
 	}
 	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.EngineVersion {
 		t.Fatalf("expected hello-ack advertising bye, got %+v", msg)
-	}
-}
-
-// TestLegacyServerCleanHangupEndsWorker is the mixed-version handshake
-// test: a WorkLoop worker talking to a legacy server (no hello-ack, so no
-// bye will ever come) must treat a clean hangup with nothing outstanding
-// as the end of the run and exit nil immediately, instead of burning the
-// idle reconnect schedule. The fake server speaks the pre-negotiation
-// protocol: it consumes the hello, serves one job, and hangs up.
-func TestLegacyServerCleanHangupEndsWorker(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	spec := testSpecs()[0]
-	served := make(chan message, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		defer conn.Close()
-		r := bufio.NewReader(conn)
-		var hello message
-		if err := readMessage(r, &hello); err != nil || hello.Type != "hello" {
-			return
-		}
-		data, err := spec.EncodeJSON()
-		if err != nil {
-			return
-		}
-		job, _ := json.Marshal(message{Type: "job", ID: 1, Spec: data})
-		if _, err := conn.Write(append(job, '\n')); err != nil {
-			return
-		}
-		var res message
-		if err := readMessage(r, &res); err != nil {
-			return
-		}
-		served <- res
-		// End of run, legacy style: plain hangup, no bye.
-	}()
-
-	done := make(chan error, 1)
-	go func() { done <- WorkLoop(ln.Addr().String(), 1) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("worker exit after legacy clean hangup: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("worker kept reconnecting to a finished legacy server")
-	}
-	select {
-	case res := <-served:
-		if res.Type != "result" || res.Error != "" || res.Result == "" {
-			t.Fatalf("legacy server got %+v, want a successful result", res)
-		}
-	default:
-		t.Fatal("worker exited without serving the legacy server's job")
 	}
 }
 

@@ -1,0 +1,277 @@
+package queue
+
+import (
+	"bufio"
+	"bytes"
+	"encoding/json"
+	"net"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/cache"
+	"repro/internal/experiments"
+	"repro/internal/sim"
+)
+
+// waitFor polls cond until it holds or the deadline passes.
+func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(d); !cond(); time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestQuarantineTalliedAndJournalledBeforeDelivered pins the order of a
+// job's completion: tally, then journal, then deliver. With an unbuffered
+// done channel the delivery cannot happen until this test receives, so
+// the tally and the journal record must both be visible while the outcome
+// is still undelivered — a caller that reads Stats() or the journal right
+// after ExecuteJobsPartial returns can then never miss them.
+func TestQuarantineTalliedAndJournalledBeforeDelivered(t *testing.T) {
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store, PoisonAttempts: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	journalHas := func(op string) bool {
+		matches, _ := filepath.Glob(filepath.Join(store.Dir(), "*", "grid.journal"))
+		if len(matches) != 1 {
+			return false
+		}
+		data, _ := os.ReadFile(matches[0])
+		return strings.Contains(string(data), `"op":"`+op+`"`)
+	}
+
+	spec := testSpecs()[0]
+	p := &pending{id: 1, key: spec.Hash(), spec: &spec, done: make(chan outcome)}
+	go srv.requeueOrQuarantine(p, "w-1", "worker-lost")
+	waitFor(t, 2*time.Second, "the quarantine tally and journal record, outcome undelivered", func() bool {
+		return srv.Stats().Quarantined == 1 && journalHas("quarantine")
+	})
+	select {
+	case out := <-p.done:
+		if _, ok := out.err.(*experiments.QuarantineError); !ok {
+			t.Fatalf("delivered %v, want a QuarantineError", out.err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the quarantine was never delivered")
+	}
+
+	// The same order for a result: the done record is on disk before the
+	// outcome is.
+	q := &pending{id: 2, key: spec.Hash(), spec: &spec, done: make(chan outcome)}
+	go srv.finish(q, outcome{res: &sim.Result{}})
+	waitFor(t, 2*time.Second, "the done record, outcome undelivered", func() bool { return journalHas("done") })
+	<-q.done
+}
+
+// TestRequeueNeverBlocksOnAFullQueue: a session hands jobs back from the
+// loop that also empties the queue, so the hand-back must return even
+// when the buffer is full of submissions — and the job must still arrive.
+func TestRequeueNeverBlocksOnAFullQueue(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	filler := &pending{}
+	for i := 0; i < cap(srv.jobs); i++ {
+		srv.jobs <- filler
+	}
+	back := &pending{id: 99, done: make(chan outcome, 1)}
+	returned := make(chan struct{})
+	go func() { srv.requeue(back); close(returned) }()
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("requeue blocked on a full queue")
+	}
+	for i := 0; i <= cap(srv.jobs); i++ {
+		select {
+		case p := <-srv.jobs:
+			if p == back {
+				return
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatal("the handed-back job never reached the queue")
+		}
+	}
+	t.Fatal("the handed-back job never reached the queue")
+}
+
+// dialHello opens a raw connection and sends the given hello.
+func dialHello(t *testing.T, addr string, hello message) net.Conn {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hello.Type, hello.Engine = "hello", sim.EngineVersion
+	if err := writeMessage(conn, &hello); err != nil {
+		t.Fatal(err)
+	}
+	return conn
+}
+
+// TestHugeSlotsHelloCostsNoGoroutines: the slot count is a length the
+// peer chooses, so the server must not spend anything per unit of it. A
+// hello advertising a billion slots, then a hangup, leaves the server
+// serving real workers with its goroutine count back at the baseline.
+func TestHugeSlotsHelloCostsNoGoroutines(t *testing.T) {
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	base := runtime.NumGoroutine()
+
+	conn := dialHello(t, srv.Addr(), message{Slots: 1_000_000_000})
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ack message
+	if err := readMessage(bufio.NewReader(conn), &ack); err != nil || ack.Type != "hello-ack" {
+		t.Fatalf("no ack for the huge hello: %+v %v", ack, err)
+	}
+	if n := runtime.NumGoroutine(); n > base+8 {
+		t.Errorf("%d goroutines while the huge-slots session is open, baseline %d", n, base)
+	}
+	conn.Close()
+	waitFor(t, 5*time.Second, "the huge-slots session to be tallied", func() bool { return srv.Stats().Crashed == 1 })
+
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- Work(srv.Addr(), 1) }()
+	spec := testSpecs()[0]
+	if _, err := srv.Execute(&spec); err != nil {
+		t.Fatalf("server stopped serving after the huge hello: %v", err)
+	}
+	srv.Close()
+	if err := <-workerDone; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
+	waitFor(t, 5*time.Second, "goroutines to return to the baseline", func() bool {
+		return runtime.NumGoroutine() <= base+2
+	})
+}
+
+// bigPending is a hand-built job whose frame no socket buffer holds: its
+// resume snapshot is 16 MB, so a write to a worker that does not read
+// blocks.
+func bigPending(id int64) *pending {
+	spec := testSpecs()[0]
+	return &pending{id: id, spec: &spec, done: make(chan outcome, 1), ckpt: strings.Repeat("A", 16<<20)}
+}
+
+// TestSilentWorkerSeveredMidWrite: the session's one goroutine may be
+// stuck writing to the very worker that went silent. The reader's silence
+// deadline still severs the link, which fails the write, and the job goes
+// back into circulation.
+func TestSilentWorkerSeveredMidWrite(t *testing.T) {
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Heartbeat: 25 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	silent := dialHello(t, srv.Addr(), message{Slots: 1, Name: "silent-nonreader", CkptCap: true, HBCap: true})
+	defer silent.Close()
+	srv.jobs <- bigPending(1)
+	waitFor(t, 10*time.Second, "the silent, non-reading worker to be severed and its job requeued", func() bool {
+		st := srv.Stats()
+		return st.Crashed == 1 && st.Requeues == 1
+	})
+}
+
+// TestCloseReturnsDespiteStuckWrite: Close must not wait on a session
+// that is stuck writing to a worker which stopped reading (and never
+// promised heartbeats, so nothing else would sever it).
+func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
+	defer func(d time.Duration) { closeGrace = d }(closeGrace)
+	closeGrace = 100 * time.Millisecond
+	srv, err := Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := dialHello(t, srv.Addr(), message{Slots: 1, CkptCap: true})
+	defer stuck.Close()
+	srv.jobs <- bigPending(1)
+	time.Sleep(100 * time.Millisecond) // let the session take the job and block
+	start := time.Now()
+	srv.Close()
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("Close took %v with a session stuck in a write", d)
+	}
+}
+
+// FuzzFrame: any line a peer sends is an error or a frame, and whatever
+// the frame carries decodes to an error or a value — never a panic. The
+// decoded frame then goes through a session holding one custody, whose
+// slot accounting must hold after every frame.
+func FuzzFrame(f *testing.F) {
+	spec := testSpecs()[0]
+	specJSON, err := spec.EncodeJSON()
+	if err != nil {
+		f.Fatal(err)
+	}
+	res, err := experiments.RunSpecLocal(&spec)
+	if err != nil {
+		f.Fatal(err)
+	}
+	snap, err := encodeSnapshotPayload([]byte("not a snapshot, but gzip and base64 like one"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	result := &message{Type: "result", ID: 7, Fence: 1}
+	encodeOutcome(result, res, nil)
+	for _, msg := range []*message{
+		{Type: "hello", Slots: 2, Engine: sim.EngineVersion, Name: "w123-1", CkptCap: true, HBCap: true},
+		{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true, HB: 2000},
+		{Type: "job", ID: 7, Fence: 1, Spec: specJSON, Ckpt: snap},
+		{Type: "ckpt", ID: 7, Fence: 1, Ckpt: snap},
+		result,
+		{Type: "result", ID: 7, Fence: 1, Error: "unknown mechanism"},
+		{Type: "result", ID: 7, Fence: 2, Error: "late"},
+		{Type: "hb"},
+		{Type: "bye"},
+		{Type: "error", Error: "engine version mismatch"},
+	} {
+		line, err := json.Marshal(msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(line)
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var msg message
+		if err := readMessage(bufio.NewReader(bytes.NewReader(append(line, '\n'))), &msg); err != nil {
+			return
+		}
+		switch msg.Type {
+		case "result":
+			if out, ok := decodeOutcome(&msg); ok && out.res == nil && out.err == nil {
+				t.Fatal("a result frame decoded to neither a result nor an error")
+			}
+		case "ckpt", "job":
+			decodeSnapshotPayload(msg.Ckpt)
+			if s, err := experiments.DecodeSpecJSON(msg.Spec); err == nil && s == nil {
+				t.Fatal("a spec decoded to neither a spec nor an error")
+			}
+		}
+		p := &pending{id: 7, fence: 1, spec: &spec, done: make(chan outcome, 1)}
+		ss := &session{s: &Server{}, slots: 2, free: 1, held: map[int64]*pending{7: p}}
+		ss.handle(&msg)
+		if ss.free+len(ss.held) != ss.slots {
+			t.Fatalf("after %q: free %d + held %d != slots %d", line, ss.free, len(ss.held), ss.slots)
+		}
+		if (len(ss.held) == 0) != (len(p.done) == 1) {
+			t.Fatalf("after %q: held %d but %d outcomes delivered", line, len(ss.held), len(p.done))
+		}
+	})
+}

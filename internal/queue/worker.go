@@ -1,0 +1,309 @@
+package queue
+
+import (
+	"bufio"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"repro/internal/experiments"
+	"repro/internal/rng"
+	"repro/internal/sim"
+)
+
+// ErrRejected marks a handshake rejection (engine-version mismatch): the
+// condition is permanent for this worker build, so WorkLoop gives up
+// instead of retrying.
+var ErrRejected = errors.New("queue: server rejected worker")
+
+// Reconnect policy of WorkLoop: exponential backoff between connection
+// attempts with seeded jitter, capped at reconnectMaxDelay, giving up
+// after reconnectMaxDown consecutive attempts that never got a frame from
+// the server. The schedule tolerates ~10 minutes of server downtime — a
+// redeploy or host reboot, not just a blip — before a worker declares the
+// run lost.
+// Variables (not constants) so tests can compress the schedule.
+var (
+	reconnectBaseDelay = 100 * time.Millisecond
+	reconnectMaxDelay  = 5 * time.Second
+	reconnectMaxDown   = 120
+)
+
+// backoffDelay computes the reconnect pause for the given attempt:
+// exponential from reconnectBaseDelay plus deterministic jitter derived
+// from the worker's seed, never exceeding reconnectMaxDelay. The jitter
+// de-synchronizes a fleet whose server just restarted — without it every
+// worker that died together retries together, forever.
+func backoffDelay(attempt int, seed uint64) time.Duration {
+	if attempt > 30 {
+		attempt = 30 // past the cap anyway; keep the shift in range
+	}
+	d := reconnectBaseDelay << attempt
+	if d <= 0 || d > reconnectMaxDelay {
+		d = reconnectMaxDelay
+	}
+	jitter := time.Duration(rng.Mix64(seed+uint64(attempt)) % uint64(d/2+1))
+	if d += jitter; d > reconnectMaxDelay {
+		d = reconnectMaxDelay
+	}
+	return d
+}
+
+// workerSeq distinguishes worker identities minted in one process.
+var workerSeq atomic.Int64
+
+// workerIdentity derives a fleet-unique worker name without consulting
+// the clock: pid plus a process-local counter. The name is the unit of
+// poison-job accounting — one identity per worker lifetime, surviving
+// reconnects, so a flaky link does not impersonate a parade of distinct
+// victims.
+func workerIdentity() string {
+	return fmt.Sprintf("w%d-%d", os.Getpid(), workerSeq.Add(1))
+}
+
+// Work connects to a server and processes jobs on the given number of
+// slots for one session: until the server ends it (a bye frame, or a
+// hangup, the fault only WorkLoop can act on; both return nil), this
+// worker drains, or the connection fails. Jobs run through
+// experiments.RunSpecLocal, so a worker started with a result cache
+// serves repeated points from disk but never re-enters a queue.
+func Work(addr string, slots int) error {
+	_, _, err := workOnce(addr, workerIdentity(), slots)
+	return err
+}
+
+// WorkLoop is Work hardened for long fleets: a connection that drops
+// without the server's bye frame (server crash, network partition,
+// restart) is retried with capped, jittered exponential backoff rather
+// than ending the worker, so a restarted server finds its fleet intact —
+// trickling back rather than stampeding. It returns nil once a server
+// completes a run (a bye frame) or this worker has drained, the rejection
+// error if the handshake is refused (an engine mismatch will not fix
+// itself), ErrWorkerKilled if the chaos harness killed this worker, or
+// the last connection error after reconnectMaxDown consecutive attempts
+// that never heard from a server.
+func WorkLoop(addr string, slots int) error {
+	if slots < 1 {
+		return fmt.Errorf("queue: worker needs >= 1 slots, got %d", slots)
+	}
+	name := workerIdentity()
+	// Jitter seed: derived from the identity counter and pid, never the
+	// clock — two workers get different schedules, one worker gets the
+	// same schedule every run.
+	seed := rng.Mix64(uint64(os.Getpid())<<20 ^ uint64(workerSeq.Load()))
+	attempt, down := 0, 0
+	for {
+		over, heard, err := workOnce(addr, name, slots)
+		if over {
+			return nil
+		}
+		// A rejection is final, and so is a kill: the chaos harness killed
+		// this worker process; a real one would not reconnect, so neither
+		// does this identity.
+		if errors.Is(err, ErrRejected) || errors.Is(err, ErrWorkerKilled) {
+			return err
+		}
+		if heard {
+			attempt, down = 0, 0 // the link worked: restart the backoff schedule
+		}
+		down++
+		if down > reconnectMaxDown {
+			if err == nil {
+				err = fmt.Errorf("queue: server at %s hung up without bye", addr)
+			}
+			return fmt.Errorf("queue: giving up after %d reconnect attempts: %w", down-1, err)
+		}
+		time.Sleep(backoffDelay(attempt, seed))
+		attempt++
+	}
+}
+
+// workOnce runs one worker session. over reports that the run is — a
+// server bye, or this worker's own drain; heard that the server sent at
+// least one frame, so the link works. A hangup without bye is neither
+// over nor an error, so Work can keep its lenient contract while WorkLoop
+// treats it as a fault.
+//
+// Its loop owns the session: it alone writes to the connection and counts
+// the jobs it owes. Job goroutines hand their ckpt and result frames up
+// instead of writing them, so "the answer, then the bye" is statement
+// order here. A failed write is not acted on: the server's last words
+// (its bye) may be unread, and the reader reports the stream's end after
+// them.
+func workOnce(addr, name string, slots int) (over, heard bool, err error) {
+	if slots < 1 {
+		return false, false, fmt.Errorf("queue: worker needs >= 1 slots, got %d", slots)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		return false, false, fmt.Errorf("queue: %w", err)
+	}
+	chaos := activeChaos()
+	if chaos != nil {
+		conn = chaos.wrapConn(conn)
+	}
+	// Last to first: release the reader and the job goroutines, hang up,
+	// and only then wait for the jobs — a run cannot be interrupted, and
+	// the hangup must not wait on jobs whose answers have nowhere to go.
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer conn.Close()
+	jobs := &jobPort{up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{}), chaos: chaos}
+	defer close(jobs.done)
+	if err := writeMessage(conn, &message{Type: "hello", Slots: slots,
+		Engine: sim.EngineVersion, Name: name, CkptCap: true, HBCap: true}); err != nil {
+		return false, false, fmt.Errorf("queue: %w", err)
+	}
+	// Room for all the server may have outstanding — the ack, a job per
+	// slot, the bye — so the reader drains the socket even while this loop
+	// is writing. Without it a server writing a large job frame and a
+	// worker writing a large ckpt frame could each wait for the other.
+	frames := make(chan inbound, slots+2)
+	go readFrames(conn, bufio.NewReader(conn), 0, -1, frames, jobs.done)
+
+	owed := 0           // jobs accepted and not yet over
+	serverCkpt := false // the hello-ack advertised checkpoint support
+	var beat <-chan time.Time
+	// Graceful drain: once experiments.RequestDrain is raised (the worker
+	// process caught SIGTERM/SIGINT), in-flight runs stop at their next
+	// inter-cycle point and ship a final ckpt frame; when the last job is
+	// over the loop announces the drain with a worker-side bye and hangs
+	// up, so the server requeues the jobs — snapshots attached — and
+	// accounts this exit as drained, not crashed.
+	drain := time.NewTicker(20 * time.Millisecond)
+	defer drain.Stop()
+	for {
+		select {
+		case in := <-frames:
+			if in.err != nil {
+				if isEOF(in.err) {
+					return false, heard, nil // hangup without bye
+				}
+				return false, heard, fmt.Errorf("queue: %w", in.err)
+			}
+			heard = true
+			switch msg := &in.msg; msg.Type {
+			case "hello-ack":
+				serverCkpt = msg.CkptCap
+				if msg.HB > 0 && beat == nil {
+					// The server asked for heartbeats: beat until the
+					// session ends. They prove the process lives even
+					// while a long job occupies every slot.
+					t := time.NewTicker(time.Duration(msg.HB) * time.Millisecond)
+					defer t.Stop()
+					beat = t.C
+				}
+			case "bye":
+				return true, heard, nil // server finished the run
+			case "error":
+				return false, heard, fmt.Errorf("%w: %s", ErrRejected, msg.Error)
+			case "job":
+				if experiments.DrainRequested() {
+					// Never start new work while draining; the unanswered
+					// job requeues (with any prior snapshot) when the
+					// drain hangup lands.
+					continue
+				}
+				spec, err := experiments.DecodeSpecJSON(msg.Spec)
+				if err == nil && chaos != nil && chaos.killsJob(spec) {
+					// A poison job: receiving it kills this worker, the
+					// wire shape of a spec that crashes its process.
+					return false, heard, ErrWorkerKilled
+				}
+				owed++
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					jobs.run(msg, spec, err, serverCkpt)
+				}()
+			}
+		case msg := <-jobs.up:
+			if msg != nil {
+				_ = writeMessage(conn, msg)
+			}
+			if msg == nil || msg.Type == "result" {
+				owed-- // answered, or drained and left for the server to requeue
+			}
+		case <-beat:
+			_ = writeMessage(conn, &message{Type: "hb"})
+		case <-drain.C:
+			if experiments.DrainRequested() && owed == 0 {
+				_ = writeMessage(conn, &message{Type: "bye"})
+				return true, heard, nil // the drain hangup is this worker's end of run
+			}
+		}
+	}
+}
+
+// jobPort is what the job goroutines of one session share with its loop.
+type jobPort struct {
+	up    chan *message // ckpt and result frames for the wire; nil: a job ended unanswered
+	sem   chan struct{} // one token per advertised slot
+	done  chan struct{} // closed when the session is over
+	chaos *Chaos        // nil in production
+}
+
+// send hands msg to the session loop, or drops it once the session is
+// over: what a job produces after that has nobody to go to.
+func (jp *jobPort) send(msg *message) {
+	select {
+	case jp.up <- msg:
+	case <-jp.done:
+	}
+}
+
+// run is one job goroutine: it waits for a slot, runs the spec — resuming
+// from the job frame's snapshot, and shipping checkpoints if the server
+// takes them — and hands every frame it produces up to the session loop.
+func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
+	if specErr == nil && jp.chaos != nil {
+		if d := jp.chaos.stallFor(spec); d > 0 {
+			// A stuck worker: hold the job past its lease — here, not in
+			// the loop, so heartbeats keep flowing and the server revokes
+			// the lease instead of severing the link — then proceed; the
+			// late answer exercises the server's fencing.
+			time.Sleep(d)
+		}
+	}
+	resume := decodeSnapshotPayload(job.Ckpt)
+	if h := testResumeHook; h != nil && len(resume) > 0 {
+		h(len(resume))
+	}
+	select {
+	case jp.sem <- struct{}{}:
+		defer func() { <-jp.sem }()
+	case <-jp.done:
+		return
+	}
+	var res *sim.Result
+	runErr := specErr
+	if runErr == nil && ckpt {
+		res, runErr = experiments.RunSpecCheckpointed(spec, resume, func(snap []byte) error {
+			// An unshippable snapshot never fails the run.
+			if payload, err := encodeSnapshotPayload(snap); err == nil {
+				jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: payload})
+			}
+			return nil
+		})
+	} else if runErr == nil {
+		res, runErr = experiments.RunSpecLocal(spec)
+	}
+	if errors.Is(runErr, sim.ErrCheckpointed) {
+		// Drained mid-run: the final snapshot is already on the wire.
+		// Leave the job unanswered — the server requeues it with that
+		// snapshot — and let the loop say bye once every job is over.
+		jp.send(nil)
+		return
+	}
+	reply := &message{Type: "result", ID: job.ID, Fence: job.Fence}
+	encodeOutcome(reply, res, runErr)
+	jp.send(reply)
+}
+
+// testResumeHook, when set by a test, observes every non-empty resume
+// snapshot a job frame carries — proof the requeue-with-snapshot path ran.
+var testResumeHook func(resumeLen int)
