@@ -210,15 +210,17 @@ func figureRegistry() []figure {
 				rows, err := experiments.Fig6(experiments.Fig6Config{
 					H: h, MaxFaults: fig6MaxFaults(c.full), Step: 10, Budget: c.budget, Seed: c.seed, Workers: c.workers,
 				})
+				// A fault sequence that disconnects the network comes back as
+				// the rows gathered up to there AND an error: the rows are
+				// printed and exported before the error ends the figure.
+				if emit && len(rows) > 0 {
+					fmt.Print(experiments.RenderFig6(fmt.Sprintf("Figure 6: %s under random failures", h), rows))
+					hd, crows := experiments.Fig6CSV(rows)
+					if err := c.save(fmt.Sprintf("fig6-%dd", h.NDims()), hd, crows); err != nil {
+						return err
+					}
+				}
 				if err != nil {
-					return err
-				}
-				if !emit {
-					continue
-				}
-				fmt.Print(experiments.RenderFig6(fmt.Sprintf("Figure 6: %s under random failures", h), rows))
-				hd, crows := experiments.Fig6CSV(rows)
-				if err := c.save(fmt.Sprintf("fig6-%dd", h.NDims()), hd, crows); err != nil {
 					return err
 				}
 			}
@@ -297,7 +299,7 @@ func figureRegistry() []figure {
 
 func main() {
 	var exps multiFlag
-	flag.Var(&exps, "exp", "experiment to run: table2|table3|table4|fig1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|recovery|cost|section7|all (repeatable); cache-gc prunes and audits a -cache-dir instead of running anything; bench measures the engine memory ladder and writes -bench-out")
+	flag.Var(&exps, "exp", "experiment to run: table2|table3|table4|fig1|fig4|fig5|fig6|fig7|fig8|fig9|fig10|recovery|cost|section7|all (repeatable); cache-gc prunes and audits a -cache-dir instead of running anything")
 	full := flag.Bool("full", false, "use the paper's full-size networks and long windows")
 	progressFlag := flag.Bool("progress", true, "report done/total (ETA) progress lines on stderr")
 	serveAddr := flag.String("serve", "", "serve mode: listen on this address and execute every simulation point on connected -worker processes")
@@ -306,8 +308,6 @@ func main() {
 	heartbeat := flag.Duration("heartbeat", 0, "serve mode: worker heartbeat interval; a silent worker is severed after four missed intervals (0 = library default)")
 	leaseBase := flag.Duration("lease-base", 0, "serve mode: base job lease before the per-cycle term; an expired lease requeues the job and fences the holder's late results (0 = library default)")
 	leasePerCycle := flag.Duration("lease-per-cycle", 0, "serve mode: lease time added per simulated cycle of the job's budget (0 = library default)")
-	benchOut := flag.String("bench-out", "BENCH_8.json", "output path for the -exp bench JSON report")
-	benchCompare := flag.String("bench-compare", "", "compare -exp bench memory figures (bytes/switch) against this committed baseline report; exit non-zero on >10% growth")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
 	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats
@@ -396,8 +396,8 @@ func main() {
 	}
 
 	registry := figureRegistry()
-	known := make(map[string]bool, len(registry)+3)
-	known["all"], known["cache-gc"], known["bench"] = true, true, true
+	known := make(map[string]bool, len(registry)+2)
+	known["all"], known["cache-gc"] = true, true
 	for _, fig := range registry {
 		known[fig.name] = true
 	}
@@ -437,39 +437,6 @@ func main() {
 		}
 	}
 
-	if want["bench"] {
-		// A measurement harness, not an experiment: it refuses to share an
-		// invocation (and is never part of -exp all).
-		if len(want) > 1 {
-			fmt.Fprintln(os.Stderr, "experiments: -exp bench cannot be combined with other experiments")
-			os.Exit(2)
-		}
-		rep, err := experiments.Bench(seed)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.RenderBench(rep))
-		// The baseline is read before the report is written: -bench-out
-		// may name the same file (it does by default in the repo root).
-		var regression error
-		if *benchCompare != "" {
-			regression = experiments.CompareBenchMemory(*benchCompare, rep, 0.10)
-		}
-		if err := experiments.WriteBench(*benchOut, rep); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", *benchOut)
-		if *benchCompare != "" {
-			if regression != nil {
-				fmt.Fprintf(os.Stderr, "experiments: bench: %v\n", regression)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "bench: memory within 10%% of %s\n", *benchCompare)
-		}
-		return
-	}
 	if want["cache-gc"] {
 		// Maintenance, not an experiment: never part of -exp all, and it
 		// refuses to share an invocation with real experiments rather

@@ -99,8 +99,7 @@ type Result = sim.Result
 type Config = sim.Config
 
 // MemStats is the engine's memory accounting: arena bytes at construction
-// plus the per-run staging high-water mark (see RunOptions.MemStats and
-// the CLIs' -mem-stats flag).
+// (see MeasureEngineMemory and the CLIs' -mem-stats flag).
 type MemStats = sim.MemStats
 
 // MeasureEngineMemory builds the engine for o and returns its arena

@@ -66,8 +66,18 @@ var codecTargets = []codecTarget{
 			"disp":          "runtime scheduling state; a snapshot restores under any worker count",
 			"ws":            "runtime scheduling state; a snapshot restores under any worker count",
 			"act":           "derived bookkeeping; rebuildActivity reconstructs it from the restored queues and wheel",
+			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
+			"inOcc":         "rebuilt by rebuildDerived: nonempty input VCs per port; audited by auditPorts",
+			"inMask":        "rebuilt by rebuildDerived: inOcc > 0 per port; audited by auditPorts",
+			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
+			"swInPkts":      "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
+			"swOutPkts":     "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
+			"swInjPkts":     "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
+			"inFlight":      "rebuilt by rebuildDerived: pool entries not on the free list; audited by verifyInvariants",
+			"portDead":      "a function of the spec and the fault cursor; applySnapshot replays markLinkDead for the applied prefix",
+			"liveDirLinks":  "a function of the spec and the fault cursor; counted at construction, lowered by the markLinkDead replay",
 			"penCost":       "derived from Config at construction",
-			"up":            "static far-end port map, derived from the topology at construction; both functions convert the ledger through it (creditsAcrossLinks)",
+			"up":            "static far-end port map, derived from the topology at construction",
 			"granted":       "stale after commit; reset by the next allocate phase before any read, so restored empty",
 			"outbox":        "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
 			"freed":         "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
@@ -77,8 +87,6 @@ var codecTargets = []codecTarget{
 			"swSeriesPhits": "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swProgressed":  "per-cycle flag, false at the inter-cycle point; asserted by captureSnapshot",
 			"mem":           "construction-time arena accounting; diagnostics only, never read by the simulation",
-			"memTrack":      "diagnostics toggle from RunOptions",
-			"stageLive":     "diagnostics scratch",
 			"faultSchedule": "supplied by RunOptions; only the cursor nextFault is engine state",
 		},
 	},

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
@@ -66,8 +67,11 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointedBadResumeFallsBack: a torn resume snapshot restarts
-// the run from zero instead of failing or corrupting it.
+// TestRunCheckpointedBadResumeFallsBack: a resume snapshot the engine
+// refuses restarts the run from zero instead of failing or corrupting it —
+// a torn one, and an intact hyperx-ckpt/1 one (internal/sim's negative
+// seed, refused at the codec byte), which is what a worker of the previous
+// format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	resetCheckpointGlobals(t)
 	spec := ckptSpec()
@@ -75,12 +79,26 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunSpecCheckpointed(&spec, []byte("torn checkpoint"), nil)
+	f, err := os.Open("../sim/testdata/ckpt1-pr12-4x4-polsp-2faults.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(ref, res) {
-		t.Fatal("fallback run diverged from plain run")
+	defer f.Close()
+	ckpt1 := cache.DecompressSnapshot(f)
+	if len(ckpt1) == 0 {
+		t.Fatal("the hyperx-ckpt/1 fixture does not decompress")
+	}
+	for _, tc := range []struct {
+		name   string
+		resume []byte
+	}{{"torn", []byte("torn checkpoint")}, {"hyperx-ckpt/1", ckpt1}} {
+		res, err := RunSpecCheckpointed(&spec, tc.resume, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(ref, res) {
+			t.Fatalf("%s: fallback run diverged from plain run", tc.name)
+		}
 	}
 }
 

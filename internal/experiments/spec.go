@@ -311,28 +311,11 @@ func (s *JobSpec) runCheckpointed(specHash string, resume []byte, sink func([]by
 // path behind the CLIs' -mem-stats flag. Pure diagnostics — it shares the
 // construction code with Run but never touches a result or the cache.
 func (s *JobSpec) MeasureMemory() (*sim.MemStats, error) {
-	t, err := s.Topo.Build()
+	o, err := s.buildRun()
 	if err != nil {
 		return nil, err
 	}
-	nw := topo.NewNetwork(t, topo.NewFaultSet(s.Faults...))
-	pat, err := s.buildPattern(t)
-	if err != nil {
-		return nil, fmt.Errorf("pattern %q: %w", s.Pattern, err)
-	}
-	mech, err := BuildMechanism(s.Mechanism, nw, s.VCs, s.Root)
-	if err != nil {
-		return nil, err
-	}
-	return sim.MeasureEngineMemory(sim.RunOptions{
-		Net:              nw,
-		ServersPerSwitch: s.Per,
-		Mechanism:        mech,
-		Pattern:          pat,
-		Load:             s.Load,
-		Seed:             s.Seed,
-		Workers:          RunWorkersFor(t.Switches()),
-	})
+	return sim.MeasureEngineMemory(o)
 }
 
 // HyperXSpec is a convenience constructor for the common case: the spec of

@@ -89,7 +89,7 @@ type engine struct {
 	act *activityState
 
 	// portDead mutates on scheduled mid-run faults; up never does.
-	portDead []bool // per global port: link failed mid-run
+	portDead []bool // per global port: link failed mid-run (markLinkDead)
 
 	// up[gp] is the global port at the far end of gp's link: the neighbor's
 	// reverse port for a link port (dead or alive), gp itself for a server
@@ -198,12 +198,8 @@ type engine struct {
 	// Per-worker scratch for the sharded phases.
 	ws []workerScratch
 
-	// mem is the arena accounting filled at construction (memstats.go);
-	// memTrack (RunOptions.MemStats) turns on the per-cycle staging
-	// high-water sampling in the merge steps, stageLive is its scratch.
-	mem       MemStats
-	memTrack  bool
-	stageLive int64
+	// mem is the arena accounting filled at construction (memstats.go).
+	mem MemStats
 
 	// Open-loop geometric generation (arrivals.go): the per-server arrival
 	// calendar and the cached sampling constants. nil/zero in burst mode.
@@ -236,21 +232,15 @@ type engine struct {
 	lastProgress int64
 	inFlight     int64
 
-	// Measurement. The per-switch window counters in swState fold into
-	// these in result(); the rest are maintained by the sequential phases.
+	// Measurement. The per-switch window counters above are summed once, by
+	// result() (foldWindowCounters); these are maintained by the sequential
+	// phases.
 	warmStart, warmEnd int64 // measurement window [warmStart, warmEnd)
-	linkBusyCycles     int64 // switch-link busy cycles inside the window
 	liveDirLinks       int64 // directed live switch-to-switch links
 	genPhits           []int64
 	stalledGenPkts     int64
-	deliveredPkts      int64
-	deliveredPhits     int64
-	latencySum         int64
-	hopSum             int64
-	escapedPkts        int64
 	totalDelivered     int64 // across all time (burst completion)
 	series             *metrics.ThroughputSeries
-	lastDeliveryCycle  int64
 }
 
 // workerScratch is the reusable buffer set of one worker; nothing in it

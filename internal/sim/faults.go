@@ -53,41 +53,61 @@ func (e *engine) applyDueFaults() error {
 	return nil
 }
 
-// failLink takes one link down and drains the dead ports.
+// failLink takes one link down: it marks the link dead, then drains its
+// two ports.
 func (e *engine) failLink(edge topo.Edge) error {
+	ends, err := e.markLinkDead(edge)
+	if err != nil {
+		return err
+	}
+	for _, gp := range ends {
+		e.drainDeadPort(gp)
+	}
+	return nil
+}
+
+// markLinkDead is the half of a link failure that is a function of the
+// fault schedule alone: the edge joins the network's fault set, its two
+// ports are dead, the live-link count drops by two. A snapshot restore
+// replays it for the faults the capturing run had applied; the drain is in
+// the snapshot's queues already. It returns the link's two global ports.
+func (e *engine) markLinkDead(edge topo.Edge) ([2]int32, error) {
 	h := e.nw.H
 	pU := h.PortTo(edge.U, edge.V)
 	if pU < 0 {
-		return fmt.Errorf("sim: fault (%d,%d) is not a link of %s", edge.U, edge.V, h)
+		return [2]int32{}, fmt.Errorf("sim: fault (%d,%d) is not a link of %s", edge.U, edge.V, h)
 	}
 	if e.nw.Faults.Has(edge.U, edge.V) {
-		return fmt.Errorf("sim: link (%d,%d) already failed", edge.U, edge.V)
+		return [2]int32{}, fmt.Errorf("sim: link (%d,%d) already failed", edge.U, edge.V)
 	}
 	e.nw.Faults.Add(edge.U, edge.V)
-	pV := h.PortTo(edge.V, edge.U)
-	for _, side := range []struct {
-		sw   int32
-		port int
-	}{{edge.U, pU}, {edge.V, pV}} {
-		gp := side.sw*int32(e.P) + int32(side.port)
+	ends := [2]int32{
+		edge.U*int32(e.P) + int32(pU),
+		edge.V*int32(e.P) + int32(h.PortTo(edge.V, edge.U)),
+	}
+	for _, gp := range ends {
 		e.portDead[gp] = true
 		e.liveDirLinks--
-		// Packets already committed to this output are lost with the link.
-		for e.outQ.len(gp) > 0 {
-			id, vc := e.outQ.popVC(gp)
-			e.pq[gp].outTotal--
-			e.swOutPkts[side.sw]--
-			e.actQu(side.sw, -1)
-			e.outVCCount[gp*int32(e.V)+int32(vc)]--
-			e.losePacket(id)
-		}
-		if e.outMask != nil {
-			e.outMask[side.sw] &^= 1 << uint32(side.port)
-		}
-		// In-flight crossbar transfers toward the port are dropped on
-		// completion (see evXferDone handling).
 	}
-	return nil
+	return ends, nil
+}
+
+// drainDeadPort loses the packets already committed to a dead port's
+// output buffer with the link. In-flight crossbar transfers toward the
+// port are dropped on completion (see evXferDone handling).
+func (e *engine) drainDeadPort(gp int32) {
+	sw := gp / int32(e.P)
+	for e.outQ.len(gp) > 0 {
+		id, vc := e.outQ.popVC(gp)
+		e.pq[gp].outTotal--
+		e.swOutPkts[sw]--
+		e.actQu(sw, -1)
+		e.outVCCount[gp*int32(e.V)+int32(vc)]--
+		e.losePacket(id)
+	}
+	if e.outMask != nil {
+		e.outMask[sw] &^= 1 << uint32(gp%int32(e.P))
+	}
 }
 
 // losePacket retires a packet lost to a link failure.

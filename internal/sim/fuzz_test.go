@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -35,15 +36,20 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
+// snapshotBody strips a sealed snapshot's trailer: the fuzz targets start
+// behind the checksum, where only the decoder and the restore checks stand.
+func snapshotBody(f *testing.F, sealed []byte) []byte {
+	body, ok := wire.Open(sealed)
+	if !ok {
+		f.Fatal("seed snapshot fails its own trailer")
+	}
+	return body
+}
+
 func FuzzDecodeSnapshotState(f *testing.F) {
 	_, snaps := collectSnapshots(f, snapshotRun(f, topo.MustHyperX(4, 4)), 400)
-	for _, sealed := range [][]byte{snaps[0], readGzip(f, snapshotFromPR12)} {
-		body, ok := wire.Open(sealed)
-		if !ok {
-			f.Fatal("seed snapshot fails its own trailer")
-		}
-		f.Add(body)
-	}
+	f.Add(snapshotBody(f, snaps[0]))
+	f.Add(snapshotBody(f, readGzip(f, snapshotFromPR12))) // hyperx-ckpt/1: refused at the codec byte
 	f.Add(appendSnapshotState(nil, &snapshotState{Magic: SnapshotVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
@@ -57,6 +63,65 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, st) && !bytes.Equal(appendSnapshotState(nil, again), enc) {
 			t.Fatal("snapshot state changed across a re-encode")
+		}
+	})
+}
+
+// fuzzRestoreRun is the run FuzzRestoreSnapshot restores into: the 4x4 PolSP
+// of the snapshot tests with one scheduled link failure, so a fault cursor
+// of 0 and of 1 are both replayable.
+func fuzzRestoreRun(t testing.TB) RunOptions {
+	h := topo.MustHyperX(4, 4)
+	nw := topo.NewNetwork(h, topo.NewFaultSet())
+	return RunOptions{
+		Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
+		Pattern: uniformOn(t, h, 4),
+		Load:    0.7, WarmupCycles: 300, MeasureCycles: 1200, Seed: 77, Config: DefaultConfig(),
+		FaultSchedule: []FaultEvent{{Cycle: 500, Edge: topo.RandomFaultSequence(h, 7)[0]}},
+	}
+}
+
+// FuzzRestoreSnapshot is the restore-level target: any body through the
+// decoder and applySnapshot on a fresh engine. The contract is an error
+// wrapping ErrBadSnapshot, or an engine on which the port audit is clean
+// and which captures back to the state it was given — never a panic. (The
+// comparison is against the canonical re-encoding of the decoded state: a
+// bool byte of 2 decodes as true and is written back as 1.) Seeds: the
+// snapshots of one run, taken before and after its scheduled fault.
+func FuzzRestoreSnapshot(f *testing.F) {
+	_, snaps := collectSnapshots(f, fuzzRestoreRun(f), 400)
+	if len(snaps) < 2 {
+		f.Fatalf("%d seed snapshots, want one on each side of the fault at cycle 500", len(snaps))
+	}
+	for _, sealed := range snaps {
+		f.Add(snapshotBody(f, sealed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		st, err := decodeSnapshotState(data)
+		if err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("decode error does not wrap ErrBadSnapshot: %v", err)
+			}
+			return
+		}
+		want := appendSnapshotState(nil, st)
+		o := fuzzRestoreRun(t)
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+		if err := e.applySnapshot(st, o); err != nil {
+			if !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("restore error does not wrap ErrBadSnapshot: %v", err)
+			}
+			return
+		}
+		if err := e.auditPorts(); err != nil {
+			t.Fatalf("restore accepted a state that fails the port audit: %v", err)
+		}
+		if got := appendSnapshotState(nil, e.captureSnapshot(o)); !bytes.Equal(got, want) {
+			t.Fatalf("restore then capture changed the snapshot (%d bytes in, %d out)", len(want), len(got))
 		}
 	})
 }

@@ -48,11 +48,21 @@ func (e *engine) queuedPackets(sw int) (in, out, inj int32) {
 	return in, out, inj
 }
 
-// verifyPorts is the per-port half of the audit — the credit ledger, the
-// occupancy counts and masks, buffer and crossbar bounds. Unlike the
-// activity and arrival audits it holds at any inter-cycle point, a freshly
-// restored snapshot included.
+// verifyPorts panics on the first violation auditPorts finds.
 func (e *engine) verifyPorts() {
+	if err := e.auditPorts(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// auditPorts is the per-port half of the audit — the credit ledger, the
+// occupancy counts and masks, buffer and crossbar bounds — in error form.
+// Unlike the activity and arrival audits it holds at any inter-cycle
+// point, a freshly restored snapshot included: applySnapshot refuses a
+// snapshot that fails it. It states every identity from the rings and the
+// ledger itself and never calls rebuildDerived, so it stays an independent
+// reference for what a restore rebuilds.
+func (e *engine) auditPorts() error {
 	V := int32(e.V)
 	P := int32(e.P)
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
@@ -65,19 +75,19 @@ func (e *engine) verifyPorts() {
 			}
 		}
 		if occ8 != e.inOcc[gp] {
-			panic(fmt.Sprintf("sim: inOcc[%d] = %d, actual %d at cycle %d — a drifted "+
+			return fmt.Errorf("sim: inOcc[%d] = %d, actual %d at cycle %d — a drifted "+
 				"occupancy count would silently skip an allocate scan with real work in it",
-				gp, e.inOcc[gp], occ8, e.now))
+				gp, e.inOcc[gp], occ8, e.now)
 		}
 		if e.inMask != nil {
 			sw, p := gp/P, gp%P
 			if got := e.inMask[sw]&(1<<uint32(p)) != 0; got != (occ8 > 0) {
-				panic(fmt.Sprintf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
-					sw, p, got, occ8, e.now))
+				return fmt.Errorf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
+					sw, p, got, occ8, e.now)
 			}
 			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ.len(gp) > 0) {
-				panic(fmt.Sprintf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
-					sw, p, got, e.outQ.len(gp), e.now))
+				return fmt.Errorf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
+					sw, p, got, e.outQ.len(gp), e.now)
 			}
 		}
 		// The ledger is indexed by sender: the credits for gp's input VCs are
@@ -87,38 +97,39 @@ func (e *engine) verifyPorts() {
 		for v := int32(0); v < V; v++ {
 			c := e.credits[sender*V+v]
 			if c < 0 || int(c) > e.cfg.InputBufPkts-e.inQ.len(gp*V+v) {
-				panic(fmt.Sprintf("sim: credits[%d,%d] = %d for input VC (%d,%d) holding %d of %d packets at cycle %d",
-					sender, v, c, gp, v, e.inQ.len(gp*V+v), e.cfg.InputBufPkts, e.now))
+				return fmt.Errorf("sim: credits[%d,%d] = %d for input VC (%d,%d) holding %d of %d packets at cycle %d",
+					sender, v, c, gp, v, e.inQ.len(gp*V+v), e.cfg.InputBufPkts, e.now)
 			}
 			sum += int32(c)
 			if e.outVCCount[gp*V+v] < 0 {
-				panic(fmt.Sprintf("sim: outVCCount[%d,%d] = %d negative at cycle %d",
-					gp, v, e.outVCCount[gp*V+v], e.now))
+				return fmt.Errorf("sim: outVCCount[%d,%d] = %d negative at cycle %d",
+					gp, v, e.outVCCount[gp*V+v], e.now)
 			}
 		}
 		if sum != int32(e.pq[gp].credSum) {
-			panic(fmt.Sprintf("sim: credSum[%d] = %d, but the credits for its input VCs (ledger of port %d) sum to %d at cycle %d",
-				gp, e.pq[gp].credSum, sender, sum, e.now))
+			return fmt.Errorf("sim: credSum[%d] = %d, but the credits for its input VCs (ledger of port %d) sum to %d at cycle %d",
+				gp, e.pq[gp].credSum, sender, sum, e.now)
 		}
 		// Output buffer occupancy within capacity.
 		if occ := e.outQ.len(gp) + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
-			panic(fmt.Sprintf("sim: output %d holds %d > %d packets at cycle %d",
-				gp, occ, e.cfg.OutputBufPkts, e.now))
+			return fmt.Errorf("sim: output %d holds %d > %d packets at cycle %d",
+				gp, occ, e.cfg.OutputBufPkts, e.now)
 		}
 		if got := e.outQ.len(gp) + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
-			panic(fmt.Sprintf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
+			return fmt.Errorf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
 				"would silently misprice every allocation through this output",
-				gp, e.pq[gp].outTotal, got, e.now))
+				gp, e.pq[gp].outTotal, got, e.now)
 		}
 		if e.outReserved[gp] < 0 {
-			panic(fmt.Sprintf("sim: outReserved[%d] = %d negative at cycle %d", gp, e.outReserved[gp], e.now))
+			return fmt.Errorf("sim: outReserved[%d] = %d negative at cycle %d", gp, e.outReserved[gp], e.now)
 		}
 		// Crossbar concurrency within speedup.
 		if e.inInflight[gp] < 0 || int(e.inInflight[gp]) > e.cfg.XbarSpeedup {
-			panic(fmt.Sprintf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now))
+			return fmt.Errorf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now)
 		}
 		if e.outInflight[gp] < 0 || int(e.outInflight[gp]) > e.cfg.XbarSpeedup {
-			panic(fmt.Sprintf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now))
+			return fmt.Errorf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now)
 		}
 	}
+	return nil
 }

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"bytes"
 	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"io"
 	"os"
 	"strings"
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/topo"
+	"repro/internal/wire"
 )
 
 // ledgerEngine is a fresh 3x3 PolSP engine for the tests that poke the
@@ -112,13 +113,12 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 }
 
 // snapshotFromPR12 is a hyperx-ckpt/1 snapshot written by the engine of the
-// commit before the sender-indexed ledger (credits in receiver order, a
-// downstream-VC word per port): 4x4 PolSP, four VCs, four servers per
-// switch, load 0.9, seed 77, links RandomFaultSequence(h, 7)[0] and [1]
-// failing at cycles 400 and 800, taken at cycle 804 — four cycles after
-// the second failure, so credits are still owed to the senders of dead
-// ports. resultFromPR12 is the SHA-256 of the Result bytes that commit
-// produced for the uninterrupted run.
+// commit before the sender-indexed ledger: 4x4 PolSP, four VCs, four
+// servers per switch, load 0.9, seed 77, links RandomFaultSequence(h, 7)[0]
+// and [1] failing at cycles 400 and 800, taken at cycle 804. It is the
+// negative seed of the format: what an old worker or an old checkpoint
+// directory still holds. resultFromPR12 is the SHA-256 of the Result bytes
+// that commit produced for the uninterrupted run.
 const (
 	snapshotFromPR12 = "testdata/ckpt1-pr12-4x4-polsp-2faults.gz"
 	resultFromPR12   = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
@@ -143,12 +143,16 @@ func readGzip(t testing.TB, path string) []byte {
 	return data
 }
 
-// TestSnapshotFromReceiverIndexedEngine: checkpoints written before the
-// ledger moved still resume. The old snapshot installs into the new engine
-// with every audit clean, re-encodes to the very bytes it was read from
-// (so the conversion through up[] loses nothing in either direction), and
-// runs on — at two worker counts, audited — to the old engine's Result.
-func TestSnapshotFromReceiverIndexedEngine(t *testing.T) {
+// TestCkpt1SnapshotRefused: a hyperx-ckpt/1 snapshot — intact, its trailer
+// valid, taken under this very spec — is refused with ErrBadSnapshot at the
+// codec's leading byte, before any field is read, by the decoder, by
+// restoreSnapshot and by Run; nothing of the format's old fields (the
+// receiver-ordered credits, the release list, the legacy byte) is
+// understood any more. The run it checkpointed still produces the old
+// engine's Result from zero, which is what the refusal costs: a restart,
+// never a result (JobSpec-level fallback: experiments'
+// TestRunCheckpointedBadResumeFallsBack).
+func TestCkpt1SnapshotRefused(t *testing.T) {
 	snap := readGzip(t, snapshotFromPR12)
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
@@ -163,43 +167,33 @@ func TestSnapshotFromReceiverIndexedEngine(t *testing.T) {
 			FaultSchedule: []FaultEvent{{Cycle: 400, Edge: seq[0]}, {Cycle: 800, Edge: seq[1]}},
 		}
 	}
-	digest := func(b []byte) string {
-		sum := sha256.Sum256(b)
-		return hex.EncodeToString(sum[:])
-	}
 
+	body, ok := wire.Open(snap)
+	if !ok {
+		t.Fatal("the fixture fails its own trailer: it no longer shows a refusal behind the checksum")
+	}
+	if _, err := decodeSnapshotState(body); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "codec version 1") {
+		t.Errorf("decoding the ckpt/1 body: %v, want ErrBadSnapshot naming codec version 1", err)
+	}
 	o := opts()
 	e, err := newEngine(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-	if err := e.restoreSnapshot(snap, o); err != nil {
-		t.Fatal(err)
+	if err := e.restoreSnapshot(snap, o); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("restoreSnapshot of the ckpt/1 fixture: %v, want ErrBadSnapshot", err)
 	}
-	owed := 0
-	for gp, dead := range e.portDead {
-		for vc := 0; dead && vc < e.V; vc++ {
-			owed += e.cfg.InputBufPkts - int(e.credits[gp*e.V+vc])
-		}
+	if e.now != 0 || len(e.pool) != 0 || o.Net.Faults.Len() != 0 {
+		t.Errorf("the refused snapshot left a trace: now %d, pool %d, %d faults replayed", e.now, len(e.pool), o.Net.Faults.Len())
 	}
-	if owed == 0 {
-		t.Error("the snapshot holds no credit owed to a dead port: it no longer covers that leg")
-	}
-	e.verifyPorts()
-	if again := e.encodeSnapshot(o); !bytes.Equal(again, snap) {
-		t.Error("restore then capture does not reproduce the old engine's snapshot bytes")
+	o = opts()
+	o.Checkpoint = &CheckpointOptions{Resume: snap}
+	if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+		t.Errorf("Run resumed from the ckpt/1 fixture: %v, want ErrBadSnapshot", err)
 	}
 
-	if got := digest(runBytes(t, opts())); got != resultFromPR12 {
+	sum := sha256.Sum256(runBytes(t, opts()))
+	if got := hex.EncodeToString(sum[:]); got != resultFromPR12 {
 		t.Errorf("uninterrupted run: Result digest %s, the old engine's was %s", got, resultFromPR12)
-	}
-	for _, workers := range []int{1, 4} {
-		o := opts()
-		o.Workers = workers
-		o.Checkpoint = &CheckpointOptions{Resume: snap}
-		if got := digest(runBytes(t, o)); got != resultFromPR12 {
-			t.Errorf("resumed at workers=%d: Result digest %s, the old engine's was %s", workers, got, resultFromPR12)
-		}
 	}
 }

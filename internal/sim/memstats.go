@@ -7,9 +7,9 @@ import (
 )
 
 // MemStats is the engine's memory accounting: the arena footprint measured
-// at construction plus the staging high-water mark observed during a run.
-// It is surfaced by the CLIs' -mem-stats flag and the -exp bench report,
-// and is pure diagnostics — requesting it never changes results.
+// at construction (MeasureEngineMemory). It is surfaced by the CLIs'
+// -mem-stats flag, read by bench/ and budgeted by scale_test.go, and is
+// pure diagnostics — requesting it never changes results.
 type MemStats struct {
 	// Switches is the network size the engine was built for.
 	Switches int
@@ -23,10 +23,6 @@ type MemStats struct {
 	// staging arenas (granted/outbox/freed); included in
 	// ArenaBytes.
 	StagingCapBytes int64
-	// PeakStagingBytes is the high-water mark of live staging entries,
-	// sampled once per cycle at the merge steps. Zero unless the run was
-	// asked to track it (RunOptions.MemStats).
-	PeakStagingBytes int64
 	// BytesPerSwitch is ArenaBytes averaged over the switch array — the
 	// scaling figure the CI memory-regression guard watches.
 	BytesPerSwitch float64
@@ -36,19 +32,11 @@ type MemStats struct {
 
 func (m *MemStats) String() string {
 	return fmt.Sprintf(
-		"engine memory: %d switches, %.1f MiB arenas (%.0f bytes/switch), %.1f MiB staging cap, peak staging %d bytes, constructed in %s",
+		"engine memory: %d switches, %.1f MiB arenas (%.0f bytes/switch), %.1f MiB staging cap, constructed in %s",
 		m.Switches, float64(m.ArenaBytes)/(1<<20), m.BytesPerSwitch,
-		float64(m.StagingCapBytes)/(1<<20), m.PeakStagingBytes,
+		float64(m.StagingCapBytes)/(1<<20),
 		time.Duration(m.ConstructNanos).Round(time.Microsecond))
 }
-
-// Element sizes of the staging arenas, shared by the capacity accounting
-// and the per-cycle high-water sampling in shard.go.
-const (
-	sizeofRequest    = int64(unsafe.Sizeof(request{}))
-	sizeofTimedEvent = int64(unsafe.Sizeof(timedEvent{}))
-	sizeofFreed      = int64(unsafe.Sizeof(int32(0)))
-)
 
 // sliceBytes is the heap footprint of a flat slice: element storage only
 // (the header lives in the engine struct).
@@ -122,20 +110,11 @@ func (e *engine) accountMem(start time.Time) {
 
 // MeasureEngineMemory builds the engine for o and returns its arena
 // accounting without running anything: the construction-only path behind
-// the CLIs' -mem-stats flag. Validation mirrors Run's construction
-// prerequisites; run-shape fields (Load, MeasureCycles, ...) are ignored.
+// the CLIs' -mem-stats flag. Validation is Run's construction half
+// (constructible); run-shape fields (Load, MeasureCycles, ...) are ignored.
 func MeasureEngineMemory(o RunOptions) (*MemStats, error) {
-	if o.Config == (Config{}) {
-		o.Config = DefaultConfig()
-	}
-	if err := o.Config.Validate(); err != nil {
+	if err := o.constructible(); err != nil {
 		return nil, err
-	}
-	if o.Net == nil || o.Mechanism == nil || o.Pattern == nil {
-		return nil, fmt.Errorf("sim: Net, Mechanism and Pattern are required")
-	}
-	if o.ServersPerSwitch < 1 {
-		return nil, fmt.Errorf("sim: ServersPerSwitch must be >= 1, got %d", o.ServersPerSwitch)
 	}
 	e, err := newEngine(o)
 	if err != nil {

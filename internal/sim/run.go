@@ -65,11 +65,6 @@ type RunOptions struct {
 	// Config carries the Table 2 microarchitecture; zero means
 	// DefaultConfig.
 	Config Config
-	// MemStats, when non-nil, receives the engine's memory accounting
-	// when the run completes (memstats.go) and turns on the per-cycle
-	// staging high-water sampling. Pure diagnostics: it is not part of a
-	// job's identity and never affects results.
-	MemStats *MemStats
 	// Checkpoint, when non-nil, enables mid-run snapshots and/or resuming
 	// from one (snapshot.go). Snapshots are taken only at the sequential
 	// inter-cycle point and capturing one never mutates engine state, so —
@@ -118,20 +113,29 @@ type Result struct {
 	Series []metrics.SeriesPoint
 }
 
-// Run simulates one configuration and returns its metrics. It returns
-// ErrDeadlock (wrapped) if the watchdog fires.
-func Run(o RunOptions) (*Result, error) {
+// constructible applies the Config default and checks what newEngine needs
+// of the options; the run-shape fields are Run's to check.
+func (o *RunOptions) constructible() error {
 	if o.Config == (Config{}) {
 		o.Config = DefaultConfig()
 	}
 	if err := o.Config.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if o.Net == nil || o.Mechanism == nil || o.Pattern == nil {
-		return nil, fmt.Errorf("sim: Net, Mechanism and Pattern are required")
+		return fmt.Errorf("sim: Net, Mechanism and Pattern are required")
 	}
 	if o.ServersPerSwitch < 1 {
-		return nil, fmt.Errorf("sim: ServersPerSwitch must be >= 1, got %d", o.ServersPerSwitch)
+		return fmt.Errorf("sim: ServersPerSwitch must be >= 1, got %d", o.ServersPerSwitch)
+	}
+	return nil
+}
+
+// Run simulates one configuration and returns its metrics. It returns
+// ErrDeadlock (wrapped) if the watchdog fires.
+func Run(o RunOptions) (*Result, error) {
+	if err := o.constructible(); err != nil {
+		return nil, err
 	}
 	burst := o.BurstPackets > 0
 	if !burst && (o.Load <= 0 || o.Load > 1) {
@@ -165,17 +169,10 @@ func Run(o RunOptions) (*Result, error) {
 		}
 	}
 
-	var res *Result
-	if o.MemStats != nil {
-		e.memTrack = true
-		defer func() { *o.MemStats = e.mem }()
-	}
 	if burst {
-		res, err = e.runBurst(o)
-	} else {
-		res, err = e.runOpenLoop(o)
+		return e.runBurst(o)
 	}
-	return res, err
+	return e.runOpenLoop(o)
 }
 
 // runOpenLoop is the standard warmup+measurement experiment with Bernoulli
@@ -233,7 +230,8 @@ func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
 			}
 		}
 	}
-	return e.result(o), nil
+	res, _ := e.result(o)
+	return res, nil
 }
 
 // runBurst preloads every injection queue and runs to completion.
@@ -291,13 +289,12 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 			}
 		}
 	}
-	res := e.result(o)
-	res.CompletionTime = e.lastDeliveryCycle
-	res.Cycles = e.now
+	res, w := e.result(o)
+	res.CompletionTime = w.lastDeliveryCycle
 	// Normalize window metrics over the actual duration.
-	res.AcceptedLoad = float64(e.deliveredPhits) / float64(e.S*e.K) / float64(e.lastDeliveryCycle)
-	if e.liveDirLinks > 0 && e.lastDeliveryCycle > 0 {
-		res.LinkUtilization = float64(e.linkBusyCycles) / float64(e.liveDirLinks) / float64(e.lastDeliveryCycle)
+	res.AcceptedLoad = float64(w.deliveredPhits) / float64(e.S*e.K) / float64(w.lastDeliveryCycle)
+	if e.liveDirLinks > 0 && w.lastDeliveryCycle > 0 {
+		res.LinkUtilization = float64(w.linkBusyCycles) / float64(e.liveDirLinks) / float64(w.lastDeliveryCycle)
 	}
 	return res, nil
 }
@@ -315,16 +312,17 @@ func (e *engine) checkWatchdog() error {
 	return nil
 }
 
-// result assembles the metrics, folding the per-switch window counters
-// into the engine totals first.
-func (e *engine) result(o RunOptions) *Result {
-	e.foldWindowCounters()
+// result assembles the metrics from the engine's counters and the fold of
+// the per-switch window counters, which it also returns: burst mode
+// renormalizes over the completion time.
+func (e *engine) result(o RunOptions) (*Result, windowTotals) {
+	w := e.foldWindowCounters()
 	res := &Result{
 		OfferedLoad:        o.Load,
 		StalledGenerations: e.stalledGenPkts,
 		LostPackets:        e.lostPkts,
 		FaultsApplied:      int64(e.nextFault),
-		DeliveredPackets:   e.deliveredPkts,
+		DeliveredPackets:   w.deliveredPkts,
 		Cycles:             e.now,
 		JainIndex:          metrics.JainInt(e.genPhits),
 	}
@@ -334,18 +332,18 @@ func (e *engine) result(o RunOptions) *Result {
 	}
 	res.GeneratedPackets = gen / int64(e.cfg.PacketPhits)
 	if o.MeasureCycles > 0 {
-		res.AcceptedLoad = float64(e.deliveredPhits) / float64(e.S*e.K) / float64(o.MeasureCycles)
+		res.AcceptedLoad = float64(w.deliveredPhits) / float64(e.S*e.K) / float64(o.MeasureCycles)
 		if e.liveDirLinks > 0 {
-			res.LinkUtilization = float64(e.linkBusyCycles) / float64(e.liveDirLinks) / float64(o.MeasureCycles)
+			res.LinkUtilization = float64(w.linkBusyCycles) / float64(e.liveDirLinks) / float64(o.MeasureCycles)
 		}
 	}
-	if e.deliveredPkts > 0 {
-		res.AvgLatency = float64(e.latencySum) / float64(e.deliveredPkts)
-		res.AvgHops = float64(e.hopSum) / float64(e.deliveredPkts)
-		res.EscapeFraction = float64(e.escapedPkts) / float64(e.deliveredPkts)
+	if w.deliveredPkts > 0 {
+		res.AvgLatency = float64(w.latencySum) / float64(w.deliveredPkts)
+		res.AvgHops = float64(w.hopSum) / float64(w.deliveredPkts)
+		res.EscapeFraction = float64(w.escapedPkts) / float64(w.deliveredPkts)
 	}
 	if e.series != nil {
 		res.Series = e.series.Points()
 	}
-	return res
+	return res, w
 }

@@ -341,9 +341,6 @@ func (e *engine) mergeRetireSwitch(sw int32) {
 		e.swRetired[sw], e.swDelivered[sw], e.swLost[sw] = 0, 0, 0
 	}
 	if freed := e.freed[sw]; len(freed) > 0 {
-		if e.memTrack {
-			e.stageLive += int64(len(freed)) * sizeofFreed
-		}
 		e.free = append(e.free, freed...)
 		e.freed[sw] = freed[:0]
 	}
@@ -367,29 +364,15 @@ func (e *engine) mergeTransmit() {
 		for _, sw := range e.act.due {
 			e.mergeTransmitSwitch(sw)
 		}
-	} else {
-		for sw := 0; sw < e.S; sw++ {
-			e.mergeTransmitSwitch(int32(sw))
-		}
+		return
 	}
-	if e.memTrack {
-		if e.stageLive > e.mem.PeakStagingBytes {
-			e.mem.PeakStagingBytes = e.stageLive
-		}
-		e.stageLive = 0
+	for sw := 0; sw < e.S; sw++ {
+		e.mergeTransmitSwitch(int32(sw))
 	}
 }
 
 func (e *engine) mergeTransmitSwitch(sw int32) {
 	outbox := e.outbox[sw]
-	if e.memTrack {
-		// Sample the staging high-water mark here, where every family of
-		// this cycle's staging is still live: grants (cleared by the next
-		// allocate), the outbox (cleared below), plus the freed ids sampled
-		// by mergeRetireSwitch into the same sum.
-		e.stageLive += int64(len(e.granted[sw]))*sizeofRequest +
-			int64(len(outbox))*sizeofTimedEvent
-	}
 	PV := int32(e.P * e.V)
 	for _, te := range outbox {
 		tgt := te.ev.a / PV
@@ -455,20 +438,30 @@ func (e *engine) stepCycle(generate func()) {
 	e.actCompact()
 }
 
-// foldWindowCounters folds the cumulative per-switch measurement counters
-// into the engine totals; result() calls it exactly once per run. Each
-// counter family is a flat array, so the fold is a handful of dense
-// linear sums instead of a strided struct walk.
-func (e *engine) foldWindowCounters() {
+// windowTotals is the sum over switches of the cumulative measurement
+// counters: what result() turns into the window metrics.
+type windowTotals struct {
+	deliveredPkts, deliveredPhits int64
+	latencySum, hopSum            int64
+	escapedPkts                   int64
+	linkBusyCycles                int64 // switch-link busy cycles inside the window
+	lastDeliveryCycle             int64
+}
+
+// foldWindowCounters sums the per-switch measurement counters; result()
+// calls it once per run. Each counter family is a flat array, so the fold
+// is a handful of dense linear sums instead of a strided struct walk. The
+// totals are a value, not engine state: the per-switch arrays are what a
+// snapshot carries, so a resumed run folds the same sums.
+func (e *engine) foldWindowCounters() (w windowTotals) {
 	for sw := 0; sw < e.S; sw++ {
-		e.deliveredPkts += e.winDeliveredPkts[sw]
-		e.deliveredPhits += e.winDeliveredPhits[sw]
-		e.latencySum += e.winLatencySum[sw]
-		e.hopSum += e.winHopSum[sw]
-		e.escapedPkts += e.winEscapedPkts[sw]
-		e.linkBusyCycles += e.winLinkBusy[sw]
-		if e.winLastDelivery[sw] > e.lastDeliveryCycle {
-			e.lastDeliveryCycle = e.winLastDelivery[sw]
-		}
+		w.deliveredPkts += e.winDeliveredPkts[sw]
+		w.deliveredPhits += e.winDeliveredPhits[sw]
+		w.latencySum += e.winLatencySum[sw]
+		w.hopSum += e.winHopSum[sw]
+		w.escapedPkts += e.winEscapedPkts[sw]
+		w.linkBusyCycles += e.winLinkBusy[sw]
+		w.lastDeliveryCycle = max(w.lastDeliveryCycle, e.winLastDelivery[sw])
 	}
+	return w
 }

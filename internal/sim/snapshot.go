@@ -3,7 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"slices"
+	"math"
 	"sync/atomic"
 	"time"
 
@@ -19,11 +19,20 @@ import (
 // checkpoint files, while results, spec hashes and the queue handshake are
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
-const SnapshotVersion = "hyperx-ckpt/1"
+//
+// hyperx-ckpt/2 carries primary state only. A field of the engine is NOT in
+// the format when verifyInvariants audits it as an exact function of fields
+// that are (the occupancy counts and masks, the packed allocation words,
+// the per-switch queue counters, the in-flight count), or when the spec and
+// the fault cursor fix it (dead ports, the live-link count): a restore
+// rebuilds those (markLinkDead, rebuildDerived) and then audits the result
+// (auditPorts) instead of trusting what a file or a peer says they are.
+const SnapshotVersion = "hyperx-ckpt/2"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
-// resultCodecVersion.
-const snapshotCodecVersion = 1
+// resultCodecVersion. It moves with SnapshotVersion, so a hyperx-ckpt/1
+// file is refused at its first byte.
+const snapshotCodecVersion = 2
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -99,29 +108,21 @@ type eventSnap struct {
 	Pkt  int32
 }
 
-// inRelSnap is the serialized form of one pending input-port release: the
-// port gets a crossbar slot back at cycle At. The engine keeps no such list
-// any more — the release rides the evCredit of the same grant — so the
-// entries are derived from the wheel (pendingInRels).
-type inRelSnap struct {
-	At   int64
-	Port int32
-}
-
 // arrivalSnap is the serialized form of one arrival-calendar entry.
 type arrivalSnap struct {
 	At     int64
 	Server int32
 }
 
-// snapshotState is the complete serializable engine state: the flat,
-// enumerable serialization surface of a run paused at the inter-cycle
-// point. Ring buffers are flattened in pop order, the calendar wheel slot
-// by slot (valid because the header pins horizon and now), and the two RNG
-// families as raw xoshiro256** state words so restored streams resume
-// mid-sequence. The codeccoverage analyzer holds the codec's walk to
-// every field of this struct, and captureSnapshot and applySnapshot to
-// every field of the engine itself.
+// snapshotState is the primary state of a run paused at the inter-cycle
+// point, flat and enumerable (what is left out, and why, is at
+// SnapshotVersion). Ring buffers are flattened in pop order, the calendar
+// wheel slot by slot (valid because the header pins horizon and now), the
+// credit ledger in engine order (by sender), and the two RNG families as
+// raw xoshiro256** state words so restored streams resume mid-sequence. The
+// codeccoverage analyzer holds the codec's walk to every field of this
+// struct, and captureSnapshot and applySnapshot to every field of the
+// engine that is neither rebuilt nor exempt.
 type snapshotState struct {
 	// Self-check header: a snapshot can never be resumed against the wrong
 	// format, engine semantics, spec, seed, topology shape or Table 2 point.
@@ -133,7 +134,6 @@ type snapshotState struct {
 	Horizon            int64
 	WarmStart, WarmEnd int64
 	Burst              int64
-	Legacy             bool // hyperx-ckpt/1's legacy-generation byte: written 0, refused as 1
 	CfgInputBufPkts    int64
 	CfgOutputBufPkts   int64
 	CfgPacketPhits     int64
@@ -143,23 +143,14 @@ type snapshotState struct {
 	CfgInjQueuePkts    int64
 	CfgPenaltyWeight   float64
 
-	// Time, progress and cumulative scalars.
-	Now, LastProgress, InFlight               int64
-	TotalDelivered, LostPkts, StalledGenPkts  int64
-	NextFault                                 int64
-	LiveDirLinks, LinkBusyCycles              int64
-	DeliveredPkts, DeliveredPhits, LatencySum int64
-	HopSum, EscapedPkts, LastDeliveryCycle    int64
+	// Time, progress, cumulative scalars and the fault cursor.
+	Now, LastProgress                        int64
+	TotalDelivered, LostPkts, StalledGenPkts int64
+	NextFault                                int64
 
 	// RNG streams: raw state words (4 per stream), not seeds.
 	GenRNG []uint64 // generation stream
 	TieRNG []uint64 // per-switch tie-break streams, 4 words each
-
-	// Ports and mid-run fault effects.
-	PortDead   []bool
-	PQOutTotal []int16
-	PQCredSum  []int16
-	PQDnInVC   []int32
 
 	// Input side.
 	InQLens     []int32 // per input VC
@@ -167,9 +158,6 @@ type snapshotState struct {
 	InBusyUntil []int64
 	Credits     []int16
 	InInflight  []int8
-	InOcc       []int8
-	InMask      []uint64
-	OutMask     []uint64
 
 	// Output side.
 	OutQLens    []int32 // per global port
@@ -192,15 +180,6 @@ type snapshotState struct {
 	// Calendar wheel, slot by slot.
 	EventLens []int32
 	Events    []eventSnap
-
-	// Pending input-port releases, per switch.
-	InRelLens []int32
-	InRels    []inRelSnap
-
-	// Per-switch queued-packet refinement counters.
-	SwInPkts  []int32
-	SwOutPkts []int32
-	SwInjPkts []int32
 
 	// Cumulative per-switch window counters.
 	WinDeliveredPkts  []int64
@@ -233,8 +212,8 @@ type snapshotState struct {
 // because a snapshot that silently dropped staged work would resume to
 // diverging results. The exempt engine fields (see the codeccoverage
 // registry) are exactly the ones a restore reconstructs: the network, the
-// mechanism and pattern, the worker pool and scratch, the activity
-// bookkeeping, and the asserted-empty staging.
+// mechanism and pattern, the worker pool and scratch, the derived counters
+// and the activity bookkeeping, and the asserted-empty staging.
 func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	for sw := 0; sw < e.S; sw++ {
 		if len(e.outbox[sw]) != 0 || len(e.freed[sw]) != 0 ||
@@ -250,17 +229,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		s := e.tie[sw].State()
 		tieRNG = append(tieRNG, s[0], s[1], s[2], s[3])
 	}
-
-	pqOut := make([]int16, len(e.pq))
-	pqCred := make([]int16, len(e.pq))
-	pqDn := make([]int32, len(e.pq))
-	for i, p := range e.pq {
-		pqOut[i] = p.outTotal
-		pqCred[i] = p.credSum
-		pqDn[i] = e.snapDnInVC(i, false)
-	}
-	credits := make([]int16, len(e.credits))
-	e.creditsAcrossLinks(credits, e.credits)
 
 	inQLens, inQData, _ := e.inQ.flatten()
 	outQLens, outQPkt, outQVC := e.outQ.flatten()
@@ -279,8 +247,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 			evs = append(evs, eventSnap{Kind: ev.kind, VC: ev.vc, A: ev.a, Pkt: ev.pkt})
 		}
 	}
-
-	relLens, rels := pendingInRels(e.now, e.horizon, e.V, eventLens, evs)
 
 	arr := make([]arrivalSnap, len(e.arrQ))
 	for i, a := range e.arrQ {
@@ -317,29 +283,18 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		CfgInjQueuePkts:  int64(e.cfg.InjQueuePkts),
 		CfgPenaltyWeight: e.cfg.PenaltyWeight,
 
-		Now: e.now, LastProgress: e.lastProgress, InFlight: e.inFlight,
+		Now: e.now, LastProgress: e.lastProgress,
 		TotalDelivered: e.totalDelivered, LostPkts: e.lostPkts, StalledGenPkts: e.stalledGenPkts,
-		NextFault:    int64(e.nextFault),
-		LiveDirLinks: e.liveDirLinks, LinkBusyCycles: e.linkBusyCycles,
-		DeliveredPkts: e.deliveredPkts, DeliveredPhits: e.deliveredPhits, LatencySum: e.latencySum,
-		HopSum: e.hopSum, EscapedPkts: e.escapedPkts, LastDeliveryCycle: e.lastDeliveryCycle,
+		NextFault: int64(e.nextFault),
 
 		GenRNG: genState[:],
 		TieRNG: tieRNG,
 
-		PortDead:   e.portDead,
-		PQOutTotal: pqOut,
-		PQCredSum:  pqCred,
-		PQDnInVC:   pqDn,
-
 		InQLens:     inQLens,
 		InQData:     inQData,
 		InBusyUntil: e.inBusyUntil,
-		Credits:     credits,
+		Credits:     e.credits,
 		InInflight:  e.inInflight,
-		InOcc:       e.inOcc,
-		InMask:      e.inMask,
-		OutMask:     e.outMask,
 
 		OutQLens:    outQLens,
 		OutQPkt:     outQPkt,
@@ -358,13 +313,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 		EventLens: eventLens,
 		Events:    evs,
-
-		InRelLens: relLens,
-		InRels:    rels,
-
-		SwInPkts:  e.swInPkts,
-		SwOutPkts: e.swOutPkts,
-		SwInjPkts: e.swInjPkts,
 
 		WinDeliveredPkts:  e.winDeliveredPkts,
 		WinDeliveredPhits: e.winDeliveredPhits,
@@ -409,17 +357,6 @@ func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
 	return e.applySnapshot(st, o)
 }
 
-// creditsAcrossLinks copies a credit ledger between the engine's order, by
-// sender (gport, vc), and the order hyperx-ckpt/1 stores, by the input VC
-// the credits are for: dst[gp*V+vc] = src[up[gp]*V+vc]. up is its own
-// inverse, so the same copy converts either way.
-func (e *engine) creditsAcrossLinks(dst, src []int16) {
-	V := e.V
-	for gp, u := range e.up {
-		copy(dst[gp*V:(gp+1)*V], src[int(u)*V:(int(u)+1)*V])
-	}
-}
-
 // flatten lists every ring of the set in pop order: per-ring lengths, the
 // entries back to back and, for a tagged set, their VCs alongside.
 func (r *ringSet) flatten() (lens, data []int32, tags []int8) {
@@ -454,54 +391,20 @@ func (r *ringSet) load(lens, data []int32, tags []int8) {
 	}
 }
 
-// pendingInRels derives the two release fields of hyperx-ckpt/1 — per
-// switch, the pending input-port releases as (cycle, port) — from a wheel
-// captured at cycle now. A release is the inInflight decrement of a pending
-// evCredit, so the list of a switch is its evCredits walked by cycle and,
-// within a cycle, by position in the slot: a slot's evCredits all come from
-// the commit one transfer time earlier, in grant order, which is the order
-// engines that kept the list appended to it.
-func pendingInRels(now, horizon int64, V int, eventLens []int32, events []eventSnap) ([]int32, []inRelSnap) {
-	start := make([]int, len(eventLens)+1)
-	for i, n := range eventLens {
-		start[i+1] = start[i] + int(n)
-	}
-	lens := make([]int32, int64(len(eventLens))/horizon)
-	var rels []inRelSnap
-	for sw := range lens {
-		for t := now; t < now+horizon; t++ {
-			slot := int64(sw)*horizon + t%horizon
-			for _, ev := range events[start[slot]:start[slot+1]] {
-				if ev.Kind == evCredit {
-					rels = append(rels, inRelSnap{At: t, Port: ev.A / int32(V)})
-					lens[sw]++
-				}
-			}
-		}
-	}
-	return lens, rels
-}
-
-// snapDnInVC is the word hyperx-ckpt/1 stores per port as PQDnInVC, which
-// engines before the sender-indexed ledger kept: the first input VC a live
-// link port sends into, -1 for a server port and for a link port that is
-// down — failedMidRun, or in the network's fault set.
-func (e *engine) snapDnInVC(gp int, failedMidRun bool) int32 {
-	sw, p := gp/e.P, gp%e.P
-	if p >= e.R || failedMidRun || !e.nw.PortAlive(int32(sw), p) {
-		return -1
-	}
-	return e.up[gp] * int32(e.V)
-}
-
 // applySnapshot validates a decoded snapshot against this engine and run,
-// then installs it. The engine must be freshly constructed by newEngine for
-// the same RunOptions the snapshot was taken under (same network with its
-// static fault set, mechanism, pattern, seed): the snapshot carries no
-// topology or routing tables, only the mutable simulation state, and this
-// replays the mid-run fault edges the original run had applied (one BFS
-// rebuild) before handing the engine back. Header or shape mismatches wrap
-// ErrBadSnapshot; nothing is partially installed before validation passes.
+// installs it, rebuilds what the format leaves out and audits the result.
+// The engine must be freshly constructed by newEngine for the same
+// RunOptions the snapshot was taken under (same network with its static
+// fault set, mechanism, pattern, seed): the snapshot carries no topology or
+// routing tables, only the primary simulation state. Restore is, in order:
+// the header, length and range checks, before which nothing is installed;
+// the primaries; the fault prefix the capturing run had applied, marks only
+// (markLinkDead) with one BFS rebuild; rebuildDerived and rebuildActivity;
+// and the port audit, so a snapshot whose credits, buffers or crossbar
+// counts break a bound is refused rather than resumed. Every refusal wraps
+// ErrBadSnapshot. An engine that refused after installing is garbage, and
+// its network and mechanism have seen the fault replay: the caller builds
+// all three afresh.
 func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	badf := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
@@ -522,9 +425,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Seed != o.Seed {
 		return badf("seed %d, want %d", st.Seed, o.Seed)
 	}
-	if st.Legacy {
-		return badf("written by the retired legacy-generation engine")
-	}
 	if st.S != int64(e.S) || st.R != int64(e.R) || st.K != int64(e.K) ||
 		st.P != int64(e.P) || st.V != int64(e.V) {
 		return badf("topology shape S=%d R=%d K=%d P=%d V=%d, want S=%d R=%d K=%d P=%d V=%d",
@@ -540,7 +440,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		st.CfgXbarLatency != int64(e.cfg.XbarLatency) ||
 		st.CfgXbarSpeedup != int64(e.cfg.XbarSpeedup) ||
 		st.CfgInjQueuePkts != int64(e.cfg.InjQueuePkts) ||
-		st.CfgPenaltyWeight != e.cfg.PenaltyWeight {
+		math.Float64bits(st.CfgPenaltyWeight) != math.Float64bits(e.cfg.PenaltyWeight) {
 		return badf("microarchitecture config differs from the run's")
 	}
 	if st.Burst != int64(o.BurstPackets) {
@@ -559,22 +459,21 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if len(st.GenRNG) != 4 || len(st.TieRNG) != 4*e.S {
 		return badf("RNG state words %d+%d, want 4+%d", len(st.GenRNG), len(st.TieRNG), 4*e.S)
 	}
-	if len(st.PortDead) != SP || len(st.PQOutTotal) != SP || len(st.PQCredSum) != SP ||
-		len(st.PQDnInVC) != SP || len(st.OutQLens) != SP || len(st.OutReserved) != SP ||
-		len(st.OutBusy) != SP || len(st.OutInflight) != SP ||
-		len(st.InInflight) != SP || len(st.InOcc) != SP {
+	for _, words := range [][]uint64{st.GenRNG, st.TieRNG} {
+		for i := 0; i < len(words); i += 4 {
+			// The one state xoshiro256** never reaches; SetState would reseed it.
+			if [4]uint64(words[i:]) == ([4]uint64{}) {
+				return badf("an RNG stream is in the all-zero state")
+			}
+		}
+	}
+	if len(st.OutQLens) != SP || len(st.OutReserved) != SP || len(st.OutBusy) != SP ||
+		len(st.OutInflight) != SP || len(st.InInflight) != SP {
 		return badf("per-port array lengths do not match %d global ports", SP)
 	}
 	if len(st.InQLens) != SP*e.V || len(st.InBusyUntil) != SP*e.V ||
 		len(st.Credits) != SP*e.V || len(st.OutVCCount) != SP*e.V {
 		return badf("per-VC array lengths do not match %d input VCs", SP*e.V)
-	}
-	wantMask := 0
-	if e.P <= 64 {
-		wantMask = e.S
-	}
-	if len(st.InMask) != wantMask || len(st.OutMask) != wantMask {
-		return badf("mask lengths %d+%d, want %d", len(st.InMask), len(st.OutMask), wantMask)
 	}
 	if len(st.InjQLens) != nServers || len(st.InjBusy) != nServers || len(st.GenPhits) != nServers {
 		return badf("per-server array lengths do not match %d servers", nServers)
@@ -582,61 +481,90 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if len(st.EventLens) != int(int64(e.S)*e.horizon) {
 		return badf("event wheel has %d slots, want %d", len(st.EventLens), int64(e.S)*e.horizon)
 	}
-	if len(st.InRelLens) != e.S || len(st.SwInPkts) != e.S || len(st.SwOutPkts) != e.S ||
-		len(st.SwInjPkts) != e.S || len(st.WinDeliveredPkts) != e.S ||
-		len(st.WinDeliveredPhits) != e.S || len(st.WinLatencySum) != e.S ||
-		len(st.WinHopSum) != e.S || len(st.WinEscapedPkts) != e.S ||
-		len(st.WinLinkBusy) != e.S || len(st.WinLastDelivery) != e.S {
+	if len(st.WinDeliveredPkts) != e.S || len(st.WinDeliveredPhits) != e.S ||
+		len(st.WinLatencySum) != e.S || len(st.WinHopSum) != e.S ||
+		len(st.WinEscapedPkts) != e.S || len(st.WinLinkBusy) != e.S ||
+		len(st.WinLastDelivery) != e.S {
 		return badf("per-switch array lengths do not match %d switches", e.S)
 	}
-	sumLens := func(lens []int32, capacity int) (int, error) {
+	// Flattened rings: every length within the ring's capacity (the wheel's
+	// slots have none), and the lengths account for exactly the entries.
+	for _, r := range []struct {
+		what              string
+		lens              []int32
+		capacity, entries int
+	}{
+		{"input rings", st.InQLens, e.cfg.InputBufPkts, len(st.InQData)},
+		{"output rings", st.OutQLens, e.cfg.OutputBufPkts, len(st.OutQPkt)},
+		{"injection rings", st.InjQLens, max(e.cfg.InjQueuePkts, o.BurstPackets), len(st.InjQData)},
+		{"event wheel slots", st.EventLens, math.MaxInt32, len(st.Events)},
+	} {
 		total := 0
-		for _, n := range lens {
-			if n < 0 || (capacity > 0 && int(n) > capacity) {
-				return 0, badf("ring length %d exceeds capacity %d", n, capacity)
+		for _, n := range r.lens {
+			if n < 0 || int(n) > r.capacity {
+				return badf("%s: length %d exceeds capacity %d", r.what, n, r.capacity)
 			}
 			total += int(n)
 		}
-		return total, nil
+		if total != r.entries {
+			return badf("%s hold %d entries, data has %d", r.what, total, r.entries)
+		}
 	}
-	injCap := max(e.cfg.InjQueuePkts, o.BurstPackets)
-	if n, err := sumLens(st.InQLens, e.cfg.InputBufPkts); err != nil {
-		return err
-	} else if n != len(st.InQData) {
-		return badf("input rings hold %d packets, data has %d", n, len(st.InQData))
-	}
-	if n, err := sumLens(st.OutQLens, e.cfg.OutputBufPkts); err != nil {
-		return err
-	} else if n != len(st.OutQPkt) || len(st.OutQPkt) != len(st.OutQVC) {
-		return badf("output rings hold %d packets, data has %d+%d", n, len(st.OutQPkt), len(st.OutQVC))
-	}
-	if n, err := sumLens(st.InjQLens, injCap); err != nil {
-		return err
-	} else if n != len(st.InjQData) {
-		return badf("injection rings hold %d packets, data has %d", n, len(st.InjQData))
-	}
-	if n, err := sumLens(st.EventLens, 0); err != nil {
-		return err
-	} else if n != len(st.Events) {
-		return badf("event wheel holds %d events, data has %d", n, len(st.Events))
+	if len(st.OutQVC) != len(st.OutQPkt) {
+		return badf("output rings hold %d packets and %d VC tags", len(st.OutQPkt), len(st.OutQVC))
 	}
 	if st.Now < 0 {
 		return badf("cycle %d is negative", st.Now)
 	}
-	if lens, rels := pendingInRels(st.Now, e.horizon, e.V, st.EventLens, st.Events); !slices.Equal(lens, st.InRelLens) || !slices.Equal(rels, st.InRels) {
-		return badf("pending input-port releases disagree with the %d evCredit events on the wheel", len(rels))
-	}
 	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
 		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
 	}
-	for gp, dn := range st.PQDnInVC {
-		if want := e.snapDnInVC(gp, st.PortDead[gp]); dn != want {
-			return badf("port %d sends into input VC %d, this network says %d", gp, dn, want)
+
+	// The resumed run indexes with these unchecked: every packet id — in a
+	// ring, on the free list, on the wheel — names a pool entry, every
+	// output-buffer entry a VC, and every event is of a known kind and
+	// targets an input VC or an output (port, VC) of the switch whose
+	// calendar it is on.
+	inPool := func(ids ...int32) bool {
+		for _, id := range ids {
+			if id < 0 || int(id) >= len(st.Pool) {
+				return false
+			}
+		}
+		return true
+	}
+	if !inPool(st.InQData...) || !inPool(st.OutQPkt...) || !inPool(st.InjQData...) ||
+		!inPool(st.Free...) || len(st.Free) > len(st.Pool) {
+		return badf("a queued or free packet id lies outside the pool of %d, or more are free than exist", len(st.Pool))
+	}
+	for _, vc := range st.OutQVC {
+		if vc < 0 || int(vc) >= e.V {
+			return badf("an output buffer holds a packet on VC %d of %d", vc, e.V)
 		}
 	}
-	if st.InFlight != int64(len(st.Pool)-len(st.Free)) {
-		return badf("in-flight count %d, pool says %d", st.InFlight, len(st.Pool)-len(st.Free))
+	P, PV := int32(e.P), int32(e.P*e.V)
+	cursor := 0
+	for slot, n := range st.EventLens {
+		sw := int32(int64(slot) / e.horizon)
+		for _, ev := range st.Events[cursor : cursor+int(n)] {
+			var lo, hi int32 // what ev.A indexes
+			switch ev.Kind {
+			case evArrive, evCredit: // an input VC of sw
+				lo, hi = sw*PV, (sw+1)*PV
+			case evXferDone: // an output port of sw, and ev.VC of it
+				lo, hi = sw*P, (sw+1)*P
+			case evDeliver: // a server of sw; ev.A is unused
+			default:
+				return badf("event of unknown kind %d on the calendar of switch %d", ev.Kind, sw)
+			}
+			if (ev.Kind != evDeliver && (ev.A < lo || ev.A >= hi)) || ev.VC < 0 || int(ev.VC) >= e.V ||
+				(ev.Kind != evCredit && !inPool(ev.Pkt)) {
+				return badf("event %+v on the calendar of switch %d targets another switch, a VC past %d or a packet outside the pool", ev, sw, e.V)
+			}
+		}
+		cursor += int(n)
 	}
+
 	wantArr := 0
 	if o.BurstPackets == 0 {
 		wantArr = nServers
@@ -647,43 +575,34 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.HasSeries != (o.SeriesBucket > 0) {
 		return badf("series presence %v, want %v", st.HasSeries, o.SeriesBucket > 0)
 	}
+	series := metrics.SeriesState{
+		Bucket: st.SeriesBucket, Servers: st.SeriesServers,
+		Cur: st.SeriesCur, CurBucket: st.SeriesCurBucket, Points: st.SeriesPoints,
+	}
+	if st.HasSeries && (series.Bucket != o.SeriesBucket || series.Servers != int64(nServers)) ||
+		!st.HasSeries && (series.Bucket|series.Servers|series.Cur|series.CurBucket != 0 || len(series.Points) > 0) {
+		return badf("throughput series of bucket %d over %d servers, the run's is bucket %d over %d",
+			series.Bucket, series.Servers, o.SeriesBucket, nServers)
+	}
 
-	// Validation passed: install. Scalars first.
+	// Validation passed: install the primaries. Scalars first.
 	e.now = st.Now
 	e.lastProgress = st.LastProgress
-	e.inFlight = st.InFlight
 	e.totalDelivered = st.TotalDelivered
 	e.lostPkts = st.LostPkts
 	e.stalledGenPkts = st.StalledGenPkts
 	e.nextFault = int(st.NextFault)
-	e.liveDirLinks = st.LiveDirLinks
-	e.linkBusyCycles = st.LinkBusyCycles
-	e.deliveredPkts = st.DeliveredPkts
-	e.deliveredPhits = st.DeliveredPhits
-	e.latencySum = st.LatencySum
-	e.hopSum = st.HopSum
-	e.escapedPkts = st.EscapedPkts
-	e.lastDeliveryCycle = st.LastDeliveryCycle
 	e.warmStart, e.warmEnd = st.WarmStart, st.WarmEnd
 
-	e.r.SetState([4]uint64(st.GenRNG[:4]))
+	e.r.SetState([4]uint64(st.GenRNG))
 	for sw := range e.tie {
-		e.tie[sw].SetState([4]uint64(st.TieRNG[4*sw : 4*sw+4]))
-	}
-
-	copy(e.portDead, st.PortDead)
-	for i := range e.pq {
-		e.pq[i].outTotal = st.PQOutTotal[i]
-		e.pq[i].credSum = st.PQCredSum[i]
+		e.tie[sw].SetState([4]uint64(st.TieRNG[4*sw:]))
 	}
 
 	e.inQ.load(st.InQLens, st.InQData, nil)
 	copy(e.inBusyUntil, st.InBusyUntil)
-	e.creditsAcrossLinks(e.credits, st.Credits)
+	copy(e.credits, st.Credits)
 	copy(e.inInflight, st.InInflight)
-	copy(e.inOcc, st.InOcc)
-	copy(e.inMask, st.InMask)
-	copy(e.outMask, st.OutMask)
 
 	e.outQ.load(st.OutQLens, st.OutQPkt, st.OutQVC)
 	copy(e.outReserved, st.OutReserved)
@@ -700,19 +619,15 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 	e.free = append(e.free[:0], st.Free...)
 
-	cursor := 0
+	cursor = 0
 	for i := range e.events {
 		e.events[i] = e.events[i][:0]
-		for j := 0; j < int(st.EventLens[i]); j++ {
-			ev := st.Events[cursor]
-			cursor++
+		for _, ev := range st.Events[cursor : cursor+int(st.EventLens[i])] {
 			e.events[i] = append(e.events[i], event{kind: ev.Kind, vc: ev.VC, a: ev.A, pkt: ev.Pkt})
 		}
+		cursor += int(st.EventLens[i])
 	}
 
-	copy(e.swInPkts, st.SwInPkts)
-	copy(e.swOutPkts, st.SwOutPkts)
-	copy(e.swInjPkts, st.SwInjPkts)
 	copy(e.winDeliveredPkts, st.WinDeliveredPkts)
 	copy(e.winDeliveredPhits, st.WinDeliveredPhits)
 	copy(e.winLatencySum, st.WinLatencySum)
@@ -732,22 +647,16 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 
 	if st.HasSeries {
-		e.series = metrics.RestoreThroughputSeries(metrics.SeriesState{
-			Bucket:    st.SeriesBucket,
-			Servers:   st.SeriesServers,
-			Cur:       st.SeriesCur,
-			CurBucket: st.SeriesCurBucket,
-			Points:    st.SeriesPoints,
-		})
+		e.series = metrics.RestoreThroughputSeries(series)
 	}
 
-	// Replay the fault edges the original run had applied. failLink's drain
-	// side effects (dead ports, lost packets, drained output rings, the
-	// link count) are already in the serialized state, so only the fault
-	// set and the routing tables need reconstructing.
-	for i := 0; i < int(st.NextFault); i++ {
-		ev := e.faultSchedule[i]
-		e.nw.Faults.Add(ev.Edge.U, ev.Edge.V)
+	// Replay the fault edges the capturing run had applied: the marks only
+	// (fault set, dead ports, link count) — the drains are in the rings and
+	// the lost-packet count already — then the routing tables, once.
+	for _, ev := range e.faultSchedule[:st.NextFault] {
+		if _, err := e.markLinkDead(ev.Edge); err != nil {
+			return badf("fault cursor %d does not replay on this schedule: %v", st.NextFault, err)
+		}
 	}
 	if st.NextFault > 0 {
 		if err := e.mech.Rebuild(e.nw); err != nil {
@@ -755,8 +664,60 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		}
 	}
 
+	e.rebuildDerived()
 	e.rebuildActivity()
+	if err := e.auditPorts(); err != nil {
+		return badf("the restored state fails the port audit: %v", err)
+	}
 	return nil
+}
+
+// rebuildDerived recomputes, after a restore, every engine word that is an
+// exact function of the installed primaries and so is not in the format:
+// per port, the packed allocation words (output occupancy, the credit sum
+// of the port's own input buffers), the count of nonempty input VCs and the
+// two occupancy masks; per switch, the queued-packet counters; and the
+// in-flight count. verifyInvariants audits each of these identities from
+// its own statement of it (invariants.go) — which is what licenses leaving
+// them out — and applySnapshot runs the port half of that audit right
+// after, so a mistake here refuses snapshots instead of resuming them into
+// a different simulation.
+func (e *engine) rebuildDerived() {
+	P, V, K := int32(e.P), int32(e.V), int32(e.K)
+	for sw := int32(0); sw < int32(e.S); sw++ {
+		var in, out, inj int32
+		var inMask, outMask uint64
+		for p := int32(0); p < P; p++ {
+			gp := sw*P + p
+			var occ int8
+			var credSum int16
+			for v := int32(0); v < V; v++ {
+				if n := e.inQ.len(gp*V + v); n > 0 {
+					occ++
+					in += int32(n)
+				}
+				credSum += e.credits[e.up[gp]*V+v]
+			}
+			queued := e.outQ.len(gp)
+			out += int32(queued)
+			e.inOcc[gp] = occ
+			e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
+			if occ > 0 {
+				inMask |= 1 << uint32(p)
+			}
+			if queued > 0 {
+				outMask |= 1 << uint32(p)
+			}
+		}
+		for g := sw * K; g < (sw+1)*K; g++ {
+			inj += int32(e.injQ.len(g))
+		}
+		e.swInPkts[sw], e.swOutPkts[sw], e.swInjPkts[sw] = in, out, inj
+		if e.inMask != nil {
+			e.inMask[sw], e.outMask[sw] = inMask, outMask
+		}
+	}
+	e.inFlight = int64(len(e.pool) - len(e.free))
 }
 
 // rebuildActivity reconstructs the activity bookkeeping after a restore by

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -219,10 +221,9 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			return s
 		}},
 		{"wrong seed", func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
-		// Snapshots of the retired per-cycle-generation engine, re-sealed so
-		// only the header check can refuse them.
+		// Re-sealed, so only the header check can refuse them.
 		{"engine hyperx-sim/3", reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
-		{"legacy byte set", reseal(func(st *snapshotState) { st.Legacy = true })},
+		{"format hyperx-ckpt/1", reseal(func(st *snapshotState) { st.Magic = "hyperx-ckpt/1" })},
 	}
 	for _, tc := range cases {
 		o := snapshotRun(t, h)
@@ -336,73 +337,71 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsInRelsMismatch: hyperx-ckpt/1 stores the pending
-// input-port releases, which the engine now derives from the evCredit
-// events on the wheel. A snapshot whose list disagrees with its own events
-// — a wrong port, a wrong cycle, a dropped entry, two entries swapped, or
-// an evCredit without its release — is internally inconsistent: it is
-// refused with ErrBadSnapshot before anything is installed. The untouched
-// snapshot passes the same check.
-func TestSnapshotRejectsInRelsMismatch(t *testing.T) {
+// TestSnapshotRejectsInconsistentState: a snapshot behind a valid checksum
+// whose state could not have come from an engine is refused with
+// ErrBadSnapshot, never resumed. Two layers, in restore order. What the
+// resumed run would index with unchecked — packet ids in rings, on the free
+// list and on the wheel, event kinds and targets, output-buffer VCs — is
+// refused before anything is installed. What breaks a flow-control bound
+// once installed — a credit its receiver has no slot for, a crossbar count
+// past the speedup, an output buffer past its capacity — is refused by the
+// port audit that follows rebuildDerived; that engine is garbage, and Run
+// hands none back. The untouched snapshot passes both.
+func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	_, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots shipped")
 	}
 	body := snaps[0][:len(snaps[0])-sha256.Size]
-	decode := func() *snapshotState {
+	firstEvent := func(st *snapshotState, kind int8) *eventSnap {
+		for i := range st.Events {
+			if st.Events[i].Kind == kind {
+				return &st.Events[i]
+			}
+		}
+		t.Fatalf("no event of kind %d on the wheel: the snapshot no longer covers that case", kind)
+		return nil
+	}
+	cfg := DefaultConfig()
+	cases := []struct {
+		name    string
+		audited bool // refused by the port audit, after the install
+		mutate  func(st *snapshotState)
+	}{
+		{"intact", false, func(st *snapshotState) {}},
+		{"negative cycle", false, func(st *snapshotState) { st.Now = -1 }},
+		{"zeroed RNG stream", false, func(st *snapshotState) { clear(st.TieRNG[4:8]) }},
+		{"queued id past the pool", false, func(st *snapshotState) { st.InQData[0] = int32(len(st.Pool)) }},
+		{"negative id in an output buffer", false, func(st *snapshotState) { st.OutQPkt[0] = -1 }},
+		{"free id past the pool", false, func(st *snapshotState) { st.Free = append(st.Free, int32(len(st.Pool))) }},
+		{"more free than pooled", false, func(st *snapshotState) {
+			for len(st.Free) <= len(st.Pool) {
+				st.Free = append(st.Free, 0)
+			}
+		}},
+		{"output-buffer VC past V", false, func(st *snapshotState) { st.OutQVC[0] = int8(st.V) }},
+		{"unknown event kind", false, func(st *snapshotState) { st.Events[0].Kind = evDeliver + 1 }},
+		{"event packet past the pool", false, func(st *snapshotState) { firstEvent(st, evArrive).Pkt = int32(len(st.Pool)) }},
+		{"arrival on another switch", false, func(st *snapshotState) { firstEvent(st, evArrive).A += int32(st.P * st.V) }},
+		{"transfer into another switch", false, func(st *snapshotState) { firstEvent(st, evXferDone).A += int32(st.P) }},
+		{"transfer on VC past V", false, func(st *snapshotState) { firstEvent(st, evXferDone).VC = int8(st.V) }},
+		{"series where the run has none", false, func(st *snapshotState) { st.SeriesBucket = 100 }},
+
+		{"credit without slot", true, func(st *snapshotState) { st.Credits[0] = int16(cfg.InputBufPkts) + 1 }},
+		{"negative credit", true, func(st *snapshotState) { st.Credits[0] = -1 }},
+		{"crossbar count past the speedup", true, func(st *snapshotState) { st.InInflight[0] = int8(cfg.XbarSpeedup) + 1 }},
+		{"output past its capacity", true, func(st *snapshotState) { st.OutReserved[0] = int16(cfg.OutputBufPkts) + 1 }},
+		{"negative output VC count", true, func(st *snapshotState) { st.OutVCCount[0] = -1 }},
+	}
+	for _, tc := range cases {
 		st, err := decodeSnapshotState(body)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return st
-	}
-	// The first switch holding two releases on different ports, for the swap.
-	swapAt := -1
-	for sw, at, st := 0, 0, decode(); sw < len(st.InRelLens); sw++ {
-		if n := int(st.InRelLens[sw]); n >= 2 && swapAt < 0 && st.InRels[at] != st.InRels[at+1] {
-			swapAt = at
-		}
-		at += int(st.InRelLens[sw])
-	}
-	if swapAt < 0 {
-		t.Fatal("the snapshot holds no switch with two distinct pending releases: it no longer covers the order check")
-	}
-	cases := []struct {
-		name   string
-		mutate func(st *snapshotState)
-	}{
-		{"intact", func(st *snapshotState) {}},
-		{"wrong port", func(st *snapshotState) { st.InRels[0].Port++ }},
-		{"wrong cycle", func(st *snapshotState) { st.InRels[0].At++ }},
-		{"swapped", func(st *snapshotState) {
-			st.InRels[swapAt], st.InRels[swapAt+1] = st.InRels[swapAt+1], st.InRels[swapAt]
-		}},
-		{"dropped", func(st *snapshotState) {
-			for sw := len(st.InRelLens) - 1; sw >= 0; sw-- {
-				if st.InRelLens[sw] > 0 {
-					st.InRelLens[sw]--
-					break
-				}
-			}
-			st.InRels = st.InRels[:len(st.InRels)-1]
-		}},
-		{"credit without release", func(st *snapshotState) {
-			for i := range st.Events {
-				if st.Events[i].Kind == evXferDone {
-					st.Events[i].Kind = evCredit
-					return
-				}
-			}
-			t.Fatal("no evXferDone on the wheel")
-		}},
-		{"negative cycle", func(st *snapshotState) { st.Now = -1 }},
-	}
-	for _, tc := range cases {
-		st := decode()
 		tc.mutate(st)
 		o := snapshotRun(t, h)
-		o.Config = DefaultConfig()
+		o.Config = cfg
 		e, err := newEngine(o)
 		if err != nil {
 			t.Fatal(err)
@@ -418,15 +417,113 @@ func TestSnapshotRejectsInRelsMismatch(t *testing.T) {
 		if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: applySnapshot returned %v, want ErrBadSnapshot", tc.name, err)
 		}
-		if in, out, inj := e.queuedPackets(0); e.now != 0 || len(e.pool) != 0 || in+out+inj != 0 {
+		if tc.audited != (err != nil && strings.Contains(err.Error(), "port audit")) {
+			t.Errorf("%s: refused by %v, want the port audit to be the one refusing: %v", tc.name, err, tc.audited)
+		}
+		if in, out, inj := e.queuedPackets(0); !tc.audited && (e.now != 0 || len(e.pool) != 0 || in+out+inj != 0) {
 			t.Errorf("%s: the refused snapshot was partly installed (now %d, pool %d)", tc.name, e.now, len(e.pool))
 		}
 		// The same bytes through the public path: re-sealed, so only the
-		// consistency check can refuse them.
+		// consistency checks can refuse them.
 		o = snapshotRun(t, h)
 		o.Checkpoint = &CheckpointOptions{Resume: sealSnapshot(st)}
 		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: Run resumed it: %v", tc.name, err)
 		}
+	}
+}
+
+// derivedState is every engine word a restore rebuilds instead of reading:
+// what rebuildDerived writes, plus the two functions of the fault cursor
+// that the markLinkDead replay writes.
+type derivedState struct {
+	PQ                             []portq
+	InOcc                          []int8
+	InMask, OutMask                []uint64
+	SwInPkts, SwOutPkts, SwInjPkts []int32
+	InFlight                       int64
+	PortDead                       []bool
+	LiveDirLinks                   int64
+}
+
+func (e *engine) derivedState() derivedState {
+	return derivedState{
+		PQ: slices.Clone(e.pq), InOcc: slices.Clone(e.inOcc),
+		InMask: slices.Clone(e.inMask), OutMask: slices.Clone(e.outMask),
+		SwInPkts: slices.Clone(e.swInPkts), SwOutPkts: slices.Clone(e.swOutPkts), SwInjPkts: slices.Clone(e.swInjPkts),
+		InFlight: e.inFlight, PortDead: slices.Clone(e.portDead), LiveDirLinks: e.liveDirLinks,
+	}
+}
+
+// TestRestoreRebuildsDerivedState is the engine-to-engine statement of the
+// hyperx-ckpt/2 rule: none of the derived words travel, and after a restore
+// every one of them equals the capturing engine's at the capture point —
+// with and without a replayed fault, with the occupancy masks (P <= 64) and
+// without them (P > 64, masks nil). The capturing engine is ticked by hand,
+// cycle by cycle, so the test holds it at the capture point.
+func TestRestoreRebuildsDerivedState(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	seq := topo.RandomFaultSequence(h, 7)
+	for _, tc := range []struct {
+		name    string
+		servers int // per switch: 60 makes P = 6 + 60 > 64
+		faults  []FaultEvent
+	}{
+		{"P<=64", 4, nil},
+		{"P<=64/fault-replayed", 4, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
+		{"P>64", 60, nil},
+		{"P>64/fault-replayed", 60, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (*engine, RunOptions) {
+				nw := topo.NewNetwork(h, topo.NewFaultSet())
+				o := RunOptions{
+					Net: nw, ServersPerSwitch: tc.servers, Mechanism: buildMech(t, "PolSP", nw),
+					Pattern: uniformOn(t, h, tc.servers),
+					Load:    0.9, MeasureCycles: 1000, Seed: 77, Config: DefaultConfig(),
+					FaultSchedule: tc.faults,
+				}
+				e, err := newEngine(o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+				return e, o
+			}
+			src, o := build()
+			if (src.inMask == nil) != (tc.servers > 58) {
+				t.Fatalf("P = %d: masks nil = %v", src.P, src.inMask == nil)
+			}
+			src.initArrivals(o.Load / float64(src.cfg.PacketPhits))
+			for ; src.now < 304; src.now++ { // four cycles past the first fault
+				if err := src.applyDueFaults(); err != nil {
+					t.Fatal(err)
+				}
+				src.stepCycle(src.generateArrivals)
+				src.verifyInvariants() // the audit's statement of the identities, every cycle
+			}
+			want := src.derivedState()
+			if want.InFlight == 0 || (len(tc.faults) > 0) != slices.Contains(want.PortDead, true) {
+				t.Fatalf("capture point holds %d packets, dead port %v: it no longer covers the case",
+					want.InFlight, slices.Contains(want.PortDead, true))
+			}
+
+			dst, o2 := build()
+			if err := dst.restoreSnapshot(src.encodeSnapshot(o), o2); err != nil {
+				t.Fatal(err)
+			}
+			if got := dst.derivedState(); !reflect.DeepEqual(got, want) {
+				t.Errorf("restored derived state differs from the capturing engine's:\n got %+v\nwant %+v", got, want)
+			}
+			dead := 0
+			for _, d := range want.PortDead {
+				if d {
+					dead++
+				}
+			}
+			if got := o2.Net.Faults.Len(); 2*got != dead {
+				t.Errorf("restore replayed %d faults into the network, the capturing engine had %d dead ports", got, dead)
+			}
+		})
 	}
 }

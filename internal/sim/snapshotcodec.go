@@ -30,7 +30,6 @@ func (st *snapshotState) walk(c *wire.Coder) {
 	c.I64(&st.WarmStart)
 	c.I64(&st.WarmEnd)
 	c.I64(&st.Burst)
-	c.Bool(&st.Legacy)
 	c.I64(&st.CfgInputBufPkts)
 	c.I64(&st.CfgOutputBufPkts)
 	c.I64(&st.CfgPacketPhits)
@@ -42,38 +41,19 @@ func (st *snapshotState) walk(c *wire.Coder) {
 
 	c.I64(&st.Now)
 	c.I64(&st.LastProgress)
-	c.I64(&st.InFlight)
 	c.I64(&st.TotalDelivered)
 	c.I64(&st.LostPkts)
 	c.I64(&st.StalledGenPkts)
 	c.I64(&st.NextFault)
-	c.I64(&st.LiveDirLinks)
-	c.I64(&st.LinkBusyCycles)
-	c.I64(&st.DeliveredPkts)
-	c.I64(&st.DeliveredPhits)
-	c.I64(&st.LatencySum)
-	c.I64(&st.HopSum)
-	c.I64(&st.EscapedPkts)
-	c.I64(&st.LastDeliveryCycle)
 
 	wire.Ints(c, &st.GenRNG)
 	wire.Ints(c, &st.TieRNG)
-
-	for i := range wire.Len(c, &st.PortDead, 1) {
-		c.Bool(&st.PortDead[i])
-	}
-	wire.Ints(c, &st.PQOutTotal)
-	wire.Ints(c, &st.PQCredSum)
-	wire.Ints(c, &st.PQDnInVC)
 
 	wire.Ints(c, &st.InQLens)
 	wire.Ints(c, &st.InQData)
 	wire.Ints(c, &st.InBusyUntil)
 	wire.Ints(c, &st.Credits)
 	wire.Ints(c, &st.InInflight)
-	wire.Ints(c, &st.InOcc)
-	wire.Ints(c, &st.InMask)
-	wire.Ints(c, &st.OutMask)
 
 	wire.Ints(c, &st.OutQLens)
 	wire.Ints(c, &st.OutQPkt)
@@ -114,17 +94,6 @@ func (st *snapshotState) walk(c *wire.Coder) {
 		c.I32(&ev.A)
 		c.I32(&ev.Pkt)
 	}
-
-	wire.Ints(c, &st.InRelLens)
-	for i := range wire.Len(c, &st.InRels, 8+4) {
-		rel := &st.InRels[i]
-		c.I64(&rel.At)
-		c.I32(&rel.Port)
-	}
-
-	wire.Ints(c, &st.SwInPkts)
-	wire.Ints(c, &st.SwOutPkts)
-	wire.Ints(c, &st.SwInjPkts)
 
 	wire.Ints(c, &st.WinDeliveredPkts)
 	wire.Ints(c, &st.WinDeliveredPhits)
