@@ -61,12 +61,12 @@ func BenchmarkFig1_DiameterUnderFaults(b *testing.B) {
 func BenchmarkFig4_2DLoadSweep(b *testing.B) {
 	var sat map[string]map[string]float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LoadSweep(experiments.SweepConfig{
+		rows, err := experiments.Run(0, nil, experiments.SweepGrid(experiments.SweepConfig{
 			H:      bench2D(),
 			Loads:  []float64{1.0},
 			Budget: benchBudget(),
 			Seed:   1,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -82,12 +82,12 @@ func BenchmarkFig4_2DLoadSweep(b *testing.B) {
 func BenchmarkFig5_3DLoadSweep(b *testing.B) {
 	var sat map[string]map[string]float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LoadSweep(experiments.SweepConfig{
+		rows, err := experiments.Run(0, nil, experiments.SweepGrid(experiments.SweepConfig{
 			H:      bench3D(),
 			Loads:  []float64{1.0},
 			Budget: benchBudget(),
 			Seed:   1,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,14 +104,14 @@ func BenchmarkFig6_RandomFaultSweep(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Fig6(experiments.Fig6Config{
+		rows, err = experiments.Run(0, nil, experiments.Fig6Grid(experiments.Fig6Config{
 			H:         bench3D(),
 			MaxFaults: 20,
 			Step:      10,
 			Patterns:  []string{"Uniform"},
 			Budget:    benchBudget(),
 			Seed:      2,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,12 +139,12 @@ func benchShapes(b *testing.B, h *topo.HyperX) {
 	var rows []experiments.ShapeRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Shapes(experiments.ShapesConfig{
+		rows, err = experiments.Run(0, nil, experiments.ShapesGrid(experiments.ShapesConfig{
 			H:        h,
 			Patterns: []string{"Uniform"},
 			Budget:   benchBudget(),
 			Seed:     3,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -163,11 +163,11 @@ func BenchmarkFig10_CompletionTime(b *testing.B) {
 	var results []experiments.Fig10Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = experiments.Fig10(experiments.Fig10Config{
+		results, err = experiments.Run(0, nil, experiments.Fig10Grid(experiments.Fig10Config{
 			H:          bench3D(),
 			BurstPhits: 1600,
 			Seed:       4,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,7 +312,7 @@ func BenchmarkExtensionSection7(b *testing.B) {
 	var rows []experiments.Section7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Section7(1, experiments.Budget{Warmup: 600, Measure: 1200}, 0)
+		rows, err = experiments.Run(0, nil, experiments.Section7Grid(1, experiments.Budget{Warmup: 600, Measure: 1200}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,9 +330,9 @@ func BenchmarkExtensionRecovery(b *testing.B) {
 	var results []experiments.RecoveryResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = experiments.Recovery(experiments.RecoveryConfig{
+		results, err = experiments.Run(0, nil, experiments.RecoveryGrid(experiments.RecoveryConfig{
 			H: bench3D(), Load: 0.5, Faults: 5, Cycles: 6000, Seed: 11,
-		})
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -707,12 +707,11 @@ func BenchmarkSingleRunSharded8x8x8(b *testing.B) {
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.LoadSweep(experiments.SweepConfig{
-			H:       bench2D(),
-			Budget:  benchBudget(),
-			Seed:    1,
-			Workers: workers,
-		})
+		rows, err := experiments.Run(workers, nil, experiments.SweepGrid(experiments.SweepConfig{
+			H:      bench2D(),
+			Budget: benchBudget(),
+			Seed:   1,
+		}))
 		if err != nil {
 			b.Fatal(err)
 		}

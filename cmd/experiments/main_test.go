@@ -1,16 +1,131 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/experiments"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
-// TestFig6KeepsRowsWhenASequenceDisconnects: Fig6 answers a fault sequence
-// that disconnects the network with the rows gathered up to there AND an
-// error; the driver prints and exports those rows, then returns the error.
+func figureNamed(t *testing.T, name string) figure {
+	t.Helper()
+	for _, f := range figureRegistry() {
+		if f.name == name {
+			return f
+		}
+	}
+	t.Fatalf("no figure %q in the registry", name)
+	return figure{}
+}
+
+// installStore installs a result cache on an empty directory for the test.
+func installStore(t *testing.T) *cache.Store {
+	t.Helper()
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	experiments.SetResultCache(store)
+	t.Cleanup(func() { experiments.SetResultCache(nil) })
+	return store
+}
+
+// forbidExecution makes any spec that reaches the executor from here on
+// fail the test: for code that must only enumerate.
+func forbidExecution(t *testing.T) {
+	t.Helper()
+	experiments.SetExecutor(func(s *experiments.JobSpec) (*sim.Result, error) {
+		t.Errorf("executor reached with %s", s)
+		return &sim.Result{}, nil
+	})
+	t.Cleanup(func() { experiments.SetExecutor(nil) })
+}
+
+// TestGridIdentity pins what every simulating figure enumerates at -seed 1,
+// small scale: the spec count and the first 8 bytes of SHA-256 over
+// spec.Hash()+"\n" in enumeration order, measured on the fused drivers
+// before they were split into grids (with an executor that recorded the
+// hashes at workers=1). A digest that moves means cached results stop
+// hitting and a -serve journal stops resuming. Building the grids is pure:
+// it neither executes nor touches the result cache.
+func TestGridIdentity(t *testing.T) {
+	store := installStore(t)
+	forbidExecution(t)
+	want := map[string]string{
+		"fig4":     "180 779f2b2d595dd70e",
+		"fig5":     "240 5b763195b5543ea7",
+		"fig6":     "70 1533de2ec89a5b34", // 2D then 3D
+		"fig8":     "24 fae4b9ac2530bdea",
+		"fig9":     "32 d8e4c4f57e41636c",
+		"fig10":    "2 0afc9b281061a939",
+		"section7": "21 f1fb9afdf938ea76",
+		"recovery": "2 23c12330d33faa7f",
+	}
+	c := newFigCtx(false, 1, 1)
+	for _, f := range figureRegistry() {
+		if f.grid == nil {
+			continue
+		}
+		h, n := sha256.New(), 0
+		for _, p := range f.grid(c) {
+			for i := range p.specs {
+				io.WriteString(h, p.specs[i].Hash()+"\n")
+				n++
+			}
+		}
+		if got := fmt.Sprintf("%d %x", n, h.Sum(nil)[:8]); got != want[f.name] {
+			t.Errorf("%s enumerates %s, want %s", f.name, got, want[f.name])
+		}
+		delete(want, f.name)
+	}
+	for name := range want {
+		t.Errorf("%s is not a simulating figure of the registry", name)
+	}
+	if hits, misses := store.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("building the grids touched the cache: %d hits, %d misses", hits, misses)
+	}
+}
+
+// TestCoverageReadsTheStoreOnly: cache-gc coverage on a store warmed by
+// fig10 finds both fig10 points and none of any other figure, and never
+// reaches the executor.
+func TestCoverageReadsTheStoreOnly(t *testing.T) {
+	store := installStore(t)
+	c := newFigCtx(false, 1, 2)
+	c.save = func(string, []string, [][]string) error { return nil }
+	if err := figureNamed(t, "fig10").execute(c); err != nil {
+		t.Fatal(err)
+	}
+	forbidExecution(t)
+	for _, f := range figureRegistry() {
+		if f.grid == nil {
+			continue
+		}
+		parts := f.grid(c)
+		specs := 0
+		for _, p := range parts {
+			specs += len(p.specs)
+		}
+		wantHits, wantMisses := int64(0), int64(specs)
+		if f.name == "fig10" {
+			wantHits, wantMisses = 2, 0
+		}
+		if hits, misses := coverage(store, parts); hits != wantHits || misses != wantMisses {
+			t.Errorf("%s: %d hits %d misses, want %d/%d", f.name, hits, misses, wantHits, wantMisses)
+		}
+	}
+}
+
+// TestFig6KeepsRowsWhenASequenceDisconnects: Fig6Grid answers a fault
+// sequence that disconnects the network with the rows gathered up to there
+// AND an error; the figure prints and exports those rows, then returns the
+// error.
 // On the 3x3 (18 links) ten random failures leave eight links for nine
 // switches, so with this seed the 10-fault prefix is the disconnected one
 // and the 0-fault rows are what is gathered.
@@ -28,13 +143,7 @@ func TestFig6KeepsRowsWhenASequenceDisconnects(t *testing.T) {
 			return nil
 		},
 	}
-	var fig6 figure
-	for _, f := range figureRegistry() {
-		if f.name == "fig6" {
-			fig6 = f
-		}
-	}
-	err := fig6.driver(c, true)
+	err := figureNamed(t, "fig6").execute(c)
 	if err == nil || !strings.Contains(err.Error(), "10 faults disconnected") {
 		t.Fatalf("fig6 on the 3x3 returned %v, want the 10-fault prefix reported as disconnected", err)
 	}

@@ -81,10 +81,10 @@ func (s *Store) path(key string) (string, error) {
 // Get returns the cached result for key, or ok == false on a miss. A
 // corrupt, truncated or unreadable entry counts as a miss (and is left
 // for Put to overwrite, the self-healing path) rather than failing the
-// run: on-disk damage may cost a recompute, never correctness. Entries
-// written by this build end in a SHA-256 trailer that is verified here;
-// trailerless entries from older builds fall back to the codec's own
-// strict decode. Hit/miss tallies feed Stats; healed damage feeds Healed.
+// run: on-disk damage may cost a recompute, never correctness. Every
+// entry ends in a SHA-256 trailer that is verified here; one without a
+// valid trailer is damage. Hit/miss tallies feed Stats; healed damage
+// feeds Healed.
 func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
 	p, err := s.path(key)
 	if err != nil {
@@ -111,24 +111,18 @@ func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
 	return res, true, nil
 }
 
-// decodeEntry decodes one .res file body. Entries written by this build
-// carry a SHA-256 trailer over the codec bytes; a matching trailer proves
-// the bytes survived the disk, so a decode failure past it means an old
-// codec version (a plain miss, not damage). Without a matching trailer
-// the bytes are tried as a trailerless legacy entry — the codec's strict
-// no-trailing-bytes decode disambiguates — and anything that fails both
-// ways is reported as damage.
+// decodeEntry decodes one .res file body: a SHA-256 trailer over the codec
+// bytes (wire.Seal). A matching trailer proves the bytes survived the
+// disk, so a decode failure past it means an old codec version (a plain
+// miss, not damage); anything without a matching trailer is damage.
 func decodeEntry(data []byte) (res *sim.Result, damaged bool) {
-	if body, ok := wire.Open(data); ok {
-		res, err := sim.DecodeResult(body)
-		if err != nil {
-			return nil, false // intact bytes, unknown codec: plain miss
-		}
-		return res, false
-	}
-	res, err := sim.DecodeResult(data)
-	if err != nil {
+	body, ok := wire.Open(data)
+	if !ok {
 		return nil, true
+	}
+	res, err := sim.DecodeResult(body)
+	if err != nil {
+		return nil, false // intact bytes, unknown codec: plain miss
 	}
 	return res, false
 }

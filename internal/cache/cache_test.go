@@ -136,9 +136,9 @@ func TestStoreBitflipHeals(t *testing.T) {
 	}
 }
 
-// TestStoreLegacyTrailerlessEntry: an entry written before the SHA-256
-// trailer (raw codec bytes) still reads as a hit — verification must not
-// invalidate a warmed cache.
+// TestStoreLegacyTrailerlessEntry: an entry without the SHA-256 trailer
+// (raw codec bytes, as builds before the trailer wrote them) is damage like
+// any other — a miss tallied as healed, overwritten by the re-run's Put.
 func TestStoreLegacyTrailerlessEntry(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -156,12 +156,18 @@ func TestStoreLegacyTrailerlessEntry(t *testing.T) {
 	if err := os.WriteFile(p, res.AppendBinary(nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	if _, ok, err := s.Get(key); err != nil || ok {
+		t.Fatalf("trailerless entry read as a hit (ok=%v err=%v)", ok, err)
+	}
+	if hits, misses := s.Stats(); hits != 0 || misses != 1 || s.Healed() != 1 {
+		t.Errorf("trailerless entry: %d hits, %d misses, %d healed, want 0/1/1", hits, misses, s.Healed())
+	}
+	if err := s.Put(key, res); err != nil {
+		t.Fatal(err)
+	}
 	got, ok, err := s.Get(key)
 	if err != nil || !ok || !reflect.DeepEqual(got, res) {
-		t.Fatalf("legacy trailerless entry missed (ok=%v err=%v)", ok, err)
-	}
-	if healed := s.Healed(); healed != 0 {
-		t.Errorf("legacy entry tallied as healed damage (%d)", healed)
+		t.Fatalf("rewritten entry not readable (ok=%v err=%v)", ok, err)
 	}
 }
 

@@ -152,13 +152,13 @@ func TestFig1SmallNetwork(t *testing.T) {
 // higher and mutually close; on DCR, Minimal is the clear loser and the
 // adaptive mechanisms track Valiant's optimal 0.5.
 func TestFig4Shape(t *testing.T) {
-	rows, err := LoadSweep(SweepConfig{
+	rows, err := Run(0, nil, SweepGrid(SweepConfig{
 		H:        tiny2D(),
 		Patterns: []string{"Uniform", "Dimension Complement Reverse"},
 		Loads:    []float64{1.0},
 		Budget:   tinyBudget(),
 		Seed:     5,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,13 +190,13 @@ func TestFig4Shape(t *testing.T) {
 // small 3D HyperX: on Regular Permutation to Neighbour, Omnidimensional
 // routes cap at 0.5 while Polarized routes exceed it; Minimal is worst.
 func TestFig5RPNShape(t *testing.T) {
-	rows, err := LoadSweep(SweepConfig{
+	rows, err := Run(0, nil, SweepGrid(SweepConfig{
 		H:        tiny3D(),
 		Patterns: []string{"Regular Permutation to Neighbour"},
 		Loads:    []float64{1.0},
 		Budget:   tinyBudget(),
 		Seed:     7,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +222,14 @@ func TestFig5RPNShape(t *testing.T) {
 
 // TestFig6Shape verifies graceful degradation under growing random faults.
 func TestFig6Shape(t *testing.T) {
-	rows, err := Fig6(Fig6Config{
+	rows, err := Run(0, nil, Fig6Grid(Fig6Config{
 		H:         tiny3D(),
 		MaxFaults: 30,
 		Step:      15,
 		Patterns:  []string{"Uniform"},
 		Budget:    tinyBudget(),
 		Seed:      2,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,12 +260,12 @@ func TestFig6Shape(t *testing.T) {
 // (mechanism, pattern, shape), bounded degradation on Row, the Cross/Star
 // clearly harsher than Row on Uniform.
 func TestShapesExperiment(t *testing.T) {
-	rows, err := Shapes(ShapesConfig{
+	rows, err := Run(0, nil, ShapesGrid(ShapesConfig{
 		H:        tiny2D(),
 		Patterns: []string{"Uniform"},
 		Budget:   tinyBudget(),
 		Seed:     3,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,12 +302,12 @@ func TestShapesExperiment(t *testing.T) {
 // mechanism with the higher (or equal) peak can still have the larger
 // completion time; at minimum, completion times and series are sane.
 func TestFig10Shape(t *testing.T) {
-	results, err := Fig10(Fig10Config{
+	results, err := Run(0, nil, Fig10Grid(Fig10Config{
 		H:            tiny3D(),
 		BurstPhits:   1600, // 100 packets per server, scaled down
 		SeriesBucket: 1000,
 		Seed:         4,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestRenderFig7(t *testing.T) {
 // must show the best escape stretch and by far the strongest escape-only
 // and SurePath throughput, reproducing the paper's Section 7 claim.
 func TestSection7Shape(t *testing.T) {
-	rows, err := Section7(1, Budget{Warmup: 600, Measure: 1200}, 0)
+	rows, err := Run(0, nil, Section7Grid(1, Budget{Warmup: 600, Measure: 1200}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestSection7Shape(t *testing.T) {
 	if df.AvgStretch <= hx.AvgStretch {
 		t.Errorf("dragonfly stretch %.2f not above HyperX %.2f", df.AvgStretch, hx.AvgStretch)
 	}
-	out := RenderSection7(rows)
+	out := RenderSection7("section7", rows)
 	if !strings.Contains(out, "Torus") || !strings.Contains(out, "Dragonfly") {
 		t.Error("render missing topologies")
 	}
@@ -401,13 +401,13 @@ func TestSection7Shape(t *testing.T) {
 // SurePath variants absorb failures mid-run with bounded packet loss and
 // no lasting throughput damage.
 func TestRecoveryExperiment(t *testing.T) {
-	results, err := Recovery(RecoveryConfig{
+	results, err := Run(0, nil, RecoveryGrid(RecoveryConfig{
 		H:      tiny2D(),
 		Load:   0.5,
 		Faults: 5,
 		Cycles: 8000,
 		Seed:   11,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,14 +432,14 @@ func TestRecoveryExperiment(t *testing.T) {
 }
 
 func TestSweepRenderAndDefaults(t *testing.T) {
-	rows, err := LoadSweep(SweepConfig{
+	rows, err := Run(0, nil, SweepGrid(SweepConfig{
 		H:          tiny2D(),
 		Mechanisms: []string{"Minimal"},
 		Patterns:   []string{"Uniform"},
 		Loads:      []float64{0.2, 0.6},
 		Budget:     tinyBudget(),
 		Seed:       9,
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}

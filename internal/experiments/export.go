@@ -90,9 +90,13 @@ func WriteJSONL(dir, name string, header []string, rows [][]string) (string, err
 
 // jsonlCell types a CSV cell for JSONL: cells produced by csvF/csvI are
 // finite shortest-form numbers and re-render to themselves, so they emit
-// as JSON numbers; "true"/"false" emit as booleans; everything else
+// as JSON numbers; "true"/"false" emit as booleans; the empty cell (a
+// value that does not exist, see SweepCSV) is null; everything else
 // (names, labels, and any non-finite float rendering) is a JSON string.
 func jsonlCell(cell string) []byte {
+	if cell == "" {
+		return []byte("null")
+	}
 	if cell == "true" || cell == "false" {
 		return []byte(cell)
 	}
@@ -122,12 +126,17 @@ func csvF(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 func csvI(v int64) string { return strconv.FormatInt(v, 10) }
 
-// SweepCSV flattens load-sweep rows (Figures 4 and 5).
+// SweepCSV flattens load-sweep rows (Figures 4 and 5). A Hole row keeps
+// its coordinates and leaves its four metric cells empty (JSON null), so a
+// quarantined point is a gap in the export, never a row of zeros.
 func SweepCSV(rows []SweepRow) ([]string, [][]string) {
 	out := make([][]string, len(rows))
 	for i, r := range rows {
-		out[i] = []string{r.Mechanism, r.Pattern, csvF(r.Offered), csvF(r.Accepted),
-			csvF(r.Latency), csvF(r.Jain), csvF(r.Escape)}
+		metrics := []string{"", "", "", ""}
+		if !r.Hole {
+			metrics = []string{csvF(r.Accepted), csvF(r.Latency), csvF(r.Jain), csvF(r.Escape)}
+		}
+		out[i] = append([]string{r.Mechanism, r.Pattern, csvF(r.Offered)}, metrics...)
 	}
 	return []string{"mechanism", "pattern", "offered", "accepted", "latency", "jain", "escape"}, out
 }

@@ -138,3 +138,36 @@ func TestWriteJSONLSchemaStable(t *testing.T) {
 		t.Error("empty directory accepted")
 	}
 }
+
+// TestSweepExportKeepsHoles: a quarantined point reaches the exports as a
+// gap — empty metric cells in CSV, null in JSONL — not as a row of zeros,
+// and the healthy rows around it are unchanged.
+func TestSweepExportKeepsHoles(t *testing.T) {
+	dir := t.TempDir()
+	header, crows := SweepCSV([]SweepRow{
+		{Mechanism: "PolSP", Pattern: "Uniform", Offered: 0.1, Accepted: 0.1, Latency: 42.25, Jain: 1, Escape: 0},
+		{Mechanism: "PolSP", Pattern: "Uniform", Offered: 0.2, Hole: true},
+	})
+	for _, tc := range []struct {
+		write func(dir, name string, header []string, rows [][]string) (string, error)
+		want  string
+	}{
+		{WriteCSV, "mechanism,pattern,offered,accepted,latency,jain,escape\n" +
+			"PolSP,Uniform,0.1,0.1,42.25,1,0\n" +
+			"PolSP,Uniform,0.2,,,,\n"},
+		{WriteJSONL, `{"figure":"sweep","mechanism":"PolSP","pattern":"Uniform","offered":0.1,"accepted":0.1,"latency":42.25,"jain":1,"escape":0}` + "\n" +
+			`{"figure":"sweep","mechanism":"PolSP","pattern":"Uniform","offered":0.2,"accepted":null,"latency":null,"jain":null,"escape":null}` + "\n"},
+	} {
+		path, err := tc.write(dir, "sweep", header, crows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.want {
+			t.Errorf("%s:\n%s\nwant:\n%s", filepath.Base(path), got, tc.want)
+		}
+	}
+}

@@ -2,8 +2,10 @@
 // evaluation: the topology characterizations (Table 3, Figure 1), the
 // fault-free load sweeps (Figures 4 and 5), the random-fault sweeps
 // (Figure 6), the structured fault shapes (Figures 7-9) and the
-// completion-time study (Figure 10). The same drivers back the
-// cmd/experiments CLI, the benchmark harness and the integration tests.
+// completion-time study (Figure 10). A simulating figure is a Grid — its
+// specs plus the fold that makes rows of their results — and Run is the one
+// place grids execute; the cmd/experiments CLI, the benchmarks and the
+// integration tests all go through it.
 package experiments
 
 import (
@@ -29,7 +31,7 @@ var defaultRunWorkers atomic.Int32
 var adaptiveRunWorkers atomic.Bool
 
 // lastGridWorkers remembers the effective pool size of the most recent
-// ExecuteJobs grid (pool bound capped by the job count), which is what the
+// executed grid (pool bound capped by the job count), which is what the
 // adaptive policy subtracts from the CPU budget.
 var lastGridWorkers atomic.Int32
 
@@ -61,7 +63,7 @@ func RunWorkers() int { return int(defaultRunWorkers.Load()) }
 
 // SetGridWorkers records an externally managed job concurrency — e.g. a
 // distributed worker's slot count — for the adaptive intra-run policy,
-// standing in for the grid pool size ExecuteJobs would record locally.
+// standing in for the grid pool size ExecuteJobsPartial records locally.
 func SetGridWorkers(n int) { noteGridWorkers(n, n) }
 
 // noteGridWorkers records the effective pool size of a starting grid for

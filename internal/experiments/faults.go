@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -32,16 +33,15 @@ type Fig6Config struct {
 	Seed     uint64
 	VCs      int // 0 means 4 (3 routing + 1 escape), the Section 6 setting
 	Root     int32
-	// Workers bounds the parallel job pool; 0 means one per CPU.
-	Workers int
 }
 
-// Fig6 reproduces Figure 6: OmniSP and PolSP throughput at full offered
+// Fig6Grid enumerates Figure 6: OmniSP and PolSP throughput at full offered
 // load under a growing sequence of random link failures. The same fault
 // sequence (per seed) is shared by all mechanisms and prefixes, as in the
-// paper. Tables are rebuilt per fault count; runs on disconnected draws are
-// skipped (the paper's sequences keep the network connected).
-func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
+// paper. Tables are rebuilt per fault count. The paper's sequences keep the
+// network connected; a prefix that disconnects it ends the enumeration, and
+// Rows reports it as an error next to the rows of the prefixes before it.
+func Fig6Grid(cfg Fig6Config) Grid[Fig6Row] {
 	if cfg.MaxFaults == 0 {
 		cfg.MaxFaults = 100
 	}
@@ -59,74 +59,49 @@ func Fig6(cfg Fig6Config) ([]Fig6Row, error) {
 	}
 	per := cfg.H.Dims()[0]
 	seq := topo.RandomFaultSequence(cfg.H, cfg.Seed)
-	var counts []int
-	for faults := 0; faults <= cfg.MaxFaults; faults += cfg.Step {
-		if faults > len(seq) {
-			break
-		}
-		counts = append(counts, faults)
-	}
-	// Characterize every fault prefix first (pure graph work, also parallel).
-	type prefix struct {
-		diameter  int32
-		connected bool
-	}
-	prefixes, err := RunJobs(cfg.Workers, len(counts), func(i int) (prefix, error) {
-		g := topo.NewNetwork(cfg.H, topo.NewFaultSet(seq[:counts[i]]...)).Graph()
-		// A single-BFS connectivity check first: disconnected prefixes are
-		// dropped anyway, so skip their all-pairs diameter BFS.
-		if !g.Connected() {
-			return prefix{}, nil
-		}
-		diam, connected := g.Diameter()
-		return prefix{diameter: diam, connected: connected}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Simulate only the connected prefixes; report the first disconnected
-	// one, with the rows gathered so far, as the sequential path did.
-	usable := len(counts)
-	var disconnected error
-	for i, p := range prefixes {
-		if !p.connected {
-			usable = i
-			disconnected = fmt.Errorf("experiments: %d faults disconnected %s (seed %d)", counts[i], cfg.H, cfg.Seed)
-			break
-		}
+	prefixGraph := func(faults int) *topo.Graph {
+		return topo.NewNetwork(cfg.H, topo.NewFaultSet(seq[:faults]...)).Graph()
 	}
 	shape := HyperXSpec(cfg.H)
 	var jobs []JobSpec
-	rows := make([]Fig6Row, 0, usable*len(cfg.Patterns)*len(SurePathNames()))
-	for ci := 0; ci < usable; ci++ {
+	var rows []Fig6Row
+	var disconnected error
+	for faults := 0; faults <= cfg.MaxFaults && faults <= len(seq); faults += cfg.Step {
+		// One BFS decides whether the prefix is simulated at all; its
+		// all-pairs diameter is only a column and waits for Rows.
+		if !prefixGraph(faults).Connected() {
+			disconnected = fmt.Errorf("experiments: %d faults disconnected %s (seed %d)", faults, cfg.H, cfg.Seed)
+			break
+		}
 		for _, patName := range cfg.Patterns {
 			for _, mechName := range SurePathNames() {
 				jobs = append(jobs, JobSpec{
-					Label:     fmt.Sprintf("%s/%s with %d faults", mechName, patName, counts[ci]),
+					Label:     fmt.Sprintf("%s/%s with %d faults", mechName, patName, faults),
 					Topo:      shape,
 					Mechanism: mechName, Pattern: patName,
 					VCs: cfg.VCs, Root: cfg.Root, Per: per,
 					Load: 1.0, Budget: cfg.Budget,
-					Faults:      seq[:counts[ci]],
+					Faults:      seq[:faults],
 					Seed:        JobSeed(cfg.Seed, len(jobs)),
 					PatternSeed: cfg.Seed,
 				})
-				rows = append(rows, Fig6Row{
-					Mechanism: mechName, Pattern: patName,
-					Faults: counts[ci], Diameter: prefixes[ci].diameter,
-				})
+				rows = append(rows, Fig6Row{Mechanism: mechName, Pattern: patName, Faults: faults})
 			}
 		}
 	}
-	results, err := ExecuteJobs(cfg.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	for i, res := range results {
-		rows[i].Accepted = res.AcceptedLoad
-		rows[i].Escape = res.EscapeFraction
-	}
-	return rows, disconnected
+	return Grid[Fig6Row]{Specs: jobs, Rows: complete(jobs, func(results []*sim.Result) ([]Fig6Row, error) {
+		out := append([]Fig6Row(nil), rows...)
+		var diameter int32
+		for i, res := range results {
+			if i == 0 || out[i].Faults != out[i-1].Faults {
+				diameter, _ = prefixGraph(out[i].Faults).Diameter()
+			}
+			out[i].Diameter = diameter
+			out[i].Accepted = res.AcceptedLoad
+			out[i].Escape = res.EscapeFraction
+		}
+		return out, disconnected
+	})}
 }
 
 // RenderFig6 formats the fault sweep grouped by pattern and mechanism.
@@ -177,15 +152,13 @@ type ShapesConfig struct {
 	Seed     uint64
 	VCs      int   // 0 means 4, the Section 6 setting
 	Root     int32 // the shapes are centred here, as in the paper
-	// Workers bounds the parallel job pool; 0 means one per CPU.
-	Workers int
 }
 
-// Shapes reproduces Figures 8 (2D) and 9 (3D): OmniSP and PolSP at full
+// ShapesGrid enumerates Figures 8 (2D) and 9 (3D): OmniSP and PolSP at full
 // offered load under the Row, Subplane/Subcube and Cross/Star fault
 // shapes, all centred on the escape subnetwork root to stress SurePath as
 // hard as possible.
-func Shapes(cfg ShapesConfig) ([]ShapeRow, error) {
+func ShapesGrid(cfg ShapesConfig) Grid[ShapeRow] {
 	if cfg.Patterns == nil {
 		cfg.Patterns = paperPatterns(cfg.H)
 	}
@@ -201,7 +174,7 @@ func Shapes(cfg ShapesConfig) ([]ShapeRow, error) {
 	for i, kind := range kinds {
 		edges, err := topo.PaperShape(cfg.H, cfg.Root, kind)
 		if err != nil {
-			return nil, err
+			return failedGrid[ShapeRow](err)
 		}
 		shapeEdges[i] = edges
 	}
@@ -244,18 +217,16 @@ func Shapes(cfg ShapesConfig) ([]ShapeRow, error) {
 			}
 		}
 	}
-	results, err := ExecuteJobs(cfg.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]ShapeRow, len(refs))
-	for i, ref := range refs {
-		rows[i] = ref.row
-		rows[i].Accepted = results[ref.job].AcceptedLoad
-		rows[i].Escape = results[ref.job].EscapeFraction
-		rows[i].Healthy = results[ref.healthy].AcceptedLoad
-	}
-	return rows, nil
+	return Grid[ShapeRow]{Specs: jobs, Rows: complete(jobs, func(results []*sim.Result) ([]ShapeRow, error) {
+		rows := make([]ShapeRow, len(refs))
+		for i, ref := range refs {
+			rows[i] = ref.row
+			rows[i].Accepted = results[ref.job].AcceptedLoad
+			rows[i].Escape = results[ref.job].EscapeFraction
+			rows[i].Healthy = results[ref.healthy].AcceptedLoad
+		}
+		return rows, nil
+	})}
 }
 
 // RenderShapes formats the shape experiment as the paper's bar chart rows.

@@ -30,18 +30,16 @@ type Fig10Config struct {
 	Seed         uint64
 	VCs          int // 0 means 4
 	Root         int32
-	// Workers bounds the parallel job pool; 0 means one per CPU.
-	Workers int
 }
 
-// Fig10 reproduces Figure 10: each server generates a fixed burst of
+// Fig10Grid enumerates Figure 10: each server generates a fixed burst of
 // Regular Permutation to Neighbour traffic on a network with the Star
 // fault configuration centred on the escape root; the run ends when all
 // packets complete. The paper's finding: OmniSP shows higher peak
 // throughput but a far larger completion time than PolSP (2.8x on the
 // paper's testbed) because only one of the root's three live links serves
 // its in-cast traffic.
-func Fig10(cfg Fig10Config) ([]Fig10Result, error) {
+func Fig10Grid(cfg Fig10Config) Grid[Fig10Result] {
 	if cfg.BurstPhits == 0 {
 		cfg.BurstPhits = 8000
 	}
@@ -54,7 +52,7 @@ func Fig10(cfg Fig10Config) ([]Fig10Result, error) {
 	per := cfg.H.Dims()[0]
 	edges, err := topo.PaperShape(cfg.H, cfg.Root, topo.ShapeCross) // Star in 3D
 	if err != nil {
-		return nil, err
+		return failedGrid[Fig10Result](err)
 	}
 	burstPkts := cfg.BurstPhits / sim.DefaultConfig().PacketPhits
 	mechs := SurePathNames()
@@ -71,26 +69,24 @@ func Fig10(cfg Fig10Config) ([]Fig10Result, error) {
 			PatternSeed: cfg.Seed,
 		}
 	}
-	raw, err := ExecuteJobs(cfg.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]Fig10Result, len(mechs))
-	for i, res := range raw {
-		peak := 0.0
-		for _, p := range res.Series {
-			if p.Accepted > peak {
-				peak = p.Accepted
+	return Grid[Fig10Result]{Specs: jobs, Rows: complete(jobs, func(raw []*sim.Result) ([]Fig10Result, error) {
+		results := make([]Fig10Result, len(mechs))
+		for i, res := range raw {
+			peak := 0.0
+			for _, p := range res.Series {
+				if p.Accepted > peak {
+					peak = p.Accepted
+				}
+			}
+			results[i] = Fig10Result{
+				Mechanism:      mechs[i],
+				CompletionTime: res.CompletionTime,
+				PeakAccepted:   peak,
+				Series:         res.Series,
 			}
 		}
-		results[i] = Fig10Result{
-			Mechanism:      mechs[i],
-			CompletionTime: res.CompletionTime,
-			PeakAccepted:   peak,
-			Series:         res.Series,
-		}
-	}
-	return results, nil
+		return results, nil
+	})}
 }
 
 // RenderFig10 formats the completion-time curves.

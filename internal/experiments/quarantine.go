@@ -13,9 +13,9 @@ import (
 // point stop re-queueing it — the spec is presumed to crash whatever runs
 // it — and resolve it with a QuarantineError instead, carrying the full
 // attempt history as evidence. The rest of the grid completes; callers
-// that can degrade gracefully (ExecuteJobsPartial, LoadSweep) turn the
-// quarantine into an explicit hole, and callers that cannot fail with an
-// error that names every worker the job consumed.
+// that can degrade gracefully (ExecuteJobsPartial, the load sweep's Rows)
+// turn the quarantine into an explicit hole, and callers that cannot fail
+// with an error that names every worker the job consumed.
 
 // ErrQuarantined marks a job pulled from circulation after exhausting its
 // attempt budget; match with errors.Is. The concrete *QuarantineError
@@ -65,16 +65,19 @@ func (e *QuarantineError) Error() string {
 // Unwrap makes errors.Is(err, ErrQuarantined) match.
 func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 
-// ExecuteJobsPartial is ExecuteJobs with graceful degradation: a job the
-// backend quarantined becomes a nil result plus its QuarantineError in
-// the holes slice (indexed like specs) instead of failing the grid. Every
-// other error still fails the call, and non-quarantined results remain
-// bit-identical to a fully healthy run — a partial grid is the healthy
-// grid with holes, never a different grid.
-func ExecuteJobsPartial(workers int, specs []JobSpec) (results []*sim.Result, holes []*QuarantineError, err error) {
+// ExecuteJobsPartial runs an enumerated grid of specs on the worker pool
+// with graceful degradation: a job the backend quarantined becomes a nil
+// result plus its QuarantineError in the holes slice (indexed like specs)
+// instead of failing the grid. Every other error still fails the call, and
+// non-quarantined results remain bit-identical to a fully healthy run — a
+// partial grid is the healthy grid with holes, never a different grid.
+// progress, when non-nil, observes the grid (see Run). The call records
+// the resolved pool size so adaptive intra-run parallelism (RunWorkersFor)
+// can see how many CPUs the grid itself occupies.
+func ExecuteJobsPartial(workers int, progress func(done, total int), specs []JobSpec) (results []*sim.Result, holes []*QuarantineError, err error) {
 	noteGridWorkers(DefaultWorkers(workers), len(specs))
 	holes = make([]*QuarantineError, len(specs))
-	results, err = RunJobs(workers, len(specs), func(i int) (*sim.Result, error) {
+	results, err = runJobs(workers, len(specs), progress, func(i int) (*sim.Result, error) {
 		res, err := RunSpec(&specs[i])
 		if err != nil {
 			var q *QuarantineError
@@ -90,4 +93,17 @@ func ExecuteJobsPartial(workers int, specs []JobSpec) (results []*sim.Result, ho
 		return nil, nil, err
 	}
 	return results, holes, nil
+}
+
+// holeErrors is the strict reading of a partial grid: nil when it has no
+// holes, else every hole as an error labelled with its job, joined in job
+// order.
+func holeErrors(specs []JobSpec, holes []*QuarantineError) error {
+	var errs []error
+	for i, q := range holes {
+		if q != nil {
+			errs = append(errs, fmt.Errorf("%s: %w", specs[i].label(), q))
+		}
+	}
+	return errors.Join(errs...)
 }

@@ -38,12 +38,10 @@ type RecoveryConfig struct {
 	Seed   uint64
 	VCs    int // 0 means 4
 	Root   int32
-	// Workers bounds the parallel job pool; 0 means one per CPU.
-	Workers int
 }
 
-// Recovery runs the live-failure experiment for OmniSP and PolSP.
-func Recovery(cfg RecoveryConfig) ([]RecoveryResult, error) {
+// RecoveryGrid enumerates the live-failure experiment for OmniSP and PolSP.
+func RecoveryGrid(cfg RecoveryConfig) Grid[RecoveryResult] {
 	if cfg.Load == 0 {
 		cfg.Load = 0.6
 	}
@@ -59,7 +57,7 @@ func Recovery(cfg RecoveryConfig) ([]RecoveryResult, error) {
 	per := cfg.H.Dims()[0]
 	seq := topo.RandomFaultSequence(cfg.H, cfg.Seed)
 	if cfg.Faults > len(seq) {
-		return nil, fmt.Errorf("experiments: %d faults exceed %d links", cfg.Faults, len(seq))
+		return failedGrid[RecoveryResult](fmt.Errorf("experiments: %d faults exceed %d links", cfg.Faults, len(seq)))
 	}
 	// Spread the failures across the middle half of the run.
 	start, span := cfg.Cycles/4, cfg.Cycles/2
@@ -89,34 +87,32 @@ func Recovery(cfg RecoveryConfig) ([]RecoveryResult, error) {
 			PatternSeed:   cfg.Seed,
 		}
 	}
-	raw, err := ExecuteJobs(cfg.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]RecoveryResult, len(mechs))
-	for i, res := range raw {
-		rr := RecoveryResult{
-			Mechanism:   mechs[i],
-			FaultCycles: faultCycles,
-			Accepted:    res.AcceptedLoad,
-			LostPackets: res.LostPackets,
-			Series:      res.Series,
-			FinalFaults: int(res.FaultsApplied),
-		}
-		var pre, post []float64
-		for _, p := range res.Series {
-			if p.Cycle <= start {
-				pre = append(pre, p.Accepted)
+	return Grid[RecoveryResult]{Specs: jobs, Rows: complete(jobs, func(raw []*sim.Result) ([]RecoveryResult, error) {
+		results := make([]RecoveryResult, len(mechs))
+		for i, res := range raw {
+			rr := RecoveryResult{
+				Mechanism:   mechs[i],
+				FaultCycles: faultCycles,
+				Accepted:    res.AcceptedLoad,
+				LostPackets: res.LostPackets,
+				Series:      res.Series,
+				FinalFaults: int(res.FaultsApplied),
 			}
-			if p.Cycle > start+span {
-				post = append(post, p.Accepted)
+			var pre, post []float64
+			for _, p := range res.Series {
+				if p.Cycle <= start {
+					pre = append(pre, p.Accepted)
+				}
+				if p.Cycle > start+span {
+					post = append(post, p.Accepted)
+				}
 			}
+			rr.PreFaultAvg = metrics.Mean(pre)
+			rr.PostFaultAvg = metrics.Mean(post)
+			results[i] = rr
 		}
-		rr.PreFaultAvg = metrics.Mean(pre)
-		rr.PostFaultAvg = metrics.Mean(post)
-		results[i] = rr
-	}
-	return results, nil
+		return results, nil
+	})}
 }
 
 // RenderRecovery formats the live-failure timelines.

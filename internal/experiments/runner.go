@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -12,11 +11,12 @@ import (
 	"repro/internal/sim"
 )
 
-// This file is the parallel experiment runner every Fig*/Table*/sweep driver
-// executes on. An experiment grid is enumerated into a flat list of JobSpecs,
-// the specs run on a bounded worker pool (locally, through the result cache,
-// or on a distributed executor), and results are reassembled in enumeration
-// order. Determinism is by construction: each spec carries its own seed
+// This file is the parallel experiment runner and the package's one
+// execution site. A figure is a Grid: a flat list of JobSpecs in enumeration
+// order plus the fold that turns their results into rows. Run executes the
+// specs on a bounded worker pool (locally, through the result cache, or on a
+// distributed executor), reassembles the results in enumeration order and
+// folds them. Determinism is by construction: each spec carries its own seed
 // derived from (base seed, job index) alone and rebuilds its own network,
 // pattern and mechanism, so rows are bit-identical for any worker count and
 // for any execution backend.
@@ -28,27 +28,6 @@ func DefaultWorkers(workers int) int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return workers
-}
-
-// progressHook receives (done, total) after every completed job of a
-// RunJobs grid; see SetProgress.
-var progressHook atomic.Pointer[func(done, total int)]
-
-// SetProgress installs a process-wide progress observer: every RunJobs
-// grid calls fn once with done == 0 when the grid starts (from the
-// enumerating goroutine, before any job runs) and then once per executed
-// job — successful or failed — with the running completion count and the
-// grid's total. The runner knows both, so callers can derive an ETA
-// without instrumenting any driver. The per-job calls arrive
-// concurrently from worker goroutines, and may arrive out of order; fn
-// must tolerate both. nil uninstalls the observer. Progress reporting
-// never affects results — jobs stay bit-identical for any worker count.
-func SetProgress(fn func(done, total int)) {
-	if fn == nil {
-		progressHook.Store(nil)
-		return
-	}
-	progressHook.Store(&fn)
 }
 
 // JobSeed derives the simulation seed of job index from an experiment's base
@@ -65,6 +44,11 @@ func JobSeed(seed uint64, index int) uint64 {
 // error (errors.Join, in job order) surfaces every broken point of the grid
 // in one run instead of only the first.
 func RunJobs[T any](workers, n int, job func(index int) (T, error)) ([]T, error) {
+	return runJobs(workers, n, nil, job)
+}
+
+// runJobs is RunJobs with the progress observer Run documents.
+func runJobs[T any](workers, n int, progress func(done, total int), job func(index int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	if n == 0 {
 		return results, nil
@@ -75,14 +59,8 @@ func RunJobs[T any](workers, n int, job func(index int) (T, error)) ([]T, error)
 	}
 	errs := make([]error, n)
 	var done atomic.Int64
-	progress := progressHook.Load()
-	note := func() {
-		if progress != nil {
-			(*progress)(int(done.Add(1)), n)
-		}
-	}
 	if progress != nil {
-		(*progress)(0, n) // grid start, before any worker reports
+		progress(0, n) // grid start, before any worker reports
 	}
 	indices := make(chan int)
 	var wg sync.WaitGroup
@@ -92,7 +70,9 @@ func RunJobs[T any](workers, n int, job func(index int) (T, error)) ([]T, error)
 			defer wg.Done()
 			for i := range indices {
 				results[i], errs[i] = job(i)
-				note()
+				if progress != nil {
+					progress(int(done.Add(1)), n)
+				}
 			}
 		}()
 	}
@@ -130,19 +110,6 @@ func CacheStats() (hits, misses int64) {
 	}
 	return 0, 0
 }
-
-// cacheProbe, when set, turns RunSpec into a cache-coverage probe: see
-// SetCacheProbe.
-var cacheProbe atomic.Bool
-
-// SetCacheProbe toggles probe mode, in which RunSpec resolves every spec
-// from the installed result cache alone — hits decode normally, misses
-// return an empty Result immediately, and nothing is ever simulated or
-// written back. Cache maintenance tooling (`experiments -exp cache-gc`)
-// uses it to measure per-figure hit rates by replaying the drivers'
-// spec enumeration against the store; it must never be on during a real
-// run, since probed results are placeholders.
-func SetCacheProbe(on bool) { cacheProbe.Store(on) }
 
 // Executor runs one job spec to a result. The default executor is
 // (*JobSpec).Run (local, in-process); a work-queue server installs its
@@ -193,9 +160,6 @@ func runSpecCached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim
 			return res, nil
 		}
 	}
-	if cacheProbe.Load() {
-		return &sim.Result{}, nil
-	}
 	res, err := run(spec)
 	if err != nil {
 		return nil, err
@@ -208,16 +172,75 @@ func runSpecCached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim
 
 // ExecuteJobs runs an enumerated grid of specs on the worker pool and
 // returns one result per spec, in enumeration order — bit-identical for
-// any worker count and any backend. It records the resolved pool size so
-// adaptive intra-run parallelism (RunWorkersFor) can see how many CPUs the
-// grid itself occupies.
+// any worker count and any backend. It is ExecuteJobsPartial for callers
+// that cannot use a grid with holes: every quarantined job fails the call
+// with its labelled QuarantineError (joined in job order), unless other
+// jobs failed outright, in which case their errors are the ones reported.
 func ExecuteJobs(workers int, specs []JobSpec) ([]*sim.Result, error) {
-	noteGridWorkers(DefaultWorkers(workers), len(specs))
-	return RunJobs(workers, len(specs), func(i int) (*sim.Result, error) {
-		res, err := RunSpec(&specs[i])
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", specs[i].label(), err)
+	results, holes, err := ExecuteJobsPartial(workers, nil, specs)
+	if err == nil {
+		err = holeErrors(specs, holes)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return results, nil
+}
+
+// Grid is one figure's simulation work as data plus a fold: the specs it
+// needs run, in enumeration order, and the function that turns their
+// results into the figure's rows. The constructors (SweepGrid, Fig6Grid,
+// ShapesGrid, Fig10Grid, Section7Grid, RecoveryGrid) are pure — they
+// enumerate and never execute — so anything that wants only the
+// enumeration (cache coverage, a benchmark workload, a digest of the
+// grid's identity) reads Specs and stops. A constructor that cannot build
+// its grid (a root outside the topology, more faults than links) returns
+// no Specs and a Rows that reports why, so the error surfaces from Run
+// like any other.
+type Grid[R any] struct {
+	Specs []JobSpec
+	// Rows folds one result per spec into rows. holes is indexed like
+	// Specs: a non-nil entry is a job the backend quarantined, whose
+	// result is nil. Graph work a row needs but no spec does (Fig 6
+	// diameters, Section 7 stretch) happens here. Rows may return rows
+	// and an error together: Fig 6 reports a disconnecting fault prefix
+	// that way, with the rows gathered before it.
+	Rows func(results []*sim.Result, holes []*QuarantineError) ([]R, error)
+}
+
+// Run is the package's one execution site: it runs the grid's specs on the
+// worker pool — through the result cache and the installed executor, see
+// RunSpec — and folds the results. workers bounds the pool (below 1 means
+// one per CPU); rows are bit-identical for any value.
+//
+// A non-nil progress is called once with done == 0 when the grid starts
+// (from the calling goroutine, before any job runs) and then once per
+// executed job — successful or failed — with the running completion count
+// and the grid's total, so a caller can derive an ETA without
+// instrumenting any job. The per-job calls arrive concurrently from worker
+// goroutines, and may arrive out of order; progress must tolerate both.
+// Progress reporting never affects results.
+func Run[R any](workers int, progress func(done, total int), g Grid[R]) ([]R, error) {
+	results, holes, err := ExecuteJobsPartial(workers, progress, g.Specs)
+	if err != nil {
+		return nil, err
+	}
+	return g.Rows(results, holes)
+}
+
+// complete adapts a fold that needs every result into a Grid.Rows: a hole
+// fails the figure with the labelled error ExecuteJobs gives it.
+func complete[R any](specs []JobSpec, fold func(results []*sim.Result) ([]R, error)) func([]*sim.Result, []*QuarantineError) ([]R, error) {
+	return func(results []*sim.Result, holes []*QuarantineError) ([]R, error) {
+		if err := holeErrors(specs, holes); err != nil {
+			return nil, err
 		}
-		return res, nil
-	})
+		return fold(results)
+	}
+}
+
+// failedGrid is what a constructor returns when its configuration cannot
+// be enumerated: nothing to run, and a fold that reports err.
+func failedGrid[R any](err error) Grid[R] {
+	return Grid[R]{Rows: func([]*sim.Result, []*QuarantineError) ([]R, error) { return nil, err }}
 }

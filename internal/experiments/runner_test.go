@@ -6,8 +6,11 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestRunJobsOrderAndBounds(t *testing.T) {
@@ -131,90 +134,105 @@ func TestRunWorkersFor(t *testing.T) {
 }
 
 // TestLoadSweepDeterministicAcrossWorkers is the regression test for the
-// runner's core guarantee: LoadSweep rows are byte-identical whether the
-// grid runs on one worker or many.
+// runner's core guarantee: sweep rows are byte-identical whether the grid
+// runs on one worker or many.
 func TestLoadSweepDeterministicAcrossWorkers(t *testing.T) {
-	cfg := SweepConfig{
+	g := SweepGrid(SweepConfig{
 		H:          tiny2D(),
 		Mechanisms: []string{"Minimal", "PolSP"},
 		Patterns:   []string{"Uniform", "Dimension Complement Reverse"},
 		Loads:      []float64{0.3, 0.9},
 		Budget:     Budget{Warmup: 300, Measure: 600},
 		Seed:       21,
-	}
-	seq := cfg
-	seq.Workers = 1
-	par := cfg
-	par.Workers = 8
-	rowsSeq, err := LoadSweep(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsPar, err := LoadSweep(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rowsSeq, rowsPar) {
-		t.Fatalf("rows differ between workers=1 and workers=8:\n%v\nvs\n%v", rowsSeq, rowsPar)
-	}
+	})
+	rowsSeq, rowsPar := runSeqAndPar(t, g)
 	if a, b := RenderSweep("t", rowsSeq), RenderSweep("t", rowsPar); a != b {
 		t.Fatal("rendered sweeps are not byte-identical")
 	}
 }
 
+// runSeqAndPar runs g on one worker and on eight and fails the test unless
+// the rows are deeply equal.
+func runSeqAndPar[R any](t *testing.T, g Grid[R]) (seq, par []R) {
+	t.Helper()
+	seq, err := Run(1, nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err = Run(8, nil, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("rows differ between workers=1 and workers=8:\n%v\nvs\n%v", seq, par)
+	}
+	return seq, par
+}
+
 // TestFig6DeterministicAcrossWorkers extends the determinism guarantee to a
 // fault experiment, whose jobs additionally carry fault-set prefixes.
 func TestFig6DeterministicAcrossWorkers(t *testing.T) {
-	cfg := Fig6Config{
+	rowsSeq, rowsPar := runSeqAndPar(t, Fig6Grid(Fig6Config{
 		H:         tiny3D(),
 		MaxFaults: 10,
 		Step:      5,
 		Patterns:  []string{"Uniform"},
 		Budget:    Budget{Warmup: 300, Measure: 600},
 		Seed:      2,
-	}
-	seq := cfg
-	seq.Workers = 1
-	par := cfg
-	par.Workers = 8
-	rowsSeq, err := Fig6(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsPar, err := Fig6(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rowsSeq, rowsPar) {
-		t.Fatalf("fault rows differ between workers=1 and workers=8:\n%v\nvs\n%v", rowsSeq, rowsPar)
-	}
+	}))
 	if a, b := RenderFig6("t", rowsSeq), RenderFig6("t", rowsPar); a != b {
 		t.Fatal("rendered fault sweeps are not byte-identical")
 	}
 }
 
 // TestShapesDeterministicAcrossWorkers covers the healthy-reference
-// cross-linking of the shape driver.
+// cross-linking of the shape grid.
 func TestShapesDeterministicAcrossWorkers(t *testing.T) {
-	cfg := ShapesConfig{
+	runSeqAndPar(t, ShapesGrid(ShapesConfig{
 		H:        tiny2D(),
 		Patterns: []string{"Uniform"},
 		Budget:   Budget{Warmup: 300, Measure: 600},
 		Seed:     3,
-	}
-	seq := cfg
-	seq.Workers = 1
-	par := cfg
-	par.Workers = 8
-	rowsSeq, err := Shapes(seq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rowsPar, err := Shapes(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rowsSeq, rowsPar) {
-		t.Fatalf("shape rows differ between workers=1 and workers=8:\n%v\nvs\n%v", rowsSeq, rowsPar)
+	}))
+}
+
+// TestRunProgressContract: Run announces the grid with progress(0, n) before
+// any job runs, then reports once per job, and the counts reach n — for a
+// sequential pool and a concurrent one.
+func TestRunProgressContract(t *testing.T) {
+	var started atomic.Int32 // jobs that have reached the executor
+	SetExecutor(func(*JobSpec) (*sim.Result, error) {
+		started.Add(1)
+		return &sim.Result{}, nil
+	})
+	defer SetExecutor(nil)
+	g := SweepGrid(SweepConfig{H: tiny2D(), Patterns: []string{"Uniform"}, Seed: 1})
+	n := len(g.Specs)
+	for _, workers := range []int{1, 4} {
+		started.Store(0)
+		var mu sync.Mutex
+		var calls, maxDone int
+		rows, err := Run(workers, func(done, total int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if total != n {
+				t.Errorf("workers=%d: progress total %d, want %d", workers, total, n)
+			}
+			if calls == 0 && (done != 0 || started.Load() != 0) {
+				t.Errorf("workers=%d: first progress call is done=%d after %d jobs started, want (0, %d) before any job",
+					workers, done, started.Load(), n)
+			}
+			if calls > 0 && done == 0 {
+				t.Errorf("workers=%d: grid start reported twice", workers)
+			}
+			calls++
+			maxDone = max(maxDone, done)
+		}, g)
+		if err != nil || len(rows) != n {
+			t.Fatalf("workers=%d: %d rows, err %v", workers, len(rows), err)
+		}
+		if calls != n+1 || maxDone != n {
+			t.Errorf("workers=%d: %d progress calls reaching %d, want %d calls reaching %d", workers, calls, maxDone, n+1, n)
+		}
 	}
 }

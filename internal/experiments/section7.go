@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/escape"
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -32,15 +33,14 @@ type Section7Row struct {
 // accepted load over the sweep.
 var section7Loads = []float64{0.1, 0.2, 0.3, 0.5, 0.7, 1.0}
 
-// Section7 measures the escape-quality comparison across HyperX, Torus and
-// Dragonfly networks of comparable size: the paper's closing claim is that
-// the mechanism ports anywhere, but only HyperX gives the escape
-// subnetwork (near-)minimal routes. The stretch metrics are pure graph
-// work on the generic runner; every simulation point (escape-only and the
-// PolSP load sweep) is one JobSpec on the spec executor, so the points
-// cache and distribute like every other figure. Rows are independent of
-// the worker count.
-func Section7(seed uint64, budget Budget, workers int) ([]Section7Row, error) {
+// Section7Grid enumerates the escape-quality comparison across HyperX,
+// Torus and Dragonfly networks of comparable size: the paper's closing
+// claim is that the mechanism ports anywhere, but only HyperX gives the
+// escape subnetwork (near-)minimal routes. Every simulation point
+// (escape-only and the PolSP load sweep) is one JobSpec, so the points
+// cache and distribute like every other figure; the stretch metrics are
+// pure graph work no spec needs, computed when Rows folds.
+func Section7Grid(seed uint64, budget Budget) Grid[Section7Row] {
 	if budget == (Budget{}) {
 		budget = DefaultBudget()
 	}
@@ -52,48 +52,6 @@ func Section7(seed uint64, budget Budget, workers int) ([]Section7Row, error) {
 		{topo.MustTorus(8, 8), 4},     // diameter 8: up/down detours visible
 		{topo.MustDragonfly(6, 2), 4}, // 13 groups of 6 = 78 switches
 	}
-	// Stretch metrics: all-pairs escape-route length vs graph distance.
-	rows, err := RunJobs(workers, len(cases), func(ci int) (Section7Row, error) {
-		c := cases[ci]
-		nw := topo.NewNetwork(c.t, nil)
-		n := c.t.Switches()
-		sub, err := escape.Build(nw, 0)
-		if err != nil {
-			return Section7Row{}, fmt.Errorf("%s: %w", c.t, err)
-		}
-		g := nw.Graph()
-		dist := g.Distances()
-		var sum, maxR float64
-		var minimal, pairs int
-		for x := 0; x < n; x++ {
-			for t := 0; t < n; t++ {
-				if x == t {
-					continue
-				}
-				d := float64(dist[x*n+t])
-				r := float64(sub.RouteLen(int32(x), int32(t)))
-				ratio := r / d
-				sum += ratio
-				if ratio > maxR {
-					maxR = ratio
-				}
-				if r == d+0 {
-					minimal++
-				}
-				pairs++
-			}
-		}
-		return Section7Row{
-			Topology:        c.t.String(),
-			Switches:        n,
-			AvgStretch:      sum / float64(pairs),
-			MaxStretch:      maxR,
-			MinimalFraction: float64(minimal) / float64(pairs),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
 	// Simulation points: one spec per (topology, escape-only | PolSP load).
 	type ref struct {
 		ci      int
@@ -104,7 +62,7 @@ func Section7(seed uint64, budget Budget, workers int) ([]Section7Row, error) {
 	for ci, c := range cases {
 		shape, err := topo.SpecOf(c.t)
 		if err != nil {
-			return nil, err
+			return failedGrid[Section7Row](err)
 		}
 		jobs = append(jobs, JobSpec{
 			Label: fmt.Sprintf("%s escape-only", c.t),
@@ -123,25 +81,71 @@ func Section7(seed uint64, budget Budget, workers int) ([]Section7Row, error) {
 			refs = append(refs, ref{ci: ci})
 		}
 	}
-	outs, err := ExecuteJobs(workers, jobs)
+	return Grid[Section7Row]{Specs: jobs, Rows: complete(jobs, func(outs []*sim.Result) ([]Section7Row, error) {
+		rows := make([]Section7Row, len(cases))
+		for ci, c := range cases {
+			row, err := escapeStretch(c.t)
+			if err != nil {
+				return nil, err
+			}
+			rows[ci] = row
+		}
+		for ji, res := range outs {
+			r := refs[ji]
+			if r.escOnly {
+				rows[r.ci].EscOnlyAccepted = res.AcceptedLoad
+			} else if res.AcceptedLoad > rows[r.ci].PolSPAccepted {
+				rows[r.ci].PolSPAccepted = res.AcceptedLoad
+			}
+		}
+		return rows, nil
+	})}
+}
+
+// escapeStretch computes the stretch columns of one Section 7 row:
+// all-pairs escape-route length against graph distance on the healthy
+// topology.
+func escapeStretch(t topo.Switched) (Section7Row, error) {
+	nw := topo.NewNetwork(t, nil)
+	n := t.Switches()
+	sub, err := escape.Build(nw, 0)
 	if err != nil {
-		return nil, err
+		return Section7Row{}, fmt.Errorf("%s: %w", t, err)
 	}
-	for ji, res := range outs {
-		r := refs[ji]
-		if r.escOnly {
-			rows[r.ci].EscOnlyAccepted = res.AcceptedLoad
-		} else if res.AcceptedLoad > rows[r.ci].PolSPAccepted {
-			rows[r.ci].PolSPAccepted = res.AcceptedLoad
+	dist := nw.Graph().Distances()
+	var sum, maxR float64
+	var minimal, pairs int
+	for x := 0; x < n; x++ {
+		for y := 0; y < n; y++ {
+			if x == y {
+				continue
+			}
+			d := float64(dist[x*n+y])
+			r := float64(sub.RouteLen(int32(x), int32(y)))
+			ratio := r / d
+			sum += ratio
+			if ratio > maxR {
+				maxR = ratio
+			}
+			if r == d {
+				minimal++
+			}
+			pairs++
 		}
 	}
-	return rows, nil
+	return Section7Row{
+		Topology:        t.String(),
+		Switches:        n,
+		AvgStretch:      sum / float64(pairs),
+		MaxStretch:      maxR,
+		MinimalFraction: float64(minimal) / float64(pairs),
+	}, nil
 }
 
 // RenderSection7 formats the cross-topology escape comparison.
-func RenderSection7(rows []Section7Row) string {
+func RenderSection7(title string, rows []Section7Row) string {
 	var b strings.Builder
-	fmt.Fprintln(&b, "Section 7: the escape subnetwork beyond HyperX")
+	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "  %-22s %-9s %-11s %-11s %-13s %-12s %s\n",
 		"topology", "switches", "avg stretch", "max stretch", "minimal pairs", "escape-only", "PolSP")
 	for _, r := range rows {

@@ -218,7 +218,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 		Budget:     Budget{Warmup: 300, Measure: 600},
 		Seed:       31,
 	}
-	first, err := LoadSweep(cfg)
+	first, err := Run(0, nil, SweepGrid(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	if hits != 0 || misses != 4 {
 		t.Fatalf("first run: %d hits %d misses, want 0/4", hits, misses)
 	}
-	second, err := LoadSweep(cfg)
+	second, err := Run(0, nil, SweepGrid(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	}
 	// A different seed is a different grid: all misses again.
 	cfg.Seed = 32
-	if _, err := LoadSweep(cfg); err != nil {
+	if _, err := Run(0, nil, SweepGrid(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses = store.Stats()

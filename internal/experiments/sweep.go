@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/sim"
 	"repro/internal/topo"
 )
 
@@ -44,9 +45,6 @@ type SweepConfig struct {
 	VCs int
 	// Root of the escape subnetwork for SurePath mechanisms.
 	Root int32
-	// Workers bounds the parallel job pool; 0 means one per CPU. Rows are
-	// bit-identical for any worker count.
-	Workers int
 }
 
 func (c *SweepConfig) fill() {
@@ -79,10 +77,12 @@ func paperPatterns(h *topo.HyperX) []string {
 	return ps
 }
 
-// LoadSweep runs the sweep and returns one row per (mechanism, pattern,
-// load), in a deterministic order. The grid executes on the parallel job
-// runner; rows are bit-identical for any SweepConfig.Workers value.
-func LoadSweep(cfg SweepConfig) ([]SweepRow, error) {
+// SweepGrid enumerates the sweep: one spec and one row per (pattern,
+// mechanism, load), in that order. Figure 4 is the sweep on Topology2D,
+// Figure 5 on Topology3D (which adds the paper's new Regular Permutation to
+// Neighbour pattern). A quarantined point becomes a Hole row; the rest of
+// the sweep is unaffected.
+func SweepGrid(cfg SweepConfig) Grid[SweepRow] {
 	cfg.fill()
 	per := cfg.H.Dims()[0]
 	faults := cfg.Faults.Edges()
@@ -107,38 +107,25 @@ func LoadSweep(cfg SweepConfig) ([]SweepRow, error) {
 			}
 		}
 	}
-	results, holes, err := ExecuteJobsPartial(cfg.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]SweepRow, len(jobs))
-	for i, res := range results {
-		rows[i] = SweepRow{
-			Mechanism: jobs[i].Mechanism,
-			Pattern:   jobs[i].Pattern,
-			Offered:   jobs[i].Load,
+	return Grid[SweepRow]{Specs: jobs, Rows: func(results []*sim.Result, holes []*QuarantineError) ([]SweepRow, error) {
+		rows := make([]SweepRow, len(jobs))
+		for i, res := range results {
+			rows[i] = SweepRow{
+				Mechanism: jobs[i].Mechanism,
+				Pattern:   jobs[i].Pattern,
+				Offered:   jobs[i].Load,
+			}
+			if holes[i] != nil {
+				rows[i].Hole = true
+				continue
+			}
+			rows[i].Accepted = res.AcceptedLoad
+			rows[i].Latency = res.AvgLatency
+			rows[i].Jain = res.JainIndex
+			rows[i].Escape = res.EscapeFraction
 		}
-		if holes[i] != nil {
-			rows[i].Hole = true
-			continue
-		}
-		rows[i].Accepted = res.AcceptedLoad
-		rows[i].Latency = res.AvgLatency
-		rows[i].Jain = res.JainIndex
-		rows[i].Escape = res.EscapeFraction
-	}
-	return rows, nil
-}
-
-// Fig4 reproduces Figure 4: the 2D HyperX fault-free sweep.
-func Fig4(scale Scale, budget Budget, seed uint64, workers int) ([]SweepRow, error) {
-	return LoadSweep(SweepConfig{H: Topology2D(scale), Budget: budget, Seed: seed, Workers: workers})
-}
-
-// Fig5 reproduces Figure 5: the 3D HyperX fault-free sweep, including the
-// paper's new Regular Permutation to Neighbour pattern.
-func Fig5(scale Scale, budget Budget, seed uint64, workers int) ([]SweepRow, error) {
-	return LoadSweep(SweepConfig{H: Topology3D(scale), Budget: budget, Seed: seed, Workers: workers})
+		return rows, nil
+	}}
 }
 
 // SaturationThroughput extracts, per (mechanism, pattern), the accepted

@@ -255,7 +255,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 
 	experiments.SetExecutor(srv.Execute)
 	defer experiments.SetExecutor(nil)
-	results, holes, err := experiments.ExecuteJobsPartial(2, grid)
+	results, holes, err := experiments.ExecuteJobsPartial(2, nil, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -387,7 +387,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	go func() {
 		var out gridOut
 		for attempt := 0; attempt < 20; attempt++ {
-			out.res, out.holes, out.err = experiments.ExecuteJobsPartial(2, grid)
+			out.res, out.holes, out.err = experiments.ExecuteJobsPartial(2, nil, grid)
 			if out.err == nil || !strings.Contains(out.err.Error(), "server closed") {
 				break
 			}
