@@ -61,7 +61,7 @@ func BenchmarkFig1_DiameterUnderFaults(b *testing.B) {
 func BenchmarkFig4_2DLoadSweep(b *testing.B) {
 	var sat map[string]map[string]float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Run(0, nil, experiments.SweepGrid(experiments.SweepConfig{
+		rows, err := experiments.Run(experiments.Runner{}, nil, experiments.SweepGrid(experiments.SweepConfig{
 			H:      bench2D(),
 			Loads:  []float64{1.0},
 			Budget: benchBudget(),
@@ -82,7 +82,7 @@ func BenchmarkFig4_2DLoadSweep(b *testing.B) {
 func BenchmarkFig5_3DLoadSweep(b *testing.B) {
 	var sat map[string]map[string]float64
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Run(0, nil, experiments.SweepGrid(experiments.SweepConfig{
+		rows, err := experiments.Run(experiments.Runner{}, nil, experiments.SweepGrid(experiments.SweepConfig{
 			H:      bench3D(),
 			Loads:  []float64{1.0},
 			Budget: benchBudget(),
@@ -104,7 +104,7 @@ func BenchmarkFig6_RandomFaultSweep(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Run(0, nil, experiments.Fig6Grid(experiments.Fig6Config{
+		rows, err = experiments.Run(experiments.Runner{}, nil, experiments.Fig6Grid(experiments.Fig6Config{
 			H:         bench3D(),
 			MaxFaults: 20,
 			Step:      10,
@@ -139,7 +139,7 @@ func benchShapes(b *testing.B, h *topo.HyperX) {
 	var rows []experiments.ShapeRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Run(0, nil, experiments.ShapesGrid(experiments.ShapesConfig{
+		rows, err = experiments.Run(experiments.Runner{}, nil, experiments.ShapesGrid(experiments.ShapesConfig{
 			H:        h,
 			Patterns: []string{"Uniform"},
 			Budget:   benchBudget(),
@@ -163,7 +163,7 @@ func BenchmarkFig10_CompletionTime(b *testing.B) {
 	var results []experiments.Fig10Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = experiments.Run(0, nil, experiments.Fig10Grid(experiments.Fig10Config{
+		results, err = experiments.Run(experiments.Runner{}, nil, experiments.Fig10Grid(experiments.Fig10Config{
 			H:          bench3D(),
 			BurstPhits: 1600,
 			Seed:       4,
@@ -312,7 +312,7 @@ func BenchmarkExtensionSection7(b *testing.B) {
 	var rows []experiments.Section7Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Run(0, nil, experiments.Section7Grid(1, experiments.Budget{Warmup: 600, Measure: 1200}))
+		rows, err = experiments.Run(experiments.Runner{}, nil, experiments.Section7Grid(1, experiments.Budget{Warmup: 600, Measure: 1200}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -330,7 +330,7 @@ func BenchmarkExtensionRecovery(b *testing.B) {
 	var results []experiments.RecoveryResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = experiments.Run(0, nil, experiments.RecoveryGrid(experiments.RecoveryConfig{
+		results, err = experiments.Run(experiments.Runner{}, nil, experiments.RecoveryGrid(experiments.RecoveryConfig{
 			H: bench3D(), Load: 0.5, Faults: 5, Cycles: 6000, Seed: 11,
 		}))
 		if err != nil {
@@ -707,7 +707,7 @@ func BenchmarkSingleRunSharded8x8x8(b *testing.B) {
 func benchSweep(b *testing.B, workers int) {
 	b.Helper()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Run(workers, nil, experiments.SweepGrid(experiments.SweepConfig{
+		rows, err := experiments.Run(experiments.Runner{Workers: workers}, nil, experiments.SweepGrid(experiments.SweepConfig{
 			H:      bench2D(),
 			Budget: benchBudget(),
 			Seed:   1,

@@ -73,6 +73,7 @@ func (m *multiFlag) Set(v string) error { *m = append(*m, strings.ToLower(v)); r
 // stragglers. A done == 0 call marks the start of a new grid (each figure
 // runs one or more grids).
 type progressPrinter struct {
+	store   *cache.Store // the Runner's result cache, for the hit/miss tally; may be nil
 	mu      sync.Mutex
 	total   int
 	maxDone int
@@ -81,12 +82,12 @@ type progressPrinter struct {
 }
 
 // cacheSuffix renders the result cache's running hit/miss tally for the
-// progress line; empty when no cache is installed.
-func cacheSuffix() string {
-	if experiments.ResultCache() == nil {
+// progress line; empty without a cache.
+func (p *progressPrinter) cacheSuffix() string {
+	if p.store == nil {
 		return ""
 	}
-	hits, misses := experiments.CacheStats()
+	hits, misses := p.store.Stats()
 	return fmt.Sprintf(" [cache %d hits, %d misses]", hits, misses)
 }
 
@@ -111,7 +112,7 @@ func (p *progressPrinter) report(done, total int) {
 	elapsed := now.Sub(p.start)
 	if done == total {
 		fmt.Fprintf(os.Stderr, "progress: %d/%d (grid done in %s)%s\n",
-			done, total, elapsed.Round(time.Millisecond), cacheSuffix())
+			done, total, elapsed.Round(time.Millisecond), p.cacheSuffix())
 		return
 	}
 	line := fmt.Sprintf("progress: %d/%d", done, total)
@@ -119,17 +120,17 @@ func (p *progressPrinter) report(done, total int) {
 		eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
 		line += fmt.Sprintf(" (ETA %02d:%02d)", int(eta.Minutes()), int(eta.Seconds())%60)
 	}
-	fmt.Fprintln(os.Stderr, line+cacheSuffix())
+	fmt.Fprintln(os.Stderr, line+p.cacheSuffix())
 }
 
 // figCtx carries the per-invocation inputs every figure reads: the scale
-// and budget knobs, the shared topologies and escape roots, the pool size
-// and progress observer handed to experiments.Run, and the structured-table
+// and budget knobs, the shared topologies and escape roots, the Runner and
+// progress observer handed to experiments.Run, and the structured-table
 // sink (CSV/JSONL exports).
 type figCtx struct {
 	budget       experiments.Budget
 	seed         uint64
-	workers      int
+	runner       experiments.Runner
 	progress     func(done, total int) // nil with -progress=false
 	full         bool
 	h2, h3       *topo.HyperX
@@ -139,17 +140,17 @@ type figCtx struct {
 	save func(name string, header []string, rows [][]string) error
 }
 
-// newFigCtx resolves -full, -seed and -workers into the inputs of every
-// figure: the scaled topologies, the budget and the escape roots. The
+// newFigCtx resolves -full, -seed and the flags' Runner into the inputs of
+// every figure: the scaled topologies, the budget and the escape roots. The
 // caller adds the progress observer and the export sink.
-func newFigCtx(full bool, seed uint64, workers int) figCtx {
+func newFigCtx(full bool, seed uint64, r experiments.Runner) figCtx {
 	scale, budget := experiments.ScaleSmall, experiments.DefaultBudget()
 	if full {
 		scale, budget = experiments.ScaleFull, experiments.PaperBudget()
 	}
 	h2, h3 := experiments.Topology2D(scale), experiments.Topology3D(scale)
 	return figCtx{
-		budget: budget, seed: seed, workers: workers, full: full,
+		budget: budget, seed: seed, runner: r, full: full,
 		h2: h2, h3: h3, root2: centerSwitch(h2), root3: centerSwitch(h3),
 	}
 }
@@ -178,7 +179,7 @@ type gridPart struct {
 func part[R any](c figCtx, name, title string, g experiments.Grid[R],
 	render func(title string, rows []R) string, csv func(rows []R) ([]string, [][]string)) gridPart {
 	return gridPart{specs: g.Specs, run: func() error {
-		rows, err := experiments.Run(c.workers, c.progress, g)
+		rows, err := experiments.Run(c.runner, c.progress, g)
 		// A fault sequence that disconnects the network (Figure 6) comes
 		// back as the rows gathered up to there AND an error: the rows are
 		// printed and exported before the error ends the figure.
@@ -209,7 +210,7 @@ func figureRegistry() []figure {
 			return nil
 		}},
 		{name: "table3", run: func(c figCtx) error {
-			rows := experiments.Table3Rows(c.workers, experiments.Topology2D(experiments.ScaleFull),
+			rows := experiments.Table3Rows(c.runner.Workers, experiments.Topology2D(experiments.ScaleFull),
 				experiments.Topology3D(experiments.ScaleFull))
 			fmt.Print(experiments.RenderTable3Rows(rows))
 			h, crows := experiments.Table3CSV(rows)
@@ -225,7 +226,7 @@ func figureRegistry() []figure {
 			if c.full {
 				step = 64
 			}
-			points := experiments.Fig1(c.h3, []uint64{c.seed, c.seed + 1, c.seed + 2}, step, c.workers)
+			points := experiments.Fig1(c.h3, []uint64{c.seed, c.seed + 1, c.seed + 2}, step, c.runner.Workers)
 			fmt.Print(experiments.RenderFig1(c.h3, points))
 			hd, rows := experiments.Fig1CSV(points)
 			return c.save("fig1", hd, rows)
@@ -320,16 +321,15 @@ func main() {
 
 	// A worker needs no local checkpoint store: its snapshots stream to the
 	// server.
-	store, err := run.Apply(*workerAddr != "")
+	r, err := run.Apply(*workerAddr != "")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	workers, seed := run.Workers, run.Seed
+	store, seed := r.Cache, run.Seed
 
 	if *workerAddr != "" {
-		slots := experiments.DefaultWorkers(workers)
-		experiments.SetGridWorkers(slots)
+		r.Workers = experiments.DefaultWorkers(r.Workers) // the slot count
 		// SIGTERM/SIGINT starts a graceful drain: in-flight jobs stop at
 		// their next inter-cycle point and ship final snapshots, the worker
 		// announces a bye, and WorkLoop returns cleanly — the server
@@ -340,7 +340,7 @@ func main() {
 		go func() {
 			<-sigc
 			fmt.Fprintln(os.Stderr, "worker: drain requested, checkpointing in-flight jobs")
-			experiments.RequestDrain()
+			r.Drain.Store(true)
 			select {
 			case <-sigc:
 				fmt.Fprintln(os.Stderr, "worker: second signal, exiting now")
@@ -349,12 +349,12 @@ func main() {
 			}
 			os.Exit(1)
 		}()
-		fmt.Fprintf(os.Stderr, "worker: %d slots, connecting to %s\n", slots, *workerAddr)
-		if err := queue.WorkLoop(*workerAddr, slots); err != nil {
+		fmt.Fprintf(os.Stderr, "worker: %d slots, connecting to %s\n", r.Workers, *workerAddr)
+		if err := queue.WorkLoop(*workerAddr, r); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: worker: %v\n", err)
 			os.Exit(1)
 		}
-		if experiments.DrainRequested() {
+		if r.Draining() {
 			fmt.Fprintln(os.Stderr, "worker: drained, exiting")
 		} else {
 			fmt.Fprintln(os.Stderr, "worker: server finished, exiting")
@@ -379,7 +379,7 @@ func main() {
 		}
 		defer srv.Close()
 		defer func() { fmt.Fprintf(os.Stderr, "serve: %s\n", srv.Stats().Summary()) }()
-		experiments.SetExecutor(srv.Execute)
+		r.Execute = srv.Execute
 		fmt.Fprintf(os.Stderr, "serve: dispatching jobs on %s (start workers with -worker %s)\n",
 			srv.Addr(), srv.Addr())
 	}
@@ -404,10 +404,10 @@ func main() {
 	}
 	all := want["all"]
 
-	ctx := newFigCtx(*full, seed, workers)
+	ctx := newFigCtx(*full, seed, r)
 	ctx.save = tableSaver(*csvDir, *jsonlDir)
 	if *progressFlag {
-		ctx.progress = (&progressPrinter{}).report
+		ctx.progress = (&progressPrinter{store: store}).report
 	}
 
 	if run.MemStats {
@@ -419,7 +419,7 @@ func main() {
 				Topo: experiments.HyperXSpec(h), Mechanism: "PolSP", Pattern: "Uniform",
 				VCs: 2 * h.NDims(), Per: h.Dims()[0], Load: 0.5, Seed: seed, PatternSeed: seed,
 			}
-			mem, err := spec.MeasureMemory()
+			mem, err := r.MeasureMemory(&spec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: mem-stats %s: %v\n", h, err)
 				os.Exit(1)

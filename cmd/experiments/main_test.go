@@ -24,27 +24,19 @@ func figureNamed(t *testing.T, name string) figure {
 	return figure{}
 }
 
-// installStore installs a result cache on an empty directory for the test.
-func installStore(t *testing.T) *cache.Store {
+// enumerateOnly is a Runner over a result cache on an empty directory whose
+// executor fails the test for any spec that reaches it: for code that must
+// only enumerate, or only read the store.
+func enumerateOnly(t *testing.T) experiments.Runner {
 	t.Helper()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetResultCache(store)
-	t.Cleanup(func() { experiments.SetResultCache(nil) })
-	return store
-}
-
-// forbidExecution makes any spec that reaches the executor from here on
-// fail the test: for code that must only enumerate.
-func forbidExecution(t *testing.T) {
-	t.Helper()
-	experiments.SetExecutor(func(s *experiments.JobSpec) (*sim.Result, error) {
+	return experiments.Runner{Workers: 2, Cache: store, Execute: func(s *experiments.JobSpec) (*sim.Result, error) {
 		t.Errorf("executor reached with %s", s)
 		return &sim.Result{}, nil
-	})
-	t.Cleanup(func() { experiments.SetExecutor(nil) })
+	}}
 }
 
 // TestGridIdentity pins what every simulating figure enumerates at -seed 1,
@@ -55,8 +47,8 @@ func forbidExecution(t *testing.T) {
 // hitting and a -serve journal stops resuming. Building the grids is pure:
 // it neither executes nor touches the result cache.
 func TestGridIdentity(t *testing.T) {
-	store := installStore(t)
-	forbidExecution(t)
+	t.Parallel()
+	r := enumerateOnly(t)
 	want := map[string]string{
 		"fig4":     "180 779f2b2d595dd70e",
 		"fig5":     "240 5b763195b5543ea7",
@@ -67,7 +59,7 @@ func TestGridIdentity(t *testing.T) {
 		"section7": "21 f1fb9afdf938ea76",
 		"recovery": "2 23c12330d33faa7f",
 	}
-	c := newFigCtx(false, 1, 1)
+	c := newFigCtx(false, 1, r)
 	for _, f := range figureRegistry() {
 		if f.grid == nil {
 			continue
@@ -87,7 +79,7 @@ func TestGridIdentity(t *testing.T) {
 	for name := range want {
 		t.Errorf("%s is not a simulating figure of the registry", name)
 	}
-	if hits, misses := store.Stats(); hits != 0 || misses != 0 {
+	if hits, misses := r.Cache.Stats(); hits != 0 || misses != 0 {
 		t.Errorf("building the grids touched the cache: %d hits, %d misses", hits, misses)
 	}
 }
@@ -96,13 +88,15 @@ func TestGridIdentity(t *testing.T) {
 // fig10 finds both fig10 points and none of any other figure, and never
 // reaches the executor.
 func TestCoverageReadsTheStoreOnly(t *testing.T) {
-	store := installStore(t)
-	c := newFigCtx(false, 1, 2)
-	c.save = func(string, []string, [][]string) error { return nil }
-	if err := figureNamed(t, "fig10").execute(c); err != nil {
+	t.Parallel()
+	r := enumerateOnly(t)
+	store := r.Cache
+	warm := newFigCtx(false, 1, experiments.Runner{Workers: 2, Cache: store})
+	warm.save = func(string, []string, [][]string) error { return nil }
+	if err := figureNamed(t, "fig10").execute(warm); err != nil {
 		t.Fatal(err)
 	}
-	forbidExecution(t)
+	c := newFigCtx(false, 1, r)
 	for _, f := range figureRegistry() {
 		if f.grid == nil {
 			continue
@@ -130,10 +124,11 @@ func TestCoverageReadsTheStoreOnly(t *testing.T) {
 // switches, so with this seed the 10-fault prefix is the disconnected one
 // and the 0-fault rows are what is gathered.
 func TestFig6KeepsRowsWhenASequenceDisconnects(t *testing.T) {
+	t.Parallel()
 	h := topo.MustHyperX(3, 3)
 	var saved []string
 	c := figCtx{
-		budget: experiments.Budget{Warmup: 50, Measure: 100}, seed: 3, workers: 2,
+		budget: experiments.Budget{Warmup: 50, Measure: 100}, seed: 3, runner: experiments.Runner{Workers: 2},
 		h2: h, h3: h,
 		save: func(name string, _ []string, rows [][]string) error {
 			if len(rows) == 0 {

@@ -41,7 +41,7 @@ func main() {
 	run.Register(flag.CommandLine)
 	flag.Parse()
 
-	store, err := run.Apply(false)
+	r, err := run.Apply(false)
 	check(err)
 	if run.Checkpointing() {
 		// SIGINT/SIGTERM becomes a drain: every in-flight point snapshots
@@ -51,7 +51,7 @@ func main() {
 		go func() {
 			<-sigc
 			fmt.Fprintln(os.Stderr, "hxsim: interrupted, checkpointing")
-			hyperx.RequestDrain()
+			r.Drain.Store(true)
 		}()
 	}
 
@@ -129,20 +129,20 @@ func main() {
 		// Construction is load-independent, so one measurement covers the
 		// whole sweep. Stderr, like the cache stats: stdout stays
 		// byte-identical across runs (construction time is wall-clock).
-		mem, err := specs[0].MeasureMemory()
+		mem, err := r.MeasureMemory(&specs[0])
 		check(err)
 		fmt.Fprintln(os.Stderr, mem)
 	}
-	results, err := hyperx.RunSpecs(run.Workers, specs)
+	results, err := hyperx.RunSpecs(r, specs)
 	if errors.Is(err, hyperx.ErrCheckpointed) {
 		fmt.Fprintln(os.Stderr, "hxsim: checkpointed; rerun the same command to resume")
 		os.Exit(3)
 	}
 	check(err)
-	if store != nil {
-		hits, misses := store.Stats()
+	if r.Cache != nil {
+		hits, misses := r.Cache.Stats()
 		suffix := ""
-		if healed := store.Healed(); healed > 0 {
+		if healed := r.Cache.Healed(); healed > 0 {
 			suffix = fmt.Sprintf(" (%d corrupt entries healed)", healed)
 		}
 		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses%s\n", hits, misses, suffix)

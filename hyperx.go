@@ -17,6 +17,12 @@
 //	})
 //	fmt.Println(res.AcceptedLoad, res.AvgLatency, res.JainIndex)
 //
+// A grid of points is data — JobSpecs — plus the Runner that executes it:
+//
+//	cache, _ := hyperx.OpenResultCache(dir)
+//	r := hyperx.Runner{Workers: 4, Cache: cache}
+//	results, _ := hyperx.RunSpecs(r, specs) // a second call is all cache hits
+//
 // The full experiment drivers that regenerate every table and figure of
 // the paper live behind the Fig*/Table*/Sweep helpers and the
 // cmd/experiments binary.
@@ -226,61 +232,39 @@ type TopologySpec = topo.Spec
 // TopologySpecOf describes a topology as a TopologySpec; Build round-trips.
 func TopologySpecOf(t Switched) (TopologySpec, error) { return topo.SpecOf(t) }
 
-// RunSpecs executes a grid of job specs on a bounded worker pool (workers
-// < 1 means one per CPU), through the installed result cache and executor,
-// and returns results in spec order — bit-identical for any worker count.
-func RunSpecs(workers int, specs []JobSpec) ([]*Result, error) {
-	return experiments.ExecuteJobs(workers, specs)
-}
+// Runner is how spec runs execute — the grid pool size, the intra-run
+// worker policy, the result cache, the checkpoint policy with its snapshot
+// store and drain flag, a distributed executor — as one plain value. The
+// zero value runs locally and sequentially on one pool worker per CPU;
+// nothing in a Runner changes a result.
+type Runner = experiments.Runner
 
-// ResultCache is a content-addressed on-disk store of simulation results.
+// RunSpecs executes a grid of job specs through r — on its worker pool,
+// its result cache and its executor — and returns results in spec order,
+// bit-identical for any Runner.
+func RunSpecs(r Runner, specs []JobSpec) ([]*Result, error) { return r.ExecuteJobs(specs) }
+
+// ResultCache is a content-addressed on-disk store of simulation results:
+// a Runner's Cache (and, for checkpoints, its Snapshots). Caching never
+// changes results: keys cover every semantic spec field plus the engine
+// version.
 type ResultCache = cache.Store
 
 // OpenResultCache opens (creating if needed) a result cache directory.
 func OpenResultCache(dir string) (*ResultCache, error) { return cache.Open(dir) }
 
-// SetResultCache installs a result cache consulted by every RunSpecs job;
-// nil uninstalls. Caching never changes results: keys cover every semantic
-// spec field plus the engine version.
-func SetResultCache(c *ResultCache) { experiments.SetResultCache(c) }
-
-// CacheStats reports the installed cache's cumulative hit/miss counts.
-func CacheStats() (hits, misses int64) { return experiments.CacheStats() }
-
 // CheckpointPolicy configures mid-run checkpointing of spec runs: Every
 // is the wall-clock snapshot interval, EveryCycles a simulated-cycle
-// interval (either at or below zero is disabled).
+// interval (either at or below zero is disabled). A Runner with a policy
+// and a snapshot store resumes its runs from stored snapshots and drops
+// them on completion; a resumed run is bit-identical to an uninterrupted
+// one.
 type CheckpointPolicy = experiments.CheckpointPolicy
 
-// SetCheckpointPolicy makes every RunSpecs job checkpoint its engine
-// state through the installed checkpoint store (SetCheckpointStore, or
-// the result cache as its fallback): runs resume from a stored snapshot
-// when one exists and drop it on completion. Checkpointing never changes
-// results — a resumed run is bit-identical to an uninterrupted one. nil
-// uninstalls.
-func SetCheckpointPolicy(p *CheckpointPolicy) { experiments.SetCheckpointPolicy(p) }
-
-// SetCheckpointStore keeps checkpoint snapshots in a dedicated store
-// (the CLIs' -checkpoint-dir) instead of the result cache; nil reverts
-// to the result cache.
-func SetCheckpointStore(s *ResultCache) { experiments.SetCheckpointStore(s) }
-
-// RequestDrain makes every in-flight checkpointed run stop at its next
-// inter-cycle point, persist a final snapshot, and return
-// ErrCheckpointed — the SIGTERM path of a preemptible process. The
-// signal is one-way and process-wide.
-func RequestDrain() { experiments.RequestDrain() }
-
-// ErrCheckpointed reports a run that stopped on RequestDrain after
-// persisting its snapshot; re-running the same spec resumes it.
+// ErrCheckpointed reports a run that stopped because its Runner's Drain
+// flag was raised, after persisting its snapshot; re-running the same spec
+// resumes it.
 var ErrCheckpointed = sim.ErrCheckpointed
-
-// SetRunWorkers fixes the intra-run worker count of every spec simulation.
-func SetRunWorkers(n int) { experiments.SetDefaultRunWorkers(n) }
-
-// SetAdaptiveRunWorkers derives each spec simulation's intra-run worker
-// count from its switch count and the CPUs the grid pool leaves free.
-func SetAdaptiveRunWorkers() { experiments.SetAdaptiveRunWorkers() }
 
 // EngineVersion tags the simulation semantics of this build; it is folded
 // into every result-cache key and checked by the distribution handshake.

@@ -41,6 +41,43 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFacadeRunSpecs is the package doc's grid snippet: specs as data, a
+// Runner value with a result cache, and a second RunSpecs that is all hits
+// and the same bytes.
+func TestFacadeRunSpecs(t *testing.T) {
+	h, _ := NewTopology(4, 4)
+	shape, err := TopologySpecOf(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]JobSpec, 2)
+	for i, load := range []float64{0.2, 0.6} {
+		specs[i] = JobSpec{Topo: shape, Per: 4, Mechanism: "PolSP", Pattern: "Uniform", VCs: 4,
+			Load: load, Budget: Budget{Warmup: 200, Measure: 400}, Seed: JobSeed(1, i), PatternSeed: 1}
+	}
+	store, err := OpenResultCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Workers: 2, Cache: store}
+	first, err := RunSpecs(r, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := RunSpecs(r, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := store.Stats(); hits != 2 || misses != 2 {
+		t.Errorf("two runs of two specs: %d hits, %d misses, want 2 and 2", hits, misses)
+	}
+	for i := range specs {
+		if string(first[i].AppendBinary(nil)) != string(second[i].AppendBinary(nil)) {
+			t.Errorf("spec %d: the cached result is not the computed one", i)
+		}
+	}
+}
+
 func TestFacadeNames(t *testing.T) {
 	if len(MechanismNames()) != 6 {
 		t.Error("MechanismNames must list the paper's six mechanisms")

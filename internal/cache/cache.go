@@ -68,14 +68,42 @@ func Open(dir string) (*Store, error) {
 // Dir returns the store's root directory.
 func (s *Store) Dir() string { return s.dir }
 
-// path places an entry under the engine version's directory and shards by
-// the first two key characters to keep directory listings manageable on
-// paper-scale grids (tens of thousands of entries).
-func (s *Store) path(key string) (string, error) {
+// entryPath places what the store holds for key — the ".res" result entry,
+// or the ".ckpt" checkpoint beside it — under the engine version's
+// directory, sharded by the first two key characters to keep directory
+// listings manageable on paper-scale grids (tens of thousands of entries).
+// A checkpoint is engine- and spec-addressed exactly like the result it may
+// become, so a resumed worker finds it with nothing but the spec hash.
+func (s *Store) entryPath(key, ext string) (string, error) {
 	if len(key) < 3 {
 		return "", fmt.Errorf("cache: key %q too short", key)
 	}
-	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+".res"), nil
+	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+ext), nil
+}
+
+// writeAtomic writes what write produces to p through a .tmp- file beside
+// it and a rename, so a crash mid-write leaves either the previous file or
+// a temp file the next GCCheckpoints sweeps up, never a torn p.
+func writeAtomic(p string, write func(io.Writer) error) error {
+	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
+	if err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	defer os.Remove(tmp.Name()) // no-op after a successful rename
+	if err := write(tmp); err != nil {
+		tmp.Close()
+		return fmt.Errorf("cache: %w", err)
+	}
+	if err := tmp.Close(); err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	if err := os.Rename(tmp.Name(), p); err != nil {
+		return fmt.Errorf("cache: %w", err)
+	}
+	return nil
 }
 
 // Get returns the cached result for key, or ok == false on a miss. A
@@ -86,7 +114,7 @@ func (s *Store) path(key string) (string, error) {
 // valid trailer is damage. Hit/miss tallies feed Stats; healed damage
 // feeds Healed.
 func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
-	p, err := s.path(key)
+	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		return nil, false, err
 	}
@@ -137,40 +165,14 @@ func (s *Store) Healed() int64 { return s.healed.Load() }
 // harmlessly on the final rename. The entry ends in a SHA-256 trailer
 // over the codec bytes so Get can tell on-disk damage from a stale codec.
 func (s *Store) Put(key string, res *sim.Result) error {
-	p, err := s.path(key)
+	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(wire.Seal(res.AppendBinary(nil))); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	return nil
-}
-
-// checkpointPath places a checkpoint beside its result entry: same engine
-// version directory, same key shard, .ckpt extension. A checkpoint is
-// engine- and spec-addressed exactly like the result it may become, so a
-// resumed worker finds it with nothing but the spec hash.
-func (s *Store) checkpointPath(key string) (string, error) {
-	if len(key) < 3 {
-		return "", fmt.Errorf("cache: key %q too short", key)
-	}
-	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+".ckpt"), nil
+	return writeAtomic(p, func(w io.Writer) error {
+		_, err := w.Write(wire.Seal(res.AppendBinary(nil)))
+		return err
+	})
 }
 
 // GetCheckpoint returns the stored engine snapshot for key, or ok == false
@@ -178,7 +180,7 @@ func (s *Store) checkpointPath(key string) (string, error) {
 // treated as absent: the caller restarts from zero, which is always safe
 // (the snapshot's own checksum guards against subtler corruption).
 func (s *Store) GetCheckpoint(key string) (snap []byte, ok bool) {
-	p, err := s.checkpointPath(key)
+	p, err := s.entryPath(key, ".ckpt")
 	if err != nil {
 		return nil, false
 	}
@@ -209,18 +211,29 @@ func CompressSnapshot(w io.Writer, snap []byte) error {
 	return zw.Close()
 }
 
+// maxSnapshotBytes bounds what DecompressSnapshot will inflate. The gzip
+// stream arrives from a .ckpt file or a ckpt/job frame, and a few KB of
+// compressed zeros would otherwise inflate without limit. A snapshot holds
+// no more than its engine's arenas, and the largest engine the README
+// sizes — the 32×32×32 cube, 32K switches at ~35 KB each, 1.1 GB — rounds
+// up to this power of two.
+const maxSnapshotBytes = 2 << 30
+
 // DecompressSnapshot reads back what CompressSnapshot wrote. Any damage —
-// not gzip, a torn stream, nothing inside — returns nil: to every caller
-// that is "no snapshot", and the run starts from zero, which is always
-// safe (the snapshot's own checksum catches what gzip does not).
-func DecompressSnapshot(r io.Reader) []byte {
+// not gzip, a torn stream, nothing inside, more than maxSnapshotBytes
+// inside — returns nil: to every caller that is "no snapshot", and the run
+// starts from zero, which is always safe (the snapshot's own checksum
+// catches what gzip does not).
+func DecompressSnapshot(r io.Reader) []byte { return decompressSnapshot(r, maxSnapshotBytes) }
+
+func decompressSnapshot(r io.Reader, limit int64) []byte {
 	zr, err := gzip.NewReader(r)
 	if err != nil {
 		return nil
 	}
 	defer zr.Close()
-	snap, err := io.ReadAll(zr)
-	if err != nil || len(snap) == 0 {
+	snap, err := io.ReadAll(io.LimitReader(zr, limit+1)) // one past: longer is told from exactly limit
+	if err != nil || len(snap) == 0 || int64(len(snap)) > limit {
 		return nil
 	}
 	return snap
@@ -230,36 +243,18 @@ func DecompressSnapshot(r io.Reader) []byte {
 // a crash mid-write leaves either the previous checkpoint or a .tmp- file
 // the next GC sweeps up, never a torn .ckpt.
 func (s *Store) PutCheckpoint(key string, snap []byte) error {
-	p, err := s.checkpointPath(key)
+	p, err := s.entryPath(key, ".ckpt")
 	if err != nil {
 		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
-	if err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := CompressSnapshot(tmp, snap); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
-		return fmt.Errorf("cache: %w", err)
-	}
-	return nil
+	return writeAtomic(p, func(w io.Writer) error { return CompressSnapshot(w, snap) })
 }
 
 // RemoveCheckpoint deletes the checkpoint for key, if any. Called when a
 // run reaches its terminal Result — the checkpoint is then dead weight
 // (and GC would reap it anyway).
 func (s *Store) RemoveCheckpoint(key string) error {
-	p, err := s.checkpointPath(key)
+	p, err := s.entryPath(key, ".ckpt")
 	if err != nil {
 		return err
 	}

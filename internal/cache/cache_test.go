@@ -62,7 +62,7 @@ func TestStoreCorruptEntry(t *testing.T) {
 	if err := s.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.path(key)
+	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestStoreBitflipHeals(t *testing.T) {
 	if err := s.Put(key, res); err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.path(key)
+	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestStoreLegacyTrailerlessEntry(t *testing.T) {
 	}
 	key := testKey(9)
 	res := &sim.Result{AcceptedLoad: 0.375, AvgLatency: 9.5}
-	p, err := s.path(key)
+	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	if !ok || !reflect.DeepEqual(got, snap) {
 		t.Fatal("checkpoint round trip mismatch")
 	}
-	p, _ := s.checkpointPath(key)
+	p, _ := s.entryPath(key, ".ckpt")
 	if info, err := os.Stat(p); err != nil || info.Size() >= int64(len(snap)) {
 		t.Errorf("checkpoint not compressed on disk (err %v)", err)
 	}
@@ -314,6 +314,36 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if err := s.RemoveCheckpoint(key); err != nil {
 		t.Errorf("double remove errored: %v", err)
+	}
+}
+
+// TestDecompressSnapshotBounded: a gzip stream that inflates past the bound
+// is damage — nil, the run restarts from zero — however few bytes it
+// arrives in; one of exactly the bound reads back whole.
+func TestDecompressSnapshotBounded(t *testing.T) {
+	const limit = 4 << 10
+	pack := func(n int) []byte {
+		var b bytes.Buffer
+		if err := CompressSnapshot(&b, make([]byte, n)); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	bomb := pack(64 * limit)
+	if len(bomb) > limit/4 {
+		t.Fatalf("the bomb is %d compressed bytes: not much of a bomb", len(bomb))
+	}
+	if got := decompressSnapshot(bytes.NewReader(bomb), limit); got != nil {
+		t.Errorf("a stream inflating to %d bytes came back (%d bytes) under a bound of %d", 64*limit, len(got), limit)
+	}
+	if got := decompressSnapshot(bytes.NewReader(pack(limit+1)), limit); got != nil {
+		t.Errorf("one byte past the bound came back (%d bytes)", len(got))
+	}
+	if got := decompressSnapshot(bytes.NewReader(pack(limit)), limit); len(got) != limit {
+		t.Errorf("a snapshot of exactly the bound came back as %d bytes", len(got))
+	}
+	if got := DecompressSnapshot(bytes.NewReader(pack(limit + 1))); len(got) != limit+1 {
+		t.Errorf("the exported form applied some other bound: %d bytes back", len(got))
 	}
 }
 

@@ -80,7 +80,8 @@ func (s *Store) OpenJournal() (*Journal, []JournalRecord, error) {
 		return nil, nil, fmt.Errorf("cache: journal: %w", err)
 	}
 	var recs []JournalRecord
-	if data, err := os.ReadFile(p); err == nil {
+	data, err := os.ReadFile(p)
+	if err == nil {
 		sc := bufio.NewScanner(bytes.NewReader(data))
 		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
 		for sc.Scan() {
@@ -98,6 +99,14 @@ func (s *Store) OpenJournal() (*Journal, []JournalRecord, error) {
 	f, err := os.OpenFile(p, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("cache: journal: %w", err)
+	}
+	if len(data) > 0 && data[len(data)-1] != '\n' {
+		// End the torn tail, or the first record appended after it would
+		// share its line and be skipped with it on the next replay.
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("cache: journal: %w", err)
+		}
 	}
 	return &Journal{f: f}, recs, nil
 }

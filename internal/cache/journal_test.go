@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -48,7 +49,8 @@ func TestJournalRoundTrip(t *testing.T) {
 }
 
 // TestJournalTornTail: a crash mid-append leaves a partial final line;
-// replay keeps every intact record and skips the torn one.
+// replay keeps every intact record and skips the torn one, and the record
+// the restarted server appends next does not join the torn line.
 func TestJournalTornTail(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -74,9 +76,20 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer j2.Close()
 	if len(recs) != 1 || recs[0].Op != JournalEnum {
 		t.Fatalf("torn-tail replay got %+v, want the one intact record", recs)
+	}
+	if err := j2.Append(JournalRecord{Op: JournalDone, Key: testKey(1)}); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	j3, recs, err := s.OpenJournal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if len(recs) != 2 || recs[1].Op != JournalDone {
+		t.Fatalf("replay after appending past a torn tail got %+v, want the enum and the done", recs)
 	}
 }
 
@@ -123,4 +136,62 @@ func TestJournalSubtreeStaysCacheOwned(t *testing.T) {
 	if _, err := os.Stat(old); !os.IsNotExist(err) {
 		t.Error("stale engine subtree with a journal survived GC")
 	}
+}
+
+// FuzzJournalReplay: any bytes found as grid.journal replay to records or
+// are skipped line by line — never an error, never a panic — and what the
+// replay retains is bounded by the input: no more records than lines, no
+// more string bytes than the file holds. A journal opened over them still
+// appends, and the next replay is the same records and then the appended
+// one — a torn tail does not swallow the record written after it.
+func FuzzJournalReplay(f *testing.F) {
+	f.Add([]byte(`{"op":"enum","key":"ab12"}` + "\n" + `{"op":"attempt","key":"ab12","worker":"w1","fate":"worker-lost"}` + "\n" + `{"op":"done","key":"ab12"}` + "\n"))
+	f.Add([]byte(`{"op":"quarantine","key":"ab12"}` + "\n" + `{"op":"done","ke`)) // torn tail
+	f.Add([]byte("\n\n  \n{\"op\":\"\"}\nnot json\n{\"op\":\"from-a-newer-build\",\"extra\":[1,2,3]}\n"))
+	f.Add([]byte(`{"op":"enum","key":"a😀"}`))
+	f.Add(bytes.Repeat([]byte(`{"op":"enum"}`), 3)) // one line, three objects
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := s.journalPath()
+		if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		j, recs, err := s.OpenJournal()
+		if err != nil {
+			t.Fatalf("replay failed instead of skipping: %v", err)
+		}
+		if lines := bytes.Count(data, []byte("\n")) + 1; len(recs) > lines {
+			t.Fatalf("%d records from %d lines", len(recs), lines)
+		}
+		held := 0
+		for _, rec := range recs {
+			if rec.Op == "" {
+				t.Fatalf("replayed a record without an op: %+v", rec)
+			}
+			held += len(rec.Op) + len(rec.Key) + len(rec.Worker) + len(rec.Fate)
+		}
+		if held > len(data) {
+			t.Fatalf("records hold %d string bytes, the file has %d", held, len(data))
+		}
+		if err := j.Append(JournalRecord{Op: JournalDone, Key: "ab12"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		j2, again, err := s.OpenJournal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j2.Close()
+		if want := append(recs, JournalRecord{Op: JournalDone, Key: "ab12"}); !reflect.DeepEqual(again, want) {
+			t.Fatalf("replay after one append:\n  got %+v\n want %+v", again, want)
+		}
+	})
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
@@ -112,38 +113,37 @@ func (f *RunFlags) Checkpointing() bool {
 	return f.CheckpointEvery > 0 || f.CheckpointCycles > 0
 }
 
-// Apply validates the parsed flags and installs them in the experiments
-// runner: the intra-run worker policy, the result cache (returned; nil
-// without -cache-dir), the checkpoint store and the checkpoint policy.
-// Checkpointing needs somewhere to keep snapshots unless
-// snapshotsLeaveProcess: a queue worker streams them to its server.
-func (f *RunFlags) Apply(snapshotsLeaveProcess bool) (store *cache.Store, err error) {
-	if _, err := ResolveWorkers(f.Workers); err != nil {
-		return nil, err
+// Apply validates the parsed flags and returns them as the Runner every
+// run of the invocation goes through: the grid pool bound, the intra-run
+// worker policy, the result cache (nil without -cache-dir), the snapshot
+// store, the checkpoint policy and a lowered drain flag for the tool's
+// signal handler to raise. Checkpointing needs somewhere to keep snapshots
+// unless snapshotsLeaveProcess: a queue worker streams them to its server.
+func (f *RunFlags) Apply(snapshotsLeaveProcess bool) (r experiments.Runner, err error) {
+	if r.Workers, err = ResolveWorkers(f.Workers); err != nil {
+		return r, err
 	}
-	if f.RunWorkers < 0 {
-		experiments.SetAdaptiveRunWorkers()
-	} else {
-		experiments.SetDefaultRunWorkers(experiments.DefaultWorkers(f.RunWorkers))
+	r.RunWorkers = f.RunWorkers // below 0 is adaptive on both sides
+	if f.RunWorkers == 0 {
+		// The flag's 0 is one per CPU; the Runner's is sequential.
+		r.RunWorkers = experiments.DefaultWorkers(0)
 	}
 	if f.CacheDir != "" {
-		if store, err = cache.Open(f.CacheDir); err != nil {
-			return nil, err
+		if r.Cache, err = cache.Open(f.CacheDir); err != nil {
+			return r, err
 		}
-		experiments.SetResultCache(store)
 	}
 	if f.CheckpointDir != "" {
-		cs, err := cache.Open(f.CheckpointDir)
-		if err != nil {
-			return nil, err
+		if r.Snapshots, err = cache.Open(f.CheckpointDir); err != nil {
+			return r, err
 		}
-		experiments.SetCheckpointStore(cs)
 	}
 	if f.Checkpointing() {
 		if f.CheckpointDir == "" && f.CacheDir == "" && !snapshotsLeaveProcess {
-			return nil, fmt.Errorf("-checkpoint-every/-checkpoint-cycles need -checkpoint-dir or -cache-dir to store snapshots")
+			return r, fmt.Errorf("-checkpoint-every/-checkpoint-cycles need -checkpoint-dir or -cache-dir to store snapshots")
 		}
-		experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{Every: f.CheckpointEvery, EveryCycles: f.CheckpointCycles})
+		r.Checkpoint = &experiments.CheckpointPolicy{Every: f.CheckpointEvery, EveryCycles: f.CheckpointCycles}
 	}
-	return store, nil
+	r.Drain = new(atomic.Bool)
+	return r, nil
 }

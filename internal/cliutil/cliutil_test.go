@@ -103,19 +103,19 @@ func TestRunFlags(t *testing.T) {
 		}
 		return &f
 	}
-	t.Cleanup(func() {
-		experiments.SetCheckpointPolicy(nil)
-		experiments.SetCheckpointStore(nil)
-		experiments.SetResultCache(nil)
-		experiments.SetDefaultRunWorkers(0)
-	})
-
 	f := parse()
 	if f.Seed != 1 || f.Workers != 0 || f.RunWorkers != -1 || f.Checkpointing() || f.MemStats {
 		t.Errorf("defaults: %+v", f)
 	}
-	if store, err := f.Apply(false); err != nil || store != nil {
-		t.Errorf("default Apply = %v, %v", store, err)
+	r, err := f.Apply(false)
+	if err != nil || r.Workers != 0 || r.RunWorkers >= 0 || r.Cache != nil || r.Snapshots != nil || r.Checkpoint != nil || r.Execute != nil {
+		t.Errorf("default Apply = %+v, %v", r, err)
+	}
+	if r.Drain == nil || r.Draining() {
+		t.Errorf("default Apply: drain flag %v, want a lowered one", r.Drain)
+	}
+	if r, _ := parse("-run-workers", "0").Apply(false); r.RunWorkers != experiments.DefaultWorkers(0) {
+		t.Errorf("-run-workers 0 = %d run workers, want one per CPU", r.RunWorkers)
 	}
 	if _, err := parse("-workers", "-1").Apply(false); err == nil {
 		t.Error("negative -workers accepted")
@@ -128,11 +128,12 @@ func TestRunFlags(t *testing.T) {
 	}
 	dir := t.TempDir()
 	f = parse("-seed", "9", "-run-workers", "2", "-checkpoint-cycles", "100", "-cache-dir", dir, "-mem-stats")
-	store, err := f.Apply(false)
-	if err != nil || store == nil || store.Dir() != dir || experiments.ResultCache() != store {
-		t.Errorf("Apply with -cache-dir = %v, %v", store, err)
+	r, err = f.Apply(false)
+	if err != nil || r.Cache == nil || r.Cache.Dir() != dir || r.Snapshots != nil || r.RunWorkers != 2 ||
+		r.Checkpoint == nil || *r.Checkpoint != (experiments.CheckpointPolicy{EveryCycles: 100}) {
+		t.Errorf("Apply with -cache-dir = %+v, %v", r, err)
 	}
-	if f.Seed != 9 || !f.MemStats || !f.Checkpointing() || experiments.RunWorkers() != 2 {
+	if f.Seed != 9 || !f.MemStats || !f.Checkpointing() {
 		t.Errorf("parsed: %+v", f)
 	}
 }

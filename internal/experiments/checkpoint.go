@@ -1,7 +1,7 @@
 package experiments
 
 import (
-	"sync/atomic"
+	"errors"
 	"time"
 
 	"repro/internal/cache"
@@ -9,8 +9,8 @@ import (
 )
 
 // CheckpointPolicy configures mid-run checkpointing of spec runs. Either
-// trigger at or below zero is disabled; with both disabled only a drain
-// request (RequestDrain) ever ships a snapshot.
+// trigger at or below zero is disabled; with both disabled only a raised
+// Runner.Drain ever ships a snapshot.
 type CheckpointPolicy struct {
 	// Every ships a snapshot when this much wall-clock time has passed
 	// since the last one — the production trigger, sized against how much
@@ -21,70 +21,24 @@ type CheckpointPolicy struct {
 	EveryCycles int64
 }
 
-// ckptPolicy, when set, makes every (*JobSpec).Run checkpoint through the
-// installed result cache; see SetCheckpointPolicy.
-var ckptPolicy atomic.Pointer[CheckpointPolicy]
-
-// SetCheckpointPolicy installs a process-wide checkpoint policy: every
-// spec run stores periodic engine snapshots under its spec hash in the
-// installed result cache (SetResultCache; without a cache the policy is
-// inert), resumes from the stored snapshot when one exists, and removes
-// it once the terminal result is cached. Checkpointing never affects
-// results — a resumed run is bit-identical to an uninterrupted one. nil
-// uninstalls.
-func SetCheckpointPolicy(p *CheckpointPolicy) { ckptPolicy.Store(p) }
-
-// CheckpointPolicyInstalled returns the installed policy, or nil.
-func CheckpointPolicyInstalled() *CheckpointPolicy { return ckptPolicy.Load() }
-
-// ckptStore, when set, holds checkpoints in a dedicated store instead of
-// the result cache; see SetCheckpointStore.
-var ckptStore atomic.Pointer[cache.Store]
-
-// SetCheckpointStore installs a dedicated store for checkpoint snapshots
-// (the CLIs' -checkpoint-dir). nil falls back to the result cache store,
-// so a plain -cache-dir setup keeps checkpoints next to the results they
-// protect.
-func SetCheckpointStore(s *cache.Store) { ckptStore.Store(s) }
-
-// checkpointStore resolves where spec runs persist their snapshots: the
-// dedicated checkpoint store when one is installed, else the result cache.
-func checkpointStore() *cache.Store {
-	if s := ckptStore.Load(); s != nil {
-		return s
+// snapshots resolves where r's local runs persist their snapshots: the
+// dedicated store when one is set, else the result cache.
+func (r Runner) snapshots() *cache.Store {
+	if r.Snapshots != nil {
+		return r.Snapshots
 	}
-	return resultCache.Load()
+	return r.Cache
 }
 
-// drainFlag is the process-wide graceful-drain signal shared by every
-// in-flight checkpointed run as its sim interrupt flag.
-var drainFlag atomic.Bool
-
-// RequestDrain makes every in-flight checkpointed spec run stop at its
-// next inter-cycle point: the run ships a final snapshot and returns
-// sim.ErrCheckpointed. Runs without a checkpoint sink are unaffected (they
-// finish normally). The signal is one-way and process-wide — it is the
-// SIGTERM path of a preemptible worker, not a pause button.
-func RequestDrain() { drainFlag.Store(true) }
-
-// DrainRequested reports whether RequestDrain has been called.
-func DrainRequested() bool { return drainFlag.Load() }
-
-// ClearDrain resets the drain signal. It exists for tests that simulate
-// successive worker generations inside one process; a real drained worker
-// exits and never clears the flag.
-func ClearDrain() { drainFlag.Store(false) }
-
 // checkpointThrough builds the sim checkpoint options for one spec run:
-// the installed policy's triggers, the drain flag as the interrupt, and
-// the given resume/sink transport. The sink is wrapped best-effort — a
-// failing checkpoint write must never fail the simulation it is trying to
-// protect.
-func checkpointThrough(specHash string, resume []byte, sink func([]byte) error) *sim.CheckpointOptions {
+// r's policy triggers, r's drain flag as the interrupt, and the given
+// resume/sink transport. The sink is wrapped best-effort — a failing
+// checkpoint write must never fail the simulation it is trying to protect.
+func (r Runner) checkpointThrough(specHash string, resume []byte, sink func([]byte) error) *sim.CheckpointOptions {
 	ck := &sim.CheckpointOptions{
 		SpecHash:  specHash,
 		Resume:    resume,
-		Interrupt: &drainFlag,
+		Interrupt: r.Drain,
 	}
 	if sink != nil {
 		ck.Sink = func(snap []byte) error {
@@ -92,21 +46,68 @@ func checkpointThrough(specHash string, resume []byte, sink func([]byte) error) 
 			return nil
 		}
 	}
-	if pol := ckptPolicy.Load(); pol != nil {
+	if pol := r.Checkpoint; pol != nil {
 		ck.Every, ck.EveryCycles = pol.Every, pol.EveryCycles
 	}
 	return ck
 }
 
-// RunSpecCheckpointed is RunSpecLocal with caller-supplied checkpoint
-// transport: the run resumes from resume (nil means from zero) and ships
-// periodic snapshots — plus the final drain snapshot — through sink. The
-// work-queue worker uses it to stream snapshots to the server instead of
-// a local cache directory. A torn or mismatched resume snapshot is
-// discarded and the run restarts from zero; a drain request surfaces as
+// runLocal executes the spec in this process. With a checkpoint policy and
+// somewhere to keep snapshots, the run resumes from any stored checkpoint
+// for this spec, ships periodic snapshots into the store, and drops the
+// checkpoint once it finishes — otherwise it is a plain uninterrupted run.
+func (r Runner) runLocal(s *JobSpec) (*sim.Result, error) {
+	store := r.snapshots()
+	if r.Checkpoint == nil || store == nil {
+		o, err := s.buildRun(r)
+		if err != nil {
+			return nil, err
+		}
+		return sim.Run(o)
+	}
+	key := s.Hash()
+	resume, _ := store.GetCheckpoint(key)
+	res, err := r.runVia(s, key, resume, func(snap []byte) error {
+		return store.PutCheckpoint(key, snap)
+	})
+	if err == nil {
+		// Terminal result reached: the checkpoint is dead weight.
+		_ = store.RemoveCheckpoint(key)
+	}
+	return res, err
+}
+
+// runVia runs the spec locally with the given checkpoint transport. A
+// resume snapshot that fails validation — torn file, foreign spec, stale
+// engine — is discarded and the run restarts from zero: a broken
+// checkpoint may cost the progress it claimed to hold, never correctness.
+func (r Runner) runVia(s *JobSpec, specHash string, resume []byte, sink func([]byte) error) (*sim.Result, error) {
+	for {
+		o, err := s.buildRun(r) // a fresh network each time: a bad resume may have replayed faults
+		if err != nil {
+			return nil, err
+		}
+		o.Checkpoint = r.checkpointThrough(specHash, resume, sink)
+		res, err := sim.Run(o)
+		if !errors.Is(err, sim.ErrBadSnapshot) || len(resume) == 0 {
+			return res, err
+		}
+		if store := r.snapshots(); store != nil {
+			_ = store.RemoveCheckpoint(specHash)
+		}
+		resume = nil
+	}
+}
+
+// RunSpecVia is the transport form of RunSpec: the result cache first, then
+// always a local run that resumes from resume (nil means from zero) and
+// ships periodic snapshots — plus the final drain snapshot — through sink
+// instead of a snapshot store. The work-queue worker uses it to stream
+// snapshots to its server. A torn or mismatched resume snapshot is
+// discarded and the run restarts from zero; a raised r.Drain surfaces as
 // sim.ErrCheckpointed after the final snapshot reached the sink.
-func RunSpecCheckpointed(spec *JobSpec, resume []byte, sink func([]byte) error) (*sim.Result, error) {
-	return runSpecCached(spec, func(s *JobSpec) (*sim.Result, error) {
-		return s.runCheckpointed(s.Hash(), resume, sink)
+func (r Runner) RunSpecVia(spec *JobSpec, resume []byte, sink func([]byte) error) (*sim.Result, error) {
+	return r.cached(spec, func(s *JobSpec) (*sim.Result, error) {
+		return r.runVia(s, s.Hash(), resume, sink)
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cache"
@@ -22,30 +23,18 @@ func ckptSpec() JobSpec {
 	}
 }
 
-// resetCheckpointGlobals restores the process-wide checkpoint state the
-// tests mutate.
-func resetCheckpointGlobals(t *testing.T) {
-	t.Helper()
-	t.Cleanup(func() {
-		SetCheckpointPolicy(nil)
-		SetCheckpointStore(nil)
-		SetResultCache(nil)
-		drainFlag.Store(false)
-	})
-}
-
 // TestRunSpecCheckpointedResume: snapshots stream through the caller's
 // sink, and resuming one in a fresh run yields the uninterrupted result.
 func TestRunSpecCheckpointedResume(t *testing.T) {
-	resetCheckpointGlobals(t)
+	t.Parallel()
 	spec := ckptSpec()
-	ref, err := spec.Run()
+	ref, err := Runner{}.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetCheckpointPolicy(&CheckpointPolicy{EveryCycles: 400})
+	r := Runner{Checkpoint: &CheckpointPolicy{EveryCycles: 400}}
 	var snaps [][]byte
-	res, err := RunSpecCheckpointed(&spec, nil, func(s []byte) error {
+	res, err := r.RunSpecVia(&spec, nil, func(s []byte) error {
 		snaps = append(snaps, s)
 		return nil
 	})
@@ -58,7 +47,7 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots shipped")
 	}
-	resumed, err := RunSpecCheckpointed(&spec, snaps[len(snaps)-1], nil)
+	resumed, err := r.RunSpecVia(&spec, snaps[len(snaps)-1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,9 +62,9 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 // seed, refused at the codec byte), which is what a worker of the previous
 // format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
-	resetCheckpointGlobals(t)
+	t.Parallel()
 	spec := ckptSpec()
-	ref, err := spec.Run()
+	ref, err := Runner{}.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +81,7 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 		name   string
 		resume []byte
 	}{{"torn", []byte("torn checkpoint")}, {"hyperx-ckpt/1", ckpt1}} {
-		res, err := RunSpecCheckpointed(&spec, tc.resume, nil)
+		res, err := Runner{}.RunSpecVia(&spec, tc.resume, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
@@ -102,14 +91,15 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	}
 }
 
-// TestSpecRunCachedCheckpoint: with a policy and a cache store installed,
-// Run stores checkpoints under the spec hash, resumes from them in a
-// fresh run, and removes the checkpoint once the terminal result lands. A
-// corrupt stored checkpoint falls back to a from-zero run and is pruned.
+// TestSpecRunCachedCheckpoint: with a policy and a snapshot store on the
+// Runner, RunSpec stores checkpoints under the spec hash, resumes from them
+// in a fresh run, and removes the checkpoint once the terminal result lands.
+// A corrupt stored checkpoint falls back to a from-zero run and is pruned.
+// The store is Snapshots alone, not Cache, so every call below simulates.
 func TestSpecRunCachedCheckpoint(t *testing.T) {
-	resetCheckpointGlobals(t)
+	t.Parallel()
 	spec := ckptSpec()
-	ref, err := spec.Run()
+	ref, err := Runner{}.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,24 +107,25 @@ func TestSpecRunCachedCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetResultCache(store)
-	SetCheckpointPolicy(&CheckpointPolicy{EveryCycles: 400})
+	r := Runner{Snapshots: store, Checkpoint: &CheckpointPolicy{EveryCycles: 400}}
 	key := spec.Hash()
 
-	// Interrupt the first attempt mid-run: the final snapshot must land in
-	// the store and the run must report ErrCheckpointed.
-	drainFlag.Store(true)
-	if _, err := spec.Run(); !errors.Is(err, sim.ErrCheckpointed) {
+	// Interrupt the first attempt mid-run — the same Runner with its drain
+	// flag already raised: the final snapshot must land in the store and
+	// the run must report ErrCheckpointed.
+	drained := r
+	drained.Drain = new(atomic.Bool)
+	drained.Drain.Store(true)
+	if _, err := drained.RunSpec(&spec); !errors.Is(err, sim.ErrCheckpointed) {
 		t.Fatalf("drained run returned %v, want ErrCheckpointed", err)
 	}
 	if _, ok := store.GetCheckpoint(key); !ok {
 		t.Fatal("drained run left no checkpoint")
 	}
-	drainFlag.Store(false)
 
 	// The retry resumes from the stored checkpoint, matches the plain run,
 	// and cleans the checkpoint up.
-	res, err := spec.Run()
+	res, err := r.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +140,7 @@ func TestSpecRunCachedCheckpoint(t *testing.T) {
 	if err := store.PutCheckpoint(key, []byte("garbage snapshot")); err != nil {
 		t.Fatal(err)
 	}
-	res, err = spec.Run()
+	res, err = r.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,7 +152,7 @@ func TestFig1SmallNetwork(t *testing.T) {
 // higher and mutually close; on DCR, Minimal is the clear loser and the
 // adaptive mechanisms track Valiant's optimal 0.5.
 func TestFig4Shape(t *testing.T) {
-	rows, err := Run(0, nil, SweepGrid(SweepConfig{
+	rows, err := Run(Runner{}, nil, SweepGrid(SweepConfig{
 		H:        tiny2D(),
 		Patterns: []string{"Uniform", "Dimension Complement Reverse"},
 		Loads:    []float64{1.0},
@@ -190,7 +190,7 @@ func TestFig4Shape(t *testing.T) {
 // small 3D HyperX: on Regular Permutation to Neighbour, Omnidimensional
 // routes cap at 0.5 while Polarized routes exceed it; Minimal is worst.
 func TestFig5RPNShape(t *testing.T) {
-	rows, err := Run(0, nil, SweepGrid(SweepConfig{
+	rows, err := Run(Runner{}, nil, SweepGrid(SweepConfig{
 		H:        tiny3D(),
 		Patterns: []string{"Regular Permutation to Neighbour"},
 		Loads:    []float64{1.0},
@@ -222,7 +222,7 @@ func TestFig5RPNShape(t *testing.T) {
 
 // TestFig6Shape verifies graceful degradation under growing random faults.
 func TestFig6Shape(t *testing.T) {
-	rows, err := Run(0, nil, Fig6Grid(Fig6Config{
+	rows, err := Run(Runner{}, nil, Fig6Grid(Fig6Config{
 		H:         tiny3D(),
 		MaxFaults: 30,
 		Step:      15,
@@ -260,7 +260,7 @@ func TestFig6Shape(t *testing.T) {
 // (mechanism, pattern, shape), bounded degradation on Row, the Cross/Star
 // clearly harsher than Row on Uniform.
 func TestShapesExperiment(t *testing.T) {
-	rows, err := Run(0, nil, ShapesGrid(ShapesConfig{
+	rows, err := Run(Runner{}, nil, ShapesGrid(ShapesConfig{
 		H:        tiny2D(),
 		Patterns: []string{"Uniform"},
 		Budget:   tinyBudget(),
@@ -302,7 +302,7 @@ func TestShapesExperiment(t *testing.T) {
 // mechanism with the higher (or equal) peak can still have the larger
 // completion time; at minimum, completion times and series are sane.
 func TestFig10Shape(t *testing.T) {
-	results, err := Run(0, nil, Fig10Grid(Fig10Config{
+	results, err := Run(Runner{}, nil, Fig10Grid(Fig10Config{
 		H:            tiny3D(),
 		BurstPhits:   1600, // 100 packets per server, scaled down
 		SeriesBucket: 1000,
@@ -365,7 +365,7 @@ func TestRenderFig7(t *testing.T) {
 // must show the best escape stretch and by far the strongest escape-only
 // and SurePath throughput, reproducing the paper's Section 7 claim.
 func TestSection7Shape(t *testing.T) {
-	rows, err := Run(0, nil, Section7Grid(1, Budget{Warmup: 600, Measure: 1200}))
+	rows, err := Run(Runner{}, nil, Section7Grid(1, Budget{Warmup: 600, Measure: 1200}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -401,7 +401,7 @@ func TestSection7Shape(t *testing.T) {
 // SurePath variants absorb failures mid-run with bounded packet loss and
 // no lasting throughput damage.
 func TestRecoveryExperiment(t *testing.T) {
-	results, err := Run(0, nil, RecoveryGrid(RecoveryConfig{
+	results, err := Run(Runner{}, nil, RecoveryGrid(RecoveryConfig{
 		H:      tiny2D(),
 		Load:   0.5,
 		Faults: 5,
@@ -432,7 +432,7 @@ func TestRecoveryExperiment(t *testing.T) {
 }
 
 func TestSweepRenderAndDefaults(t *testing.T) {
-	rows, err := Run(0, nil, SweepGrid(SweepConfig{
+	rows, err := Run(Runner{}, nil, SweepGrid(SweepConfig{
 		H:          tiny2D(),
 		Mechanisms: []string{"Minimal"},
 		Patterns:   []string{"Uniform"},

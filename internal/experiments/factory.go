@@ -11,7 +11,6 @@ package experiments
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/routing"
@@ -19,92 +18,28 @@ import (
 	"repro/internal/traffic"
 )
 
-// defaultRunWorkers is the package-wide intra-run worker count every
-// experiment simulation runs with (sim.RunOptions.Workers). It defaults to
-// 0 (sequential); adaptiveRunWorkers selects the derived policy instead.
-// Because the sharded engine is bit-identical for any worker count,
-// changing either never changes experiment output — only wall-clock time.
-var defaultRunWorkers atomic.Int32
-
-// adaptiveRunWorkers, when true, derives the intra-run worker count per
-// job from the switch count and the CPUs the grid pool leaves free.
-var adaptiveRunWorkers atomic.Bool
-
-// lastGridWorkers remembers the effective pool size of the most recent
-// executed grid (pool bound capped by the job count), which is what the
-// adaptive policy subtracts from the CPU budget.
-var lastGridWorkers atomic.Int32
-
-// SetDefaultRunWorkers sets a fixed intra-run worker count for every
-// experiment job (the cmd/experiments -run-workers flag lands here) and
-// turns the adaptive policy off. Sensible combinations: many grid workers
-// with run-workers 1 for wide grids, or grid workers 1 with run-workers =
-// NumCPU for huge single points; the two multiply, so raising both
-// oversubscribes the CPUs.
-func SetDefaultRunWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	adaptiveRunWorkers.Store(false)
-	defaultRunWorkers.Store(int32(n))
-}
-
-// SetAdaptiveRunWorkers switches the intra-run worker count to the derived
-// policy: each job uses the CPUs the grid pool leaves over, capped by its
-// own switch count, and stays sequential when nothing is left or the
-// network is too small to amortize the phase barriers. The policy is pure
-// scheduling — the engine is bit-identical for any worker count — so it is
-// safe as the unset-flag default.
-func SetAdaptiveRunWorkers() { adaptiveRunWorkers.Store(true) }
-
-// RunWorkers reports the fixed intra-run worker default (meaningful when
-// the adaptive policy is off).
-func RunWorkers() int { return int(defaultRunWorkers.Load()) }
-
-// SetGridWorkers records an externally managed job concurrency — e.g. a
-// distributed worker's slot count — for the adaptive intra-run policy,
-// standing in for the grid pool size ExecuteJobsPartial records locally.
-func SetGridWorkers(n int) { noteGridWorkers(n, n) }
-
-// noteGridWorkers records the effective pool size of a starting grid for
-// the adaptive policy.
-func noteGridWorkers(workers, jobs int) {
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	lastGridWorkers.Store(int32(workers))
-}
-
 // adaptiveMinSwitches is the network size below which the adaptive policy
 // stays sequential: the sharded engine's per-cycle phase barriers cost
 // more than they save on tiny switch arrays.
 const adaptiveMinSwitches = 64
 
-// RunWorkersFor resolves the intra-run worker count for one job simulating
-// the given number of switches: the fixed default, or, under the adaptive
-// policy, the CPUs per concurrently running grid job (capped at the switch
-// count; sequential when the grid pool already saturates the CPUs or the
-// network is small). Purely a wall-clock knob — results are identical for
-// every return value.
-func RunWorkersFor(switches int) int {
-	if !adaptiveRunWorkers.Load() {
-		return int(defaultRunWorkers.Load())
+// runWorkersFor resolves the intra-run worker count for one job simulating
+// the given number of switches: r.RunWorkers when fixed, or, under the
+// adaptive policy, the CPUs per concurrently running job of r.Workers
+// (capped at the switch count; sequential when the pool already saturates
+// the CPUs or the network is too small to amortize the phase barriers).
+// Purely a wall-clock knob — the sharded engine is bit-identical for every
+// return value — which is what makes adaptive safe as the unset-flag
+// default.
+func (r Runner) runWorkersFor(switches int) int {
+	if r.RunWorkers >= 0 {
+		return r.RunWorkers
 	}
-	grid := int(lastGridWorkers.Load())
-	if grid < 1 {
-		grid = 1
-	}
-	free := runtime.GOMAXPROCS(0) / grid
+	free := runtime.GOMAXPROCS(0) / DefaultWorkers(r.Workers)
 	if free <= 1 || switches < adaptiveMinSwitches {
 		return 0
 	}
-	if free > switches {
-		free = switches
-	}
-	return free
+	return min(free, switches)
 }
 
 // Scale selects between laptop-size and paper-size topologies.

@@ -65,20 +65,19 @@ func (e *QuarantineError) Error() string {
 // Unwrap makes errors.Is(err, ErrQuarantined) match.
 func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 
-// ExecuteJobsPartial runs an enumerated grid of specs on the worker pool
+// ExecuteJobsPartial runs an enumerated grid of specs on r's worker pool
 // with graceful degradation: a job the backend quarantined becomes a nil
 // result plus its QuarantineError in the holes slice (indexed like specs)
-// instead of failing the grid. Every other error still fails the call, and
-// non-quarantined results remain bit-identical to a fully healthy run — a
+// instead of failing the grid. Every other error still fails the call —
+// holes comes back alongside it, so a strict caller can report both — and
+// non-quarantined results remain bit-identical to a fully healthy run: a
 // partial grid is the healthy grid with holes, never a different grid.
-// progress, when non-nil, observes the grid (see Run). The call records
-// the resolved pool size so adaptive intra-run parallelism (RunWorkersFor)
-// can see how many CPUs the grid itself occupies.
-func ExecuteJobsPartial(workers int, progress func(done, total int), specs []JobSpec) (results []*sim.Result, holes []*QuarantineError, err error) {
-	noteGridWorkers(DefaultWorkers(workers), len(specs))
+// progress, when non-nil, observes the grid (see Run).
+func (r Runner) ExecuteJobsPartial(progress func(done, total int), specs []JobSpec) (results []*sim.Result, holes []*QuarantineError, err error) {
+	r = r.forGrid(len(specs))
 	holes = make([]*QuarantineError, len(specs))
-	results, err = runJobs(workers, len(specs), progress, func(i int) (*sim.Result, error) {
-		res, err := RunSpec(&specs[i])
+	results, err = runJobs(r.Workers, len(specs), progress, func(i int) (*sim.Result, error) {
+		res, err := r.RunSpec(&specs[i])
 		if err != nil {
 			var q *QuarantineError
 			if errors.As(err, &q) {
@@ -89,14 +88,11 @@ func ExecuteJobsPartial(workers int, progress func(done, total int), specs []Job
 		}
 		return res, nil
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return results, holes, nil
+	return results, holes, err
 }
 
-// holeErrors is the strict reading of a partial grid: nil when it has no
-// holes, else every hole as an error labelled with its job, joined in job
+// holeErrors is the strict reading of a partial grid's holes: nil when it
+// has none, else every hole as an error labelled with its job, joined in job
 // order.
 func holeErrors(specs []JobSpec, holes []*QuarantineError) error {
 	var errs []error

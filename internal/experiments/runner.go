@@ -87,76 +87,81 @@ func runJobs[T any](workers, n int, progress func(done, total int), job func(ind
 	return results, nil
 }
 
-// resultCache, when set, short-circuits RunSpec by content address; see
-// SetResultCache.
-var resultCache atomic.Pointer[cache.Store]
-
-// SetResultCache installs a process-wide content-addressed result store:
-// every RunSpec call first looks its spec's hash up in the store and only
-// simulates on a miss, writing the result back for the next run. nil
-// uninstalls. Because the hash covers every semantic field of the spec
-// plus sim.EngineVersion, caching never changes results — a second run of
-// an identical grid is 100% hits and byte-identical rows.
-func SetResultCache(s *cache.Store) { resultCache.Store(s) }
-
-// ResultCache returns the installed result store, or nil.
-func ResultCache() *cache.Store { return resultCache.Load() }
-
-// CacheStats reports the cumulative hit/miss counts of the installed
-// store; zeros when no store is installed.
-func CacheStats() (hits, misses int64) {
-	if s := resultCache.Load(); s != nil {
-		return s.Stats()
-	}
-	return 0, 0
-}
-
-// Executor runs one job spec to a result. The default executor is
-// (*JobSpec).Run (local, in-process); a work-queue server installs its
-// dispatching executor instead, which ships the spec to a remote worker
-// and blocks until the result returns.
+// Executor runs one job spec to a result somewhere else: a work-queue
+// server's dispatch, which ships the spec to a remote worker and blocks
+// until the result returns. It must be result-transparent — executing a spec
+// anywhere yields the bytes a local run yields here, which holds whenever
+// the remote end runs the same sim.EngineVersion.
 type Executor func(spec *JobSpec) (*sim.Result, error)
 
-var executorHook atomic.Pointer[Executor]
+// Runner is how runs execute: everything besides the spec that a run reads.
+// It is a plain value with no state behind it — copy it, change a field, run
+// two different ones side by side in one process. The zero value runs every
+// spec locally and sequentially, one pool worker per CPU, with no cache and
+// no checkpoints. No field changes a result: rows are bit-identical for
+// every setting.
+type Runner struct {
+	// Workers is how many specs run at once: the grid pool of Run and
+	// ExecuteJobs, a queue worker's slot count. Below 1 means one per CPU.
+	Workers int
+	// RunWorkers is the intra-run worker count (sim.RunOptions.Workers):
+	// n > 0 fixed, 0 sequential, below 0 adaptive — each run takes the CPUs
+	// the Workers concurrent runs leave free (see runWorkersFor). Fixed
+	// values multiply with Workers, so raising both oversubscribes the CPUs.
+	RunWorkers int
+	// Cache, when set, is the content-addressed result store: RunSpec looks
+	// the spec's hash up first and only runs on a miss, writing the result
+	// back for the next run. The hash covers every semantic field of the
+	// spec plus sim.EngineVersion, so a second run of an identical grid is
+	// 100% hits and byte-identical rows.
+	Cache *cache.Store
+	// Execute, when set, runs RunSpec's cache misses in place of a local
+	// run. A queue worker's Runner has none, so its jobs can never bounce
+	// back into a queue.
+	Execute Executor
+	// Checkpoint, when set alongside a snapshot store, makes local runs
+	// store periodic engine snapshots under their spec hash, resume from a
+	// stored one, and drop it at the terminal result.
+	Checkpoint *CheckpointPolicy
+	// Snapshots is where RunSpec keeps those snapshots; nil means Cache, so
+	// a plain -cache-dir setup keeps checkpoints next to the results they
+	// protect.
+	Snapshots *cache.Store
+	// Drain, when set and raised, stops every in-flight checkpointed run of
+	// this Runner at its next inter-cycle point: the run ships a final
+	// snapshot and returns sim.ErrCheckpointed. Runs without a checkpoint
+	// sink are unaffected. One-way — the SIGTERM path of a preemptible
+	// process, not a pause button.
+	Drain *atomic.Bool
+}
 
-// SetExecutor installs a process-wide execution backend for RunSpec; nil
-// restores local execution. The backend must be result-transparent:
-// executing a spec anywhere yields the bytes (*JobSpec).Run yields here,
-// which holds whenever the remote end runs the same sim.EngineVersion.
-func SetExecutor(e Executor) {
-	if e == nil {
-		executorHook.Store(nil)
-		return
+// Draining reports whether r.Drain has been raised.
+func (r Runner) Draining() bool { return r.Drain != nil && r.Drain.Load() }
+
+// forGrid returns r with Workers resolved to the pool a grid of n specs
+// occupies — the size bound capped by the job count — which is what the
+// adaptive RunWorkers policy divides the CPUs by.
+func (r Runner) forGrid(n int) Runner {
+	r.Workers = max(1, min(DefaultWorkers(r.Workers), n))
+	return r
+}
+
+// RunSpec executes one spec: the result cache first, then r.Execute when
+// set, else a local run — checkpointed through the snapshot store when
+// r.Checkpoint is set, otherwise plain and uninterrupted. Cache misses are
+// written back best-effort — a failing write never fails the run.
+func (r Runner) RunSpec(spec *JobSpec) (*sim.Result, error) {
+	if r.Execute != nil {
+		return r.cached(spec, r.Execute)
 	}
-	executorHook.Store(&e)
+	return r.cached(spec, r.runLocal)
 }
 
-// RunSpec executes one spec through the full backend stack: result cache
-// first (when installed), then the configured executor (local by default).
-// Cache misses are written back best-effort — a failing write never fails
-// the run.
-func RunSpec(spec *JobSpec) (*sim.Result, error) {
-	run := (*JobSpec).Run
-	if e := executorHook.Load(); e != nil {
-		run = func(s *JobSpec) (*sim.Result, error) { return (*e)(s) }
-	}
-	return runSpecCached(spec, run)
-}
-
-// RunSpecLocal is RunSpec pinned to in-process execution: cache lookup,
-// then (*JobSpec).Run, never the installed executor. Work-queue workers
-// use it so a worker that is itself part of a serving process can never
-// bounce a job back into the queue.
-func RunSpecLocal(spec *JobSpec) (*sim.Result, error) {
-	return runSpecCached(spec, (*JobSpec).Run)
-}
-
-func runSpecCached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim.Result, error) {
-	store := resultCache.Load()
+func (r Runner) cached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim.Result, error) {
 	var key string
-	if store != nil {
+	if r.Cache != nil {
 		key = spec.Hash()
-		if res, ok, err := store.Get(key); err == nil && ok {
+		if res, ok, err := r.Cache.Get(key); err == nil && ok {
 			return res, nil
 		}
 	}
@@ -164,24 +169,22 @@ func runSpecCached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim
 	if err != nil {
 		return nil, err
 	}
-	if store != nil {
-		_ = store.Put(key, res)
+	if r.Cache != nil {
+		_ = r.Cache.Put(key, res)
 	}
 	return res, nil
 }
 
 // ExecuteJobs runs an enumerated grid of specs on the worker pool and
 // returns one result per spec, in enumeration order — bit-identical for
-// any worker count and any backend. It is ExecuteJobsPartial for callers
-// that cannot use a grid with holes: every quarantined job fails the call
-// with its labelled QuarantineError (joined in job order), unless other
-// jobs failed outright, in which case their errors are the ones reported.
-func ExecuteJobs(workers int, specs []JobSpec) ([]*sim.Result, error) {
-	results, holes, err := ExecuteJobsPartial(workers, nil, specs)
-	if err == nil {
-		err = holeErrors(specs, holes)
-	}
-	if err != nil {
+// any worker count and any backend. It is the strict reading of
+// ExecuteJobsPartial, for callers that cannot use a grid with holes: every
+// job that failed outright and every quarantined job fails the call, the
+// failures joined in job order, then the holes with their labelled
+// QuarantineErrors in job order.
+func (r Runner) ExecuteJobs(specs []JobSpec) ([]*sim.Result, error) {
+	results, holes, err := r.ExecuteJobsPartial(nil, specs)
+	if err = errors.Join(err, holeErrors(specs, holes)); err != nil {
 		return nil, err
 	}
 	return results, nil
@@ -208,10 +211,10 @@ type Grid[R any] struct {
 	Rows func(results []*sim.Result, holes []*QuarantineError) ([]R, error)
 }
 
-// Run is the package's one execution site: it runs the grid's specs on the
-// worker pool — through the result cache and the installed executor, see
-// RunSpec — and folds the results. workers bounds the pool (below 1 means
-// one per CPU); rows are bit-identical for any value.
+// Run is the package's one execution site: it runs the grid's specs on r's
+// worker pool — each through r.RunSpec — and folds the results. Rows are
+// bit-identical for any Runner. A grid with outright failures fails with
+// the strict reading of ExecuteJobs, whatever its fold makes of holes.
 //
 // A non-nil progress is called once with done == 0 when the grid starts
 // (from the calling goroutine, before any job runs) and then once per
@@ -220,10 +223,10 @@ type Grid[R any] struct {
 // instrumenting any job. The per-job calls arrive concurrently from worker
 // goroutines, and may arrive out of order; progress must tolerate both.
 // Progress reporting never affects results.
-func Run[R any](workers int, progress func(done, total int), g Grid[R]) ([]R, error) {
-	results, holes, err := ExecuteJobsPartial(workers, progress, g.Specs)
+func Run[R any](r Runner, progress func(done, total int), g Grid[R]) ([]R, error) {
+	results, holes, err := r.ExecuteJobsPartial(progress, g.Specs)
 	if err != nil {
-		return nil, err
+		return nil, errors.Join(err, holeErrors(g.Specs, holes))
 	}
 	return g.Rows(results, holes)
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -20,7 +19,7 @@ import (
 // offered load or burst size, simulation windows, fault set, fault
 // schedule and seeds. Unlike a live network pointer, a spec can be
 // canonically hashed (result caching), serialized (work-queue
-// distribution) and rebuilt anywhere: Run constructs a private network,
+// distribution) and rebuilt anywhere: a run constructs a private network,
 // pattern and mechanism from the spec alone, so equal specs produce
 // bit-identical results in any process running the same sim.EngineVersion.
 type JobSpec struct {
@@ -218,11 +217,12 @@ func (s *JobSpec) buildPattern(t topo.Switched) (traffic.Pattern, error) {
 }
 
 // buildRun constructs the full RunOptions of the spec on a private
-// network, pattern and mechanism — the construction both Run and the
-// checkpointed variants share. Rebuilding everything per run is what
-// makes specs safe to run concurrently, on remote workers, and to resume
-// from a snapshot in a fresh process.
-func (s *JobSpec) buildRun() (sim.RunOptions, error) {
+// network, pattern and mechanism — the construction every run of r shares,
+// plain or checkpointed. Rebuilding everything per run is what makes specs
+// safe to run concurrently, on remote workers, and to resume from a
+// snapshot in a fresh process. r contributes the intra-run worker count
+// alone, a pure scheduling choice that never affects the result.
+func (s *JobSpec) buildRun(r Runner) (sim.RunOptions, error) {
 	t, err := s.Topo.Build()
 	if err != nil {
 		return sim.RunOptions{}, err
@@ -249,69 +249,17 @@ func (s *JobSpec) buildRun() (sim.RunOptions, error) {
 		MaxCycles:        s.MaxCycles,
 		FaultSchedule:    s.FaultSchedule,
 		Seed:             s.Seed,
-		Workers:          RunWorkersFor(t.Switches()),
+		Workers:          r.runWorkersFor(t.Switches()),
 	}, nil
 }
 
-// Run executes the spec locally. When a checkpoint policy is installed
-// (SetCheckpointPolicy) alongside a checkpoint store (SetCheckpointStore,
-// or the result cache as its fallback), the run resumes from any stored
-// checkpoint for this spec, ships periodic snapshots into the store, and
-// drops the checkpoint once it finishes — otherwise it is a plain
-// uninterrupted run. The intra-run worker count is a pure scheduling
-// choice (see RunWorkersFor) and never affects the result.
-func (s *JobSpec) Run() (*sim.Result, error) {
-	store := checkpointStore()
-	if ckptPolicy.Load() == nil || store == nil {
-		o, err := s.buildRun()
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run(o)
-	}
-	key := s.Hash()
-	resume, _ := store.GetCheckpoint(key)
-	res, err := s.runCheckpointed(key, resume, func(snap []byte) error {
-		return store.PutCheckpoint(key, snap)
-	})
-	if err == nil {
-		// Terminal result reached: the checkpoint is dead weight.
-		_ = store.RemoveCheckpoint(key)
-	}
-	return res, err
-}
-
-// runCheckpointed runs the spec with the given checkpoint transport. A
-// resume snapshot that fails validation — torn file, foreign spec, stale
-// engine — is discarded and the run restarts from zero: a broken
-// checkpoint may cost the progress it claimed to hold, never correctness.
-func (s *JobSpec) runCheckpointed(specHash string, resume []byte, sink func([]byte) error) (*sim.Result, error) {
-	o, err := s.buildRun()
-	if err != nil {
-		return nil, err
-	}
-	o.Checkpoint = checkpointThrough(specHash, resume, sink)
-	res, err := sim.Run(o)
-	if errors.Is(err, sim.ErrBadSnapshot) && len(resume) > 0 {
-		if store := checkpointStore(); store != nil {
-			_ = store.RemoveCheckpoint(specHash)
-		}
-		o, err = s.buildRun() // fresh network: the bad resume may have replayed faults
-		if err != nil {
-			return nil, err
-		}
-		o.Checkpoint = checkpointThrough(specHash, nil, sink)
-		res, err = sim.Run(o)
-	}
-	return res, err
-}
-
-// MeasureMemory builds the spec's engine on a private network and returns
-// its arena accounting without running anything: the construction-only
-// path behind the CLIs' -mem-stats flag. Pure diagnostics — it shares the
-// construction code with Run but never touches a result or the cache.
-func (s *JobSpec) MeasureMemory() (*sim.MemStats, error) {
-	o, err := s.buildRun()
+// MeasureMemory builds the engine r would run the spec on, as a one-point
+// grid, on a private network and returns its arena accounting without
+// running anything: the construction-only path behind the CLIs' -mem-stats
+// flag. Pure diagnostics — it shares the construction code with RunSpec but
+// never touches a result or the cache.
+func (r Runner) MeasureMemory(s *JobSpec) (*sim.MemStats, error) {
+	o, err := s.buildRun(r.forGrid(1))
 	if err != nil {
 		return nil, err
 	}

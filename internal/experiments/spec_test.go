@@ -158,11 +158,11 @@ func TestSpecEncodeDecodeRunBitIdentical(t *testing.T) {
 		if decoded.Hash() != spec.Hash() {
 			t.Errorf("%s: hash changed across the wire", spec.Label)
 		}
-		want, err := spec.Run()
+		want, err := Runner{}.RunSpec(spec)
 		if err != nil {
 			t.Fatalf("%s: run original: %v", spec.Label, err)
 		}
-		got, err := decoded.Run()
+		got, err := Runner{}.RunSpec(decoded)
 		if err != nil {
 			t.Fatalf("%s: run decoded: %v", spec.Label, err)
 		}
@@ -200,7 +200,7 @@ func TestSpecValidate(t *testing.T) {
 	}
 }
 
-// TestExecuteJobsCacheSecondRunAllHits: with a result cache installed, an
+// TestExecuteJobsCacheSecondRunAllHits: with a result cache on the Runner, an
 // identical grid re-run performs zero simulations (every point hits) and
 // returns bit-identical rows; a semantically different grid misses.
 func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
@@ -208,8 +208,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetResultCache(store)
-	defer SetResultCache(nil)
+	r := Runner{Cache: store}
 	cfg := SweepConfig{
 		H:          tiny2D(),
 		Mechanisms: []string{"Minimal", "PolSP"},
@@ -218,7 +217,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 		Budget:     Budget{Warmup: 300, Measure: 600},
 		Seed:       31,
 	}
-	first, err := Run(0, nil, SweepGrid(cfg))
+	first, err := Run(r, nil, SweepGrid(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	if hits != 0 || misses != 4 {
 		t.Fatalf("first run: %d hits %d misses, want 0/4", hits, misses)
 	}
-	second, err := Run(0, nil, SweepGrid(cfg))
+	second, err := Run(r, nil, SweepGrid(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +241,7 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	}
 	// A different seed is a different grid: all misses again.
 	cfg.Seed = 32
-	if _, err := Run(0, nil, SweepGrid(cfg)); err != nil {
+	if _, err := Run(r, nil, SweepGrid(cfg)); err != nil {
 		t.Fatal(err)
 	}
 	hits, misses = store.Stats()
@@ -362,3 +361,64 @@ func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeSpecJSON: any bytes a job frame may carry as its spec decode to
+// an error or to a value that Validate accepts or refuses and Hash
+// addresses — never a panic — and a spec that decodes re-encodes to the
+// same Hash, so a spec relayed between processes keeps its identity. The
+// one known exception is a load of -0: the canonical form pins its bit
+// pattern (TestAppendCanonicalMatchesFmtReference) while JSON's omitempty
+// sends it as +0, so the target reads it as +0; the canonical bytes can only
+// move with the engine version (ROADMAP item 5).
+//
+// Validate builds the topology and the pattern, whose cost follows the size
+// the spec declares, so the target only validates specs of at most
+// fuzzMaxServers servers; larger ones are still hashed and round-tripped.
+func FuzzDecodeSpecJSON(f *testing.F) {
+	seeds := append(Fig10Grid(Fig10Config{H: tiny3D(), BurstPhits: 160, Seed: 1}).Specs, ckptSpec())
+	for _, spec := range seeds {
+		data, err := spec.EncodeJSON()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"topo":{"kind":"dragonfly","dims":[4,2]},"per":2,"mechanism":"PolSP","pattern":"Uniform","vcs":4,"load":-0,"budget":{"warmup":1,"measure":2},"faults":[{"U":3,"V":1}],"faultSchedule":[{"Cycle":5,"Edge":{"U":2,"V":0}}],"seed":18446744073709551615,"patternSeed":0}`))
+	f.Add([]byte(`{"topo":{"kind":"torus","dims":[3,3]},"per":0,"pattern":"Dimension Complement Reverse"}`))
+	f.Add([]byte(`{"topo":{"kind":"hyperx","dims":[]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeSpecJSON(data)
+		if err != nil {
+			return
+		}
+		servers := max(spec.Per, 1)
+		for _, k := range spec.Topo.Dims {
+			if servers > fuzzMaxServers || k > fuzzMaxServers {
+				servers = fuzzMaxServers + 1
+				break
+			}
+			servers *= max(k, 1)
+		}
+		if servers <= fuzzMaxServers {
+			_ = spec.Validate() // either answer; what must not happen is a panic
+		}
+		if spec.Load == 0 {
+			spec.Load = 0 // -0, see above
+		}
+		want := spec.Hash()
+		wire, err := spec.EncodeJSON()
+		if err != nil {
+			t.Fatalf("a decoded spec does not re-encode: %v", err)
+		}
+		again, err := DecodeSpecJSON(wire)
+		if err != nil {
+			t.Fatalf("a re-encoded spec does not decode: %v\n%s", err, wire)
+		}
+		if got := again.Hash(); got != want {
+			t.Fatalf("hash moved across a re-encode: %s then %s\n%s", want, got, wire)
+		}
+	})
+}
+
+// fuzzMaxServers bounds the networks FuzzDecodeSpecJSON builds.
+const fuzzMaxServers = 1 << 12

@@ -51,15 +51,15 @@ func TestBackoffDelayJitteredAndCapped(t *testing.T) {
 type fleet struct {
 	t         *testing.T
 	addr      string
-	slots     int
+	r         experiments.Runner // every worker's, replacements included
 	maxSpawns int
 	spawns    atomic.Int64
 	stopping  atomic.Bool
 	wg        sync.WaitGroup
 }
 
-func startFleet(t *testing.T, addr string, n, slots, maxSpawns int) *fleet {
-	f := &fleet{t: t, addr: addr, slots: slots, maxSpawns: maxSpawns}
+func startFleet(t *testing.T, addr string, n int, r experiments.Runner, maxSpawns int) *fleet {
+	f := &fleet{t: t, addr: addr, r: r, maxSpawns: maxSpawns}
 	for i := 0; i < n; i++ {
 		f.spawn()
 	}
@@ -73,7 +73,7 @@ func (f *fleet) spawn() {
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		err := WorkLoop(f.addr, f.slots)
+		err := WorkLoop(f.addr, f.r)
 		if err != nil && !f.stopping.Load() {
 			f.t.Logf("worker exited: %v (spawning replacement)", err)
 			f.spawn()
@@ -90,7 +90,7 @@ func (f *fleet) Wait() { f.wg.Wait() }
 // requeues and a healthy worker completes it to the bit-identical result.
 func TestSilentWorkerLosesJobs(t *testing.T) {
 	spec := testSpecs()[0]
-	ref, err := experiments.RunSpecLocal(&spec)
+	ref, err := experiments.Runner{}.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 	// Let the job land on the silent worker before a healthy one exists.
 	time.Sleep(60 * time.Millisecond)
 	workerDone := make(chan error, 1)
-	go func() { workerDone <- WorkLoop(srv.Addr(), 1) }()
+	go func() { workerDone <- WorkLoop(srv.Addr(), slots(1)) }()
 
 	select {
 	case got := <-execDone:
@@ -160,13 +160,12 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 // result on the floor.
 func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 	specs := crashSpecs()[:2]
-	local, err := experiments.ExecuteJobs(2, specs)
+	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{EveryCycles: 200})
-	defer experiments.SetCheckpointPolicy(nil)
+	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
 
 	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 900 * time.Millisecond})
 	InstallChaos(chaos)
@@ -183,12 +182,10 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 	defer srv.Close()
 	workerDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { workerDone <- WorkLoop(srv.Addr(), 1) }()
+		go func() { workerDone <- WorkLoop(srv.Addr(), worker) }()
 	}
 
-	experiments.SetExecutor(srv.Execute)
-	defer experiments.SetExecutor(nil)
-	remote, err := experiments.ExecuteJobs(2, specs)
+	remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +209,6 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 
-	experiments.SetExecutor(nil)
 	srv.Close()
 	for i := 0; i < 2; i++ {
 		select {
@@ -229,7 +225,7 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 // grid completes bit-identically around the hole.
 func TestPoisonJobQuarantined(t *testing.T) {
 	specs := testSpecs()
-	local, err := experiments.ExecuteJobs(2, specs)
+	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,11 +247,9 @@ func TestPoisonJobQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	workers := startFleet(t, srv.Addr(), 2, 1, 10)
+	workers := startFleet(t, srv.Addr(), 2, slots(1), 10)
 
-	experiments.SetExecutor(srv.Execute)
-	defer experiments.SetExecutor(nil)
-	results, holes, err := experiments.ExecuteJobsPartial(2, nil, grid)
+	results, holes, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobsPartial(nil, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +292,6 @@ func TestPoisonJobQuarantined(t *testing.T) {
 		t.Errorf("poison killed %d workers, want %d", got, DefaultPoisonAttempts)
 	}
 
-	experiments.SetExecutor(nil)
 	workers.Stop()
 	srv.Close()
 	workers.Wait()
@@ -319,7 +312,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	grid := append(append([]experiments.JobSpec(nil), specs...), poison)
 
 	// Baseline before the shared store exists: a plain local run.
-	baseline, err := experiments.ExecuteJobs(2, specs)
+	baseline, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,10 +325,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	experiments.SetResultCache(store)
-	defer experiments.SetResultCache(nil)
-	experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{EveryCycles: 200})
-	defer experiments.SetCheckpointPolicy(nil)
+	worker := experiments.Runner{Workers: 1, Cache: store, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
 
 	chaos := NewChaos(ChaosConfig{
 		Seed:           11,
@@ -365,15 +355,14 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	}
 	defer srv1.Close()
 	addr := srv1.Addr()
-	workers := startFleet(t, addr, 2, 1, 14)
+	workers := startFleet(t, addr, 2, worker, 14)
 
 	// The executor trampoline survives the server swap mid-grid.
 	var cur atomic.Pointer[Server]
 	cur.Store(srv1)
-	experiments.SetExecutor(func(spec *experiments.JobSpec) (*sim.Result, error) {
+	submit := experiments.Runner{Workers: 2, Cache: store, Execute: func(spec *experiments.JobSpec) (*sim.Result, error) {
 		return cur.Load().Execute(spec)
-	})
-	defer experiments.SetExecutor(nil)
+	}}
 
 	// The grid retries across the server restart, exactly like the CLI
 	// being re-invoked: completed points come back from the cache,
@@ -387,7 +376,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	go func() {
 		var out gridOut
 		for attempt := 0; attempt < 20; attempt++ {
-			out.res, out.holes, out.err = experiments.ExecuteJobsPartial(2, nil, grid)
+			out.res, out.holes, out.err = submit.ExecuteJobsPartial(nil, grid)
 			if out.err == nil || !strings.Contains(out.err.Error(), "server closed") {
 				break
 			}
@@ -523,7 +512,6 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		t.Error("journal holds no quarantine record")
 	}
 
-	experiments.SetExecutor(nil)
 	workers.Stop()
 	srv2.Close()
 	workers.Wait()

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,7 +28,7 @@ func crashSpecs() []experiments.JobSpec {
 // and a job whose snapshot was lost simply restarts from zero.
 func TestCrashInjectionBitIdentical(t *testing.T) {
 	specs := crashSpecs()
-	local, err := experiments.ExecuteJobs(2, specs)
+	local, err := experiments.Runner{Workers: 2}.ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +40,7 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 	reconnectBaseDelay, reconnectMaxDelay = time.Millisecond, 5*time.Millisecond
 	defer func() { reconnectBaseDelay, reconnectMaxDelay = base, max }()
 
-	experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{EveryCycles: 200})
-	defer experiments.SetCheckpointPolicy(nil)
+	worker := experiments.Runner{Workers: 2, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
 
 	// Four seeded disconnects: each of the first four sessions dialed is
 	// severed after a few frames.
@@ -55,12 +55,10 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 	defer srv.Close()
 	workerDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { workerDone <- WorkLoop(srv.Addr(), 2) }()
+		go func() { workerDone <- WorkLoop(srv.Addr(), worker) }()
 	}
 
-	experiments.SetExecutor(srv.Execute)
-	defer experiments.SetExecutor(nil)
-	remote, err := experiments.ExecuteJobs(2, specs)
+	remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +75,6 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 	}
 
 	// Let the workers exit before the deferred harness removal.
-	experiments.SetExecutor(nil)
 	srv.Close()
 	for i := 0; i < 2; i++ {
 		select {
@@ -95,14 +92,17 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 // worker resumes it to the bit-identical result.
 func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	spec := crashSpecs()[3] // PolSP at 0.8: the busiest, longest job
-	ref, err := experiments.RunSpecLocal(&spec)
+	ref, err := experiments.Runner{}.RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	experiments.SetCheckpointPolicy(&experiments.CheckpointPolicy{EveryCycles: 150})
-	defer experiments.SetCheckpointPolicy(nil)
-	defer experiments.ClearDrain()
+	// Two worker generations, each a Runner with a drain flag of its own:
+	// a drained process exits, and its successor starts with a fresh one.
+	var sigterm atomic.Bool
+	genA := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 150}, Drain: &sigterm}
+	genB := genA
+	genB.Drain = new(atomic.Bool)
 
 	resumed := make(chan int, 8)
 	testResumeHook = func(n int) {
@@ -119,7 +119,7 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	}
 	defer srv.Close()
 	aDone := make(chan error, 1)
-	go func() { aDone <- WorkLoop(srv.Addr(), 1) }()
+	go func() { aDone <- WorkLoop(srv.Addr(), genA) }()
 
 	type result struct {
 		res *sim.Result
@@ -140,7 +140,7 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	experiments.RequestDrain()
+	sigterm.Store(true)
 	select {
 	case err := <-aDone:
 		if err != nil {
@@ -161,9 +161,8 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	}
 
 	// A successor worker generation picks the job up with the snapshot.
-	experiments.ClearDrain()
 	bDone := make(chan error, 1)
-	go func() { bDone <- WorkLoop(srv.Addr(), 1) }()
+	go func() { bDone <- WorkLoop(srv.Addr(), genB) }()
 	select {
 	case n := <-resumed:
 		if n == 0 {

@@ -1,12 +1,12 @@
 // Package queue distributes experiment job specs to worker processes over
 // a line-delimited JSON protocol, so paper-scale grids shard across
-// machines. The server side plugs into the experiment runner as its
-// executor (experiments.SetExecutor(server.Execute)): drivers enumerate
-// grids exactly as for local runs, each spec travels to an idle worker
-// slot, and the runner reassembles results in enumeration order — the
-// output is bit-identical to local execution because a spec carries every
-// semantic input (including its derived seed) and results travel in the
-// stable sim binary codec.
+// machines. The server side plugs into an experiments.Runner as its
+// Execute field (server.Execute): drivers enumerate grids exactly as for
+// local runs, each spec travels to an idle worker slot, and the runner
+// reassembles results in enumeration order — the output is bit-identical
+// to local execution because a spec carries every semantic input
+// (including its derived seed) and results travel in the stable sim binary
+// codec.
 //
 // Protocol (one JSON object per line, both directions):
 //

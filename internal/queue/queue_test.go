@@ -37,12 +37,16 @@ func testSpecs() []experiments.JobSpec {
 	return specs
 }
 
+// slots is the plainest worker (or local reference) Runner: n jobs at once,
+// nothing else set.
+func slots(n int) experiments.Runner { return experiments.Runner{Workers: n} }
+
 // TestServeWorkerBitIdentical is the distributed-execution guarantee: a
 // grid run through a localhost serve/worker pair returns bytes identical
 // to local execution, in the same enumeration order.
 func TestServeWorkerBitIdentical(t *testing.T) {
 	specs := testSpecs()
-	local, err := experiments.ExecuteJobs(2, specs)
+	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +57,9 @@ func TestServeWorkerBitIdentical(t *testing.T) {
 	}
 	defer srv.Close()
 	workerDone := make(chan error, 1)
-	go func() { workerDone <- Work(srv.Addr(), 2) }()
+	go func() { workerDone <- WorkLoop(srv.Addr(), slots(2)) }()
 
-	experiments.SetExecutor(srv.Execute)
-	defer experiments.SetExecutor(nil)
-	remote, err := experiments.ExecuteJobs(2, specs)
+	remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +73,6 @@ func TestServeWorkerBitIdentical(t *testing.T) {
 	}
 
 	// A clean server shutdown ends the worker without error.
-	experiments.SetExecutor(nil)
 	srv.Close()
 	select {
 	case err := <-workerDone:
@@ -91,7 +92,7 @@ func TestServeWorkerJobError(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	go Work(srv.Addr(), 1)
+	go WorkLoop(srv.Addr(), slots(1))
 
 	spec := &experiments.JobSpec{
 		Label: "bogus job",
@@ -150,10 +151,10 @@ func TestWorkerEngineMismatch(t *testing.T) {
 
 // TestWorkerBadSlots: a worker must ask for at least one slot.
 func TestWorkerBadSlots(t *testing.T) {
-	if err := Work("127.0.0.1:1", 0); err == nil {
+	if _, _, err := workOnce("127.0.0.1:1", "w", slots(0)); err == nil {
 		t.Error("zero slots accepted")
 	}
-	if err := WorkLoop("127.0.0.1:1", 0); err == nil {
+	if err := WorkLoop("127.0.0.1:1", slots(0)); err == nil {
 		t.Error("zero slots accepted by WorkLoop")
 	}
 }
@@ -171,7 +172,7 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 	}
 	addr := srv1.Addr()
 	workerDone := make(chan error, 1)
-	go func() { workerDone <- WorkLoop(addr, 1) }()
+	go func() { workerDone <- WorkLoop(addr, slots(1)) }()
 
 	// A job completes against the first server: the worker is connected.
 	if _, err := srv1.Execute(&specs[0]); err != nil {
@@ -204,7 +205,7 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 
 	// The reconnected worker drains the restarted server's jobs, and the
 	// results are byte-identical to local execution.
-	local, err := experiments.ExecuteJobs(1, specs)
+	local, err := slots(1).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestWorkLoopGivesUpWithoutServer(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // a dead address that was at least once valid
 	start := time.Now()
-	if err := WorkLoop(addr, 1); err == nil {
+	if err := WorkLoop(addr, slots(1)); err == nil {
 		t.Fatal("WorkLoop returned nil with no server")
 	}
 	if elapsed := time.Since(start); elapsed < reconnectBaseDelay {
@@ -301,7 +302,7 @@ func TestWorkLoopRejectionIsFinal(t *testing.T) {
 			conn.Close()
 		}
 	}()
-	err = WorkLoop(ln.Addr().String(), 1)
+	err = WorkLoop(ln.Addr().String(), slots(1))
 	if err == nil || !errors.Is(err, ErrRejected) {
 		t.Fatalf("want ErrRejected, got %v", err)
 	}

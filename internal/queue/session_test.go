@@ -148,7 +148,7 @@ func TestHugeSlotsHelloCostsNoGoroutines(t *testing.T) {
 	waitFor(t, 5*time.Second, "the huge-slots session to be tallied", func() bool { return srv.Stats().Crashed == 1 })
 
 	workerDone := make(chan error, 1)
-	go func() { workerDone <- Work(srv.Addr(), 1) }()
+	go func() { workerDone <- WorkLoop(srv.Addr(), slots(1)) }()
 	spec := testSpecs()[0]
 	if _, err := srv.Execute(&spec); err != nil {
 		t.Fatalf("server stopped serving after the huge hello: %v", err)
@@ -220,7 +220,7 @@ func FuzzFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	res, err := experiments.RunSpecLocal(&spec)
+	res, err := experiments.Runner{}.RunSpec(&spec)
 	if err != nil {
 		f.Fatal(err)
 	}

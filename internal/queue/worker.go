@@ -65,19 +65,24 @@ func workerIdentity() string {
 	return fmt.Sprintf("w%d-%d", os.Getpid(), workerSeq.Add(1))
 }
 
-// Work connects to a server and processes jobs on the given number of
-// slots for one session: until the server ends it (a bye frame, or a
-// hangup, the fault only WorkLoop can act on; both return nil), this
-// worker drains, or the connection fails. Jobs run through
-// experiments.RunSpecLocal, so a worker started with a result cache
-// serves repeated points from disk but never re-enters a queue.
+// Work is one worker session over the process-default Runner on the given
+// number of slots: until the server ends it (a bye frame, or a hangup, the
+// fault only WorkLoop can act on; both return nil) or the connection fails.
+// It is deleted by the next benchmark PR, with internal/experiments/shims.go:
+// the frozen bench/ starts its in-process workers through it, next to the
+// server whose Execute it has put on that same default — so the default's
+// Execute is dropped here, or the jobs would bounce back into the queue.
 func Work(addr string, slots int) error {
-	_, _, err := workOnce(addr, workerIdentity(), slots)
+	r := experiments.DefaultRunner()
+	r.Workers, r.Execute = slots, nil
+	_, _, err := workOnce(addr, workerIdentity(), r)
 	return err
 }
 
-// WorkLoop is Work hardened for long fleets: a connection that drops
-// without the server's bye frame (server crash, network partition,
+// WorkLoop connects to a server and runs its jobs through r on r.Workers
+// slots — r has no Execute, so a worker started with a result cache serves
+// repeated points from disk but never re-enters a queue. A connection that
+// drops without the server's bye frame (server crash, network partition,
 // restart) is retried with capped, jittered exponential backoff rather
 // than ending the worker, so a restarted server finds its fleet intact —
 // trickling back rather than stampeding. It returns nil once a server
@@ -86,9 +91,9 @@ func Work(addr string, slots int) error {
 // itself), ErrWorkerKilled if the chaos harness killed this worker, or
 // the last connection error after reconnectMaxDown consecutive attempts
 // that never heard from a server.
-func WorkLoop(addr string, slots int) error {
-	if slots < 1 {
-		return fmt.Errorf("queue: worker needs >= 1 slots, got %d", slots)
+func WorkLoop(addr string, r experiments.Runner) error {
+	if r.Workers < 1 {
+		return fmt.Errorf("queue: worker needs >= 1 slots, got %d", r.Workers)
 	}
 	name := workerIdentity()
 	// Jitter seed: derived from the identity counter and pid, never the
@@ -97,7 +102,7 @@ func WorkLoop(addr string, slots int) error {
 	seed := rng.Mix64(uint64(os.Getpid())<<20 ^ uint64(workerSeq.Load()))
 	attempt, down := 0, 0
 	for {
-		over, heard, err := workOnce(addr, name, slots)
+		over, heard, err := workOnce(addr, name, r)
 		if over {
 			return nil
 		}
@@ -134,7 +139,8 @@ func WorkLoop(addr string, slots int) error {
 // order here. A failed write is not acted on: the server's last words
 // (its bye) may be unread, and the reader reports the stream's end after
 // them.
-func workOnce(addr, name string, slots int) (over, heard bool, err error) {
+func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err error) {
+	slots := r.Workers
 	if slots < 1 {
 		return false, false, fmt.Errorf("queue: worker needs >= 1 slots, got %d", slots)
 	}
@@ -152,7 +158,7 @@ func workOnce(addr, name string, slots int) (over, heard bool, err error) {
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer conn.Close()
-	jobs := &jobPort{up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{}), chaos: chaos}
+	jobs := &jobPort{r: r, up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{}), chaos: chaos}
 	defer close(jobs.done)
 	if err := writeMessage(conn, &message{Type: "hello", Slots: slots,
 		Engine: sim.EngineVersion, Name: name, CkptCap: true, HBCap: true}); err != nil {
@@ -168,12 +174,12 @@ func workOnce(addr, name string, slots int) (over, heard bool, err error) {
 	owed := 0           // jobs accepted and not yet over
 	serverCkpt := false // the hello-ack advertised checkpoint support
 	var beat <-chan time.Time
-	// Graceful drain: once experiments.RequestDrain is raised (the worker
-	// process caught SIGTERM/SIGINT), in-flight runs stop at their next
-	// inter-cycle point and ship a final ckpt frame; when the last job is
-	// over the loop announces the drain with a worker-side bye and hangs
-	// up, so the server requeues the jobs — snapshots attached — and
-	// accounts this exit as drained, not crashed.
+	// Graceful drain: once r.Drain is raised (the worker process caught
+	// SIGTERM/SIGINT), in-flight runs stop at their next inter-cycle point
+	// and ship a final ckpt frame; when the last job is over the loop
+	// announces the drain with a worker-side bye and hangs up, so the
+	// server requeues the jobs — snapshots attached — and accounts this
+	// exit as drained, not crashed.
 	drain := time.NewTicker(20 * time.Millisecond)
 	defer drain.Stop()
 	for {
@@ -202,7 +208,7 @@ func workOnce(addr, name string, slots int) (over, heard bool, err error) {
 			case "error":
 				return false, heard, fmt.Errorf("%w: %s", ErrRejected, msg.Error)
 			case "job":
-				if experiments.DrainRequested() {
+				if r.Draining() {
 					// Never start new work while draining; the unanswered
 					// job requeues (with any prior snapshot) when the
 					// drain hangup lands.
@@ -231,7 +237,7 @@ func workOnce(addr, name string, slots int) (over, heard bool, err error) {
 		case <-beat:
 			_ = writeMessage(conn, &message{Type: "hb"})
 		case <-drain.C:
-			if experiments.DrainRequested() && owed == 0 {
+			if r.Draining() && owed == 0 {
 				_ = writeMessage(conn, &message{Type: "bye"})
 				return true, heard, nil // the drain hangup is this worker's end of run
 			}
@@ -241,10 +247,11 @@ func workOnce(addr, name string, slots int) (over, heard bool, err error) {
 
 // jobPort is what the job goroutines of one session share with its loop.
 type jobPort struct {
-	up    chan *message // ckpt and result frames for the wire; nil: a job ended unanswered
-	sem   chan struct{} // one token per advertised slot
-	done  chan struct{} // closed when the session is over
-	chaos *Chaos        // nil in production
+	r     experiments.Runner // how this worker's jobs run
+	up    chan *message      // ckpt and result frames for the wire; nil: a job ended unanswered
+	sem   chan struct{}      // one token per advertised slot
+	done  chan struct{}      // closed when the session is over
+	chaos *Chaos             // nil in production
 }
 
 // send hands msg to the session loop, or drops it once the session is
@@ -282,7 +289,7 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 	var res *sim.Result
 	runErr := specErr
 	if runErr == nil && ckpt {
-		res, runErr = experiments.RunSpecCheckpointed(spec, resume, func(snap []byte) error {
+		res, runErr = jp.r.RunSpecVia(spec, resume, func(snap []byte) error {
 			// An unshippable snapshot never fails the run.
 			if payload, err := encodeSnapshotPayload(snap); err == nil {
 				jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: payload})
@@ -290,7 +297,7 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 			return nil
 		})
 	} else if runErr == nil {
-		res, runErr = experiments.RunSpecLocal(spec)
+		res, runErr = jp.r.RunSpec(spec)
 	}
 	if errors.Is(runErr, sim.ErrCheckpointed) {
 		// Drained mid-run: the final snapshot is already on the wire.
