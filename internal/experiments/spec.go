@@ -194,19 +194,26 @@ func (s *JobSpec) Validate() error {
 	if err != nil {
 		return err
 	}
-	if s.Per < 1 {
-		return fmt.Errorf("experiments: spec needs >= 1 servers per switch, got %d", s.Per)
-	}
-	if _, err := s.buildPattern(t); err != nil {
-		return err
-	}
-	return nil
+	_, err = s.buildPattern(t)
+	return err
 }
 
-// buildPattern constructs the spec's traffic pattern on a built topology.
-// HyperX accepts every pattern; other topologies only carry Uniform (the
-// coordinate patterns are HyperX-specific), matching the Section 7 study.
+// maxServers bounds switches x Per, the count the patterns and the engine
+// allocate by, since a spec may come off a socket: 32 servers on each of
+// topo.MaxSwitches switches.
+const maxServers = 1 << 21
+
+// buildPattern constructs the spec's traffic pattern on a built topology,
+// once the server count the two imply is in bounds. HyperX accepts every
+// pattern; other topologies only carry Uniform (the coordinate patterns
+// are HyperX-specific), matching the Section 7 study.
 func (s *JobSpec) buildPattern(t topo.Switched) (traffic.Pattern, error) {
+	if s.Per < 1 {
+		return nil, fmt.Errorf("experiments: spec needs >= 1 servers per switch, got %d", s.Per)
+	}
+	if s.Per > maxServers/t.Switches() {
+		return nil, fmt.Errorf("experiments: %s with %d servers per switch has more than %d servers", s.Topo, s.Per, maxServers)
+	}
 	if hx, ok := t.(*topo.HyperX); ok {
 		return BuildPattern(s.Pattern, traffic.Servers{H: hx, Per: s.Per}, s.PatternSeed)
 	}

@@ -371,9 +371,11 @@ func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
 // sends it as +0, so the target reads it as +0; the canonical bytes can only
 // move with the engine version (ROADMAP item 5).
 //
-// Validate builds the topology and the pattern, whose cost follows the size
-// the spec declares, so the target only validates specs of at most
-// fuzzMaxServers servers; larger ones are still hashed and round-tripped.
+// Validate refuses a network past topo.MaxSwitches or maxServers before it
+// builds anything (TestSpecSizeBound); below those bounds its cost still
+// follows the size the spec declares, so to keep executions fast — not safe
+// — the target only validates specs of at most fuzzMaxServers servers;
+// larger ones are still hashed and round-tripped.
 func FuzzDecodeSpecJSON(f *testing.F) {
 	seeds := append(Fig10Grid(Fig10Config{H: tiny3D(), BurstPhits: 160, Seed: 1}).Specs, ckptSpec())
 	for _, spec := range seeds {
@@ -422,3 +424,36 @@ func FuzzDecodeSpecJSON(f *testing.F) {
 
 // fuzzMaxServers bounds the networks FuzzDecodeSpecJSON builds.
 const fuzzMaxServers = 1 << 12
+
+// TestSpecSizeBound: a spec may come off a socket, so the size it declares
+// is refused — by Validate and by the run itself, as an error — before a
+// topology, a pattern or an engine is sized by it: ROADMAP 4b's
+// one-dimension side-2^30 HyperX, and server counts past maxServers
+// whatever switches x Per overflows to. The largest network the README
+// sizes still validates.
+func TestSpecSizeBound(t *testing.T) {
+	t.Parallel()
+	sized := func(kind string, per int, dims ...int) *JobSpec {
+		spec := ckptSpec()
+		spec.Topo, spec.Per = topo.Spec{Kind: kind, Dims: dims}, per
+		return &spec
+	}
+	for _, spec := range []*JobSpec{
+		sized(topo.KindHyperX, 4, 1<<30),
+		sized(topo.KindTorus, 1, topo.MaxSwitches+1),
+		sized(topo.KindDragonfly, 1, 1<<31, 1<<31),
+		sized(topo.KindHyperX, 0, 4, 4),
+		sized(topo.KindHyperX, 65, 32, 32, 32),
+		sized(topo.KindHyperX, math.MaxInt/8, 4, 4), // 16 x Per wraps to -16
+	} {
+		if err := spec.Validate(); err == nil {
+			t.Errorf("%s per %d validates", spec.Topo, spec.Per)
+		}
+		if _, err := (Runner{}).RunSpec(spec); err == nil {
+			t.Errorf("%s per %d runs", spec.Topo, spec.Per)
+		}
+	}
+	if err := sized(topo.KindHyperX, 32, 32, 32, 32).Validate(); err != nil {
+		t.Errorf("the 32x32x32 cube: %v", err)
+	}
+}

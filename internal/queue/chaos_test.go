@@ -21,45 +21,45 @@ import (
 // between seeds — a restarted server sees its fleet trickle back, not
 // stampede in lockstep.
 func TestBackoffDelayJitteredAndCapped(t *testing.T) {
-	for seed := uint64(1); seed <= 8; seed++ {
-		for attempt := 0; attempt <= 64; attempt++ {
-			d := backoffDelay(attempt, seed)
-			if d < reconnectBaseDelay {
-				t.Fatalf("attempt %d seed %d: delay %v below base %v", attempt, seed, d, reconnectBaseDelay)
-			}
-			if d > reconnectMaxDelay {
-				t.Fatalf("attempt %d seed %d: delay %v exceeds cap %v", attempt, seed, d, reconnectMaxDelay)
+	t.Parallel()
+	for _, b := range []backoff{testWorker(t, slots(1)).schedule, compressed()} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			for attempt := 0; attempt <= 64; attempt++ {
+				if d := b.delay(attempt, seed); d < b.base || d > b.max {
+					t.Fatalf("attempt %d seed %d: delay %v outside [%v, %v]", attempt, seed, d, b.base, b.max)
+				}
 			}
 		}
-	}
-	if backoffDelay(3, 42) != backoffDelay(3, 42) {
-		t.Error("backoff is not deterministic for a fixed seed")
-	}
-	diverged := false
-	for a := 0; a < 10 && !diverged; a++ {
-		diverged = backoffDelay(a, 1) != backoffDelay(a, 2)
-	}
-	if !diverged {
-		t.Error("different seeds never diverge: jitter is not doing its job")
+		if b.delay(3, 42) != b.delay(3, 42) {
+			t.Error("backoff is not deterministic for a fixed seed")
+		}
+		diverged := false
+		for a := 0; a < 10 && !diverged; a++ {
+			diverged = b.delay(a, 1) != b.delay(a, 2)
+		}
+		if !diverged {
+			t.Errorf("%+v: different seeds never diverge: jitter is not doing its job", b)
+		}
 	}
 }
 
-// fleet runs WorkLoop workers against addr and replaces any the chaos
-// harness kills (or that gave up during a restart window), up to
+// fleet runs workers under one chaos harness against addr and replaces
+// any the harness kills (or that gave up during a restart window), up to
 // maxSpawns lifetime spawns. Stop() ends replacement; Wait() joins the
 // survivors.
 type fleet struct {
 	t         *testing.T
 	addr      string
 	r         experiments.Runner // every worker's, replacements included
+	chaos     *Chaos             // likewise
 	maxSpawns int
 	spawns    atomic.Int64
 	stopping  atomic.Bool
 	wg        sync.WaitGroup
 }
 
-func startFleet(t *testing.T, addr string, n int, r experiments.Runner, maxSpawns int) *fleet {
-	f := &fleet{t: t, addr: addr, r: r, maxSpawns: maxSpawns}
+func startFleet(t *testing.T, addr string, n int, r experiments.Runner, chaos *Chaos, maxSpawns int) *fleet {
+	f := &fleet{t: t, addr: addr, r: r, chaos: chaos, maxSpawns: maxSpawns}
 	for i := 0; i < n; i++ {
 		f.spawn()
 	}
@@ -70,10 +70,17 @@ func (f *fleet) spawn() {
 	if f.stopping.Load() || int(f.spawns.Add(1)) > f.maxSpawns {
 		return
 	}
+	w, err := newWorker(f.r) // a replacement is a new identity
+	if err != nil {
+		f.t.Error(err)
+		return
+	}
+	w.schedule = compressed()
+	f.chaos.wrap(w)
 	f.wg.Add(1)
 	go func() {
 		defer f.wg.Done()
-		err := WorkLoop(f.addr, f.r)
+		err := w.loop(f.addr)
 		if err != nil && !f.stopping.Load() {
 			f.t.Logf("worker exited: %v (spawning replacement)", err)
 			f.spawn()
@@ -84,11 +91,91 @@ func (f *fleet) spawn() {
 func (f *fleet) Stop() { f.stopping.Store(true) }
 func (f *fleet) Wait() { f.wg.Wait() }
 
+// TestWorkersAreIndependent: a worker is a value, so two of them share a
+// process and nothing else. One serves its grid under a harness that severs
+// its connections and corrupts a result, reconnecting on the compressed
+// schedule; the other, at the same time, serves another server on the
+// production schedule with no harness. The faults land on the first
+// worker's server alone, the second server sees none, and both grids are
+// byte-identical to local runs.
+func TestWorkersAreIndependent(t *testing.T) {
+	t.Parallel()
+	chaos := NewChaos(ChaosConfig{Seed: 13, Disconnects: 2, CorruptResults: 1})
+	harried := testWorker(t, experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}})
+	harried.schedule = compressed()
+	chaos.wrap(harried)
+	calm := testWorker(t, slots(1))
+	if harried.schedule == calm.schedule || harried.seed == calm.seed || harried.name == calm.name {
+		t.Fatalf("the two workers share a schedule, a seed or a name: %+v %+v", harried, calm)
+	}
+
+	type side struct {
+		w     *worker
+		specs []experiments.JobSpec
+		srv   *Server
+		done  chan error
+	}
+	sides := []*side{{w: harried, specs: crashSpecs()}, {w: calm, specs: testSpecs()}}
+	var grids sync.WaitGroup
+	for _, sd := range sides {
+		srv, err := Serve("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		sd.srv, sd.done = srv, make(chan error, 1)
+		go func() { sd.done <- sd.w.loop(srv.Addr()) }()
+		grids.Add(1)
+		go func() {
+			defer grids.Done()
+			local, err := slots(1).ExecuteJobs(sd.specs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(sd.specs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for i := range local {
+				if string(local[i].AppendBinary(nil)) != string(remote[i].AppendBinary(nil)) {
+					t.Errorf("%s job %d: result differs from local", sd.w.name, i)
+				}
+			}
+		}()
+	}
+	grids.Wait()
+
+	if chaos.Disconnected.Load() == 0 || chaos.Corrupted.Load() != 1 {
+		t.Errorf("harness severed %d connections and corrupted %d results, want >= 1 and 1",
+			chaos.Disconnected.Load(), chaos.Corrupted.Load())
+	}
+	if st := sides[0].srv.Stats(); st.Crashed == 0 || st.CorruptFrames != 1 {
+		t.Errorf("the harried worker's server missed its faults: %+v", st)
+	}
+	if st := sides[1].srv.Stats(); st != (Stats{}) {
+		t.Errorf("the calm worker's server saw faults that were not its worker's: %+v", st)
+	}
+	for _, sd := range sides {
+		sd.srv.Close()
+		select {
+		case err := <-sd.done:
+			if err != nil {
+				t.Errorf("%s exit: %v", sd.w.name, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Errorf("%s did not exit after server close", sd.w.name)
+		}
+	}
+}
+
 // TestSilentWorkerLosesJobs: a worker that handshakes with heartbeat
 // support and then falls silent (a wedged process, a dead host behind a
 // live TCP window) is severed after a few missed intervals; its job
 // requeues and a healthy worker completes it to the bit-identical result.
 func TestSilentWorkerLosesJobs(t *testing.T) {
+	t.Parallel()
 	spec := testSpecs()[0]
 	ref, err := experiments.Runner{}.RunSpec(&spec)
 	if err != nil {
@@ -159,21 +246,27 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 // stalled worker finally answers, the fencing token drops the zombie
 // result on the floor.
 func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
+	t.Parallel()
 	specs := crashSpecs()[:2]
 	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
-
 	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 900 * time.Millisecond})
-	InstallChaos(chaos)
-	defer InstallChaos(nil)
 
+	// Sized for workers starved of CPU by the tests running beside this one,
+	// under the race detector. Only the stall may cost a lease: a job that
+	// merely runs slowly renews its ~430 ms term every 100 cycles. (A
+	// spurious revocation re-dispatches the job to a worker whose slot the
+	// revoked run still holds, where its next lease runs out in the queue —
+	// for as long as runs outlast leases.) The zombie needs the stalled
+	// worker's link alive, and four missed beats are now a second; the
+	// sweep, half a beat, still revokes well inside the 900 ms stall.
+	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 100}}
 	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
-		Heartbeat:     50 * time.Millisecond,
-		LeaseBase:     200 * time.Millisecond,
+		Heartbeat:     250 * time.Millisecond,
+		LeaseBase:     400 * time.Millisecond,
 		LeasePerCycle: 10 * time.Microsecond,
 	})
 	if err != nil {
@@ -182,7 +275,9 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 	defer srv.Close()
 	workerDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { workerDone <- WorkLoop(srv.Addr(), worker) }()
+		w := testWorker(t, worker)
+		chaos.wrap(w)
+		go func() { workerDone <- w.loop(srv.Addr()) }()
 	}
 
 	remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(specs)
@@ -224,6 +319,7 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 // workers, with the full custody history on the error; the rest of the
 // grid completes bit-identically around the hole.
 func TestPoisonJobQuarantined(t *testing.T) {
+	t.Parallel()
 	specs := testSpecs()
 	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
@@ -234,20 +330,14 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	poison.Label = "poison-job"
 	grid := append(append([]experiments.JobSpec(nil), specs...), poison)
 
-	base, max := reconnectBaseDelay, reconnectMaxDelay
-	reconnectBaseDelay, reconnectMaxDelay = time.Millisecond, 10*time.Millisecond
-	defer func() { reconnectBaseDelay, reconnectMaxDelay = base, max }()
-
 	chaos := NewChaos(ChaosConfig{Seed: 3, PoisonLabel: "poison-job"})
-	InstallChaos(chaos)
-	defer InstallChaos(nil)
 
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	workers := startFleet(t, srv.Addr(), 2, slots(1), 10)
+	workers := startFleet(t, srv.Addr(), 2, slots(1), chaos, 10)
 
 	results, holes, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobsPartial(nil, grid)
 	if err != nil {
@@ -305,6 +395,7 @@ func TestPoisonJobQuarantined(t *testing.T) {
 // byte-identical to an undisturbed local run and the poison spec is
 // quarantined with its full cross-restart attempt history.
 func TestChaosPropertyBitIdentical(t *testing.T) {
+	t.Parallel()
 	specs := crashSpecs()
 	poison := specs[0]
 	poison.Seed += 7777
@@ -316,10 +407,6 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	base, max := reconnectBaseDelay, reconnectMaxDelay
-	reconnectBaseDelay, reconnectMaxDelay = time.Millisecond, 20*time.Millisecond
-	defer func() { reconnectBaseDelay, reconnectMaxDelay = base, max }()
 
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
@@ -336,8 +423,6 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		StallLabel:     specs[1].String(),
 		StallFor:       900 * time.Millisecond,
 	})
-	InstallChaos(chaos)
-	defer InstallChaos(nil)
 
 	// PoisonAttempts exceeds the worst case of every non-poison fault
 	// (2 disconnects + 1 truncate + 1 corrupt + 1 stall identity) landing
@@ -355,7 +440,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	}
 	defer srv1.Close()
 	addr := srv1.Addr()
-	workers := startFleet(t, addr, 2, worker, 14)
+	workers := startFleet(t, addr, 2, worker, chaos, 14)
 
 	// The executor trampoline survives the server swap mid-grid.
 	var cur atomic.Pointer[Server]
@@ -385,17 +470,19 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		gridDone <- out
 	}()
 
-	// Kill the server once the chaos has demonstrably bitten: a crashed
-	// worker and a persisted checkpoint. The stalled spec holds the grid
-	// open meanwhile (its worker sleeps on it until a disconnect or the
-	// lease takes it away), so the kill lands mid-grid.
+	// Kill the server once the chaos has demonstrably bitten: a severed
+	// connection (both disconnects are booked on the first two sessions
+	// dialed, and a kill that got there first would end them uncut), a
+	// crashed worker and a persisted checkpoint. The stalled spec holds the
+	// grid open meanwhile (its worker sleeps on it until a disconnect or
+	// the lease takes it away), so the kill lands mid-grid.
 	for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(5 * time.Millisecond) {
 		st := srv1.Stats()
-		if st.Crashed >= 1 && st.CheckpointFrames >= 1 {
+		if chaos.Disconnected.Load() >= 1 && st.Crashed >= 1 && st.CheckpointFrames >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("chaos preconditions never met before kill: %+v", st)
+			t.Fatalf("chaos preconditions never met before kill: %d severed, %+v", chaos.Disconnected.Load(), st)
 		}
 	}
 	if err := srv1.closeAbrupt(); err != nil {

@@ -27,26 +27,18 @@ func crashSpecs() []experiments.JobSpec {
 // because a resumed simulation is bit-identical to an uninterrupted one
 // and a job whose snapshot was lost simply restarts from zero.
 func TestCrashInjectionBitIdentical(t *testing.T) {
+	t.Parallel()
 	specs := crashSpecs()
 	local, err := experiments.Runner{Workers: 2}.ExecuteJobs(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Compress the reconnect schedule: a worker killed just as the grid
-	// finishes must give up on the closed server in milliseconds, not
-	// minutes.
-	base, max := reconnectBaseDelay, reconnectMaxDelay
-	reconnectBaseDelay, reconnectMaxDelay = time.Millisecond, 5*time.Millisecond
-	defer func() { reconnectBaseDelay, reconnectMaxDelay = base, max }()
-
 	worker := experiments.Runner{Workers: 2, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
 
 	// Four seeded disconnects: each of the first four sessions dialed is
 	// severed after a few frames.
 	chaos := NewChaos(ChaosConfig{Seed: 7, Disconnects: 4})
-	InstallChaos(chaos)
-	defer InstallChaos(nil)
 
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -55,7 +47,12 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 	defer srv.Close()
 	workerDone := make(chan error, 2)
 	for i := 0; i < 2; i++ {
-		go func() { workerDone <- WorkLoop(srv.Addr(), worker) }()
+		w := testWorker(t, worker)
+		// Compressed: a worker killed just as the grid finishes must give
+		// up on the closed server in milliseconds, not minutes.
+		w.schedule = compressed()
+		chaos.wrap(w)
+		go func() { workerDone <- w.loop(srv.Addr()) }()
 	}
 
 	remote, err := experiments.Runner{Workers: 2, Execute: srv.Execute}.ExecuteJobs(specs)
@@ -74,7 +71,6 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 		t.Error("no worker exit tallied as crashed despite injected disconnects")
 	}
 
-	// Let the workers exit before the deferred harness removal.
 	srv.Close()
 	for i := 0; i < 2; i++ {
 		select {
@@ -91,6 +87,7 @@ func TestCrashInjectionBitIdentical(t *testing.T) {
 // exit as drained, requeues the job with that snapshot, and the next
 // worker resumes it to the bit-identical result.
 func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
+	t.Parallel()
 	spec := crashSpecs()[3] // PolSP at 0.8: the busiest, longest job
 	ref, err := experiments.Runner{}.RunSpec(&spec)
 	if err != nil {
@@ -104,14 +101,16 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	genB := genA
 	genB.Drain = new(atomic.Bool)
 
+	// Proof the requeue-with-snapshot path ran: the successor is told the
+	// size of the resume snapshot its job frame carries.
 	resumed := make(chan int, 8)
-	testResumeHook = func(n int) {
+	successor := testWorker(t, genB)
+	successor.onResume = func(n int) {
 		select {
 		case resumed <- n:
 		default:
 		}
 	}
-	defer func() { testResumeHook = nil }()
 
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -162,7 +161,7 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 
 	// A successor worker generation picks the job up with the snapshot.
 	bDone := make(chan error, 1)
-	go func() { bDone <- WorkLoop(srv.Addr(), genB) }()
+	go func() { bDone <- successor.loop(srv.Addr()) }()
 	select {
 	case n := <-resumed:
 		if n == 0 {

@@ -1,7 +1,7 @@
-// Deterministic chaos injection for the work queue. A Chaos installed
-// with InstallChaos sits inside every worker session this process dials
-// and injects, from a seeded schedule and bounded budgets, the faults the
-// failure model claims to tolerate:
+// Deterministic chaos injection for the work queue. A worker wrapped by
+// (*Chaos).wrap dials through the harness and hands it every job it
+// receives; the harness injects, from a seeded schedule and bounded
+// budgets, the faults the failure model claims to tolerate:
 //
 //   - disconnects: the connection is severed after a seeded number of
 //     frames — the wire shape of a SIGKILLed worker;
@@ -17,15 +17,13 @@
 //     must bounce off the server's fencing.
 //
 // Every decision flows from ChaosConfig.Seed through a splitmix64 walk,
-// so a chaos schedule replays exactly; no clock, no global RNG. The
-// harness is exercised by this package's tests and the CI chaos job, and
-// it lives in the production package (not a _test file) so external
-// test harnesses can drive a real worker binary under chaos too.
+// so a chaos schedule replays exactly; no clock, no global RNG. Nothing is
+// installed: a harness reaches exactly the workers it wrapped, so
+// workers under different harnesses, or none, share a process.
 package queue
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -34,12 +32,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/rng"
 )
-
-// ErrWorkerKilled ends a Work/WorkLoop session whose worker the chaos
-// harness killed (a poison job or an injected crash). A real killed
-// worker's process is simply gone; in-process harnesses use this error to
-// know the supervisor must spawn a replacement with a fresh identity.
-var ErrWorkerKilled = errors.New("queue: worker killed by chaos injection")
 
 // ChaosConfig is a seeded fault schedule. Zero budgets inject nothing of
 // that kind; the zero value is a no-op harness.
@@ -99,14 +91,30 @@ func NewChaos(cfg ChaosConfig) *Chaos {
 	}
 }
 
-// active is the installed harness; nil means no injection (production).
-var active atomic.Pointer[Chaos]
-
-// InstallChaos installs (or, with nil, removes) the process-wide chaos
-// harness. Worker sessions dialed while installed run under injection.
-func InstallChaos(c *Chaos) { active.Store(c) }
-
-func activeChaos() *Chaos { return active.Load() }
+// wrap puts every session of w under c: the dialer wraps each connection w
+// opens, and the job seam kills on the poison label and holds the stall
+// label.
+func (c *Chaos) wrap(w *worker) {
+	dial := w.dial
+	w.dial = func(addr string) (net.Conn, error) {
+		conn, err := dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		return c.wrapConn(conn), nil
+	}
+	w.onJob = func(spec *experiments.JobSpec) (time.Duration, error) {
+		if c.killsJob(spec) {
+			// A poison job: receiving it kills this worker, the wire shape
+			// of a spec that crashes its process.
+			return 0, errWorkerKilled
+		}
+		// A stuck worker: hold the job past its lease, so the server
+		// revokes it instead of severing the link; the late answer then
+		// exercises the server's fencing.
+		return c.stallFor(spec), nil
+	}
+}
 
 // next draws the next value of the seeded walk.
 func (c *Chaos) next() uint64 {

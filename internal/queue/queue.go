@@ -37,7 +37,9 @@
 // One owner per connection: on both sides a reader goroutine only parses
 // lines into frames, and one loop (session.go, worker.go) owns the
 // connection's state and every write to it. Each fault below names the
-// transition of the server's session that handles it.
+// transition of the server's session that handles it. The package holds no
+// state but the counter that numbers worker identities: a server is a
+// Server, a worker a worker value (worker.go).
 //
 // Failure model. The queue tolerates, without changing a single output
 // byte:

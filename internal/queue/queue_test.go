@@ -41,10 +41,29 @@ func testSpecs() []experiments.JobSpec {
 // nothing else set.
 func slots(n int) experiments.Runner { return experiments.Runner{Workers: n} }
 
+// testWorker mints a worker over r, as WorkLoop does, for the test to tune,
+// put under a harness and drive through loop itself.
+func testWorker(t *testing.T, r experiments.Runner) *worker {
+	t.Helper()
+	w, err := newWorker(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+// compressed is the reconnect schedule of tests that wait reconnects out —
+// above all the last one, a worker giving up on a server the test has
+// closed: the production attempt budget, milliseconds instead of seconds.
+func compressed() backoff {
+	return backoff{base: time.Millisecond, max: 5 * time.Millisecond, maxDown: 120}
+}
+
 // TestServeWorkerBitIdentical is the distributed-execution guarantee: a
 // grid run through a localhost serve/worker pair returns bytes identical
 // to local execution, in the same enumeration order.
 func TestServeWorkerBitIdentical(t *testing.T) {
+	t.Parallel()
 	specs := testSpecs()
 	local, err := slots(2).ExecuteJobs(specs)
 	if err != nil {
@@ -85,8 +104,11 @@ func TestServeWorkerBitIdentical(t *testing.T) {
 }
 
 // TestServeWorkerJobError: a deterministic job failure propagates to the
-// submitting side instead of wedging the queue.
+// submitting side instead of wedging the queue — an unknown mechanism, and
+// a job frame declaring a network past topo.MaxSwitches, which the worker
+// answers with the error instead of building it.
 func TestServeWorkerJobError(t *testing.T) {
+	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +127,12 @@ func TestServeWorkerJobError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "unknown mechanism") {
 		t.Fatalf("job error not propagated: %v", err)
 	}
+	huge := testSpecs()[0]
+	huge.Topo.Dims = []int{1 << 30}
+	_, err = srv.Execute(&huge)
+	if err == nil || !strings.Contains(err.Error(), "on worker") || !strings.Contains(err.Error(), "switches") {
+		t.Fatalf("oversized job not refused by the worker: %v", err)
+	}
 	// The queue still works after the failure.
 	ok := testSpecs()[0]
 	res, err := srv.Execute(&ok)
@@ -118,6 +146,7 @@ func TestServeWorkerJobError(t *testing.T) {
 // one, and the hyperx-sim/3 that an older build's worker advertises when
 // started on its retired per-cycle-generation engine.
 func TestWorkerEngineMismatch(t *testing.T) {
+	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +180,12 @@ func TestWorkerEngineMismatch(t *testing.T) {
 
 // TestWorkerBadSlots: a worker must ask for at least one slot.
 func TestWorkerBadSlots(t *testing.T) {
-	if _, _, err := workOnce("127.0.0.1:1", "w", slots(0)); err == nil {
+	t.Parallel()
+	if _, err := newWorker(slots(0)); err == nil {
 		t.Error("zero slots accepted")
+	}
+	if err := Work("127.0.0.1:1", 0); err == nil {
+		t.Error("zero slots accepted by Work")
 	}
 	if err := WorkLoop("127.0.0.1:1", slots(0)); err == nil {
 		t.Error("zero slots accepted by WorkLoop")
@@ -165,6 +198,7 @@ func TestWorkerBadSlots(t *testing.T) {
 // through its backoff schedule and finishes the new server's jobs — then
 // exits cleanly when the server says bye.
 func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
+	t.Parallel()
 	specs := testSpecs()
 	srv1, err := Serve("127.0.0.1:0")
 	if err != nil {
@@ -235,6 +269,7 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 // is the capability ack promising the bye shutdown frame — what lets a
 // worker treat every hangup without bye as a fault.
 func TestHelloAckAdvertisesBye(t *testing.T) {
+	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -263,9 +298,9 @@ func TestHelloAckAdvertisesBye(t *testing.T) {
 // schedule runs out instead of spinning forever. The schedule is
 // compressed so the test does not wait out the production delays.
 func TestWorkLoopGivesUpWithoutServer(t *testing.T) {
-	base, max := reconnectBaseDelay, reconnectMaxDelay
-	reconnectBaseDelay, reconnectMaxDelay = time.Millisecond, 5*time.Millisecond
-	defer func() { reconnectBaseDelay, reconnectMaxDelay = base, max }()
+	t.Parallel()
+	w := testWorker(t, slots(1))
+	w.schedule = compressed()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -273,17 +308,18 @@ func TestWorkLoopGivesUpWithoutServer(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close() // a dead address that was at least once valid
 	start := time.Now()
-	if err := WorkLoop(addr, slots(1)); err == nil {
-		t.Fatal("WorkLoop returned nil with no server")
+	if err := w.loop(addr); err == nil {
+		t.Fatal("loop returned nil with no server")
 	}
-	if elapsed := time.Since(start); elapsed < reconnectBaseDelay {
-		t.Errorf("WorkLoop gave up after %v, before any backoff", elapsed)
+	if elapsed := time.Since(start); elapsed < w.schedule.base {
+		t.Errorf("loop gave up after %v, before any backoff", elapsed)
 	}
 }
 
 // TestWorkLoopRejectionIsFinal: an engine-version rejection must not be
 // retried — the mismatch cannot resolve itself.
 func TestWorkLoopRejectionIsFinal(t *testing.T) {
+	t.Parallel()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -47,11 +47,12 @@ const DefaultPoisonAttempts = 3
 // Liveness defaults. Heartbeats prove the link; checkpoint frames prove
 // progress and renew the job's lease. Leases are sized from the spec's
 // cycle budget so big jobs are not revoked for merely being big.
-var (
+const (
 	defaultHeartbeat     = 2 * time.Second
-	heartbeatMissFactor  = int64(4) // silent for this many intervals => dead
+	heartbeatMissFactor  = 4 // silent for this many intervals => dead
 	defaultLeaseBase     = 2 * time.Minute
 	defaultLeasePerCycle = time.Millisecond
+	defaultCloseGrace    = time.Second
 )
 
 // ServeOpts hardens a server beyond the in-memory default.
@@ -73,6 +74,10 @@ type ServeOpts struct {
 	// Zero means the defaults.
 	LeaseBase     time.Duration
 	LeasePerCycle time.Duration
+	// closeGrace bounds the last write of every session once the server is
+	// closing; 0 means the default. Unexported: this package's tests
+	// compress it, nothing outside can set it.
+	closeGrace time.Duration
 }
 
 // Server accepts worker connections and dispatches submitted specs to
@@ -128,6 +133,9 @@ func ServeWith(addr string, opts ServeOpts) (*Server, error) {
 	}
 	if opts.LeasePerCycle <= 0 {
 		opts.LeasePerCycle = defaultLeasePerCycle
+	}
+	if opts.closeGrace <= 0 {
+		opts.closeGrace = defaultCloseGrace
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {

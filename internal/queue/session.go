@@ -23,10 +23,6 @@ func sweepTick(hb time.Duration) time.Duration {
 	return tick
 }
 
-// closeGrace bounds the last write of every session once the server is
-// closing. A variable so tests can compress it.
-var closeGrace = time.Second
-
 // session is the server's state for one worker connection. The goroutine
 // running serveWorker is its only owner: it alone touches these fields,
 // holds the custody of every pending in held, and writes to conn.
@@ -59,7 +55,7 @@ func (s *Server) serveWorker(conn net.Conn) {
 		// keeps Close prompt; a healthy session's bye goes out under it.
 		select {
 		case <-s.closed:
-			_ = conn.SetWriteDeadline(time.Now().Add(closeGrace))
+			_ = conn.SetWriteDeadline(time.Now().Add(s.opts.closeGrace))
 		case <-done:
 		}
 	}()
@@ -129,7 +125,7 @@ func (ss *session) greet(hello *message) bool {
 	ack := &message{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true}
 	if hb := ss.s.opts.Heartbeat; hello.HBCap && hb > 0 {
 		ack.HB = int64(hb / time.Millisecond)
-		ss.quiet = hb * time.Duration(heartbeatMissFactor)
+		ss.quiet = hb * heartbeatMissFactor
 	}
 	if err := writeMessage(ss.conn, ack); err != nil {
 		ss.torn = true

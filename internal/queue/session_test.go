@@ -34,6 +34,7 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 // is still undelivered — a caller that reads Stats() or the journal right
 // after ExecuteJobsPartial returns can then never miss them.
 func TestQuarantineTalliedAndJournalledBeforeDelivered(t *testing.T) {
+	t.Parallel()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +80,7 @@ func TestQuarantineTalliedAndJournalledBeforeDelivered(t *testing.T) {
 // loop that also empties the queue, so the hand-back must return even
 // when the buffer is full of submissions — and the job must still arrive.
 func TestRequeueNeverBlocksOnAFullQueue(t *testing.T) {
+	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +130,7 @@ func dialHello(t *testing.T, addr string, hello message) net.Conn {
 // hello advertising a billion slots, then a hangup, leaves the server
 // serving real workers with its goroutine count back at the baseline.
 func TestHugeSlotsHelloCostsNoGoroutines(t *testing.T) {
+	// Not parallel: it counts the goroutines of the whole process.
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -175,14 +178,17 @@ func bigPending(id int64) *pending {
 // deadline still severs the link, which fails the write, and the job goes
 // back into circulation.
 func TestSilentWorkerSeveredMidWrite(t *testing.T) {
+	t.Parallel()
 	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Heartbeat: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	// The job waits in the queue before the worker exists, so the session
+	// takes it straight after the handshake, inside the silence deadline.
+	srv.jobs <- bigPending(1)
 	silent := dialHello(t, srv.Addr(), message{Slots: 1, Name: "silent-nonreader", CkptCap: true, HBCap: true})
 	defer silent.Close()
-	srv.jobs <- bigPending(1)
 	waitFor(t, 10*time.Second, "the silent, non-reading worker to be severed and its job requeued", func() bool {
 		st := srv.Stats()
 		return st.Crashed == 1 && st.Requeues == 1
@@ -193,16 +199,25 @@ func TestSilentWorkerSeveredMidWrite(t *testing.T) {
 // that is stuck writing to a worker which stopped reading (and never
 // promised heartbeats, so nothing else would sever it).
 func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
-	defer func(d time.Duration) { closeGrace = d }(closeGrace)
-	closeGrace = 100 * time.Millisecond
-	srv, err := Serve("127.0.0.1:0")
+	t.Parallel()
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{closeGrace: 100 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.jobs <- bigPending(1)
 	stuck := dialHello(t, srv.Addr(), message{Slots: 1, CkptCap: true})
 	defer stuck.Close()
-	srv.jobs <- bigPending(1)
-	time.Sleep(100 * time.Millisecond) // let the session take the job and block
+	// The worker reads the ack and one byte of the job frame, then nothing:
+	// the session is now inside a write no socket buffer can take.
+	stuck.SetReadDeadline(time.Now().Add(30 * time.Second))
+	r := bufio.NewReader(stuck)
+	var ack message
+	if err := readMessage(r, &ack); err != nil || ack.Type != "hello-ack" {
+		t.Fatalf("no ack: %+v %v", ack, err)
+	}
+	if _, err := r.ReadByte(); err != nil {
+		t.Fatalf("the job frame never started: %v", err)
+	}
 	start := time.Now()
 	srv.Close()
 	if d := time.Since(start); d > 2*time.Second {

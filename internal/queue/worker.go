@@ -20,49 +20,79 @@ import (
 // instead of retrying.
 var ErrRejected = errors.New("queue: server rejected worker")
 
-// Reconnect policy of WorkLoop: exponential backoff between connection
-// attempts with seeded jitter, capped at reconnectMaxDelay, giving up
-// after reconnectMaxDown consecutive attempts that never got a frame from
-// the server. The schedule tolerates ~10 minutes of server downtime — a
-// redeploy or host reboot, not just a blip — before a worker declares the
-// run lost.
-// Variables (not constants) so tests can compress the schedule.
-var (
-	reconnectBaseDelay = 100 * time.Millisecond
-	reconnectMaxDelay  = 5 * time.Second
-	reconnectMaxDown   = 120
-)
-
-// backoffDelay computes the reconnect pause for the given attempt:
-// exponential from reconnectBaseDelay plus deterministic jitter derived
-// from the worker's seed, never exceeding reconnectMaxDelay. The jitter
-// de-synchronizes a fleet whose server just restarted — without it every
-// worker that died together retries together, forever.
-func backoffDelay(attempt int, seed uint64) time.Duration {
-	if attempt > 30 {
-		attempt = 30 // past the cap anyway; keep the shift in range
-	}
-	d := reconnectBaseDelay << attempt
-	if d <= 0 || d > reconnectMaxDelay {
-		d = reconnectMaxDelay
-	}
-	jitter := time.Duration(rng.Mix64(seed+uint64(attempt)) % uint64(d/2+1))
-	if d += jitter; d > reconnectMaxDelay {
-		d = reconnectMaxDelay
-	}
-	return d
-}
+// errWorkerKilled ends the session of a worker whose onJob seam killed it
+// on a received job. A real killed worker's process is simply gone, so loop
+// treats the error as final: this identity does not reconnect.
+var errWorkerKilled = errors.New("queue: worker killed on a received job")
 
 // workerSeq distinguishes worker identities minted in one process.
 var workerSeq atomic.Int64
 
-// workerIdentity derives a fleet-unique worker name without consulting
-// the clock: pid plus a process-local counter. The name is the unit of
-// poison-job accounting — one identity per worker lifetime, surviving
-// reconnects, so a flaky link does not impersonate a parade of distinct
-// victims.
-func workerIdentity() string {
-	return fmt.Sprintf("w%d-%d", os.Getpid(), workerSeq.Add(1))
+// backoff is a worker's reconnect schedule: exponential from base between
+// connection attempts, with seeded jitter, capped at max, giving up after
+// maxDown consecutive attempts that never got a frame from the server.
+type backoff struct {
+	base, max time.Duration
+	maxDown   int
+}
+
+// delay computes the reconnect pause for the given attempt. The jitter,
+// deterministic in the worker's seed, de-synchronizes a fleet whose server
+// just restarted — without it every worker that died together retries
+// together, forever.
+func (b backoff) delay(attempt int, seed uint64) time.Duration {
+	if attempt > 30 {
+		attempt = 30 // past the cap anyway; keep the shift in range
+	}
+	d := b.base << attempt
+	if d <= 0 || d > b.max {
+		d = b.max
+	}
+	jitter := time.Duration(rng.Mix64(seed+uint64(attempt)) % uint64(d/2+1))
+	if d += jitter; d > b.max {
+		d = b.max
+	}
+	return d
+}
+
+// worker is one worker lifetime, built once by Work or WorkLoop. Nothing in
+// it is shared, so workers set differently live side by side in a process.
+type worker struct {
+	r experiments.Runner // runs the jobs; r.Workers is the slot count
+	// name is the fleet-unique identity, minted without consulting the
+	// clock: pid plus a process-local counter. It is the unit of poison-job
+	// accounting — one identity per worker lifetime, surviving reconnects,
+	// so a flaky link does not impersonate a parade of distinct victims.
+	name string
+	// seed drives the reconnect jitter. It derives from the pid and the
+	// counter minted for name, never the clock: two workers get different
+	// schedules, one worker gets the same schedule every run.
+	seed     uint64
+	schedule backoff
+	dial     func(addr string) (net.Conn, error) // net.Dial in production
+
+	// The seams, nil in production. onJob sees every job received: an error
+	// ends the session with it, a duration holds the job that long before it
+	// runs. onResume is told the size of each resume snapshot a job carries.
+	onJob    func(spec *experiments.JobSpec) (hold time.Duration, err error)
+	onResume func(resumeLen int)
+}
+
+// newWorker mints a worker over r on the production schedule, which
+// tolerates ~10 minutes of server downtime — a redeploy or host reboot, not
+// just a blip — before the worker declares the run lost.
+func newWorker(r experiments.Runner) (*worker, error) {
+	if r.Workers < 1 {
+		return nil, fmt.Errorf("queue: worker needs >= 1 slots, got %d", r.Workers)
+	}
+	pid, n := os.Getpid(), workerSeq.Add(1)
+	return &worker{
+		r:        r,
+		name:     fmt.Sprintf("w%d-%d", pid, n),
+		seed:     rng.Mix64(uint64(pid)<<20 ^ uint64(n)),
+		schedule: backoff{base: 100 * time.Millisecond, max: 5 * time.Second, maxDown: 120},
+		dial:     func(addr string) (net.Conn, error) { return net.Dial("tcp", addr) },
+	}, nil
 }
 
 // Work is one worker session over the process-default Runner on the given
@@ -75,7 +105,11 @@ func workerIdentity() string {
 func Work(addr string, slots int) error {
 	r := experiments.DefaultRunner()
 	r.Workers, r.Execute = slots, nil
-	_, _, err := workOnce(addr, workerIdentity(), r)
+	w, err := newWorker(r)
+	if err != nil {
+		return err
+	}
+	_, _, err = w.session(addr)
 	return err
 }
 
@@ -88,49 +122,47 @@ func Work(addr string, slots int) error {
 // trickling back rather than stampeding. It returns nil once a server
 // completes a run (a bye frame) or this worker has drained, the rejection
 // error if the handshake is refused (an engine mismatch will not fix
-// itself), ErrWorkerKilled if the chaos harness killed this worker, or
-// the last connection error after reconnectMaxDown consecutive attempts
-// that never heard from a server.
+// itself), or the last connection error after the schedule's maxDown
+// consecutive attempts that never heard from a server.
 func WorkLoop(addr string, r experiments.Runner) error {
-	if r.Workers < 1 {
-		return fmt.Errorf("queue: worker needs >= 1 slots, got %d", r.Workers)
+	w, err := newWorker(r)
+	if err != nil {
+		return err
 	}
-	name := workerIdentity()
-	// Jitter seed: derived from the identity counter and pid, never the
-	// clock — two workers get different schedules, one worker gets the
-	// same schedule every run.
-	seed := rng.Mix64(uint64(os.Getpid())<<20 ^ uint64(workerSeq.Load()))
-	attempt, down := 0, 0
+	return w.loop(addr)
+}
+
+// loop runs sessions until one ends the worker's life, pausing on the
+// worker's schedule between them.
+func (w *worker) loop(addr string) error {
+	down := 0 // consecutive sessions that never heard from a server
 	for {
-		over, heard, err := workOnce(addr, name, r)
+		over, heard, err := w.session(addr)
 		if over {
 			return nil
 		}
-		// A rejection is final, and so is a kill: the chaos harness killed
-		// this worker process; a real one would not reconnect, so neither
-		// does this identity.
-		if errors.Is(err, ErrRejected) || errors.Is(err, ErrWorkerKilled) {
+		// A rejection is final, and so is a kill: a killed worker process
+		// would not reconnect, so neither does this identity.
+		if errors.Is(err, ErrRejected) || errors.Is(err, errWorkerKilled) {
 			return err
 		}
 		if heard {
-			attempt, down = 0, 0 // the link worked: restart the backoff schedule
+			down = 0 // the link worked: restart the backoff schedule
 		}
-		down++
-		if down > reconnectMaxDown {
+		if down++; down > w.schedule.maxDown {
 			if err == nil {
 				err = fmt.Errorf("queue: server at %s hung up without bye", addr)
 			}
 			return fmt.Errorf("queue: giving up after %d reconnect attempts: %w", down-1, err)
 		}
-		time.Sleep(backoffDelay(attempt, seed))
-		attempt++
+		time.Sleep(w.schedule.delay(down-1, w.seed))
 	}
 }
 
-// workOnce runs one worker session. over reports that the run is — a
+// session runs one worker session. over reports that the run is — a
 // server bye, or this worker's own drain; heard that the server sent at
 // least one frame, so the link works. A hangup without bye is neither
-// over nor an error, so Work can keep its lenient contract while WorkLoop
+// over nor an error, so Work can keep its lenient contract while loop
 // treats it as a fault.
 //
 // Its loop owns the session: it alone writes to the connection and counts
@@ -139,18 +171,11 @@ func WorkLoop(addr string, r experiments.Runner) error {
 // order here. A failed write is not acted on: the server's last words
 // (its bye) may be unread, and the reader reports the stream's end after
 // them.
-func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err error) {
-	slots := r.Workers
-	if slots < 1 {
-		return false, false, fmt.Errorf("queue: worker needs >= 1 slots, got %d", slots)
-	}
-	conn, err := net.Dial("tcp", addr)
+func (w *worker) session(addr string) (over, heard bool, err error) {
+	slots := w.r.Workers
+	conn, err := w.dial(addr)
 	if err != nil {
 		return false, false, fmt.Errorf("queue: %w", err)
-	}
-	chaos := activeChaos()
-	if chaos != nil {
-		conn = chaos.wrapConn(conn)
 	}
 	// Last to first: release the reader and the job goroutines, hang up,
 	// and only then wait for the jobs — a run cannot be interrupted, and
@@ -158,10 +183,10 @@ func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err er
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer conn.Close()
-	jobs := &jobPort{r: r, up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{}), chaos: chaos}
+	jobs := &jobPort{w: w, up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{})}
 	defer close(jobs.done)
 	if err := writeMessage(conn, &message{Type: "hello", Slots: slots,
-		Engine: sim.EngineVersion, Name: name, CkptCap: true, HBCap: true}); err != nil {
+		Engine: sim.EngineVersion, Name: w.name, CkptCap: true, HBCap: true}); err != nil {
 		return false, false, fmt.Errorf("queue: %w", err)
 	}
 	// Room for all the server may have outstanding — the ack, a job per
@@ -208,22 +233,26 @@ func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err er
 			case "error":
 				return false, heard, fmt.Errorf("%w: %s", ErrRejected, msg.Error)
 			case "job":
-				if r.Draining() {
+				if w.r.Draining() {
 					// Never start new work while draining; the unanswered
 					// job requeues (with any prior snapshot) when the
 					// drain hangup lands.
 					continue
 				}
 				spec, err := experiments.DecodeSpecJSON(msg.Spec)
-				if err == nil && chaos != nil && chaos.killsJob(spec) {
-					// A poison job: receiving it kills this worker, the
-					// wire shape of a spec that crashes its process.
-					return false, heard, ErrWorkerKilled
+				var hold time.Duration
+				if err == nil && w.onJob != nil {
+					if hold, err = w.onJob(spec); err != nil {
+						return false, heard, err
+					}
 				}
 				owed++
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					// Held here, not in the loop, so heartbeats keep flowing
+					// while the job sits.
+					time.Sleep(hold)
 					jobs.run(msg, spec, err, serverCkpt)
 				}()
 			}
@@ -237,7 +266,7 @@ func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err er
 		case <-beat:
 			_ = writeMessage(conn, &message{Type: "hb"})
 		case <-drain.C:
-			if r.Draining() && owed == 0 {
+			if w.r.Draining() && owed == 0 {
 				_ = writeMessage(conn, &message{Type: "bye"})
 				return true, heard, nil // the drain hangup is this worker's end of run
 			}
@@ -247,11 +276,10 @@ func workOnce(addr, name string, r experiments.Runner) (over, heard bool, err er
 
 // jobPort is what the job goroutines of one session share with its loop.
 type jobPort struct {
-	r     experiments.Runner // how this worker's jobs run
-	up    chan *message      // ckpt and result frames for the wire; nil: a job ended unanswered
-	sem   chan struct{}      // one token per advertised slot
-	done  chan struct{}      // closed when the session is over
-	chaos *Chaos             // nil in production
+	w    *worker       // whose jobs these are: its Runner runs them
+	up   chan *message // ckpt and result frames for the wire; nil: a job ended unanswered
+	sem  chan struct{} // one token per advertised slot
+	done chan struct{} // closed when the session is over
 }
 
 // send hands msg to the session loop, or drops it once the session is
@@ -267,17 +295,8 @@ func (jp *jobPort) send(msg *message) {
 // from the job frame's snapshot, and shipping checkpoints if the server
 // takes them — and hands every frame it produces up to the session loop.
 func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
-	if specErr == nil && jp.chaos != nil {
-		if d := jp.chaos.stallFor(spec); d > 0 {
-			// A stuck worker: hold the job past its lease — here, not in
-			// the loop, so heartbeats keep flowing and the server revokes
-			// the lease instead of severing the link — then proceed; the
-			// late answer exercises the server's fencing.
-			time.Sleep(d)
-		}
-	}
 	resume := decodeSnapshotPayload(job.Ckpt)
-	if h := testResumeHook; h != nil && len(resume) > 0 {
+	if h := jp.w.onResume; h != nil && len(resume) > 0 {
 		h(len(resume))
 	}
 	select {
@@ -289,7 +308,7 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 	var res *sim.Result
 	runErr := specErr
 	if runErr == nil && ckpt {
-		res, runErr = jp.r.RunSpecVia(spec, resume, func(snap []byte) error {
+		res, runErr = jp.w.r.RunSpecVia(spec, resume, func(snap []byte) error {
 			// An unshippable snapshot never fails the run.
 			if payload, err := encodeSnapshotPayload(snap); err == nil {
 				jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: payload})
@@ -297,7 +316,7 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 			return nil
 		})
 	} else if runErr == nil {
-		res, runErr = jp.r.RunSpec(spec)
+		res, runErr = jp.w.r.RunSpec(spec)
 	}
 	if errors.Is(runErr, sim.ErrCheckpointed) {
 		// Drained mid-run: the final snapshot is already on the wire.
@@ -310,7 +329,3 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 	encodeOutcome(reply, res, runErr)
 	jp.send(reply)
 }
-
-// testResumeHook, when set by a test, observes every non-empty resume
-// snapshot a job frame carries — proof the requeue-with-snapshot path ran.
-var testResumeHook func(resumeLen int)

@@ -22,6 +22,10 @@ func NewDragonfly(a, h int) (*Dragonfly, error) {
 	if a < 2 || h < 1 {
 		return nil, fmt.Errorf("topo: dragonfly needs a >= 2 switches/group and h >= 1 global ports, got a=%d h=%d", a, h)
 	}
+	// Each factor first, so the product below cannot overflow.
+	if a > MaxSwitches || h > MaxSwitches || int64(a)*(int64(a)*int64(h)+1) > MaxSwitches {
+		return nil, fmt.Errorf("topo: dragonfly a=%d h=%d has more than %d switches", a, h, MaxSwitches)
+	}
 	g := a*h + 1
 	d := &Dragonfly{a: a, h: h, groups: g, n: int32(a * g)}
 	return d, nil

@@ -20,6 +20,13 @@ type HyperX struct {
 	portOff []int   // first port index of each dimension
 }
 
+// MaxSwitches bounds every topology this package constructs: twice the
+// 32x32x32 cube, the largest network the README sizes. The constructors
+// check it, overflow-safely, before they allocate anything sized by their
+// parameters, so dimensions read from a flag or a socket cost an error,
+// never memory.
+const MaxSwitches = 1 << 16
+
 // NewHyperX constructs the HyperX with the given sides. Every side must be
 // at least 2 (a side of 1 would add a dimension with no links).
 func NewHyperX(dims ...int) (*HyperX, error) {
@@ -37,8 +44,8 @@ func NewHyperX(dims ...int) (*HyperX, error) {
 			return nil, fmt.Errorf("topo: HyperX side %d must be >= 2, got %d", i, k)
 		}
 		h.strides[i] = h.n
-		if int64(h.n)*int64(k) > int64(1)<<30 {
-			return nil, fmt.Errorf("topo: HyperX with sides %v is too large", dims)
+		if k > MaxSwitches/int(h.n) {
+			return nil, fmt.Errorf("topo: HyperX with sides %v has more than %d switches", dims, MaxSwitches)
 		}
 		h.n *= int32(k)
 		h.radix += k - 1

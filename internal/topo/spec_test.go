@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -95,5 +96,36 @@ func TestFaultSetEdgesRoundTrip(t *testing.T) {
 	}
 	if !g.Has(5, 2) || !g.Has(3, 1) {
 		t.Error("round-tripped set lost membership")
+	}
+}
+
+// TestTopologySizeBound: dimensions arrive from flags and sockets, so a
+// network past MaxSwitches is an error from every constructor — whatever
+// the switch count overflows to, and before anything is allocated that the
+// dimensions size (a side-2^30 HyperX used to get its 2^30-entry portDim)
+// — while the largest network the README sizes still builds.
+func TestTopologySizeBound(t *testing.T) {
+	for _, s := range []Spec{
+		{KindHyperX, []int{1 << 30}},
+		{KindHyperX, []int{2, math.MaxInt}}, // the product wraps to -2
+		{KindHyperX, []int{256, 257}},
+		{KindTorus, []int{MaxSwitches + 1}},
+		{KindTorus, []int{4, math.MaxInt}},
+		{KindDragonfly, []int{math.MaxInt, 1}},
+		{KindDragonfly, []int{1 << 31, 1 << 31}}, // a*(a*h+1) wraps
+		{KindDragonfly, []int{41, 39}},           // 41 * 1600 = 65600
+	} {
+		if _, err := s.Build(); err == nil {
+			t.Errorf("%v built", s)
+		}
+	}
+	for _, s := range []Spec{
+		{KindHyperX, []int{32, 32, 32}},
+		{KindTorus, []int{256, 256}}, // MaxSwitches exactly
+		{KindDragonfly, []int{40, 40}},
+	} {
+		if top, err := s.Build(); err != nil || top.Switches() > MaxSwitches {
+			t.Errorf("%v: %v", s, err)
+		}
 	}
 }

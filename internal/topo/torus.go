@@ -27,8 +27,8 @@ func NewTorus(dims ...int) (*Torus, error) {
 			return nil, fmt.Errorf("topo: torus side %d must be >= 3, got %d", i, k)
 		}
 		t.strides[i] = t.n
-		if int64(t.n)*int64(k) > int64(1)<<30 {
-			return nil, fmt.Errorf("topo: torus with sides %v is too large", dims)
+		if k > MaxSwitches/int(t.n) {
+			return nil, fmt.Errorf("topo: torus with sides %v has more than %d switches", dims, MaxSwitches)
 		}
 		t.n *= int32(k)
 	}
