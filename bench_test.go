@@ -546,7 +546,7 @@ func BenchmarkIdleDrain8x8x8(b *testing.B) {
 // that dominates the wall-clock of the latency-vs-load sweeps. At 0.05
 // most switches see a packet every few cycles; at 0.01 the arrival
 // calendar's fast-forward carries the run.
-func benchLowLoad(b *testing.B, load float64) {
+func benchLowLoad(b *testing.B, load float64, workers int) {
 	b.Helper()
 	h := topo.MustHyperX(8, 8, 8)
 	nw := topo.NewNetwork(h, nil)
@@ -566,7 +566,7 @@ func benchLowLoad(b *testing.B, load float64) {
 		if _, err := sim.Run(sim.RunOptions{
 			Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
 			Load: load, WarmupCycles: 0, MeasureCycles: cycles, Seed: 9,
-			Workers: 1,
+			Workers: workers,
 		}); err != nil {
 			b.Fatal(err)
 		}
@@ -574,9 +574,14 @@ func benchLowLoad(b *testing.B, load float64) {
 	b.ReportMetric(float64(cycles)*float64(b.N)/b.Elapsed().Seconds(), "cycles/s")
 }
 
+// BenchmarkLowLoadCycleRate runs each point at one worker and at
+// GOMAXPROCS: the second row is the phase barrier's, paid three times a
+// cycle whenever the due list is at least the worker count long.
 func BenchmarkLowLoadCycleRate(b *testing.B) {
 	for _, load := range []float64{0.05, 0.01} {
-		b.Run(fmt.Sprintf("Load%.2f", load), func(b *testing.B) { benchLowLoad(b, load) })
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+			b.Run(fmt.Sprintf("Load%.2f/Workers%d", load, workers), func(b *testing.B) { benchLowLoad(b, load, workers) })
+		}
 	}
 }
 

@@ -66,6 +66,8 @@ var codecTargets = []codecTarget{
 			"disp":          "runtime scheduling state; a snapshot restores under any worker count",
 			"ws":            "runtime scheduling state; a snapshot restores under any worker count",
 			"act":           "derived bookkeeping; rebuildActivity reconstructs it from the restored queues and wheel",
+			"all":           "the full-walk reference's list of every switch id, built at construction",
+			"maskWords":     "derived from the radix at construction",
 			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
 			"inOcc":         "rebuilt by rebuildDerived: nonempty input VCs per port; audited by auditPorts",
 			"inMask":        "rebuilt by rebuildDerived: inOcc > 0 per port; audited by auditPorts",

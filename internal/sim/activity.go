@@ -205,6 +205,25 @@ func (e *engine) actActivate(sw int32) {
 	}
 }
 
+// actRemoteEvent accounts an event the transmit merge just put on tgt's
+// calendar for cycle at. It is the one cross-switch lowering: the target
+// may be parked, and compaction no longer refolds parked switches, so the
+// folded word must track the new earliest event here (sequential, so the
+// write is safe; events land strictly in the future, so a parked target
+// stays parked this cycle).
+func (e *engine) actRemoteEvent(tgt int32, at int64) {
+	a := e.act
+	if a == nil {
+		return
+	}
+	a.evWork[tgt]++
+	e.actEvNext(tgt, at)
+	if at < a.nextWork[tgt] {
+		a.nextWork[tgt] = at
+	}
+	e.actActivate(tgt)
+}
+
 // actBuildDue opens a cycle: it drains the wheel slot of the current
 // cycle into the due list. Only due switches run the phases and the
 // staging merges this cycle; for everyone else the cycle is a proven
@@ -286,7 +305,7 @@ func (e *engine) actMergeWoken() {
 // nothing, so its components are unchanged and its fold still equals
 // their minimum — the one cross-switch lowering, a transmit-merge routing
 // an event onto a parked calendar, writes the folded word directly and
-// books the visit itself (actActivate). The booking is forced (schedAt
+// books the visit itself (actRemoteEvent). The booking is forced (schedAt
 // cleared first) because a woken switch may still hold a stale future
 // booking from before its wake-up.
 func (e *engine) actCompact() {

@@ -27,24 +27,32 @@ func runBytes(t testing.TB, o RunOptions) []byte {
 
 // TestActivityOnOffBitIdentical is the tentpole property test: across
 // random small topologies, mechanisms, open-loop, burst and mid-flight-
-// skip modes, series buckets and mid-run fault schedules, the activity-
-// tracked engine (with its dirty sets, per-switch next-work times and
-// event-calendar fast-forward) produces byte-for-byte the Result of the
-// full-walk engine, at several worker counts.
+// skip modes, series buckets, mid-run fault schedules and a radix past 64
+// ports (two occupancy-mask words per switch), the activity-tracked engine
+// (with its dirty sets, per-switch next-work times and event-calendar
+// fast-forward) produces byte-for-byte the Result of the full-walk engine,
+// at several worker counts.
 func TestActivityOnOffBitIdentical(t *testing.T) {
 	dimChoices := [][]int{{3, 3}, {4, 4}, {2, 2, 2}, {3, 3, 3}}
 	check := func(seed uint64) bool {
 		r := rng.New(seed)
 		dims := dimChoices[r.Intn(len(dimChoices))]
+		per, mode := 2, r.Intn(4)
+		if r.Intn(4) == 0 {
+			// P = 2 + 63 > 64: two occupancy-mask words per switch, so the
+			// multi-word mask walk meets the full scan. Sparse traffic only:
+			// at 252 servers the denser modes cost tens of small seeds, and
+			// two faults would cut the 2x2 ring.
+			dims, per, mode = []int{2, 2}, 63, 3
+		}
 		h := topo.MustHyperX(dims...)
 		seq := topo.RandomFaultSequence(h, seed)
 		base := core.OmniRoutes
 		if r.Intn(2) == 0 {
 			base = core.PolarizedRoutes
 		}
-		per := 2
 		o := RunOptions{ServersPerSwitch: per, Seed: seed}
-		switch r.Intn(4) {
+		switch mode {
 		case 0: // open loop
 			o.Load = 0.1 + 0.8*r.Float64()
 			o.WarmupCycles = int64(r.Intn(300))
@@ -248,6 +256,19 @@ func TestFastForwardTarget(t *testing.T) {
 	if next, ok = e.fastForwardTarget(1001, 30); !ok || next != 10 {
 		t.Fatalf("event-bounded target = (%d, %v), want (10, true)", next, ok)
 	}
+	// The run loop's jump on this state: a drained burst — nothing in
+	// flight, an empty calendar — stays put and leaves the exit to the end
+	// check, while the same engine with a packet in flight jumps to the
+	// event (the loop increment then lands on it).
+	e.warmEnd = 1001
+	if e.fastForward(); e.now != 0 {
+		t.Fatalf("a drained burst jumped to cycle %d", e.now+1)
+	}
+	e.inFlight = 1
+	if e.fastForward(); e.now != 9 {
+		t.Fatalf("the in-flight jump lands on cycle %d, want the event at 10", e.now+1)
+	}
+	e.now, e.inFlight = 0, 0
 	// A nearer fault bounds the jump.
 	e.faultSchedule = []FaultEvent{{Cycle: 7, Edge: topo.Edge{U: 0, V: 1}}}
 	if next, ok = e.fastForwardTarget(1001, -1); !ok || next != 7 {

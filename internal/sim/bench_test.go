@@ -50,14 +50,14 @@ func loadedPaperEngine(b testing.TB) *engine {
 	// the benchmarks see the request population allocation actually faces:
 	// arrivals drained into the input queues, traffic generated, injections
 	// launched.
-	e.forEachSwitch(func(sw int32, _ *workerScratch) {
+	for sw := int32(0); sw < int32(e.S); sw++ {
 		e.processEventsSwitch(sw)
-	})
+	}
 	e.mergeRetire()
 	gen()
-	e.forEachSwitch(func(sw int32, ws *workerScratch) {
-		e.injectSwitch(sw, ws)
-	})
+	for sw := int32(0); sw < int32(e.S); sw++ {
+		e.injectSwitch(sw, &e.ws[0])
+	}
 	return e
 }
 

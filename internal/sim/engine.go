@@ -84,9 +84,11 @@ type engine struct {
 	workers int
 	disp    *spinPool // nil when workers <= 1
 
-	// act is the dirty-switch tracking state (activity.go); nil in the
-	// tests' full-walk reference (RunOptions.fullWalk).
+	// act is the dirty-switch tracking state (activity.go). The tests'
+	// full-walk reference (RunOptions.fullWalk) has none and walks all,
+	// every switch id in order, instead; all is nil in every other run.
 	act *activityState
+	all []int32
 
 	// portDead mutates on scheduled mid-run faults; up never does.
 	portDead []bool // per global port: link failed mid-run (markLinkDead)
@@ -122,15 +124,17 @@ type engine struct {
 	// through up[].
 	credits []int16
 
-	// Per-switch port-occupancy bitmasks: bit p of inMask[sw] is set iff
-	// port p has a nonempty input VC (inOcc > 0), bit p of outMask[sw] iff
-	// port p's output buffer is nonempty. The allocation and transmission
-	// scans of the activity engine jump straight to the set bits instead of
-	// probing the full radix, which at low load is almost entirely empty.
-	// Maintained unconditionally (and audited against the rings), consulted
-	// only on the activity fast path; nil when the radix exceeds 64 ports.
-	inMask  []uint64
-	outMask []uint64
+	// Per-switch port-occupancy bitmasks, maskWords words per switch (bit p
+	// of switch sw located by maskBit): port p's bit is set in inMask iff the
+	// port has a nonempty input VC (inOcc > 0), in outMask iff its output
+	// buffer is nonempty. The allocation and transmission scans of the
+	// activity engine jump straight to the set bits instead of probing the
+	// full radix, which at low load is almost entirely empty. Maintained
+	// unconditionally (and audited against the rings), consulted only on
+	// the activity fast path.
+	maskWords int
+	inMask    []uint64
+	outMask   []uint64
 
 	// penCost[p] caches penaltyCost for the small penalty constants, each
 	// entry evaluated with penaltyCost's own float expression so cached
@@ -352,10 +356,9 @@ func newEngine(o RunOptions) (*engine, error) {
 		e.penCost[p] = int64(e.cfg.PenaltyWeight * float64(p) / float64(e.cfg.PacketPhits))
 	}
 	e.outQ = newRingSet(SP, e.cfg.OutputBufPkts, true)
-	if e.P <= 64 {
-		e.inMask = make([]uint64, e.S)
-		e.outMask = make([]uint64, e.S)
-	}
+	e.maskWords = (e.P + 63) / 64
+	e.inMask = make([]uint64, e.S*e.maskWords)
+	e.outMask = make([]uint64, e.S*e.maskWords)
 	e.outReserved = make([]int16, SP)
 	e.outVCCount = make([]int16, SP*e.V)
 	e.outBusy = make([]int64, SP)
@@ -406,11 +409,34 @@ func newEngine(o RunOptions) (*engine, error) {
 		e.ws[w].inUsed = make([]int8, e.P)
 		e.ws[w].vcUsed = make([]int16, e.V)
 	}
-	if !o.fullWalk {
+	if o.fullWalk {
+		e.all = make([]int32, e.S)
+		for sw := range e.all {
+			e.all[sw] = int32(sw)
+		}
+	} else {
 		e.act = newActivityState(e.S, e.horizon+2)
 	}
 	e.accountMem(start)
 	return e, nil
+}
+
+// maskBit locates port p of switch sw in the occupancy masks: the index of
+// its word and the bit within that word.
+func (e *engine) maskBit(sw int32, p int) (int, uint64) {
+	return int(sw)*e.maskWords + p>>6, 1 << uint(p&63)
+}
+
+// maskWalk calls fn for every port whose bit is set in switch sw's words of
+// mask, in ascending port order — the order of the full scan. Each word is
+// read once, before its ports are visited, so fn may clear their bits.
+func (e *engine) maskWalk(mask []uint64, sw int32, fn func(p int)) {
+	base := int(sw) * e.maskWords
+	for i, m := range mask[base : base+e.maskWords] {
+		for ; m != 0; m &= m - 1 {
+			fn(i<<6 + bits.TrailingZeros64(m))
+		}
+	}
 }
 
 // scheduleSw enqueues an event on switch sw's calendar at now+delay. Every
@@ -503,9 +529,8 @@ func (e *engine) processEventsSwitch(sw int32) {
 			if e.inQ.len(ev.a) == 0 {
 				gp := ev.a / int32(e.V)
 				e.inOcc[gp]++
-				if e.inMask != nil {
-					e.inMask[sw] |= 1 << uint32(gp-gpBase)
-				}
+				w, b := e.maskBit(sw, int(gp-gpBase))
+				e.inMask[w] |= b
 			}
 			e.inQ.push(ev.a, ev.pkt)
 			e.swInPkts[sw]++
@@ -524,8 +549,9 @@ func (e *engine) processEventsSwitch(sw int32) {
 				e.freed[sw] = append(e.freed[sw], ev.pkt)
 				continue
 			}
-			if e.outQ.len(ev.a) == 0 && e.outMask != nil {
-				e.outMask[sw] |= 1 << uint32(ev.a-gpBase)
+			if e.outQ.len(ev.a) == 0 {
+				w, b := e.maskBit(sw, int(ev.a-gpBase))
+				e.outMask[w] |= b
 			}
 			e.outQ.pushVC(ev.a, ev.pkt, ev.vc)
 			e.swOutPkts[sw]++
@@ -746,20 +772,15 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 			}
 		}
 	}
-	if a != nil && e.inMask != nil {
+	if a != nil {
 		// Visit only the occupied ports, in the same ascending order the
 		// full scan would. A cleared bit means every VC ring of the port is
-		// empty, so skipping it drops no request and no retry bound.
-		for m := e.inMask[sw]; m != 0; m &= m - 1 {
-			scanPort(bits.TrailingZeros64(m))
-		}
+		// empty, so skipping it drops no request and no retry bound. The
+		// full walk keeps the plain scan: it is the reference the A/B
+		// bit-identity tests compare against.
+		e.maskWalk(e.inMask, sw, scanPort)
 	} else {
 		for p := 0; p < e.P; p++ {
-			if a != nil && e.inOcc[gpBase+int32(p)] == 0 {
-				continue // no queued packet on any VC: skip the ring scan.
-				// Gated like the other count guards: the full walk stays the
-				// plain reference the A/B bit-identity tests compare against.
-			}
 			scanPort(p)
 		}
 	}
@@ -900,8 +921,9 @@ func (e *engine) commitSwitch(sw int32) {
 		e.inQ.pop(rq.invc)
 		if e.inQ.len(rq.invc) == 0 {
 			e.inOcc[rq.inPort]--
-			if e.inOcc[rq.inPort] == 0 && e.inMask != nil {
-				e.inMask[sw] &^= 1 << uint32(rq.inPort-sw*int32(e.P))
+			if e.inOcc[rq.inPort] == 0 {
+				w, b := e.maskBit(sw, int(rq.inPort-sw*int32(e.P)))
+				e.inMask[w] &^= b
 			}
 		}
 		e.swInPkts[sw]--
@@ -957,8 +979,9 @@ func (e *engine) transmitSwitch(sw int32) {
 		id, vc := e.outQ.popVC(gport)
 		e.pq[gport].outTotal--
 		left := e.outQ.len(gport)
-		if left == 0 && e.outMask != nil {
-			e.outMask[sw] &^= 1 << uint32(p)
+		if left == 0 {
+			w, b := e.maskBit(sw, p)
+			e.outMask[w] &^= b
 		}
 		e.swOutPkts[sw]--
 		e.actQu(sw, -1)
@@ -981,13 +1004,11 @@ func (e *engine) transmitSwitch(sw int32) {
 			ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
 		})
 	}
-	if a != nil && e.outMask != nil {
+	if a != nil {
 		// Visit only the occupied output ports, in the same ascending order
 		// the full scan would: a cleared bit is an empty buffer, which the
 		// full scan skips on its first check anyway.
-		for m := e.outMask[sw]; m != 0; m &= m - 1 {
-			xmitPort(bits.TrailingZeros64(m))
-		}
+		e.maskWalk(e.outMask, sw, xmitPort)
 	} else {
 		for p := 0; p < e.P; p++ {
 			xmitPort(p)

@@ -105,9 +105,8 @@ func (e *engine) drainDeadPort(gp int32) {
 		e.outVCCount[gp*int32(e.V)+int32(vc)]--
 		e.losePacket(id)
 	}
-	if e.outMask != nil {
-		e.outMask[sw] &^= 1 << uint32(gp%int32(e.P))
-	}
+	w, b := e.maskBit(sw, int(gp%int32(e.P)))
+	e.outMask[w] &^= b
 }
 
 // losePacket retires a packet lost to a link failure.

@@ -65,6 +65,11 @@ func (e *engine) verifyPorts() {
 func (e *engine) auditPorts() error {
 	V := int32(e.V)
 	P := int32(e.P)
+	// The occupancy masks the rings call for, compared with the engine's
+	// word by word after the port walk, so a stray bit past the radix fails
+	// too.
+	inWant := make([]uint64, len(e.inMask))
+	outWant := make([]uint64, len(e.outMask))
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		// Credit bounds, per-port sum consistency and link conservation.
 		var sum int32
@@ -79,16 +84,12 @@ func (e *engine) auditPorts() error {
 				"occupancy count would silently skip an allocate scan with real work in it",
 				gp, e.inOcc[gp], occ8, e.now)
 		}
-		if e.inMask != nil {
-			sw, p := gp/P, gp%P
-			if got := e.inMask[sw]&(1<<uint32(p)) != 0; got != (occ8 > 0) {
-				return fmt.Errorf("sim: inMask[%d] bit %d = %v but port holds %d nonempty VCs at cycle %d",
-					sw, p, got, occ8, e.now)
-			}
-			if got := e.outMask[sw]&(1<<uint32(p)) != 0; got != (e.outQ.len(gp) > 0) {
-				return fmt.Errorf("sim: outMask[%d] bit %d = %v but output holds %d packets at cycle %d",
-					sw, p, got, e.outQ.len(gp), e.now)
-			}
+		w, b := e.maskBit(gp/P, int(gp%P))
+		if occ8 > 0 {
+			inWant[w] |= b
+		}
+		if e.outQ.len(gp) > 0 {
+			outWant[w] |= b
 		}
 		// The ledger is indexed by sender: the credits for gp's input VCs are
 		// the entries of the port at the far end of its link, and a sender
@@ -129,6 +130,12 @@ func (e *engine) auditPorts() error {
 		}
 		if e.outInflight[gp] < 0 || int(e.outInflight[gp]) > e.cfg.XbarSpeedup {
 			return fmt.Errorf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now)
+		}
+	}
+	for w := range inWant {
+		if e.inMask[w] != inWant[w] || e.outMask[w] != outWant[w] {
+			return fmt.Errorf("sim: mask word %d of switch %d is (in %#x, out %#x), the rings say (%#x, %#x) at cycle %d",
+				w%e.maskWords, w/e.maskWords, e.inMask[w], e.outMask[w], inWant[w], outWant[w], e.now)
 		}
 	}
 	return nil

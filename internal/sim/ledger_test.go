@@ -98,7 +98,8 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 		// far's input VC 0 holds a packet its sender was never charged for.
 		e.inQ.push(far*int32(e.V), e.allocPacket())
 		e.inOcc[far]++
-		e.inMask[far/int32(e.P)] |= 1 << uint32(far%int32(e.P))
+		w, b := e.maskBit(far/int32(e.P), int(far%int32(e.P)))
+		e.inMask[w] |= b
 		e.swInPkts[far/int32(e.P)]++
 		e.inFlight++
 	})

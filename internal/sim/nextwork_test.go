@@ -141,9 +141,8 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	invc := gp*int32(e.V) + int32(vc)
 	e.inQ.push(invc, id)
 	e.inOcc[gp]++
-	if e.inMask != nil {
-		e.inMask[sw] |= 1
-	}
+	w, b := e.maskBit(sw, 0)
+	e.inMask[w] |= b
 	e.swInPkts[sw]++
 	e.actQu(sw, 1)
 	e.inFlight++

@@ -178,60 +178,88 @@ func Run(o RunOptions) (*Result, error) {
 // runOpenLoop is the standard warmup+measurement experiment with Bernoulli
 // generation at the offered load. The Bernoulli draws are aggregated into
 // the per-server geometric arrival calendar (arrivals.go), which lets the
-// run fast-forward between events even mid-flight: nothing can happen
-// before the earliest of the per-switch next-work times, the next arrival,
-// the next scheduled fault and the warmup/measure boundary (see
-// fastForwardTarget in activity.go).
+// run fast-forward between events even mid-flight. It ends at the
+// measurement end.
 func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
-	defer e.startPool()()
-	end := e.warmEnd
 	if e.arrQ == nil {
 		// Tests may pre-seed a handcrafted calendar; a real Run never does.
 		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
 	}
+	done := func() bool { return e.now >= e.warmEnd }
+	if err := e.loop(o, done, func() error { return nil }); err != nil {
+		return nil, err
+	}
+	res, _ := e.result(o)
+	return res, nil
+}
+
+// loop is the cycle loop of both run modes and the only place a run steps
+// the engine. Each iteration runs, in this order: the caller's end check,
+// the checkpoint (so the cycle a run ends at never ships a snapshot), the
+// caller's overrun check, the due faults, the cycle itself, the audits,
+// the watchdog and the fast-forward. Burst runs the same arrival
+// generation as the open loop, on an empty calendar: it draws nothing and
+// wakes nothing.
+func (e *engine) loop(o RunOptions, done func() bool, overrun func() error) error {
+	defer e.startPool()()
 	// A fresh engine starts at e.now = 0; a restored one continues at its
 	// checkpoint cycle, so the loop deliberately has no init clause.
 	ckpt := newCkptClock(e.now)
-	for ; e.now < end; e.now++ {
+	for ; !done(); e.now++ {
 		if err := e.maybeCheckpoint(&ckpt, o); err != nil {
-			return nil, err
+			return err
+		}
+		if err := overrun(); err != nil {
+			return err
 		}
 		if err := e.applyDueFaults(); err != nil {
-			return nil, err
+			return err
 		}
 		e.stepCycle(e.generateArrivals)
 		if e.cfg.CheckInvariants && e.now%64 == 0 {
 			e.verifyInvariants()
 		}
 		if err := e.checkWatchdog(); err != nil {
-			return nil, err
+			return err
 		}
-		// Event-calendar fast-forward: a cycle before every switch's
-		// next-work time with no due arrival mutates nothing and draws no
-		// randomness — even with packets in flight, waiting out busy links
-		// and buffers — so jumping over the stretch is invisible. The
-		// warmup boundary bounds the jump only out of caution (nothing
-		// triggers at warmStart itself); the measurement end bounds it
-		// because the run is over there. Skipped cycles stamp no progress
-		// with packets in flight, exactly like the full walk (a skipped
-		// cycle is a no-op for every switch), so the watchdog sees the
-		// same stall lengths either way.
-		bound := end
-		if e.now < e.warmStart && e.warmStart < bound {
-			bound = e.warmStart
-		}
-		if next, ok := e.fastForwardTarget(bound, e.nextArrivalCycle()); ok {
-			e.now = next - 1 // the loop increment lands on the target
-			if e.inFlight == 0 {
-				// Per-cycle ticking would have stamped progress on every
-				// skipped (empty-network) cycle; replicate the last stamp
-				// so the watchdog never sees the jump as a stall.
-				e.lastProgress = e.now
-			}
+		e.fastForward()
+	}
+	return nil
+}
+
+// fastForward is the loop's event-calendar jump: a cycle before every
+// switch's next-work time with no due arrival mutates nothing and draws
+// no randomness — even with packets in flight, waiting out busy links and
+// buffers — so jumping over the stretch is invisible, and e.now passes
+// through exactly the observable sequence of per-cycle ticking (see
+// fastForwardTarget in activity.go). The jump stops at the window edges:
+// warmStart only out of caution (nothing triggers there), warmEnd because
+// the open loop ends there and a burst, measured over [0, maxCycles+1),
+// times out there at the same cycle per-cycle ticking would. A network
+// with nothing in flight and no arrival ahead — a drained burst — does
+// not jump: nothing is due anywhere, and an unguarded jump would ride to
+// warmEnd before the end check runs. Skipped cycles stamp no progress
+// with packets in flight, exactly like the full walk (a skipped cycle is
+// a no-op for every switch), so the watchdog sees the same stall lengths
+// either way.
+func (e *engine) fastForward() {
+	arrival := e.nextArrivalCycle()
+	if e.inFlight == 0 && arrival < 0 {
+		return
+	}
+	bound := e.warmEnd
+	if e.now < e.warmStart && e.warmStart < bound {
+		bound = e.warmStart
+	}
+	if next, ok := e.fastForwardTarget(bound, arrival); ok {
+		e.now = next - 1 // the loop increment lands on the target
+		if e.inFlight == 0 {
+			// Per-cycle ticking would have stamped progress on every
+			// skipped (empty-network) cycle; replicate the last stamp so
+			// the watchdog never sees the jump as a stall.
+			e.lastProgress = e.now
 		}
 	}
-	res, _ := e.result(o)
-	return res, nil
 }
 
 // runBurst preloads every injection queue and runs to completion.
@@ -251,43 +279,17 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 			}
 		}
 	}
-	defer e.startPool()()
 	total := int64(o.BurstPackets) * int64(nServers)
-	ckpt := newCkptClock(e.now)
-	for ; e.totalDelivered+e.lostPkts < total; e.now++ {
-		if err := e.maybeCheckpoint(&ckpt, o); err != nil {
-			return nil, err
-		}
+	done := func() bool { return e.totalDelivered+e.lostPkts >= total }
+	overrun := func() error {
 		if e.now > maxCycles {
-			return nil, fmt.Errorf("sim: burst did not complete within %d cycles (%d/%d delivered)",
+			return fmt.Errorf("sim: burst did not complete within %d cycles (%d/%d delivered)",
 				maxCycles, e.totalDelivered, total)
 		}
-		if err := e.applyDueFaults(); err != nil {
-			return nil, err
-		}
-		e.stepCycle(nil)
-		if e.cfg.CheckInvariants && e.now%64 == 0 {
-			e.verifyInvariants()
-		}
-		if err := e.checkWatchdog(); err != nil {
-			return nil, err
-		}
-		// Event-calendar fast-forward: with no traffic generation (all burst
-		// traffic preloads), nothing can happen before the earliest
-		// per-switch next-work time — jump straight to it, even mid-drain
-		// while packets wait out serializations and releases. The skipped
-		// cycles are provably no-ops, so e.now passes through exactly the
-		// same observable sequence as per-cycle ticking. The bound
-		// maxCycles+1 lets the burst timeout fire at the same cycle as
-		// per-cycle ticking would. The inFlight guard keeps the exit cycle
-		// identical to per-cycle ticking: once the last packet retires
-		// nothing is due anywhere, and an unguarded jump would ride to the
-		// timeout bound before the loop condition is rechecked.
-		if e.inFlight > 0 {
-			if next, ok := e.fastForwardTarget(maxCycles+1, -1); ok {
-				e.now = next - 1 // the loop increment lands on the event cycle
-			}
-		}
+		return nil
+	}
+	if err := e.loop(o, done, overrun); err != nil {
+		return nil, err
 	}
 	res, w := e.result(o)
 	res.CompletionTime = w.lastDeliveryCycle

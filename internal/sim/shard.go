@@ -22,14 +22,13 @@ import (
 //	   mergeTransmit (sequential): route outboxes onto target calendars in
 //	   switch order, fold progress flags
 //
-// With activity tracking on (every run but the tests' full-walk
-// reference), the phases and merges walk only the sorted dirty list of
-// activity.go instead of the whole switch array, and each phase skips
-// dirty switches whose per-switch next-work time is still in the future
-// (see stepCycle); the compaction at the end of the cycle drops the
-// switches that went quiescent and refolds the next-work words. The
-// iteration order is the ascending switch order of the full walk either
-// way.
+// The phases and merges iterate one list, walk(): with activity tracking
+// on (every run but the tests' full-walk reference) the sorted due list of
+// activity.go instead of the whole switch array, so a switch whose
+// next-work time is still in the future is skipped (see stepCycle); the
+// compaction at the end of the cycle drops the switches that went
+// quiescent and refolds the next-work words. The iteration order is the
+// ascending switch order of the full walk either way.
 //
 // Ownership argument (why the phases are race-free):
 //
@@ -99,11 +98,11 @@ const spinParkAfter = 64 * spinYieldEvery
 // impossible by construction. A token the waiter turned out not to need
 // stays in the slot (a full slot makes the next send a no-op) and costs
 // one spurious wake-up, after which the waiter rechecks and parks again.
-// Under oversubscription — more engine workers in the process than
-// GOMAXPROCS — startPool shrinks the spin budget to a single yield round,
-// so the surplus workers park almost immediately and the barrier degrades
-// toward a channel pool instead of spinning against goroutines that have
-// no P to run on.
+// Under oversubscription — an engine with more workers than GOMAXPROCS —
+// startPool shrinks the spin budget to a single yield round, so the
+// surplus workers park almost immediately and the barrier degrades toward
+// a channel pool instead of spinning against goroutines that have no P to
+// run on.
 //
 // Correctness of the handoff: run publishes fn with a plain store before
 // the gen.Add release, and workers read it after observing the new
@@ -231,73 +230,48 @@ func (p *spinPool) close() {
 	p.wg.Wait()
 }
 
-// activeEngineWorkers counts the phase-pool workers of every engine
-// currently running in this process. Concurrent engines are common — the
-// experiment grid pool runs many simulations at once — and a spinning
-// barrier only helps while the combined worker population fits the Ps;
-// beyond that, spinners steal CPU from sibling engines' real work, so the
-// pool is built with a minimal spin budget and degrades to parking.
-var activeEngineWorkers atomic.Int64
-
 // startPool brings up the phase pool when the run asked for intra-run
 // parallelism; the returned stop function tears it down. Every pool is
-// the same spin→park barrier; oversubscription — this engine's workers
-// plus any concurrently running engines' exceeding GOMAXPROCS — only
-// shrinks the spin budget, so the choice degrades gracefully instead of
-// flipping between pool implementations.
+// the same spin→park barrier; an engine with more workers than GOMAXPROCS
+// only shrinks the spin budget, so the choice degrades gracefully instead
+// of flipping between pool implementations. The budget is the engine's
+// own: engines running side by side (a grid pool) fit the CPUs only if
+// whoever sizes their worker counts makes them fit, as the experiments
+// Runner's adaptive policy does.
 func (e *engine) startPool() func() {
 	if e.workers <= 1 {
 		return func() {}
 	}
-	inUse := activeEngineWorkers.Add(int64(e.workers))
 	budget := int32(spinParkAfter)
-	if inUse > int64(runtime.GOMAXPROCS(0)) {
+	if e.workers > runtime.GOMAXPROCS(0) {
 		budget = spinYieldEvery
 	}
 	e.disp = newSpinPool(e.workers-1, budget)
 	return func() {
-		activeEngineWorkers.Add(-int64(e.workers))
 		e.disp.close()
 		e.disp = nil
 	}
 }
 
-// forEachSwitch applies fn to every switch, in index order when sequential
-// and chunked over the worker pool otherwise. fn must confine itself to
-// state owned by the switch in the current phase plus the caller's scratch.
-func (e *engine) forEachSwitch(fn func(sw int32, ws *workerScratch)) {
-	if e.disp == nil {
-		ws := &e.ws[0]
-		for sw := 0; sw < e.S; sw++ {
-			fn(int32(sw), ws)
-		}
-		return
+// walk is the switch list of this cycle's phases and merges: the due list
+// (actBuildDue's snapshot of the wheel slot at the top of the cycle, plus
+// any switches traffic generation woke mid-cycle), or every switch in the
+// tests' full-walk reference. Either way it is in ascending switch order.
+func (e *engine) walk() []int32 {
+	if e.act == nil {
+		return e.all
 	}
-	e.disp.run(func(w int) {
-		lo := e.S * w / e.workers
-		hi := e.S * (w + 1) / e.workers
-		ws := &e.ws[w]
-		for sw := lo; sw < hi; sw++ {
-			fn(int32(sw), ws)
-		}
-	})
+	return e.act.due
 }
 
-// forEachDue applies fn to every switch whose next-work time has arrived
-// (the due list actBuildDue snapshotted at the top of the cycle, plus any
-// switches traffic generation woke mid-cycle), in ascending switch order
-// per worker chunk — or to every switch when activity tracking is off.
-// Skipped switches provably neither mutate state nor draw randomness this
-// cycle (activity.go), so the walk is observably the full walk. Short
-// lists skip the pool dispatch entirely; the choice depends only on the
-// (deterministic) due-list size, and chunk boundaries never affect
-// results because scratch state is per-switch.
+// forEachDue applies fn to every switch of walk(), in ascending switch
+// order per worker chunk. Skipped switches provably neither mutate state
+// nor draw randomness this cycle (activity.go), so the walk is observably
+// the full walk. Short lists skip the pool dispatch entirely; the choice
+// depends only on the (deterministic) list size, and chunk boundaries
+// never affect results because scratch state is per-switch.
 func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
-	if e.act == nil {
-		e.forEachSwitch(fn)
-		return
-	}
-	list := e.act.due
+	list := e.walk()
 	if e.disp == nil || len(list) < e.workers {
 		ws := &e.ws[0]
 		for _, sw := range list {
@@ -319,90 +293,59 @@ func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
 // the run totals: in-flight accounting, the packet free list, the optional
 // throughput series and the progress stamp. Walking switches in index order
 // keeps the free list (and so packet-id reuse) independent of scheduling;
-// only switches that ran the event phase can hold staging, so the due
-// list covers everything.
+// only switches that ran the event phase can hold staging, so walk()
+// covers everything.
 func (e *engine) mergeRetire() {
-	if e.act != nil {
-		for _, sw := range e.act.due {
-			e.mergeRetireSwitch(sw)
+	for _, sw := range e.walk() {
+		if r := e.swRetired[sw]; r != 0 {
+			e.inFlight -= r
+			e.totalDelivered += e.swDelivered[sw]
+			e.lostPkts += e.swLost[sw]
+			e.swRetired[sw], e.swDelivered[sw], e.swLost[sw] = 0, 0, 0
 		}
-		return
-	}
-	for sw := 0; sw < e.S; sw++ {
-		e.mergeRetireSwitch(int32(sw))
-	}
-}
-
-func (e *engine) mergeRetireSwitch(sw int32) {
-	if r := e.swRetired[sw]; r != 0 {
-		e.inFlight -= r
-		e.totalDelivered += e.swDelivered[sw]
-		e.lostPkts += e.swLost[sw]
-		e.swRetired[sw], e.swDelivered[sw], e.swLost[sw] = 0, 0, 0
-	}
-	if freed := e.freed[sw]; len(freed) > 0 {
-		e.free = append(e.free, freed...)
-		e.freed[sw] = freed[:0]
-	}
-	if sp := e.swSeriesPhits[sw]; sp > 0 {
-		e.series.Record(e.now, sp)
-		e.swSeriesPhits[sw] = 0
-	}
-	if e.swProgressed[sw] {
-		e.lastProgress = e.now
-		e.swProgressed[sw] = false
+		if freed := e.freed[sw]; len(freed) > 0 {
+			e.free = append(e.free, freed...)
+			e.freed[sw] = freed[:0]
+		}
+		if sp := e.swSeriesPhits[sw]; sp > 0 {
+			e.series.Record(e.now, sp)
+			e.swSeriesPhits[sw] = 0
+		}
+		if e.swProgressed[sw] {
+			e.lastProgress = e.now
+			e.swProgressed[sw] = false
+		}
 	}
 }
 
 // mergeTransmit routes every switch's outbox onto the target calendars, in
 // switch order, and folds the progress stamps of the inject/allocate/
 // commit/transmit phases. Targets that were quiescent are (re)activated
-// here — the only place one switch creates work for another. Only due
-// switches ran the phases, so only they can hold staging.
+// here — the only place one switch creates work for another. Only the
+// switches of walk() ran the phases, so only they can hold staging.
 func (e *engine) mergeTransmit() {
-	if e.act != nil {
-		for _, sw := range e.act.due {
-			e.mergeTransmitSwitch(sw)
-		}
-		return
-	}
-	for sw := 0; sw < e.S; sw++ {
-		e.mergeTransmitSwitch(int32(sw))
-	}
-}
-
-func (e *engine) mergeTransmitSwitch(sw int32) {
-	outbox := e.outbox[sw]
 	PV := int32(e.P * e.V)
-	for _, te := range outbox {
-		tgt := te.ev.a / PV
-		slot := int64(tgt)*e.horizon + te.at%e.horizon
-		e.events[slot] = append(e.events[slot], te.ev)
-		if a := e.act; a != nil {
-			a.evWork[tgt]++
-			e.actEvNext(tgt, te.at)
-			// The one cross-switch lowering: the target may be parked, and
-			// compaction no longer refolds parked switches, so the folded
-			// word must track the new earliest event here (sequential, so
-			// the write is safe; events land strictly in the future, so a
-			// parked target stays parked this cycle).
-			if te.at < a.nextWork[tgt] {
-				a.nextWork[tgt] = te.at
-			}
-			e.actActivate(tgt)
+	for _, sw := range e.walk() {
+		outbox := e.outbox[sw]
+		for _, te := range outbox {
+			tgt := te.ev.a / PV
+			slot := int64(tgt)*e.horizon + te.at%e.horizon
+			e.events[slot] = append(e.events[slot], te.ev)
+			e.actRemoteEvent(tgt, te.at)
 		}
-	}
-	e.outbox[sw] = outbox[:0]
-	if e.swProgressed[sw] {
-		e.lastProgress = e.now
-		e.swProgressed[sw] = false
+		e.outbox[sw] = outbox[:0]
+		if e.swProgressed[sw] {
+			e.lastProgress = e.now
+			e.swProgressed[sw] = false
+		}
 	}
 }
 
 // stepCycle advances the engine by one cycle. generate runs between the
-// event drain and the switch phases (nil in burst mode, where all traffic
-// preloads). The phases walk only the due list actBuildDue drains from
-// the current wheel slot — switches whose booked next-work time has
+// event drain and the switch phases: the run loop passes the arrival
+// calendar's generation, a no-op on burst's empty calendar (all burst
+// traffic preloads). The phases walk only the due list actBuildDue drains
+// from the current wheel slot — switches whose booked next-work time has
 // arrived, plus switches traffic generation wakes mid-cycle (folded in
 // before inject/allocate); actCompact then re-books every due switch at
 // its refolded next-work time, or parks it for good when quiescent. For

@@ -684,9 +684,10 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // a different simulation.
 func (e *engine) rebuildDerived() {
 	P, V, K := int32(e.P), int32(e.V), int32(e.K)
+	clear(e.inMask)
+	clear(e.outMask)
 	for sw := int32(0); sw < int32(e.S); sw++ {
 		var in, out, inj int32
-		var inMask, outMask uint64
 		for p := int32(0); p < P; p++ {
 			gp := sw*P + p
 			var occ int8
@@ -702,20 +703,18 @@ func (e *engine) rebuildDerived() {
 			out += int32(queued)
 			e.inOcc[gp] = occ
 			e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
+			w, b := e.maskBit(sw, int(p))
 			if occ > 0 {
-				inMask |= 1 << uint32(p)
+				e.inMask[w] |= b
 			}
 			if queued > 0 {
-				outMask |= 1 << uint32(p)
+				e.outMask[w] |= b
 			}
 		}
 		for g := sw * K; g < (sw+1)*K; g++ {
 			inj += int32(e.injQ.len(g))
 		}
 		e.swInPkts[sw], e.swOutPkts[sw], e.swInjPkts[sw] = in, out, inj
-		if e.inMask != nil {
-			e.inMask[sw], e.outMask[sw] = inMask, outMask
-		}
 	}
 	e.inFlight = int64(len(e.pool) - len(e.free))
 }

@@ -30,6 +30,16 @@ func snapshotRun(t testing.TB, h *topo.HyperX) RunOptions {
 	}
 }
 
+// snapshotBurstRun is snapshotRun in completion-time mode: 12 packets per
+// server, a throughput series, done at cycle 416.
+func snapshotBurstRun(t testing.TB, h *topo.HyperX) RunOptions {
+	o := snapshotRun(t, h)
+	o.Load, o.WarmupCycles, o.MeasureCycles = 0, 0, 0
+	o.BurstPackets = 12
+	o.SeriesBucket = 400
+	return o
+}
+
 // collectSnapshots runs o with periodic cycle checkpoints and returns the
 // result bytes plus every shipped snapshot.
 func collectSnapshots(t testing.TB, o RunOptions, everyCycles int64) ([]byte, [][]byte) {
@@ -45,33 +55,60 @@ func collectSnapshots(t testing.TB, o RunOptions, everyCycles int64) ([]byte, []
 	return runBytes(t, o), snaps
 }
 
-// TestSnapshotResumeBitIdentical is the core restore contract on a single
-// configuration: run-to-cycle-C, snapshot, restore in a fresh engine —
-// under a different worker count and the opposite activity setting — and
-// run to the end; the Result codec bytes must equal the uninterrupted
-// run's, for every shipped snapshot.
+// TestSnapshotResumeBitIdentical is the core restore contract: run to
+// cycle C, snapshot, restore in a fresh engine — under a different worker
+// count and the opposite activity setting — and run to the end; the Result
+// codec bytes must equal the uninterrupted run's, for every shipped
+// snapshot. It also pins how many snapshots a run ships: the due-at-end
+// inputs end at a multiple of their interval (1500 = 5 x 300, 416 = 4 x
+// 104), so a snapshot falls due at the very cycle the run ends, and the
+// loop's end check must come before its checkpoint.
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
-	ref := runBytes(t, snapshotRun(t, h))
-	got, snaps := collectSnapshots(t, snapshotRun(t, h), 350)
-	if !bytes.Equal(ref, got) {
-		t.Fatal("run with periodic checkpoints diverged from the plain run")
-	}
-	if len(snaps) < 2 {
-		t.Fatalf("expected several snapshots, got %d", len(snaps))
-	}
-	for i, snap := range snaps {
-		for _, workers := range []int{1, 4, 8} {
-			for _, noAct := range []bool{false, true} {
-				o := snapshotRun(t, h)
-				o.Workers = workers
-				o.fullWalk = noAct
-				o.Checkpoint = &CheckpointOptions{Resume: snap}
-				if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
-					t.Fatalf("snapshot %d resumed at workers=%d activity=%v diverged", i, workers, !noAct)
+	for _, tc := range []struct {
+		name  string
+		opts  func(testing.TB, *topo.HyperX) RunOptions
+		every int64
+		want  int // snapshots shipped
+	}{
+		{"open-loop", snapshotRun, 350, 4},
+		{"open-loop/due-at-end", snapshotRun, 300, 4},
+		{"burst/due-at-end", snapshotBurstRun, 104, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ref := runBytes(t, tc.opts(t, h))
+			got, snaps := collectSnapshots(t, tc.opts(t, h), tc.every)
+			if !bytes.Equal(ref, got) {
+				t.Fatal("run with periodic checkpoints diverged from the plain run")
+			}
+			if len(snaps) != tc.want {
+				t.Fatalf("shipped %d snapshots every %d cycles, want %d", len(snaps), tc.every, tc.want)
+			}
+			res, err := DecodeResult(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, snap := range snaps {
+				st, err := decodeSnapshotState(snap[:len(snap)-sha256.Size])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.Now >= res.Cycles {
+					t.Fatalf("snapshot %d taken at cycle %d, the run ends at %d", i, st.Now, res.Cycles)
+				}
+				for _, workers := range []int{1, 4, 8} {
+					for _, noAct := range []bool{false, true} {
+						o := tc.opts(t, h)
+						o.Workers = workers
+						o.fullWalk = noAct
+						o.Checkpoint = &CheckpointOptions{Resume: snap}
+						if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
+							t.Fatalf("snapshot %d resumed at workers=%d activity=%v diverged", i, workers, !noAct)
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -127,20 +164,13 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 // and the completion cycle must match the uninterrupted run.
 func TestSnapshotResumeBurst(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
-	opts := func() RunOptions {
-		o := snapshotRun(t, h)
-		o.Load, o.WarmupCycles, o.MeasureCycles = 0, 0, 0
-		o.BurstPackets = 12
-		o.SeriesBucket = 400
-		return o
-	}
-	ref := runBytes(t, opts())
-	_, snaps := collectSnapshots(t, opts(), 200)
+	ref := runBytes(t, snapshotBurstRun(t, h))
+	_, snaps := collectSnapshots(t, snapshotBurstRun(t, h), 200)
 	if len(snaps) == 0 {
 		t.Fatal("burst run shipped no snapshots")
 	}
 	for i, snap := range snaps {
-		o := opts()
+		o := snapshotBurstRun(t, h)
 		o.Workers = 8
 		o.Checkpoint = &CheckpointOptions{Resume: snap}
 		if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
@@ -458,21 +488,22 @@ func (e *engine) derivedState() derivedState {
 // TestRestoreRebuildsDerivedState is the engine-to-engine statement of the
 // hyperx-ckpt/2 rule: none of the derived words travel, and after a restore
 // every one of them equals the capturing engine's at the capture point —
-// with and without a replayed fault, with the occupancy masks (P <= 64) and
-// without them (P > 64, masks nil). The capturing engine is ticked by hand,
-// cycle by cycle, so the test holds it at the capture point.
+// with and without a replayed fault, with one occupancy-mask word per
+// switch (P <= 64) and with two (P > 64). The capturing engine is ticked by
+// hand, cycle by cycle, so the test holds it at the capture point.
 func TestRestoreRebuildsDerivedState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
 	for _, tc := range []struct {
 		name    string
 		servers int // per switch: 60 makes P = 6 + 60 > 64
+		words   int // occupancy-mask words per switch
 		faults  []FaultEvent
 	}{
-		{"P<=64", 4, nil},
-		{"P<=64/fault-replayed", 4, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
-		{"P>64", 60, nil},
-		{"P>64/fault-replayed", 60, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
+		{"P<=64", 4, 1, nil},
+		{"P<=64/fault-replayed", 4, 1, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
+		{"P>64", 60, 2, nil},
+		{"P>64/fault-replayed", 60, 2, []FaultEvent{{Cycle: 300, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			build := func() (*engine, RunOptions) {
@@ -491,8 +522,8 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 				return e, o
 			}
 			src, o := build()
-			if (src.inMask == nil) != (tc.servers > 58) {
-				t.Fatalf("P = %d: masks nil = %v", src.P, src.inMask == nil)
+			if src.maskWords != tc.words {
+				t.Fatalf("P = %d: %d mask words per switch, want %d", src.P, src.maskWords, tc.words)
 			}
 			src.initArrivals(o.Load / float64(src.cfg.PacketPhits))
 			for ; src.now < 304; src.now++ { // four cycles past the first fault
