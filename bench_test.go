@@ -362,7 +362,7 @@ func BenchmarkDistanceTables(b *testing.B) {
 	nw := topo.NewNetwork(topo.MustHyperX(8, 8, 8), nil)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := routing.BuildTables(nw); err != nil {
+		if err := (&routing.Tables{}).Rebuild(nw); err != nil {
 			b.Fatal(err)
 		}
 	}

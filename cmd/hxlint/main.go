@@ -27,13 +27,13 @@ func main() {
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: hxlint [-list] [packages]\n\nAnalyzers:\n")
-		for _, a := range analyzers.All() {
+		for _, a := range analyzers.All(nil) {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-15s %s\n", a.Name, a.Doc)
 		}
 	}
 	flag.Parse()
 	if *list {
-		for _, a := range analyzers.All() {
+		for _, a := range analyzers.All(nil) {
 			fmt.Printf("%-15s %s\n", a.Name, a.Doc)
 		}
 		return

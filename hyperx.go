@@ -23,9 +23,9 @@
 //	r := hyperx.Runner{Workers: 4, Cache: cache}
 //	results, _ := hyperx.RunSpecs(r, specs) // a second call is all cache hits
 //
-// The full experiment drivers that regenerate every table and figure of
-// the paper live behind the Fig*/Table*/Sweep helpers and the
-// cmd/experiments binary.
+// The experiment drivers that regenerate every table and figure of the
+// paper live in internal/experiments and are reached through the
+// cmd/experiments binary; this package exports none of them.
 package hyperx
 
 import (

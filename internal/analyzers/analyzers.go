@@ -1,9 +1,10 @@
 // Package analyzers holds the hxlint suite: five static checks that turn
 // the engine's prose determinism contracts (README "Engine architecture",
-// codec comments) into machine-checked invariants. Each analyzer documents
-// its contract in its Doc string; false positives are silenced in place
-// with a reasoned `//hx:allow <analyzer> <reason>` comment (see the
-// framework package — a reasonless allow is itself a finding).
+// codec comments) into machine-checked invariants, and a sixth,
+// unusedexport, that keeps dead exports from regrowing. Each analyzer
+// documents its contract in its Doc string; false positives are silenced
+// in place with a reasoned `//hx:allow <analyzer> <reason>` comment (see
+// the framework package — a reasonless allow is itself a finding).
 package analyzers
 
 import (
@@ -14,14 +15,16 @@ import (
 	"repro/internal/analyzers/framework"
 )
 
-// All returns the full suite in reporting order.
-func All() []*framework.Analyzer {
+// All returns the full suite in reporting order. used is the module's
+// non-test referrer set unusedexport consults (see UnusedExport).
+func All(used map[types.Object]bool) []*framework.Analyzer {
 	return []*framework.Analyzer{
 		MapRange,
 		RNGDiscipline,
 		ShardSafe,
 		UnstableSort,
 		CodecCoverage,
+		UnusedExport(used),
 	}
 }
 

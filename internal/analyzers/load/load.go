@@ -70,14 +70,30 @@ func New(dir string) *Loader {
 	}
 }
 
+// goCmd returns the go command with args, run in the loader's directory
+// with CGO disabled.
+func (l *Loader) goCmd(args ...string) *exec.Cmd {
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.dir
+	cmd.Env = append(cmd.Environ(), "CGO_ENABLED=0")
+	return cmd
+}
+
+// ModulePath returns the import path of the main module the loader lists
+// packages in.
+func (l *Loader) ModulePath() (string, error) {
+	out, err := l.goCmd("list", "-m").Output()
+	if err != nil {
+		return "", fmt.Errorf("go list -m: %w", err)
+	}
+	return strings.TrimSpace(string(out)), nil
+}
+
 // goList runs `go list -deps -json` for the patterns and decodes the
 // concatenated JSON stream. CGO is disabled so every listed package is
 // pure Go and can be type-checked from source.
 func (l *Loader) goList(patterns []string) ([]*listedPackage, error) {
-	args := append([]string{"list", "-deps", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = l.dir
-	cmd.Env = append(cmd.Environ(), "CGO_ENABLED=0")
+	cmd := l.goCmd(append([]string{"list", "-deps", "-json"}, patterns...)...)
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
@@ -118,11 +134,7 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	}
 	// A second, dependency-free listing distinguishes the packages the
 	// patterns matched from the closure `go list -deps` mixed them into.
-	args := append([]string{"list"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = l.dir
-	cmd.Env = append(cmd.Environ(), "CGO_ENABLED=0")
-	out, err := cmd.Output()
+	out, err := l.goCmd(append([]string{"list"}, patterns...)...).Output()
 	if err != nil {
 		return nil, fmt.Errorf("go list %s: %w", strings.Join(patterns, " "), err)
 	}

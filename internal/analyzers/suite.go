@@ -15,7 +15,19 @@ func RunSuite(patterns ...string) ([]framework.Diagnostic, error) {
 	if err != nil {
 		return nil, err
 	}
-	suite := All()
+	// unusedexport's referrers are the whole module's, whatever the
+	// patterns: `hxlint ./examples/...` must not flag an internal export
+	// that only other packages call. Packages the patterns already loaded
+	// cost only the listing.
+	mod, err := l.ModulePath()
+	if err != nil {
+		return nil, err
+	}
+	modPkgs, err := l.Load(mod + "/...")
+	if err != nil {
+		return nil, err
+	}
+	suite := All(moduleUses(modPkgs))
 	var diags []framework.Diagnostic
 	for _, p := range pkgs {
 		if !p.InModule {

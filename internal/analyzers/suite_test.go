@@ -39,19 +39,28 @@ func TestCodecCoverage(t *testing.T) {
 	analyzertest.Run(t, "testdata/src/codeccoverage", "codeccoverage", analyzers.CodecCoverage)
 }
 
+func TestUnusedExport(t *testing.T) {
+	analyzertest.Run(t, "testdata/src/unusedexport", "internal/unusedexport", analyzers.UnusedExport(nil))
+}
+
 // TestSuiteSelfHostClean runs the whole suite over the whole module — the
 // exact check CI's lint job performs with `go run ./cmd/hxlint ./...` —
 // and requires zero findings, so the repo can never merge code that its
-// own determinism contracts flag.
+// own determinism contracts flag. One internal package alone and the
+// examples alone must be as clean: unusedexport's referrers come from the
+// whole module, so an export only other packages call is no finding when
+// they are not among the patterns (CI runs `hxlint ./examples/...` too).
 func TestSuiteSelfHostClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-host lint type-checks the full module; skipped in -short")
 	}
-	diags, err := analyzers.RunSuite("repro/...")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range diags {
-		t.Errorf("self-host finding: %s", d)
+	for _, pattern := range []string{"repro/...", "repro/internal/topo", "repro/examples/..."} {
+		diags, err := analyzers.RunSuite(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: self-host finding: %s", pattern, d)
+		}
 	}
 }

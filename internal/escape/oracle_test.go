@@ -144,8 +144,8 @@ func TestTablesEqualPerTargetOracle(t *testing.T) {
 			g := nw.Graph()
 			name := fmt.Sprintf("%s/%d faults", spec, nw.Faults.Len())
 
-			tab, err := routing.BuildTables(nw)
-			if err != nil {
+			tab := &routing.Tables{}
+			if err := tab.Rebuild(nw); err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
 			dist := make([]int32, n)
@@ -236,8 +236,8 @@ func TestFailedRebuildKeepsTables(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, nil)
 	s := build(t, nw, 5)
-	tab, err := routing.BuildTables(nw)
-	if err != nil {
+	tab := &routing.Tables{}
+	if err := tab.Rebuild(nw); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]topo.Dist(nil), s.tab...)
@@ -257,7 +257,7 @@ func TestFailedRebuildKeepsTables(t *testing.T) {
 	if err := tab.Rebuild(cut); err == nil || err.Error() != "routing: "+want {
 		t.Errorf("tables rebuild on a disconnected network: %v", err)
 	}
-	if _, err := routing.BuildTables(cut); err == nil || err.Error() != "routing: "+want {
+	if err := (&routing.Tables{}).Rebuild(cut); err == nil || err.Error() != "routing: "+want {
 		t.Errorf("tables build on a disconnected network: %v", err)
 	}
 	for i, v := range before {
@@ -402,8 +402,8 @@ func TestOversizedNetworkRefusedBeforeAnyWrite(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	small := topo.NewNetwork(h, nil)
 	s := build(t, small, 5)
-	tab, err := routing.BuildTables(small)
-	if err != nil {
+	tab := &routing.Tables{}
+	if err := tab.Rebuild(small); err != nil {
 		t.Fatal(err)
 	}
 	before := append([]topo.Dist(nil), s.tab...)
@@ -416,7 +416,7 @@ func TestOversizedNetworkRefusedBeforeAnyWrite(t *testing.T) {
 	if err := tab.Rebuild(big); err == nil || err.Error() != "routing: "+want {
 		t.Errorf("tables rebuild on an oversized network: %v", err)
 	}
-	if _, err := routing.BuildTables(big); err == nil || err.Error() != "routing: "+want {
+	if err := (&routing.Tables{}).Rebuild(big); err == nil || err.Error() != "routing: "+want {
 		t.Errorf("tables build on an oversized network: %v", err)
 	}
 	if err := s.Rebuild(big, big.LiveNeighbors()); err == nil || err.Error() != "escape: "+want {

@@ -84,9 +84,9 @@ func TestTable3MatchesPaper(t *testing.T) {
 	if r3.AvgDistance != 2.625 {
 		t.Errorf("3D avg distance %v, want 2.625", r3.AvgDistance)
 	}
-	out := RenderTable3(0, Topology2D(ScaleFull), Topology3D(ScaleFull))
+	out := RenderTable3Rows(Table3Rows(0, Topology2D(ScaleFull), Topology3D(ScaleFull)))
 	if !strings.Contains(out, "HyperX 16x16") || !strings.Contains(out, "5376") {
-		t.Error("RenderTable3 missing content")
+		t.Error("RenderTable3Rows missing content")
 	}
 }
 

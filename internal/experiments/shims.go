@@ -42,23 +42,35 @@ func editDefaultRunner(edit func(*Runner)) {
 
 // SetExecutor sets the default Runner's Execute; nil restores local
 // execution.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func SetExecutor(e Executor) { editDefaultRunner(func(r *Runner) { r.Execute = e }) }
 
 // SetResultCache sets the default Runner's Cache; nil uninstalls.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func SetResultCache(s *cache.Store) { editDefaultRunner(func(r *Runner) { r.Cache = s }) }
 
 // ResultCache returns the default Runner's Cache, or nil.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func ResultCache() *cache.Store { return DefaultRunner().Cache }
 
 // SetDefaultRunWorkers fixes the default Runner's RunWorkers (negative
 // values mean sequential, as they always did here).
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func SetDefaultRunWorkers(n int) { editDefaultRunner(func(r *Runner) { r.RunWorkers = max(n, 0) }) }
 
 // RunSpec is the default Runner's RunSpec.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func RunSpec(spec *JobSpec) (*sim.Result, error) { return DefaultRunner().RunSpec(spec) }
 
 // ExecuteJobs is the default Runner's ExecuteJobs on a pool of the given
 // size.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func ExecuteJobs(workers int, specs []JobSpec) ([]*sim.Result, error) {
 	r := DefaultRunner()
 	r.Workers = workers

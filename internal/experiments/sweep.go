@@ -131,6 +131,8 @@ func SweepGrid(cfg SweepConfig) Grid[SweepRow] {
 // SaturationThroughput extracts, per (mechanism, pattern), the accepted
 // load at the highest offered load of the sweep — the summary number the
 // paper's bar charts report.
+//
+//hx:allow unusedexport test reference: the fold TestFig5RPNShape and the root Fig 4/5 benchmarks share across packages
 func SaturationThroughput(rows []SweepRow) map[string]map[string]float64 {
 	out := make(map[string]map[string]float64)
 	best := make(map[string]float64)

@@ -49,12 +49,6 @@ func Table3Rows(workers int, hs ...*topo.HyperX) []Table3Row {
 	return rows
 }
 
-// RenderTable3 formats Table 3 for the given topologies; workers bounds the
-// parallel row computation (0 means one per CPU).
-func RenderTable3(workers int, hs ...*topo.HyperX) string {
-	return RenderTable3Rows(Table3Rows(workers, hs...))
-}
-
 // RenderTable3Rows formats precomputed Table 3 rows, so callers that also
 // export them pay for the all-pairs BFS once.
 func RenderTable3Rows(rows []Table3Row) string {

@@ -6,26 +6,11 @@ package metrics
 
 import "math"
 
-// Jain returns the Jain fairness index (sum x)^2 / (n * sum x^2) of the
-// per-server loads. It is 1.0 for perfect equity and 1/n when a single
-// server generates everything. An all-zero (or empty) vector returns 1.0 by
-// convention: no server is being treated unfairly.
-func Jain(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1.0
-	}
-	var sum, sumSq float64
-	for _, x := range xs {
-		sum += x
-		sumSq += x * x
-	}
-	if sumSq == 0 {
-		return 1.0
-	}
-	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// JainInt is Jain over integer counts (phits generated per server).
+// JainInt returns the Jain fairness index (sum x)^2 / (n * sum x^2) of the
+// per-server loads, counted in phits generated per server. It is 1.0 for
+// perfect equity and 1/n when a single server generates everything. An
+// all-zero (or empty) vector returns 1.0 by convention: no server is being
+// treated unfairly.
 func JainInt(xs []int64) float64 {
 	if len(xs) == 0 {
 		return 1.0

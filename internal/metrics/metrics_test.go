@@ -7,7 +7,7 @@ import (
 )
 
 func TestJainPerfectEquity(t *testing.T) {
-	if j := Jain([]float64{5, 5, 5, 5}); math.Abs(j-1) > 1e-12 {
+	if j := JainInt([]int64{5, 5, 5, 5}); math.Abs(j-1) > 1e-12 {
 		t.Errorf("equal loads Jain = %v", j)
 	}
 	if j := JainInt([]int64{7, 7, 7}); math.Abs(j-1) > 1e-12 {
@@ -16,18 +16,15 @@ func TestJainPerfectEquity(t *testing.T) {
 }
 
 func TestJainWorstCase(t *testing.T) {
-	xs := make([]float64, 10)
+	xs := make([]int64, 10)
 	xs[3] = 42
-	if j := Jain(xs); math.Abs(j-0.1) > 1e-12 {
+	if j := JainInt(xs); math.Abs(j-0.1) > 1e-12 {
 		t.Errorf("single-server Jain = %v, want 0.1", j)
 	}
 }
 
 func TestJainConventions(t *testing.T) {
-	if Jain(nil) != 1.0 || Jain([]float64{0, 0}) != 1.0 {
-		t.Error("empty/zero Jain should be 1.0")
-	}
-	if JainInt(nil) != 1.0 || JainInt([]int64{0}) != 1.0 {
+	if JainInt(nil) != 1.0 || JainInt([]int64{0}) != 1.0 || JainInt([]int64{0, 0}) != 1.0 {
 		t.Error("empty/zero JainInt should be 1.0")
 	}
 }
@@ -37,11 +34,11 @@ func TestJainRangeProperty(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		xs := make([]float64, len(raw))
+		xs := make([]int64, len(raw))
 		for i, v := range raw {
-			xs[i] = float64(v)
+			xs[i] = int64(v)
 		}
-		j := Jain(xs)
+		j := JainInt(xs)
 		lo := 1.0 / float64(len(xs))
 		return j >= lo-1e-9 && j <= 1.0+1e-9
 	}
@@ -51,9 +48,9 @@ func TestJainRangeProperty(t *testing.T) {
 }
 
 func TestJainScaleInvariance(t *testing.T) {
-	xs := []float64{1, 2, 3, 4}
-	ys := []float64{10, 20, 30, 40}
-	if math.Abs(Jain(xs)-Jain(ys)) > 1e-12 {
+	xs := []int64{1, 2, 3, 4}
+	ys := []int64{10, 20, 30, 40}
+	if math.Abs(JainInt(xs)-JainInt(ys)) > 1e-12 {
 		t.Error("Jain not scale invariant")
 	}
 }

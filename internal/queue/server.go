@@ -113,6 +113,8 @@ type Server struct {
 // Serve starts an in-memory work-queue server listening on addr (e.g.
 // ":7031" or "127.0.0.1:0"). Jobs submitted before any worker connects
 // simply wait. For a durable server, see ServeWith.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func Serve(addr string) (*Server, error) {
 	return ServeWith(addr, ServeOpts{})
 }

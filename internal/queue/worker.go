@@ -102,6 +102,8 @@ func newWorker(r experiments.Runner) (*worker, error) {
 // the frozen bench/ starts its in-process workers through it, next to the
 // server whose Execute it has put on that same default — so the default's
 // Execute is dropped here, or the jobs would bounce back into the queue.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func Work(addr string, slots int) error {
 	r := experiments.DefaultRunner()
 	r.Workers, r.Execute = slots, nil

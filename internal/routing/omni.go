@@ -30,16 +30,6 @@ func NewOmni(nw *topo.Network) (*OmniAlg, error) {
 	return o, nil
 }
 
-// NewOmniWithBudget builds Omnidimensional routing with an explicit
-// non-minimal hop budget m (ablation use).
-func NewOmniWithBudget(nw *topo.Network, m int) (*OmniAlg, error) {
-	o := &OmniAlg{maxDeroute: int32(m)}
-	if err := o.Rebuild(nw); err != nil {
-		return nil, err
-	}
-	return o, nil
-}
-
 // Name implements Algorithm.
 func (o *OmniAlg) Name() string { return "Omnidimensional" }
 

@@ -45,15 +45,15 @@ func TestBuildTablesDisconnected(t *testing.T) {
 	for p := 0; p < h.SwitchRadix(); p++ {
 		f.Add(0, h.PortNeighbor(0, p))
 	}
-	if _, err := BuildTables(topo.NewNetwork(h, f)); err == nil {
-		t.Fatal("BuildTables accepted a disconnected network")
+	if err := (&Tables{}).Rebuild(topo.NewNetwork(h, f)); err == nil {
+		t.Fatal("a table build accepted a disconnected network")
 	}
 }
 
 func TestTablesMatchHamming(t *testing.T) {
 	nw := freshNet(t, 4, 4, 4)
-	tab, err := BuildTables(nw)
-	if err != nil {
+	tab := &Tables{}
+	if err := tab.Rebuild(nw); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Diameter() != 3 {
@@ -609,10 +609,11 @@ func TestAlgorithmNamesAndAccessors(t *testing.T) {
 
 func TestOmniWithBudgetZero(t *testing.T) {
 	nw := freshNet(t, 4, 4)
-	o, err := NewOmniWithBudget(nw, 0)
+	o, err := NewOmni(nw)
 	if err != nil {
 		t.Fatal(err)
 	}
+	o.maxDeroute = 0 // the deroute-budget gate, at its tightest
 	var st PacketState
 	o.Init(&st, 0, hx(nw).ID([]int{3, 0}), rng.New(1))
 	for _, pc := range o.PortCandidates(0, &st, nil) {

@@ -33,17 +33,6 @@ type Tables struct {
 	reach topo.Closure // the distance build's bitsets, likewise
 }
 
-// BuildTables computes distance tables for the live links of nw. It fails if
-// the live graph is disconnected, since distance-driven routing is undefined
-// across components.
-func BuildTables(nw *topo.Network) (*Tables, error) {
-	t := &Tables{}
-	if err := t.Rebuild(nw); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Rebuild recomputes the tables for the current fault set of nw, in place:
 // the distance table and the bitsets it is built from are reused. A
 // network that is disconnected, or has more switches than a topo.Dist

@@ -22,6 +22,8 @@ const EngineVersion = "hyperx-sim/4"
 
 // ActiveEngineVersion returns EngineVersion. It exists only because the
 // frozen bench/ module still calls it; new code uses the constant.
+//
+//hx:allow unusedexport frozen bench/ calls it; deleted with the shims by ROADMAP 1(b)
 func ActiveEngineVersion() string { return EngineVersion }
 
 // resultCodecVersion versions the binary layout below, independently of the

@@ -84,7 +84,8 @@ func TestCoordinateMechanismsRejectTorus(t *testing.T) {
 }
 
 // TestDALMechanismSimulates runs the DAL factory configuration end to end
-// and confirms Tornado traffic flows on a dragonfly via PolSP too.
+// under the paper's Dimension Complement Reverse pattern, and confirms
+// Uniform traffic flows on a dragonfly via PolSP too.
 func TestDALMechanismSimulates(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, nil)
@@ -96,7 +97,7 @@ func TestDALMechanismSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat, err := traffic.NewTornado(h, 4)
+	pat, err := traffic.NewDimensionComplementReverse(traffic.Servers{H: h, Per: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,8 +108,13 @@ func TestDALMechanismSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AcceptedLoad < 0.3 {
-		t.Errorf("DAL under tornado accepted %.3f at offered 0.4", res.AcceptedLoad)
+	// DAL saturates under DCR on the 4x4 near 0.5 (offered 1.0 accepts
+	// 0.498-0.501 over seeds 1-8), so offered 0.4 sits below saturation and
+	// should be delivered: seeds 1-8 accept 0.389-0.404 (seed 6: 0.395). The
+	// floor leaves ~5 % for the window's noise and still fails a router that
+	// stalls part of the adversarial flows.
+	if res.AcceptedLoad < 0.37 {
+		t.Errorf("DAL under DCR accepted %.3f at offered 0.4", res.AcceptedLoad)
 	}
 
 	// Dragonfly + PolSP at low load.

@@ -89,36 +89,15 @@ func MustGraph(n int, edges []Edge) *Graph {
 	return g
 }
 
-// Complete returns the complete graph K_k.
-func Complete(k int) *Graph {
-	edges := make([]Edge, 0, k*(k-1)/2)
-	for i := int32(0); i < int32(k); i++ {
-		for j := i + 1; j < int32(k); j++ {
-			edges = append(edges, Edge{i, j})
-		}
-	}
-	return MustGraph(k, edges)
-}
-
 // N returns the number of vertices.
 func (g *Graph) N() int { return len(g.off) - 1 }
 
 // M returns the number of undirected edges.
 func (g *Graph) M() int { return len(g.val) / 2 }
 
-// Degree returns the degree of vertex v.
-func (g *Graph) Degree(v int32) int { return int(g.off[v+1] - g.off[v]) }
-
 // Neighbors returns the sorted neighbor list of v as a shared slice; callers
 // must not modify it.
 func (g *Graph) Neighbors(v int32) []int32 { return g.val[g.off[v]:g.off[v+1]] }
-
-// HasEdge reports whether u and v are adjacent.
-func (g *Graph) HasEdge(u, v int32) bool {
-	nb := g.Neighbors(u)
-	i := sort.Search(len(nb), func(i int) bool { return nb[i] >= v })
-	return i < len(nb) && nb[i] == v
-}
 
 // Edges returns all undirected edges, normalized and sorted.
 func (g *Graph) Edges() []Edge {
@@ -157,21 +136,6 @@ func (g *Graph) Distances() []int32 {
 // (vacuously true for empty and single-vertex graphs).
 func (g *Graph) Connected() bool {
 	return g.N() <= 1 || g.adj().Connected()
-}
-
-// Eccentricity returns the greatest distance from v to any reachable vertex,
-// and whether all vertices were reachable.
-func (g *Graph) Eccentricity(v int32) (ecc int32, connected bool) {
-	n := g.N()
-	buf := make([]int32, 2*n) // distances and the search queue in one allocation
-	dist := buf[:n]
-	reached := g.adj().BFS(v, dist, buf[n:])
-	for _, d := range dist {
-		if d != Unreachable && d > ecc {
-			ecc = d
-		}
-	}
-	return ecc, reached == n
 }
 
 // Diameter returns the largest finite distance between any pair. The second

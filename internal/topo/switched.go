@@ -40,6 +40,8 @@ var (
 )
 
 // GraphOf builds the fault-free graph of any switched topology.
+//
+//hx:allow unusedexport test reference: the fault-free oracle of routing/candidates_ref_test.go and escape/oracle_test.go
 func GraphOf(t Switched) *Graph {
 	return MustGraph(t.Switches(), t.Edges())
 }
