@@ -49,6 +49,7 @@ func engineDir(version string) string {
 // call Open.
 type Store struct {
 	dir    string
+	engine string // dir's subdirectory for sim.EngineVersion, resolved once
 	hits   atomic.Int64
 	misses atomic.Int64
 	healed atomic.Int64 // entries found damaged and degraded to a miss
@@ -62,7 +63,7 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cache: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, engine: filepath.Join(dir, engineDir(sim.EngineVersion))}, nil
 }
 
 // Dir returns the store's root directory.
@@ -78,7 +79,7 @@ func (s *Store) entryPath(key, ext string) (string, error) {
 	if len(key) < 3 {
 		return "", fmt.Errorf("cache: key %q too short", key)
 	}
-	return filepath.Join(s.dir, engineDir(sim.EngineVersion), key[:2], key[2:]+ext), nil
+	return filepath.Join(s.engine, key[:2], key[2:]+ext), nil
 }
 
 // writeAtomic writes what write produces to p through a .tmp- file beside

@@ -412,3 +412,26 @@ func TestStoreErrors(t *testing.T) {
 		t.Error("short key accepted by Put")
 	}
 }
+
+// BenchmarkStoreGetHit is one warm-cache lookup: resolve the entry path,
+// read the file, verify its SHA-256 trailer and decode the result.
+func BenchmarkStoreGetHit(b *testing.B) {
+	s, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := testKey(0)
+	res := &sim.Result{
+		AcceptedLoad: 0.5, AvgLatency: 12.5, DeliveredPackets: 100,
+		Series: []metrics.SeriesPoint{{Cycle: 100, Accepted: 0.5}},
+	}
+	if err := s.Put(key, res); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, ok, err := s.Get(key); err != nil || !ok {
+			b.Fatalf("stored entry missed (ok=%v err=%v)", ok, err)
+		}
+	}
+}

@@ -25,8 +25,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-
-	"repro/internal/sim"
 )
 
 // Journal ops. The set is append-only: replay ignores unknown ops, so a
@@ -65,7 +63,7 @@ type Journal struct {
 // directory: journal records address spec hashes, and hashes are only
 // meaningful within one engine's semantics.
 func (s *Store) journalPath() string {
-	return filepath.Join(s.dir, engineDir(sim.EngineVersion), "grid.journal")
+	return filepath.Join(s.engine, "grid.journal")
 }
 
 // OpenJournal opens (creating if needed) the store's grid journal for

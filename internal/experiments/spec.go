@@ -1,12 +1,13 @@
 package experiments
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 
 	"repro/internal/sim"
@@ -154,7 +155,7 @@ func canonicalSchedule(events []sim.FaultEvent) []sim.FaultEvent {
 		return nil
 	}
 	out := append([]sim.FaultEvent(nil), events...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycle < out[j].Cycle })
+	slices.SortStableFunc(out, func(a, b sim.FaultEvent) int { return cmp.Compare(a.Cycle, b.Cycle) })
 	return out
 }
 
@@ -164,7 +165,13 @@ func canonicalSchedule(events []sim.FaultEvent) []sim.FaultEvent {
 // which is the result cache's key and the distribution protocol's
 // integrity check.
 func (s *JobSpec) Hash() string {
-	b := s.AppendCanonical(nil)
+	// One buffer that holds a valid spec's bytes without regrowing: 512
+	// covers the scalar lines, a vertex id below topo.MaxSwitches prints in
+	// at most 5 digits ("65535-65535," is 12 bytes) and a cycle in at most
+	// 20.
+	n := 512 + len(canonicalConfigLine) + len(s.Mechanism) + len(s.Pattern) +
+		12*len(s.Faults) + 33*len(s.FaultSchedule)
+	b := s.AppendCanonical(make([]byte, 0, n))
 	b = append(b, "engine="...)
 	b = append(b, sim.EngineVersion...)
 	sum := sha256.Sum256(b)

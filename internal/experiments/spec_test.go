@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -301,13 +302,14 @@ func refAppendCanonical(s *JobSpec, b []byte) []byte {
 	return b
 }
 
-// TestAppendCanonicalMatchesFmtReference: the strconv-built encoding is
-// byte-for-byte the fmt-built one — over fault sets of 0, 1, 50 and 500
-// edges in shuffled order and mixed orientation (duplicates included), an
-// unsorted fault schedule with same-cycle events, negative Root and
-// MaxCycles, seeds at the top of uint64, and load bit patterns with leading
-// zero digits and the sign bit set.
-func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
+// canonicalCases returns the specs the canonical-encoding tests share, in a
+// fixed order: fault sets of 0, 1, 50 and 500 edges in shuffled order and
+// mixed orientation (duplicates included, loads varied), the odd spec with
+// an unsorted same-cycle fault schedule and extreme fields, and three
+// fault-free Dragonfly specs with a -0, a tiny and an infinite load.
+// TestSpecHashGolden pins the hashes of five of them, so neither the list
+// nor the random draws that build it may change.
+func canonicalCases() []JobSpec {
 	h := topo.MustHyperX(8, 8, 8)
 	seq := topo.RandomFaultSequence(h, 3)
 	r := rng.New(5)
@@ -353,12 +355,122 @@ func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
 		s.Topo = topo.Spec{Kind: topo.KindDragonfly, Dims: []int{4, 2}}
 		specs = append(specs, s)
 	}
+	return specs
+}
+
+// TestSpecHashGolden pins Hash itself: every cached result and journaled
+// grid on disk is addressed by these values, so they may only move together
+// with sim.EngineVersion. The literals are the keys existing stores were
+// written under; never regenerate them from the code under test.
+func TestSpecHashGolden(t *testing.T) {
+	specs := canonicalCases()
+	for _, c := range []struct {
+		name string
+		spec *JobSpec
+		want string
+	}{
+		{"fault-free", &specs[0], "58df0a2d40e69e1af2cdd6714baf59ed1e6f401d0d0d25df2f7961718a3d5930"},
+		{"50 faults", &specs[2], "02d2d61650fcdd1e55fb4faaf37c21a5cba51692f2428b6d2c002631913f1317"},
+		{"500 faults", &specs[3], "b20b5f4ccde321e553006b9b90305ca6c1d5cdae23d7bc1be3ce0e8c29b151d3"},
+		{"odd", &specs[4], "679002ead30451ff00d90fb0220bc40800e741096efa1fde0b24a5317636f33c"},
+		{"dragonfly", &specs[5], "d914a2f17cfd946496ed0d7599fd87541a474b7ad36d3aaf7285101d1535e703"},
+	} {
+		if got := c.spec.Hash(); got != c.want {
+			t.Errorf("%s: Hash() = %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+// TestAppendCanonicalMatchesFmtReference: the strconv-built encoding is
+// byte-for-byte the fmt-built one — over canonicalCases (shuffled, flipped
+// and duplicated fault sets, an unsorted same-cycle fault schedule, negative
+// Root and MaxCycles, seeds at the top of uint64, load bit patterns with
+// leading zero digits and the sign bit set) and fault sets the packed sort
+// key could misorder: negative vertex ids, math.MinInt32 and math.MaxInt32
+// endpoints, equal U with different V, and reversed duplicates.
+func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
+	specs := canonicalCases()
+	for _, faults := range sortKeyCases() {
+		s := baseSpec()
+		s.Faults = faults
+		s.FaultSchedule = []sim.FaultEvent{
+			{Cycle: 7, Edge: faults[1]}, {Cycle: -7, Edge: faults[0]}, {Cycle: 7, Edge: faults[2]},
+		}
+		specs = append(specs, s)
+	}
 	for i := range specs {
 		s := &specs[i]
 		want := refAppendCanonical(s, []byte("prefix|"))
 		if got := s.AppendCanonical([]byte("prefix|")); !bytes.Equal(got, want) {
 			t.Errorf("spec %d (%d faults): canonical bytes differ\n got: %q\nwant: %q", i, len(s.Faults), got, want)
 		}
+	}
+}
+
+// sortKeyCases are fault lists a packed (U, V) sort key could misorder:
+// negative vertex ids (a decoded spec carries them until Validate),
+// math.MinInt32 and math.MaxInt32 endpoints, equal U with different V, and
+// reversed duplicates.
+func sortKeyCases() [][]topo.Edge {
+	return [][]topo.Edge{
+		{{U: -1, V: 2}, {U: 3, V: -4}, {U: -7, V: -2}, {U: 0, V: 0}, {U: -1, V: -1}},
+		{{U: math.MaxInt32, V: math.MinInt32}, {U: 0, V: math.MaxInt32}, {U: math.MinInt32, V: 0},
+			{U: math.MinInt32, V: math.MinInt32}, {U: math.MaxInt32, V: math.MaxInt32}, {U: -1, V: 0}},
+		{{U: 4, V: 9}, {U: 4, V: 1}, {U: 4, V: 6}, {U: 4, V: -6}, {U: 4, V: 5}},
+		{{U: 5, V: 2}, {U: 2, V: 5}, {U: 2, V: 5}, {U: -3, V: 1}, {U: 1, V: -3}},
+	}
+}
+
+// FuzzAppendCanonicalMatchesReference: fault and schedule lists decoded
+// from arbitrary bytes encode exactly as refAppendCanonical does. Every 8
+// bytes of faults are one edge (two little-endian int32 ids); every 9 bytes
+// of schedule are one event, a signed one-byte cycle (so same-cycle events
+// are common) followed by an edge.
+func FuzzAppendCanonicalMatchesReference(f *testing.F) {
+	edges := func(es []topo.Edge) []byte {
+		var b []byte
+		for _, e := range es {
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.U))
+			b = binary.LittleEndian.AppendUint32(b, uint32(e.V))
+		}
+		return b
+	}
+	for _, faults := range sortKeyCases() {
+		f.Add(edges(faults), append([]byte{7}, edges(faults[:1])...))
+	}
+	f.Fuzz(func(t *testing.T, faults, schedule []byte) {
+		edge := func(b []byte) topo.Edge {
+			return topo.Edge{U: int32(binary.LittleEndian.Uint32(b)), V: int32(binary.LittleEndian.Uint32(b[4:]))}
+		}
+		s := baseSpec()
+		s.Faults, s.FaultSchedule = nil, nil
+		for ; len(faults) >= 8; faults = faults[8:] {
+			s.Faults = append(s.Faults, edge(faults))
+		}
+		for ; len(schedule) >= 9; schedule = schedule[9:] {
+			s.FaultSchedule = append(s.FaultSchedule, sim.FaultEvent{Cycle: int64(int8(schedule[0])), Edge: edge(schedule[1:])})
+		}
+		if got, want := s.AppendCanonical(nil), refAppendCanonical(&s, nil); !bytes.Equal(got, want) {
+			t.Fatalf("canonical bytes differ\n got: %q\nwant: %q", got, want)
+		}
+	})
+}
+
+// BenchmarkSpecHash is the warm-cache grid point's hashing cost: an 8x8x8
+// spec carrying the first n links of a random fault sequence, as the Fig 6
+// sweep builds them.
+func BenchmarkSpecHash(b *testing.B) {
+	seq := topo.RandomFaultSequence(topo.MustHyperX(8, 8, 8), 1)
+	for _, n := range []int{0, 50, 500} {
+		b.Run(fmt.Sprintf("faults=%d", n), func(b *testing.B) {
+			s := baseSpec()
+			s.Topo = topo.Spec{Kind: topo.KindHyperX, Dims: []int{8, 8, 8}}
+			s.Faults = seq[:n]
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = s.Hash()
+			}
+		})
 	}
 }
 

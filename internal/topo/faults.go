@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -61,13 +60,7 @@ func (f *FaultSet) Edges() []Edge {
 	for e := range f.dead {
 		edges = append(edges, e)
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
-	return edges
+	return SortEdges(edges)
 }
 
 // Clone returns an independent copy of the fault set.
@@ -88,13 +81,7 @@ func (f *FaultSet) Clone() *FaultSet {
 // prefixes of the result models a growing set of isolated random failures,
 // the scenario of Figures 1 and 6 of the paper.
 func RandomFaultSequence(t Switched, seed uint64) []Edge {
-	edges := t.Edges()
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].U != edges[j].U {
-			return edges[i].U < edges[j].U
-		}
-		return edges[i].V < edges[j].V
-	})
+	edges := SortEdges(t.Edges())
 	r := rng.NewStream(seed, 0xFA)
 	r.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
 	return edges

@@ -1,9 +1,6 @@
 package topo
 
-import (
-	"cmp"
-	"slices"
-)
+import "slices"
 
 // Switched is the abstract switch-level topology the routing stack runs
 // on: a set of switches with numbered ports. HyperX is the paper's
@@ -50,12 +47,22 @@ func GraphOf(t Switched) *Graph {
 // definition of canonical edge order, used both by Edges implementations
 // derived from a map and by the job-spec canonical encoding (the two must
 // agree or equal fault sets would hash differently).
+//
+// Each edge is packed into one uint64 key and the keys are sorted as plain
+// integers: a warm-cache grid point is mostly a spec hash, and this sort
+// was most of the hash with a two-field comparator (BenchmarkSpecHash).
+// Flipping each id's sign bit makes unsigned key order equal lexicographic
+// int32 (U, V) order, negative ids included (a decoded spec carries them
+// until Validate).
 func SortEdges(edges []Edge) []Edge {
-	slices.SortFunc(edges, func(a, b Edge) int {
-		if a.U != b.U {
-			return cmp.Compare(a.U, b.U)
-		}
-		return cmp.Compare(a.V, b.V)
-	})
+	const flip = 1 << 31
+	keys := make([]uint64, len(edges))
+	for i, e := range edges {
+		keys[i] = uint64(uint32(e.U)^flip)<<32 | uint64(uint32(e.V)^flip)
+	}
+	slices.Sort(keys)
+	for i, k := range keys {
+		edges[i] = Edge{U: int32(uint32(k>>32) ^ flip), V: int32(uint32(k) ^ flip)}
+	}
 	return edges
 }
