@@ -359,7 +359,7 @@ func main() {
 		} else {
 			fmt.Fprintln(os.Stderr, "worker: server finished, exiting")
 		}
-		reportCache(store)
+		cliutil.ReportCache(os.Stderr, store)
 		return
 	}
 	if *serveAddr != "" {
@@ -383,7 +383,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "serve: dispatching jobs on %s (start workers with -worker %s)\n",
 			srv.Addr(), srv.Addr())
 	}
-	defer reportCache(store)
+	defer cliutil.ReportCache(os.Stderr, store)
 
 	if len(exps) == 0 {
 		exps = multiFlag{"all"}
@@ -551,22 +551,6 @@ func coverage(store *cache.Store, parts []gridPart) (hits, misses int64) {
 		}
 	}
 	return hits, misses
-}
-
-// reportCache prints the final hit/miss tally on stderr; the CI
-// cache-determinism job greps it to assert a fully warmed second run.
-// Entries whose stored checksum failed were re-simulated and healed in
-// place; the suffix only appears when that happened.
-func reportCache(store *cache.Store) {
-	if store == nil {
-		return
-	}
-	hits, misses := store.Stats()
-	suffix := ""
-	if healed := store.Healed(); healed > 0 {
-		suffix = fmt.Sprintf(" (%d corrupt entries healed)", healed)
-	}
-	fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses%s\n", hits, misses, suffix)
 }
 
 // centerSwitch picks the middle of the network as the escape root, the

@@ -139,14 +139,7 @@ func main() {
 		os.Exit(3)
 	}
 	check(err)
-	if r.Cache != nil {
-		hits, misses := r.Cache.Stats()
-		suffix := ""
-		if healed := r.Cache.Healed(); healed > 0 {
-			suffix = fmt.Sprintf(" (%d corrupt entries healed)", healed)
-		}
-		fmt.Fprintf(os.Stderr, "cache: %d hits, %d misses%s\n", hits, misses, suffix)
-	}
+	cliutil.ReportCache(os.Stderr, r.Cache)
 	for i, load := range loads {
 		res := results[i]
 		if *burstFlag > 0 {

@@ -3,7 +3,9 @@ package analyzers
 import (
 	"go/ast"
 	"go/types"
+	"maps"
 	"reflect"
+	"slices"
 	"strconv"
 
 	"repro/internal/analyzers/framework"
@@ -69,8 +71,7 @@ var codecTargets = []codecTarget{
 			"all":           "the full-walk reference's list of every switch id, built at construction",
 			"maskWords":     "derived from the radix at construction",
 			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
-			"inOcc":         "rebuilt by rebuildDerived: nonempty input VCs per port; audited by auditPorts",
-			"inMask":        "rebuilt by rebuildDerived: inOcc > 0 per port; audited by auditPorts",
+			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",
 			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
 			"swInPkts":      "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
 			"swOutPkts":     "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
@@ -83,12 +84,9 @@ var codecTargets = []codecTarget{
 			"granted":       "stale after commit; reset by the next allocate phase before any read, so restored empty",
 			"outbox":        "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
 			"freed":         "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
-			"swRetired":     "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swDelivered":   "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swLost":        "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
-			"swSeriesPhits": "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swProgressed":  "per-cycle flag, false at the inter-cycle point; asserted by captureSnapshot",
-			"mem":           "construction-time arena accounting; diagnostics only, never read by the simulation",
 			"faultSchedule": "supplied by RunOptions; only the cursor nextFault is engine state",
 		},
 	},
@@ -119,7 +117,10 @@ var codecTargets = []codecTarget{
 		typeName: "Wire",
 		encode:   []string{"encodeWire"},
 		decode:   []string{"decodeWire"},
-		exempt:   map[string]string{"Note": "fixture exemption"},
+		exempt: map[string]string{
+			"Note": "fixture exemption",
+			"Gone": "fixture exemption naming no field of the struct",
+		},
 	},
 	{
 		pkg:      "codeccoverage",
@@ -130,7 +131,9 @@ var codecTargets = []codecTarget{
 }
 
 // CodecCoverage asserts that every exported field of a codec-serialized
-// struct is referenced by each of its encode and decode functions. Adding
+// struct is referenced by each of its encode and decode functions, and that
+// every exemption in the registry names a field of its struct — a field
+// deleted from the struct must take its exemption with it. Adding
 // a field to sim.Result without extending its walk — or to
 // experiments.JobSpec without extending AppendCanonical — would
 // silently corrupt the content-addressed cache: two semantically different
@@ -171,8 +174,10 @@ func checkCodecTarget(pass *framework.Pass, tgt codecTarget) {
 	// resolve exactly, plus the declaration position for reporting.
 	fields := make(map[*types.Var]bool)
 	var ordered []*types.Var
+	declared := make(map[string]bool)
 	for i := 0; i < st.NumFields(); i++ {
 		f := st.Field(i)
+		declared[f.Name()] = true
 		if !f.Exported() && !tgt.unexported {
 			continue
 		}
@@ -181,6 +186,13 @@ func checkCodecTarget(pass *framework.Pass, tgt codecTarget) {
 		}
 		fields[f] = true
 		ordered = append(ordered, f)
+	}
+
+	for _, name := range slices.Sorted(maps.Keys(tgt.exempt)) {
+		if !declared[name] {
+			pass.Reportf(obj.Pos(), "exemption %s of codec target %s names no field of the struct: delete it from codecTargets",
+				name, tgt.typeName)
+		}
 	}
 
 	funcs := codecFuncBodies(pass)

@@ -1,12 +1,12 @@
 // Package codeccoverage is the fixture for the codeccoverage analyzer.
 // The analyzer's registry (codecTargets) declares Wire with encodeWire/
-// decodeWire as its codec, Note exempt, and WireJSON as reflectively
-// decoded (json-tag check).
+// decodeWire as its codec, Note exempt and a stale exemption Gone that
+// names no field, and WireJSON as reflectively decoded (json-tag check).
 package codeccoverage
 
 // Wire has: A covered by both halves, B missing from decode, C missing
-// from both, Note exempt, hidden unexported.
-type Wire struct {
+// from both, Note exempt, hidden unexported; no field Gone.
+type Wire struct { // want `exemption Gone of codec target Wire names no field of the struct`
 	A      int64
 	B      float64 // want `field Wire.B is not referenced by codec decode function decodeWire`
 	C      int64   // want `field Wire.C is not referenced by codec encode function encodeWire` `field Wire.C is not referenced by codec decode function decodeWire`

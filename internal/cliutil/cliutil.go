@@ -6,6 +6,7 @@ package cliutil
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -146,4 +147,21 @@ func (f *RunFlags) Apply(snapshotsLeaveProcess bool) (r experiments.Runner, err 
 	}
 	r.Drain = new(atomic.Bool)
 	return r, nil
+}
+
+// ReportCache writes the final hit/miss tally of store to w, nothing when
+// there is no store. CI's cache-determinism job greps the line to assert a
+// fully warmed second run. Entries whose stored checksum failed were
+// re-simulated and healed in place; the suffix only appears when that
+// happened.
+func ReportCache(w io.Writer, store *cache.Store) {
+	if store == nil {
+		return
+	}
+	hits, misses := store.Stats()
+	suffix := ""
+	if healed := store.Healed(); healed > 0 {
+		suffix = fmt.Sprintf(" (%d corrupt entries healed)", healed)
+	}
+	fmt.Fprintf(w, "cache: %d hits, %d misses%s\n", hits, misses, suffix)
 }

@@ -2,8 +2,10 @@ package cliutil
 
 import (
 	"flag"
+	"strings"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/topo"
 )
@@ -135,5 +137,26 @@ func TestRunFlags(t *testing.T) {
 	}
 	if f.Seed != 9 || !f.MemStats || !f.Checkpointing() {
 		t.Errorf("parsed: %+v", f)
+	}
+}
+
+// TestReportCache pins the tally line both CLIs print on stderr, which CI
+// greps byte for byte, and its absence without a store.
+func TestReportCache(t *testing.T) {
+	var b strings.Builder
+	ReportCache(&b, nil)
+	if b.Len() != 0 {
+		t.Fatalf("no store: wrote %q", b.String())
+	}
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := store.Get(strings.Repeat("ab", 32)); ok || err != nil {
+		t.Fatalf("empty store: Get = %v, %v", ok, err)
+	}
+	ReportCache(&b, store)
+	if got, want := b.String(), "cache: 0 hits, 1 misses\n"; got != want {
+		t.Fatalf("ReportCache wrote %q, want %q", got, want)
 	}
 }

@@ -4,8 +4,6 @@
 // completion-time bookkeeping used by the Figure 10 experiment.
 package metrics
 
-import "math"
-
 // JainInt returns the Jain fairness index (sum x)^2 / (n * sum x^2) of the
 // per-server loads, counted in phits generated per server. It is 1.0 for
 // perfect equity and 1/n when a single server generates everything. An
@@ -38,39 +36,6 @@ func Mean(xs []float64) float64 {
 	}
 	return sum / float64(len(xs))
 }
-
-// Welford accumulates a running mean and variance without storing samples.
-// The zero value is ready to use.
-type Welford struct {
-	n    int64
-	mean float64
-	m2   float64
-}
-
-// Add folds one sample into the accumulator.
-func (w *Welford) Add(x float64) {
-	w.n++
-	d := x - w.mean
-	w.mean += d / float64(w.n)
-	w.m2 += d * (x - w.mean)
-}
-
-// N returns the number of samples.
-func (w *Welford) N() int64 { return w.n }
-
-// Mean returns the running mean (0 with no samples).
-func (w *Welford) Mean() float64 { return w.mean }
-
-// Var returns the sample variance (0 with fewer than two samples).
-func (w *Welford) Var() float64 {
-	if w.n < 2 {
-		return 0
-	}
-	return w.m2 / float64(w.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (w *Welford) StdDev() float64 { return math.Sqrt(w.Var()) }
 
 // SeriesPoint is one bucket of a throughput time series: the accepted load
 // measured over the bucket ending at Cycle.

@@ -64,29 +64,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWelford(t *testing.T) {
-	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
-		t.Error("zero Welford not zeroed")
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		w.Add(x)
-	}
-	if w.N() != 8 {
-		t.Errorf("N=%d", w.N())
-	}
-	if math.Abs(w.Mean()-5) > 1e-12 {
-		t.Errorf("mean=%v", w.Mean())
-	}
-	// Sample variance of this classic data set is 32/7.
-	if math.Abs(w.Var()-32.0/7.0) > 1e-9 {
-		t.Errorf("var=%v", w.Var())
-	}
-	if math.Abs(w.StdDev()-math.Sqrt(32.0/7.0)) > 1e-9 {
-		t.Errorf("stddev=%v", w.StdDev())
-	}
-}
-
 func TestThroughputSeries(t *testing.T) {
 	s := NewThroughputSeries(100, 2) // 2 servers, 100-cycle buckets
 	s.Record(10, 160)                // bucket 0

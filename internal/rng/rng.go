@@ -129,11 +129,6 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) * (1.0 / (1 << 53))
 }
 
-// Bool returns true with probability p. Probabilities outside [0,1] clamp.
-func (r *Rand) Bool(p float64) bool {
-	return r.Float64() < p
-}
-
 // Perm returns a pseudo-random permutation of [0, n) as a fresh slice.
 func (r *Rand) Perm(n int) []int {
 	p := make([]int, n)

@@ -123,34 +123,6 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-func TestBoolProbabilities(t *testing.T) {
-	r := New(23)
-	hits := 0
-	const n = 100000
-	for i := 0; i < n; i++ {
-		if r.Bool(0.3) {
-			hits++
-		}
-	}
-	got := float64(hits) / n
-	if math.Abs(got-0.3) > 0.01 {
-		t.Fatalf("Bool(0.3) hit rate %v", got)
-	}
-	if r.Bool(0) {
-		// One draw of p=0 must never hit... but a single draw proves little;
-		// check many.
-		t.Fatal("Bool(0) returned true")
-	}
-	for i := 0; i < 1000; i++ {
-		if r.Bool(0) {
-			t.Fatal("Bool(0) returned true")
-		}
-		if !r.Bool(1.5) {
-			t.Fatal("Bool(1.5) returned false")
-		}
-	}
-}
-
 func TestMix64Spreads(t *testing.T) {
 	seen := make(map[uint64]bool)
 	for i := uint64(0); i < 1000; i++ {

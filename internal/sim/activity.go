@@ -17,8 +17,9 @@ import (
 // A switch is *quiescent* exactly when
 //
 //	evWork[sw] == 0   no events anywhere on its calendar wheel, and
-//	quWork[sw] == 0   empty input VCs, output buffers and injection
-//	                  queues.
+//	swInPkts[sw] + swOutPkts[sw] + swInjPkts[sw] == 0
+//	                  empty input VCs, output buffers and injection queues
+//	                  (the engine's per-switch queue counters).
 //
 // A quiescent switch provably no-ops in every phase. The next-work time
 // generalizes that argument to switches that DO hold work, all of it
@@ -71,10 +72,9 @@ import (
 // sequential steps (compaction, generation wake-ups), never by the
 // phases, which read it as this cycle's stable skip verdict.
 type activityState struct {
-	// evWork counts pending calendar events per switch; quWork counts
-	// queued packets (input VCs, output buffers, injection queues).
+	// evWork counts pending calendar events per switch (its queued packets
+	// are the engine's swInPkts, swOutPkts and swInjPkts).
 	evWork []int32
-	quWork []int32
 	// The four next-work components (see the file comment) and the folded
 	// per-switch minimum. nwNever means "no locally provable work".
 	evNext   []int64
@@ -121,7 +121,6 @@ const nwNever = int64(1) << 62
 func newActivityState(switches int, span int64) *activityState {
 	a := &activityState{
 		evWork:      make([]int32, switches),
-		quWork:      make([]int32, switches),
 		evNext:      make([]int64, switches),
 		inRetry:     make([]int64, switches),
 		outRetry:    make([]int64, switches),
@@ -161,14 +160,6 @@ func (a *activityState) schedule(sw int32, t, now int64) {
 	a.sched[slot] = append(a.sched[slot], sw)
 	if t < a.nextWorkMin {
 		a.nextWorkMin = t
-	}
-}
-
-// actQu adjusts the queued-work counter of sw by n. Callers are either sw
-// itself inside a parallel phase or a sequential step, never both at once.
-func (e *engine) actQu(sw, n int32) {
-	if e.act != nil {
-		e.act.quWork[sw] += n
 	}
 }
 
@@ -314,7 +305,7 @@ func (e *engine) actCompact() {
 		return
 	}
 	for _, sw := range a.due {
-		if a.evWork[sw]+a.quWork[sw] == 0 {
+		if a.evWork[sw]+e.swInPkts[sw]+e.swOutPkts[sw]+e.swInjPkts[sw] == 0 {
 			a.nextWork[sw] = nwNever
 			continue
 		}
@@ -414,7 +405,8 @@ func (e *engine) nextWheelEvent(sw int32) int64 {
 }
 
 // verifyActivity audits the activity bookkeeping against the ground
-// truth: recomputed event and queue counts per switch, set membership for
+// truth: recomputed event counts per switch (verifyInvariants audits the
+// queue counters just before), set membership for
 // every switch with work, the exact evNext (against a full wheel scan),
 // the folded per-switch minimum and the cached active-set minimum, and —
 // the safety direction of the skip proof — that no switch's next-work
@@ -446,9 +438,9 @@ func (e *engine) verifyActivity() {
 		}
 		in, out, inj := e.queuedPackets(sw)
 		qn := in + out + inj
-		if a.evWork[sw] != evn || a.quWork[sw] != qn {
-			panic(fmt.Sprintf("sim: activity counters of switch %d are (ev %d, qu %d), actual (%d, %d) at cycle %d",
-				sw, a.evWork[sw], a.quWork[sw], evn, qn, e.now))
+		if a.evWork[sw] != evn {
+			panic(fmt.Sprintf("sim: event counter of switch %d is %d, actual %d at cycle %d",
+				sw, a.evWork[sw], evn, e.now))
 		}
 		if evn+qn > 0 && a.schedAt[sw] == -1 {
 			panic(fmt.Sprintf("sim: switch %d has work (ev %d, qu %d) but no booked wheel visit at cycle %d",

@@ -144,7 +144,7 @@ func BenchmarkAllocationStep(b *testing.B) {
 			for i := range reqs {
 				rq := &reqs[i]
 				if e.inInflight[rq.inPort]+inUsed[rq.inPort] >= speedup ||
-					e.outInflight[rq.outPort]+outUsed[rq.outPort] >= speedup {
+					int8(e.outReserved[rq.outPort])+outUsed[rq.outPort] >= speedup {
 					continue
 				}
 				if e.outQ.len(rq.outPort)+int(e.outReserved[rq.outPort])+int(outResv[rq.outPort]) >= e.cfg.OutputBufPkts {
@@ -196,7 +196,7 @@ func BenchmarkEngineConstruction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mem = e.mem
+		mem = e.memStats()
 	}
 	b.ReportMetric(mem.BytesPerSwitch, "bytes/switch")
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/rng"
@@ -113,7 +112,6 @@ type engine struct {
 	inQ         ringSet
 	inBusyUntil []int64
 	inInflight  []int8 // per global port: outgoing crossbar transfers
-	inOcc       []int8 // per global port: count of nonempty input VCs
 
 	// credits is the credit ledger, indexed by the SENDER's (gport, vc):
 	// credits[gp*V+vc] is the free space of the input buffer that output
@@ -126,7 +124,7 @@ type engine struct {
 
 	// Per-switch port-occupancy bitmasks, maskWords words per switch (bit p
 	// of switch sw located by maskBit): port p's bit is set in inMask iff the
-	// port has a nonempty input VC (inOcc > 0), in outMask iff its output
+	// port has a nonempty input VC, in outMask iff its output
 	// buffer is nonempty. The allocation and transmission scans of the
 	// activity engine jump straight to the set bits instead of probing the
 	// full radix, which at low load is almost entirely empty. Maintained
@@ -141,12 +139,13 @@ type engine struct {
 	// costs are bit-identical to computing them on demand.
 	penCost []int64
 
-	// Output side.
+	// Output side. outReserved is also the port's count of incoming
+	// crossbar transfers: a grant reserves its output slot when it enters
+	// the crossbar and converts it when it leaves.
 	outQ        ringSet // per global port: (packet, VC) pairs
 	outReserved []int16 // granted transfers not yet in outQ
 	outVCCount  []int16 // per gport*V+vc: queued+reserved packets for that VC
 	outBusy     []int64 // link serialization busy-until
-	outInflight []int8  // incoming crossbar transfers
 
 	// Servers.
 	injQ    ringSet
@@ -183,27 +182,24 @@ type engine struct {
 	outbox  [][]timedEvent // link arrivals bound for other switches
 	freed   [][]int32      // packet ids retired this cycle
 
-	// Per-cycle counters, folded and reset by the merge steps.
-	swRetired     []int64 // delivered + lost (decrements inFlight)
-	swDelivered   []int64
-	swLost        []int64
-	swSeriesPhits []int64
-	swProgressed  []bool
+	// Per-cycle counters, folded and reset by the merge steps. Every
+	// delivered packet is PacketPhits phits, so the packet counts are all the
+	// merge needs for the in-flight count and the throughput series too.
+	swDelivered  []int64
+	swLost       []int64
+	swProgressed []bool
 
-	// Cumulative per-switch window counters, folded once in result().
-	winDeliveredPkts  []int64
-	winDeliveredPhits []int64
-	winLatencySum     []int64
-	winHopSum         []int64
-	winEscapedPkts    []int64
-	winLinkBusy       []int64
-	winLastDelivery   []int64
+	// Cumulative per-switch window counters, folded once in result(). The
+	// delivered phits are winDeliveredPkts x PacketPhits.
+	winDeliveredPkts []int64
+	winLatencySum    []int64
+	winHopSum        []int64
+	winEscapedPkts   []int64
+	winLinkBusy      []int64
+	winLastDelivery  []int64
 
 	// Per-worker scratch for the sharded phases.
 	ws []workerScratch
-
-	// mem is the arena accounting filled at construction (memstats.go).
-	mem MemStats
 
 	// Open-loop geometric generation (arrivals.go): the per-server arrival
 	// calendar and the cached sampling constants. nil/zero in burst mode.
@@ -213,15 +209,15 @@ type engine struct {
 
 	// Per-switch queued-packet counts by phase category: input VCs
 	// (allocation), output buffers (transmission) and injection queues
-	// (injection). They refine the activity engine's quWork so a dirty
-	// switch — e.g. one just waiting out a serialization busy-until —
-	// skips the port/VC scans of phases whose count is zero, instead of
-	// probing P*V rings to find nothing. A skipped scan is provably a
-	// no-op (empty rings grant nothing, transmit nothing, inject nothing,
-	// and draw no randomness), so results are bit-identical; the
-	// CheckInvariants audit recomputes all three from the rings. Each
-	// counter is switch-owned in exactly the phases that mutate its
-	// queues, mirroring the actQu ownership argument.
+	// (injection). Their sum is the activity engine's queued work, and each
+	// one on its own lets a dirty switch — e.g. one just waiting out a
+	// serialization busy-until — skip the port/VC scans of the phase whose
+	// count is zero, instead of probing P*V rings to find nothing. A
+	// skipped scan is provably a no-op (empty rings grant nothing, transmit
+	// nothing, inject nothing, and draw no randomness), so results are
+	// bit-identical; the CheckInvariants audit recomputes all three from
+	// the rings. Each counter is switch-owned in exactly the phases that
+	// mutate its queues (shard.go).
 	swInPkts  []int32
 	swOutPkts []int32
 	swInjPkts []int32
@@ -287,7 +283,6 @@ const maxVCs = 127
 const tieStreamBase = 0x100
 
 func newEngine(o RunOptions) (*engine, error) {
-	start := time.Now()
 	h := o.Net.H
 	if v := o.Mechanism.VCs(); v < 1 || v > maxVCs {
 		return nil, fmt.Errorf("sim: mechanism %s needs %d VCs; the engine supports 1..%d",
@@ -350,7 +345,6 @@ func newEngine(o RunOptions) (*engine, error) {
 		e.credits[i] = int16(e.cfg.InputBufPkts)
 	}
 	e.inInflight = make([]int8, SP)
-	e.inOcc = make([]int8, SP)
 	e.penCost = make([]int64, 128)
 	for p := range e.penCost {
 		e.penCost[p] = int64(e.cfg.PenaltyWeight * float64(p) / float64(e.cfg.PacketPhits))
@@ -362,7 +356,6 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.outReserved = make([]int16, SP)
 	e.outVCCount = make([]int16, SP*e.V)
 	e.outBusy = make([]int64, SP)
-	e.outInflight = make([]int8, SP)
 
 	nServers := e.S * e.K
 	e.injQ = newRingSet(nServers, injCap, false)
@@ -390,13 +383,10 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.outbox = carveStaging[timedEvent](e.S, e.R)
 	e.freed = carveStaging[int32](e.S, e.K+capGrant)
 
-	e.swRetired = make([]int64, e.S)
 	e.swDelivered = make([]int64, e.S)
 	e.swLost = make([]int64, e.S)
-	e.swSeriesPhits = make([]int64, e.S)
 	e.swProgressed = make([]bool, e.S)
 	e.winDeliveredPkts = make([]int64, e.S)
-	e.winDeliveredPhits = make([]int64, e.S)
 	e.winLatencySum = make([]int64, e.S)
 	e.winHopSum = make([]int64, e.S)
 	e.winEscapedPkts = make([]int64, e.S)
@@ -417,7 +407,6 @@ func newEngine(o RunOptions) (*engine, error) {
 	} else {
 		e.act = newActivityState(e.S, e.horizon+2)
 	}
-	e.accountMem(start)
 	return e, nil
 }
 
@@ -486,7 +475,6 @@ func (e *engine) generate(src int32) bool {
 	e.injQ.push(src, id)
 	sw := src / int32(e.K)
 	e.swInjPkts[sw]++
-	e.actQu(sw, 1)
 	// Generation runs between the event and inject phases, so the switch
 	// must execute the rest of THIS cycle — exactly when the full walk
 	// would first see the new packet. The end-of-cycle compaction books
@@ -527,25 +515,20 @@ func (e *engine) processEventsSwitch(sw int32) {
 		switch ev.kind {
 		case evArrive:
 			if e.inQ.len(ev.a) == 0 {
-				gp := ev.a / int32(e.V)
-				e.inOcc[gp]++
-				w, b := e.maskBit(sw, int(gp-gpBase))
+				w, b := e.maskBit(sw, int(ev.a/int32(e.V)-gpBase))
 				e.inMask[w] |= b
 			}
 			e.inQ.push(ev.a, ev.pkt)
 			e.swInPkts[sw]++
-			e.actQu(sw, 1)
 		case evXferDone:
 			// The reserve converts into a queued packet, so outTotal is
 			// unchanged — except on a dead port, where the packet is lost.
 			e.outReserved[ev.a]--
-			e.outInflight[ev.a]--
 			if e.portDead[ev.a] {
 				// The link failed while the packet crossed the switch.
 				e.pq[ev.a].outTotal--
 				e.outVCCount[ev.a*int32(e.V)+int32(ev.vc)]--
 				e.swLost[sw]++
-				e.swRetired[sw]++
 				e.freed[sw] = append(e.freed[sw], ev.pkt)
 				continue
 			}
@@ -555,7 +538,6 @@ func (e *engine) processEventsSwitch(sw int32) {
 			}
 			e.outQ.pushVC(ev.a, ev.pkt, ev.vc)
 			e.swOutPkts[sw]++
-			e.actQu(sw, 1)
 			// The input port gave its crossbar slot back XbarLatency cycles
 			// ago, in the evCredit of the same grant, so only the output
 			// side is handled here.
@@ -585,16 +567,11 @@ func (e *engine) processEventsSwitch(sw int32) {
 // run totals in switch order.
 func (e *engine) deliverSw(sw, id int32) {
 	pkt := &e.pool[id]
-	e.swRetired[sw]++
 	e.swDelivered[sw]++
 	e.swProgressed[sw] = true
 	e.winLastDelivery[sw] = e.now
-	if e.series != nil {
-		e.swSeriesPhits[sw] += int64(e.cfg.PacketPhits)
-	}
 	if e.now >= e.warmStart && e.now < e.warmEnd {
 		e.winDeliveredPkts[sw]++
-		e.winDeliveredPhits[sw] += int64(e.cfg.PacketPhits)
 		e.winLatencySum[sw] += e.now - pkt.birth
 		e.winHopSum[sw] += int64(pkt.st.Hops)
 		if pkt.st.InEscape {
@@ -645,7 +622,6 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 		}
 		e.injQ.pop(g)
 		e.swInjPkts[sw]--
-		e.actQu(sw, -1)
 		invc := base + int32(bestVC)
 		e.credits[invc]--
 		e.pq[invc/int32(V)].credSum--
@@ -795,7 +771,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 			}
 			sortRequests(b)
 			gport := gpBase + int32(p)
-			slots := int(speedup) - int(e.outInflight[gport])
+			slots := int(speedup) - int(e.outReserved[gport])
 			if free := e.cfg.OutputBufPkts - int(e.pq[gport].outTotal); free < slots {
 				slots = free
 			}
@@ -919,18 +895,15 @@ func (e *engine) commitSwitch(sw int32) {
 			e.pq[e.up[rq.outPort]].credSum--
 		}
 		e.inQ.pop(rq.invc)
-		if e.inQ.len(rq.invc) == 0 {
-			e.inOcc[rq.inPort]--
-			if e.inOcc[rq.inPort] == 0 {
-				w, b := e.maskBit(sw, int(rq.inPort-sw*int32(e.P)))
-				e.inMask[w] &^= b
-			}
+		// The port's V ring headers are adjacent 4-byte words (ring.go): the
+		// whole-port check reads the cache line the pop just wrote.
+		if e.inQ.len(rq.invc) == 0 && e.inQ.allEmpty(rq.inPort*V, e.V) {
+			w, b := e.maskBit(sw, int(rq.inPort-sw*int32(e.P)))
+			e.inMask[w] &^= b
 		}
 		e.swInPkts[sw]--
-		e.actQu(sw, -1)
 		e.inBusyUntil[rq.invc] = e.now + xfer
 		e.inInflight[rq.inPort]++
-		e.outInflight[rq.outPort]++
 		e.outReserved[rq.outPort]++
 		e.pq[rq.outPort].outTotal++
 		e.outVCCount[rq.outPort*V+int32(rq.vc)]++
@@ -984,7 +957,6 @@ func (e *engine) transmitSwitch(sw int32) {
 			e.outMask[w] &^= b
 		}
 		e.swOutPkts[sw]--
-		e.actQu(sw, -1)
 		e.outBusy[gport] = e.now + serial
 		if left > 0 && e.outBusy[gport] < retry {
 			retry = e.outBusy[gport]

@@ -101,7 +101,6 @@ func (e *engine) drainDeadPort(gp int32) {
 		id, vc := e.outQ.popVC(gp)
 		e.pq[gp].outTotal--
 		e.swOutPkts[sw]--
-		e.actQu(sw, -1)
 		e.outVCCount[gp*int32(e.V)+int32(vc)]--
 		e.losePacket(id)
 	}

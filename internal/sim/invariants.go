@@ -73,20 +73,11 @@ func (e *engine) auditPorts() error {
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		// Credit bounds, per-port sum consistency and link conservation.
 		var sum int32
-		var occ8 int8
+		w, b := e.maskBit(gp/P, int(gp%P))
 		for v := int32(0); v < V; v++ {
 			if e.inQ.len(gp*V+v) > 0 {
-				occ8++
+				inWant[w] |= b
 			}
-		}
-		if occ8 != e.inOcc[gp] {
-			return fmt.Errorf("sim: inOcc[%d] = %d, actual %d at cycle %d — a drifted "+
-				"occupancy count would silently skip an allocate scan with real work in it",
-				gp, e.inOcc[gp], occ8, e.now)
-		}
-		w, b := e.maskBit(gp/P, int(gp%P))
-		if occ8 > 0 {
-			inWant[w] |= b
 		}
 		if e.outQ.len(gp) > 0 {
 			outWant[w] |= b
@@ -121,15 +112,13 @@ func (e *engine) auditPorts() error {
 				"would silently misprice every allocation through this output",
 				gp, e.pq[gp].outTotal, got, e.now)
 		}
-		if e.outReserved[gp] < 0 {
-			return fmt.Errorf("sim: outReserved[%d] = %d negative at cycle %d", gp, e.outReserved[gp], e.now)
+		// Crossbar concurrency within speedup: outReserved counts the
+		// transfers into the port, inInflight those out of it.
+		if e.outReserved[gp] < 0 || int(e.outReserved[gp]) > e.cfg.XbarSpeedup {
+			return fmt.Errorf("sim: outReserved[%d] = %d at cycle %d", gp, e.outReserved[gp], e.now)
 		}
-		// Crossbar concurrency within speedup.
 		if e.inInflight[gp] < 0 || int(e.inInflight[gp]) > e.cfg.XbarSpeedup {
 			return fmt.Errorf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now)
-		}
-		if e.outInflight[gp] < 0 || int(e.outInflight[gp]) > e.cfg.XbarSpeedup {
-			return fmt.Errorf("sim: outInflight[%d] = %d at cycle %d", gp, e.outInflight[gp], e.now)
 		}
 	}
 	for w := range inWant {

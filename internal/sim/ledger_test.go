@@ -97,7 +97,6 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit("credit-without-slot", "credits[", func(e *engine, gport, far int32) {
 		// far's input VC 0 holds a packet its sender was never charged for.
 		e.inQ.push(far*int32(e.V), e.allocPacket())
-		e.inOcc[far]++
 		w, b := e.maskBit(far/int32(e.P), int(far%int32(e.P)))
 		e.inMask[w] |= b
 		e.swInPkts[far/int32(e.P)]++

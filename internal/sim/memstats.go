@@ -57,10 +57,10 @@ func arenaBytes[T any](s [][]T) int64 {
 	return b
 }
 
-// accountMem fills e.mem from the arrays newEngine just built. Every
-// network-sized allocation is counted once; construction time is measured
-// from the start stamp newEngine took on entry.
-func (e *engine) accountMem(start time.Time) {
+// memStats accounts the arrays of an engine newEngine just built, before
+// any traffic has grown them. Every network-sized allocation is counted
+// once; ConstructNanos is the caller's to fill.
+func (e *engine) memStats() MemStats {
 	var b int64
 	b += sliceBytes(e.portDead)
 	b += sliceBytes(e.up)
@@ -69,7 +69,6 @@ func (e *engine) accountMem(start time.Time) {
 	b += sliceBytes(e.inBusyUntil)
 	b += sliceBytes(e.credits)
 	b += sliceBytes(e.inInflight)
-	b += sliceBytes(e.inOcc)
 	b += sliceBytes(e.inMask)
 	b += sliceBytes(e.outMask)
 	b += sliceBytes(e.penCost)
@@ -77,7 +76,6 @@ func (e *engine) accountMem(start time.Time) {
 	b += sliceBytes(e.outReserved)
 	b += sliceBytes(e.outVCCount)
 	b += sliceBytes(e.outBusy)
-	b += sliceBytes(e.outInflight)
 	b += e.injQ.bytes()
 	b += sliceBytes(e.injBusy)
 	b += sliceBytes(e.genPhits)
@@ -86,25 +84,23 @@ func (e *engine) accountMem(start time.Time) {
 	b += sliceBytes(e.tie)
 	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) + arenaBytes(e.freed)
 	b += staging
-	b += sliceBytes(e.swRetired) + sliceBytes(e.swDelivered) + sliceBytes(e.swLost) +
-		sliceBytes(e.swSeriesPhits) + sliceBytes(e.swProgressed)
-	b += sliceBytes(e.winDeliveredPkts) + sliceBytes(e.winDeliveredPhits) +
+	b += sliceBytes(e.swDelivered) + sliceBytes(e.swLost) + sliceBytes(e.swProgressed)
+	b += sliceBytes(e.winDeliveredPkts) +
 		sliceBytes(e.winLatencySum) + sliceBytes(e.winHopSum) +
 		sliceBytes(e.winEscapedPkts) + sliceBytes(e.winLinkBusy) +
 		sliceBytes(e.winLastDelivery)
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
 	if a := e.act; a != nil {
-		b += sliceBytes(a.evWork) + sliceBytes(a.quWork) +
+		b += sliceBytes(a.evWork) +
 			sliceBytes(a.evNext) + sliceBytes(a.inRetry) +
 			sliceBytes(a.outRetry) + sliceBytes(a.injRetry) +
 			sliceBytes(a.nextWork) + arenaBytes(a.sched) + sliceBytes(a.schedAt)
 	}
-	e.mem = MemStats{
+	return MemStats{
 		Switches:        e.S,
 		ArenaBytes:      b,
 		StagingCapBytes: staging,
 		BytesPerSwitch:  float64(b) / float64(e.S),
-		ConstructNanos:  time.Since(start).Nanoseconds(),
 	}
 }
 
@@ -116,10 +112,12 @@ func MeasureEngineMemory(o RunOptions) (*MemStats, error) {
 	if err := o.constructible(); err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	e, err := newEngine(o)
 	if err != nil {
 		return nil, err
 	}
-	m := e.mem
+	m := e.memStats()
+	m.ConstructNanos = time.Since(start).Nanoseconds()
 	return &m, nil
 }

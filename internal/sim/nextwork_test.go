@@ -74,8 +74,8 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 	e.credits[e.up[gp]*int32(e.V)]--
 	e.pq[gp].credSum--
 	e.scheduleSw(sw, relAt, event{kind: evCredit, a: invc})
-	if e.act.quWork[sw] != 0 {
-		t.Fatalf("a pending release counts as queued work: quWork = %d", e.act.quWork[sw])
+	if q := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]; q != 0 {
+		t.Fatalf("a pending release counts as queued work: %d packets", q)
 	}
 	// Refold and book as the end of a cycle that ran switch 2 would.
 	e.act.nextWork[sw] = e.now
@@ -140,11 +140,9 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	gp := sw * int32(e.P) // a link port (port 0 < R)
 	invc := gp*int32(e.V) + int32(vc)
 	e.inQ.push(invc, id)
-	e.inOcc[gp]++
 	w, b := e.maskBit(sw, 0)
 	e.inMask[w] |= b
 	e.swInPkts[sw]++
-	e.actQu(sw, 1)
 	e.inFlight++
 	// Starve every downstream credit, keeping the ledger sums consistent.
 	for i := range e.credits {

@@ -67,6 +67,16 @@ func (r *ringSet) len(i int32) int { return int(r.hdr[i].n) }
 
 func (r *ringSet) full(i int32) bool { return int(r.hdr[i].n) == r.cap }
 
+// allEmpty reports whether the n rings from index lo on are all empty.
+func (r *ringSet) allEmpty(lo int32, n int) bool {
+	for _, h := range r.hdr[lo : int(lo)+n] {
+		if h.n != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // reset empties ring i.
 func (r *ringSet) reset(i int32) { r.hdr[i] = ringHdr{} }
 

@@ -59,8 +59,8 @@ func TestEngineMemoryBudgets(t *testing.T) {
 		polsp          bool
 		pinned, budget float64 // bytes per switch
 	}{
-		{side: 8, polsp: true, pinned: 10_895, budget: 11_985},
-		{side: 16, polsp: false, pinned: 18_907, budget: 20_800},
+		{side: 8, polsp: true, pinned: 10_809, budget: 11_890},
+		{side: 16, polsp: false, pinned: 18_773, budget: 20_650},
 	} {
 		if tc.side > 8 && testing.Short() {
 			continue // 77 MB of arenas

@@ -34,8 +34,7 @@ import (
 //
 //   - Input-side state (inQ, inBusyUntil, inInflight) is read and written
 //     only by its own switch in every phase.
-//   - Output-side state (outQ, outReserved, outVCCount, outBusy,
-//     outInflight) likewise.
+//   - Output-side state (outQ, outReserved, outVCCount, outBusy) likewise.
 //   - A credit ledger entry credits[gport*V+vc] lives in the index range
 //     of the SENDER, the switch whose output (gport, vc) it meters, next to
 //     that output's outVCCount. It is written by the receiver only in
@@ -291,25 +290,24 @@ func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
 
 // mergeRetire folds the per-switch retirement staging of this cycle into
 // the run totals: in-flight accounting, the packet free list, the optional
-// throughput series and the progress stamp. Walking switches in index order
-// keeps the free list (and so packet-id reuse) independent of scheduling;
-// only switches that ran the event phase can hold staging, so walk()
-// covers everything.
+// throughput series (PacketPhits per delivered packet) and the progress
+// stamp. Walking switches in index order keeps the free list (and so
+// packet-id reuse) independent of scheduling; only switches that ran the
+// event phase can hold staging, so walk() covers everything.
 func (e *engine) mergeRetire() {
 	for _, sw := range e.walk() {
-		if r := e.swRetired[sw]; r != 0 {
-			e.inFlight -= r
-			e.totalDelivered += e.swDelivered[sw]
-			e.lostPkts += e.swLost[sw]
-			e.swRetired[sw], e.swDelivered[sw], e.swLost[sw] = 0, 0, 0
+		if d, l := e.swDelivered[sw], e.swLost[sw]; d+l != 0 {
+			e.inFlight -= d + l
+			e.totalDelivered += d
+			e.lostPkts += l
+			if d > 0 && e.series != nil {
+				e.series.Record(e.now, d*int64(e.cfg.PacketPhits))
+			}
+			e.swDelivered[sw], e.swLost[sw] = 0, 0
 		}
 		if freed := e.freed[sw]; len(freed) > 0 {
 			e.free = append(e.free, freed...)
 			e.freed[sw] = freed[:0]
-		}
-		if sp := e.swSeriesPhits[sw]; sp > 0 {
-			e.series.Record(e.now, sp)
-			e.swSeriesPhits[sw] = 0
 		}
 		if e.swProgressed[sw] {
 			e.lastProgress = e.now
@@ -384,7 +382,7 @@ func (e *engine) stepCycle(generate func()) {
 // windowTotals is the sum over switches of the cumulative measurement
 // counters: what result() turns into the window metrics.
 type windowTotals struct {
-	deliveredPkts, deliveredPhits int64
+	deliveredPkts, deliveredPhits int64 // phits: PacketPhits per packet
 	latencySum, hopSum            int64
 	escapedPkts                   int64
 	linkBusyCycles                int64 // switch-link busy cycles inside the window
@@ -399,12 +397,12 @@ type windowTotals struct {
 func (e *engine) foldWindowCounters() (w windowTotals) {
 	for sw := 0; sw < e.S; sw++ {
 		w.deliveredPkts += e.winDeliveredPkts[sw]
-		w.deliveredPhits += e.winDeliveredPhits[sw]
 		w.latencySum += e.winLatencySum[sw]
 		w.hopSum += e.winHopSum[sw]
 		w.escapedPkts += e.winEscapedPkts[sw]
 		w.linkBusyCycles += e.winLinkBusy[sw]
 		w.lastDeliveryCycle = max(w.lastDeliveryCycle, e.winLastDelivery[sw])
 	}
+	w.deliveredPhits = w.deliveredPkts * int64(e.cfg.PacketPhits)
 	return w
 }

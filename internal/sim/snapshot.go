@@ -22,11 +22,15 @@ import (
 //
 // hyperx-ckpt/2 carries primary state only. A field of the engine is NOT in
 // the format when verifyInvariants audits it as an exact function of fields
-// that are (the occupancy counts and masks, the packed allocation words,
-// the per-switch queue counters, the in-flight count), or when the spec and
-// the fault cursor fix it (dead ports, the live-link count): a restore
-// rebuilds those (markLinkDead, rebuildDerived) and then audits the result
+// that are (the occupancy masks, the packed allocation words, the
+// per-switch queue counters, the in-flight count), or when the spec and the
+// fault cursor fix it (dead ports, the live-link count): a restore rebuilds
+// those (markLinkDead, rebuildDerived) and then audits the result
 // (auditPorts) instead of trusting what a file or a peer says they are.
+// Two fields of the format copy another and have no engine field behind
+// them: OutInflight is OutReserved and WinDeliveredPhits is
+// WinDeliveredPkts x PacketPhits. Capture fills each from the counter it
+// copies, and a restore refuses a snapshot whose copies disagree.
 const SnapshotVersion = "hyperx-ckpt/2"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
@@ -217,8 +221,7 @@ type snapshotState struct {
 func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	for sw := 0; sw < e.S; sw++ {
 		if len(e.outbox[sw]) != 0 || len(e.freed[sw]) != 0 ||
-			e.swRetired[sw] != 0 || e.swDelivered[sw] != 0 || e.swLost[sw] != 0 ||
-			e.swSeriesPhits[sw] != 0 || e.swProgressed[sw] {
+			e.swDelivered[sw] != 0 || e.swLost[sw] != 0 || e.swProgressed[sw] {
 			panic(fmt.Sprintf("sim: snapshot of switch %d taken outside the inter-cycle point at cycle %d", sw, e.now))
 		}
 	}
@@ -237,6 +240,16 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	pool := make([]packetSnap, len(e.pool))
 	for i, p := range e.pool {
 		pool[i] = packetSnap{Birth: p.birth, DstLocal: p.dstLocal, InWindow: p.inWindow, St: p.st}
+	}
+
+	// The format's two copies (see SnapshotVersion).
+	xbarIn := make([]int8, len(e.outReserved))
+	for gp, n := range e.outReserved {
+		xbarIn[gp] = int8(n)
+	}
+	windowPhits := make([]int64, e.S)
+	for sw, n := range e.winDeliveredPkts {
+		windowPhits[sw] = n * int64(e.cfg.PacketPhits)
 	}
 
 	eventLens := make([]int32, len(e.events))
@@ -302,7 +315,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		OutReserved: e.outReserved,
 		OutVCCount:  e.outVCCount,
 		OutBusy:     e.outBusy,
-		OutInflight: e.outInflight,
+		OutInflight: xbarIn,
 
 		InjQLens: injQLens,
 		InjQData: injQData,
@@ -315,7 +328,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		Events:    evs,
 
 		WinDeliveredPkts:  e.winDeliveredPkts,
-		WinDeliveredPhits: e.winDeliveredPhits,
+		WinDeliveredPhits: windowPhits,
 		WinLatencySum:     e.winLatencySum,
 		WinHopSum:         e.winHopSum,
 		WinEscapedPkts:    e.winEscapedPkts,
@@ -519,6 +532,18 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
 		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
 	}
+	// The two copies the format carries must agree with what they copy:
+	// only the originals are installed.
+	for gp, n := range st.OutReserved {
+		if int16(st.OutInflight[gp]) != n {
+			return badf("output %d has %d transfers reserved but %d in the crossbar", gp, n, st.OutInflight[gp])
+		}
+	}
+	for sw, n := range st.WinDeliveredPkts {
+		if st.WinDeliveredPhits[sw] != n*int64(e.cfg.PacketPhits) {
+			return badf("switch %d delivered %d packets in the window but %d phits", sw, n, st.WinDeliveredPhits[sw])
+		}
+	}
 
 	// The resumed run indexes with these unchecked: every packet id — in a
 	// ring, on the free list, on the wheel — names a pool entry, every
@@ -608,7 +633,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	copy(e.outReserved, st.OutReserved)
 	copy(e.outVCCount, st.OutVCCount)
 	copy(e.outBusy, st.OutBusy)
-	copy(e.outInflight, st.OutInflight)
 
 	e.injQ.load(st.InjQLens, st.InjQData, nil)
 	copy(e.injBusy, st.InjBusy)
@@ -629,7 +653,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 
 	copy(e.winDeliveredPkts, st.WinDeliveredPkts)
-	copy(e.winDeliveredPhits, st.WinDeliveredPhits)
 	copy(e.winLatencySum, st.WinLatencySum)
 	copy(e.winHopSum, st.WinHopSum)
 	copy(e.winEscapedPkts, st.WinEscapedPkts)
@@ -675,9 +698,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // rebuildDerived recomputes, after a restore, every engine word that is an
 // exact function of the installed primaries and so is not in the format:
 // per port, the packed allocation words (output occupancy, the credit sum
-// of the port's own input buffers), the count of nonempty input VCs and the
-// two occupancy masks; per switch, the queued-packet counters; and the
-// in-flight count. verifyInvariants audits each of these identities from
+// of the port's own input buffers) and the two occupancy masks; per switch,
+// the queued-packet counters; and the in-flight count. verifyInvariants audits each of these identities from
 // its own statement of it (invariants.go) — which is what licenses leaving
 // them out — and applySnapshot runs the port half of that audit right
 // after, so a mistake here refuses snapshots instead of resuming them into
@@ -690,23 +712,18 @@ func (e *engine) rebuildDerived() {
 		var in, out, inj int32
 		for p := int32(0); p < P; p++ {
 			gp := sw*P + p
-			var occ int8
+			w, b := e.maskBit(sw, int(p))
 			var credSum int16
 			for v := int32(0); v < V; v++ {
 				if n := e.inQ.len(gp*V + v); n > 0 {
-					occ++
+					e.inMask[w] |= b
 					in += int32(n)
 				}
 				credSum += e.credits[e.up[gp]*V+v]
 			}
 			queued := e.outQ.len(gp)
 			out += int32(queued)
-			e.inOcc[gp] = occ
 			e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
-			w, b := e.maskBit(sw, int(p))
-			if occ > 0 {
-				e.inMask[w] |= b
-			}
 			if queued > 0 {
 				e.outMask[w] |= b
 			}
@@ -750,7 +767,6 @@ func (e *engine) rebuildActivity() {
 		}
 		qn := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]
 		a.evWork[sw] = evn
-		a.quWork[sw] = qn
 		if evn+qn == 0 {
 			continue // quiescent: stays parked at nwNever, unbooked
 		}

@@ -159,6 +159,52 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
+// TestSnapshotBytesGolden pins the hyperx-ckpt/2 bytes themselves: the
+// SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
+// throughput series and one mid-run fault, a snapshot every 250 cycles —
+// equals a literal. Every .ckpt file on disk and every checkpoint frame in
+// flight was written in this layout, so the literals may only move together
+// with SnapshotVersion; never regenerate them from the code under test.
+// Each snapshot also resumes to the run's own result bytes.
+func TestSnapshotBytesGolden(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	opts := func() RunOptions {
+		nw := topo.NewNetwork(h, topo.NewFaultSet())
+		return RunOptions{
+			Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
+			Pattern: uniformOn(t, h, 4),
+			Load:    0.9, WarmupCycles: 250, MeasureCycles: 2000, Seed: 77,
+			SeriesBucket:  200,
+			FaultSchedule: []FaultEvent{{Cycle: 1100, Edge: topo.RandomFaultSequence(h, 7)[0]}},
+		}
+	}
+	ref, snaps := collectSnapshots(t, opts(), 250)
+	want := []string{
+		"175f4950010aa119fae552c3cbf647f01c27b0c247dc42d6043eb1655fdecb8c",
+		"691aa958f0753ee179f75518b1b8acfa13ad36eb12888cf2bae97aed47abd11a",
+		"dfb122ab414526e36722d545b5e8d3b1a078f4e593ad9916fa299cfadfbd06a1",
+		"34c66867f87dc72f4909ee47544a1a002fc358de1532bf181d10315e33304262",
+		"8973d4381110fdcdc9f791831e1a6cf75b355e62eb59870ceb2afd05cfe190f6",
+		"128210b709d59f81bb4190dd5dbceef93d88958e0e80eee1ffd986874fce973a",
+		"af389df2c9f475977cff92cacf87f506c297953cb11c07db40b1a482d081eab2",
+		"1388059c78495941e1d6534a970b27afbef0c7c06167b081b1026a1215198e98",
+	}
+	got := make([]string, len(snaps))
+	for i, s := range snaps {
+		got[i] = fmt.Sprintf("%x", sha256.Sum256(s))
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("snapshot digests moved without a SnapshotVersion bump:\n got %q\nwant %q", got, want)
+	}
+	for i, snap := range snaps {
+		o := opts()
+		o.Checkpoint = &CheckpointOptions{Resume: snap}
+		if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
+			t.Errorf("snapshot %d diverged on resume", i)
+		}
+	}
+}
+
 // TestSnapshotResumeBurst covers completion-time mode: the preload must be
 // skipped on resume (the remaining burst lives in the serialized queues)
 // and the completion cycle must match the uninterrupted run.
@@ -371,8 +417,9 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // whose state could not have come from an engine is refused with
 // ErrBadSnapshot, never resumed. Two layers, in restore order. What the
 // resumed run would index with unchecked — packet ids in rings, on the free
-// list and on the wheel, event kinds and targets, output-buffer VCs — is
-// refused before anything is installed. What breaks a flow-control bound
+// list and on the wheel, event kinds and targets, output-buffer VCs — and
+// a copy the format carries that disagrees with its original is refused
+// before anything is installed. What breaks a flow-control bound
 // once installed — a credit its receiver has no slot for, a crossbar count
 // past the speedup, an output buffer past its capacity — is refused by the
 // port audit that follows rebuildDerived; that engine is garbage, and Run
@@ -417,11 +464,17 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		{"transfer into another switch", false, func(st *snapshotState) { firstEvent(st, evXferDone).A += int32(st.P) }},
 		{"transfer on VC past V", false, func(st *snapshotState) { firstEvent(st, evXferDone).VC = int8(st.V) }},
 		{"series where the run has none", false, func(st *snapshotState) { st.SeriesBucket = 100 }},
+		{"crossbar copy disagrees", false, func(st *snapshotState) { st.OutInflight[0]++ }},
+		{"window phits copy disagrees", false, func(st *snapshotState) { st.WinDeliveredPhits[0]++ }},
 
 		{"credit without slot", true, func(st *snapshotState) { st.Credits[0] = int16(cfg.InputBufPkts) + 1 }},
 		{"negative credit", true, func(st *snapshotState) { st.Credits[0] = -1 }},
 		{"crossbar count past the speedup", true, func(st *snapshotState) { st.InInflight[0] = int8(cfg.XbarSpeedup) + 1 }},
-		{"output past its capacity", true, func(st *snapshotState) { st.OutReserved[0] = int16(cfg.OutputBufPkts) + 1 }},
+		{"output past its capacity", true, func(st *snapshotState) {
+			// Both copies, so the two agree and the audit is what refuses.
+			st.OutReserved[0] = int16(cfg.OutputBufPkts) + 1
+			st.OutInflight[0] = int8(cfg.OutputBufPkts) + 1
+		}},
 		{"negative output VC count", true, func(st *snapshotState) { st.OutVCCount[0] = -1 }},
 	}
 	for _, tc := range cases {
@@ -468,7 +521,6 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 // that the markLinkDead replay writes.
 type derivedState struct {
 	PQ                             []portq
-	InOcc                          []int8
 	InMask, OutMask                []uint64
 	SwInPkts, SwOutPkts, SwInjPkts []int32
 	InFlight                       int64
@@ -478,8 +530,7 @@ type derivedState struct {
 
 func (e *engine) derivedState() derivedState {
 	return derivedState{
-		PQ: slices.Clone(e.pq), InOcc: slices.Clone(e.inOcc),
-		InMask: slices.Clone(e.inMask), OutMask: slices.Clone(e.outMask),
+		PQ: slices.Clone(e.pq), InMask: slices.Clone(e.inMask), OutMask: slices.Clone(e.outMask),
 		SwInPkts: slices.Clone(e.swInPkts), SwOutPkts: slices.Clone(e.swOutPkts), SwInjPkts: slices.Clone(e.swInjPkts),
 		InFlight: e.inFlight, PortDead: slices.Clone(e.portDead), LiveDirLinks: e.liveDirLinks,
 	}

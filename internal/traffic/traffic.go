@@ -99,9 +99,6 @@ func (p *Permutation) Name() string { return p.name }
 // Dest implements Pattern.
 func (p *Permutation) Dest(src int32, _ *rng.Rand) int32 { return p.dst[src] }
 
-// Table returns the underlying destination table (shared; do not modify).
-func (p *Permutation) Table() []int32 { return p.dst }
-
 // NewRandomServerPermutation draws a uniform random permutation of the
 // servers from the given seed: the paper's Random Server Permutation, a
 // balanced bulk-transfer scenario.
