@@ -68,7 +68,8 @@ var codecTargets = []codecTarget{
 			"disp":          "runtime scheduling state; a snapshot restores under any worker count",
 			"ws":            "runtime scheduling state; a snapshot restores under any worker count",
 			"act":           "derived bookkeeping; rebuildActivity reconstructs it from the restored queues and wheel",
-			"all":           "the full-walk reference's list of every switch id, built at construction",
+			"fullWalk":      "the tests' full-walk oracle flag, set at construction; a snapshot restores under either walk",
+			"all":           "the full-walk oracle's list of every switch id, built at construction",
 			"maskWords":     "derived from the radix at construction",
 			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
 			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",

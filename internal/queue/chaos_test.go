@@ -14,6 +14,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // TestBackoffDelayJitteredAndCapped: the reconnect schedule never exceeds
@@ -255,18 +256,18 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 
 	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 900 * time.Millisecond})
 
-	// Sized for workers starved of CPU by the tests running beside this one,
-	// under the race detector. Only the stall may cost a lease: a job that
-	// merely runs slowly renews its ~430 ms term every 100 cycles. (A
-	// spurious revocation re-dispatches the job to a worker whose slot the
-	// revoked run still holds, where its next lease runs out in the queue —
-	// for as long as runs outlast leases.) The zombie needs the stalled
-	// worker's link alive, and four missed beats are now a second; the
-	// sweep, half a beat, still revokes well inside the 900 ms stall.
-	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 100}}
+	// A job that merely runs slowly renews its ~230 ms lease every 200
+	// cycles; should a starved CPU cost it the lease anyway, its slot stays
+	// busy until the revoked run answers, so the re-dispatch waits for a
+	// free slot instead of in a worker's queue. The heartbeat is slow on
+	// purpose: the zombie needs the stalled worker's link alive through
+	// the stall, and four missed 250 ms beats are a second, which CPU
+	// starvation under the race detector does not reach; the sweep, half
+	// a beat, still revokes well inside the 900 ms stall.
+	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
 	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
 		Heartbeat:     250 * time.Millisecond,
-		LeaseBase:     400 * time.Millisecond,
+		LeaseBase:     200 * time.Millisecond,
 		LeasePerCycle: 10 * time.Microsecond,
 	})
 	if err != nil {
@@ -311,6 +312,81 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 		case <-time.After(15 * time.Second):
 			t.Fatal("worker did not exit after server close")
 		}
+	}
+}
+
+// TestRevokedRunKeepsItsSlot: revoking a lease does not stop the run that
+// held it, so the slot stays busy until that run answers. One worker, one
+// slot. Job a stalls past its lease and is revoked; b takes the slot, and
+// a's stalled run wakes and queues behind it on the worker. Were the slot
+// freed at the revocation, a's re-dispatch would queue behind a's own
+// stale run, its lease would run out unrenewed — a runs longer than a
+// lease, renewing it only while running — and so on for every
+// re-dispatch: the grid would never finish. Kept busy, the slot takes the
+// stale run, then b, then a once more.
+func TestRevokedRunKeepsItsSlot(t *testing.T) {
+	t.Parallel()
+	spec := func(label string, measure int64, seed uint64) *experiments.JobSpec {
+		return &experiments.JobSpec{
+			Label: label, Topo: topo.Spec{Kind: topo.KindHyperX, Dims: []int{4, 4}},
+			Per: 4, Mechanism: "PolSP", Pattern: "Uniform", VCs: 4, Load: 0.8,
+			Budget: experiments.Budget{Warmup: 200, Measure: measure},
+			Seed:   seed, PatternSeed: 41,
+		}
+	}
+	// Sizes, 2-CPU Xeon at -cpu 1: a runs ~470 ms, b ~340 ms, both ship a
+	// checkpoint every ~6 ms against a 200 ms lease; the stall outlasts
+	// the lease and the sweep but not b's run. The network is small so a
+	// checkpoint stays cheap next to the lease under the race detector too.
+	a, b := spec("livelock-a", 39000, 1), spec("livelock-b", 30000, 2)
+	chaos := NewChaos(ChaosConfig{Seed: 1, StallLabel: a.String(), StallFor: 400 * time.Millisecond})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
+		Heartbeat:     250 * time.Millisecond,
+		LeaseBase:     200 * time.Millisecond,
+		LeasePerCycle: time.Nanosecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	w := testWorker(t, experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 500}})
+	chaos.wrap(w)
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.loop(srv.Addr()) }()
+
+	done := make(chan error, 2)
+	execute := func(spec *experiments.JobSpec) {
+		_, err := srv.Execute(spec)
+		done <- err
+	}
+	// a first, alone: b must find the slot taken by a's stalled dispatch.
+	go execute(a)
+	for deadline := time.Now().Add(10 * time.Second); chaos.Stalled.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the stalled job never reached the worker")
+		}
+	}
+	go execute(b)
+	timeout := time.After(90 * time.Second)
+	for i := 0; i < 2; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			t.Fatalf("grid not finished: a revoked run's slot was handed out again (livelock): %+v", srv.Stats())
+		}
+	}
+	if st := srv.Stats(); st.LeasesRevoked == 0 || st.ZombiesDropped == 0 {
+		t.Errorf("the stalled job was not revoked and fenced: %+v", st)
+	}
+
+	srv.Close()
+	select {
+	case <-workerDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not exit after server close")
 	}
 }
 

@@ -33,8 +33,9 @@ type session struct {
 	resumes bool               // the worker takes resume snapshots (hello ckptCap)
 	quiet   time.Duration      // silence that severs a worker which promised to beat; 0: it did not
 	slots   int                // as advertised; 0 until the handshake is done
-	free    int                // slots without a job: free + len(held) == slots
+	free    int                // slots without a job: free + len(held) + revoked == slots
 	held    map[int64]*pending // jobs the worker holds, by id
+	revoked int                // revoked dispatches the worker is still running: results not yet in
 	bye     bool               // the worker announced a drain
 	torn    bool               // a write failed: the stream may end in half a frame
 }
@@ -137,8 +138,9 @@ func (ss *session) greet(hello *message) bool {
 
 // handle applies one frame from the worker: a result finishes its job and
 // frees the slot, a checkpoint is kept (and persisted) and renews the
-// lease, a frame of a superseded dispatch is fenced off, bye marks the
-// hangup to come as a drain. A heartbeat changes nothing: its arrival
+// lease, a frame of a superseded dispatch is fenced off — its result
+// freeing the slot its revoked run kept busy — and bye marks the hangup to
+// come as a drain. A heartbeat changes nothing: its arrival
 // already pushed the reader's silence deadline out, and leases renew on
 // checkpoints only — a beating heart proves the link, not progress. False
 // means the stream can no longer be trusted and the session must end.
@@ -180,8 +182,13 @@ func (ss *session) handle(msg *message) bool {
 		if p == nil || (msg.Fence != 0 && msg.Fence != p.fence) {
 			// A dispatch this frame does not match anymore: the lease
 			// was revoked and the job re-dispatched. Drop the late
-			// answer; the current custody decides.
+			// answer; the current custody decides. The revoked run is
+			// over, so the slot it occupied takes jobs again.
 			s.zombies.Add(1)
+			if ss.revoked > 0 {
+				ss.revoked--
+				ss.free++
+			}
 			return true
 		}
 		delete(ss.held, msg.ID)
@@ -218,15 +225,19 @@ func (ss *session) dispatch(p *pending) bool {
 }
 
 // sweep reclaims the jobs whose lease ran out: the worker may be healthy
-// but is stuck on this one. The slot is freed, the job charged and handed
-// on, and the fence blocks whatever the stale custody still sends.
+// but is stuck on this one. The job is charged and handed on, and the
+// fence blocks whatever the stale custody still sends. The slot stays
+// busy until that custody's result comes in: the worker is still running
+// the revoked job, so a job dispatched into the slot now would wait in
+// the worker's queue, where its own lease runs out unrenewed — revoked and
+// re-dispatched for as long as runs outlast leases.
 func (ss *session) sweep(now time.Time) {
 	for id, p := range ss.held {
 		if now.Before(p.deadline) {
 			continue
 		}
 		delete(ss.held, id)
-		ss.free++
+		ss.revoked++
 		ss.s.leasesRevoked.Add(1)
 		ss.s.requeueOrQuarantine(p, ss.worker, "lease-revoked")
 	}

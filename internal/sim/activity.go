@@ -25,25 +25,25 @@ import (
 // generalizes that argument to switches that DO hold work, all of it
 // timed: nextWork[sw] is a lower bound on the earliest cycle at which the
 // switch can mutate any state or draw from its tie-break RNG stream. It
-// is the min of four components, each owned by the phase that computes
-// it:
+// is the min of two components:
 //
-//	evNext   the earliest pending calendar-wheel event (exact; lowered
-//	         by scheduleSw and the transmit merge, re-scanned from the
-//	         wheel by the event phase after a drain)
-//	inRetry  the allocate phase's verdict on its queued heads: now+1
-//	         ("hot") if any head was *eligible* this cycle — it drew
-//	         tie-break randomness, so every subsequent cycle must run —
-//	         else the earliest inBusyUntil of a non-empty input VC on an
-//	         unsaturated port (a saturated port unblocks when an evCredit
-//	         of its own returns a crossbar slot, which evNext already
-//	         bounds)
-//	outRetry the transmit phase's earliest outBusy expiry over ports
-//	         with queued output packets
-//	injRetry the inject phase's earliest injBusy expiry over non-empty
-//	         injection queues (a credit-starved injection head unblocks
-//	         only via this switch's own evCredit/evArrive chain, which
-//	         evNext already bounds)
+//	evNext  the earliest pending calendar-wheel event (exact; lowered
+//	        by scheduleSw and the transmit merge, re-scanned from the
+//	        wheel by the event phase after a drain)
+//	retry   the earliest cycle a queued head can advance, built by the
+//	        three queue phases in their fixed order on every switch of
+//	        the walk. Inject assigns it — the earliest injBusy expiry
+//	        over non-empty injection queues (a credit-starved injection
+//	        head unblocks only via this switch's own evCredit/evArrive
+//	        chain, which evNext already bounds). Allocate lowers it with
+//	        its verdict on the queued input heads: now+1 ("hot") if any
+//	        head was *eligible* this cycle and not granted — it drew
+//	        tie-break randomness, so every subsequent cycle must run —
+//	        else the earliest inBusyUntil of a non-empty input VC on an
+//	        unsaturated port (a saturated port unblocks when an evCredit
+//	        of its own returns a crossbar slot, which evNext already
+//	        bounds). Transmit lowers it with the earliest outBusy expiry
+//	        over ports with queued output packets.
 //
 // Why the hot/parked split keeps bit-identity: the only randomness a
 // switch draws per cycle is one tie per candidate of each *eligible* head
@@ -71,16 +71,20 @@ import (
 // build sorts its pops). The folded nextWork word is written only by the
 // sequential steps (compaction, generation wake-ups), never by the
 // phases, which read it as this cycle's stable skip verdict.
+//
+// Every engine keeps this state, the tests' full-walk oracle included:
+// the oracle walks every switch every cycle and never jumps, but it keeps
+// the same words with the same code (its compaction simply refolds every
+// switch it walked), so the two share one bookkeeping path and differ
+// only where engine.fullWalk is tested.
 type activityState struct {
 	// evWork counts pending calendar events per switch (its queued packets
 	// are the engine's swInPkts, swOutPkts and swInjPkts).
 	evWork []int32
-	// The four next-work components (see the file comment) and the folded
+	// The two next-work components (see the file comment) and the folded
 	// per-switch minimum. nwNever means "no locally provable work".
 	evNext   []int64
-	inRetry  []int64
-	outRetry []int64
-	injRetry []int64
+	retry    []int64
 	nextWork []int64
 	// nextWorkMin is a monotone lower bound on the earliest booked visit:
 	// lowered by every booking, refreshed from the wheel only when a jump
@@ -122,9 +126,7 @@ func newActivityState(switches int, span int64) *activityState {
 	a := &activityState{
 		evWork:      make([]int32, switches),
 		evNext:      make([]int64, switches),
-		inRetry:     make([]int64, switches),
-		outRetry:    make([]int64, switches),
-		injRetry:    make([]int64, switches),
+		retry:       make([]int64, switches),
 		nextWork:    make([]int64, switches),
 		sched:       make([][]int32, span),
 		schedSpan:   span,
@@ -133,9 +135,7 @@ func newActivityState(switches int, span int64) *activityState {
 	}
 	for i := 0; i < switches; i++ {
 		a.evNext[i] = nwNever
-		a.inRetry[i] = nwNever
-		a.outRetry[i] = nwNever
-		a.injRetry[i] = nwNever
+		a.retry[i] = nwNever
 		a.nextWork[i] = nwNever
 		a.schedAt[i] = -1
 	}
@@ -166,7 +166,7 @@ func (a *activityState) schedule(sw int32, t, now int64) {
 // actEvNext lowers switch sw's earliest-event cache to at. Callers are sw
 // itself (scheduleSw inside a phase) or the sequential transmit merge.
 func (e *engine) actEvNext(sw int32, at int64) {
-	if a := e.act; a != nil && at < a.evNext[sw] {
+	if a := e.act; at < a.evNext[sw] {
 		a.evNext[sw] = at
 	}
 }
@@ -179,7 +179,7 @@ func (e *engine) actEvNext(sw int32, at int64) {
 // the duplicate guard: a switch already due (or already woken) sits at
 // nextWork <= now and is not staged again.
 func (e *engine) actWake(sw int32) {
-	if a := e.act; a != nil && a.nextWork[sw] > e.now {
+	if a := e.act; a.nextWork[sw] > e.now {
 		a.nextWork[sw] = e.now
 		a.woken = append(a.woken, sw)
 	}
@@ -191,7 +191,7 @@ func (e *engine) actWake(sw int32) {
 // next-work time has already arrived needs no booking — it is in this
 // cycle's due list (or woken staging) and compaction re-books it.
 func (e *engine) actActivate(sw int32) {
-	if a := e.act; a != nil && a.nextWork[sw] > e.now {
+	if a := e.act; a.nextWork[sw] > e.now {
 		a.schedule(sw, a.nextWork[sw], e.now)
 	}
 }
@@ -204,9 +204,6 @@ func (e *engine) actActivate(sw int32) {
 // stays parked this cycle).
 func (e *engine) actRemoteEvent(tgt int32, at int64) {
 	a := e.act
-	if a == nil {
-		return
-	}
 	a.evWork[tgt]++
 	e.actEvNext(tgt, at)
 	if at < a.nextWork[tgt] {
@@ -230,9 +227,6 @@ func (e *engine) actRemoteEvent(tgt int32, at int64) {
 // list is sorted to restore the full walk's ascending switch order.
 func (e *engine) actBuildDue() {
 	a := e.act
-	if a == nil {
-		return
-	}
 	due := a.due[:0]
 	slot := e.now % a.schedSpan
 	list := a.sched[slot]
@@ -267,7 +261,7 @@ func (e *engine) actBuildDue() {
 // (nextWork > now), and due holds none of those.
 func (e *engine) actMergeWoken() {
 	a := e.act
-	if a == nil || len(a.woken) == 0 {
+	if len(a.woken) == 0 {
 		return
 	}
 	if len(a.woken) > 1 {
@@ -289,8 +283,9 @@ func (e *engine) actMergeWoken() {
 	a.woken = a.woken[:0]
 }
 
-// actCompact ends the cycle: for every switch that ran this cycle it
-// refolds the next-work word from the four components and books the
+// actCompact ends the cycle: for every switch that ran this cycle — the
+// switches of walk(), which is the due list outside the full-walk oracle —
+// it refolds the next-work word from its two components and books the
 // matching wheel visit, or parks the switch for good when it went
 // quiescent. Only due switches need the refold: a parked switch ran
 // nothing, so its components are unchanged and its fold still equals
@@ -301,15 +296,12 @@ func (e *engine) actMergeWoken() {
 // booking from before its wake-up.
 func (e *engine) actCompact() {
 	a := e.act
-	if a == nil {
-		return
-	}
-	for _, sw := range a.due {
+	for _, sw := range e.walk() {
 		if a.evWork[sw]+e.swInPkts[sw]+e.swOutPkts[sw]+e.swInjPkts[sw] == 0 {
 			a.nextWork[sw] = nwNever
 			continue
 		}
-		nw := min(a.evNext[sw], a.inRetry[sw], a.outRetry[sw], a.injRetry[sw])
+		nw := min(a.evNext[sw], a.retry[sw])
 		a.nextWork[sw] = nw
 		a.schedAt[sw] = -1
 		a.schedule(sw, nw, e.now)
@@ -359,12 +351,13 @@ func (e *engine) scanSchedMin() int64 {
 // stranded entries in skipped slots are dead by definition, so draining
 // resumes exactly at the first slot with live work. verifyActivity audits
 // the bookings against the queue ground truth under
-// Config.CheckInvariants.
+// Config.CheckInvariants. The full-walk oracle never jumps: it steps every
+// cycle.
 func (e *engine) fastForwardTarget(bound, nextGen int64) (int64, bool) {
-	a := e.act
-	if a == nil {
+	if e.fullWalk {
 		return 0, false
 	}
+	a := e.act
 	if a.nextWorkMin <= e.now+1 && len(a.due) == 0 {
 		a.nextWorkMin = e.scanSchedMin()
 	}
@@ -393,6 +386,17 @@ func (e *engine) nextWheelEvent(sw int32) int64 {
 	if e.act.evWork[sw] == 0 {
 		return nwNever
 	}
+	if c := e.wheelFirst(sw); c != nwNever {
+		return c
+	}
+	panic(fmt.Sprintf("sim: switch %d has evWork %d but an empty wheel at cycle %d",
+		sw, e.act.evWork[sw], e.now))
+}
+
+// wheelFirst scans switch sw's calendar wheel forward from the next cycle
+// and returns the first cycle with a pending event, nwNever when every
+// future slot is empty.
+func (e *engine) wheelFirst(sw int32) int64 {
 	base := int64(sw) * e.horizon
 	for off := int64(1); off < e.horizon; off++ {
 		c := e.now + off
@@ -400,8 +404,18 @@ func (e *engine) nextWheelEvent(sw int32) int64 {
 			return c
 		}
 	}
-	panic(fmt.Sprintf("sim: switch %d has evWork %d but an empty wheel at cycle %d",
-		sw, e.act.evWork[sw], e.now))
+	return nwNever
+}
+
+// wheelEvents counts the events pending anywhere on switch sw's calendar
+// wheel: the ground truth of evWork[sw].
+func (e *engine) wheelEvents(sw int32) int32 {
+	var n int32
+	base := int64(sw) * e.horizon
+	for _, slot := range e.events[base : base+e.horizon] {
+		n += int32(len(slot))
+	}
+	return n
 }
 
 // verifyActivity audits the activity bookkeeping against the ground
@@ -419,23 +433,8 @@ func (e *engine) nextWheelEvent(sw int32) int64 {
 // the folded words are in sync with their components.
 func (e *engine) verifyActivity() {
 	a := e.act
-	if a == nil {
-		return
-	}
 	for sw := 0; sw < e.S; sw++ {
-		var evn int32
-		evNext := nwNever
-		base := int64(sw) * e.horizon
-		for s := int64(0); s < e.horizon; s++ {
-			evn += int32(len(e.events[base+s]))
-		}
-		for off := int64(1); off < e.horizon; off++ {
-			c := e.now + off
-			if len(e.events[base+c%e.horizon]) > 0 {
-				evNext = c
-				break
-			}
-		}
+		evn, evNext := e.wheelEvents(int32(sw)), e.wheelFirst(int32(sw))
 		in, out, inj := e.queuedPackets(sw)
 		qn := in + out + inj
 		if a.evWork[sw] != evn {
@@ -451,14 +450,13 @@ func (e *engine) verifyActivity() {
 				sw, a.evNext[sw], evNext, e.now))
 		}
 		if evn+qn == 0 {
-			if a.nextWork[sw] != nwNever || a.inRetry[sw] != nwNever ||
-				a.outRetry[sw] != nwNever || a.injRetry[sw] != nwNever {
-				panic(fmt.Sprintf("sim: quiescent switch %d holds next-work state (%d; in %d, out %d, inj %d) at cycle %d",
-					sw, a.nextWork[sw], a.inRetry[sw], a.outRetry[sw], a.injRetry[sw], e.now))
+			if a.nextWork[sw] != nwNever || a.retry[sw] != nwNever {
+				panic(fmt.Sprintf("sim: quiescent switch %d holds next-work state (%d; retry %d) at cycle %d",
+					sw, a.nextWork[sw], a.retry[sw], e.now))
 			}
 			continue
 		}
-		fold := min(evNext, a.inRetry[sw], a.outRetry[sw], a.injRetry[sw])
+		fold := min(evNext, a.retry[sw])
 		if a.nextWork[sw] != fold {
 			panic(fmt.Sprintf("sim: switch %d folded next-work %d, components say %d at cycle %d",
 				sw, a.nextWork[sw], fold, e.now))
@@ -506,7 +504,7 @@ func (e *engine) verifyActivity() {
 // every queued head whose unblock time is provable from switch-local
 // state bounds nextWork from above. Heads whose unblock is NOT locally
 // provable are exempt because they cannot be parked: an eligible input
-// head (even one starved of downstream credits) forces inRetry = now+1,
+// head (even one starved of downstream credits) forces retry = now+1,
 // and a credit-starved injection head waits on this switch's own
 // evCredit/evArrive chain, which evNext bounds.
 func (e *engine) auditNextWorkBounds(sw int32, nw int64) {

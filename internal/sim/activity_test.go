@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -194,6 +195,84 @@ func TestActivityBookkeepingAudited(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// The oracle keeps the same bookkeeping while walking every switch:
+	// every switch is refolded and re-booked each cycle, and the audit
+	// must hold all the same.
+	t.Run("FullWalk", func(t *testing.T) {
+		nw := topo.NewNetwork(h, topo.NewFaultSet())
+		mech, err := core.New(nw, core.PolarizedRoutes, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Run(RunOptions{
+			Net: nw, ServersPerSwitch: 4, Mechanism: mech, Pattern: pat,
+			Load: 0.4, WarmupCycles: 200, MeasureCycles: 1200, Seed: 7, Workers: 4,
+			Config: cfg, fullWalk: true,
+			FaultSchedule: []FaultEvent{{Cycle: 500, Edge: seq[2]}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestFullWalkVisitsEverySwitchEveryCycle pins what makes the oracle an
+// oracle. It shares the engine's activity bookkeeping and only one bool
+// sets it apart, so a change that let it follow the due list or
+// fast-forward would quietly compare the engine against itself. At a load sparse enough that
+// production skips both switches and cycles, the full walk must step every
+// cycle and walk all S switches, in order, on each one.
+func TestFullWalkVisitsEverySwitchEveryCycle(t *testing.T) {
+	for _, fullWalk := range []bool{true, false} {
+		o := fastForwardFixture(t, RunOptions{Load: 0.02, WarmupCycles: 100, MeasureCycles: 1400, Seed: 9})
+		o.fullWalk = fullWalk
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+		all := make([]int32, e.S)
+		for sw := range all {
+			all[sw] = int32(sw)
+		}
+		var stepped, skipped, partial int64
+		want := e.now
+		// The loop calls overrun once per stepped cycle, before the cycle
+		// runs, so walk() still holds the previous stepped cycle's list.
+		lastWalk := func() {
+			if !slices.Equal(e.walk(), all) {
+				partial++
+			}
+		}
+		overrun := func() error {
+			if stepped > 0 {
+				lastWalk()
+			}
+			skipped += e.now - want
+			stepped++
+			want = e.now + 1
+			return nil
+		}
+		if err := e.loop(o, func() bool { return e.now >= e.warmEnd }, overrun); err != nil {
+			t.Fatal(err)
+		}
+		lastWalk()
+		if e.totalDelivered == 0 {
+			t.Fatalf("fullWalk=%v: no traffic delivered; the regime exercises nothing", fullWalk)
+		}
+		if fullWalk {
+			if skipped != 0 || stepped != e.warmEnd {
+				t.Errorf("full walk stepped %d of %d cycles (%d skipped)", stepped, e.warmEnd, skipped)
+			}
+			if partial != 0 {
+				t.Errorf("full walk left switches out on %d of %d cycles", partial, stepped)
+			}
+		} else if skipped == 0 || partial == 0 {
+			// Production must differ here, or the checks above prove nothing.
+			t.Errorf("the due walk skipped %d cycles and walked a partial list on %d: the regime is too dense",
+				skipped, partial)
+		}
+	}
 }
 
 // TestFastForwardTarget unit-tests the jump rule on a handcrafted engine:
@@ -281,24 +360,24 @@ func TestFastForwardTarget(t *testing.T) {
 	}
 	// A hot switch — one whose allocate phase saw an eligible head and so
 	// must run again next cycle — vetoes jumping entirely.
-	e.act.inRetry[2] = e.now + 1
+	e.act.retry[2] = e.now + 1
 	refold()
 	if _, ok = e.fastForwardTarget(1001, -1); ok {
 		t.Fatal("fast-forward offered despite a hot switch")
 	}
-	e.act.inRetry[2] = nwNever
+	e.act.retry[2] = nwNever
 	refold()
 	if next, ok = e.fastForwardTarget(1001, -1); !ok || next != 10 {
 		t.Fatalf("target after cooling the hot switch = (%d, %v), want (10, true)", next, ok)
 	}
 	// A timed retry (a head waiting out a busy-until) is jumpable to, and
 	// beats a later event.
-	e.act.outRetry[2] = 4
+	e.act.retry[2] = 4
 	refold()
 	if next, ok = e.fastForwardTarget(1001, -1); !ok || next != 4 {
 		t.Fatalf("busy-until target = (%d, %v), want (4, true)", next, ok)
 	}
-	e.act.outRetry[2] = nwNever
+	e.act.retry[2] = nwNever
 	// An event due next cycle means there is nothing to skip.
 	e.scheduleSw(2, 1, event{kind: evCredit, a: 2 * int32(e.P*e.V)})
 	refold()

@@ -83,11 +83,16 @@ type engine struct {
 	workers int
 	disp    *spinPool // nil when workers <= 1
 
-	// act is the dirty-switch tracking state (activity.go). The tests'
-	// full-walk reference (RunOptions.fullWalk) has none and walks all,
-	// every switch id in order, instead; all is nil in every other run.
-	act *activityState
-	all []int32
+	// act is the dirty-switch tracking state (activity.go), kept by every
+	// engine. fullWalk marks the tests' full-walk oracle
+	// (RunOptions.fullWalk), which keeps the same bookkeeping but walks
+	// all, every switch id in order, every cycle and never jumps; all is
+	// nil in every other run. fullWalk is tested only where the oracle
+	// must differ: walk(), fastForwardTarget, and the early exits and
+	// mask walks of the per-switch phases.
+	act      *activityState
+	fullWalk bool
+	all      []int32
 
 	// portDead mutates on scheduled mid-run faults; up never does.
 	portDead []bool // per global port: link failed mid-run (markLinkDead)
@@ -125,11 +130,11 @@ type engine struct {
 	// Per-switch port-occupancy bitmasks, maskWords words per switch (bit p
 	// of switch sw located by maskBit): port p's bit is set in inMask iff the
 	// port has a nonempty input VC, in outMask iff its output
-	// buffer is nonempty. The allocation and transmission scans of the
-	// activity engine jump straight to the set bits instead of probing the
-	// full radix, which at low load is almost entirely empty. Maintained
-	// unconditionally (and audited against the rings), consulted only on
-	// the activity fast path.
+	// buffer is nonempty. The allocation and transmission scans jump
+	// straight to the set bits instead of probing the full radix, which at
+	// low load is almost entirely empty. Maintained unconditionally (and
+	// audited against the rings), consulted by every run but the tests'
+	// full-walk oracle, which probes every port.
 	maskWords int
 	inMask    []uint64
 	outMask   []uint64
@@ -399,13 +404,13 @@ func newEngine(o RunOptions) (*engine, error) {
 		e.ws[w].inUsed = make([]int8, e.P)
 		e.ws[w].vcUsed = make([]int16, e.V)
 	}
+	e.act = newActivityState(e.S, e.horizon+2)
+	e.fullWalk = o.fullWalk
 	if o.fullWalk {
 		e.all = make([]int32, e.S)
 		for sw := range e.all {
 			e.all[sw] = int32(sw)
 		}
-	} else {
-		e.act = newActivityState(e.S, e.horizon+2)
 	}
 	return e, nil
 }
@@ -434,10 +439,8 @@ func (e *engine) maskWalk(mask []uint64, sw int32, fn func(p int)) {
 func (e *engine) scheduleSw(sw int32, delay int64, ev event) {
 	slot := int64(sw)*e.horizon + (e.now+delay)%e.horizon
 	e.events[slot] = append(e.events[slot], ev)
-	if e.act != nil {
-		e.act.evWork[sw]++
-		e.actEvNext(sw, e.now+delay)
-	}
+	e.act.evWork[sw]++
+	e.actEvNext(sw, e.now+delay)
 }
 
 // allocPacket takes a packet from the pool (sequential phases only).
@@ -494,11 +497,12 @@ func (e *engine) generate(src int32) bool {
 // goes back to the sender's ledger entry, which only this switch writes in
 // this phase (shard.go).
 func (e *engine) processEventsSwitch(sw int32) {
-	if a := e.act; a != nil && a.evWork[sw] == 0 {
+	a := e.act
+	if a.evWork[sw] == 0 && !e.fullWalk {
 		// Not a single event of sw's is scheduled anywhere in the wheel, so
 		// this cycle's slot is provably empty: skip the slot load and the
-		// rescan. (The full walk below stays the plain reference the A/B
-		// bit-identity tests compare against.)
+		// rescan. (The full walk drains the empty slot anyway: it stays the
+		// plain reference the A/B bit-identity tests compare against.)
 		if a.evNext[sw] <= e.now {
 			a.evNext[sw] = nwNever
 		}
@@ -508,9 +512,7 @@ func (e *engine) processEventsSwitch(sw int32) {
 	slot := int64(sw)*e.horizon + e.now%e.horizon
 	evs := e.events[slot]
 	e.events[slot] = evs[:0]
-	if e.act != nil && len(evs) > 0 {
-		e.act.evWork[sw] -= int32(len(evs))
-	}
+	a.evWork[sw] -= int32(len(evs))
 	for _, ev := range evs {
 		switch ev.kind {
 		case evArrive:
@@ -557,7 +559,7 @@ func (e *engine) processEventsSwitch(sw int32) {
 	// If the drained slot was the cached earliest event, find the new one.
 	// Anything scheduled later this cycle (inject/commit) lowers the cache
 	// again through scheduleSw/actEvNext.
-	if a := e.act; a != nil && a.evNext[sw] <= e.now {
+	if a.evNext[sw] <= e.now {
 		a.evNext[sw] = e.nextWheelEvent(sw)
 	}
 }
@@ -582,15 +584,17 @@ func (e *engine) deliverSw(sw, id int32) {
 }
 
 // injectSwitch launches head packets of switch sw's server queues onto
-// their injection links.
+// their injection links. It is the first of the three phases that build
+// the switch's retry word, so it assigns the word on every path; allocate
+// and transmit then lower it.
 func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 	a := e.act
-	if a != nil && e.swInjPkts[sw] == 0 {
-		a.injRetry[sw] = nwNever
+	if e.swInjPkts[sw] == 0 && !e.fullWalk {
+		a.retry[sw] = nwNever
 		return // every injection queue is empty: the scan below would no-op
 	}
 	V := e.V
-	// injRetry: the earliest injection-link release over servers that still
+	// retry: the earliest injection-link release over servers that still
 	// hold packets afterward. A head blocked on credits contributes nothing:
 	// its space frees only through this switch's own evCredit/evArrive event
 	// chain, which evNext already bounds (see the skip proof in activity.go).
@@ -632,9 +636,7 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 		e.scheduleSw(sw, int64(e.cfg.PacketPhits+e.cfg.LinkLatency), event{kind: evArrive, a: invc, pkt: id})
 		e.swProgressed[sw] = true
 	}
-	if a != nil {
-		a.injRetry[sw] = retry
-	}
+	a.retry[sw] = retry
 }
 
 // portq packs the per-gport words of the allocation cost function (see
@@ -701,17 +703,15 @@ func (e *engine) penaltyCost(p int32) int64 {
 func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	granted := e.granted[sw][:0]
 	e.granted[sw] = granted
-	a := e.act
-	if a != nil && e.swInPkts[sw] == 0 {
-		a.inRetry[sw] = nwNever
-		return // every input VC is empty: no head packets, no requests
+	if e.swInPkts[sw] == 0 && !e.fullWalk {
+		return // every input VC is empty: no head packets, no requests, no retry
 	}
 	tr := &e.tie[sw]
 	V := e.V
 	speedup := int8(e.cfg.XbarSpeedup)
 	gpBase := sw * int32(e.P)
 	nreq := 0
-	// inRetry records WHY the queued heads could not advance. A head that
+	// retry records WHY the queued heads could not advance. A head that
 	// reached bestRequest was *eligible*: it drew tie-break randomness. If
 	// arbitration then dropped it — it lost a slot race, or waits on a
 	// downstream credit only a remote switch can return — the full walk
@@ -748,17 +748,17 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 			}
 		}
 	}
-	if a != nil {
-		// Visit only the occupied ports, in the same ascending order the
-		// full scan would. A cleared bit means every VC ring of the port is
-		// empty, so skipping it drops no request and no retry bound. The
-		// full walk keeps the plain scan: it is the reference the A/B
+	if e.fullWalk {
+		// The full walk keeps the plain scan: it is the reference the A/B
 		// bit-identity tests compare against.
-		e.maskWalk(e.inMask, sw, scanPort)
-	} else {
 		for p := 0; p < e.P; p++ {
 			scanPort(p)
 		}
+	} else {
+		// Visit only the occupied ports, in the same ascending order the
+		// full scan would. A cleared bit means every VC ring of the port is
+		// empty, so skipping it drops no request and no retry bound.
+		e.maskWalk(e.inMask, sw, scanPort)
 	}
 	if nreq > 0 {
 		for i := range ws.inUsed {
@@ -804,28 +804,22 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 		}
 	}
 	e.granted[sw] = granted
-	if a != nil {
-		if nEligible > len(granted) {
-			// Some eligible head was not granted (a head makes exactly one
-			// request, so equal counts mean a bijection): it re-draws next
-			// cycle, full stop.
-			a.inRetry[sw] = e.now + 1
-		} else {
-			if nEligible > 0 {
-				// All eligible heads granted. A successor behind a granted
-				// head becomes eligible when its VC's transfer finishes.
-				for i := range granted {
-					if e.inQ.len(granted[i].invc) > 1 {
-						if t := e.now + e.cfg.xferCycles(); t < retry {
-							retry = t
-						}
-						break // every grant sets the same busy-until
-					}
-				}
+	if nEligible > len(granted) {
+		// Some eligible head was not granted (a head makes exactly one
+		// request, so equal counts mean a bijection): it re-draws next
+		// cycle, full stop.
+		retry = e.now + 1
+	} else if nEligible > 0 {
+		// All eligible heads granted. A successor behind a granted head
+		// becomes eligible when its VC's transfer finishes.
+		for i := range granted {
+			if e.inQ.len(granted[i].invc) > 1 {
+				retry = min(retry, e.now+e.cfg.xferCycles())
+				break // every grant sets the same busy-until
 			}
-			a.inRetry[sw] = retry
 		}
 	}
+	e.act.retry[sw] = min(e.act.retry[sw], retry)
 }
 
 // sortRequests orders a bucket by (cost, tie) ascending. Buckets are small
@@ -925,17 +919,15 @@ func (e *engine) commitSwitch(sw int32) {
 // ejection channels. Link arrivals land on a neighbor's calendar, so they
 // stage in the switch's outbox for the deterministic merge.
 func (e *engine) transmitSwitch(sw int32) {
-	a := e.act
-	if a != nil && e.swOutPkts[sw] == 0 {
-		a.outRetry[sw] = nwNever
-		return // every output buffer is empty: nothing to serialize
+	if e.swOutPkts[sw] == 0 && !e.fullWalk {
+		return // every output buffer is empty: nothing to serialize, no retry
 	}
 	outbox := e.outbox[sw]
 	serial := int64(e.cfg.PacketPhits)
 	arriveDelay := serial + int64(e.cfg.LinkLatency)
 	V := int32(e.V)
 	gpBase := sw * int32(e.P)
-	// outRetry: the earliest serializer release over ports that still hold
+	// retry: the earliest serializer release over ports that still hold
 	// queued output packets after this cycle's pops.
 	retry := nwNever
 	xmitPort := func(p int) {
@@ -976,18 +968,16 @@ func (e *engine) transmitSwitch(sw int32) {
 			ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
 		})
 	}
-	if a != nil {
+	if e.fullWalk {
+		for p := 0; p < e.P; p++ {
+			xmitPort(p)
+		}
+	} else {
 		// Visit only the occupied output ports, in the same ascending order
 		// the full scan would: a cleared bit is an empty buffer, which the
 		// full scan skips on its first check anyway.
 		e.maskWalk(e.outMask, sw, xmitPort)
-	} else {
-		for p := 0; p < e.P; p++ {
-			xmitPort(p)
-		}
 	}
 	e.outbox[sw] = outbox
-	if a != nil {
-		a.outRetry[sw] = retry
-	}
+	e.act.retry[sw] = min(e.act.retry[sw], retry)
 }

@@ -90,12 +90,9 @@ func (e *engine) memStats() MemStats {
 		sliceBytes(e.winEscapedPkts) + sliceBytes(e.winLinkBusy) +
 		sliceBytes(e.winLastDelivery)
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
-	if a := e.act; a != nil {
-		b += sliceBytes(a.evWork) +
-			sliceBytes(a.evNext) + sliceBytes(a.inRetry) +
-			sliceBytes(a.outRetry) + sliceBytes(a.injRetry) +
-			sliceBytes(a.nextWork) + arenaBytes(a.sched) + sliceBytes(a.schedAt)
-	}
+	a := e.act
+	b += sliceBytes(a.evWork) + sliceBytes(a.evNext) + sliceBytes(a.retry) +
+		sliceBytes(a.nextWork) + arenaBytes(a.sched) + sliceBytes(a.schedAt)
 	return MemStats{
 		Switches:        e.S,
 		ArenaBytes:      b,

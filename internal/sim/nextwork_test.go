@@ -153,8 +153,8 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	}
 	e.actWake(sw)
 	e.stepCycle(nil)
-	if got := e.act.inRetry[sw]; got != e.now+1 {
-		t.Fatalf("credit-starved eligible head: inRetry = %d, want hot (%d)", got, e.now+1)
+	if got := e.act.retry[sw]; got != e.now+1 {
+		t.Fatalf("credit-starved eligible head: retry = %d, want hot (%d)", got, e.now+1)
 	}
 	if _, ok := e.fastForwardTarget(1001, -1); ok {
 		t.Fatal("fast-forward offered while an eligible head waits on a remote credit")

@@ -55,10 +55,10 @@ type RunOptions struct {
 	// single runs (paper-scale 8x8x8) and costs a little synchronization
 	// overhead on tiny networks.
 	Workers int
-	// fullWalk turns off the engine's dirty-switch tracking, per-switch
-	// next-work times and event-calendar fast-forward, restoring the full
-	// every-switch walk of every cycle. Activity tracking is bit-identical
-	// to the full walk — a skipped switch-cycle cannot mutate state or draw
+	// fullWalk makes the engine walk every switch through every phase of
+	// every cycle, with no fast-forward and no skipped port scans, while
+	// keeping its activity bookkeeping. Skipping is bit-identical to the
+	// full walk — a skipped switch-cycle cannot mutate state or draw
 	// randomness (see activity.go) — so the walk survives only as the
 	// reference the tests of this package compare the engine against.
 	fullWalk bool

@@ -22,13 +22,13 @@ import (
 //	   mergeTransmit (sequential): route outboxes onto target calendars in
 //	   switch order, fold progress flags
 //
-// The phases and merges iterate one list, walk(): with activity tracking
-// on (every run but the tests' full-walk reference) the sorted due list of
-// activity.go instead of the whole switch array, so a switch whose
-// next-work time is still in the future is skipped (see stepCycle); the
-// compaction at the end of the cycle drops the switches that went
-// quiescent and refolds the next-work words. The iteration order is the
-// ascending switch order of the full walk either way.
+// The phases and merges iterate one list, walk(): in every run but the
+// tests' full-walk oracle the sorted due list of activity.go instead of
+// the whole switch array, so a switch whose next-work time is still in the
+// future is skipped (see stepCycle); the compaction at the end of the
+// cycle drops the switches that went quiescent and refolds the next-work
+// words. The iteration order is the ascending switch order of the full
+// walk either way.
 //
 // Ownership argument (why the phases are race-free):
 //
@@ -61,7 +61,7 @@ import (
 // Because every per-switch computation depends only on switch-owned state
 // and the merges walk switches in index order, the run is bit-identical for
 // any worker count — the regression tests in sharded_test.go lock this in
-// for every mechanism, with activity tracking on and off.
+// for every mechanism, against the full-walk oracle too.
 
 // spinYieldEvery bounds busy-waiting: every this many spin iterations the
 // waiter yields its P so GC assists and (on small machines) the other
@@ -252,12 +252,15 @@ func (e *engine) startPool() func() {
 	}
 }
 
-// walk is the switch list of this cycle's phases and merges: the due list
-// (actBuildDue's snapshot of the wheel slot at the top of the cycle, plus
-// any switches traffic generation woke mid-cycle), or every switch in the
-// tests' full-walk reference. Either way it is in ascending switch order.
+// walk is the switch list of this cycle's phases, merges and compaction:
+// the due list (actBuildDue's snapshot of the wheel slot at the top of the
+// cycle, plus any switches traffic generation woke mid-cycle), or every
+// switch in the tests' full-walk oracle, which builds the same due list
+// and ignores it. Either way it is in ascending switch order, and the
+// switch-cycles a run executes are len(walk()) per stepped cycle, against
+// S possible.
 func (e *engine) walk() []int32 {
-	if e.act == nil {
+	if e.fullWalk {
 		return e.all
 	}
 	return e.act.due

@@ -739,32 +739,26 @@ func (e *engine) rebuildDerived() {
 // rebuildActivity reconstructs the activity bookkeeping after a restore by
 // conservatively booking every switch that holds any work for a visit at
 // the restored cycle. Snapshots deliberately carry NO activity state — the
-// wheel, the due list and the four next-work components are derived
+// wheel, the due list and the two next-work components are derived
 // bookkeeping — which is what makes a snapshot independent of the worker
-// count and the activity setting of both the run that took it and the run
-// that resumes it.
+// count and the walk (due list or full-walk oracle) of both the run that
+// took it and the run that resumes it.
 //
 // Correctness of the conservative booking: visiting a switch early is
 // always safe (the parked-switch skip proof runs in both directions — an
 // extra visit to a switch whose real work lies in the future mutates
 // nothing and draws no randomness), and on that first due visit every phase
-// recomputes its own next-work component exactly (the event phase rescans
-// the wheel, inject/allocate/transmit re-derive their retries), so the end-of-cycle compaction refolds the
-// exact next-work time and the engine is back on the uninterrupted run's
-// trajectory. The CheckInvariants audits only run after a full cycle, when
-// the components are exact again.
+// recomputes its own share of the next-work components exactly (the event
+// phase rescans the wheel, inject/allocate/transmit re-derive the retry
+// word), so the end-of-cycle compaction refolds the exact next-work time
+// and the engine is back on the uninterrupted run's trajectory. The
+// CheckInvariants audits only run after a full cycle, when the components
+// are exact again.
 func (e *engine) rebuildActivity() {
-	if e.act == nil {
-		return
-	}
 	a := newActivityState(e.S, e.horizon+2)
 	e.act = a
 	for sw := 0; sw < e.S; sw++ {
-		var evn int32
-		base := int64(sw) * e.horizon
-		for s := int64(0); s < e.horizon; s++ {
-			evn += int32(len(e.events[base+s]))
-		}
+		evn := e.wheelEvents(int32(sw))
 		qn := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]
 		a.evWork[sw] = evn
 		if evn+qn == 0 {
@@ -773,14 +767,8 @@ func (e *engine) rebuildActivity() {
 		if evn > 0 {
 			a.evNext[sw] = e.now
 		}
-		if e.swInPkts[sw] > 0 {
-			a.inRetry[sw] = e.now
-		}
-		if e.swOutPkts[sw] > 0 {
-			a.outRetry[sw] = e.now
-		}
-		if e.swInjPkts[sw] > 0 {
-			a.injRetry[sw] = e.now
+		if qn > 0 {
+			a.retry[sw] = e.now
 		}
 		a.nextWork[sw] = e.now
 		a.schedule(int32(sw), e.now, e.now)
