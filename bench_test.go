@@ -13,7 +13,9 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/escape"
 	"repro/internal/experiments"
@@ -701,6 +703,60 @@ func BenchmarkSingleRunSequential8x8x8(b *testing.B) { benchSingleRun8x8x8(b, 1)
 // the sequential run (see internal/sim/sharded_test.go).
 func BenchmarkSingleRunSharded8x8x8(b *testing.B) {
 	benchSingleRun8x8x8(b, runtime.GOMAXPROCS(0))
+}
+
+// BenchmarkCheckpointTax8x8x8 is the price of periodic checkpointing to a
+// result store: the loaded 8x8x8 PolSP point at load 0.7 (100 warmup + 300
+// measured cycles) with a snapshot every 50 cycles into
+// cache.Store.PutCheckpoint, against the same point without checkpoints,
+// the two runs alternating. stall-ms/snapshot is the wall time the
+// snapshots add to the run, per snapshot: what the cycle loop waits for,
+// since the encoding and the store write run beside it.
+func BenchmarkCheckpointTax8x8x8(b *testing.B) {
+	h := topo.MustHyperX(8, 8, 8)
+	nw := topo.NewNetwork(h, nil)
+	mech, err := core.New(nw, core.PolarizedRoutes, 6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat, err := traffic.NewUniform(h.Switches() * 8)
+	if err != nil {
+		b.Fatal(err)
+	}
+	store, err := cache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	budget := experiments.Budget{Warmup: 100, Measure: 300}
+	key := (&experiments.JobSpec{Topo: experiments.HyperXSpec(h), Per: 8, Mechanism: "PolSP", Pattern: "Uniform",
+		VCs: 6, Load: 0.7, Budget: budget, Seed: 1}).Hash()
+	run := func(ck *sim.CheckpointOptions) time.Duration {
+		start := time.Now()
+		if _, err := sim.Run(sim.RunOptions{
+			Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
+			Load: 0.7, WarmupCycles: budget.Warmup, MeasureCycles: budget.Measure, Seed: 1,
+			Workers: 1, Checkpoint: ck,
+		}); err != nil {
+			b.Fatal(err)
+		}
+		return time.Since(start)
+	}
+	var plain, checkpointed time.Duration
+	snapshots := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plain += run(nil)
+		checkpointed += run(&sim.CheckpointOptions{EveryCycles: 50, SpecHash: key, Sink: func(snap []byte) error {
+			snapshots++
+			return store.PutCheckpoint(key, snap)
+		}})
+	}
+	if snapshots != 7*b.N {
+		b.Fatalf("shipped %d snapshots in %d runs, want 7 per run", snapshots, b.N)
+	}
+	b.ReportMetric(float64(plain.Milliseconds())/float64(b.N), "plain-ms")
+	b.ReportMetric(float64(checkpointed.Milliseconds())/float64(b.N), "checkpointed-ms")
+	b.ReportMetric(float64(checkpointed-plain)/1e6/float64(snapshots), "stall-ms/snapshot")
 }
 
 // --- Sequential vs parallel experiment runner. ---

@@ -315,7 +315,7 @@ func main() {
 	leasePerCycle := flag.Duration("lease-per-cycle", 0, "serve mode: lease time added per simulated cycle of the job's budget (0 = library default)")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
-	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile
 	run.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -325,6 +325,18 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
+	}
+	stopProfile, err := run.StartCPUProfile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
+	// Every exit from here on flushes the -cpuprofile file: exit stops it
+	// before os.Exit, a normal return by the defer, which runs last.
+	defer stopProfile()
+	exit := func(code int) {
+		stopProfile()
+		os.Exit(code)
 	}
 	store, seed := r.Cache, run.Seed
 
@@ -347,12 +359,12 @@ func main() {
 			case <-time.After(2 * time.Minute):
 				fmt.Fprintln(os.Stderr, "worker: drain deadline exceeded, exiting")
 			}
-			os.Exit(1)
+			exit(1)
 		}()
 		fmt.Fprintf(os.Stderr, "worker: %d slots, connecting to %s\n", r.Workers, *workerAddr)
 		if err := queue.WorkLoop(*workerAddr, r); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: worker: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		if r.Draining() {
 			fmt.Fprintln(os.Stderr, "worker: drained, exiting")
@@ -375,7 +387,7 @@ func main() {
 		})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		defer srv.Close()
 		defer func() { fmt.Fprintf(os.Stderr, "serve: %s\n", srv.Stats().Summary()) }()
@@ -398,7 +410,7 @@ func main() {
 	for _, e := range exps {
 		if !known[e] {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", e)
-			os.Exit(2)
+			exit(2)
 		}
 		want[e] = true
 	}
@@ -422,7 +434,7 @@ func main() {
 			mem, err := r.MeasureMemory(&spec)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "experiments: mem-stats %s: %v\n", h, err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "%s: %s\n", h, mem)
 		}
@@ -434,15 +446,15 @@ func main() {
 		// than silently dropping them.
 		if len(want) > 1 {
 			fmt.Fprintln(os.Stderr, "experiments: -exp cache-gc cannot be combined with other experiments")
-			os.Exit(2)
+			exit(2)
 		}
 		if store == nil {
 			fmt.Fprintln(os.Stderr, "experiments: -exp cache-gc requires -cache-dir")
-			os.Exit(2)
+			exit(2)
 		}
 		if err := runCacheGC(store, registry, ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: cache-gc: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		return
 	}
@@ -452,7 +464,7 @@ func main() {
 		}
 		if err := fig.execute(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", fig.name, err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Println()
 	}

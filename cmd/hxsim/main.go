@@ -37,9 +37,24 @@ func main() {
 		burstFlag   = flag.Int("burst", 0, "burst packets per server (completion-time mode)")
 		serversFlag = flag.Int("servers", 0, "servers per switch (0 = side k)")
 	)
-	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile
 	run.Register(flag.CommandLine)
 	flag.Parse()
+
+	// Every exit flushes the -cpuprofile file: check and the drain's exit 3
+	// stop it before os.Exit, a normal return by the defer.
+	stopProfile := func() {}
+	check := func(err error) {
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hxsim:", err)
+			stopProfile()
+			os.Exit(1)
+		}
+	}
+	stop, err := run.StartCPUProfile()
+	check(err)
+	stopProfile = stop
+	defer stopProfile()
 
 	r, err := run.Apply(false)
 	check(err)
@@ -136,6 +151,7 @@ func main() {
 	results, err := hyperx.RunSpecs(r, specs)
 	if errors.Is(err, hyperx.ErrCheckpointed) {
 		fmt.Fprintln(os.Stderr, "hxsim: checkpointed; rerun the same command to resume")
+		stopProfile()
 		os.Exit(3)
 	}
 	check(err)
@@ -162,12 +178,5 @@ func main() {
 		fmt.Printf("escape fraction     %.4f\n", res.EscapeFraction)
 		fmt.Printf("link utilization    %.3f\n", res.LinkUtilization)
 		fmt.Printf("delivered packets   %d\n", res.DeliveredPackets)
-	}
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hxsim:", err)
-		os.Exit(1)
 	}
 }

@@ -7,8 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"runtime/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -95,6 +98,7 @@ type RunFlags struct {
 	CheckpointCycles int64
 	CheckpointDir    string
 	MemStats         bool
+	CPUProfile       string
 }
 
 // Register declares the shared flags on fs.
@@ -107,6 +111,35 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.CheckpointCycles, "checkpoint-cycles", 0, "snapshot every N simulated cycles instead of on wall-clock time (deterministic trigger for tests)")
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
 	fs.BoolVar(&f.MemStats, "mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) on stderr before running")
+	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the invocation to this file, flushed on every exit (read it with go tool pprof)")
+}
+
+// StartCPUProfile starts the -cpuprofile profile and returns what stops it
+// and flushes the file. The stop function may run more than once and from
+// any goroutine, so a tool calls it on every exit path, os.Exit included;
+// only the first call does anything. Without the flag there is nothing to
+// start and stop does nothing.
+func (f *RunFlags) StartCPUProfile() (stop func(), err error) {
+	if f.CPUProfile == "" {
+		return func() {}, nil
+	}
+	file, err := os.Create(f.CPUProfile)
+	if err != nil {
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	if err := pprof.StartCPUProfile(file); err != nil {
+		file.Close()
+		return nil, fmt.Errorf("-cpuprofile: %w", err)
+	}
+	var once sync.Once
+	return func() {
+		once.Do(func() {
+			pprof.StopCPUProfile()
+			// A failed close costs the profile, a diagnostic, never a
+			// result: the tool exits the way it was going to.
+			_ = file.Close()
+		})
+	}, nil
 }
 
 // Checkpointing reports whether either checkpoint trigger is set.

@@ -2,6 +2,8 @@ package cliutil
 
 import (
 	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -137,6 +139,31 @@ func TestRunFlags(t *testing.T) {
 	}
 	if f.Seed != 9 || !f.MemStats || !f.Checkpointing() {
 		t.Errorf("parsed: %+v", f)
+	}
+}
+
+// TestStartCPUProfile: -cpuprofile writes a profile that its stop function
+// flushes, a second stop is harmless, and without the flag nothing is
+// started.
+func TestStartCPUProfile(t *testing.T) {
+	var f RunFlags
+	stop, err := f.StartCPUProfile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	f.CPUProfile = filepath.Join(t.TempDir(), "cpu.prof")
+	if stop, err = f.StartCPUProfile(); err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	stop()
+	b, err := os.ReadFile(f.CPUProfile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b { // a profile is gzipped protobuf
+		t.Fatalf("-cpuprofile wrote %d bytes that are no gzipped profile", len(b))
 	}
 }
 

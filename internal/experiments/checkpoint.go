@@ -34,6 +34,10 @@ func (r Runner) snapshots() *cache.Store {
 // r's policy triggers, r's drain flag as the interrupt, and the given
 // resume/sink transport. The sink is wrapped best-effort — a failing
 // checkpoint write must never fail the simulation it is trying to protect.
+// sim.Run calls it off its cycle loop, so a store write or a frame send
+// overlaps the simulation; the calls come one at a time, in capture order,
+// and the last has returned when sim.Run does, so a caller may drop the
+// checkpoint or send its result right after.
 func (r Runner) checkpointThrough(specHash string, resume []byte, sink func([]byte) error) *sim.CheckpointOptions {
 	ck := &sim.CheckpointOptions{
 		SpecHash:  specHash,
@@ -103,9 +107,12 @@ func (r Runner) runVia(s *JobSpec, specHash string, resume []byte, sink func([]b
 // always a local run that resumes from resume (nil means from zero) and
 // ships periodic snapshots — plus the final drain snapshot — through sink
 // instead of a snapshot store. The work-queue worker uses it to stream
-// snapshots to its server. A torn or mismatched resume snapshot is
-// discarded and the run restarts from zero; a raised r.Drain surfaces as
-// sim.ErrCheckpointed after the final snapshot reached the sink.
+// snapshots to its server. sink runs on a goroutine of the run's, one call
+// at a time and in capture order, and never after RunSpecVia returns, so
+// every snapshot frame goes out before the job's result frame. A torn or
+// mismatched resume snapshot is discarded and the run restarts from zero;
+// a raised r.Drain surfaces as sim.ErrCheckpointed after the final
+// snapshot reached the sink.
 func (r Runner) RunSpecVia(spec *JobSpec, resume []byte, sink func([]byte) error) (*sim.Result, error) {
 	return r.cached(spec, func(s *JobSpec) (*sim.Result, error) {
 		return r.runVia(s, s.Hash(), resume, sink)

@@ -219,7 +219,9 @@ func BenchmarkSteadyStateStepAllocs(b *testing.B) {
 // BenchmarkSnapshotCodec measures the snapshotState byte codec alone — no
 // capture, no trailer, no gzip — on one real mid-run snapshot of the
 // paper-scale 8x8x8 under PolSP at load 0.7 (a few MB: every queue, the
-// packet pool and the calendar wheel populated). MB/s comes from SetBytes.
+// packet pool and the calendar wheel populated), and, as Capture, the
+// part of a checkpoint that stays on the cycle loop: capturing the same
+// state from an engine restored to it. MB/s comes from SetBytes.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	h := topo.MustHyperX(8, 8, 8)
 	nw := topo.NewNetwork(h, nil)
@@ -232,15 +234,15 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		b.Fatal(err)
 	}
 	var snap []byte
-	_, err = Run(RunOptions{
+	o := RunOptions{
 		Net: nw, ServersPerSwitch: 8, Mechanism: mech, Pattern: pat,
 		Load: 0.7, WarmupCycles: 300, MeasureCycles: 300, Seed: 1, Config: DefaultConfig(),
-		Checkpoint: &CheckpointOptions{EveryCycles: 500, Sink: func(s []byte) error {
-			snap = s
-			return nil
-		}},
-	})
-	if err != nil {
+	}
+	o.Checkpoint = &CheckpointOptions{EveryCycles: 500, Sink: func(s []byte) error {
+		snap = s
+		return nil
+	}}
+	if _, err = Run(o); err != nil {
 		b.Fatal(err)
 	}
 	body, ok := wire.Open(snap)
@@ -251,6 +253,20 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("Capture", func(b *testing.B) {
+		e, err := newEngine(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := e.restoreSnapshot(snap, o); err != nil {
+			b.Fatal(err)
+		}
+		b.SetBytes(int64(len(body)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.captureSnapshot(o)
+		}
+	})
 	b.Run("Encode", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))
 		for i := 0; i < b.N; i++ {

@@ -200,11 +200,22 @@ func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
 // the watchdog and the fast-forward. Burst runs the same arrival
 // generation as the open loop, on an empty calendar: it draws nothing and
 // wakes nothing.
-func (e *engine) loop(o RunOptions, done func() bool, overrun func() error) error {
+//
+// A checkpoint only captures on the loop; its encoding and Sink call run
+// on a goroutine of their own (ship). Every exit waits for that goroutine,
+// so no Sink call is running or still to come once loop returns, and a
+// Sink error the loop has not seen yet fails a run that otherwise ended
+// well (an error of the loop's own takes precedence).
+func (e *engine) loop(o RunOptions, done func() bool, overrun func() error) (err error) {
 	defer e.startPool()()
 	// A fresh engine starts at e.now = 0; a restored one continues at its
 	// checkpoint cycle, so the loop deliberately has no init clause.
 	ckpt := newCkptClock(e.now)
+	defer func() {
+		if sinkErr := ckpt.wait(); err == nil {
+			err = sinkErr
+		}
+	}()
 	for ; !done(); e.now++ {
 		if err := e.maybeCheckpoint(&ckpt, o); err != nil {
 			return err

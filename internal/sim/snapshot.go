@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -70,8 +71,12 @@ type CheckpointOptions struct {
 	// Resume, when non-empty, restores the engine from this snapshot before
 	// the first cycle instead of starting from zero.
 	Resume []byte
-	// Sink receives each encoded snapshot (checksum trailer included). A nil
-	// Sink disables snapshot shipping; a Sink error aborts the run.
+	// Sink receives each encoded snapshot (checksum trailer included); a nil
+	// Sink disables snapshot shipping. It runs on a goroutine of its own,
+	// off the cycle loop, one call at a time and in capture order, and the
+	// last call has returned before Run does. A Sink error aborts the run:
+	// Run returns it at the next snapshot or when the loop ends, whichever
+	// comes first.
 	Sink func(snapshot []byte) error
 	// Interrupt, when non-nil and set, makes the run stop at the next
 	// inter-cycle point: it ships a final snapshot through Sink and returns
@@ -218,6 +223,11 @@ type snapshotState struct {
 // registry) are exactly the ones a restore reconstructs: the network, the
 // mechanism and pattern, the worker pool and scratch, the derived counters
 // and the activity bookkeeping, and the asserted-empty staging.
+//
+// It is the only part of a checkpoint that runs on the cycle loop: the
+// state it returns owns every slice it holds (copies, never the engine's
+// arrays), so the loop steps on while another goroutine encodes, seals and
+// ships it (ship).
 func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	for sw := 0; sw < e.S; sw++ {
 		if len(e.outbox[sw]) != 0 || len(e.freed[sw]) != 0 ||
@@ -305,36 +315,36 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 		InQLens:     inQLens,
 		InQData:     inQData,
-		InBusyUntil: e.inBusyUntil,
-		Credits:     e.credits,
-		InInflight:  e.inInflight,
+		InBusyUntil: slices.Clone(e.inBusyUntil),
+		Credits:     slices.Clone(e.credits),
+		InInflight:  slices.Clone(e.inInflight),
 
 		OutQLens:    outQLens,
 		OutQPkt:     outQPkt,
 		OutQVC:      outQVC,
-		OutReserved: e.outReserved,
-		OutVCCount:  e.outVCCount,
-		OutBusy:     e.outBusy,
+		OutReserved: slices.Clone(e.outReserved),
+		OutVCCount:  slices.Clone(e.outVCCount),
+		OutBusy:     slices.Clone(e.outBusy),
 		OutInflight: xbarIn,
 
 		InjQLens: injQLens,
 		InjQData: injQData,
-		InjBusy:  e.injBusy,
+		InjBusy:  slices.Clone(e.injBusy),
 
 		Pool: pool,
-		Free: e.free,
+		Free: slices.Clone(e.free),
 
 		EventLens: eventLens,
 		Events:    evs,
 
-		WinDeliveredPkts:  e.winDeliveredPkts,
+		WinDeliveredPkts:  slices.Clone(e.winDeliveredPkts),
 		WinDeliveredPhits: windowPhits,
-		WinLatencySum:     e.winLatencySum,
-		WinHopSum:         e.winHopSum,
-		WinEscapedPkts:    e.winEscapedPkts,
-		WinLinkBusy:       e.winLinkBusy,
-		WinLastDelivery:   e.winLastDelivery,
-		GenPhits:          e.genPhits,
+		WinLatencySum:     slices.Clone(e.winLatencySum),
+		WinHopSum:         slices.Clone(e.winHopSum),
+		WinEscapedPkts:    slices.Clone(e.winEscapedPkts),
+		WinLinkBusy:       slices.Clone(e.winLinkBusy),
+		WinLastDelivery:   slices.Clone(e.winLastDelivery),
+		GenPhits:          slices.Clone(e.genPhits),
 
 		ArrQ:               arr,
 		GenProb:            e.genProb,
@@ -349,15 +359,15 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	}
 }
 
-// encodeSnapshot serializes the engine at the inter-cycle point: the binary
-// snapshotState body followed by a SHA-256 checksum trailer, so a torn or
-// truncated file is detected on restore instead of resuming corrupt state.
-func (e *engine) encodeSnapshot(o RunOptions) []byte {
-	return wire.Seal(appendSnapshotState(nil, e.captureSnapshot(o)))
+// sealSnapshot encodes a captured snapshot: the binary snapshotState body
+// followed by a SHA-256 checksum trailer, so a torn or truncated file is
+// detected on restore instead of resuming corrupt state.
+func sealSnapshot(st *snapshotState) []byte {
+	return wire.Seal(appendSnapshotState(nil, st))
 }
 
-// restoreSnapshot verifies and applies an encodeSnapshot buffer to a
-// freshly constructed engine. All rejection paths wrap ErrBadSnapshot.
+// restoreSnapshot verifies and applies a sealSnapshot buffer to a freshly
+// constructed engine. All rejection paths wrap ErrBadSnapshot.
 func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
 	body, ok := wire.Open(snap)
 	if !ok {
@@ -775,47 +785,83 @@ func (e *engine) rebuildActivity() {
 	}
 }
 
-// ckptClock tracks when the next periodic snapshot is owed; one per run
-// loop, advanced by maybeCheckpoint.
+// ckptClock tracks when the next periodic snapshot is owed and the one
+// snapshot in flight; one per run loop, advanced by maybeCheckpoint.
 type ckptClock struct {
 	lastWall  time.Time
 	lastCycle int64
 	iter      int64
+	// inflight receives the Sink outcome of the snapshot being encoded and
+	// shipped; nil when none is.
+	inflight chan error
 }
 
 func newCkptClock(now int64) ckptClock {
 	return ckptClock{lastWall: time.Now(), lastCycle: now}
 }
 
+// wait blocks until the snapshot in flight, if any, has been shipped, and
+// returns its Sink error.
+func (c *ckptClock) wait() error {
+	if c.inflight == nil {
+		return nil
+	}
+	err := <-c.inflight
+	c.inflight = nil
+	return err
+}
+
+// ship is the one path a snapshot, periodic or final, leaves the run by.
+// It waits for the snapshot in flight — so a slow Sink holds the loop back
+// rather than piling up captures, and Sink calls never overlap — and
+// returns that one's Sink error if it failed. Otherwise it captures the
+// engine and starts encoding, sealing and shipping the capture on a
+// goroutine of its own, which touches nothing of the engine.
+func (e *engine) ship(c *ckptClock, o RunOptions) error {
+	if err := c.wait(); err != nil {
+		return err
+	}
+	st, sink := e.captureSnapshot(o), o.Checkpoint.Sink
+	done := make(chan error, 1)
+	c.inflight = done
+	go func() { done <- sink(sealSnapshot(st)) }()
+	return nil
+}
+
 // maybeCheckpoint runs at the top of each cycle-loop iteration (the
 // sequential inter-cycle point). It ships a snapshot through Sink when the
 // cycle or wall-clock interval has elapsed, and — when Interrupt is raised
-// — ships a final snapshot and stops the run with ErrCheckpointed.
-// Capturing a snapshot never mutates engine state, so periodic
-// checkpointing cannot perturb results, and the wall-clock trigger (checked
-// only every 64 iterations to keep it off the hot path) costs nothing in
-// determinism.
+// — ships a final snapshot, waits until Sink has taken it, and stops the
+// run with ErrCheckpointed. Only the capture runs here; the encoding, the
+// checksum and the Sink call run off the loop (ship), whose caller waits
+// for the last of them. Capturing a snapshot never mutates engine state,
+// so periodic checkpointing cannot perturb results, and the wall-clock
+// trigger (checked only every 64 iterations to keep it off the hot path)
+// costs nothing in determinism.
 func (e *engine) maybeCheckpoint(c *ckptClock, o RunOptions) error {
 	ck := o.Checkpoint
 	if ck == nil || ck.Sink == nil {
 		return nil
 	}
 	if ck.Interrupt != nil && ck.Interrupt.Load() {
-		if err := ck.Sink(e.encodeSnapshot(o)); err != nil {
+		if err := e.ship(c, o); err != nil {
+			return err
+		}
+		if err := c.wait(); err != nil {
 			return err
 		}
 		return ErrCheckpointed
 	}
-	ship := ck.EveryCycles > 0 && e.now-c.lastCycle >= ck.EveryCycles
-	if !ship && ck.Every > 0 {
+	due := ck.EveryCycles > 0 && e.now-c.lastCycle >= ck.EveryCycles
+	if !due && ck.Every > 0 {
 		if c.iter++; c.iter&63 == 0 && time.Since(c.lastWall) >= ck.Every {
-			ship = true
+			due = true
 		}
 	}
-	if !ship {
+	if !due {
 		return nil
 	}
 	c.lastCycle = e.now
 	c.lastWall = time.Now()
-	return ck.Sink(e.encodeSnapshot(o))
+	return e.ship(c, o)
 }

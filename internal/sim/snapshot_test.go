@@ -10,9 +10,10 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/topo"
-	"repro/internal/wire"
 )
 
 // snapshotRun is the reference configuration of the snapshot unit tests:
@@ -258,10 +259,249 @@ func TestSnapshotInterruptDrain(t *testing.T) {
 	}
 }
 
-// sealSnapshot encodes st with a valid checksum trailer, so that only the
-// checks behind the checksum can refuse it.
-func sealSnapshot(st *snapshotState) []byte {
-	return wire.Seal(appendSnapshotState(nil, st))
+// snapshotCycle decodes the cycle a shipped snapshot was captured at.
+func snapshotCycle(t *testing.T, snap []byte) int64 {
+	t.Helper()
+	st, err := decodeSnapshotState(snap[:len(snap)-sha256.Size])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Now
+}
+
+// sinkProbe is a Sink that sleeps in every call, so the cycle loop runs on
+// while a snapshot ships, and records what the Sink contract is about:
+// the calls in flight at once, the calls made and returned, the snapshots
+// in arrival order. fail, when set, decides the error of the n-th call
+// (1-based).
+type sinkProbe struct {
+	nap               time.Duration
+	fail              func(n int) error
+	inflight, maxBusy atomic.Int32
+	calls, returned   atomic.Int32
+	snaps             [][]byte
+}
+
+func (p *sinkProbe) sink(snap []byte) error {
+	busy := p.inflight.Add(1)
+	defer p.inflight.Add(-1)
+	for m := p.maxBusy.Load(); busy > m && !p.maxBusy.CompareAndSwap(m, busy); m = p.maxBusy.Load() {
+	}
+	n := int(p.calls.Add(1))
+	p.snaps = append(p.snaps, snap)
+	time.Sleep(p.nap)
+	defer p.returned.Add(1)
+	if p.fail != nil {
+		return p.fail(n)
+	}
+	return nil
+}
+
+// TestSinkOneCallAtATimeInCaptureOrder pins the Sink contract of an
+// off-loop ship: at most one call in flight, the snapshots in capture order
+// at the cycles a synchronous ship took them (the literals: every 300
+// cycles of the 1500-cycle run, the end excluded), and every call returned
+// by the time Run does, with none still to come.
+func TestSinkOneCallAtATimeInCaptureOrder(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	ref := runBytes(t, snapshotRun(t, h))
+	p := &sinkProbe{nap: 5 * time.Millisecond}
+	o := snapshotRun(t, h)
+	o.Checkpoint = &CheckpointOptions{EveryCycles: 300, Sink: p.sink}
+	if got := runBytes(t, o); !bytes.Equal(ref, got) {
+		t.Fatal("run with a slow sink diverged from the plain run")
+	}
+	if n, r := p.calls.Load(), p.returned.Load(); n != r || p.inflight.Load() != 0 {
+		t.Fatalf("Run returned with %d sink calls made and %d returned", n, r)
+	}
+	if m := p.maxBusy.Load(); m != 1 {
+		t.Fatalf("%d sink calls ran at once, want 1", m)
+	}
+	var cycles []int64
+	for _, s := range p.snaps {
+		cycles = append(cycles, snapshotCycle(t, s))
+	}
+	if want := []int64{300, 600, 900, 1200}; !slices.Equal(cycles, want) {
+		t.Fatalf("snapshots shipped at cycles %v, want %v", cycles, want)
+	}
+	// A ship started but not yet inside Sink when Run returned would be
+	// counted by now.
+	time.Sleep(20 * time.Millisecond)
+	if n := p.calls.Load(); int(n) != len(cycles) {
+		t.Fatalf("%d sink calls after Run returned, %d before", n, len(cycles))
+	}
+}
+
+// TestSinkErrorAbortsRun: a failing Sink fails the run, though the call
+// fails off the loop. The error reaches Run at the next snapshot — which
+// is then never shipped — or, when the failing call is the last periodic
+// one, when the loop ends; either way Run returns it and no result.
+func TestSinkErrorAbortsRun(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	errSink := errors.New("sink: disk full")
+	for _, failOn := range []int{2, 4} { // the run ships 4 snapshots
+		t.Run(fmt.Sprintf("call-%d-of-4", failOn), func(t *testing.T) {
+			p := &sinkProbe{nap: 5 * time.Millisecond, fail: func(n int) error {
+				if n == failOn {
+					return errSink
+				}
+				return nil
+			}}
+			o := snapshotRun(t, h)
+			o.Checkpoint = &CheckpointOptions{EveryCycles: 300, Sink: p.sink}
+			res, err := Run(o)
+			if !errors.Is(err, errSink) || res != nil {
+				t.Fatalf("Run = %v, %v; want no result and the sink's error", res, err)
+			}
+			if n, r := p.calls.Load(), p.returned.Load(); n != int32(failOn) || r != n {
+				t.Fatalf("%d sink calls made and %d returned, want %d of each", n, r, failOn)
+			}
+		})
+	}
+}
+
+// TestSnapshotInterruptInsideSink: a drain requested while a periodic
+// snapshot is still shipping ships the final snapshot through the same
+// path once that call has returned, then stops with ErrCheckpointed; the
+// final snapshot resumes to the uninterrupted run's bytes. The first
+// periodic call raises the drain; the loop sees it at its next iteration
+// or, when the Sink goroutine has not run by then, at the latest after the
+// second periodic ship, which waits for the first call.
+func TestSnapshotInterruptInsideSink(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	ref := runBytes(t, snapshotRun(t, h))
+	var interrupt atomic.Bool
+	p := &sinkProbe{nap: 20 * time.Millisecond}
+	o := snapshotRun(t, h)
+	o.Checkpoint = &CheckpointOptions{
+		EveryCycles: 300,
+		Interrupt:   &interrupt,
+		Sink: func(s []byte) error {
+			interrupt.Store(true)
+			return p.sink(s)
+		},
+	}
+	if _, err := Run(o); !errors.Is(err, ErrCheckpointed) {
+		t.Fatalf("interrupted run returned %v, want ErrCheckpointed", err)
+	}
+	n, r := int(p.calls.Load()), int(p.returned.Load())
+	if n < 2 || n > 3 || r != n || p.maxBusy.Load() != 1 {
+		t.Fatalf("%d sink calls made, %d returned, %d at once; want one or two periodic and the final one, one at a time",
+			n, r, p.maxBusy.Load())
+	}
+	var cycles []int64
+	for _, s := range p.snaps {
+		cycles = append(cycles, snapshotCycle(t, s))
+	}
+	if !slices.Equal(cycles[:n-1], []int64{300, 600}[:n-1]) || cycles[n-1] <= cycles[n-2] {
+		t.Fatalf("snapshots at cycles %v: want the periodic ones at 300 (and 600), then a later final one", cycles)
+	}
+	o2 := snapshotRun(t, h)
+	o2.Checkpoint = &CheckpointOptions{Resume: p.snaps[n-1]}
+	if resumed := runBytes(t, o2); !bytes.Equal(ref, resumed) {
+		t.Fatal("final snapshot diverged on resume")
+	}
+}
+
+// sliceSpan is the memory one slice can reach: its backing array up to
+// its capacity.
+type sliceSpan struct {
+	path   string
+	lo, hi uintptr
+}
+
+// sliceSpans lists the spans of every slice reachable from v through
+// struct fields, pointers and slice elements (maps, interfaces, channels
+// and functions are not followed), with a field path for each.
+func sliceSpans(v reflect.Value, path string, seen map[uintptr]bool, out []sliceSpan) []sliceSpan {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			out = sliceSpans(v.Field(i), path+"."+v.Type().Field(i).Name, seen, out)
+		}
+	case reflect.Pointer:
+		if v.IsNil() || seen[v.Pointer()] {
+			return out
+		}
+		seen[v.Pointer()] = true
+		out = sliceSpans(v.Elem(), path, seen, out)
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return out
+		}
+		out = append(out, sliceSpan{path, v.Pointer(), v.Pointer() + uintptr(v.Cap())*v.Type().Elem().Size()})
+		if reaches(v.Type().Elem(), map[reflect.Type]bool{}) {
+			for j := 0; j < v.Len(); j++ {
+				out = sliceSpans(v.Index(j), fmt.Sprintf("%s[%d]", path, j), seen, out)
+			}
+		}
+	}
+	return out
+}
+
+// reaches reports whether a value of type t can hold a slice or a pointer
+// that sliceSpans would follow.
+func reaches(t reflect.Type, visiting map[reflect.Type]bool) bool {
+	if visiting[t] {
+		return false
+	}
+	visiting[t] = true
+	switch t.Kind() {
+	case reflect.Slice, reflect.Pointer:
+		return true
+	case reflect.Array:
+		return reaches(t.Elem(), visiting)
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if reaches(t.Field(i).Type, visiting) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestCapturedSnapshotSharesNoEngineMemory is the ownership guard of the
+// off-loop ship: a capture is encoded while the engine steps on, so no
+// slice of a snapshotState may reach memory any slice of the engine
+// reaches — its ring sets, calendar slots and per-worker scratch included.
+// The capture is taken mid-run on a loaded network, so every array of the
+// engine has grown to its working size.
+func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	nw := topo.NewNetwork(h, nil)
+	o := RunOptions{
+		Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
+		Pattern: uniformOn(t, h, 4), Load: 0.9, MeasureCycles: 1000, Seed: 77,
+		SeriesBucket: 100, Config: DefaultConfig(),
+	}
+	e, err := newEngine(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+	e.series = metrics.NewThroughputSeries(o.SeriesBucket, e.S*e.K)
+	e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+	for ; e.now < 300; e.now++ {
+		e.stepCycle(e.generateArrivals)
+	}
+	if e.inFlight == 0 || cap(e.free) == 0 {
+		t.Fatalf("capture point holds %d packets and a free list of capacity %d: it no longer covers the case", e.inFlight, cap(e.free))
+	}
+	st := e.captureSnapshot(o)
+
+	engine := sliceSpans(reflect.ValueOf(e).Elem(), "engine", map[uintptr]bool{}, nil)
+	snap := sliceSpans(reflect.ValueOf(st).Elem(), "snapshotState", map[uintptr]bool{}, nil)
+	if len(snap) < 30 {
+		t.Fatalf("only %d non-empty slices in the capture: the walk no longer sees the state", len(snap))
+	}
+	for _, s := range snap {
+		for _, g := range engine {
+			if s.lo < g.hi && g.lo < s.hi {
+				t.Errorf("%s shares its backing array with %s", s.path, g.path)
+			}
+		}
+	}
 }
 
 // TestSnapshotRejectsCorrupt locks in the torn-checkpoint defense: a
@@ -591,7 +831,7 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 			}
 
 			dst, o2 := build()
-			if err := dst.restoreSnapshot(src.encodeSnapshot(o), o2); err != nil {
+			if err := dst.restoreSnapshot(sealSnapshot(src.captureSnapshot(o)), o2); err != nil {
 				t.Fatal(err)
 			}
 			if got := dst.derivedState(); !reflect.DeepEqual(got, want) {

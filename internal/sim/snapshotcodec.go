@@ -12,7 +12,7 @@ import (
 // entries at paper scale and 8-byte-per-element encoding would triple
 // checkpoint size and wire cost. Layout: one version byte, then every
 // field of snapshotState in declaration order. The SHA-256 trailer is
-// applied by encodeSnapshot, above this layer.
+// applied by sealSnapshot, above this layer.
 
 // walk names every snapshotState field once, in layout order, for both
 // directions of the codec. A new field goes here and bumps SnapshotVersion.
