@@ -315,7 +315,7 @@ func main() {
 	leasePerCycle := flag.Duration("lease-per-cycle", 0, "serve mode: lease time added per simulated cycle of the job's budget (0 = library default)")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
-	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile, -trace
 	run.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -326,13 +326,14 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	stopProfile, err := run.StartCPUProfile()
+	stopProfile, err := run.StartProfiles()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(2)
 	}
-	// Every exit from here on flushes the -cpuprofile file: exit stops it
-	// before os.Exit, a normal return by the defer, which runs last.
+	// Every exit from here on flushes the -cpuprofile and -trace files: exit
+	// stops them before os.Exit, a normal return by the defer, which runs
+	// last.
 	defer stopProfile()
 	exit := func(code int) {
 		stopProfile()

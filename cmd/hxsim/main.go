@@ -37,12 +37,12 @@ func main() {
 		burstFlag   = flag.Int("burst", 0, "burst packets per server (completion-time mode)")
 		serversFlag = flag.Int("servers", 0, "servers per switch (0 = side k)")
 	)
-	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile
+	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile, -trace
 	run.Register(flag.CommandLine)
 	flag.Parse()
 
-	// Every exit flushes the -cpuprofile file: check and the drain's exit 3
-	// stop it before os.Exit, a normal return by the defer.
+	// Every exit flushes the -cpuprofile and -trace files: check and the
+	// drain's exit 3 stop them before os.Exit, a normal return by the defer.
 	stopProfile := func() {}
 	check := func(err error) {
 		if err != nil {
@@ -51,7 +51,7 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	stop, err := run.StartCPUProfile()
+	stop, err := run.StartProfiles()
 	check(err)
 	stopProfile = stop
 	defer stopProfile()

@@ -75,11 +75,21 @@ func (s *Store) Dir() string { return s.dir }
 // listings manageable on paper-scale grids (tens of thousands of entries).
 // A checkpoint is engine- and spec-addressed exactly like the result it may
 // become, so a resumed worker finds it with nothing but the spec hash.
+//
+// A key is at least three characters of [0-9a-z] — every spec hash is 64 of
+// them — so the path is one concatenation that cannot leave the store: no
+// separator, dot or NUL can reach it.
 func (s *Store) entryPath(key, ext string) (string, error) {
 	if len(key) < 3 {
 		return "", fmt.Errorf("cache: key %q too short", key)
 	}
-	return filepath.Join(s.engine, key[:2], key[2:]+ext), nil
+	for i := 0; i < len(key); i++ {
+		if c := key[i]; (c < '0' || c > '9') && (c < 'a' || c > 'z') {
+			return "", fmt.Errorf("cache: key %q has a byte outside [0-9a-z]", key)
+		}
+	}
+	const sep = string(filepath.Separator)
+	return s.engine + sep + key[:2] + sep + key[2:] + ext, nil
 }
 
 // writeAtomic writes what write produces to p through a .tmp- file beside
@@ -114,12 +124,16 @@ func writeAtomic(p string, write func(io.Writer) error) error {
 // entry ends in a SHA-256 trailer that is verified here; one without a
 // valid trailer is damage. Hit/miss tallies feed Stats; healed damage
 // feeds Healed.
+//
+// A hit is what a warm re-render pays per grid point: the key check and
+// one path concatenation, the read (on unix one open, read and close,
+// readEntry), the trailer and the decode.
 func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
 	p, err := s.entryPath(key, ".res")
 	if err != nil {
 		return nil, false, err
 	}
-	data, err := os.ReadFile(p)
+	data, err := readEntry(p)
 	if err != nil {
 		s.misses.Add(1)
 		if os.IsNotExist(err) {
@@ -139,6 +153,10 @@ func (s *Store) Get(key string) (res *sim.Result, ok bool, err error) {
 	s.hits.Add(1)
 	return res, true, nil
 }
+
+// entryReadBytes is the stack buffer a unix readEntry reads an entry into:
+// a result without a long Series is a few hundred bytes.
+const entryReadBytes = 4096
 
 // decodeEntry decodes one .res file body: a SHA-256 trailer over the codec
 // bytes (wire.Seal). A matching trailer proves the bytes survived the

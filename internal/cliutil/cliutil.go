@@ -9,6 +9,7 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"runtime/trace"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,6 +100,7 @@ type RunFlags struct {
 	CheckpointDir    string
 	MemStats         bool
 	CPUProfile       string
+	Trace            string
 }
 
 // Register declares the shared flags on fs.
@@ -112,34 +114,52 @@ func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.CheckpointDir, "checkpoint-dir", "", "directory for checkpoint snapshots (default: the -cache-dir store)")
 	fs.BoolVar(&f.MemStats, "mem-stats", false, "print the engine's memory accounting (arena bytes, bytes/switch, construction time) on stderr before running")
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the invocation to this file, flushed on every exit (read it with go tool pprof)")
+	fs.StringVar(&f.Trace, "trace", "", "write a runtime execution trace of the invocation to this file, flushed on every exit (read it with go tool trace)")
 }
 
-// StartCPUProfile starts the -cpuprofile profile and returns what stops it
-// and flushes the file. The stop function may run more than once and from
-// any goroutine, so a tool calls it on every exit path, os.Exit included;
-// only the first call does anything. Without the flag there is nothing to
-// start and stop does nothing.
-func (f *RunFlags) StartCPUProfile() (stop func(), err error) {
-	if f.CPUProfile == "" {
-		return func() {}, nil
+// StartProfiles starts the -cpuprofile profile and the -trace execution
+// trace and returns what stops both and flushes their files. The stop
+// function may run more than once and from any goroutine, so a tool calls
+// it on every exit path, os.Exit included; only the first call does
+// anything. Without either flag there is nothing to start and stop does
+// nothing.
+func (f *RunFlags) StartProfiles() (stop func(), err error) {
+	var stops []func()
+	stopAll := func() {
+		for i := len(stops) - 1; i >= 0; i-- {
+			stops[i]()
+		}
 	}
-	file, err := os.Create(f.CPUProfile)
-	if err != nil {
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
-	}
-	if err := pprof.StartCPUProfile(file); err != nil {
-		file.Close()
-		return nil, fmt.Errorf("-cpuprofile: %w", err)
-	}
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			pprof.StopCPUProfile()
+	for _, p := range []struct {
+		flag, path string
+		start      func(io.Writer) error
+		stop       func()
+	}{
+		{"-cpuprofile", f.CPUProfile, pprof.StartCPUProfile, pprof.StopCPUProfile},
+		{"-trace", f.Trace, trace.Start, trace.Stop},
+	} {
+		if p.path == "" {
+			continue
+		}
+		file, err := os.Create(p.path)
+		if err == nil {
+			if err = p.start(file); err != nil {
+				file.Close()
+			}
+		}
+		if err != nil {
+			stopAll()
+			return nil, fmt.Errorf("%s: %w", p.flag, err)
+		}
+		stops = append(stops, func() {
+			p.stop()
 			// A failed close costs the profile, a diagnostic, never a
 			// result: the tool exits the way it was going to.
 			_ = file.Close()
 		})
-	}, nil
+	}
+	var once sync.Once
+	return func() { once.Do(stopAll) }, nil
 }
 
 // Checkpointing reports whether either checkpoint trigger is set.

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"bytes"
 	"flag"
 	"os"
 	"path/filepath"
@@ -147,13 +148,13 @@ func TestRunFlags(t *testing.T) {
 // started.
 func TestStartCPUProfile(t *testing.T) {
 	var f RunFlags
-	stop, err := f.StartCPUProfile()
+	stop, err := f.StartProfiles()
 	if err != nil {
 		t.Fatal(err)
 	}
 	stop()
 	f.CPUProfile = filepath.Join(t.TempDir(), "cpu.prof")
-	if stop, err = f.StartCPUProfile(); err != nil {
+	if stop, err = f.StartProfiles(); err != nil {
 		t.Fatal(err)
 	}
 	stop()
@@ -164,6 +165,46 @@ func TestStartCPUProfile(t *testing.T) {
 	}
 	if len(b) < 2 || b[0] != 0x1f || b[1] != 0x8b { // a profile is gzipped protobuf
 		t.Fatalf("-cpuprofile wrote %d bytes that are no gzipped profile", len(b))
+	}
+}
+
+// TestStartTrace: -trace writes an execution trace that the same stop
+// function flushes, alone and beside -cpuprofile; a second stop is
+// harmless, and a -trace file that cannot be created fails the start and
+// leaves no profile running — the next start succeeds.
+func TestStartTrace(t *testing.T) {
+	dir := t.TempDir()
+	isTrace := func(path string) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte("go 1.")) || !bytes.Contains(b[:16], []byte(" trace")) {
+			t.Fatalf("-trace wrote %d bytes that are no execution trace: %q", len(b), b[:min(len(b), 16)])
+		}
+	}
+	f := RunFlags{Trace: filepath.Join(dir, "alone.trace")}
+	stop, err := f.StartProfiles()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	stop()
+	isTrace(f.Trace)
+
+	f = RunFlags{CPUProfile: filepath.Join(dir, "cpu.prof"), Trace: filepath.Join(dir, "missing", "x.trace")}
+	if _, err := f.StartProfiles(); err == nil || !strings.Contains(err.Error(), "-trace") {
+		t.Fatalf("an uncreatable -trace file: err %v", err)
+	}
+	f.Trace = filepath.Join(dir, "both.trace")
+	if stop, err = f.StartProfiles(); err != nil {
+		t.Fatalf("after a failed start: %v", err)
+	}
+	stop()
+	isTrace(f.Trace)
+	if info, err := os.Stat(f.CPUProfile); err != nil || info.Size() == 0 {
+		t.Fatalf("-cpuprofile beside -trace: %v", err)
 	}
 }
 

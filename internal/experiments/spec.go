@@ -78,53 +78,46 @@ func (s *JobSpec) String() string { return s.label() }
 // also folds in the Table 2 default configuration, so changing the
 // microarchitectural defaults invalidates cached results even without an
 // EngineVersion bump.
+//
+// Hashing a spec is most of a warm-cache grid point, so the bytes are built
+// in place: strconv-style appends rather than fmt, the topology through
+// topo.Spec.AppendText, the fault edges sorted as packed topo.EdgeKeys and
+// printed from the keys, and no closures, so Hash's stack buffer stays on
+// the stack. TestAppendCanonicalMatchesFmtReference holds the bytes to the
+// fmt-formatted layout they replace.
 func (s *JobSpec) AppendCanonical(b []byte) []byte {
-	// Hashing a spec is most of a warm-cache grid point, so the bytes are
-	// built with strconv appends rather than one fmt.Appendf per field and
-	// per fault edge; TestAppendCanonicalMatchesFmtReference holds them to
-	// the fmt-formatted layout they replace.
-	str := func(key, v string) {
-		b = append(append(append(b, key...), v...), '\n')
-	}
-	num := func(key string, v int64) {
-		b = append(strconv.AppendInt(append(b, key...), v, 10), '\n')
-	}
-	unum := func(key string, v uint64) {
-		b = append(strconv.AppendUint(append(b, key...), v, 10), '\n')
-	}
-	edge := func(e topo.Edge) {
-		b = strconv.AppendInt(b, int64(e.U), 10)
-		b = append(b, '-')
-		b = strconv.AppendInt(b, int64(e.V), 10)
-		b = append(b, ',')
-	}
-	str("topo=", s.Topo.String())
-	num("per=", int64(s.Per))
-	str("mech=", s.Mechanism)
-	str("pattern=", s.Pattern)
-	num("vcs=", int64(s.VCs))
-	num("root=", int64(s.Root))
+	b = s.Topo.AppendText(append(b, "topo="...))
+	b = appendIntLine(append(b, "\nper="...), int64(s.Per))
+	b = append(append(append(b, "mech="...), s.Mechanism...), '\n')
+	b = append(append(append(b, "pattern="...), s.Pattern...), '\n')
+	b = appendIntLine(append(b, "vcs="...), int64(s.VCs))
+	b = appendIntLine(append(b, "root="...), int64(s.Root))
 	b = append(b, "load="...)
 	for bits, shift := math.Float64bits(s.Load), 60; shift >= 0; shift -= 4 {
 		b = append(b, "0123456789abcdef"[bits>>uint(shift)&0xf])
 	}
-	b = append(b, '\n')
-	num("warmup=", s.Budget.Warmup)
-	num("measure=", s.Budget.Measure)
-	num("burst=", int64(s.BurstPackets))
-	num("seriesbucket=", s.SeriesBucket)
-	num("maxcycles=", s.MaxCycles)
-	unum("seed=", s.Seed)
-	unum("patternseed=", s.PatternSeed)
+	b = appendIntLine(append(b, "\nwarmup="...), s.Budget.Warmup)
+	b = appendIntLine(append(b, "measure="...), s.Budget.Measure)
+	b = appendIntLine(append(b, "burst="...), int64(s.BurstPackets))
+	b = appendIntLine(append(b, "seriesbucket="...), s.SeriesBucket)
+	b = appendIntLine(append(b, "maxcycles="...), s.MaxCycles)
+	b = append(strconv.AppendUint(append(b, "seed="...), s.Seed, 10), '\n')
+	b = append(strconv.AppendUint(append(b, "patternseed="...), s.PatternSeed, 10), '\n')
 	b = append(b, "faults="...)
-	for _, e := range canonicalEdges(s.Faults) {
-		edge(e)
+	if len(s.Faults) > 0 {
+		keys := make([]topo.EdgeKey, len(s.Faults))
+		for i, e := range s.Faults {
+			keys[i] = topo.NewEdge(e.U, e.V).Key()
+		}
+		slices.Sort(keys)
+		for _, k := range keys {
+			b = appendEdge(b, k.Edge())
+		}
 	}
 	b = append(b, "\nschedule="...)
 	for _, ev := range canonicalSchedule(s.FaultSchedule) {
-		b = strconv.AppendInt(b, ev.Cycle, 10)
-		b = append(b, ':')
-		edge(topo.NewEdge(ev.Edge.U, ev.Edge.V))
+		b = append(appendInt(b, ev.Cycle), ':')
+		b = appendEdge(b, topo.NewEdge(ev.Edge.U, ev.Edge.V))
 	}
 	b = append(b, '\n')
 	return append(b, canonicalConfigLine...)
@@ -134,17 +127,34 @@ func (s *JobSpec) AppendCanonical(b []byte) []byte {
 // 2 defaults, which are fixed for the life of the process.
 var canonicalConfigLine = fmt.Sprintf("config=%+v\n", sim.DefaultConfig())
 
-// canonicalEdges returns the edges normalized (U <= V) and in the shared
-// topo.SortEdges order; the input is left untouched.
-func canonicalEdges(edges []topo.Edge) []topo.Edge {
-	if len(edges) == 0 {
-		return nil
+// appendInt appends v in decimal. Vertex ids and cycles are almost always
+// small and non-negative, and printing those directly is a measurable share
+// of a spec hash; anything else takes strconv.
+func appendInt(b []byte, v int64) []byte {
+	if uint64(v) >= 100000 {
+		return strconv.AppendInt(b, v, 10)
 	}
-	out := make([]topo.Edge, len(edges))
-	for i, e := range edges {
-		out[i] = topo.NewEdge(e.U, e.V)
+	n := 1
+	for t := v; t >= 10; t /= 10 {
+		n++
 	}
-	return topo.SortEdges(out)
+	i := len(b)
+	b = append(b, 0, 0, 0, 0, 0)[:i+n] // room in place, no copy
+	for j := i + n - 1; j >= i; j-- {
+		b[j] = byte('0' + v%10)
+		v /= 10
+	}
+	return b
+}
+
+// appendIntLine appends v in decimal and ends the line.
+func appendIntLine(b []byte, v int64) []byte { return append(appendInt(b, v), '\n') }
+
+// appendEdge appends one fault edge as the canonical encoding lists it,
+// "U-V,", for the faults and schedule lines alike.
+func appendEdge(b []byte, e topo.Edge) []byte {
+	b = append(appendInt(b, int64(e.U)), '-')
+	return append(appendInt(b, int64(e.V)), ',')
 }
 
 // canonicalSchedule stable-sorts a copy of the schedule by cycle, matching
@@ -159,23 +169,39 @@ func canonicalSchedule(events []sim.FaultEvent) []sim.FaultEvent {
 	return out
 }
 
+// hashStackBytes is the buffer Hash builds the canonical encoding in on its
+// own stack: hashBound of a spec with up to about 280 fault edges and no
+// schedule fits it. A larger spec gets a heap buffer of its bound.
+const hashStackBytes = 4096
+
+// hashBound is the size of a buffer that holds a valid spec's hashed bytes
+// without regrowing: 512 covers the scalar lines and the engine tag, a
+// vertex id below topo.MaxSwitches prints in at most 5 digits
+// ("65535-65535," is 12 bytes) and a cycle in at most 20. Bytes past it —
+// an invalid spec's long ids — still append, through a regrown buffer.
+func (s *JobSpec) hashBound() int {
+	return 512 + len(canonicalConfigLine) + len(s.Mechanism) + len(s.Pattern) +
+		12*len(s.Faults) + 33*len(s.FaultSchedule)
+}
+
 // Hash returns the content address of the spec: the hex SHA-256 of its
 // canonical encoding plus the engine version tag.
 // Equal hashes mean "the same simulation on the same engine semantics",
 // which is the result cache's key and the distribution protocol's
 // integrity check.
 func (s *JobSpec) Hash() string {
-	// One buffer that holds a valid spec's bytes without regrowing: 512
-	// covers the scalar lines, a vertex id below topo.MaxSwitches prints in
-	// at most 5 digits ("65535-65535," is 12 bytes) and a cycle in at most
-	// 20.
-	n := 512 + len(canonicalConfigLine) + len(s.Mechanism) + len(s.Pattern) +
-		12*len(s.Faults) + 33*len(s.FaultSchedule)
-	b := s.AppendCanonical(make([]byte, 0, n))
+	var stack [hashStackBytes]byte
+	b := stack[:0]
+	if n := s.hashBound(); n > len(stack) {
+		b = make([]byte, 0, n)
+	}
+	b = s.AppendCanonical(b)
 	b = append(b, "engine="...)
 	b = append(b, sim.EngineVersion...)
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	var hexSum [2 * sha256.Size]byte // hex.EncodeToString allocates twice
+	hex.Encode(hexSum[:], sum[:])
+	return string(hexSum[:])
 }
 
 // EncodeJSON serializes the spec for the wire (work-queue protocol). The

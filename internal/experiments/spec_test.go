@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
@@ -388,13 +391,40 @@ func TestSpecHashGolden(t *testing.T) {
 // leading zero digits and the sign bit set) and fault sets the packed sort
 // key could misorder: negative vertex ids, math.MinInt32 and math.MaxInt32
 // endpoints, equal U with different V, and reversed duplicates.
+//
+// The rows past those cover the digit printer's edges — ids and cycles
+// around each power of ten up to its 5-digit fast path and the int32 and
+// int64 extremes — and Hash's stack buffer: canonical bytes of exactly
+// hashStackBytes and one over, and a size bound of exactly hashStackBytes
+// and one over, the last stack-built and first heap-built hash. Hash is held
+// to the SHA-256 of the reference bytes on every row.
 func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
 	specs := canonicalCases()
-	for _, faults := range sortKeyCases() {
+	for _, faults := range append(sortKeyCases(), digitEdgeCases()...) {
 		s := baseSpec()
 		s.Faults = faults
 		s.FaultSchedule = []sim.FaultEvent{
 			{Cycle: 7, Edge: faults[1]}, {Cycle: -7, Edge: faults[0]}, {Cycle: 7, Edge: faults[2]},
+		}
+		specs = append(specs, s)
+	}
+	digits := baseSpec()
+	for _, c := range digitEdgeCycles() {
+		digits.FaultSchedule = append(digits.FaultSchedule, sim.FaultEvent{Cycle: c, Edge: topo.Edge{U: int32(c), V: 1}})
+	}
+	specs = append(specs, digits)
+	for _, over := range []int{0, 1} {
+		s := baseSpec()
+		s.Faults = nil
+		s.Faults = paddingFaults(hashStackBytes + over - len(refAppendCanonical(&s, nil)))
+		if n := len(refAppendCanonical(&s, nil)); n != hashStackBytes+over {
+			t.Fatalf("padded spec has %d canonical bytes, want %d", n, hashStackBytes+over)
+		}
+		specs = append(specs, s)
+		s = baseSpec()
+		s.Mechanism += strings.Repeat("m", hashStackBytes+over-s.hashBound())
+		if n := s.hashBound(); n != hashStackBytes+over {
+			t.Fatalf("padded spec has a size bound of %d, want %d", n, hashStackBytes+over)
 		}
 		specs = append(specs, s)
 	}
@@ -404,7 +434,56 @@ func TestAppendCanonicalMatchesFmtReference(t *testing.T) {
 		if got := s.AppendCanonical([]byte("prefix|")); !bytes.Equal(got, want) {
 			t.Errorf("spec %d (%d faults): canonical bytes differ\n got: %q\nwant: %q", i, len(s.Faults), got, want)
 		}
+		if got, want := s.Hash(), refHash(s); got != want {
+			t.Errorf("spec %d (%d faults): Hash() = %s, want %s", i, len(s.Faults), got, want)
+		}
 	}
+}
+
+// refHash is Hash defined on the reference bytes.
+func refHash(s *JobSpec) string {
+	sum := sha256.Sum256(append(refAppendCanonical(s, nil), "engine="+sim.EngineVersion...))
+	return hex.EncodeToString(sum[:])
+}
+
+// digitEdgeCycles are the values on both sides of every boundary of the
+// canonical encoding's digit printer: each power of ten up to its 5-digit
+// fast path, the largest vertex id, and the negative and 32- and 64-bit
+// extremes strconv takes.
+func digitEdgeCycles() []int64 {
+	return []int64{0, 9, 10, 99, 100, 999, 1000, 9999, 10000, 65535, 99999, 100000,
+		-1, math.MinInt32, math.MaxInt32, math.MinInt64, math.MaxInt64}
+}
+
+// digitEdgeCases are fault lists whose ids sit on the digit printer's
+// boundaries (digitEdgeCycles within int32), as U and as V.
+func digitEdgeCases() [][]topo.Edge {
+	var ids []int32
+	for _, c := range digitEdgeCycles() {
+		if c >= math.MinInt32 && c <= math.MaxInt32 {
+			ids = append(ids, int32(c))
+		}
+	}
+	var asU, asV []topo.Edge
+	for i, id := range ids {
+		asU = append(asU, topo.Edge{U: id, V: ids[(i+1)%len(ids)]})
+		asV = append(asV, topo.Edge{U: 3, V: id})
+	}
+	return [][]topo.Edge{asU, asV}
+}
+
+// paddingFaults returns fault edges whose canonical listing ("U-V," each)
+// is exactly n >= 4 bytes long.
+func paddingFaults(n int) []topo.Edge {
+	var out []topo.Edge
+	for ; n >= 16; n -= 12 {
+		out = append(out, topo.Edge{U: 10000, V: 10000}) // "10000-10000,"
+	}
+	for ; n > 12; n -= 4 {
+		out = append(out, topo.Edge{U: 1, V: 1}) // "1-1,"
+	}
+	du := min(n-3, 5) // n-2 digits in all, at most 5 in U and at least 1 in V
+	return append(out, topo.Edge{U: int32(math.Pow10(du - 1)), V: int32(math.Pow10(n - 3 - du))})
 }
 
 // sortKeyCases are fault lists a packed (U, V) sort key could misorder:
@@ -435,8 +514,13 @@ func FuzzAppendCanonicalMatchesReference(f *testing.F) {
 		}
 		return b
 	}
-	for _, faults := range sortKeyCases() {
+	for _, faults := range append(sortKeyCases(), digitEdgeCases()...) {
 		f.Add(edges(faults), append([]byte{7}, edges(faults[:1])...))
+	}
+	empty := baseSpec()
+	empty.Faults, empty.FaultSchedule = nil, nil
+	for _, over := range []int{0, 1} { // canonical bytes of exactly Hash's stack buffer, and one over
+		f.Add(edges(paddingFaults(hashStackBytes+over-len(refAppendCanonical(&empty, nil)))), []byte(nil))
 	}
 	f.Fuzz(func(t *testing.T, faults, schedule []byte) {
 		edge := func(b []byte) topo.Edge {
@@ -453,6 +537,9 @@ func FuzzAppendCanonicalMatchesReference(f *testing.F) {
 		if got, want := s.AppendCanonical(nil), refAppendCanonical(&s, nil); !bytes.Equal(got, want) {
 			t.Fatalf("canonical bytes differ\n got: %q\nwant: %q", got, want)
 		}
+		if got, want := s.Hash(), refHash(&s); got != want {
+			t.Fatalf("Hash() = %s, want %s", got, want)
+		}
 	})
 }
 
@@ -461,7 +548,7 @@ func FuzzAppendCanonicalMatchesReference(f *testing.F) {
 // sweep builds them.
 func BenchmarkSpecHash(b *testing.B) {
 	seq := topo.RandomFaultSequence(topo.MustHyperX(8, 8, 8), 1)
-	for _, n := range []int{0, 50, 500} {
+	for _, n := range []int{0, 50, 200, 500} {
 		b.Run(fmt.Sprintf("faults=%d", n), func(b *testing.B) {
 			s := baseSpec()
 			s.Topo = topo.Spec{Kind: topo.KindHyperX, Dims: []int{8, 8, 8}}

@@ -2,7 +2,7 @@ package topo
 
 import (
 	"fmt"
-	"strings"
+	"strconv"
 )
 
 // Spec is the pure-data description of a switched topology: a family name
@@ -65,15 +65,17 @@ func (s Spec) Validate() error {
 
 // String renders the spec canonically, e.g. "hyperx 8x8x8" — stable across
 // processes, usable as a hash component.
-func (s Spec) String() string {
-	var b strings.Builder
-	b.WriteString(s.Kind)
-	b.WriteByte(' ')
+func (s Spec) String() string { return string(s.AppendText(nil)) }
+
+// AppendText appends String's rendering to b without an intermediate
+// string: the job-spec canonical encoding writes it in place.
+func (s Spec) AppendText(b []byte) []byte {
+	b = append(append(b, s.Kind...), ' ')
 	for i, d := range s.Dims {
 		if i > 0 {
-			b.WriteByte('x')
+			b = append(b, 'x')
 		}
-		fmt.Fprint(&b, d)
+		b = strconv.AppendInt(b, int64(d), 10)
 	}
-	return b.String()
+	return b
 }

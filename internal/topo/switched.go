@@ -43,26 +43,40 @@ func GraphOf(t Switched) *Graph {
 	return MustGraph(t.Switches(), t.Edges())
 }
 
-// SortEdges orders edges by (U, V) in place and returns them: the single
-// definition of canonical edge order, used both by Edges implementations
-// derived from a map and by the job-spec canonical encoding (the two must
-// agree or equal fault sets would hash differently).
-//
-// Each edge is packed into one uint64 key and the keys are sorted as plain
-// integers: a warm-cache grid point is mostly a spec hash, and this sort
-// was most of the hash with a two-field comparator (BenchmarkSpecHash).
-// Flipping each id's sign bit makes unsigned key order equal lexicographic
-// int32 (U, V) order, negative ids included (a decoded spec carries them
-// until Validate).
+// EdgeKey is an edge packed into one integer whose unsigned order is the
+// canonical (U, V) edge order: the single definition of that order, used
+// by SortEdges — behind the Edges implementations derived from a map — and
+// by the job-spec canonical encoding, which sorts keys and prints from them
+// (the two must agree or equal fault sets would hash differently). Flipping
+// each id's sign bit makes unsigned key order equal lexicographic int32
+// (U, V) order, negative ids included (a decoded spec carries them until
+// Validate).
+type EdgeKey uint64
+
+const edgeKeyFlip = 1 << 31
+
+// Key packs e; the edge is taken as is, so normalize it first (NewEdge)
+// when orientation must not matter.
+func (e Edge) Key() EdgeKey {
+	return EdgeKey(uint64(uint32(e.U)^edgeKeyFlip)<<32 | uint64(uint32(e.V)^edgeKeyFlip))
+}
+
+// Edge unpacks the key.
+func (k EdgeKey) Edge() Edge {
+	return Edge{U: int32(uint32(k>>32) ^ edgeKeyFlip), V: int32(uint32(k) ^ edgeKeyFlip)}
+}
+
+// SortEdges orders edges by (U, V) in place and returns them, sorting their
+// EdgeKeys as plain integers (a two-field comparator costs several times
+// more).
 func SortEdges(edges []Edge) []Edge {
-	const flip = 1 << 31
-	keys := make([]uint64, len(edges))
+	keys := make([]EdgeKey, len(edges))
 	for i, e := range edges {
-		keys[i] = uint64(uint32(e.U)^flip)<<32 | uint64(uint32(e.V)^flip)
+		keys[i] = e.Key()
 	}
 	slices.Sort(keys)
 	for i, k := range keys {
-		edges[i] = Edge{U: int32(uint32(k>>32) ^ flip), V: int32(uint32(k) ^ flip)}
+		edges[i] = k.Edge()
 	}
 	return edges
 }
