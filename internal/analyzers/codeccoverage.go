@@ -40,7 +40,10 @@ var codecTargets = []codecTarget{
 	{
 		pkg:      "repro/internal/experiments",
 		typeName: "JobSpec",
-		encode:   []string{"JobSpec.AppendCanonical"},
+		// AppendCanonical and Hash are wrappers around appendCanonical,
+		// which takes a grid's pre-encoded fault section and names every
+		// field.
+		encode: []string{"JobSpec.appendCanonical"},
 		// JSON transport decodes reflectively; the tag-presence check below
 		// pins every field to a stable wire name instead.
 		decode: nil,
@@ -136,7 +139,7 @@ var codecTargets = []codecTarget{
 // every exemption in the registry names a field of its struct — a field
 // deleted from the struct must take its exemption with it. Adding
 // a field to sim.Result without extending its walk — or to
-// experiments.JobSpec without extending AppendCanonical — would
+// experiments.JobSpec without extending appendCanonical — would
 // silently corrupt the content-addressed cache: two semantically different
 // values would encode (or hash) identically. With this check, the new
 // field fails lint until every listed function handles it (or it is registered

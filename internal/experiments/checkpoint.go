@@ -60,7 +60,8 @@ func (r Runner) checkpointThrough(specHash string, resume []byte, sink func([]by
 // somewhere to keep snapshots, the run resumes from any stored checkpoint
 // for this spec, ships periodic snapshots into the store, and drops the
 // checkpoint once it finishes — otherwise it is a plain uninterrupted run.
-func (r Runner) runLocal(s *JobSpec) (*sim.Result, error) {
+// key is the spec's hash when the run checkpoints (runSpec computed it).
+func (r Runner) runLocal(s *JobSpec, key string) (*sim.Result, error) {
 	store := r.snapshots()
 	if r.Checkpoint == nil || store == nil {
 		o, err := s.buildRun(r)
@@ -69,7 +70,6 @@ func (r Runner) runLocal(s *JobSpec) (*sim.Result, error) {
 		}
 		return sim.Run(o)
 	}
-	key := s.Hash()
 	resume, _ := store.GetCheckpoint(key)
 	res, err := r.runVia(s, key, resume, func(snap []byte) error {
 		return store.PutCheckpoint(key, snap)
@@ -114,7 +114,7 @@ func (r Runner) runVia(s *JobSpec, specHash string, resume []byte, sink func([]b
 // a raised r.Drain surfaces as sim.ErrCheckpointed after the final
 // snapshot reached the sink.
 func (r Runner) RunSpecVia(spec *JobSpec, resume []byte, sink func([]byte) error) (*sim.Result, error) {
-	return r.cached(spec, func(s *JobSpec) (*sim.Result, error) {
-		return r.runVia(s, s.Hash(), resume, sink)
+	return r.cached(spec, spec.Hash(), func(s *JobSpec, key string) (*sim.Result, error) {
+		return r.runVia(s, key, resume, sink)
 	})
 }

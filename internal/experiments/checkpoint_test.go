@@ -2,7 +2,9 @@ package experiments
 
 import (
 	"errors"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -149,5 +151,65 @@ func TestSpecRunCachedCheckpoint(t *testing.T) {
 	}
 	if _, ok := store.GetCheckpoint(key); ok {
 		t.Error("corrupt checkpoint survived the fallback run")
+	}
+}
+
+// TestCachedCheckpointSharesResultKey: on a Runner with a result cache and a
+// checkpoint policy (snapshots kept in the cache), a grid whose specs share
+// one fault list is drained mid-run, leaving one checkpoint per spec under
+// its Hash; the rerun resumes from those, stores each result under the same
+// key, and removes the checkpoints.
+func TestCachedCheckpointSharesResultKey(t *testing.T) {
+	t.Parallel()
+	faults := []topo.Edge{{U: 1, V: 5}, {U: 6, V: 2}}
+	specs := []JobSpec{ckptSpec(), ckptSpec()}
+	for i := range specs {
+		specs[i].Faults, specs[i].Seed = faults, uint64(i)
+	}
+	ref, err := Runner{}.ExecuteJobs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := Runner{Cache: store, Checkpoint: &CheckpointPolicy{EveryCycles: 400}}
+	drained := r
+	drained.Drain = new(atomic.Bool)
+	drained.Drain.Store(true)
+	if _, err := drained.ExecuteJobs(specs); !errors.Is(err, sim.ErrCheckpointed) {
+		t.Fatalf("drained grid returned %v, want ErrCheckpointed", err)
+	}
+	ckpts := 0
+	err = filepath.WalkDir(store.Dir(), func(path string, _ fs.DirEntry, err error) error {
+		if filepath.Ext(path) == ".ckpt" {
+			ckpts++
+		}
+		return err
+	})
+	if err != nil || ckpts != len(specs) {
+		t.Fatalf("drained grid left %d checkpoints (err %v), want %d", ckpts, err, len(specs))
+	}
+	for i := range specs {
+		if _, ok := store.GetCheckpoint(specs[i].Hash()); !ok {
+			t.Fatalf("spec %d: no checkpoint under its Hash", i)
+		}
+	}
+	res, err := r.ExecuteJobs(specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ref, res) {
+		t.Fatal("resumed grid diverged from the plain one")
+	}
+	for i := range specs {
+		key := specs[i].Hash()
+		if got, ok, err := store.Get(key); err != nil || !ok || !reflect.DeepEqual(got, ref[i]) {
+			t.Errorf("spec %d: result not stored under its Hash (ok %v, err %v)", i, ok, err)
+		}
+		if _, ok := store.GetCheckpoint(key); ok {
+			t.Errorf("spec %d: finished run left its checkpoint behind", i)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"repro/internal/sim"
+	"repro/internal/topo"
 )
 
 // Job quarantine: the runner's answer to poison jobs. A distributed
@@ -75,9 +76,17 @@ func (e *QuarantineError) Unwrap() error { return ErrQuarantined }
 // progress, when non-nil, observes the grid (see Run).
 func (r Runner) ExecuteJobsPartial(progress func(done, total int), specs []JobSpec) (results []*sim.Result, holes []*QuarantineError, err error) {
 	r = r.forGrid(len(specs))
+	var shared map[faultList][]byte // read-only once the workers start
+	if r.hashes() {
+		shared = sharedFaults(specs)
+	}
 	holes = make([]*QuarantineError, len(specs))
 	results, err = runJobs(r.Workers, len(specs), progress, func(i int) (*sim.Result, error) {
-		res, err := r.RunSpec(&specs[i])
+		var faults []byte
+		if f := specs[i].Faults; len(f) > 0 {
+			faults = shared[faultList{&f[0], len(f)}]
+		}
+		res, err := r.runSpec(&specs[i], faults)
 		if err != nil {
 			var q *QuarantineError
 			if errors.As(err, &q) {
@@ -89,6 +98,38 @@ func (r Runner) ExecuteJobsPartial(progress func(done, total int), specs []JobSp
 		return res, nil
 	})
 	return results, holes, err
+}
+
+// faultList identifies a non-empty fault slice by its first element and its
+// length. JobSpec.Faults is read-only, so two specs whose lists have the
+// same identity have the same fault section; equal edges in two arrays are
+// two identities, and prefixes of one sequence differ by length.
+type faultList struct {
+	first *topo.Edge
+	n     int
+}
+
+// sharedFaults encodes each fault list that two or more of specs share,
+// once, before the workers start: the grid constructors give every
+// mechanism, pattern and load of a fault set the same slice, and each of
+// those specs would otherwise sort and print it again to hash. A list one
+// spec uses maps to nil — its worker encodes it, so a grid of distinct
+// lists does no sequential encoding up front.
+func sharedFaults(specs []JobSpec) map[faultList][]byte {
+	texts := make(map[faultList][]byte)
+	for i := range specs {
+		f := specs[i].Faults
+		if len(f) == 0 {
+			continue
+		}
+		id := faultList{&f[0], len(f)}
+		if text, seen := texts[id]; !seen {
+			texts[id] = nil
+		} else if text == nil {
+			texts[id] = appendFaults(nil, f)
+		}
+	}
+	return texts
 }
 
 // holeErrors is the strict reading of a partial grid's holes: nil when it

@@ -150,22 +150,37 @@ func (r Runner) forGrid(n int) Runner {
 // set, else a local run — checkpointed through the snapshot store when
 // r.Checkpoint is set, otherwise plain and uninterrupted. Cache misses are
 // written back best-effort — a failing write never fails the run.
-func (r Runner) RunSpec(spec *JobSpec) (*sim.Result, error) {
-	if r.Execute != nil {
-		return r.cached(spec, r.Execute)
+func (r Runner) RunSpec(spec *JobSpec) (*sim.Result, error) { return r.runSpec(spec, nil) }
+
+// runSpec is RunSpec with the spec's fault section given as hashWith takes
+// it. The spec is hashed once, here, when a run of r needs its hash: the
+// cache key is also the key a checkpointed local run stores under.
+func (r Runner) runSpec(spec *JobSpec, faults []byte) (*sim.Result, error) {
+	var key string
+	if r.hashes() {
+		key = spec.hashWith(faults)
 	}
-	return r.cached(spec, r.runLocal)
+	if r.Execute != nil {
+		return r.cached(spec, key, func(s *JobSpec, _ string) (*sim.Result, error) { return r.Execute(s) })
+	}
+	return r.cached(spec, key, r.runLocal)
 }
 
-func (r Runner) cached(spec *JobSpec, run func(*JobSpec) (*sim.Result, error)) (*sim.Result, error) {
-	var key string
+// hashes reports whether RunSpec addresses a spec by its hash: for the
+// result cache, or for the snapshot store of a checkpointed local run.
+func (r Runner) hashes() bool {
+	return r.Cache != nil || (r.Execute == nil && r.Checkpoint != nil && r.Snapshots != nil)
+}
+
+// cached runs the spec through the result cache under key, its hash, when r
+// has one; run receives the key too.
+func (r Runner) cached(spec *JobSpec, key string, run func(s *JobSpec, key string) (*sim.Result, error)) (*sim.Result, error) {
 	if r.Cache != nil {
-		key = spec.Hash()
 		if res, ok, err := r.Cache.Get(key); err == nil && ok {
 			return res, nil
 		}
 	}
-	res, err := run(spec)
+	res, err := run(spec, key)
 	if err != nil {
 		return nil, err
 	}

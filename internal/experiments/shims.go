@@ -79,4 +79,4 @@ func ExecuteJobs(workers int, specs []JobSpec) ([]*sim.Result, error) {
 
 // Run is a plain, sequential, uncheckpointed local run of the spec: the
 // zero Runner's, reading nothing. bench/ passes it as an Executor.
-func (s *JobSpec) Run() (*sim.Result, error) { return Runner{}.runLocal(s) }
+func (s *JobSpec) Run() (*sim.Result, error) { return Runner{}.runLocal(s, "") }

@@ -46,7 +46,11 @@ type JobSpec struct {
 	MaxCycles    int64 `json:"maxCycles,omitempty"`
 	// Faults is the static fault set; nil means fault-free. The slice is
 	// read-only and may be shared between specs. Edge order is not
-	// semantic: the canonical encoding sorts a normalized copy.
+	// semantic: the canonical encoding sorts a normalized copy. Sharing one
+	// slice is also what lets a grid encode it once: ExecuteJobsPartial
+	// knows a list by its first element and length, so specs that share
+	// the slice hash with one encoding of it, while equal edges in another
+	// array are encoded again.
 	Faults []topo.Edge `json:"faults,omitempty"`
 	// FaultSchedule injects link failures mid-run. The engine applies
 	// events in stable cycle order, which is also how they are
@@ -85,7 +89,11 @@ func (s *JobSpec) String() string { return s.label() }
 // printed from the keys, and no closures, so Hash's stack buffer stays on
 // the stack. TestAppendCanonicalMatchesFmtReference holds the bytes to the
 // fmt-formatted layout they replace.
-func (s *JobSpec) AppendCanonical(b []byte) []byte {
+func (s *JobSpec) AppendCanonical(b []byte) []byte { return s.appendCanonical(b, nil) }
+
+// appendCanonical is AppendCanonical with the fault section given: faults is
+// appendFaults of s.Faults, or nil to encode it here.
+func (s *JobSpec) appendCanonical(b, faults []byte) []byte {
 	b = s.Topo.AppendText(append(b, "topo="...))
 	b = appendIntLine(append(b, "\nper="...), int64(s.Per))
 	b = append(append(append(b, "mech="...), s.Mechanism...), '\n')
@@ -104,15 +112,10 @@ func (s *JobSpec) AppendCanonical(b []byte) []byte {
 	b = append(strconv.AppendUint(append(b, "seed="...), s.Seed, 10), '\n')
 	b = append(strconv.AppendUint(append(b, "patternseed="...), s.PatternSeed, 10), '\n')
 	b = append(b, "faults="...)
-	if len(s.Faults) > 0 {
-		keys := make([]topo.EdgeKey, len(s.Faults))
-		for i, e := range s.Faults {
-			keys[i] = topo.NewEdge(e.U, e.V).Key()
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			b = appendEdge(b, k.Edge())
-		}
+	if faults == nil {
+		b = appendFaults(b, s.Faults)
+	} else {
+		b = append(b, faults...)
 	}
 	b = append(b, "\nschedule="...)
 	for _, ev := range canonicalSchedule(s.FaultSchedule) {
@@ -121,6 +124,25 @@ func (s *JobSpec) AppendCanonical(b []byte) []byte {
 	}
 	b = append(b, '\n')
 	return append(b, canonicalConfigLine...)
+}
+
+// appendFaults appends the fault section of the canonical encoding: the
+// edges normalized, sorted as packed topo.EdgeKeys and printed from the
+// keys. It is the one encoder of the section, whether a spec's hash builds
+// it inline or a grid builds it once for every spec sharing the list.
+func appendFaults(b []byte, faults []topo.Edge) []byte {
+	if len(faults) == 0 {
+		return b
+	}
+	keys := make([]topo.EdgeKey, len(faults))
+	for i, e := range faults {
+		keys[i] = topo.NewEdge(e.U, e.V).Key()
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b = appendEdge(b, k.Edge())
+	}
+	return b
 }
 
 // canonicalConfigLine is the last line of the canonical encoding: the Table
@@ -189,13 +211,18 @@ func (s *JobSpec) hashBound() int {
 // Equal hashes mean "the same simulation on the same engine semantics",
 // which is the result cache's key and the distribution protocol's
 // integrity check.
-func (s *JobSpec) Hash() string {
+func (s *JobSpec) Hash() string { return s.hashWith(nil) }
+
+// hashWith is Hash with the fault section given, as appendCanonical takes
+// it: a grid passes the bytes it encoded once for every spec sharing the
+// list.
+func (s *JobSpec) hashWith(faults []byte) string {
 	var stack [hashStackBytes]byte
 	b := stack[:0]
 	if n := s.hashBound(); n > len(stack) {
 		b = make([]byte, 0, n)
 	}
-	b = s.AppendCanonical(b)
+	b = s.appendCanonical(b, faults)
 	b = append(b, "engine="...)
 	b = append(b, sim.EngineVersion...)
 	sum := sha256.Sum256(b)

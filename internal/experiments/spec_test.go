@@ -257,6 +257,66 @@ func TestExecuteJobsCacheSecondRunAllHits(t *testing.T) {
 	}
 }
 
+// TestGridKeysMatchSpecHash: a grid run through a result cache files every
+// result under its spec's Hash, whatever the grid shares — no faults, an
+// empty list, one list under several specs (mixed orientation, a duplicate
+// edge, and a fault schedule beside it), two prefixes of one sequence, an
+// offset window into it, and equal edges in a second array — at one worker
+// and at four. A warm rerun is all hits with the same results.
+func TestGridKeysMatchSpecHash(t *testing.T) {
+	t.Parallel()
+	seq := topo.RandomFaultSequence(tiny2D(), 7)
+	shared := []topo.Edge{{U: 5, V: 1}, {U: 2, V: 6}, {U: 6, V: 2}, {U: 0, V: 4}}
+	twin := append([]topo.Edge(nil), shared...)
+	lists := [][]topo.Edge{nil, {}, shared, shared, seq[:10], seq[:20], seq[:10], seq[5:15], seq[5:15], twin, shared}
+	var specs []JobSpec
+	for i, faults := range lists {
+		for _, load := range []float64{0.3, 0.8} {
+			s := baseSpec()
+			s.Faults, s.FaultSchedule, s.Load, s.Seed = faults, nil, load, uint64(len(specs))
+			if i == len(lists)-1 {
+				s.FaultSchedule = []sim.FaultEvent{{Cycle: 50, Edge: topo.Edge{U: 9, V: 8}}, {Cycle: 20, Edge: topo.Edge{U: 3, V: 7}}}
+			}
+			specs = append(specs, s)
+		}
+	}
+	keys := make(map[string]bool)
+	for i := range specs {
+		keys[specs[i].Hash()] = true
+	}
+	fake := func(s *JobSpec) (*sim.Result, error) { return &sim.Result{CompletionTime: int64(s.Seed)}, nil }
+	miss := func(s *JobSpec) (*sim.Result, error) { return nil, fmt.Errorf("%s missed a warm cache", s) }
+	for _, workers := range []int{1, 4} {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Runner{Workers: workers, Cache: store, Execute: fake}.ExecuteJobs(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range specs {
+			if _, ok, err := store.Get(specs[i].Hash()); err != nil || !ok {
+				t.Fatalf("workers=%d: no entry under the Hash of spec %d (%d faults): %v", workers, i, len(specs[i].Faults), err)
+			}
+		}
+		if n, err := store.Len(); err != nil || n != len(keys) {
+			t.Fatalf("workers=%d: store holds %d entries (err %v), want %d", workers, n, err, len(keys))
+		}
+		hits, misses := store.Stats()
+		warm, err := Runner{Workers: workers, Cache: store, Execute: miss}.ExecuteJobs(specs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h, m := store.Stats(); h-hits != int64(len(specs)) || m != misses {
+			t.Fatalf("workers=%d: warm rerun took %d hits, %d misses; want %d, 0", workers, h-hits, m-misses, len(specs))
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Fatalf("workers=%d: warm results differ from cold ones", workers)
+		}
+	}
+}
+
 // refAppendCanonical is the fmt-based canonical encoder AppendCanonical
 // replaced, kept verbatim (its own edge sort included) as the definition of
 // the bytes: every cached result and journaled grid is addressed by their
@@ -537,8 +597,12 @@ func FuzzAppendCanonicalMatchesReference(f *testing.F) {
 		if got, want := s.AppendCanonical(nil), refAppendCanonical(&s, nil); !bytes.Equal(got, want) {
 			t.Fatalf("canonical bytes differ\n got: %q\nwant: %q", got, want)
 		}
-		if got, want := s.Hash(), refHash(&s); got != want {
+		want := refHash(&s)
+		if got := s.Hash(); got != want {
 			t.Fatalf("Hash() = %s, want %s", got, want)
+		}
+		if got := s.hashWith(appendFaults(nil, s.Faults)); got != want {
+			t.Fatalf("hashWith(appendFaults) = %s, want %s", got, want)
 		}
 	})
 }
@@ -559,6 +623,44 @@ func BenchmarkSpecHash(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkExecuteJobsWarm is a warm re-render of a faulty figure: 2000
+// 8x8x8 specs whose faults are the first 0, 50, 200 or 500 links of one
+// random sequence, each length one shared slice, all hits in a store on
+// disk, through a two-worker pool. ns/point is the grid's time per spec.
+func BenchmarkExecuteJobsWarm(b *testing.B) {
+	seq := topo.RandomFaultSequence(topo.MustHyperX(8, 8, 8), 1)
+	mechs := MechanismNames()
+	specs := make([]JobSpec, 2000)
+	for i := range specs {
+		specs[i] = baseSpec()
+		specs[i].Topo = topo.Spec{Kind: topo.KindHyperX, Dims: []int{8, 8, 8}}
+		specs[i].Mechanism = mechs[i/4%len(mechs)]
+		specs[i].Load = float64(i/4%10+1) / 10
+		specs[i].Faults = seq[:[]int{0, 50, 200, 500}[i%4]]
+		specs[i].FaultSchedule = nil
+		specs[i].Seed = JobSeed(1, i)
+	}
+	store, err := cache.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := range specs {
+		if err := store.Put(specs[i].Hash(), &sim.Result{OfferedLoad: specs[i].Load, Cycles: int64(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	r := Runner{Workers: 2, Cache: store, Execute: func(s *JobSpec) (*sim.Result, error) {
+		return nil, fmt.Errorf("%s missed a warm cache", s)
+	}}
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := r.ExecuteJobs(specs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(specs)), "ns/point")
 }
 
 // FuzzDecodeSpecJSON: any bytes a job frame may carry as its spec decode to

@@ -154,6 +154,16 @@ func (c *Closure) Step(adj Adj, base *Closure, k Dist, out []Dist, stride int) b
 	return grew != 0
 }
 
+// reached returns the total size of the sets: the ordered pairs within the
+// current level of each other, self pairs included.
+func (c *Closure) reached() int64 {
+	var n int
+	for _, w := range c.cur {
+		n += bits.OnesCount64(w)
+	}
+	return int64(n)
+}
+
 // Distances overwrites d, row-major n*n, with the all-pairs hop distances
 // along adj, Far where there is no path. adj has at most MaxTableVertices
 // vertices.

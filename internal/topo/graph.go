@@ -1,5 +1,5 @@
 // Package topo provides the topology substrate of the simulator: generic
-// immutable graphs with BFS-based metrics, the HyperX (Hamming graph) family
+// immutable graphs with distance metrics, the HyperX (Hamming graph) family
 // the paper studies, and the fault models of its evaluation (random link
 // failures and the structured Row / Subplane / Cross / Subcube / Star
 // shapes).
@@ -142,20 +142,12 @@ func (g *Graph) Connected() bool {
 // result is false when the graph is disconnected, in which case the diameter
 // of the reachable pairs is returned.
 func (g *Graph) Diameter() (int32, bool) {
-	var diam int32
-	connected := true
-	adj, dist, queue := g.adj(), make([]int32, g.N()), make([]int32, g.N())
-	for v := 0; v < g.N(); v++ {
-		if adj.BFS(int32(v), dist, queue) != g.N() {
-			connected = false
-		}
-		for _, d := range dist {
-			if d != Unreachable && d > diam {
-				diam = d
-			}
-		}
+	counts := g.distanceCounts()
+	reached := int64(g.N())
+	for _, c := range counts {
+		reached += c
 	}
-	return diam, connected
+	return int32(len(counts)), reached == int64(g.N())*int64(g.N())
 }
 
 // AvgDistance returns the mean distance over ordered distinct pairs. When
@@ -163,26 +155,36 @@ func (g *Graph) Diameter() (int32, bool) {
 // matching how the paper's Table 3 reports 2.625 for the 8x8x8 HyperX.
 // Disconnected pairs are excluded from both numerator and denominator.
 func (g *Graph) AvgDistance(inclSelf bool) float64 {
-	n := g.N()
-	if n == 0 {
-		return 0
-	}
 	var sum, pairs int64
-	adj, dist, queue := g.adj(), make([]int32, n), make([]int32, n)
-	for v := 0; v < n; v++ {
-		adj.BFS(int32(v), dist, queue)
-		for w, d := range dist {
-			if d == Unreachable || (w == v && !inclSelf) {
-				continue
-			}
-			sum += int64(d)
-			pairs++
-		}
+	if inclSelf {
+		pairs = int64(g.N())
+	}
+	for k, c := range g.distanceCounts() {
+		sum += int64(k+1) * c
+		pairs += c
 	}
 	if pairs == 0 {
 		return 0
 	}
 	return float64(sum) / float64(pairs)
+}
+
+// distanceCounts returns how many ordered pairs lie at each distance 1, 2,
+// ... up to the diameter of the reachable pairs: entry k-1 is the number of
+// bits a Closure over g gains at level k. One closure to its fixpoint costs
+// a word-OR per (edge, 64 vertices) per level, where a search from every
+// vertex costs an edge visit per (edge, vertex).
+func (g *Graph) distanceCounts() []int64 {
+	var c Closure
+	c.Reset(g.N())
+	adj := g.adj()
+	var counts []int64
+	for reached := int64(g.N()); c.Step(adj, nil, 0, nil, 0); {
+		now := c.reached()
+		counts = append(counts, now-reached)
+		reached = now
+	}
+	return counts
 }
 
 // RemoveEdges returns a copy of g with the given undirected edges deleted.

@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -110,6 +111,98 @@ func TestAvgDistanceComplete(t *testing.T) {
 	// Including self: 20 pairs at 1, 5 at 0 => 20/25.
 	if got := g.AvgDistance(true); got != 0.8 {
 		t.Errorf("K5 avg distance incl self = %v, want 0.8", got)
+	}
+}
+
+// refDiameter is Diameter as one search per source: the definition the
+// closure-level count is held to.
+func refDiameter(g *Graph) (int32, bool) {
+	var diam int32
+	connected := true
+	dist := make([]int32, g.N())
+	for v := 0; v < g.N(); v++ {
+		if g.BFS(int32(v), dist) != g.N() {
+			connected = false
+		}
+		for _, d := range dist {
+			if d != Unreachable && d > diam {
+				diam = d
+			}
+		}
+	}
+	return diam, connected
+}
+
+// refAvgDistance is AvgDistance as one search per source.
+func refAvgDistance(g *Graph, inclSelf bool) float64 {
+	n := g.N()
+	var sum, pairs int64
+	dist := make([]int32, n)
+	for v := 0; v < n; v++ {
+		g.BFS(int32(v), dist)
+		for w, d := range dist {
+			if d == Unreachable || (w == v && !inclSelf) {
+				continue
+			}
+			sum += int64(d)
+			pairs++
+		}
+	}
+	if pairs == 0 {
+		return 0
+	}
+	return float64(sum) / float64(pairs)
+}
+
+// TestDiameterAndAvgDistanceMatchBFS: the closure-level counts give exactly
+// the per-source searches' diameter, connectivity and mean distance (bit
+// for bit, both self-pair conventions) on HyperX, Torus and Dragonfly
+// graphs under growing random fault prefixes — up to every link failed, so
+// disconnected graphs are most of the heavy end — and on the empty and
+// one-vertex graphs.
+func TestDiameterAndAvgDistanceMatchBFS(t *testing.T) {
+	graphs := []*Graph{MustGraph(0, nil), MustGraph(1, nil), MustGraph(2, nil)}
+	for i, sw := range []Switched{MustHyperX(4, 4, 4), MustHyperX(16, 16), MustHyperX(5, 3), MustTorus(4, 5), MustTorus(8, 8), MustDragonfly(4, 2)} {
+		seq := RandomFaultSequence(sw, uint64(i)+1)
+		for _, frac := range []float64{0, 0.05, 0.3, 0.6, 0.8, 0.95, 1} {
+			graphs = append(graphs, NewNetwork(sw, NewFaultSet(seq[:int(frac*float64(len(seq)))]...)).Graph())
+		}
+	}
+	disconnected := 0
+	for _, g := range graphs {
+		gotD, gotC := g.Diameter()
+		wantD, wantC := refDiameter(g)
+		if gotD != wantD || gotC != wantC {
+			t.Errorf("%d vertices, %d edges: Diameter() = %d, %v; BFS says %d, %v", g.N(), g.M(), gotD, gotC, wantD, wantC)
+		}
+		if !wantC {
+			disconnected++
+		}
+		for _, self := range []bool{false, true} {
+			if got, want := g.AvgDistance(self), refAvgDistance(g, self); got != want {
+				t.Errorf("%d vertices, %d edges: AvgDistance(%v) = %v, BFS says %v", g.N(), g.M(), self, got, want)
+			}
+		}
+	}
+	if disconnected < 10 {
+		t.Fatalf("only %d disconnected graphs checked", disconnected)
+	}
+}
+
+// BenchmarkGraphDiameter is what a fault figure's graph work pays per fault
+// count (Fig 1 per cut, Fig 6's rows): the diameter of the 8x8x8 HyperX
+// with the first n links of a random fault sequence removed.
+func BenchmarkGraphDiameter(b *testing.B) {
+	h := MustHyperX(8, 8, 8)
+	seq := RandomFaultSequence(h, 1)
+	for _, n := range []int{0, 1000} {
+		b.Run(fmt.Sprintf("faults=%d", n), func(b *testing.B) {
+			g := NewNetwork(h, NewFaultSet(seq[:n]...)).Graph()
+			b.ReportAllocs()
+			for b.Loop() {
+				g.Diameter()
+			}
+		})
 	}
 }
 
