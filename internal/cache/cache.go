@@ -13,14 +13,15 @@
 // subtree — the `experiments -exp cache-gc` maintenance command.
 //
 // Beside each unfinished spec's future .res entry the store can hold a
-// .ckpt file: a gzip-compressed mid-run engine snapshot (sim's
-// hyperx-ckpt codec), addressed by the same key. Checkpoints let a
-// preempted run resume instead of restarting; once the terminal result is
-// cached the checkpoint is orphaned, and GCCheckpoints reaps it.
+// .ckpt file: a mid-run engine snapshot, addressed by the same key. The
+// store keeps it as opaque bytes, exactly as sim's CheckpointOptions.Sink
+// produced them (gzip over the sealed hyperx-ckpt codec — a form only sim
+// reads). Checkpoints let a preempted run resume instead of restarting;
+// once the terminal result is cached the checkpoint is orphaned, and
+// GCCheckpoints reaps it.
 package cache
 
 import (
-	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
@@ -194,79 +195,33 @@ func (s *Store) Put(key string, res *sim.Result) error {
 	})
 }
 
-// GetCheckpoint returns the stored engine snapshot for key, or ok == false
-// when there is none. A checkpoint that cannot be read or decompressed is
-// treated as absent: the caller restarts from zero, which is always safe
-// (the snapshot's own checksum guards against subtler corruption).
+// GetCheckpoint returns the stored engine snapshot for key, byte for byte
+// as PutCheckpoint took it, or ok == false when there is none or it cannot
+// be read. The store does not look inside: a damaged snapshot is refused by
+// the run that resumes it (sim.ErrBadSnapshot), which then restarts from
+// zero — always safe.
 func (s *Store) GetCheckpoint(key string) (snap []byte, ok bool) {
 	p, err := s.entryPath(key, ".ckpt")
 	if err != nil {
 		return nil, false
 	}
-	f, err := os.Open(p)
-	if err != nil {
-		return nil, false
-	}
-	defer f.Close()
-	snap = DecompressSnapshot(f)
-	return snap, snap != nil
+	snap, err = readEntry(p)
+	return snap, err == nil && len(snap) > 0
 }
 
-// CompressSnapshot writes the gzip form of an engine snapshot to w: the
-// encoding of .ckpt files and of the queue's ckpt frames. A snapshot is
-// written every checkpoint interval and read at most once, so it takes the
-// fastest level — struct-of-arrays state is mostly zeros and small
-// counters, which the fastest level already shrinks severalfold, and the
-// default level cost more than the capture it stored. Readers are plain
-// gzip readers, indifferent to the level.
-func CompressSnapshot(w io.Writer, snap []byte) error {
-	zw, err := gzip.NewWriterLevel(w, gzip.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(snap); err != nil {
-		return err
-	}
-	return zw.Close()
-}
-
-// maxSnapshotBytes bounds what DecompressSnapshot will inflate. The gzip
-// stream arrives from a .ckpt file or a ckpt/job frame, and a few KB of
-// compressed zeros would otherwise inflate without limit. A snapshot holds
-// no more than its engine's arenas, and the largest engine the README
-// sizes — the 32×32×32 cube, 32K switches at ~35 KB each, 1.1 GB — rounds
-// up to this power of two.
-const maxSnapshotBytes = 2 << 30
-
-// DecompressSnapshot reads back what CompressSnapshot wrote. Any damage —
-// not gzip, a torn stream, nothing inside, more than maxSnapshotBytes
-// inside — returns nil: to every caller that is "no snapshot", and the run
-// starts from zero, which is always safe (the snapshot's own checksum
-// catches what gzip does not).
-func DecompressSnapshot(r io.Reader) []byte { return decompressSnapshot(r, maxSnapshotBytes) }
-
-func decompressSnapshot(r io.Reader, limit int64) []byte {
-	zr, err := gzip.NewReader(r)
-	if err != nil {
-		return nil
-	}
-	defer zr.Close()
-	snap, err := io.ReadAll(io.LimitReader(zr, limit+1)) // one past: longer is told from exactly limit
-	if err != nil || len(snap) == 0 || int64(len(snap)) > limit {
-		return nil
-	}
-	return snap
-}
-
-// PutCheckpoint stores a compressed engine snapshot under key, atomically —
-// a crash mid-write leaves either the previous checkpoint or a .tmp- file
-// the next GC sweeps up, never a torn .ckpt.
+// PutCheckpoint stores an engine snapshot under key — the bytes a
+// sim.CheckpointOptions.Sink received, as they are — atomically: a crash
+// mid-write leaves either the previous checkpoint or a .tmp- file the next
+// GC sweeps up, never a torn .ckpt.
 func (s *Store) PutCheckpoint(key string, snap []byte) error {
 	p, err := s.entryPath(key, ".ckpt")
 	if err != nil {
 		return err
 	}
-	return writeAtomic(p, func(w io.Writer) error { return CompressSnapshot(w, snap) })
+	return writeAtomic(p, func(w io.Writer) error {
+		_, err := w.Write(snap)
+		return err
+	})
 }
 
 // RemoveCheckpoint deletes the checkpoint for key, if any. Called when a

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"io/fs"
 	"os"
@@ -60,9 +62,10 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 
 // TestRunCheckpointedBadResumeFallsBack: a resume snapshot the engine
 // refuses restarts the run from zero instead of failing or corrupting it —
-// a torn one, and an intact hyperx-ckpt/1 one (internal/sim's negative
-// seed, refused at the codec byte), which is what a worker of the previous
-// format hands over in a mixed fleet.
+// a torn one, a gzip bomb (8 MB of zeros in a few KB), and an intact
+// hyperx-ckpt/1 one (internal/sim's negative seed, refused at the codec
+// byte), passed as the .ckpt file that holds it, which is what a worker of
+// the previous format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	t.Parallel()
 	spec := ckptSpec()
@@ -70,19 +73,19 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open("../sim/testdata/ckpt1-pr12-4x4-polsp-2faults.gz")
+	ckpt1, err := os.ReadFile("../sim/testdata/ckpt1-pr12-4x4-polsp-2faults.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	ckpt1 := cache.DecompressSnapshot(f)
-	if len(ckpt1) == 0 {
-		t.Fatal("the hyperx-ckpt/1 fixture does not decompress")
+	var bomb bytes.Buffer
+	zw := gzip.NewWriter(&bomb)
+	if _, err := zw.Write(make([]byte, 8<<20)); err != nil || zw.Close() != nil {
+		t.Fatal("cannot build the gzip bomb")
 	}
 	for _, tc := range []struct {
 		name   string
 		resume []byte
-	}{{"torn", []byte("torn checkpoint")}, {"hyperx-ckpt/1", ckpt1}} {
+	}{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}, {"hyperx-ckpt/1", ckpt1}} {
 		res, err := Runner{}.RunSpecVia(&spec, tc.resume, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

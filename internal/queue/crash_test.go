@@ -1,10 +1,13 @@
 package queue
 
 import (
+	"bytes"
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 )
@@ -187,5 +190,86 @@ func TestWorkerDrainHandsOffSnapshot(t *testing.T) {
 	case <-bDone:
 	case <-time.After(10 * time.Second):
 		t.Fatal("successor worker did not exit after server close")
+	}
+}
+
+// TestDurableCheckpointMatchesLocal: the .ckpt a durable server writes from
+// a worker's ckpt frame is byte-identical to the one a local checkpointed
+// run writes for the same spec at the same cycle — the server stores what
+// the worker's engine shipped, as it was. Both sides resume one stored
+// mid-run snapshot with the drain raised, so each ships its final snapshot
+// at the cycle it resumed at: the server's path is the preloaded
+// checkpoint, the job frame, the worker's resume, its ckpt frame and the
+// persist; the local one is the store's checkpoint, the resume and the
+// run's own put. Both files equal the snapshot they resumed from, which
+// restores and captures back to itself.
+func TestDurableCheckpointMatchesLocal(t *testing.T) {
+	t.Parallel()
+	spec := crashSpecs()[3]
+	key := spec.Hash()
+	policy := &experiments.CheckpointPolicy{EveryCycles: 400}
+	var snaps [][]byte
+	if _, err := (experiments.Runner{Checkpoint: policy}).RunSpecVia(&spec, nil, func(s []byte) error {
+		snaps = append(snaps, s)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(snaps) < 3 {
+		t.Fatalf("%d snapshots: too few to pick one mid-run", len(snaps))
+	}
+	mid := snaps[len(snaps)/2]
+	storeWith := func(snap []byte) *cache.Store {
+		store, err := cache.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.PutCheckpoint(key, snap); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+
+	local := storeWith(mid)
+	drained := experiments.Runner{Snapshots: local, Checkpoint: policy, Drain: new(atomic.Bool)}
+	drained.Drain.Store(true)
+	if _, err := drained.RunSpec(&spec); !errors.Is(err, sim.ErrCheckpointed) {
+		t.Fatalf("local drained run returned %v, want ErrCheckpointed", err)
+	}
+	want, ok := local.GetCheckpoint(key)
+	if !ok {
+		t.Fatal("the local drained run left no checkpoint")
+	}
+
+	durable := storeWith(mid)
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: durable})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Execute(&spec) // answered only by Close: the drained job waits for a worker
+	// The drain rises once the job is taken, so the run resumes and
+	// ships its final snapshot at once.
+	w := testWorker(t, experiments.Runner{Workers: 1, Checkpoint: policy, Drain: new(atomic.Bool)})
+	w.onJob = func(*experiments.JobSpec) (time.Duration, error) {
+		w.r.Drain.Store(true)
+		return 0, nil
+	}
+	if err := w.loop(srv.Addr()); err != nil {
+		t.Fatalf("draining worker exited with error: %v", err)
+	}
+	waitFor(t, 10*time.Second, "the server to tally the drain", func() bool { return srv.Stats().Drained == 1 })
+	if st := srv.Stats(); st.CheckpointFrames != 1 || st.PersistFailures != 0 {
+		t.Fatalf("%d ckpt frames, %d persist failures; want 1 and 0", st.CheckpointFrames, st.PersistFailures)
+	}
+	got, ok := durable.GetCheckpoint(key)
+	if !ok {
+		t.Fatal("the durable server persisted no checkpoint")
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("the server's .ckpt (%d bytes) differs from the local run's (%d bytes)", len(got), len(want))
+	}
+	if !bytes.Equal(want, mid) {
+		t.Error("a resumed run's final snapshot differs from the snapshot it resumed from")
 	}
 }

@@ -13,12 +13,19 @@
 //	worker -> server  {"type":"hello","slots":N,"engine":"<version>","name":"w123-1","ckptCap":true,"hbCap":true}
 //	server -> worker  {"type":"hello-ack","engine":"<version>","bye":true,"ckptCap":true,"hb":2000}
 //	server -> worker  {"type":"job","id":7,"fence":1,"spec":{...},"ckpt":"<base64>"}  (up to N outstanding; ckpt optional)
-//	worker -> server  {"type":"ckpt","id":7,"fence":1,"ckpt":"<base64>"}  (periodic snapshot, gzip+base64)
+//	worker -> server  {"type":"ckpt","id":7,"fence":1,"ckpt":"<base64>"}  (periodic snapshot)
 //	worker -> server  {"type":"result","id":7,"fence":1,"result":"<base64>","sum":"<hex sha256>"}
 //	worker -> server  {"type":"result","id":7,"fence":1,"error":"..."}    (job failed)
 //	worker -> server  {"type":"hb"}                             (heartbeat, at the hello-ack's interval)
 //	worker -> server  {"type":"bye"}                            (graceful drain announcement)
 //	server -> worker  {"type":"bye"}                            (graceful shutdown)
+//
+// The two payloads are bytes, which encoding/json writes as standard
+// base64. A ckpt is an engine snapshot exactly as sim's checkpoint Sink
+// produced it: the server keeps it, persists it and hands it to the next
+// worker without looking inside, and only the resuming engine reads it. A
+// result is the sim result codec, with its SHA-256 in sum. A payload that
+// is not base64 fails the frame's parse: a corrupt frame (see below).
 //
 // The version both sides advertise is sim.EngineVersion. A worker whose
 // engine version differs is rejected at the handshake — mixed engines
@@ -84,9 +91,7 @@ package queue
 
 import (
 	"bufio"
-	"bytes"
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -96,7 +101,6 @@ import (
 	"os"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/sim"
 )
 
@@ -114,9 +118,9 @@ type message struct {
 	ID      int64           `json:"id,omitempty"`
 	Fence   int64           `json:"fence,omitempty"` // job: dispatch token; echoed on ckpt/result
 	Spec    json.RawMessage `json:"spec,omitempty"`
-	Ckpt    string          `json:"ckpt,omitempty"` // ckpt frame / job resume: base64 gzip engine snapshot
-	Result  string          `json:"result,omitempty"`
-	Sum     string          `json:"sum,omitempty"` // result: hex SHA-256 of the raw result bytes
+	Ckpt    []byte          `json:"ckpt,omitempty"`   // ckpt frame / job resume: an engine snapshot as sim's Sink shipped it
+	Result  []byte          `json:"result,omitempty"` // result: the sim result codec bytes
+	Sum     string          `json:"sum,omitempty"`    // result: hex SHA-256 of the raw result bytes
 	Error   string          `json:"error,omitempty"`
 }
 
@@ -196,59 +200,30 @@ func encodeOutcome(reply *message, res *sim.Result, err error) {
 		reply.Error = err.Error()
 		return
 	}
-	raw := res.AppendBinary(nil)
-	sum := sha256.Sum256(raw)
-	reply.Result = base64.StdEncoding.EncodeToString(raw)
+	reply.Result = res.AppendBinary(nil)
+	sum := sha256.Sum256(reply.Result)
 	reply.Sum = hex.EncodeToString(sum[:])
 }
 
 // decodeOutcome turns a result frame into the pending job's outcome.
-// ok == false flags transport corruption — bad base64, a checksum
-// mismatch, undecodable result bytes — which is a fault of the link,
-// never a verdict on the job. Job errors carry only the worker marker;
+// ok == false flags transport corruption — a checksum mismatch,
+// undecodable result bytes — which is a fault of the link, never a
+// verdict on the job. (A payload that is not base64 never gets here: the
+// frame fails to parse.) Job errors carry only the worker marker;
 // the submitting side (ExecuteJobs) prefixes the job label.
 func decodeOutcome(msg *message) (outcome, bool) {
 	if msg.Error != "" {
 		return outcome{err: fmt.Errorf("on worker: %s", msg.Error)}, true
 	}
-	raw, err := base64.StdEncoding.DecodeString(msg.Result)
-	if err != nil {
-		return outcome{}, false
-	}
 	if msg.Sum != "" {
-		sum := sha256.Sum256(raw)
+		sum := sha256.Sum256(msg.Result)
 		if hex.EncodeToString(sum[:]) != msg.Sum {
 			return outcome{}, false
 		}
 	}
-	res, err := sim.DecodeResult(raw)
+	res, err := sim.DecodeResult(msg.Result)
 	if err != nil {
 		return outcome{}, false
 	}
 	return outcome{res: res}, true
-}
-
-// encodeSnapshotPayload compresses a raw engine snapshot for the wire:
-// gzip (snapshots are highly repetitive struct-of-arrays data), then
-// base64 for the JSON frame.
-func encodeSnapshotPayload(snap []byte) (string, error) {
-	var buf bytes.Buffer
-	if err := cache.CompressSnapshot(&buf, snap); err != nil {
-		return "", err
-	}
-	return base64.StdEncoding.EncodeToString(buf.Bytes()), nil
-}
-
-// decodeSnapshotPayload reverses encodeSnapshotPayload. Any corruption
-// returns nil — the job then runs from zero, which is always safe (and
-// the snapshot's own checksum catches what gzip doesn't).
-func decodeSnapshotPayload(payload string) []byte {
-	if payload == "" {
-		return nil
-	}
-	raw, err := base64.StdEncoding.DecodeString(payload)
-	if err != nil {
-		return nil
-	}
-	return cache.DecompressSnapshot(bytes.NewReader(raw))
 }

@@ -34,7 +34,7 @@ type pending struct {
 	spec *experiments.JobSpec
 	done chan outcome
 
-	ckpt     string // base64 gzip of the latest engine snapshot, "" for none
+	ckpt     []byte // the latest engine snapshot, as the worker's Sink shipped it; nil for none
 	fence    int64
 	deadline time.Time
 	attempts []experiments.QuarantineAttempt
@@ -383,11 +383,11 @@ func (s *Server) Execute(spec *experiments.JobSpec) (*sim.Result, error) {
 		if first {
 			s.journalAppend(cache.JournalRecord{Op: cache.JournalEnum, Key: p.key})
 		}
-		if snap, ok := s.opts.Store.GetCheckpoint(p.key); ok {
-			if payload, err := encodeSnapshotPayload(snap); err == nil {
-				p.ckpt = payload
-			}
-		}
+		// Preloaded as stored: only sim reads the form. A damaged file
+		// costs each worker it reaches a refused resume and a run from
+		// zero until that run's first ckpt frame overwrites it — accepted,
+		// since the result bytes do not change.
+		p.ckpt, _ = s.opts.Store.GetCheckpoint(p.key)
 	}
 	select {
 	case s.jobs <- p:

@@ -152,22 +152,19 @@ func (ss *session) handle(msg *message) bool {
 	case "ckpt":
 		p := ss.held[msg.ID]
 		if p == nil || (msg.Fence != 0 && msg.Fence != p.fence) {
-			if msg.Ckpt != "" {
+			if len(msg.Ckpt) > 0 {
 				s.zombies.Add(1)
 			}
 			return true
 		}
-		if msg.Ckpt == "" {
+		if len(msg.Ckpt) == 0 {
 			return true
 		}
 		p.ckpt = msg.Ckpt
 		s.ckpts.Add(1)
 		p.deadline = time.Now().Add(s.leaseFor(p.spec))
-		if s.opts.Store != nil && p.key != "" {
-			snap := decodeSnapshotPayload(msg.Ckpt)
-			if snap == nil || s.opts.Store.PutCheckpoint(p.key, snap) != nil {
-				s.persistFails.Add(1)
-			}
+		if s.opts.Store != nil && p.key != "" && s.opts.Store.PutCheckpoint(p.key, msg.Ckpt) != nil {
+			s.persistFails.Add(1)
 		}
 	case "result":
 		out, ok := decodeOutcome(msg)

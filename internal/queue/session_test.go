@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
@@ -170,7 +171,7 @@ func TestHugeSlotsHelloCostsNoGoroutines(t *testing.T) {
 // blocks.
 func bigPending(id int64) *pending {
 	spec := testSpecs()[0]
-	return &pending{id: id, spec: &spec, done: make(chan outcome, 1), ckpt: strings.Repeat("A", 16<<20)}
+	return &pending{id: id, spec: &spec, done: make(chan outcome, 1), ckpt: bytes.Repeat([]byte("A"), 16<<20)}
 }
 
 // TestSilentWorkerSeveredMidWrite: the session's one goroutine may be
@@ -226,8 +227,9 @@ func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
 }
 
 // FuzzFrame: any line a peer sends is an error or a frame, and whatever
-// the frame carries decodes to an error or a value — never a panic. The
-// decoded frame then goes through a session holding one custody, whose
+// the frame carries decodes to an error or a value — never a panic. A
+// snapshot payload is opaque here: it parses as base64 or fails the frame.
+// The decoded frame then goes through a session holding one custody, whose
 // slot accounting must hold after every frame.
 func FuzzFrame(f *testing.F) {
 	spec := testSpecs()[0]
@@ -239,10 +241,7 @@ func FuzzFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	snap, err := encodeSnapshotPayload([]byte("not a snapshot, but gzip and base64 like one"))
-	if err != nil {
-		f.Fatal(err)
-	}
+	snap := []byte("not a snapshot, but opaque bytes like one")
 	result := &message{Type: "result", ID: 7, Fence: 1}
 	encodeOutcome(result, res, nil)
 	for _, msg := range []*message{
@@ -273,8 +272,7 @@ func FuzzFrame(f *testing.F) {
 			if out, ok := decodeOutcome(&msg); ok && out.res == nil && out.err == nil {
 				t.Fatal("a result frame decoded to neither a result nor an error")
 			}
-		case "ckpt", "job":
-			decodeSnapshotPayload(msg.Ckpt)
+		case "job":
 			if s, err := experiments.DecodeSpecJSON(msg.Spec); err == nil && s == nil {
 				t.Fatal("a spec decoded to neither a spec nor an error")
 			}
@@ -289,4 +287,125 @@ func FuzzFrame(f *testing.F) {
 			t.Fatalf("after %q: held %d but %d outcomes delivered", line, len(ss.held), len(p.done))
 		}
 	})
+}
+
+// TestFramesMatchLiteralEncoding pins the wire bytes of the frames that
+// carry payloads. The literals are lines an earlier encoding produced, one
+// that held each payload as a base64 string: a job with a resume snapshot,
+// a ckpt frame, and a result with its checksum. Byte payloads must encode
+// to the same lines, and the lines must decode back to the payloads, so
+// servers and workers of either encoding interoperate.
+func TestFramesMatchLiteralEncoding(t *testing.T) {
+	t.Parallel()
+	snap := []byte{0x1f, 0x8b, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0xff, 0xfb, 0xef, 0xbe, 0x3e, 0x00}
+	res := &sim.Result{OfferedLoad: 0.5, AcceptedLoad: 0.49, AvgLatency: 42.25, DeliveredPackets: 1234, GeneratedPackets: 1250, Cycles: 1500}
+	result := &message{Type: "result", ID: 7, Fence: 2}
+	encodeOutcome(result, res, nil)
+	for _, tc := range []struct {
+		msg  *message
+		line string
+	}{
+		{&message{Type: "job", ID: 7, Fence: 2, Spec: json.RawMessage(`{"mechanism":"PolSP","load":0.5}`), Ckpt: snap},
+			`{"type":"job","id":7,"fence":2,"spec":{"mechanism":"PolSP","load":0.5},"ckpt":"H4sIAAAAAAAE//vvvj4A"}`},
+		{&message{Type: "ckpt", ID: 7, Fence: 2, Ckpt: snap},
+			`{"type":"ckpt","id":7,"fence":2,"ckpt":"H4sIAAAAAAAE//vvvj4A"}`},
+		{result,
+			`{"type":"result","id":7,"fence":2,"result":"AQAAAAAAAOA/XI/C9Shc3z8AAAAAACBFQAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA0gQAAAAAAADiBAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAANwFAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA==","sum":"9da38cd1d86b0aa5d9f2082498cd22c91253c11afca4095b2917b993dc6ac475"}`},
+	} {
+		got, err := json.Marshal(tc.msg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != tc.line {
+			t.Errorf("%s frame moved:\n got %s\nwant %s", tc.msg.Type, got, tc.line)
+		}
+		var back message
+		if err := readMessage(bufio.NewReader(strings.NewReader(tc.line+"\n")), &back); err != nil {
+			t.Fatalf("%s: the literal does not parse: %v", tc.msg.Type, err)
+		}
+		if !bytes.Equal(back.Ckpt, tc.msg.Ckpt) || !bytes.Equal(back.Result, tc.msg.Result) {
+			t.Errorf("%s: the literal decodes to other payload bytes", tc.msg.Type)
+		}
+	}
+	if out, ok := decodeOutcome(result); !ok || out.res == nil || !bytes.Equal(out.res.AppendBinary(nil), res.AppendBinary(nil)) {
+		t.Error("the result frame does not decode back to its result")
+	}
+}
+
+// TestNonBase64CheckpointIsCorruptFrame: a ckpt frame whose payload is not
+// base64 is a corrupt frame, like any other line that does not parse. The
+// session severs the link and counts it; the job the worker held requeues
+// without the undecodable snapshot, which reaches neither the store nor
+// the next worker, and that worker completes the job from zero.
+func TestNonBase64CheckpointIsCorruptFrame(t *testing.T) {
+	t.Parallel()
+	store, err := cache.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	spec := testSpecs()[0]
+	ref, err := slots(1).RunSpec(&spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		res *sim.Result
+		err error
+	}
+	execDone := make(chan result, 1)
+	go func() {
+		res, err := srv.Execute(&spec)
+		execDone <- result{res, err}
+	}()
+
+	conn := dialHello(t, srv.Addr(), message{Slots: 1, Name: "garbler", CkptCap: true})
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	r := bufio.NewReader(conn)
+	var ack, job message
+	if err := readMessage(r, &ack); err != nil || ack.Type != "hello-ack" {
+		t.Fatalf("no ack: %+v %v", ack, err)
+	}
+	if err := readMessage(r, &job); err != nil || job.Type != "job" {
+		t.Fatalf("no job: %+v %v", job, err)
+	}
+	frame := fmt.Sprintf(`{"type":"ckpt","id":%d,"fence":%d,"ckpt":"not base64!"}`+"\n", job.ID, job.Fence)
+	if _, err := conn.Write([]byte(frame)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 10*time.Second, "the corrupt frame to sever the session and requeue its job", func() bool {
+		st := srv.Stats()
+		return st.CorruptFrames == 1 && st.Crashed == 1 && st.Requeues == 1
+	})
+	if st := srv.Stats(); st.CheckpointFrames != 0 || st.PersistFailures != 0 {
+		t.Errorf("the undecodable snapshot was taken: %d ckpt frames, %d persist failures", st.CheckpointFrames, st.PersistFailures)
+	}
+	if _, ok := store.GetCheckpoint(spec.Hash()); ok {
+		t.Error("the undecodable snapshot reached the store")
+	}
+
+	w := testWorker(t, slots(1))
+	w.onResume = func(n int) { t.Errorf("the requeued job carried a %d-byte resume snapshot", n) }
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- w.loop(srv.Addr()) }()
+	select {
+	case got := <-execDone:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if !bytes.Equal(got.res.AppendBinary(nil), ref.AppendBinary(nil)) {
+			t.Error("the requeued job's result differs from a local run")
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the requeued job never completed")
+	}
+	srv.Close()
+	if err := <-workerDone; err != nil {
+		t.Errorf("worker exit: %v", err)
+	}
 }

@@ -297,9 +297,8 @@ func (jp *jobPort) send(msg *message) {
 // from the job frame's snapshot, and shipping checkpoints if the server
 // takes them — and hands every frame it produces up to the session loop.
 func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
-	resume := decodeSnapshotPayload(job.Ckpt)
-	if h := jp.w.onResume; h != nil && len(resume) > 0 {
-		h(len(resume))
+	if h := jp.w.onResume; h != nil && len(job.Ckpt) > 0 {
+		h(len(job.Ckpt))
 	}
 	select {
 	case jp.sem <- struct{}{}:
@@ -310,11 +309,8 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 	var res *sim.Result
 	runErr := specErr
 	if runErr == nil && ckpt {
-		res, runErr = jp.w.r.RunSpecVia(spec, resume, func(snap []byte) error {
-			// An unshippable snapshot never fails the run.
-			if payload, err := encodeSnapshotPayload(snap); err == nil {
-				jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: payload})
-			}
+		res, runErr = jp.w.r.RunSpecVia(spec, job.Ckpt, func(snap []byte) error {
+			jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: snap})
 			return nil
 		})
 	} else if runErr == nil {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/topo"
 	"repro/internal/traffic"
-	"repro/internal/wire"
 )
 
 // loadedPaperEngine builds a paper-scale 8x8x8 engine and warms it under
@@ -221,7 +220,10 @@ func BenchmarkSteadyStateStepAllocs(b *testing.B) {
 // paper-scale 8x8x8 under PolSP at load 0.7 (a few MB: every queue, the
 // packet pool and the calendar wheel populated), and, as Capture, the
 // part of a checkpoint that stays on the cycle loop: capturing the same
-// state from an engine restored to it. MB/s comes from SetBytes.
+// state from an engine restored to it. Seal is what the ship goroutine
+// does with a capture (encode, trailer, gzip) and Inflate the gzip layer
+// a resume undoes first. MB/s comes from SetBytes, always over the codec
+// bytes.
 func BenchmarkSnapshotCodec(b *testing.B) {
 	h := topo.MustHyperX(8, 8, 8)
 	nw := topo.NewNetwork(h, nil)
@@ -245,10 +247,7 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 	if _, err = Run(o); err != nil {
 		b.Fatal(err)
 	}
-	body, ok := wire.Open(snap)
-	if !ok {
-		b.Fatal("the shipped snapshot fails its own trailer")
-	}
+	body := snapshotBody(b, snap)
 	st, err := decodeSnapshotState(body)
 	if err != nil {
 		b.Fatal(err)
@@ -272,6 +271,20 @@ func BenchmarkSnapshotCodec(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if enc := appendSnapshotState(nil, st); len(enc) != len(body) {
 				b.Fatalf("encoded %d bytes, the snapshot body has %d", len(enc), len(body))
+			}
+		}
+	})
+	b.Run("Seal", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			sealSnapshot(st)
+		}
+	})
+	b.Run("Inflate", func(b *testing.B) {
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			if _, err := inflateSnapshot(snap, maxSnapshotBytes); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

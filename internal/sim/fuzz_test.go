@@ -3,11 +3,11 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"os"
 	"reflect"
 	"testing"
 
 	"repro/internal/topo"
-	"repro/internal/wire"
 )
 
 // The decoders read bytes from disk and from sockets, so their contract
@@ -36,20 +36,14 @@ func FuzzDecodeResult(f *testing.F) {
 	})
 }
 
-// snapshotBody strips a sealed snapshot's trailer: the fuzz targets start
-// behind the checksum, where only the decoder and the restore checks stand.
-func snapshotBody(f *testing.F, sealed []byte) []byte {
-	body, ok := wire.Open(sealed)
-	if !ok {
-		f.Fatal("seed snapshot fails its own trailer")
-	}
-	return body
-}
-
 func FuzzDecodeSnapshotState(f *testing.F) {
 	_, snaps := collectSnapshots(f, snapshotRun(f, topo.MustHyperX(4, 4)), 400)
 	f.Add(snapshotBody(f, snaps[0]))
-	f.Add(snapshotBody(f, readGzip(f, snapshotFromPR12))) // hyperx-ckpt/1: refused at the codec byte
+	ckpt1, err := os.ReadFile(snapshotFromPR12)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(snapshotBody(f, ckpt1)) // hyperx-ckpt/1: refused at the codec byte
 	f.Add(appendSnapshotState(nil, &snapshotState{Magic: SnapshotVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
@@ -93,8 +87,8 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	if len(snaps) < 2 {
 		f.Fatalf("%d seed snapshots, want one on each side of the fault at cycle 500", len(snaps))
 	}
-	for _, sealed := range snaps {
-		f.Add(snapshotBody(f, sealed))
+	for _, snap := range snaps {
+		f.Add(snapshotBody(f, snap))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"io"
 	"os"
 	"strings"
 	"testing"
@@ -115,33 +113,15 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 // snapshotFromPR12 is a hyperx-ckpt/1 snapshot written by the engine of the
 // commit before the sender-indexed ledger: 4x4 PolSP, four VCs, four
 // servers per switch, load 0.9, seed 77, links RandomFaultSequence(h, 7)[0]
-// and [1] failing at cycles 400 and 800, taken at cycle 804. It is the
-// negative seed of the format: what an old worker or an old checkpoint
-// directory still holds. resultFromPR12 is the SHA-256 of the Result bytes
-// that commit produced for the uninterrupted run.
+// and [1] failing at cycles 400 and 800, taken at cycle 804, as a .ckpt file
+// of that engine held it: gzip over the sealed codec, the form Resume takes.
+// It is the negative seed of the format: what an old worker or an old
+// checkpoint directory still holds. resultFromPR12 is the SHA-256 of the
+// Result bytes that commit produced for the uninterrupted run.
 const (
 	snapshotFromPR12 = "testdata/ckpt1-pr12-4x4-polsp-2faults.gz"
 	resultFromPR12   = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
 )
-
-// readGzip returns the decompressed content of a testdata file.
-func readGzip(t testing.TB, path string) []byte {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
 
 // TestCkpt1SnapshotRefused: a hyperx-ckpt/1 snapshot — intact, its trailer
 // valid, taken under this very spec — is refused with ErrBadSnapshot at the
@@ -153,7 +133,10 @@ func readGzip(t testing.TB, path string) []byte {
 // never a result (JobSpec-level fallback: experiments'
 // TestRunCheckpointedBadResumeFallsBack).
 func TestCkpt1SnapshotRefused(t *testing.T) {
-	snap := readGzip(t, snapshotFromPR12)
+	snap, err := os.ReadFile(snapshotFromPR12)
+	if err != nil {
+		t.Fatal(err)
+	}
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
 	opts := func() RunOptions {
@@ -168,7 +151,11 @@ func TestCkpt1SnapshotRefused(t *testing.T) {
 		}
 	}
 
-	body, ok := wire.Open(snap)
+	sealed, err := inflateSnapshot(snap, maxSnapshotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := wire.Open(sealed)
 	if !ok {
 		t.Fatal("the fixture fails its own trailer: it no longer shows a refusal behind the checksum")
 	}

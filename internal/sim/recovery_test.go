@@ -269,7 +269,7 @@ func TestFaultScheduleGoldenBytes(t *testing.T) {
 		_, snaps := collectSnapshots(t, runs[name](1), 250)
 		var snap []byte
 		for _, s := range snaps {
-			st, err := decodeSnapshotState(s[:len(s)-sha256.Size])
+			st, err := decodeSnapshotState(snapshotBody(t, s))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"bytes"
+	"compress/gzip"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"slices"
 	"sync/atomic"
@@ -69,9 +72,13 @@ type CheckpointOptions struct {
 	// allowed (and matches only empty).
 	SpecHash string
 	// Resume, when non-empty, restores the engine from this snapshot before
-	// the first cycle instead of starting from zero.
+	// the first cycle instead of starting from zero. It takes the bytes a
+	// Sink received, as they were; the run refuses anything else with
+	// ErrBadSnapshot.
 	Resume []byte
-	// Sink receives each encoded snapshot (checksum trailer included); a nil
+	// Sink receives each snapshot in the one form a checkpoint has outside
+	// this package: gzip over the encoding and its checksum trailer. Callers
+	// store and ship those bytes as they are; only Resume reads them. A nil
 	// Sink disables snapshot shipping. It runs on a goroutine of its own,
 	// off the cycle loop, one call at a time and in capture order, and the
 	// last call has returned before Run does. A Sink error aborts the run:
@@ -226,8 +233,8 @@ type snapshotState struct {
 //
 // It is the only part of a checkpoint that runs on the cycle loop: the
 // state it returns owns every slice it holds (copies, never the engine's
-// arrays), so the loop steps on while another goroutine encodes, seals and
-// ships it (ship).
+// arrays), so the loop steps on while another goroutine encodes, seals,
+// compresses and ships it (ship).
 func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	for sw := 0; sw < e.S; sw++ {
 		if len(e.outbox[sw]) != 0 || len(e.freed[sw]) != 0 ||
@@ -359,19 +366,64 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	}
 }
 
-// sealSnapshot encodes a captured snapshot: the binary snapshotState body
-// followed by a SHA-256 checksum trailer, so a torn or truncated file is
-// detected on restore instead of resuming corrupt state.
+// sealSnapshot encodes a captured snapshot in the one form a checkpoint
+// takes outside the engine — what Sink receives, Resume accepts, a .ckpt
+// file holds and a queue frame carries: the binary snapshotState body and
+// a SHA-256 checksum trailer (so a torn file is refused on restore, not
+// resumed), gzip-compressed. A snapshot is written every interval and read
+// at most once, so it takes the fastest level: the mostly-zero
+// struct-of-arrays state already shrinks about fivefold there, and the
+// default level cost more than the capture it stored.
 func sealSnapshot(st *snapshotState) []byte {
-	return wire.Seal(appendSnapshotState(nil, st))
+	// Neither call can fail: the level is a valid one, and the writer
+	// writes into memory.
+	var b bytes.Buffer
+	zw, _ := gzip.NewWriterLevel(&b, gzip.BestSpeed)
+	zw.Write(wire.Seal(appendSnapshotState(nil, st)))
+	zw.Close()
+	return b.Bytes()
 }
 
-// restoreSnapshot verifies and applies a sealSnapshot buffer to a freshly
-// constructed engine. All rejection paths wrap ErrBadSnapshot.
+// maxSnapshotBytes bounds what restoreSnapshot inflates. The gzip stream
+// arrives from a .ckpt file or a job frame, and a few KB of compressed
+// zeros would otherwise inflate without limit. A snapshot holds no more
+// than its engine's arenas, and the largest engine the README sizes — the
+// 32×32×32 cube, 32K switches at ~35 KB each, 1.1 GB — rounds up to this
+// power of two.
+const maxSnapshotBytes = 2 << 30
+
+// inflateSnapshot undoes sealSnapshot's compression. A stream that is not
+// gzip, is torn, or inflates past limit, however few bytes it arrives in,
+// is refused with ErrBadSnapshot. Any gzip level reads back.
+func inflateSnapshot(snap []byte, limit int64) ([]byte, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(snap))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %d bytes are not a gzip stream: %v", ErrBadSnapshot, len(snap), err)
+	}
+	sealed, err := io.ReadAll(io.LimitReader(zr, limit+1)) // one past: longer is told from exactly limit
+	if err != nil {
+		return nil, fmt.Errorf("%w: torn gzip stream: %v", ErrBadSnapshot, err)
+	}
+	if int64(len(sealed)) > limit {
+		return nil, fmt.Errorf("%w: inflates past %d bytes", ErrBadSnapshot, limit)
+	}
+	return sealed, nil
+}
+
+// errSnapshotTrailer marks, alongside ErrBadSnapshot, a snapshot that
+// inflated but fails its checksum trailer.
+var errSnapshotTrailer = errors.New("fail the checksum trailer (torn or corrupt checkpoint)")
+
+// restoreSnapshot inflates, verifies and applies a sealSnapshot buffer to
+// a freshly constructed engine. All rejection paths wrap ErrBadSnapshot.
 func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
-	body, ok := wire.Open(snap)
+	sealed, err := inflateSnapshot(snap, maxSnapshotBytes)
+	if err != nil {
+		return err
+	}
+	body, ok := wire.Open(sealed)
 	if !ok {
-		return fmt.Errorf("%w: %d bytes fail the checksum trailer (torn or corrupt checkpoint)", ErrBadSnapshot, len(snap))
+		return fmt.Errorf("%w: %d bytes %w", ErrBadSnapshot, len(sealed), errSnapshotTrailer)
 	}
 	st, err := decodeSnapshotState(body)
 	if err != nil {
@@ -815,8 +867,8 @@ func (c *ckptClock) wait() error {
 // It waits for the snapshot in flight — so a slow Sink holds the loop back
 // rather than piling up captures, and Sink calls never overlap — and
 // returns that one's Sink error if it failed. Otherwise it captures the
-// engine and starts encoding, sealing and shipping the capture on a
-// goroutine of its own, which touches nothing of the engine.
+// engine and starts encoding, sealing, compressing and shipping the capture
+// on a goroutine of its own, which touches nothing of the engine.
 func (e *engine) ship(c *ckptClock, o RunOptions) error {
 	if err := c.wait(); err != nil {
 		return err
@@ -833,11 +885,11 @@ func (e *engine) ship(c *ckptClock, o RunOptions) error {
 // cycle or wall-clock interval has elapsed, and — when Interrupt is raised
 // — ships a final snapshot, waits until Sink has taken it, and stops the
 // run with ErrCheckpointed. Only the capture runs here; the encoding, the
-// checksum and the Sink call run off the loop (ship), whose caller waits
-// for the last of them. Capturing a snapshot never mutates engine state,
-// so periodic checkpointing cannot perturb results, and the wall-clock
-// trigger (checked only every 64 iterations to keep it off the hot path)
-// costs nothing in determinism.
+// checksum, the compression and the Sink call run off the loop (ship),
+// whose caller waits for the last of them. Capturing a snapshot never
+// mutates engine state, so periodic checkpointing cannot perturb results,
+// and the wall-clock trigger (checked only every 64 iterations to keep it
+// off the hot path) costs nothing in determinism.
 func (e *engine) maybeCheckpoint(c *ckptClock, o RunOptions) error {
 	ck := o.Checkpoint
 	if ck == nil || ck.Sink == nil {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/topo"
+	"repro/internal/wire"
 )
 
 // snapshotRun is the reference configuration of the snapshot unit tests:
@@ -42,7 +44,7 @@ func snapshotBurstRun(t testing.TB, h *topo.HyperX) RunOptions {
 }
 
 // collectSnapshots runs o with periodic cycle checkpoints and returns the
-// result bytes plus every shipped snapshot.
+// result bytes plus every shipped snapshot, as its Sink received it.
 func collectSnapshots(t testing.TB, o RunOptions, everyCycles int64) ([]byte, [][]byte) {
 	t.Helper()
 	var snaps [][]byte
@@ -54,6 +56,22 @@ func collectSnapshots(t testing.TB, o RunOptions, everyCycles int64) ([]byte, []
 		},
 	}
 	return runBytes(t, o), snaps
+}
+
+// snapshotBody inflates a shipped snapshot and strips its checksum trailer:
+// the codec body, where the state-level tests and the fuzz targets start,
+// behind the layers only the decoder and the restore checks stand.
+func snapshotBody(t testing.TB, snap []byte) []byte {
+	t.Helper()
+	sealed, err := inflateSnapshot(snap, maxSnapshotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, ok := wire.Open(sealed)
+	if !ok {
+		t.Fatal("a shipped snapshot fails its own trailer")
+	}
+	return body
 }
 
 // TestSnapshotResumeBitIdentical is the core restore contract: run to
@@ -90,7 +108,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, snap := range snaps {
-				st, err := decodeSnapshotState(snap[:len(snap)-sha256.Size])
+				st, err := decodeSnapshotState(snapshotBody(t, snap))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -163,10 +181,13 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 // TestSnapshotBytesGolden pins the hyperx-ckpt/2 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
-// equals a literal. Every .ckpt file on disk and every checkpoint frame in
-// flight was written in this layout, so the literals may only move together
-// with SnapshotVersion; never regenerate them from the code under test.
-// Each snapshot also resumes to the run's own result bytes.
+// equals a literal. The digests are of the sealed bytes inside the gzip
+// layer a Sink receives: every .ckpt file on disk and every checkpoint frame
+// in flight holds this layout, so the literals may only move together with
+// SnapshotVersion; never regenerate them from the code under test. Each
+// snapshot, as shipped, is compressed — under half its sealed bytes, which
+// an uncompressed gzip stream is not — and resumes to the run's own result
+// bytes.
 func TestSnapshotBytesGolden(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	opts := func() RunOptions {
@@ -192,7 +213,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
-		got[i] = fmt.Sprintf("%x", sha256.Sum256(s))
+		sealed, err := inflateSnapshot(s, maxSnapshotBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got[i] = fmt.Sprintf("%x", sha256.Sum256(sealed))
+		if len(s) >= len(sealed)/2 {
+			t.Errorf("snapshot %d ships %d bytes for %d sealed: not compressed", i, len(s), len(sealed))
+		}
 	}
 	if !slices.Equal(got, want) {
 		t.Errorf("snapshot digests moved without a SnapshotVersion bump:\n got %q\nwant %q", got, want)
@@ -262,7 +290,7 @@ func TestSnapshotInterruptDrain(t *testing.T) {
 // snapshotCycle decodes the cycle a shipped snapshot was captured at.
 func snapshotCycle(t *testing.T, snap []byte) int64 {
 	t.Helper()
-	st, err := decodeSnapshotState(snap[:len(snap)-sha256.Size])
+	st, err := decodeSnapshotState(snapshotBody(t, snap))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,9 +533,10 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 }
 
 // TestSnapshotRejectsCorrupt locks in the torn-checkpoint defense: a
-// truncated file, a flipped byte, or a header that does not match the run
-// must all be rejected with ErrBadSnapshot (so callers fall back to a
-// restart from zero), never applied.
+// truncated file, a flipped byte, a gzip bomb, or a header that does not
+// match the run must all be rejected with ErrBadSnapshot (so callers fall
+// back to a restart from zero), never applied. Damage to the sealed bytes
+// behind an intact gzip layer is the checksum trailer's to refuse.
 func TestSnapshotRejectsCorrupt(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	_, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
@@ -517,7 +546,7 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 	snap := snaps[0]
 	reseal := func(mutate func(*snapshotState)) func(*RunOptions, []byte) []byte {
 		return func(_ *RunOptions, s []byte) []byte {
-			st, err := decodeSnapshotState(s[:len(s)-sha256.Size])
+			st, err := decodeSnapshotState(snapshotBody(t, s))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -525,29 +554,120 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			return sealSnapshot(st)
 		}
 	}
+	// Recompressed after the mutation, so only the trailer can refuse it.
+	sealed := func(mutate func([]byte) []byte) func(*RunOptions, []byte) []byte {
+		return func(_ *RunOptions, s []byte) []byte {
+			raw, err := inflateSnapshot(s, maxSnapshotBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return gzipAt(t, gzip.BestSpeed, mutate(raw))
+		}
+	}
 	cases := []struct {
-		name   string
-		mutate func(o *RunOptions, s []byte) []byte
+		name    string
+		trailer bool // the checksum trailer is what refuses it
+		mutate  func(o *RunOptions, s []byte) []byte
 	}{
-		{"truncated", func(o *RunOptions, s []byte) []byte { return s[:len(s)/2] }},
-		{"tiny", func(o *RunOptions, s []byte) []byte { return s[:7] }},
-		{"bitflip", func(o *RunOptions, s []byte) []byte { s[len(s)/3] ^= 0x40; return s }},
-		{"wrong spec hash", func(o *RunOptions, s []byte) []byte {
+		{"truncated", false, func(o *RunOptions, s []byte) []byte { return s[:len(s)/2] }},
+		{"tiny", false, func(o *RunOptions, s []byte) []byte { return s[:7] }},
+		{"bitflip", false, func(o *RunOptions, s []byte) []byte { s[len(s)/3] ^= 0x40; return s }},
+		{"not gzip", false, func(o *RunOptions, s []byte) []byte { return []byte("torn checkpoint") }},
+		// 8 MB of zeros in a few KB: under the bound, so it inflates and
+		// the trailer refuses it (TestInflateSnapshotBounded: past it).
+		{"gzip bomb", true, func(o *RunOptions, s []byte) []byte { return gzipAt(t, gzip.BestSpeed, make([]byte, 8<<20)) }},
+		{"sealed truncated", true, sealed(func(b []byte) []byte { return b[:len(b)/2] })},
+		{"sealed bitflip", true, sealed(func(b []byte) []byte { b[len(b)/3] ^= 0x40; return b })},
+		{"wrong spec hash", false, func(o *RunOptions, s []byte) []byte {
 			o.Checkpoint.SpecHash = "deadbeef"
 			return s
 		}},
-		{"wrong seed", func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
+		{"wrong seed", false, func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
 		// Re-sealed, so only the header check can refuse them.
-		{"engine hyperx-sim/3", reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
-		{"format hyperx-ckpt/1", reseal(func(st *snapshotState) { st.Magic = "hyperx-ckpt/1" })},
+		{"engine hyperx-sim/3", false, reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
+		{"format hyperx-ckpt/1", false, reseal(func(st *snapshotState) { st.Magic = "hyperx-ckpt/1" })},
 	}
 	for _, tc := range cases {
 		o := snapshotRun(t, h)
 		o.Checkpoint = &CheckpointOptions{}
 		o.Checkpoint.Resume = tc.mutate(&o, append([]byte(nil), snap...))
-		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+		_, err := Run(o)
+		if !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: resume returned %v, want ErrBadSnapshot", tc.name, err)
+		} else if errors.Is(err, errSnapshotTrailer) != tc.trailer {
+			t.Errorf("%s: refused by %v, want the checksum trailer to be the one refusing: %v", tc.name, err, tc.trailer)
 		}
+	}
+}
+
+// gzipAt compresses data at a gzip level of the caller's choosing.
+func gzipAt(t testing.TB, level int, data []byte) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&b, level)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// TestInflateSnapshotBounded: a gzip stream that inflates past the bound is
+// damage — ErrBadSnapshot, the run restarts from zero — however few bytes
+// it arrives in, and so are a stream that is not gzip, a torn one and
+// nothing at all; one of exactly the bound reads back whole. Any gzip level
+// reads back, not only sealSnapshot's: a snapshot written at the default
+// level, as a checkpoint of an older store was, resumes to the run's bytes.
+func TestInflateSnapshotBounded(t *testing.T) {
+	const limit = 4 << 10
+	pack := func(n int) []byte { return gzipAt(t, gzip.BestSpeed, make([]byte, n)) }
+	bomb := pack(64 * limit)
+	if len(bomb) > limit/4 {
+		t.Fatalf("the bomb is %d compressed bytes: not much of a bomb", len(bomb))
+	}
+	whole := pack(limit)
+	for _, tc := range []struct {
+		name string
+		snap []byte
+	}{
+		{"bomb", bomb},
+		{"one byte past the bound", pack(limit + 1)},
+		{"not gzip", []byte("torn checkpoint")},
+		{"torn", whole[:len(whole)-6]},
+		{"empty", nil},
+	} {
+		if got, err := inflateSnapshot(tc.snap, limit); !errors.Is(err, ErrBadSnapshot) || got != nil {
+			t.Errorf("%s: inflated to %d bytes (err %v), want ErrBadSnapshot", tc.name, len(got), err)
+		}
+	}
+	if got, err := inflateSnapshot(whole, limit); err != nil || len(got) != limit {
+		t.Errorf("a snapshot of exactly the bound came back as %d bytes (err %v)", len(got), err)
+	}
+	if got, err := inflateSnapshot(pack(limit+1), maxSnapshotBytes); err != nil || len(got) != limit+1 {
+		t.Errorf("restore's bound refused %d bytes: %v", limit+1, err)
+	}
+	data := []byte(strings.Repeat("engine-state", 100))
+	for _, level := range []int{gzip.NoCompression, gzip.DefaultCompression, gzip.BestCompression} {
+		if got, err := inflateSnapshot(gzipAt(t, level, data), limit); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("level %d: round trip failed (err %v)", level, err)
+		}
+	}
+
+	h := topo.MustHyperX(4, 4)
+	ref, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
+	sealed, err := inflateSnapshot(snaps[0], maxSnapshotBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := snapshotRun(t, h)
+	o.Checkpoint = &CheckpointOptions{Resume: gzipAt(t, gzip.DefaultCompression, sealed)}
+	if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
+		t.Error("a snapshot written at the default gzip level diverged on resume")
 	}
 }
 
@@ -670,7 +790,7 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots shipped")
 	}
-	body := snaps[0][:len(snaps[0])-sha256.Size]
+	body := snapshotBody(t, snaps[0])
 	firstEvent := func(st *snapshotState, kind int8) *eventSnap {
 		for i := range st.Events {
 			if st.Events[i].Kind == kind {

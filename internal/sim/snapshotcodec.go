@@ -11,8 +11,8 @@ import (
 // field type, because the flattened arenas reach tens of millions of
 // entries at paper scale and 8-byte-per-element encoding would triple
 // checkpoint size and wire cost. Layout: one version byte, then every
-// field of snapshotState in declaration order. The SHA-256 trailer is
-// applied by sealSnapshot, above this layer.
+// field of snapshotState in declaration order. The SHA-256 trailer and the
+// gzip layer are applied by sealSnapshot, above this layer.
 
 // walk names every snapshotState field once, in layout order, for both
 // directions of the codec. A new field goes here and bumps SnapshotVersion.
