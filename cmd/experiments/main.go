@@ -29,9 +29,11 @@
 // cache hits and byte-identical output. With -serve the grids are enumerated
 // and folded here but every point executes on connected -worker processes
 // and results merge in enumeration order, bit-identical to a local run. Serve mode
-// tolerates crashed, hung and poisonous participants: jobs run under
-// leases with heartbeats, lost jobs requeue with their latest snapshots,
-// a job that keeps killing workers is quarantined after -poison-attempts
+// tolerates crashed, hung and poisonous participants: every job runs under
+// one fixed lease (2 min), which the worker's checkpoint frames renew — a
+// worker ships one at least every half lease, whatever its -checkpoint-*
+// flags — and workers heartbeat; lost jobs requeue with their latest
+// snapshots, a job that keeps killing workers is quarantined after three
 // distinct losses, and with -cache-dir the server journals the grid so a
 // killed -serve process can be restarted with the same command line and
 // resume where it left off (see the README's "Failure model").
@@ -309,10 +311,6 @@ func main() {
 	progressFlag := flag.Bool("progress", true, "report done/total (ETA) progress lines on stderr")
 	serveAddr := flag.String("serve", "", "serve mode: listen on this address and execute every simulation point on connected -worker processes")
 	workerAddr := flag.String("worker", "", "worker mode: connect to a -serve address and run jobs for it (-workers sets the slot count; -exp is ignored)")
-	poisonAttempts := flag.Int("poison-attempts", queue.DefaultPoisonAttempts, "serve mode: quarantine a job after it costs this many distinct workers; the grid completes around the hole")
-	heartbeat := flag.Duration("heartbeat", 0, "serve mode: worker heartbeat interval; a silent worker is severed after four missed intervals (0 = library default)")
-	leaseBase := flag.Duration("lease-base", 0, "serve mode: base job lease before the per-cycle term; an expired lease requeues the job and fences the holder's late results (0 = library default)")
-	leasePerCycle := flag.Duration("lease-per-cycle", 0, "serve mode: lease time added per simulated cycle of the job's budget (0 = library default)")
 	csvDir := flag.String("csv-dir", "", "also write one CSV per figure/table into this directory (lossless floats, diffable)")
 	jsonlDir := flag.String("jsonl-dir", "", "also write one JSONL file per figure/table into this directory (one schema-stable record per grid point, byte-stable on re-export)")
 	var run cliutil.RunFlags // -seed, -workers, -run-workers, -cache-dir, -checkpoint-*, -mem-stats, -cpuprofile, -trace
@@ -379,13 +377,7 @@ func main() {
 		if store == nil {
 			fmt.Fprintln(os.Stderr, "serve: no -cache-dir: grid journal disabled, a restarted server starts from scratch")
 		}
-		srv, err := queue.ServeWith(*serveAddr, queue.ServeOpts{
-			Store:          store,
-			PoisonAttempts: *poisonAttempts,
-			Heartbeat:      *heartbeat,
-			LeaseBase:      *leaseBase,
-			LeasePerCycle:  *leasePerCycle,
-		})
+		srv, err := queue.ServeWith(*serveAddr, queue.ServeOpts{Store: store})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			exit(2)

@@ -1,13 +1,11 @@
 // Grid journal: the durable half of a -serve run. The work-queue server
-// appends one record per grid event — a spec hash enumerated, a result
-// committed, a worker attempt lost, a job quarantined — so a killed and
-// restarted serve process can reconstruct what its predecessor knew:
-// completed points come back from the .res entries, in-flight points from
-// their .ckpt snapshots, and poison-job attempt histories from the
-// journal itself (a restarted grid must not need a poison spec to kill N
-// fresh workers before re-quarantining it). The journal doubles as the
-// recorded manifest of the grid (figure -> spec hashes) that the roadmap's
-// job service wants for exact cache-gc coverage.
+// appends one record per grid event that only the journal can bring back —
+// a worker attempt lost, a job quarantined — so a killed and restarted
+// serve process can reconstruct what its predecessor knew: completed
+// points come back from the .res entries, in-flight points from their
+// .ckpt snapshots, and poison-job attempt histories from the journal
+// itself (a restarted grid must not need a poison spec to kill N fresh
+// workers before re-quarantining it).
 //
 // The file is append-only JSONL, one record per line, fsynced per append:
 // a crash can lose at most the record being written, and a torn final
@@ -30,9 +28,9 @@ import (
 // Journal ops. The set is append-only: replay ignores unknown ops, so a
 // newer build's journal never breaks an older reader.
 const (
-	// JournalEnum records a spec hash entering the grid.
-	JournalEnum = "enum"
-	// JournalDone records a spec's terminal result being committed.
+	// JournalDone records a spec's terminal result being committed. The
+	// server no longer appends it (the .res entry is the record); only the
+	// frozen bench/ journal probe does, and replay ignores it.
 	JournalDone = "done"
 	// JournalAttempt records a dispatch attempt that ended badly: the
 	// worker vanished with the job, or its lease was revoked.

@@ -25,7 +25,6 @@ func TestJournalRoundTrip(t *testing.T) {
 		t.Fatalf("fresh journal replayed %d records", len(recs))
 	}
 	want := []JournalRecord{
-		{Op: JournalEnum, Key: testKey(1)},
 		{Op: JournalAttempt, Key: testKey(1), Worker: "w1", Fate: "worker-lost"},
 		{Op: JournalDone, Key: testKey(2)},
 		{Op: JournalQuarantine, Key: testKey(1)},
@@ -60,7 +59,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(JournalRecord{Op: JournalEnum, Key: testKey(1)}); err != nil {
+	if err := j.Append(JournalRecord{Op: JournalAttempt, Key: testKey(1), Worker: "w1", Fate: "worker-lost"}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()
@@ -76,7 +75,7 @@ func TestJournalTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 || recs[0].Op != JournalEnum {
+	if len(recs) != 1 || recs[0].Op != JournalAttempt {
 		t.Fatalf("torn-tail replay got %+v, want the one intact record", recs)
 	}
 	if err := j2.Append(JournalRecord{Op: JournalDone, Key: testKey(1)}); err != nil {
@@ -89,7 +88,7 @@ func TestJournalTornTail(t *testing.T) {
 	}
 	defer j3.Close()
 	if len(recs) != 2 || recs[1].Op != JournalDone {
-		t.Fatalf("replay after appending past a torn tail got %+v, want the enum and the done", recs)
+		t.Fatalf("replay after appending past a torn tail got %+v, want the attempt and the done", recs)
 	}
 }
 
@@ -107,7 +106,7 @@ func TestJournalSubtreeStaysCacheOwned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(JournalRecord{Op: JournalEnum, Key: testKey(1)}); err != nil {
+	if err := j.Append(JournalRecord{Op: JournalQuarantine, Key: testKey(1)}); err != nil {
 		t.Fatal(err)
 	}
 	j.Close()

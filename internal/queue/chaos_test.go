@@ -183,7 +183,7 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Heartbeat: 25 * time.Millisecond})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{heartbeat: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,20 +256,17 @@ func TestStalledWorkerLeaseRevokedAndFenced(t *testing.T) {
 
 	chaos := NewChaos(ChaosConfig{Seed: 5, StallLabel: specs[0].String(), StallFor: 900 * time.Millisecond})
 
-	// A job that merely runs slowly renews its ~230 ms lease every 200
-	// cycles; should a starved CPU cost it the lease anyway, its slot stays
-	// busy until the revoked run answers, so the re-dispatch waits for a
-	// free slot instead of in a worker's queue. The heartbeat is slow on
-	// purpose: the zombie needs the stalled worker's link alive through
-	// the stall, and four missed 250 ms beats are a second, which CPU
-	// starvation under the race detector does not reach; the sweep, half
-	// a beat, still revokes well inside the 900 ms stall.
+	// A job that merely runs slowly renews its 230 ms lease every 200
+	// cycles and every half lease; should a starved CPU cost it the lease
+	// anyway, its slot stays busy until the revoked run answers, so the
+	// re-dispatch waits for a free slot instead of in a worker's queue.
+	// The heartbeat is slow on purpose: the zombie needs the stalled
+	// worker's link alive through the stall, and four missed 250 ms beats
+	// are a second, which CPU starvation under the race detector does not
+	// reach; the sweep, half a beat, still revokes well inside the 900 ms
+	// stall.
 	worker := experiments.Runner{Workers: 1, Checkpoint: &experiments.CheckpointPolicy{EveryCycles: 200}}
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
-		Heartbeat:     250 * time.Millisecond,
-		LeaseBase:     200 * time.Millisecond,
-		LeasePerCycle: 10 * time.Microsecond,
-	})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{heartbeat: 250 * time.Millisecond, lease: 230 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,11 +337,7 @@ func TestRevokedRunKeepsItsSlot(t *testing.T) {
 	// checkpoint stays cheap next to the lease under the race detector too.
 	a, b := spec("livelock-a", 39000, 1), spec("livelock-b", 30000, 2)
 	chaos := NewChaos(ChaosConfig{Seed: 1, StallLabel: a.String(), StallFor: 400 * time.Millisecond})
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{
-		Heartbeat:     250 * time.Millisecond,
-		LeaseBase:     200 * time.Millisecond,
-		LeasePerCycle: time.Nanosecond,
-	})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{heartbeat: 250 * time.Millisecond, lease: 200 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,8 +383,71 @@ func TestRevokedRunKeepsItsSlot(t *testing.T) {
 	}
 }
 
+// TestLongRunKeepsItsLease: a job whose run takes several lease terms,
+// served to a worker whose Runner has no checkpoint policy, finishes on
+// its first dispatch. The worker caps its wall-clock checkpoint trigger at
+// half the lease the hello-ack names, so the run's ckpt frames keep
+// renewing the lease; were the lease a guess at the run's length instead,
+// the job would be revoked, re-dispatched to the same worker and revoked
+// again until the deadline.
+func TestLongRunKeepsItsLease(t *testing.T) {
+	t.Parallel()
+	// ~1.4 s on the 2-CPU Xeon at -cpu 1: nearly three leases, and more
+	// than a lease plus a sweep tick, so a run that ships no ckpt frame is
+	// always revoked. Half a lease leaves a ckpt frame ~250 ms of slack
+	// (~175 ms apart under the race detector).
+	spec := &experiments.JobSpec{
+		Label: "long-run", Topo: topo.Spec{Kind: topo.KindHyperX, Dims: []int{4, 4}},
+		Per: 4, Mechanism: "PolSP", Pattern: "Uniform", VCs: 4, Load: 0.8,
+		Budget: experiments.Budget{Warmup: 200, Measure: 150000},
+		Seed:   3, PatternSeed: 41,
+	}
+	local, err := slots(1).RunSpec(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{lease: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	workerDone := make(chan error, 1)
+	go func() { workerDone <- testWorker(t, slots(1)).loop(srv.Addr()) }()
+
+	type result struct {
+		res *sim.Result
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := srv.Execute(spec)
+		done <- result{res, err}
+	}()
+	select {
+	case got := <-done:
+		if got.err != nil {
+			t.Fatal(got.err)
+		}
+		if string(got.res.AppendBinary(nil)) != string(local.AppendBinary(nil)) {
+			t.Error("served result differs from the local run")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatalf("job never finished: its lease ran out between checkpoints (livelock): %+v", srv.Stats())
+	}
+	if st := srv.Stats(); st.LeasesRevoked != 0 || st.CheckpointFrames < 1 {
+		t.Errorf("want no revocation and at least one ckpt frame: %+v", st)
+	}
+
+	srv.Close()
+	select {
+	case <-workerDone:
+	case <-time.After(30 * time.Second):
+		t.Fatal("worker did not exit after server close")
+	}
+}
+
 // TestPoisonJobQuarantined: a spec that kills every worker it touches is
-// pulled from circulation after costing DefaultPoisonAttempts distinct
+// pulled from circulation after costing defaultPoisonAttempts distinct
 // workers, with the full custody history on the error; the rest of the
 // grid completes bit-identically around the hole.
 func TestPoisonJobQuarantined(t *testing.T) {
@@ -426,8 +482,8 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	if !errors.Is(q, experiments.ErrQuarantined) {
 		t.Error("quarantine error does not unwrap to ErrQuarantined")
 	}
-	if len(q.Attempts) != DefaultPoisonAttempts {
-		t.Errorf("quarantine after %d attempts, want %d: %v", len(q.Attempts), DefaultPoisonAttempts, q)
+	if len(q.Attempts) != defaultPoisonAttempts {
+		t.Errorf("quarantine after %d attempts, want %d: %v", len(q.Attempts), defaultPoisonAttempts, q)
 	}
 	distinct := make(map[string]bool)
 	for _, a := range q.Attempts {
@@ -436,8 +492,8 @@ func TestPoisonJobQuarantined(t *testing.T) {
 			t.Errorf("poison attempt fate %q, want worker-lost", a.Fate)
 		}
 	}
-	if len(distinct) != DefaultPoisonAttempts {
-		t.Errorf("quarantine cost %d distinct workers, want %d: %v", len(distinct), DefaultPoisonAttempts, q)
+	if len(distinct) != defaultPoisonAttempts {
+		t.Errorf("quarantine cost %d distinct workers, want %d: %v", len(distinct), defaultPoisonAttempts, q)
 	}
 	if results[len(grid)-1] != nil {
 		t.Error("quarantined spec produced a result")
@@ -454,8 +510,8 @@ func TestPoisonJobQuarantined(t *testing.T) {
 	if st := srv.Stats(); st.Quarantined != 1 {
 		t.Errorf("stats quarantined = %d, want 1: %+v", st.Quarantined, st)
 	}
-	if got := chaos.Poisoned.Load(); got != int64(DefaultPoisonAttempts) {
-		t.Errorf("poison killed %d workers, want %d", got, DefaultPoisonAttempts)
+	if got := chaos.Poisoned.Load(); got != int64(defaultPoisonAttempts) {
+		t.Errorf("poison killed %d workers, want %d", got, defaultPoisonAttempts)
 	}
 
 	workers.Stop()
@@ -500,15 +556,14 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		StallFor:       900 * time.Millisecond,
 	})
 
-	// PoisonAttempts exceeds the worst case of every non-poison fault
+	// poisonAttempts exceeds the worst case of every non-poison fault
 	// (2 disconnects + 1 truncate + 1 corrupt + 1 stall identity) landing
 	// on one innocent spec, so only true poison quarantines.
 	opts := ServeOpts{
 		Store:          store,
-		PoisonAttempts: 6,
-		Heartbeat:      100 * time.Millisecond,
-		LeaseBase:      200 * time.Millisecond,
-		LeasePerCycle:  10 * time.Microsecond,
+		poisonAttempts: 6,
+		heartbeat:      100 * time.Millisecond,
+		lease:          230 * time.Millisecond,
 	}
 	srv1, err := ServeWith("127.0.0.1:0", opts)
 	if err != nil {
@@ -567,7 +622,7 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	st1 := srv1.Stats()
 
 	// Restart on the same address with the same store: the journal replays
-	// the predecessor's enumeration, attempts and quarantines.
+	// the predecessor's attempts and quarantines.
 	var srv2 *Server
 	for attempt := 0; ; attempt++ {
 		srv2, err = ServeWith(addr, opts)
@@ -598,15 +653,15 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	if q == nil {
 		t.Fatal("poison spec was not quarantined")
 	}
-	if len(q.Attempts) < opts.PoisonAttempts {
-		t.Errorf("quarantine history has %d attempts, want >= %d: %v", len(q.Attempts), opts.PoisonAttempts, q)
+	if len(q.Attempts) < opts.poisonAttempts {
+		t.Errorf("quarantine history has %d attempts, want >= %d: %v", len(q.Attempts), opts.poisonAttempts, q)
 	}
 	distinct := make(map[string]bool)
 	for _, a := range q.Attempts {
 		distinct[a.Worker] = true
 	}
-	if len(distinct) < opts.PoisonAttempts {
-		t.Errorf("quarantine cost %d distinct workers, want >= %d: %v", len(distinct), opts.PoisonAttempts, q)
+	if len(distinct) < opts.poisonAttempts {
+		t.Errorf("quarantine cost %d distinct workers, want >= %d: %v", len(distinct), opts.poisonAttempts, q)
 	}
 	if out.res[len(grid)-1] != nil {
 		t.Error("quarantined spec produced a result")
@@ -638,8 +693,8 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	if chaos.Stalled.Load() != 1 {
 		t.Errorf("stall fired %d times, want 1", chaos.Stalled.Load())
 	}
-	if chaos.Poisoned.Load() < int64(opts.PoisonAttempts) {
-		t.Errorf("poison killed %d workers, want >= %d", chaos.Poisoned.Load(), opts.PoisonAttempts)
+	if chaos.Poisoned.Load() < int64(opts.poisonAttempts) {
+		t.Errorf("poison killed %d workers, want >= %d", chaos.Poisoned.Load(), opts.poisonAttempts)
 	}
 	st2 := srv2.Stats()
 	if st1.Crashed+st2.Crashed == 0 {
@@ -655,8 +710,8 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 		t.Error("no requeue tallied server-side")
 	}
 
-	// The journal on disk carries the grid: enumeration and the poison
-	// spec's attempts survived the kill.
+	// The journal on disk carries the poison spec's attempts and its
+	// quarantine across the kill.
 	matches, err := filepath.Glob(filepath.Join(store.Dir(), "*", "grid.journal"))
 	if err != nil || len(matches) != 1 {
 		t.Fatalf("grid journal not found under the store: %v %v", matches, err)
@@ -664,9 +719,6 @@ func TestChaosPropertyBitIdentical(t *testing.T) {
 	data, err := os.ReadFile(matches[0])
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"op":"enum"`) {
-		t.Error("journal holds no enumeration records")
 	}
 	if !strings.Contains(string(data), `"op":"attempt"`) {
 		t.Error("journal holds no attempt records")

@@ -11,9 +11,9 @@
 // Protocol (one JSON object per line, both directions):
 //
 //	worker -> server  {"type":"hello","slots":N,"engine":"<version>","name":"w123-1","ckptCap":true,"hbCap":true}
-//	server -> worker  {"type":"hello-ack","engine":"<version>","bye":true,"ckptCap":true,"hb":2000}
+//	server -> worker  {"type":"hello-ack","engine":"<version>","bye":true,"ckptCap":true,"hb":2000,"lease":120000}
 //	server -> worker  {"type":"job","id":7,"fence":1,"spec":{...},"ckpt":"<base64>"}  (up to N outstanding; ckpt optional)
-//	worker -> server  {"type":"ckpt","id":7,"fence":1,"ckpt":"<base64>"}  (periodic snapshot)
+//	worker -> server  {"type":"ckpt","id":7,"fence":1,"ckpt":"<base64>"}  (periodic snapshot, at least every half lease)
 //	worker -> server  {"type":"result","id":7,"fence":1,"result":"<base64>","sum":"<hex sha256>"}
 //	worker -> server  {"type":"result","id":7,"fence":1,"error":"..."}    (job failed)
 //	worker -> server  {"type":"hb"}                             (heartbeat, at the hello-ack's interval)
@@ -35,11 +35,16 @@
 // merged grid stays bit-identical to an undisturbed local run.
 //
 // The hello-ack is the capability negotiation: it advertises that this
-// server ends runs with a "bye" frame, accepts checkpoint streams, and —
-// when the worker offered hbCap — names the heartbeat interval the worker
-// must keep. Every server a worker of this engine version can reach sends
-// the ack and the bye, so to a worker a hangup without bye is always a
-// fault: WorkLoop reconnects.
+// server ends runs with a "bye" frame, accepts checkpoint streams, names
+// the job lease in milliseconds, and — when the worker offered hbCap —
+// names the heartbeat interval the worker must keep. The lease is one
+// fixed term for every job, and a worker ships a ckpt frame for each
+// running job at least every half lease: it caps its wall-clock checkpoint
+// trigger at lease/2 (withinLease), so a run of any length keeps its
+// lease. A worker that finds no lease in the ack (an older server) keeps
+// its own checkpoint policy. Every server a worker of this engine version
+// can reach sends the ack and the bye, so to a worker a hangup without bye
+// is always a fault: WorkLoop reconnects.
 //
 // One owner per connection: on both sides a reader goroutine only parses
 // lines into frames, and one loop (session.go, worker.go) owns the
@@ -54,12 +59,12 @@
 //   - Worker crash (SIGKILL, OOM, network loss): the dropped connection
 //     requeues every job the worker owed, each carrying its latest
 //     checkpoint snapshot, so the next worker resumes instead of
-//     restarting. Cost: at most one checkpoint interval per job (end).
+//     restarting. Cost: at most one checkpoint interval per job — half a
+//     lease at most (end).
 //   - Worker hang (stuck job, livelocked host): each dispatched job holds
-//     a lease sized from its spec's cycle budget; checkpoint frames renew
-//     it, heartbeats do not (a beating heart proves the link, not
-//     progress). An expired lease frees the slot and re-dispatches the
-//     job elsewhere (sweep). A worker that stops sending frames entirely
+//     the hello-ack's fixed lease; checkpoint frames renew it, heartbeats
+//     do not (a beating heart proves the link, not progress). An expired
+//     lease re-dispatches the job elsewhere (sweep). A worker that stops sending frames entirely
 //     for several heartbeat intervals has its connection severed, which
 //     requeues everything it held (the reader's deadline, then end).
 //   - Zombie results: every dispatch carries a fencing token; a result or
@@ -74,9 +79,9 @@
 //     (experiments.QuarantineError) instead of re-queued; the rest of the
 //     grid completes and renders the point as an explicit hole
 //     (requeueOrQuarantine, from sweep or end).
-//   - Server kill/restart: a server given a cache store journals grid
-//     enumeration, attempts, quarantines and completions (fsynced,
-//     append-only) and persists the latest checkpoint per in-flight job.
+//   - Server kill/restart: a server given a cache store journals
+//     attempts and quarantines (fsynced, append-only) and persists the
+//     latest checkpoint per in-flight job.
 //     A restarted server replays the journal: completed points come back
 //     from the result cache, in-flight points resume from their persisted
 //     snapshots, and quarantined specs stay quarantined without killing
@@ -115,6 +120,7 @@ type message struct {
 	CkptCap bool            `json:"ckptCap,omitempty"` // hello / hello-ack: mid-run checkpoint support
 	HBCap   bool            `json:"hbCap,omitempty"`   // hello: worker can keep a heartbeat
 	HB      int64           `json:"hb,omitempty"`      // hello-ack: heartbeat interval, milliseconds
+	Lease   int64           `json:"lease,omitempty"`   // hello-ack: job lease, milliseconds
 	ID      int64           `json:"id,omitempty"`
 	Fence   int64           `json:"fence,omitempty"` // job: dispatch token; echoed on ckpt/result
 	Spec    json.RawMessage `json:"spec,omitempty"`

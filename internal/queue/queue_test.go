@@ -267,7 +267,8 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 
 // TestHelloAckAdvertisesBye: the server's first frame after a valid hello
 // is the capability ack promising the bye shutdown frame — what lets a
-// worker treat every hangup without bye as a fault.
+// worker treat every hangup without bye as a fault — and naming the job
+// lease its checkpoint frames must beat.
 func TestHelloAckAdvertisesBye(t *testing.T) {
 	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
@@ -289,8 +290,33 @@ func TestHelloAckAdvertisesBye(t *testing.T) {
 	if err := readMessage(bufio.NewReader(conn), &msg); err != nil {
 		t.Fatalf("no ack frame: %v", err)
 	}
-	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.EngineVersion {
-		t.Fatalf("expected hello-ack advertising bye, got %+v", msg)
+	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.EngineVersion || msg.Lease <= 0 {
+		t.Fatalf("expected hello-ack advertising bye and a lease, got %+v", msg)
+	}
+}
+
+// TestWithinLease: a served Runner's wall-clock checkpoint trigger is the
+// worker's own when that is shorter than half the lease, else half the
+// lease; the cycle trigger and the worker's own policy are left alone.
+func TestWithinLease(t *testing.T) {
+	t.Parallel()
+	lease := 2 * time.Minute
+	own := &experiments.CheckpointPolicy{Every: 10 * time.Minute, EveryCycles: 2000}
+	for _, tc := range []struct {
+		pol  *experiments.CheckpointPolicy
+		want experiments.CheckpointPolicy
+	}{
+		{nil, experiments.CheckpointPolicy{Every: time.Minute}},
+		{own, experiments.CheckpointPolicy{Every: time.Minute, EveryCycles: 2000}},
+		{&experiments.CheckpointPolicy{Every: 30 * time.Second}, experiments.CheckpointPolicy{Every: 30 * time.Second}},
+	} {
+		got := withinLease(experiments.Runner{Workers: 2, Checkpoint: tc.pol}, lease)
+		if got.Workers != 2 || got.Checkpoint == nil || *got.Checkpoint != tc.want {
+			t.Errorf("withinLease(%+v) = %+v, want %+v", tc.pol, got.Checkpoint, tc.want)
+		}
+	}
+	if own.Every != 10*time.Minute {
+		t.Errorf("withinLease rewrote the worker's own policy: %+v", own)
 	}
 }
 

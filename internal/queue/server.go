@@ -40,44 +40,34 @@ type pending struct {
 	attempts []experiments.QuarantineAttempt
 }
 
-// DefaultPoisonAttempts is how many distinct workers a job may take down
-// before it is quarantined instead of re-queued.
-const DefaultPoisonAttempts = 3
-
-// Liveness defaults. Heartbeats prove the link; checkpoint frames prove
-// progress and renew the job's lease. Leases are sized from the spec's
-// cycle budget so big jobs are not revoked for merely being big.
+// Queue constants. Heartbeats prove the link; checkpoint frames prove
+// progress and renew the job's lease. The lease is one fixed term whatever
+// the job's size: the hello-ack names it, and a worker ships a ckpt frame
+// at least every half lease, so a long run is never revoked for being
+// long — only for making no progress.
 const (
-	defaultHeartbeat     = 2 * time.Second
-	heartbeatMissFactor  = 4 // silent for this many intervals => dead
-	defaultLeaseBase     = 2 * time.Minute
-	defaultLeasePerCycle = time.Millisecond
-	defaultCloseGrace    = time.Second
+	defaultPoisonAttempts = 3 // distinct workers a job may take down before quarantine
+	defaultHeartbeat      = 2 * time.Second
+	heartbeatMissFactor   = 4 // silent for this many intervals => dead
+	defaultLease          = 2 * time.Minute
+	defaultCloseGrace     = time.Second
 )
 
 // ServeOpts hardens a server beyond the in-memory default.
 type ServeOpts struct {
 	// Store, when set, makes the grid durable: the server journals
-	// enumeration/attempts/quarantines/completions through the store
-	// (fsynced) and persists the latest checkpoint per in-flight job, so
-	// a killed-and-restarted serve process resumes the same grid. Nil
-	// disables durability (the in-memory behaviour of Serve).
+	// attempts and quarantines through the store (fsynced) and persists
+	// the latest checkpoint per in-flight job, so a killed-and-restarted
+	// serve process resumes the same grid. Nil disables durability (the
+	// in-memory behaviour of Serve).
 	Store *cache.Store
-	// PoisonAttempts is the quarantine threshold in distinct workers
-	// lost; 0 means DefaultPoisonAttempts.
-	PoisonAttempts int
-	// Heartbeat is the interval workers are asked to beat at; 0 means
-	// the default. A worker silent for heartbeatMissFactor intervals is
-	// declared dead.
-	Heartbeat time.Duration
-	// LeaseBase and LeasePerCycle size job leases: base + cycles*per.
-	// Zero means the defaults.
-	LeaseBase     time.Duration
-	LeasePerCycle time.Duration
-	// closeGrace bounds the last write of every session once the server is
-	// closing; 0 means the default. Unexported: this package's tests
-	// compress it, nothing outside can set it.
-	closeGrace time.Duration
+
+	// The seams below are unexported: this package's tests compress them,
+	// nothing outside can set them, and 0 means the default.
+	poisonAttempts int           // quarantine threshold in distinct workers lost
+	heartbeat      time.Duration // interval workers are asked to beat at
+	lease          time.Duration // how long a job is held without a ckpt frame
+	closeGrace     time.Duration // bound on each session's last write once the server closes
 }
 
 // Server accepts worker connections and dispatches submitted specs to
@@ -93,7 +83,6 @@ type Server struct {
 
 	// Journal replay state: what the predecessor process knew.
 	jmu              sync.Mutex
-	enumed           map[string]bool
 	attemptsByKey    map[string][]experiments.QuarantineAttempt
 	quarantinedByKey map[string][]experiments.QuarantineAttempt
 
@@ -124,17 +113,14 @@ func Serve(addr string) (*Server, error) {
 // workers, so a restarted server begins with its predecessor's attempt
 // and quarantine history.
 func ServeWith(addr string, opts ServeOpts) (*Server, error) {
-	if opts.PoisonAttempts <= 0 {
-		opts.PoisonAttempts = DefaultPoisonAttempts
+	if opts.poisonAttempts <= 0 {
+		opts.poisonAttempts = defaultPoisonAttempts
 	}
-	if opts.Heartbeat <= 0 {
-		opts.Heartbeat = defaultHeartbeat
+	if opts.heartbeat <= 0 {
+		opts.heartbeat = defaultHeartbeat
 	}
-	if opts.LeaseBase <= 0 {
-		opts.LeaseBase = defaultLeaseBase
-	}
-	if opts.LeasePerCycle <= 0 {
-		opts.LeasePerCycle = defaultLeasePerCycle
+	if opts.lease <= 0 {
+		opts.lease = defaultLease
 	}
 	if opts.closeGrace <= 0 {
 		opts.closeGrace = defaultCloseGrace
@@ -152,7 +138,6 @@ func ServeWith(addr string, opts ServeOpts) (*Server, error) {
 		// -workers 1024 a hand-back finds room; requeue covers the rest.
 		jobs:             make(chan *pending, 1024),
 		closed:           make(chan struct{}),
-		enumed:           make(map[string]bool),
 		attemptsByKey:    make(map[string][]experiments.QuarantineAttempt),
 		quarantinedByKey: make(map[string][]experiments.QuarantineAttempt),
 	}
@@ -165,16 +150,11 @@ func ServeWith(addr string, opts ServeOpts) (*Server, error) {
 		s.journal = journal
 		for _, rec := range recs {
 			switch rec.Op {
-			case cache.JournalEnum:
-				s.enumed[rec.Key] = true
 			case cache.JournalAttempt:
 				s.attemptsByKey[rec.Key] = append(s.attemptsByKey[rec.Key],
 					experiments.QuarantineAttempt{Worker: rec.Worker, Fate: rec.Fate})
 			case cache.JournalQuarantine:
 				s.quarantinedByKey[rec.Key] = s.attemptsByKey[rec.Key]
-			case cache.JournalDone:
-				// Terminal results live in the store's .res entries; the
-				// runner's cache probe serves them without re-dispatch.
 			}
 		}
 	}
@@ -276,17 +256,15 @@ func (s *Server) journalAppend(rec cache.JournalRecord) {
 }
 
 // finish ends p's life with its outcome; the caller holds its custody. A
-// successful result on a durable grid commits the completion to the
-// journal and drops the now-dead checkpoint — before the delivery, so a
-// caller reading the journal right after Execute returns finds the record.
-// A pending still alive when the server closes is never finished: Close
-// itself answers its Execute.
+// successful result on a durable grid drops the now-dead checkpoint before
+// the delivery, so a caller looking at the store right after Execute
+// returns finds it gone. (The completion itself needs no record: the
+// runner's cache probe serves the .res entry on a restart.) A pending
+// still alive when the server closes is never finished: Close itself
+// answers its Execute.
 func (s *Server) finish(p *pending, out outcome) {
 	if out.err == nil && p.key != "" {
-		s.journalAppend(cache.JournalRecord{Op: cache.JournalDone, Key: p.key})
-		if s.opts.Store != nil {
-			_ = s.opts.Store.RemoveCheckpoint(p.key)
-		}
+		_ = s.opts.Store.RemoveCheckpoint(p.key)
 	}
 	p.done <- out // buffered, and sent at most once per pending: never blocks
 }
@@ -311,7 +289,7 @@ func (s *Server) requeue(p *pending) {
 }
 
 // requeueOrQuarantine charges the failed custody to the job and either
-// re-dispatches it or — once it has cost PoisonAttempts distinct workers
+// re-dispatches it or — once it has cost poisonAttempts distinct workers
 // — quarantines it with the full attempt history. Distinct, not total:
 // one flaky worker dying on the same job over and over indicts the
 // worker, not the job. A quarantine is tallied, then journalled, then
@@ -329,7 +307,7 @@ func (s *Server) requeueOrQuarantine(p *pending, worker, fate string) {
 	for _, a := range p.attempts {
 		distinct[a.Worker] = true
 	}
-	if len(distinct) < s.opts.PoisonAttempts {
+	if len(distinct) < s.opts.poisonAttempts {
 		s.requeue(p)
 		return
 	}
@@ -342,21 +320,6 @@ func (s *Server) requeueOrQuarantine(p *pending, worker, fate string) {
 		s.journalAppend(cache.JournalRecord{Op: cache.JournalQuarantine, Key: p.key})
 	}
 	s.finish(p, outcome{err: &experiments.QuarantineError{Label: p.spec.String(), Attempts: history}})
-}
-
-// leaseFor sizes a job's lease from its cycle budget: a worker holding
-// the job must show progress (a checkpoint frame) before the lease runs
-// out, or the job is re-dispatched. Specs without a bounded budget get a
-// generous default.
-func (s *Server) leaseFor(spec *experiments.JobSpec) time.Duration {
-	cycles := spec.Budget.Warmup + spec.Budget.Measure
-	if spec.MaxCycles > cycles {
-		cycles = spec.MaxCycles
-	}
-	if cycles <= 0 {
-		cycles = 1 << 20
-	}
-	return s.opts.LeaseBase + time.Duration(cycles)*s.opts.LeasePerCycle
 }
 
 // Execute ships one spec to a worker slot and blocks until its result (or
@@ -377,16 +340,11 @@ func (s *Server) Execute(spec *experiments.JobSpec) (*sim.Result, error) {
 				Attempts: append([]experiments.QuarantineAttempt(nil), att...)}
 		}
 		p.attempts = append(p.attempts, s.attemptsByKey[p.key]...)
-		first := !s.enumed[p.key]
-		s.enumed[p.key] = true
 		s.jmu.Unlock()
-		if first {
-			s.journalAppend(cache.JournalRecord{Op: cache.JournalEnum, Key: p.key})
-		}
 		// Preloaded as stored: only sim reads the form. A damaged file
-		// costs each worker it reaches a refused resume and a run from
-		// zero until that run's first ckpt frame overwrites it — accepted,
-		// since the result bytes do not change.
+		// costs the worker it reaches a refused resume and a run from
+		// zero, whose first ckpt frame — due within half a lease —
+		// overwrites it; accepted, since the result bytes do not change.
 		p.ckpt, _ = s.opts.Store.GetCheckpoint(p.key)
 	}
 	select {

@@ -73,7 +73,7 @@ func (s *Server) serveWorker(conn net.Conn) {
 		return
 	}
 	go readFrames(conn, r, ss.quiet, -1, frames, done)
-	tick := time.NewTicker(sweepTick(s.opts.Heartbeat))
+	tick := time.NewTicker(sweepTick(s.opts.heartbeat))
 	defer tick.Stop()
 	for {
 		jobs := s.jobs
@@ -107,9 +107,10 @@ func (s *Server) serveWorker(conn net.Conn) {
 
 // greet answers the worker's hello with a rejection or with the ack that
 // opens the session. The ack is the capability negotiation — it promises
-// the bye frame, accepts checkpoint streams, and names the heartbeat
-// interval if the worker can beat — and goes out before any job, so the
-// worker knows all session long that a hangup without bye is a fault.
+// the bye frame, accepts checkpoint streams, names the job lease the
+// worker's ckpt frames must beat, and the heartbeat interval if the worker
+// can beat — and goes out before any job, so the worker knows all session
+// long that a hangup without bye is a fault.
 func (ss *session) greet(hello *message) bool {
 	if hello.Type != "hello" || hello.Slots < 1 {
 		return false
@@ -123,10 +124,11 @@ func (ss *session) greet(hello *message) bool {
 	if ss.worker = hello.Name; ss.worker == "" {
 		ss.worker = ss.conn.RemoteAddr().String()
 	}
-	ack := &message{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true}
-	if hb := ss.s.opts.Heartbeat; hello.HBCap && hb > 0 {
-		ack.HB = int64(hb / time.Millisecond)
-		ss.quiet = hb * heartbeatMissFactor
+	ack := &message{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true,
+		Lease: ss.s.opts.lease.Milliseconds()}
+	if hello.HBCap {
+		ack.HB = ss.s.opts.heartbeat.Milliseconds()
+		ss.quiet = ss.s.opts.heartbeat * heartbeatMissFactor
 	}
 	if err := writeMessage(ss.conn, ack); err != nil {
 		ss.torn = true
@@ -162,7 +164,7 @@ func (ss *session) handle(msg *message) bool {
 		}
 		p.ckpt = msg.Ckpt
 		s.ckpts.Add(1)
-		p.deadline = time.Now().Add(s.leaseFor(p.spec))
+		p.deadline = time.Now().Add(s.opts.lease)
 		if s.opts.Store != nil && p.key != "" && s.opts.Store.PutCheckpoint(p.key, msg.Ckpt) != nil {
 			s.persistFails.Add(1)
 		}
@@ -205,7 +207,7 @@ func (ss *session) dispatch(p *pending) bool {
 		return true
 	}
 	p.fence++
-	p.deadline = time.Now().Add(ss.s.leaseFor(p.spec))
+	p.deadline = time.Now().Add(ss.s.opts.lease)
 	ss.held[p.id] = p
 	ss.free--
 	job := &message{Type: "job", ID: p.id, Fence: p.fence, Spec: data}

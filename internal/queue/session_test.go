@@ -29,18 +29,20 @@ func waitFor(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // TestQuarantineTalliedAndJournalledBeforeDelivered pins the order of a
-// job's completion: tally, then journal, then deliver. With an unbuffered
-// done channel the delivery cannot happen until this test receives, so
-// the tally and the journal record must both be visible while the outcome
-// is still undelivered — a caller that reads Stats() or the journal right
-// after ExecuteJobsPartial returns can then never miss them.
+// job's completion: a quarantine is tallied, then journalled, then
+// delivered; a result drops the job's checkpoint, then is delivered. With
+// an unbuffered done channel the delivery cannot happen until this test
+// receives, so the tally and the journal record (or the removal) must be
+// visible while the outcome is still undelivered — a caller that reads
+// Stats(), the journal or the store right after ExecuteJobsPartial
+// returns can then never miss them.
 func TestQuarantineTalliedAndJournalledBeforeDelivered(t *testing.T) {
 	t.Parallel()
 	store, err := cache.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store, PoisonAttempts: 1})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store, poisonAttempts: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +71,17 @@ func TestQuarantineTalliedAndJournalledBeforeDelivered(t *testing.T) {
 		t.Fatal("the quarantine was never delivered")
 	}
 
-	// The same order for a result: the done record is on disk before the
-	// outcome is.
+	// The same order for a result: the checkpoint is removed before the
+	// outcome is delivered.
+	if err := store.PutCheckpoint(spec.Hash(), []byte("a snapshot")); err != nil {
+		t.Fatal(err)
+	}
 	q := &pending{id: 2, key: spec.Hash(), spec: &spec, done: make(chan outcome)}
 	go srv.finish(q, outcome{res: &sim.Result{}})
-	waitFor(t, 2*time.Second, "the done record, outcome undelivered", func() bool { return journalHas("done") })
+	waitFor(t, 2*time.Second, "the checkpoint removed, outcome undelivered", func() bool {
+		_, ok := store.GetCheckpoint(spec.Hash())
+		return !ok
+	})
 	<-q.done
 }
 
@@ -180,7 +188,7 @@ func bigPending(id int64) *pending {
 // back into circulation.
 func TestSilentWorkerSeveredMidWrite(t *testing.T) {
 	t.Parallel()
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Heartbeat: 25 * time.Millisecond})
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{heartbeat: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +254,7 @@ func FuzzFrame(f *testing.F) {
 	encodeOutcome(result, res, nil)
 	for _, msg := range []*message{
 		{Type: "hello", Slots: 2, Engine: sim.EngineVersion, Name: "w123-1", CkptCap: true, HBCap: true},
-		{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true, HB: 2000},
+		{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true, HB: 2000, Lease: 120000},
 		{Type: "job", ID: 7, Fence: 1, Spec: specJSON, Ckpt: snap},
 		{Type: "ckpt", ID: 7, Fence: 1, Ckpt: snap},
 		result,

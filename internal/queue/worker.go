@@ -198,8 +198,10 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 	frames := make(chan inbound, slots+2)
 	go readFrames(conn, bufio.NewReader(conn), 0, -1, frames, jobs.done)
 
-	owed := 0           // jobs accepted and not yet over
-	serverCkpt := false // the hello-ack advertised checkpoint support
+	owed := 0 // jobs accepted and not yet over
+	// How this session's jobs run, as the hello-ack settles it: whether
+	// they stream checkpoints, and through which Runner.
+	serverCkpt, r := false, w.r
 	var beat <-chan time.Time
 	// Graceful drain: once r.Drain is raised (the worker process caught
 	// SIGTERM/SIGINT), in-flight runs stop at their next inter-cycle point
@@ -222,6 +224,9 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 			switch msg := &in.msg; msg.Type {
 			case "hello-ack":
 				serverCkpt = msg.CkptCap
+				if msg.Lease > 0 {
+					r = withinLease(w.r, time.Duration(msg.Lease)*time.Millisecond)
+				}
 				if msg.HB > 0 && beat == nil {
 					// The server asked for heartbeats: beat until the
 					// session ends. They prove the process lives even
@@ -250,13 +255,13 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 				}
 				owed++
 				wg.Add(1)
-				go func() {
+				go func(r experiments.Runner, ckpt bool) {
 					defer wg.Done()
 					// Held here, not in the loop, so heartbeats keep flowing
 					// while the job sits.
 					time.Sleep(hold)
-					jobs.run(msg, spec, err, serverCkpt)
-				}()
+					jobs.run(r, msg, spec, err, ckpt)
+				}(r, serverCkpt)
 			}
 		case msg := <-jobs.up:
 			if msg != nil {
@@ -276,9 +281,26 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 	}
 }
 
+// withinLease returns r with its wall-clock checkpoint trigger capped at
+// half the server's lease: r's own Every when that is shorter, else
+// lease/2. So every run ships a ckpt frame, which renews its lease, at
+// least twice a lease term however long it runs, and a lost worker costs
+// at most half a lease of work. EveryCycles and Drain stay r's own.
+func withinLease(r experiments.Runner, lease time.Duration) experiments.Runner {
+	var pol experiments.CheckpointPolicy
+	if r.Checkpoint != nil {
+		pol = *r.Checkpoint
+	}
+	if pol.Every <= 0 || pol.Every > lease/2 {
+		pol.Every = lease / 2
+	}
+	r.Checkpoint = &pol
+	return r
+}
+
 // jobPort is what the job goroutines of one session share with its loop.
 type jobPort struct {
-	w    *worker       // whose jobs these are: its Runner runs them
+	w    *worker       // whose jobs these are
 	up   chan *message // ckpt and result frames for the wire; nil: a job ended unanswered
 	sem  chan struct{} // one token per advertised slot
 	done chan struct{} // closed when the session is over
@@ -293,10 +315,11 @@ func (jp *jobPort) send(msg *message) {
 	}
 }
 
-// run is one job goroutine: it waits for a slot, runs the spec — resuming
-// from the job frame's snapshot, and shipping checkpoints if the server
-// takes them — and hands every frame it produces up to the session loop.
-func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
+// run is one job goroutine: it waits for a slot, runs the spec through r —
+// resuming from the job frame's snapshot, and shipping checkpoints if the
+// server takes them — and hands every frame it produces up to the session
+// loop.
+func (jp *jobPort) run(r experiments.Runner, job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
 	if h := jp.w.onResume; h != nil && len(job.Ckpt) > 0 {
 		h(len(job.Ckpt))
 	}
@@ -309,12 +332,12 @@ func (jp *jobPort) run(job *message, spec *experiments.JobSpec, specErr error, c
 	var res *sim.Result
 	runErr := specErr
 	if runErr == nil && ckpt {
-		res, runErr = jp.w.r.RunSpecVia(spec, job.Ckpt, func(snap []byte) error {
+		res, runErr = r.RunSpecVia(spec, job.Ckpt, func(snap []byte) error {
 			jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: snap})
 			return nil
 		})
 	} else if runErr == nil {
-		res, runErr = jp.w.r.RunSpec(spec)
+		res, runErr = r.RunSpec(spec)
 	}
 	if errors.Is(runErr, sim.ErrCheckpointed) {
 		// Drained mid-run: the final snapshot is already on the wire.
