@@ -2,7 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"slices"
+	"math/bits"
 )
 
 // This file implements the engine's activity tracking: the dirty-switch
@@ -23,9 +23,10 @@ import (
 //
 // A quiescent switch provably no-ops in every phase. The next-work time
 // generalizes that argument to switches that DO hold work, all of it
-// timed: nextWork[sw] is a lower bound on the earliest cycle at which the
-// switch can mutate any state or draw from its tie-break RNG stream. It
-// is the min of two components:
+// timed: nextWork[sw], the switch's booked visit on the timing wheel, is
+// a lower bound on the earliest cycle at which the switch can mutate any
+// state or draw from its tie-break RNG stream. Compaction books it at the
+// min of two components:
 //
 //	evNext  the earliest pending calendar-wheel event (exact; lowered
 //	        by scheduleSw and the transmit merge, re-scanned from the
@@ -64,13 +65,13 @@ import (
 // shard.go: during the parallel phases a switch only ever adjusts its own
 // counters and next-work components (indexed by its own id), so no word
 // is written by two goroutines in a phase — the same indexed-write rule
-// hxlint's shardsafe analyzer enforces. The scheduling wheel is touched
-// only by the sequential steps — the due build, traffic generation, the
-// transmit merge and compaction — so the iteration order every phase and
-// merge sees is the ascending switch order of the full walk (the due
-// build sorts its pops). The folded nextWork word is written only by the
-// sequential steps (compaction, generation wake-ups), never by the
-// phases, which read it as this cycle's stable skip verdict.
+// hxlint's shardsafe analyzer enforces. The booking — the nextWork word
+// and its bit on the timing wheel — is written only by the sequential
+// steps (traffic generation, the transmit merge and compaction), through
+// book and unbook, never by the phases, which read the due list as this
+// cycle's stable skip verdict. The due list is the current slot's bits
+// listed in word order, so it comes out in the ascending switch order of
+// the full walk by construction.
 //
 // Every engine keeps this state, the tests' full-walk oracle included:
 // the oracle walks every switch every cycle and never jumps, but it keeps
@@ -81,40 +82,30 @@ type activityState struct {
 	// evWork counts pending calendar events per switch (its queued packets
 	// are the engine's swInPkts, swOutPkts and swInjPkts).
 	evWork []int32
-	// The two next-work components (see the file comment) and the folded
-	// per-switch minimum. nwNever means "no locally provable work".
-	evNext   []int64
-	retry    []int64
+	// The two next-work components (see the file comment). nwNever means
+	// "no locally provable work".
+	evNext []int64
+	retry  []int64
+	// nextWork is each switch's booked visit: the cycle it next runs the
+	// phases, nwNever while it is parked. Compaction books the fold of the
+	// two components; traffic generation and the transmit merge only ever
+	// move a booking earlier (book), and an early visit is safe (the skip
+	// proof runs in both directions).
 	nextWork []int64
-	// nextWorkMin is a monotone lower bound on the earliest booked visit:
-	// lowered by every booking, refreshed from the wheel only when a jump
-	// is plausible (see fastForwardTarget). Never above the true minimum,
-	// so a fast-forward can never overshoot a booked visit.
-	nextWorkMin int64
-	// sched is the next-work timing wheel: sched[t % schedSpan] holds the
-	// switches booked for a visit at cycle t. Every next-work component is
-	// at most the event horizon away (busy-untils, serialization expiries
-	// and wheel events are all bounded by one packet's worth of cycles),
-	// so a span of horizon+2 slots loses nothing; bookings further out are
-	// clamped early, which the pop-time recheck turns into a re-booking.
-	// schedAt[sw] is the cycle sw is currently booked for (-1 when not
-	// booked); a wheel entry is live iff its slot time equals schedAt, so
-	// re-bookings simply strand the old entry to be dropped when its slot
-	// next drains. Replaces the former sorted active list: the per-cycle
-	// cost is O(due + bookings) instead of O(every parked switch).
-	sched     [][]int32
-	schedSpan int64
-	schedAt   []int64
-	// due is the sorted list of switches whose booked visit has arrived;
-	// it is built once at the top of each cycle from the wheel slot and is
-	// the only list the phases and staging merges walk. woken stages
-	// mid-cycle wake-ups from traffic generation for folding into due
-	// before the inject/allocate phase (and burst preloads staged before
-	// the first cycle, which the due build folds in directly); dueSpare is
-	// the fold's double buffer.
-	due      []int32
-	dueSpare []int32
-	woken    []int32
+	// booked is the timing wheel: span slots of ⌈S/64⌉ words each, and bit
+	// sw of slot t%span is set iff nextWork[sw] == t. Every booking is less
+	// than the event horizon ahead (event delays, serialization expiries
+	// and busy-untils are all bounded by one packet's worth of cycles), so
+	// a span of horizon+2 slots never aliases two cycles a booking can
+	// name.
+	booked []uint64
+	span   int64
+	// due is the current slot's switches, listed at the top of each cycle
+	// and again after traffic generation woke a switch (woke). A due switch
+	// keeps its bit until compaction, so the current slot is the cycle's
+	// due set, and due is the only list the phases and staging merges walk.
+	due  []int32
+	woke bool
 }
 
 // nwNever is the "no locally provable next work" sentinel of the
@@ -124,43 +115,58 @@ const nwNever = int64(1) << 62
 
 func newActivityState(switches int, span int64) *activityState {
 	a := &activityState{
-		evWork:      make([]int32, switches),
-		evNext:      make([]int64, switches),
-		retry:       make([]int64, switches),
-		nextWork:    make([]int64, switches),
-		sched:       make([][]int32, span),
-		schedSpan:   span,
-		schedAt:     make([]int64, switches),
-		nextWorkMin: nwNever,
+		evWork:   make([]int32, switches),
+		evNext:   make([]int64, switches),
+		retry:    make([]int64, switches),
+		nextWork: make([]int64, switches),
+		booked:   make([]uint64, span*int64((switches+63)/64)),
+		span:     span,
 	}
 	for i := 0; i < switches; i++ {
 		a.evNext[i] = nwNever
 		a.retry[i] = nwNever
 		a.nextWork[i] = nwNever
-		a.schedAt[i] = -1
 	}
 	return a
 }
 
-// schedule books a visit for sw at cycle t. An existing booking at or
-// before t stands (visits are lower bounds: visiting early is safe, the
-// due build re-books a switch whose next-work time has not arrived); a
-// later booking is replaced, stranding its wheel entry. Bookings beyond
-// the wheel's span are clamped early for the same reason. Sequential
-// steps only.
-func (a *activityState) schedule(sw int32, t, now int64) {
-	if t >= now+a.schedSpan {
-		t = now + a.schedSpan - 1
-	}
-	if at := a.schedAt[sw]; at != -1 && at <= t {
+// slot is the wheel slot of cycle t: one bit per switch.
+func (a *activityState) slot(t int64) []uint64 {
+	words := (len(a.nextWork) + 63) >> 6
+	i := int(t%a.span) * words
+	return a.booked[i : i+words]
+}
+
+// book moves sw's visit to cycle t when that is earlier than its booking,
+// and books a parked switch; a booking never moves later here (visits are
+// lower bounds, so an early one is safe). Sequential steps only.
+func (a *activityState) book(sw int32, t int64) {
+	if t >= a.nextWork[sw] {
 		return
 	}
-	a.schedAt[sw] = t
-	slot := t % a.schedSpan
-	a.sched[slot] = append(a.sched[slot], sw)
-	if t < a.nextWorkMin {
-		a.nextWorkMin = t
+	a.unbook(sw)
+	a.nextWork[sw] = t
+	a.slot(t)[sw>>6] |= 1 << (sw & 63)
+}
+
+// unbook parks sw: its bit leaves the wheel and nextWork is nwNever.
+// Sequential steps only.
+func (a *activityState) unbook(sw int32) {
+	if t := a.nextWork[sw]; t != nwNever {
+		a.slot(t)[sw>>6] &^= 1 << (sw & 63)
+		a.nextWork[sw] = nwNever
 	}
+}
+
+// list appends the switches booked for cycle t to dst, in ascending
+// switch order.
+func (a *activityState) list(t int64, dst []int32) []int32 {
+	for i, w := range a.slot(t) {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, int32(i<<6+bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
 }
 
 // actEvNext lowers switch sw's earliest-event cache to at. Callers are sw
@@ -173,171 +179,80 @@ func (e *engine) actEvNext(sw int32, at int64) {
 
 // actWake marks sw due this cycle. Sequential steps only (traffic
 // generation): the switch must run the remaining phases of the current
-// cycle exactly as the full walk would, so it is staged for the woken
-// fold into the due list, and the end-of-cycle compaction then refolds
-// its components into a fresh nextWork. The nextWork guard doubles as
-// the duplicate guard: a switch already due (or already woken) sits at
-// nextWork <= now and is not staged again.
+// cycle exactly as the full walk would, so it is booked into the current
+// slot for actMergeWoken to list, and the end-of-cycle compaction then
+// refolds its components into a fresh booking. A switch already due sits
+// at nextWork == now and is left alone.
 func (e *engine) actWake(sw int32) {
 	if a := e.act; a.nextWork[sw] > e.now {
-		a.nextWork[sw] = e.now
-		a.woken = append(a.woken, sw)
-	}
-}
-
-// actActivate books a wheel visit for sw at its current next-work time.
-// Sequential steps only: the transmit merge calls it after lowering a
-// target's folded word for a cross-switch event delivery. A switch whose
-// next-work time has already arrived needs no booking — it is in this
-// cycle's due list (or woken staging) and compaction re-books it.
-func (e *engine) actActivate(sw int32) {
-	if a := e.act; a.nextWork[sw] > e.now {
-		a.schedule(sw, a.nextWork[sw], e.now)
+		a.book(sw, e.now)
+		a.woke = true
 	}
 }
 
 // actRemoteEvent accounts an event the transmit merge just put on tgt's
 // calendar for cycle at. It is the one cross-switch lowering: the target
-// may be parked, and compaction no longer refolds parked switches, so the
-// folded word must track the new earliest event here (sequential, so the
-// write is safe; events land strictly in the future, so a parked target
-// stays parked this cycle).
+// may be parked, and compaction only refolds the switches it walked, so
+// the booking must move to the new earliest event here (sequential, so
+// the write is safe; events land strictly in the future, so a parked
+// target stays parked this cycle, and a due one keeps its current visit
+// until compaction refolds it).
 func (e *engine) actRemoteEvent(tgt int32, at int64) {
-	a := e.act
-	a.evWork[tgt]++
+	e.act.evWork[tgt]++
 	e.actEvNext(tgt, at)
-	if at < a.nextWork[tgt] {
-		a.nextWork[tgt] = at
-	}
-	e.actActivate(tgt)
+	e.act.book(tgt, at)
 }
 
-// actBuildDue opens a cycle: it drains the wheel slot of the current
-// cycle into the due list. Only due switches run the phases and the
-// staging merges this cycle; for everyone else the cycle is a proven
-// no-op (the extended quiescence argument in the file comment). A popped
-// entry is live only if its booking time still matches — re-bookings and
-// consumed bookings strand entries, dropped here. A live entry whose
-// next-work time is still in the future was a clamped early booking; it
-// is re-booked at the real time. Wake-ups staged before this point —
-// burst preloads generate into switches before the first cycle, when no
-// bookings exist yet — are folded in from the woken staging, which is
-// then reset to collect only the mid-cycle wake-ups of this cycle's
-// traffic generation. The pop order is wheel insertion order, so the due
-// list is sorted to restore the full walk's ascending switch order.
+// actBuildDue opens a cycle: it lists the current wheel slot into the due
+// list. Only due switches run the phases and the staging merges this
+// cycle; for everyone else the cycle is a proven no-op (the extended
+// quiescence argument in the file comment). Burst preloads book into the
+// first cycle's slot before it runs, so they are listed here like any
+// other visit.
 func (e *engine) actBuildDue() {
 	a := e.act
-	due := a.due[:0]
-	slot := e.now % a.schedSpan
-	list := a.sched[slot]
-	a.sched[slot] = list[:0]
-	for _, sw := range list {
-		if a.schedAt[sw] != e.now {
-			continue
-		}
-		a.schedAt[sw] = -1
-		if nw := a.nextWork[sw]; nw > e.now {
-			if nw < nwNever {
-				a.schedule(sw, nw, e.now)
-			}
-			continue
-		}
-		due = append(due, sw)
-	}
-	for _, sw := range a.woken {
-		due = append(due, sw)
-	}
-	a.woken = a.woken[:0]
-	if len(due) > 1 {
-		slices.Sort(due)
-	}
-	a.due = due
+	a.due = a.list(e.now, a.due[:0])
+	a.woke = false
 }
 
-// actMergeWoken folds the switches traffic generation woke mid-cycle into
-// the due list, preserving ascending switch order so the inject/allocate
-// and commit/transmit phases iterate exactly as the full walk would. The
-// two lists are disjoint: actWake only stages switches that were parked
-// (nextWork > now), and due holds none of those.
+// actMergeWoken lists the current slot again when traffic generation woke
+// a switch this cycle, so the inject/allocate and commit/transmit phases
+// walk the woken switches too, in ascending switch order as the full walk
+// would.
 func (e *engine) actMergeWoken() {
-	a := e.act
-	if len(a.woken) == 0 {
-		return
+	if e.act.woke {
+		e.actBuildDue()
 	}
-	if len(a.woken) > 1 {
-		slices.Sort(a.woken)
-	}
-	out := a.dueSpare[:0]
-	i, j := 0, 0
-	for i < len(a.due) || j < len(a.woken) {
-		if j >= len(a.woken) || (i < len(a.due) && a.due[i] < a.woken[j]) {
-			out = append(out, a.due[i])
-			i++
-		} else {
-			out = append(out, a.woken[j])
-			j++
-		}
-	}
-	a.dueSpare = a.due
-	a.due = out
-	a.woken = a.woken[:0]
 }
 
-// actCompact ends the cycle: for every switch that ran this cycle — the
+// actCompact ends the cycle: every switch that ran this cycle — the
 // switches of walk(), which is the due list outside the full-walk oracle —
-// it refolds the next-work word from its two components and books the
-// matching wheel visit, or parks the switch for good when it went
-// quiescent. Only due switches need the refold: a parked switch ran
-// nothing, so its components are unchanged and its fold still equals
-// their minimum — the one cross-switch lowering, a transmit-merge routing
-// an event onto a parked calendar, writes the folded word directly and
-// books the visit itself (actRemoteEvent). The booking is forced (schedAt
-// cleared first) because a woken switch may still hold a stale future
-// booking from before its wake-up.
+// is unbooked, then booked at the fold of its two components, or left
+// parked when it went quiescent. Only walked switches need the refold: a
+// parked switch ran nothing, so its components are unchanged and its
+// booking still equals their minimum — the one cross-switch lowering, a
+// transmit merge routing an event onto a parked calendar, books the
+// earlier visit itself (actRemoteEvent).
 func (e *engine) actCompact() {
 	a := e.act
 	for _, sw := range e.walk() {
-		if a.evWork[sw]+e.swInPkts[sw]+e.swOutPkts[sw]+e.swInjPkts[sw] == 0 {
-			a.nextWork[sw] = nwNever
-			continue
-		}
-		nw := min(a.evNext[sw], a.retry[sw])
-		a.nextWork[sw] = nw
-		a.schedAt[sw] = -1
-		a.schedule(sw, nw, e.now)
-	}
-}
-
-// scanSchedMin recomputes the exact earliest booked visit by scanning the
-// whole wheel. Stranded entries are harmless: each one's schedAt either
-// is -1 (skipped) or points at its switch's live booking time, so the
-// minimum over live schedAt values is exact. Called only when a jump is
-// plausible — on ticking cycles the cached lower bound already pins the
-// engine — so the O(span + entries) cost is paid at most once per
-// potential jump, not per cycle.
-func (e *engine) scanSchedMin() int64 {
-	a := e.act
-	m := nwNever
-	for _, slot := range a.sched {
-		for _, sw := range slot {
-			if at := a.schedAt[sw]; at != -1 && at < m {
-				m = at
-			}
+		a.unbook(sw)
+		if a.evWork[sw]+e.swInPkts[sw]+e.swOutPkts[sw]+e.swInjPkts[sw] != 0 {
+			a.book(sw, min(a.evNext[sw], a.retry[sw]))
 		}
 	}
-	return m
 }
 
 // fastForwardTarget reports the next cycle at which the engine can do any
-// work: the earliest booked wheel visit, bounded by the next traffic
-// arrival (nextGen: the open-loop arrival calendar's earliest entry, or
-// -1 in burst mode where all traffic preloads), the next scheduled fault,
-// and the caller's bound (the burst timeout's maxCycles+1, or the open
-// loop's warmup/measurement boundary). It returns false when the next
-// cycle must execute anyway (some switch, arrival or fault is due at
-// now+1). The cached nextWorkMin is a stale-low bound (bookings lower it,
-// re-bookings don't raise it), so when it alone blocks a jump after a
-// cycle that ran nothing, the exact minimum is recomputed from the wheel.
+// work: the first non-empty wheel slot after now, bounded by the next
+// traffic arrival (nextGen: the open-loop arrival calendar's earliest
+// entry, or -1 in burst mode where all traffic preloads), the next
+// scheduled fault, and the caller's bound (the burst timeout's
+// maxCycles+1, or the open loop's warmup/measurement boundary). It
+// returns false when the next cycle must execute anyway (some switch,
+// arrival or fault is due at now+1). The wheel holds exactly the
+// bookings, so the target is exact: the scan stops at the first booked
+// slot, or at the other bounds, whichever comes first.
 //
 // Unlike the pre-calendar engine this jumps even with packets in flight:
 // a switch waiting out an output serialization, a busy input VC or a
@@ -347,29 +262,29 @@ func (e *engine) scanSchedMin() int64 {
 // eligible — including one that arbitration keeps dropping for lack of a
 // downstream credit — reports now+1 and pins the engine to per-cycle
 // ticking, because the full walk would draw tie-break randomness for it
-// every cycle. Jump safety: the target never exceeds a live booking, and
-// stranded entries in skipped slots are dead by definition, so draining
-// resumes exactly at the first slot with live work. verifyActivity audits
-// the bookings against the queue ground truth under
-// Config.CheckInvariants. The full-walk oracle never jumps: it steps every
-// cycle.
+// every cycle. verifyActivity audits the bookings against the queue
+// ground truth under Config.CheckInvariants. The full-walk oracle never
+// jumps: it steps every cycle.
 func (e *engine) fastForwardTarget(bound, nextGen int64) (int64, bool) {
 	if e.fullWalk {
 		return 0, false
 	}
-	a := e.act
-	if a.nextWorkMin <= e.now+1 && len(a.due) == 0 {
-		a.nextWorkMin = e.scanSchedMin()
-	}
-	best := a.nextWorkMin
+	best := bound
 	if nextGen >= 0 && nextGen < best {
 		best = nextGen
 	}
 	if e.nextFault < len(e.faultSchedule) && e.faultSchedule[e.nextFault].Cycle < best {
 		best = e.faultSchedule[e.nextFault].Cycle
 	}
-	if bound < best {
-		best = bound
+	a := e.act
+scan:
+	for t := e.now + 1; t < best && t < e.now+a.span; t++ {
+		for _, w := range a.slot(t) {
+			if w != 0 {
+				best = t
+				break scan
+			}
+		}
 	}
 	if best <= e.now+1 {
 		return 0, false
@@ -420,83 +335,74 @@ func (e *engine) wheelEvents(sw int32) int32 {
 
 // verifyActivity audits the activity bookkeeping against the ground
 // truth: recomputed event counts per switch (verifyInvariants audits the
-// queue counters just before), set membership for
-// every switch with work, the exact evNext (against a full wheel scan),
-// the folded per-switch minimum and the cached active-set minimum, and —
-// the safety direction of the skip proof — that no switch's next-work
-// time sleeps past a provable local obligation: a queued output head's
-// busy expiry, a queued input head's busy-until on an unsaturated port,
-// or a blocked injection head's link release. Wrong words would silently skip a switch
-// with real work and corrupt results, so this panics like the
-// flow-control audits. Enabled by Config.CheckInvariants via
-// verifyInvariants, which runs after a full cycle (post-compaction), when
-// the folded words are in sync with their components.
+// queue counters just before), a booking for every switch with work, the
+// exact evNext (against a full calendar-wheel scan), the folded
+// per-switch minimum, the timing wheel's one bit per booking, and — the safety direction of
+// the skip proof — that no switch's next-work time sleeps past a provable
+// local obligation: a queued output head's busy expiry, a queued input
+// head's busy-until on an unsaturated port, or a blocked injection head's
+// link release. Wrong words would silently skip a switch with real work
+// and corrupt results, so this panics like the flow-control audits.
+// Enabled by Config.CheckInvariants via verifyInvariants, which runs after
+// a full cycle (post-compaction), when the bookings are in sync with their
+// components.
 func (e *engine) verifyActivity() {
 	a := e.act
+	booked := 0
 	for sw := 0; sw < e.S; sw++ {
 		evn, evNext := e.wheelEvents(int32(sw)), e.wheelFirst(int32(sw))
 		in, out, inj := e.queuedPackets(sw)
 		qn := in + out + inj
+		nw := a.nextWork[sw]
 		if a.evWork[sw] != evn {
 			panic(fmt.Sprintf("sim: event counter of switch %d is %d, actual %d at cycle %d",
 				sw, a.evWork[sw], evn, e.now))
-		}
-		if evn+qn > 0 && a.schedAt[sw] == -1 {
-			panic(fmt.Sprintf("sim: switch %d has work (ev %d, qu %d) but no booked wheel visit at cycle %d",
-				sw, evn, qn, e.now))
 		}
 		if a.evNext[sw] != evNext {
 			panic(fmt.Sprintf("sim: switch %d caches evNext %d, wheel says %d at cycle %d",
 				sw, a.evNext[sw], evNext, e.now))
 		}
+		if nw != nwNever {
+			// Every booking is in the future, within the wheel's span, and
+			// its bit is set in its own slot (else the visit would silently
+			// never fire).
+			booked++
+			if nw <= e.now || nw >= e.now+a.span {
+				panic(fmt.Sprintf("sim: switch %d booked for cycle %d, outside (%d, %d)",
+					sw, nw, e.now, e.now+a.span))
+			}
+			if a.slot(nw)[sw>>6]&(1<<(sw&63)) == 0 {
+				panic(fmt.Sprintf("sim: switch %d booked for cycle %d but absent from that wheel slot at cycle %d",
+					sw, nw, e.now))
+			}
+		}
 		if evn+qn == 0 {
-			if a.nextWork[sw] != nwNever || a.retry[sw] != nwNever {
+			if nw != nwNever || a.retry[sw] != nwNever {
 				panic(fmt.Sprintf("sim: quiescent switch %d holds next-work state (%d; retry %d) at cycle %d",
-					sw, a.nextWork[sw], a.retry[sw], e.now))
+					sw, nw, a.retry[sw], e.now))
 			}
 			continue
 		}
-		fold := min(evNext, a.retry[sw])
-		if a.nextWork[sw] != fold {
+		if nw == nwNever {
+			panic(fmt.Sprintf("sim: switch %d has work (ev %d, qu %d) but no booked wheel visit at cycle %d",
+				sw, evn, qn, e.now))
+		}
+		if fold := min(evNext, a.retry[sw]); nw != fold {
 			panic(fmt.Sprintf("sim: switch %d folded next-work %d, components say %d at cycle %d",
-				sw, a.nextWork[sw], fold, e.now))
+				sw, nw, fold, e.now))
 		}
 		// Safety: nextWork must not exceed any provable local obligation.
 		// (Being too LOW only costs a wasted wake-up; too high skips work.)
-		e.auditNextWorkBounds(int32(sw), a.nextWork[sw])
+		e.auditNextWorkBounds(int32(sw), nw)
 	}
-	// Booking integrity: every booking is in the future, visits its switch
-	// no later than the folded next-work time, and has a live wheel entry
-	// in its own slot (else the visit would silently never fire).
-	for sw := 0; sw < e.S; sw++ {
-		at := a.schedAt[sw]
-		if at == -1 {
-			continue
-		}
-		if at <= e.now {
-			panic(fmt.Sprintf("sim: switch %d booked for past cycle %d at cycle %d", sw, at, e.now))
-		}
-		if at > a.nextWork[sw] {
-			panic(fmt.Sprintf("sim: switch %d booked for %d, after its next-work time %d at cycle %d",
-				sw, at, a.nextWork[sw], e.now))
-		}
-		found := false
-		for _, x := range a.sched[at%a.schedSpan] {
-			if int(x) == sw {
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("sim: switch %d booked for cycle %d but absent from that wheel slot at cycle %d",
-				sw, at, e.now))
-		}
+	// The wheel holds no other bit: one set bit per booked switch.
+	bitsSet := 0
+	for _, w := range a.booked {
+		bitsSet += bits.OnesCount64(w)
 	}
-	// The cached minimum must never overshoot a live booking (a stale-LOW
-	// bound only delays a jump; a high one would skip real work).
-	if m := e.scanSchedMin(); a.nextWorkMin > m {
-		panic(fmt.Sprintf("sim: cached next-work minimum %d above earliest booking %d at cycle %d",
-			a.nextWorkMin, m, e.now))
+	if bitsSet != booked {
+		panic(fmt.Sprintf("sim: timing wheel holds %d bits for %d booked switches at cycle %d",
+			bitsSet, booked, e.now))
 	}
 }
 

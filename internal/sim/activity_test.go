@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -213,6 +214,101 @@ func TestActivityBookkeepingAudited(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// 4x4 fits one wheel word per slot; 5x5x3 is 75 switches, two words
+	// per slot with the second one partly used, so the due list, the jump
+	// scan and the audit's bit count cross a word boundary.
+	t.Run("MultiWordWheel", func(t *testing.T) {
+		h := topo.MustHyperX(5, 5, 3)
+		pat := uniformOn(t, h, 2)
+		seq := topo.RandomFaultSequence(h, 13)
+		for _, workers := range []int{1, 4} {
+			nw := topo.NewNetwork(h, topo.NewFaultSet())
+			mech, err := core.New(nw, core.PolarizedRoutes, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(RunOptions{
+				Net: nw, ServersPerSwitch: 2, Mechanism: mech, Pattern: pat,
+				Load: 0.3, WarmupCycles: 200, MeasureCycles: 1200, Seed: 8, Workers: workers,
+				Config:        cfg,
+				FaultSchedule: []FaultEvent{{Cycle: 600, Edge: seq[0]}},
+			}); err != nil {
+				t.Fatalf("open loop, workers=%d: %v", workers, err)
+			}
+			nw = topo.NewNetwork(h, nil)
+			if mech, err = core.New(nw, core.OmniRoutes, 4); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(RunOptions{
+				Net: nw, ServersPerSwitch: 2, Mechanism: mech, Pattern: pat,
+				BurstPackets: 4, Seed: 9, Workers: workers, Config: cfg,
+			}); err != nil {
+				t.Fatalf("burst drain, workers=%d: %v", workers, err)
+			}
+		}
+	})
+}
+
+// TestWheelAuditsCatchDrift: verifyActivity holds the timing wheel to one
+// bit per booked switch. Each corruption below breaks that on an engine
+// taken mid-run — a stray bit for a parked switch, a booked switch's bit
+// cleared, a booking outside (now, now+span) — and the audit must panic
+// on it, while the intact engine passes.
+func TestWheelAuditsCatchDrift(t *testing.T) {
+	// midRun returns an audited open-loop engine stopped after cycle 300,
+	// with a booked switch and a parked one.
+	midRun := func(t *testing.T) (e *engine, booked, parked int32) {
+		o := fastForwardFixture(t, RunOptions{Load: 0.3, MeasureCycles: 301, Seed: 4})
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+		if err := e.loop(o, func() bool { return e.now >= e.warmEnd }, func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		e.now-- // back on the last stepped cycle, where the audit runs
+		booked, parked = -1, -1
+		for sw := int32(0); sw < int32(e.S); sw++ {
+			if e.act.nextWork[sw] == nwNever {
+				parked = sw
+			} else {
+				booked = sw
+			}
+		}
+		if booked < 0 || parked < 0 {
+			t.Fatalf("cycle %d has no booked (%d) or no parked (%d) switch", e.now, booked, parked)
+		}
+		return e, booked, parked
+	}
+	t.Run("Intact", func(t *testing.T) {
+		e, _, _ := midRun(t)
+		e.verifyActivity()
+	})
+	audit := func(name, want string, corrupt func(e *engine, booked, parked int32)) {
+		t.Run(name, func(t *testing.T) {
+			e, booked, parked := midRun(t)
+			corrupt(e, booked, parked)
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("audit said %q, want it to mention %q", msg, want)
+				}
+			}()
+			e.verifyActivity()
+		})
+	}
+	audit("stray-bit", "bits for", func(e *engine, _, parked int32) {
+		e.act.slot(e.now + 1)[parked>>6] |= 1 << (parked & 63)
+	})
+	audit("cleared-bit", "absent from that wheel slot", func(e *engine, booked, _ int32) {
+		e.act.slot(e.act.nextWork[booked])[booked>>6] &^= 1 << (booked & 63)
+	})
+	audit("booking-out-of-span", "outside", func(e *engine, booked, _ int32) {
+		a := e.act
+		a.unbook(booked)
+		a.book(booked, e.now+a.span)
+	})
 }
 
 // TestFullWalkVisitsEverySwitchEveryCycle pins what makes the oracle an
@@ -276,10 +372,9 @@ func TestFullWalkVisitsEverySwitchEveryCycle(t *testing.T) {
 }
 
 // TestFastForwardTarget unit-tests the jump rule on a handcrafted engine:
-// the target is the cached minimum of the per-switch next-work times,
-// bounded by the next arrival, the next scheduled fault and the caller's
-// bound, and refused outright while any switch is hot (next-work at
-// now+1).
+// the target is the first booked wheel slot after now, bounded by the
+// next arrival, the next scheduled fault and the caller's bound, and
+// refused outright while any switch is hot (next-work at now+1).
 func TestFastForwardTarget(t *testing.T) {
 	h := topo.MustHyperX(3, 3)
 	nw := topo.NewNetwork(h, nil)
@@ -313,11 +408,9 @@ func TestFastForwardTarget(t *testing.T) {
 	// each handcrafted component write below marks switch 2 due first — in
 	// the engine proper the writers are the switch's own phases, which
 	// only run when it is due. The due list is cleared afterwards so
-	// fastForwardTarget sees the state a jump decision sees: a cycle that
-	// ran nothing (it refreshes its stale-low cached bound from the wheel
-	// exactly then).
+	// fastForwardTarget sees the state a jump decision sees.
 	refold := func() {
-		e.act.nextWork[2] = e.now
+		e.actWake(2)
 		e.act.due = append(e.act.due[:0], 2)
 		e.actCompact()
 		e.act.due = e.act.due[:0]

@@ -480,8 +480,8 @@ func (e *engine) generate(src int32) bool {
 	e.swInjPkts[sw]++
 	// Generation runs between the event and inject phases, so the switch
 	// must execute the rest of THIS cycle — exactly when the full walk
-	// would first see the new packet. The end-of-cycle compaction books
-	// the woken switch's next wheel visit.
+	// would first see the new packet: actWake books it into the current
+	// slot of the timing wheel, and compaction refolds its next visit.
 	e.actWake(sw)
 	e.inFlight++
 	if pkt.inWindow {

@@ -92,7 +92,7 @@ func (e *engine) memStats() MemStats {
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
 	a := e.act
 	b += sliceBytes(a.evWork) + sliceBytes(a.evNext) + sliceBytes(a.retry) +
-		sliceBytes(a.nextWork) + arenaBytes(a.sched) + sliceBytes(a.schedAt)
+		sliceBytes(a.nextWork) + sliceBytes(a.booked)
 	return MemStats{
 		Switches:        e.S,
 		ArenaBytes:      b,

@@ -78,7 +78,7 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 		t.Fatalf("a pending release counts as queued work: %d packets", q)
 	}
 	// Refold and book as the end of a cycle that ran switch 2 would.
-	e.act.nextWork[sw] = e.now
+	e.actWake(sw)
 	e.act.due = append(e.act.due[:0], sw)
 	e.actCompact()
 	e.act.due = e.act.due[:0]
@@ -97,10 +97,8 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 		t.Fatalf("evNext = %d after draining the only event, want nwNever", e.act.evNext[sw])
 	}
 	e.verifyInvariants() // the credit went back with the slot
-	// The switch went quiescent: after one idle cycle (which refreshes the
-	// stale-low cached bound from the wheel) jumps are unbounded again.
-	e.now++
-	e.stepCycle(nil)
+	// The switch went quiescent and left the wheel: the very next jump is
+	// unbounded again.
 	if next, ok = e.fastForwardTarget(1001, -1); !ok || next != 1001 {
 		t.Fatalf("fastForwardTarget after drain = (%d, %v), want (1001, true)", next, ok)
 	}

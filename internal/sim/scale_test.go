@@ -55,7 +55,7 @@ func cubeOptions(t *testing.T, side int, polsp bool) RunOptions {
 // the 16^3 budget (R grows 21 -> 45 from 8^3 to 16^3, S 512 -> 4096).
 // Every engine carries the activity bookkeeping, so the figures include
 // its per-switch words: the event count, the two next-work components
-// (evNext, retry), the folded nextWork, the booking time and the wheel.
+// (evNext, retry), the booked nextWork and the timing wheel's bits.
 func TestEngineMemoryBudgets(t *testing.T) {
 	for _, tc := range []struct {
 		side           int

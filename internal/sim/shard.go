@@ -23,12 +23,13 @@ import (
 //	   switch order, fold progress flags
 //
 // The phases and merges iterate one list, walk(): in every run but the
-// tests' full-walk oracle the sorted due list of activity.go instead of
-// the whole switch array, so a switch whose next-work time is still in the
+// tests' full-walk oracle the due list of activity.go — the timing wheel's
+// current slot, one bit per switch listed in word order — instead of the
+// whole switch array, so a switch whose next-work time is still in the
 // future is skipped (see stepCycle); the compaction at the end of the
-// cycle drops the switches that went quiescent and refolds the next-work
-// words. The iteration order is the ascending switch order of the full
-// walk either way.
+// cycle parks the switches that went quiescent and books the rest at their
+// refolded next-work times. The iteration order is the ascending switch
+// order of the full walk either way.
 //
 // Ownership argument (why the phases are race-free):
 //
@@ -253,8 +254,9 @@ func (e *engine) startPool() func() {
 }
 
 // walk is the switch list of this cycle's phases, merges and compaction:
-// the due list (actBuildDue's snapshot of the wheel slot at the top of the
-// cycle, plus any switches traffic generation woke mid-cycle), or every
+// the due list (the timing wheel's current slot, listed by actBuildDue at
+// the top of the cycle and again by actMergeWoken when traffic generation
+// booked a switch into it mid-cycle), or every
 // switch in the tests' full-walk oracle, which builds the same due list
 // and ignores it. Either way it is in ascending switch order, and the
 // switch-cycles a run executes are len(walk()) per stepped cycle, against
@@ -345,18 +347,19 @@ func (e *engine) mergeTransmit() {
 // stepCycle advances the engine by one cycle. generate runs between the
 // event drain and the switch phases: the run loop passes the arrival
 // calendar's generation, a no-op on burst's empty calendar (all burst
-// traffic preloads). The phases walk only the due list actBuildDue drains
+// traffic preloads). The phases walk only the due list actBuildDue lists
 // from the current wheel slot — switches whose booked next-work time has
-// arrived, plus switches traffic generation wakes mid-cycle (folded in
-// before inject/allocate); actCompact then re-books every due switch at
-// its refolded next-work time, or parks it for good when quiescent. For
-// everyone else the cycle is provably a no-op — no event due, no
-// eligible head, so no state change and no randomness drawn (the
-// extended quiescence proof in activity.go). The folded nextWork word is
-// stable across the cycle's phases — written only by the sequential
-// steps (compaction, generation wake-ups, the transmit merge), never by
-// the phases — so the due list that selected a switch for allocate also
-// selects it for commit, and a stale granted list can never replay.
+// arrived, plus switches traffic generation wakes mid-cycle (booked into
+// the same slot and listed again before inject/allocate); actCompact then
+// re-books every due switch at its refolded next-work time, or parks it
+// for good when quiescent. For everyone else the cycle is provably a
+// no-op — no event due, no eligible head, so no state change and no
+// randomness drawn (the extended quiescence proof in activity.go). The
+// booking is stable across the cycle's phases — written only by the
+// sequential steps (compaction, generation wake-ups, the transmit merge),
+// never by the phases — so the due list that selected a switch for
+// allocate also selects it for commit, and a stale granted list can never
+// replay.
 func (e *engine) stepCycle(generate func()) {
 	e.actBuildDue()
 	//hx:parallel-phase

@@ -799,20 +799,21 @@ func (e *engine) rebuildDerived() {
 }
 
 // rebuildActivity reconstructs the activity bookkeeping after a restore by
-// conservatively booking every switch that holds any work for a visit at
-// the restored cycle. Snapshots deliberately carry NO activity state — the
-// wheel, the due list and the two next-work components are derived
-// bookkeeping — which is what makes a snapshot independent of the worker
-// count and the walk (due list or full-walk oracle) of both the run that
-// took it and the run that resumes it.
+// conservatively booking (book) every switch that holds any work into the
+// timing wheel's slot of the restored cycle, so the first resumed cycle
+// lists them all as due. Snapshots deliberately carry NO activity state —
+// the timing wheel, the due list and the two next-work components are
+// derived bookkeeping — which is what makes a snapshot independent of the
+// worker count and the walk (due list or full-walk oracle) of both the run
+// that took it and the run that resumes it.
 //
 // Correctness of the conservative booking: visiting a switch early is
 // always safe (the parked-switch skip proof runs in both directions — an
 // extra visit to a switch whose real work lies in the future mutates
 // nothing and draws no randomness), and on that first due visit every phase
 // recomputes its own share of the next-work components exactly (the event
-// phase rescans the wheel, inject/allocate/transmit re-derive the retry
-// word), so the end-of-cycle compaction refolds the exact next-work time
+// phase rescans its calendar, inject/allocate/transmit re-derive the retry
+// word), so the end-of-cycle compaction books the exact next-work time
 // and the engine is back on the uninterrupted run's trajectory. The
 // CheckInvariants audits only run after a full cycle, when the components
 // are exact again.
@@ -832,8 +833,7 @@ func (e *engine) rebuildActivity() {
 		if qn > 0 {
 			a.retry[sw] = e.now
 		}
-		a.nextWork[sw] = e.now
-		a.schedule(int32(sw), e.now, e.now)
+		a.book(int32(sw), e.now)
 	}
 }
 
