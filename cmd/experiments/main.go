@@ -1,7 +1,7 @@
 // Command experiments regenerates the tables and figures of the paper's
 // evaluation. Each experiment prints the same rows or series the paper
-// reports; EXPERIMENTS.md records the comparison against the published
-// results.
+// reports, for comparison against the published figures; no comparison is
+// recorded in the repository yet.
 //
 // Usage:
 //

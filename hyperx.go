@@ -81,8 +81,9 @@ type EscapeRule = escape.Rule
 
 // Escape rules: RulePhased (provably deadlock-free refinement, default),
 // RuleUDTable (the paper's literal table rule, whose channel dependency
-// graph has cycles — see EXPERIMENTS.md), and RuleTree (the shortcut-free
-// AutoNet-style baseline used by the ablation).
+// graph has cycles — see internal/escape's TestPaperRuleHasCycles), and
+// RuleTree (the shortcut-free AutoNet-style baseline used by the
+// ablation).
 const (
 	RulePhased  = escape.RulePhased
 	RuleUDTable = escape.RuleUDTable

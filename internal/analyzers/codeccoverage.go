@@ -77,10 +77,7 @@ var codecTargets = []codecTarget{
 			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
 			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",
 			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
-			"swInPkts":      "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
-			"swOutPkts":     "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
-			"swInjPkts":     "rebuilt by rebuildDerived: ring lengths summed per switch; audited by verifyInvariants",
-			"inFlight":      "rebuilt by rebuildDerived: pool entries not on the free list; audited by verifyInvariants",
+			"injMask":       "rebuilt by rebuildDerived: injQ.len > 0 per server port; audited by auditPorts",
 			"portDead":      "a function of the spec and the fault cursor; applySnapshot replays markLinkDead for the applied prefix",
 			"liveDirLinks":  "a function of the spec and the fault cursor; counted at construction, lowered by the markLinkDead replay",
 			"penCost":       "derived from Config at construction",

@@ -13,7 +13,7 @@ package escape
 // descending tail level precede descent channels ordered by the descent
 // DAG's topological order) and the check validates the implementation.
 // Under RuleUDTable — the paper's literal rule — the check *finds* cycles,
-// e.g. rings of same-level shortcuts; see EXPERIMENTS.md.
+// e.g. rings of same-level shortcuts; see TestPaperRuleHasCycles.
 
 import "repro/internal/topo"
 

@@ -13,8 +13,8 @@
 //
 //   - RuleUDTable is the paper's literal mechanism: a hop x -> y is legal
 //     exactly when it strictly reduces the Up/Down distance to the target,
-//     ud(y,t) < ud(x,t). Reproducing it exposed a finding documented in
-//     EXPERIMENTS.md: the rule admits cycles in the escape channel
+//     ud(y,t) < ud(x,t). Reproducing it exposed a finding pinned by
+//     TestPaperRuleHasCycles: the rule admits cycles in the escape channel
 //     dependency graph (CheckDeadlockFree returns them), e.g. rings of
 //     same-level shortcuts, so single-buffer deadlock freedom is not
 //     guaranteed by the Dally-Seitz criterion.

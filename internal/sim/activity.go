@@ -17,9 +17,8 @@ import (
 // A switch is *quiescent* exactly when
 //
 //	evWork[sw] == 0   no events anywhere on its calendar wheel, and
-//	swInPkts[sw] + swOutPkts[sw] + swInjPkts[sw] == 0
-//	                  empty input VCs, output buffers and injection queues
-//	                  (the engine's per-switch queue counters).
+//	!holdsPackets(sw) empty input VCs, output buffers and injection queues
+//	                  (no bit of the switch's inMask, outMask and injMask).
 //
 // A quiescent switch provably no-ops in every phase. The next-work time
 // generalizes that argument to switches that DO hold work, all of it
@@ -63,9 +62,9 @@ import (
 //
 // Ownership of the bookkeeping mirrors the phase ownership argument in
 // shard.go: during the parallel phases a switch only ever adjusts its own
-// counters and next-work components (indexed by its own id), so no word
-// is written by two goroutines in a phase — the same indexed-write rule
-// hxlint's shardsafe analyzer enforces. The booking — the nextWork word
+// counters, mask words and next-work components (indexed by its own id),
+// so no word is written by two goroutines in a phase — the same
+// indexed-write rule hxlint's shardsafe analyzer enforces. The booking — the nextWork word
 // and its bit on the timing wheel — is written only by the sequential
 // steps (traffic generation, the transmit merge and compaction), through
 // book and unbook, never by the phases, which read the due list as this
@@ -79,8 +78,11 @@ import (
 // switch it walked), so the two share one bookkeeping path and differ
 // only where engine.fullWalk is tested.
 type activityState struct {
-	// evWork counts pending calendar events per switch (its queued packets
-	// are the engine's swInPkts, swOutPkts and swInjPkts).
+	// evWork counts pending calendar events per switch (which of its
+	// queues hold packets is the engine's inMask, outMask and injMask).
+	// The wheel's slots could answer "any event pending" too, but only by
+	// a scan of up to horizon slots per skipped event phase; the count
+	// answers it in one load.
 	evWork []int32
 	// The two next-work components (see the file comment). nwNever means
 	// "no locally provable work".
@@ -237,7 +239,7 @@ func (e *engine) actCompact() {
 	a := e.act
 	for _, sw := range e.walk() {
 		a.unbook(sw)
-		if a.evWork[sw]+e.swInPkts[sw]+e.swOutPkts[sw]+e.swInjPkts[sw] != 0 {
+		if a.evWork[sw] != 0 || e.holdsPackets(sw) {
 			a.book(sw, min(a.evNext[sw], a.retry[sw]))
 		}
 	}
@@ -334,8 +336,8 @@ func (e *engine) wheelEvents(sw int32) int32 {
 }
 
 // verifyActivity audits the activity bookkeeping against the ground
-// truth: recomputed event counts per switch (verifyInvariants audits the
-// queue counters just before), a booking for every switch with work, the
+// truth: recomputed event counts per switch (auditPorts checks the
+// occupancy masks just before), a booking for every switch with work, the
 // exact evNext (against a full calendar-wheel scan), the folded
 // per-switch minimum, the timing wheel's one bit per booking, and — the safety direction of
 // the skip proof — that no switch's next-work time sleeps past a provable
@@ -351,8 +353,7 @@ func (e *engine) verifyActivity() {
 	booked := 0
 	for sw := 0; sw < e.S; sw++ {
 		evn, evNext := e.wheelEvents(int32(sw)), e.wheelFirst(int32(sw))
-		in, out, inj := e.queuedPackets(sw)
-		qn := in + out + inj
+		qn := e.queuedPackets(sw)
 		nw := a.nextWork[sw]
 		if a.evWork[sw] != evn {
 			panic(fmt.Sprintf("sim: event counter of switch %d is %d, actual %d at cycle %d",

@@ -436,11 +436,12 @@ func TestFastForwardTarget(t *testing.T) {
 	if e.fastForward(); e.now != 0 {
 		t.Fatalf("a drained burst jumped to cycle %d", e.now+1)
 	}
-	e.inFlight = 1
+	id := e.allocPacket()
 	if e.fastForward(); e.now != 9 {
 		t.Fatalf("the in-flight jump lands on cycle %d, want the event at 10", e.now+1)
 	}
-	e.now, e.inFlight = 0, 0
+	e.freePacket(id)
+	e.now = 0
 	// A nearer fault bounds the jump.
 	e.faultSchedule = []FaultEvent{{Cycle: 7, Edge: topo.Edge{U: 0, V: 1}}}
 	if next, ok = e.fastForwardTarget(1001, -1); !ok || next != 7 {

@@ -42,9 +42,10 @@ type Config struct {
 	// is in flight. 0 disables the watchdog.
 	WatchdogCycles int64
 	// CheckInvariants enables periodic internal-state audits (credit and
-	// buffer accounting, plus the activity counters and dirty-set
-	// membership when activity tracking is on); a violation panics with a
-	// diagnostic. Intended for tests; costs a few percent of runtime.
+	// buffer accounting, the occupancy masks against the queues, the
+	// activity counters and the timing wheel's bookings); a violation
+	// panics with a diagnostic. Intended for tests; costs a few percent of
+	// runtime.
 	CheckInvariants bool
 }
 

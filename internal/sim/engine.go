@@ -88,8 +88,8 @@ type engine struct {
 	// (RunOptions.fullWalk), which keeps the same bookkeeping but walks
 	// all, every switch id in order, every cycle and never jumps; all is
 	// nil in every other run. fullWalk is tested only where the oracle
-	// must differ: walk(), fastForwardTarget, and the early exits and
-	// mask walks of the per-switch phases.
+	// must differ: walk(), fastForwardTarget, the event phase's early exit
+	// and the mask walks of the per-switch phases.
 	act      *activityState
 	fullWalk bool
 	all      []int32
@@ -129,15 +129,20 @@ type engine struct {
 
 	// Per-switch port-occupancy bitmasks, maskWords words per switch (bit p
 	// of switch sw located by maskBit): port p's bit is set in inMask iff the
-	// port has a nonempty input VC, in outMask iff its output
-	// buffer is nonempty. The allocation and transmission scans jump
-	// straight to the set bits instead of probing the full radix, which at
-	// low load is almost entirely empty. Maintained unconditionally (and
+	// port has a nonempty input VC, in outMask iff its output buffer is
+	// nonempty, and in injMask iff p = R+s is a server port whose server s
+	// has a nonempty injection queue (bits below R stay zero there). They
+	// are the engine's only record of which queues hold packets: the
+	// inject, allocate and transmit scans jump straight to the set bits
+	// instead of probing the full radix, which at low load is almost
+	// entirely empty, and a switch with no bit set in any of the three
+	// holds no packet (holdsPackets). Maintained unconditionally (and
 	// audited against the rings), consulted by every run but the tests'
-	// full-walk oracle, which probes every port.
+	// full-walk oracle, which probes every port and server.
 	maskWords int
 	inMask    []uint64
 	outMask   []uint64
+	injMask   []uint64
 
 	// penCost[p] caches penaltyCost for the small penalty constants, each
 	// entry evaluated with penaltyCost's own float expression so cached
@@ -212,21 +217,6 @@ type engine struct {
 	genProb            float64
 	logOneMinusGenProb float64
 
-	// Per-switch queued-packet counts by phase category: input VCs
-	// (allocation), output buffers (transmission) and injection queues
-	// (injection). Their sum is the activity engine's queued work, and each
-	// one on its own lets a dirty switch — e.g. one just waiting out a
-	// serialization busy-until — skip the port/VC scans of the phase whose
-	// count is zero, instead of probing P*V rings to find nothing. A
-	// skipped scan is provably a no-op (empty rings grant nothing, transmit
-	// nothing, inject nothing, and draw no randomness), so results are
-	// bit-identical; the CheckInvariants audit recomputes all three from
-	// the rings. Each counter is switch-owned in exactly the phases that
-	// mutate its queues (shard.go).
-	swInPkts  []int32
-	swOutPkts []int32
-	swInjPkts []int32
-
 	// Mid-run fault schedule.
 	faultSchedule []FaultEvent
 	nextFault     int
@@ -235,7 +225,6 @@ type engine struct {
 	// Time and progress.
 	now          int64
 	lastProgress int64
-	inFlight     int64
 
 	// Measurement. The per-switch window counters above are summed once, by
 	// result() (foldWindowCounters); these are maintained by the sequential
@@ -358,6 +347,7 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.maskWords = (e.P + 63) / 64
 	e.inMask = make([]uint64, e.S*e.maskWords)
 	e.outMask = make([]uint64, e.S*e.maskWords)
+	e.injMask = make([]uint64, e.S*e.maskWords)
 	e.outReserved = make([]int16, SP)
 	e.outVCCount = make([]int16, SP*e.V)
 	e.outBusy = make([]int64, SP)
@@ -369,10 +359,6 @@ func newEngine(o RunOptions) (*engine, error) {
 
 	e.horizon = int64(e.cfg.PacketPhits+e.cfg.LinkLatency) + e.cfg.xferCycles() + int64(e.cfg.XbarLatency) + 2
 	e.events = make([][]event, int64(e.S)*e.horizon)
-
-	e.swInPkts = make([]int32, e.S)
-	e.swOutPkts = make([]int32, e.S)
-	e.swInjPkts = make([]int32, e.S)
 
 	e.tie = make([]rng.Rand, e.S)
 	for sw := range e.tie {
@@ -421,6 +407,18 @@ func (e *engine) maskBit(sw int32, p int) (int, uint64) {
 	return int(sw)*e.maskWords + p>>6, 1 << uint(p&63)
 }
 
+// holdsPackets reports whether switch sw has a packet in any input VC,
+// output buffer or injection queue: some bit of its words of the three
+// occupancy masks.
+func (e *engine) holdsPackets(sw int32) bool {
+	base := int(sw) * e.maskWords
+	var m uint64
+	for i := base; i < base+e.maskWords; i++ {
+		m |= e.inMask[i] | e.outMask[i] | e.injMask[i]
+	}
+	return m != 0
+}
+
 // maskWalk calls fn for every port whose bit is set in switch sw's words of
 // mask, in ascending port order — the order of the full scan. Each word is
 // read once, before its ports are visited, so fn may clear their bits.
@@ -458,6 +456,14 @@ func (e *engine) freePacket(id int32) {
 	e.free = append(e.free, id)
 }
 
+// inFlight counts the live packets: the pool entries not on the free list.
+// A retired packet joins the free list in the merge that folds its
+// switch's staging, so between cycles it is exactly the packets generated
+// and neither delivered nor lost.
+func (e *engine) inFlight() int64 {
+	return int64(len(e.pool) - len(e.free))
+}
+
 // generate creates one message at server src toward the pattern's
 // destination and enqueues it in the injection queue; it returns false and
 // counts a stall when the queue is full. It runs in the sequential phase:
@@ -475,15 +481,17 @@ func (e *engine) generate(src int32) bool {
 	pkt.dstLocal = int16(int(dst) % e.K)
 	pkt.inWindow = e.now >= e.warmStart && e.now < e.warmEnd
 	e.mech.Init(&pkt.st, src/int32(e.K), dst/int32(e.K), e.r)
-	e.injQ.push(src, id)
 	sw := src / int32(e.K)
-	e.swInjPkts[sw]++
+	if e.injQ.len(src) == 0 {
+		w, b := e.maskBit(sw, e.R+int(src-sw*int32(e.K)))
+		e.injMask[w] |= b
+	}
+	e.injQ.push(src, id)
 	// Generation runs between the event and inject phases, so the switch
 	// must execute the rest of THIS cycle — exactly when the full walk
 	// would first see the new packet: actWake books it into the current
 	// slot of the timing wheel, and compaction refolds its next visit.
 	e.actWake(sw)
-	e.inFlight++
 	if pkt.inWindow {
 		e.genPhits[src] += int64(e.cfg.PacketPhits)
 	}
@@ -521,7 +529,6 @@ func (e *engine) processEventsSwitch(sw int32) {
 				e.inMask[w] |= b
 			}
 			e.inQ.push(ev.a, ev.pkt)
-			e.swInPkts[sw]++
 		case evXferDone:
 			// The reserve converts into a queued packet, so outTotal is
 			// unchanged — except on a dead port, where the packet is lost.
@@ -539,7 +546,6 @@ func (e *engine) processEventsSwitch(sw int32) {
 				e.outMask[w] |= b
 			}
 			e.outQ.pushVC(ev.a, ev.pkt, ev.vc)
-			e.swOutPkts[sw]++
 			// The input port gave its crossbar slot back XbarLatency cycles
 			// ago, in the evCredit of the same grant, so only the output
 			// side is handled here.
@@ -588,31 +594,27 @@ func (e *engine) deliverSw(sw, id int32) {
 // the switch's retry word, so it assigns the word on every path; allocate
 // and transmit then lower it.
 func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
-	a := e.act
-	if e.swInjPkts[sw] == 0 && !e.fullWalk {
-		a.retry[sw] = nwNever
-		return // every injection queue is empty: the scan below would no-op
-	}
 	V := e.V
 	// retry: the earliest injection-link release over servers that still
 	// hold packets afterward. A head blocked on credits contributes nothing:
 	// its space frees only through this switch's own evCredit/evArrive event
 	// chain, which evNext already bounds (see the skip proof in activity.go).
 	retry := nwNever
-	for s := 0; s < e.K; s++ {
-		g := sw*int32(e.K) + int32(s)
+	// injectPort serves the server behind server port p = R+s.
+	injectPort := func(p int) {
+		g := sw*int32(e.K) + int32(p-e.R)
 		if e.injQ.len(g) == 0 {
-			continue
+			return
 		}
 		if e.injBusy[g] > e.now {
 			if e.injBusy[g] < retry {
 				retry = e.injBusy[g]
 			}
-			continue
+			return
 		}
 		id := e.injQ.peek(g)
 		pkt := &e.pool[id]
-		base := (sw*int32(e.P) + int32(e.R+s)) * int32(V)
+		base := (sw*int32(e.P) + int32(p)) * int32(V)
 		ws.vcBuf = e.mech.InjectVCs(&pkt.st, ws.vcBuf[:0])
 		bestVC := -1
 		var bestCred int16
@@ -622,21 +624,33 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 			}
 		}
 		if bestVC < 0 {
-			continue // no space at the switch; retry next cycle
+			return // no space at the switch; retry next cycle
 		}
 		e.injQ.pop(g)
-		e.swInjPkts[sw]--
 		invc := base + int32(bestVC)
 		e.credits[invc]--
 		e.pq[invc/int32(V)].credSum--
 		e.injBusy[g] = e.now + int64(e.cfg.PacketPhits)
-		if e.injQ.len(g) > 0 && e.injBusy[g] < retry {
+		if e.injQ.len(g) == 0 {
+			w, b := e.maskBit(sw, p)
+			e.injMask[w] &^= b
+		} else if e.injBusy[g] < retry {
 			retry = e.injBusy[g]
 		}
 		e.scheduleSw(sw, int64(e.cfg.PacketPhits+e.cfg.LinkLatency), event{kind: evArrive, a: invc, pkt: id})
 		e.swProgressed[sw] = true
 	}
-	a.retry[sw] = retry
+	if e.fullWalk {
+		// The full walk keeps the plain scan of every server.
+		for p := e.R; p < e.P; p++ {
+			injectPort(p)
+		}
+	} else {
+		// Visit only the servers with queued packets, in the same
+		// ascending order the full scan would.
+		e.maskWalk(e.injMask, sw, injectPort)
+	}
+	e.act.retry[sw] = retry
 }
 
 // portq packs the per-gport words of the allocation cost function (see
@@ -702,10 +716,6 @@ func (e *engine) penaltyCost(p int32) int64 {
 // in flight.
 func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	granted := e.granted[sw][:0]
-	e.granted[sw] = granted
-	if e.swInPkts[sw] == 0 && !e.fullWalk {
-		return // every input VC is empty: no head packets, no requests, no retry
-	}
 	tr := &e.tie[sw]
 	V := e.V
 	speedup := int8(e.cfg.XbarSpeedup)
@@ -895,7 +905,6 @@ func (e *engine) commitSwitch(sw int32) {
 			w, b := e.maskBit(sw, int(rq.inPort-sw*int32(e.P)))
 			e.inMask[w] &^= b
 		}
-		e.swInPkts[sw]--
 		e.inBusyUntil[rq.invc] = e.now + xfer
 		e.inInflight[rq.inPort]++
 		e.outReserved[rq.outPort]++
@@ -919,10 +928,6 @@ func (e *engine) commitSwitch(sw int32) {
 // ejection channels. Link arrivals land on a neighbor's calendar, so they
 // stage in the switch's outbox for the deterministic merge.
 func (e *engine) transmitSwitch(sw int32) {
-	if e.swOutPkts[sw] == 0 && !e.fullWalk {
-		return // every output buffer is empty: nothing to serialize, no retry
-	}
-	outbox := e.outbox[sw]
 	serial := int64(e.cfg.PacketPhits)
 	arriveDelay := serial + int64(e.cfg.LinkLatency)
 	V := int32(e.V)
@@ -948,7 +953,6 @@ func (e *engine) transmitSwitch(sw int32) {
 			w, b := e.maskBit(sw, p)
 			e.outMask[w] &^= b
 		}
-		e.swOutPkts[sw]--
 		e.outBusy[gport] = e.now + serial
 		if left > 0 && e.outBusy[gport] < retry {
 			retry = e.outBusy[gport]
@@ -963,7 +967,7 @@ func (e *engine) transmitSwitch(sw int32) {
 		if e.now >= e.warmStart && e.now < e.warmEnd {
 			e.winLinkBusy[sw] += serial
 		}
-		outbox = append(outbox, timedEvent{
+		e.outbox[sw] = append(e.outbox[sw], timedEvent{
 			at: e.now + arriveDelay,
 			ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
 		})
@@ -978,6 +982,5 @@ func (e *engine) transmitSwitch(sw int32) {
 		// full scan skips on its first check anyway.
 		e.maskWalk(e.outMask, sw, xmitPort)
 	}
-	e.outbox[sw] = outbox
 	e.act.retry[sw] = min(e.act.retry[sw], retry)
 }

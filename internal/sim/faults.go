@@ -100,7 +100,6 @@ func (e *engine) drainDeadPort(gp int32) {
 	for e.outQ.len(gp) > 0 {
 		id, vc := e.outQ.popVC(gp)
 		e.pq[gp].outTotal--
-		e.swOutPkts[sw]--
 		e.outVCCount[gp*int32(e.V)+int32(vc)]--
 		e.losePacket(id)
 	}
@@ -110,7 +109,6 @@ func (e *engine) drainDeadPort(gp int32) {
 
 // losePacket retires a packet lost to a link failure.
 func (e *engine) losePacket(id int32) {
-	e.inFlight--
 	e.lostPkts++
 	e.freePacket(id)
 }

@@ -8,26 +8,7 @@ import "fmt"
 // wrong throughput numbers rather than a failure.
 func (e *engine) verifyInvariants() {
 	e.verifyPorts()
-	// Packet conservation: every live packet is somewhere.
-	if e.inFlight < 0 {
-		panic(fmt.Sprintf("sim: inFlight = %d negative at cycle %d", e.inFlight, e.now))
-	}
-	inUse := int64(len(e.pool)) - int64(len(e.free))
-	if inUse != e.inFlight {
-		panic(fmt.Sprintf("sim: pool holds %d packets but inFlight = %d at cycle %d",
-			inUse, e.inFlight, e.now))
-	}
-	// Per-switch phase-skip counters against the rings they summarize: a
-	// drifted counter would silently skip a phase scan with real work in
-	// it, which is a determinism bug, not just a perf bug.
-	for sw := 0; sw < e.S; sw++ {
-		in, out, inj := e.queuedPackets(sw)
-		if e.swInPkts[sw] != in || e.swOutPkts[sw] != out || e.swInjPkts[sw] != inj {
-			panic(fmt.Sprintf("sim: switch %d queue counters are (in %d, out %d, inj %d), actual (%d, %d, %d) at cycle %d",
-				sw, e.swInPkts[sw], e.swOutPkts[sw], e.swInjPkts[sw], in, out, inj, e.now))
-		}
-	}
-	// Activity bookkeeping against ground truth (no-op when disabled).
+	// Activity bookkeeping against ground truth.
 	e.verifyActivity()
 	// Arrival-calendar integrity (no-op in burst mode).
 	e.verifyArrivals()
@@ -35,17 +16,18 @@ func (e *engine) verifyInvariants() {
 
 // queuedPackets counts, from the rings, the packets switch sw holds in its
 // input VCs, output buffers and injection queues.
-func (e *engine) queuedPackets(sw int) (in, out, inj int32) {
+func (e *engine) queuedPackets(sw int) int32 {
+	var n int32
 	for gp := int32(sw * e.P); gp < int32((sw+1)*e.P); gp++ {
 		for invc := gp * int32(e.V); invc < (gp+1)*int32(e.V); invc++ {
-			in += int32(e.inQ.len(invc))
+			n += int32(e.inQ.len(invc))
 		}
-		out += int32(e.outQ.len(gp))
+		n += int32(e.outQ.len(gp))
 	}
 	for g := int32(sw * e.K); g < int32((sw+1)*e.K); g++ {
-		inj += int32(e.injQ.len(g))
+		n += int32(e.injQ.len(g))
 	}
-	return in, out, inj
+	return n
 }
 
 // verifyPorts panics on the first violation auditPorts finds.
@@ -56,24 +38,28 @@ func (e *engine) verifyPorts() {
 }
 
 // auditPorts is the per-port half of the audit — the credit ledger, the
-// occupancy counts and masks, buffer and crossbar bounds — in error form.
-// Unlike the activity and arrival audits it holds at any inter-cycle
-// point, a freshly restored snapshot included: applySnapshot refuses a
-// snapshot that fails it. It states every identity from the rings and the
-// ledger itself and never calls rebuildDerived, so it stays an independent
-// reference for what a restore rebuilds.
+// occupancy counts and the three masks, buffer and crossbar bounds — in
+// error form. A mask bit out of step with its rings would silently skip a
+// scan with real work in it, or park a switch that holds packets: a
+// determinism bug, not just a perf bug. Unlike the activity and arrival
+// audits it holds at any inter-cycle point, a freshly restored snapshot
+// included: applySnapshot refuses a snapshot that fails it. It states
+// every identity from the rings and the ledger itself and never calls
+// rebuildDerived, so it stays an independent reference for what a restore
+// rebuilds.
 func (e *engine) auditPorts() error {
-	V := int32(e.V)
-	P := int32(e.P)
+	V, P, R, K := int32(e.V), int32(e.P), int32(e.R), int32(e.K)
 	// The occupancy masks the rings call for, compared with the engine's
-	// word by word after the port walk, so a stray bit past the radix fails
-	// too.
+	// word by word after the port walk, so a stray bit past the radix (or
+	// an injection bit below R) fails too.
 	inWant := make([]uint64, len(e.inMask))
 	outWant := make([]uint64, len(e.outMask))
+	injWant := make([]uint64, len(e.injMask))
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		// Credit bounds, per-port sum consistency and link conservation.
 		var sum int32
-		w, b := e.maskBit(gp/P, int(gp%P))
+		sw, p := gp/P, gp%P
+		w, b := e.maskBit(sw, int(p))
 		for v := int32(0); v < V; v++ {
 			if e.inQ.len(gp*V+v) > 0 {
 				inWant[w] |= b
@@ -81,6 +67,9 @@ func (e *engine) auditPorts() error {
 		}
 		if e.outQ.len(gp) > 0 {
 			outWant[w] |= b
+		}
+		if p >= R && e.injQ.len(sw*K+p-R) > 0 {
+			injWant[w] |= b
 		}
 		// The ledger is indexed by sender: the credits for gp's input VCs are
 		// the entries of the port at the far end of its link, and a sender
@@ -122,9 +111,10 @@ func (e *engine) auditPorts() error {
 		}
 	}
 	for w := range inWant {
-		if e.inMask[w] != inWant[w] || e.outMask[w] != outWant[w] {
-			return fmt.Errorf("sim: mask word %d of switch %d is (in %#x, out %#x), the rings say (%#x, %#x) at cycle %d",
-				w%e.maskWords, w/e.maskWords, e.inMask[w], e.outMask[w], inWant[w], outWant[w], e.now)
+		if e.inMask[w] != inWant[w] || e.outMask[w] != outWant[w] || e.injMask[w] != injWant[w] {
+			return fmt.Errorf("sim: mask word %d of switch %d is (in %#x, out %#x, inj %#x), the rings say (%#x, %#x, %#x) at cycle %d",
+				w%e.maskWords, w/e.maskWords, e.inMask[w], e.outMask[w], e.injMask[w],
+				inWant[w], outWant[w], injWant[w], e.now)
 		}
 	}
 	return nil

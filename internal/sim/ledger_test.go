@@ -77,7 +77,9 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 
 // TestLedgerAuditsCatchDrift: the CheckInvariants audits of the
 // sender-indexed ledger fire on a credit the receiver has no slot for, on a
-// negative credit and on a drifted credit sum, each naming both ends.
+// negative credit and on a drifted credit sum, each naming both ends. The
+// same port audit fires on an injMask bit out of step with its server's
+// queue in either direction, and passes a queued packet whose bit is set.
 func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit := func(name, want string, corrupt func(e *engine, gport, far int32)) {
 		t.Run(name, func(t *testing.T) {
@@ -97,8 +99,6 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 		e.inQ.push(far*int32(e.V), e.allocPacket())
 		w, b := e.maskBit(far/int32(e.P), int(far%int32(e.P)))
 		e.inMask[w] |= b
-		e.swInPkts[far/int32(e.P)]++
-		e.inFlight++
 	})
 	audit("negative-credit", "credits[", func(e *engine, gport, far int32) {
 		e.credits[gport*int32(e.V)] = -1
@@ -107,6 +107,27 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit("credSum-drift", "credSum[", func(e *engine, gport, far int32) {
 		e.credits[gport*int32(e.V)]-- // spent by gport, so far's sum should drop
 		e.pq[gport].credSum--         // ... not gport's own
+	})
+	// injMask: bit R+s of gport's switch stands for server s's queue.
+	injBit := func(e *engine, gport int32, s int) (int32, int, uint64) {
+		sw := gport / int32(e.P)
+		w, b := e.maskBit(sw, e.R+s)
+		return sw*int32(e.K) + int32(s), w, b
+	}
+	audit("inj-bit-without-packet", "mask word", func(e *engine, gport, far int32) {
+		_, w, b := injBit(e, gport, 1)
+		e.injMask[w] |= b // server 1's queue is empty
+	})
+	audit("inj-packet-without-bit", "mask word", func(e *engine, gport, far int32) {
+		g, _, _ := injBit(e, gport, 1)
+		e.injQ.push(g, e.allocPacket()) // server 1 holds a packet its clear bit does not show
+	})
+	t.Run("inj-intact", func(t *testing.T) {
+		e := ledgerEngine(t)
+		g, w, b := injBit(e, int32(4*e.P+1), 2)
+		e.injQ.push(g, e.allocPacket())
+		e.injMask[w] |= b
+		e.verifyPorts()
 	})
 }
 

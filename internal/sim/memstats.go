@@ -71,6 +71,7 @@ func (e *engine) memStats() MemStats {
 	b += sliceBytes(e.inInflight)
 	b += sliceBytes(e.inMask)
 	b += sliceBytes(e.outMask)
+	b += sliceBytes(e.injMask)
 	b += sliceBytes(e.penCost)
 	b += e.outQ.bytes()
 	b += sliceBytes(e.outReserved)
@@ -80,7 +81,6 @@ func (e *engine) memStats() MemStats {
 	b += sliceBytes(e.injBusy)
 	b += sliceBytes(e.genPhits)
 	b += arenaBytes(e.events)
-	b += sliceBytes(e.swInPkts) + sliceBytes(e.swOutPkts) + sliceBytes(e.swInjPkts)
 	b += sliceBytes(e.tie)
 	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) + arenaBytes(e.freed)
 	b += staging

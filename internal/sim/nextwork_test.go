@@ -74,8 +74,8 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 	e.credits[e.up[gp]*int32(e.V)]--
 	e.pq[gp].credSum--
 	e.scheduleSw(sw, relAt, event{kind: evCredit, a: invc})
-	if q := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]; q != 0 {
-		t.Fatalf("a pending release counts as queued work: %d packets", q)
+	if e.holdsPackets(sw) {
+		t.Fatal("a pending release counts as queued work")
 	}
 	// Refold and book as the end of a cycle that ran switch 2 would.
 	e.actWake(sw)
@@ -140,8 +140,6 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	e.inQ.push(invc, id)
 	w, b := e.maskBit(sw, 0)
 	e.inMask[w] |= b
-	e.swInPkts[sw]++
-	e.inFlight++
 	// Starve every downstream credit, keeping the ledger sums consistent.
 	for i := range e.credits {
 		e.credits[i] = 0
@@ -167,7 +165,7 @@ func TestRemoteCreditVetoesSkip(t *testing.T) {
 	}
 	e.now++
 	e.stepCycle(nil)
-	if e.swInPkts[sw] != 0 {
-		t.Fatalf("head not granted after the credit returned: swInPkts = %d", e.swInPkts[sw])
+	if n := e.inQ.len(invc); n != 0 {
+		t.Fatalf("head not granted after the credit returned: input VC holds %d", n)
 	}
 }

@@ -255,7 +255,7 @@ func (e *engine) loop(o RunOptions, done func() bool, overrun func() error) (err
 // either way.
 func (e *engine) fastForward() {
 	arrival := e.nextArrivalCycle()
-	if e.inFlight == 0 && arrival < 0 {
+	if e.inFlight() == 0 && arrival < 0 {
 		return
 	}
 	bound := e.warmEnd
@@ -264,7 +264,7 @@ func (e *engine) fastForward() {
 	}
 	if next, ok := e.fastForwardTarget(bound, arrival); ok {
 		e.now = next - 1 // the loop increment lands on the target
-		if e.inFlight == 0 {
+		if e.inFlight() == 0 {
 			// Per-cycle ticking would have stamped progress on every
 			// skipped (empty-network) cycle; replicate the last stamp so
 			// the watchdog never sees the jump as a stall.
@@ -314,13 +314,13 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 
 // checkWatchdog aborts when nothing moved for too long while packets exist.
 func (e *engine) checkWatchdog() error {
-	if e.cfg.WatchdogCycles == 0 || e.inFlight == 0 {
+	if e.cfg.WatchdogCycles == 0 || e.inFlight() == 0 {
 		e.lastProgress = e.now
 		return nil
 	}
 	if e.now-e.lastProgress > e.cfg.WatchdogCycles {
 		return fmt.Errorf("%w: %d packets stuck for %d cycles at cycle %d",
-			ErrDeadlock, e.inFlight, e.now-e.lastProgress, e.now)
+			ErrDeadlock, e.inFlight(), e.now-e.lastProgress, e.now)
 	}
 	return nil
 }

@@ -62,8 +62,8 @@ func TestEngineMemoryBudgets(t *testing.T) {
 		polsp          bool
 		pinned, budget float64 // bytes per switch
 	}{
-		{side: 8, polsp: true, pinned: 10_793, budget: 11_872},
-		{side: 16, polsp: false, pinned: 18_757, budget: 20_633},
+		{side: 8, polsp: true, pinned: 10_783, budget: 11_861},
+		{side: 16, polsp: false, pinned: 18_749, budget: 20_624},
 	} {
 		if tc.side > 8 && testing.Short() {
 			continue // 77 MB of arenas

@@ -294,15 +294,15 @@ func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
 }
 
 // mergeRetire folds the per-switch retirement staging of this cycle into
-// the run totals: in-flight accounting, the packet free list, the optional
-// throughput series (PacketPhits per delivered packet) and the progress
-// stamp. Walking switches in index order keeps the free list (and so
-// packet-id reuse) independent of scheduling; only switches that ran the
-// event phase can hold staging, so walk() covers everything.
+// the run totals: the delivered and lost counts, the packet free list (and
+// so the in-flight count), the optional throughput series (PacketPhits per
+// delivered packet) and the progress stamp. Walking switches in index
+// order keeps the free list (and so packet-id reuse) independent of
+// scheduling; only switches that ran the event phase can hold staging, so
+// walk() covers everything.
 func (e *engine) mergeRetire() {
 	for _, sw := range e.walk() {
 		if d, l := e.swDelivered[sw], e.swLost[sw]; d+l != 0 {
-			e.inFlight -= d + l
 			e.totalDelivered += d
 			e.lostPkts += l
 			if d > 0 && e.series != nil {

@@ -26,11 +26,11 @@ import (
 //
 // hyperx-ckpt/2 carries primary state only. A field of the engine is NOT in
 // the format when verifyInvariants audits it as an exact function of fields
-// that are (the occupancy masks, the packed allocation words, the
-// per-switch queue counters, the in-flight count), or when the spec and the
-// fault cursor fix it (dead ports, the live-link count): a restore rebuilds
-// those (markLinkDead, rebuildDerived) and then audits the result
-// (auditPorts) instead of trusting what a file or a peer says they are.
+// that are (the three occupancy masks, the packed allocation words), or
+// when the spec and the fault cursor fix it (dead ports, the live-link
+// count): a restore rebuilds those (markLinkDead, rebuildDerived) and then
+// audits the result (auditPorts) instead of trusting what a file or a peer
+// says they are.
 // Two fields of the format copy another and have no engine field behind
 // them: OutInflight is OutReserved and WinDeliveredPhits is
 // WinDeliveredPkts x PacketPhits. Capture fills each from the counter it
@@ -760,42 +760,35 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // rebuildDerived recomputes, after a restore, every engine word that is an
 // exact function of the installed primaries and so is not in the format:
 // per port, the packed allocation words (output occupancy, the credit sum
-// of the port's own input buffers) and the two occupancy masks; per switch,
-// the queued-packet counters; and the in-flight count. verifyInvariants audits each of these identities from
-// its own statement of it (invariants.go) — which is what licenses leaving
-// them out — and applySnapshot runs the port half of that audit right
-// after, so a mistake here refuses snapshots instead of resuming them into
-// a different simulation.
+// of the port's own input buffers) and its bits of the three occupancy
+// masks. auditPorts states each of these identities its own way
+// (invariants.go) — which is what licenses leaving them out — and
+// applySnapshot runs it right after, so a mistake here refuses snapshots
+// instead of resuming them into a different simulation.
 func (e *engine) rebuildDerived() {
-	P, V, K := int32(e.P), int32(e.V), int32(e.K)
+	P, V, R, K := int32(e.P), int32(e.V), int32(e.R), int32(e.K)
 	clear(e.inMask)
 	clear(e.outMask)
-	for sw := int32(0); sw < int32(e.S); sw++ {
-		var in, out, inj int32
-		for p := int32(0); p < P; p++ {
-			gp := sw*P + p
-			w, b := e.maskBit(sw, int(p))
-			var credSum int16
-			for v := int32(0); v < V; v++ {
-				if n := e.inQ.len(gp*V + v); n > 0 {
-					e.inMask[w] |= b
-					in += int32(n)
-				}
-				credSum += e.credits[e.up[gp]*V+v]
+	clear(e.injMask)
+	for gp := int32(0); gp < int32(e.S)*P; gp++ {
+		sw, p := gp/P, gp%P
+		w, b := e.maskBit(sw, int(p))
+		var credSum int16
+		for v := int32(0); v < V; v++ {
+			if e.inQ.len(gp*V+v) > 0 {
+				e.inMask[w] |= b
 			}
-			queued := e.outQ.len(gp)
-			out += int32(queued)
-			e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
-			if queued > 0 {
-				e.outMask[w] |= b
-			}
+			credSum += e.credits[e.up[gp]*V+v]
 		}
-		for g := sw * K; g < (sw+1)*K; g++ {
-			inj += int32(e.injQ.len(g))
+		queued := e.outQ.len(gp)
+		e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
+		if queued > 0 {
+			e.outMask[w] |= b
 		}
-		e.swInPkts[sw], e.swOutPkts[sw], e.swInjPkts[sw] = in, out, inj
+		if p >= R && e.injQ.len(sw*K+p-R) > 0 {
+			e.injMask[w] |= b
+		}
 	}
-	e.inFlight = int64(len(e.pool) - len(e.free))
 }
 
 // rebuildActivity reconstructs the activity bookkeeping after a restore by
@@ -822,15 +815,15 @@ func (e *engine) rebuildActivity() {
 	e.act = a
 	for sw := 0; sw < e.S; sw++ {
 		evn := e.wheelEvents(int32(sw))
-		qn := e.swInPkts[sw] + e.swOutPkts[sw] + e.swInjPkts[sw]
+		held := e.holdsPackets(int32(sw))
 		a.evWork[sw] = evn
-		if evn+qn == 0 {
+		if evn == 0 && !held {
 			continue // quiescent: stays parked at nwNever, unbooked
 		}
 		if evn > 0 {
 			a.evNext[sw] = e.now
 		}
-		if qn > 0 {
+		if held {
 			a.retry[sw] = e.now
 		}
 		a.book(int32(sw), e.now)
