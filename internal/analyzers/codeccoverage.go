@@ -78,6 +78,11 @@ var codecTargets = []codecTarget{
 			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",
 			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
 			"injMask":       "rebuilt by rebuildDerived: injQ.len > 0 per server port; audited by auditPorts",
+			"hcArena":       "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
+			"hcOff":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
+			"hcLen":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
+			"hcTop":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
+			"hcCap":         "head-cache region size, derived from the radix and the VC count at construction",
 			"portDead":      "a function of the spec and the fault cursor; applySnapshot replays markLinkDead for the applied prefix",
 			"liveDirLinks":  "a function of the spec and the fault cursor; counted at construction, lowered by the markLinkDead replay",
 			"penCost":       "derived from Config at construction",

@@ -136,6 +136,10 @@ type Mechanism interface {
 	// switch cur currently held in VC curVC. scr provides the caller-owned
 	// scratch buffers (nil allocates); implementations must keep all other
 	// state read-only so concurrent calls with distinct scratches are safe.
+	// The result is a pure function of cur, st, curVC and the tables of the
+	// last Rebuild: the same list in the same order on every call until the
+	// next Rebuild, with no randomness drawn. The simulator relies on it to
+	// cache the list of a head packet that stays blocked.
 	Candidates(cur int32, st *PacketState, curVC int, scr *Scratch, buf []Candidate) []Candidate
 	// Advance updates st after the packet crossed the link at port of cur,
 	// entering the next switch in VC vc.

@@ -47,9 +47,10 @@ import (
 //
 // Why the hot/parked split keeps bit-identity: the only randomness a
 // switch draws per cycle is one tie per candidate of each *eligible* head
-// packet (bestRequest). A head blocked on a busy input VC, a saturated
-// input port, a busy output serializer or a busy/credit-less injection
-// link is never considered, so it draws nothing — skipping those cycles
+// packet (headRequest, whether its list is cached or not). A head blocked
+// on a busy input VC, a saturated input port, a busy output serializer or
+// a busy/credit-less injection link is never considered, so it draws
+// nothing — skipping those cycles
 // is invisible, and the unblock time is switch-local (a busy-until word
 // or an event on the switch's own wheel). A head that IS eligible draws
 // ties even when arbitration then drops it — e.g. blocked on a downstream

@@ -28,12 +28,12 @@ func runBytes(t testing.TB, o RunOptions) []byte {
 }
 
 // TestActivityOnOffBitIdentical is the tentpole property test: across
-// random small topologies, mechanisms, open-loop, burst and mid-flight-
-// skip modes, series buckets, mid-run fault schedules and a radix past 64
-// ports (two occupancy-mask words per switch), the activity-tracked engine
-// (with its dirty sets, per-switch next-work times and event-calendar
-// fast-forward) produces byte-for-byte the Result of the full-walk engine,
-// at several worker counts.
+// random small topologies, the nine mechanisms, open-loop, burst and
+// mid-flight-skip modes, series buckets, mid-run fault schedules and a
+// radix past 64 ports (two occupancy-mask words per switch), the
+// activity-tracked engine (with its dirty sets, per-switch next-work times,
+// event-calendar fast-forward and head cache) produces byte-for-byte the
+// Result of the full-walk engine, at several worker counts.
 func TestActivityOnOffBitIdentical(t *testing.T) {
 	dimChoices := [][]int{{3, 3}, {4, 4}, {2, 2, 2}, {3, 3, 3}}
 	check := func(seed uint64) bool {
@@ -49,9 +49,11 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 		}
 		h := topo.MustHyperX(dims...)
 		seq := topo.RandomFaultSequence(h, seed)
-		base := core.OmniRoutes
-		if r.Intn(2) == 0 {
-			base = core.PolarizedRoutes
+		// Any of the nine mechanisms; the fault schedules of mode 2 go to
+		// those built to route around faults.
+		name := allMechanisms[r.Intn(len(allMechanisms))]
+		if mode == 2 {
+			name = []string{"OmniSP", "PolSP", "EscapeOnly"}[r.Intn(3)]
 		}
 		o := RunOptions{ServersPerSwitch: per, Seed: seed}
 		switch mode {
@@ -82,11 +84,7 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 		// mutate the network's fault set.
 		fresh := func(workers int, noAct bool, ck *CheckpointOptions) ([]byte, bool) {
 			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			mech, err := core.New(nw, base, 4)
-			if err != nil {
-				t.Logf("seed %d: %v", seed, err)
-				return nil, false
-			}
+			mech := shardMech(t, name, nw)
 			pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, seed)
 			if err != nil {
 				return nil, false

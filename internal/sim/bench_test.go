@@ -62,7 +62,9 @@ func loadedPaperEngine(b testing.TB) *engine {
 
 // gatherAllRequests reproduces the request-gathering walk of the former
 // global allocator: one request per eligible head packet, across every
-// switch, into a single flat slice.
+// switch, into a single flat slice. It prices through the head cache, as
+// allocateSwitch does, so both variants of BenchmarkAllocationStep gather
+// the same requests at the same cost.
 func gatherAllRequests(e *engine, reqs []request, ws *workerScratch) []request {
 	reqs = reqs[:0]
 	speedup := int8(e.cfg.XbarSpeedup)
@@ -81,7 +83,7 @@ func gatherAllRequests(e *engine, reqs []request, ws *workerScratch) []request {
 				if e.inQ.len(invc) == 0 || e.inBusyUntil[invc] > e.now {
 					continue
 				}
-				if req, ok := e.bestRequest(sw, gport, invc, vc, tr, ws); ok {
+				if req, ok := e.headRequest(sw, gport, invc, vc, tr, ws); ok {
 					reqs = append(reqs, req)
 				}
 			}
@@ -97,22 +99,35 @@ func gatherAllRequests(e *engine, reqs []request, ws *workerScratch) []request {
 // sorted list with the former grant checks, while the bucketed arbiter
 // sorts and serves each output port's small candidate list locally — the
 // change that removed the O(R log R) hot path and the cross-switch data
-// dependency.
+// dependency. Every pass allocates the same cycle again, so from the
+// second pass on every head is priced from the head cache, as a head that
+// stays blocked is; BucketedUncached empties the cache before each pass and
+// prices every head from Mechanism.Candidates, as a head evaluated for the
+// first time is.
 func BenchmarkAllocationStep(b *testing.B) {
-	b.Run("Bucketed", func(b *testing.B) {
-		e := loadedPaperEngine(b)
-		ws := &e.ws[0]
-		b.ResetTimer()
-		granted := 0
-		for i := 0; i < b.N; i++ {
-			granted = 0
-			for sw := 0; sw < e.S; sw++ {
-				e.allocateSwitch(int32(sw), ws)
-				granted += len(e.granted[sw])
-			}
+	for _, uncached := range []bool{false, true} {
+		name := "Bucketed"
+		if uncached {
+			name = "BucketedUncached"
 		}
-		b.ReportMetric(float64(granted), "grants/cycle")
-	})
+		b.Run(name, func(b *testing.B) {
+			e := loadedPaperEngine(b)
+			ws := &e.ws[0]
+			b.ResetTimer()
+			granted := 0
+			for i := 0; i < b.N; i++ {
+				if uncached {
+					e.dropHeads()
+				}
+				granted = 0
+				for sw := 0; sw < e.S; sw++ {
+					e.allocateSwitch(int32(sw), ws)
+					granted += len(e.granted[sw])
+				}
+			}
+			b.ReportMetric(float64(granted), "grants/cycle")
+		})
+	}
 	b.Run("GlobalSortBaseline", func(b *testing.B) {
 		e := loadedPaperEngine(b)
 		ws := &e.ws[0]
@@ -165,6 +180,55 @@ func BenchmarkAllocationStep(b *testing.B) {
 		b.ReportMetric(float64(len(reqs)), "requests/cycle")
 		b.ReportMetric(float64(granted), "grants/cycle")
 	})
+}
+
+// BenchmarkSaturatedPlateau times simulated cycles past saturation, where
+// most heads stay blocked from one cycle to the next and are priced from
+// the head cache: grid-cold's network (4x4x4, four servers per switch, six
+// VCs) at load 1.0 under Minimal on the Regular Permutation to Neighbour
+// pattern and under PolSP on Uniform, each warmed for 700 cycles and timed
+// over the next 700.
+func BenchmarkSaturatedPlateau(b *testing.B) {
+	const warm, timed = 700, 700
+	h := topo.MustHyperX(4, 4, 4)
+	sv := traffic.Servers{H: h, Per: 4}
+	for _, tc := range []struct {
+		mech, pattern string
+		newPat        func() (traffic.Pattern, error)
+	}{
+		{"Minimal", "RPN", func() (traffic.Pattern, error) { return traffic.NewRegularPermutationToNeighbour(sv) }},
+		{"PolSP", "Uniform", func() (traffic.Pattern, error) { return traffic.NewUniform(sv.Count()) }},
+	} {
+		b.Run(tc.mech+"-"+tc.pattern, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				nw := topo.NewNetwork(h, nil)
+				pat, err := tc.newPat()
+				if err != nil {
+					b.Fatal(err)
+				}
+				o := RunOptions{
+					Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(b, tc.mech, nw), Pattern: pat,
+					Load: 1.0, MeasureCycles: warm + timed, Seed: 1, Config: DefaultConfig(),
+				}
+				e, err := newEngine(o)
+				if err != nil {
+					b.Fatal(err)
+				}
+				e.warmStart, e.warmEnd = 0, warm+timed
+				e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+				noOverrun := func() error { return nil }
+				if err := e.loop(o, func() bool { return e.now >= warm }, noOverrun); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := e.loop(o, func() bool { return e.now >= warm+timed }, noOverrun); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*timed), "ns/cycle")
+		})
+	}
 }
 
 // BenchmarkEngineConstruction measures newEngine on the paper-scale

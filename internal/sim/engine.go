@@ -88,8 +88,9 @@ type engine struct {
 	// (RunOptions.fullWalk), which keeps the same bookkeeping but walks
 	// all, every switch id in order, every cycle and never jumps; all is
 	// nil in every other run. fullWalk is tested only where the oracle
-	// must differ: walk(), fastForwardTarget, the event phase's early exit
-	// and the mask walks of the per-switch phases.
+	// must differ: walk(), fastForwardTarget, the event phase's early exit,
+	// the mask walks of the per-switch phases (scanWord) and the
+	// allocator, which prices every head uncached (bestRequest).
 	act      *activityState
 	fullWalk bool
 	all      []int32
@@ -143,6 +144,27 @@ type engine struct {
 	inMask    []uint64
 	outMask   []uint64
 	injMask   []uint64
+
+	// The head cache: the candidate list of an input VC's head packet,
+	// resolved into packed words (hcPack) so that a head which stays
+	// blocked is priced without calling Mechanism.Candidates again — the
+	// bulk of the allocator's work above saturation. hcLen[invc] is the
+	// head's state: hcUnseen, hcSeen, or hcCached plus the length of its
+	// list at hcOff[invc] in its switch's region of hcArena (hcCap entries
+	// per switch, the first hcTop[sw] handed out). A list is filled on the
+	// head's second evaluation, dropped when the head pops (commitSwitch),
+	// and the whole cache goes on every table rebuild and restore
+	// (dropHeads); a full region resets its switch's cache. A list is a
+	// pure function of the switch, the head's route state, its VC and the
+	// tables (the Mechanism.Candidates contract), and it is priced in its
+	// original order with one tie-break draw per entry, so a cached head
+	// requests exactly what a recomputed one would. Only a switch's own
+	// allocate and commit write its words; the cache is not snapshot state.
+	hcArena []uint32
+	hcOff   []uint16
+	hcLen   []uint8
+	hcTop   []uint32
+	hcCap   int
 
 	// penCost[p] caches penaltyCost for the small penalty constants, each
 	// entry evaluated with penaltyCost's own float expression so cached
@@ -348,6 +370,11 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.inMask = make([]uint64, e.S*e.maskWords)
 	e.outMask = make([]uint64, e.S*e.maskWords)
 	e.injMask = make([]uint64, e.S*e.maskWords)
+	e.hcCap = min(hcArenaPerVC*e.P*e.V, hcMaxOffset)
+	e.hcArena = make([]uint32, e.S*e.hcCap)
+	e.hcOff = make([]uint16, SP*e.V)
+	e.hcLen = make([]uint8, SP*e.V)
+	e.hcTop = make([]uint32, e.S)
 	e.outReserved = make([]int16, SP)
 	e.outVCCount = make([]int16, SP*e.V)
 	e.outBusy = make([]int64, SP)
@@ -419,16 +446,26 @@ func (e *engine) holdsPackets(sw int32) bool {
 	return m != 0
 }
 
-// maskWalk calls fn for every port whose bit is set in switch sw's words of
-// mask, in ascending port order — the order of the full scan. Each word is
-// read once, before its ports are visited, so fn may clear their bits.
-func (e *engine) maskWalk(mask []uint64, sw int32, fn func(p int)) {
-	base := int(sw) * e.maskWords
-	for i, m := range mask[base : base+e.maskWords] {
-		for ; m != 0; m &= m - 1 {
-			fn(i<<6 + bits.TrailingZeros64(m))
-		}
+// scanWord is word i of switch sw's mask as a phase's port walk reads it:
+// the mask word itself or, in the full walk, the bit of every port p >= lo
+// in the word set, so the oracle probes each of the phase's ports whatever
+// its bit says. A phase walks the words in order and the set bits of each
+// from the lowest up — the ascending order of the full scan — and reads a
+// word once, before visiting its ports, so a visit may clear their bits.
+func (e *engine) scanWord(mask []uint64, sw int32, i, lo int) uint64 {
+	if !e.fullWalk {
+		return mask[int(sw)*e.maskWords+i]
 	}
+	m := ^uint64(0)
+	if n := e.P - i<<6; n < 64 {
+		m = 1<<uint(n) - 1
+	}
+	if n := lo - i<<6; n >= 64 {
+		return 0
+	} else if n > 0 {
+		m &^= 1<<uint(n) - 1
+	}
+	return m
 }
 
 // scheduleSw enqueues an event on switch sw's calendar at now+delay. Every
@@ -600,55 +637,47 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 	// its space frees only through this switch's own evCredit/evArrive event
 	// chain, which evNext already bounds (see the skip proof in activity.go).
 	retry := nwNever
-	// injectPort serves the server behind server port p = R+s.
-	injectPort := func(p int) {
-		g := sw*int32(e.K) + int32(p-e.R)
-		if e.injQ.len(g) == 0 {
-			return
-		}
-		if e.injBusy[g] > e.now {
-			if e.injBusy[g] < retry {
-				retry = e.injBusy[g]
+	// Visit the servers with queued packets (the full walk: every server),
+	// server port p = R+s for server s.
+	for i := 0; i < e.maskWords; i++ {
+		for m := e.scanWord(e.injMask, sw, i, e.R); m != 0; m &= m - 1 {
+			p := i<<6 + bits.TrailingZeros64(m)
+			g := sw*int32(e.K) + int32(p-e.R)
+			if e.injQ.len(g) == 0 {
+				continue
 			}
-			return
-		}
-		id := e.injQ.peek(g)
-		pkt := &e.pool[id]
-		base := (sw*int32(e.P) + int32(p)) * int32(V)
-		ws.vcBuf = e.mech.InjectVCs(&pkt.st, ws.vcBuf[:0])
-		bestVC := -1
-		var bestCred int16
-		for _, vc := range ws.vcBuf {
-			if c := e.credits[base+int32(vc)]; c > 0 && (bestVC < 0 || c > bestCred) {
-				bestVC, bestCred = vc, c
+			if e.injBusy[g] > e.now {
+				retry = min(retry, e.injBusy[g])
+				continue
 			}
+			id := e.injQ.peek(g)
+			pkt := &e.pool[id]
+			base := (sw*int32(e.P) + int32(p)) * int32(V)
+			ws.vcBuf = e.mech.InjectVCs(&pkt.st, ws.vcBuf[:0])
+			bestVC := -1
+			var bestCred int16
+			for _, vc := range ws.vcBuf {
+				if c := e.credits[base+int32(vc)]; c > 0 && (bestVC < 0 || c > bestCred) {
+					bestVC, bestCred = vc, c
+				}
+			}
+			if bestVC < 0 {
+				continue // no space at the switch; retry next cycle
+			}
+			e.injQ.pop(g)
+			invc := base + int32(bestVC)
+			e.credits[invc]--
+			e.pq[invc/int32(V)].credSum--
+			e.injBusy[g] = e.now + int64(e.cfg.PacketPhits)
+			if e.injQ.len(g) == 0 {
+				w, b := e.maskBit(sw, p)
+				e.injMask[w] &^= b
+			} else {
+				retry = min(retry, e.injBusy[g])
+			}
+			e.scheduleSw(sw, int64(e.cfg.PacketPhits+e.cfg.LinkLatency), event{kind: evArrive, a: invc, pkt: id})
+			e.swProgressed[sw] = true
 		}
-		if bestVC < 0 {
-			return // no space at the switch; retry next cycle
-		}
-		e.injQ.pop(g)
-		invc := base + int32(bestVC)
-		e.credits[invc]--
-		e.pq[invc/int32(V)].credSum--
-		e.injBusy[g] = e.now + int64(e.cfg.PacketPhits)
-		if e.injQ.len(g) == 0 {
-			w, b := e.maskBit(sw, p)
-			e.injMask[w] &^= b
-		} else if e.injBusy[g] < retry {
-			retry = e.injBusy[g]
-		}
-		e.scheduleSw(sw, int64(e.cfg.PacketPhits+e.cfg.LinkLatency), event{kind: evArrive, a: invc, pkt: id})
-		e.swProgressed[sw] = true
-	}
-	if e.fullWalk {
-		// The full walk keeps the plain scan of every server.
-		for p := e.R; p < e.P; p++ {
-			injectPort(p)
-		}
-	} else {
-		// Visit only the servers with queued packets, in the same
-		// ascending order the full scan would.
-		e.maskWalk(e.injMask, sw, injectPort)
 	}
 	e.act.retry[sw] = retry
 }
@@ -708,12 +737,17 @@ func (e *engine) penaltyCost(p int32) int64 {
 // one request per eligible head packet of switch sw and arbitrates them with
 // per-output buckets, leaving the winners in sw's granted list for the
 // commit phase. It reads and writes only switch-local state — the credits
-// it reads are its own outputs' — so switches allocate in parallel.
+// it reads are its own outputs', the head cache its own region — so
+// switches allocate in parallel.
 //
 // Arbitration walks the output ports in index order; within an output the
 // bucket is served in ascending (cost, tie) order — the per-output-local
 // policy of Section 3, without the former global sort over every request
-// in flight.
+// in flight. A request that arbitration must refuse whatever else its
+// bucket holds (refused) never enters one: a refusal spends nothing that
+// another request is checked against, so dropping it early grants the same
+// set. The full-walk oracle keeps such requests and lets arbitration
+// refuse them.
 func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	granted := e.granted[sw][:0]
 	tr := &e.tie[sw]
@@ -722,7 +756,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	gpBase := sw * int32(e.P)
 	nreq := 0
 	// retry records WHY the queued heads could not advance. A head that
-	// reached bestRequest was *eligible*: it drew tie-break randomness. If
+	// was priced was *eligible*: it drew tie-break randomness. If
 	// arbitration then dropped it — it lost a slot race, or waits on a
 	// downstream credit only a remote switch can return — the full walk
 	// would draw for it again next cycle, so the switch must stay hot
@@ -733,42 +767,40 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	// ports wake through a pending evCredit, which evNext bounds.
 	retry := nwNever
 	nEligible := 0
-	scanPort := func(p int) {
-		gport := gpBase + int32(p)
-		if e.inInflight[gport] >= speedup {
-			return
-		}
-		vcBase := gport * int32(V)
-		for vc := 0; vc < V; vc++ {
-			invc := vcBase + int32(vc)
-			if e.inQ.len(invc) == 0 {
+	for i := 0; i < e.maskWords; i++ {
+		// The occupied ports in ascending order: a cleared bit means every
+		// VC ring of the port is empty, so skipping it drops no request and
+		// no retry bound.
+		for m := e.scanWord(e.inMask, sw, i, 0); m != 0; m &= m - 1 {
+			gport := gpBase + int32(i<<6+bits.TrailingZeros64(m))
+			if e.inInflight[gport] >= speedup {
 				continue
 			}
-			if e.inBusyUntil[invc] > e.now {
-				if e.inBusyUntil[invc] < retry {
-					retry = e.inBusyUntil[invc]
+			invc := gport * int32(V)
+			for vc := 0; vc < V; vc, invc = vc+1, invc+1 {
+				if e.inQ.len(invc) == 0 {
+					continue
 				}
-				continue
-			}
-			nEligible++
-			if req, ok := e.bestRequest(sw, gport, invc, vc, tr, ws); ok {
-				lp := int(req.outPort - gpBase)
-				ws.bucket[lp] = append(ws.bucket[lp], req)
-				nreq++
+				if busy := e.inBusyUntil[invc]; busy > e.now {
+					retry = min(retry, busy)
+					continue
+				}
+				nEligible++
+				var req request
+				var ok bool
+				if e.fullWalk {
+					req, ok = e.bestRequest(sw, gport, invc, vc, tr, ws)
+				} else {
+					req, ok = e.headRequest(sw, gport, invc, vc, tr, ws)
+					ok = ok && !e.refused(&req)
+				}
+				if ok {
+					lp := int(req.outPort - gpBase)
+					ws.bucket[lp] = append(ws.bucket[lp], req)
+					nreq++
+				}
 			}
 		}
-	}
-	if e.fullWalk {
-		// The full walk keeps the plain scan: it is the reference the A/B
-		// bit-identity tests compare against.
-		for p := 0; p < e.P; p++ {
-			scanPort(p)
-		}
-	} else {
-		// Visit only the occupied ports, in the same ascending order the
-		// full scan would. A cleared bit means every VC ring of the port is
-		// empty, so skipping it drops no request and no retry bound.
-		e.maskWalk(e.inMask, sw, scanPort)
 	}
 	if nreq > 0 {
 		for i := range ws.inUsed {
@@ -781,11 +813,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 			}
 			sortRequests(b)
 			gport := gpBase + int32(p)
-			slots := int(speedup) - int(e.outReserved[gport])
-			if free := e.cfg.OutputBufPkts - int(e.pq[gport].outTotal); free < slots {
-				slots = free
-			}
-			if slots > 0 {
+			if slots := e.outSlots(gport); slots > 0 {
 				for vc := 0; vc < V; vc++ {
 					ws.vcUsed[vc] = 0
 				}
@@ -832,6 +860,20 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	e.act.retry[sw] = min(e.act.retry[sw], retry)
 }
 
+// outSlots is how many grants output gport can take this cycle: the
+// crossbar slots it has left or its free buffer space, whichever is fewer.
+// Allocation changes neither, so the figure holds for the whole phase.
+func (e *engine) outSlots(gport int32) int {
+	return min(e.cfg.XbarSpeedup-int(e.outReserved[gport]), e.cfg.OutputBufPkts-int(e.pq[gport].outTotal))
+}
+
+// refused reports whether arbitration must turn rq down whatever else its
+// bucket holds: its output has no slot this cycle, or its VC, on a link,
+// has no credit.
+func (e *engine) refused(rq *request) bool {
+	return e.outSlots(rq.outPort) <= 0 || (!rq.eject && e.credits[rq.outPort*int32(e.V)+int32(rq.vc)] <= 0)
+}
+
 // sortRequests orders a bucket by (cost, tie) ascending. Buckets are small
 // (bounded by the switch's input VCs), so insertion sort beats sort.Slice
 // and allocates nothing.
@@ -856,6 +898,9 @@ func sortRequests(b []request) {
 // flow control still fails. Tie-break randomness draws from the switch's
 // own stream tr = &e.tie[sw], so the draw sequence depends only on the
 // switch's local traffic, never on the worker count.
+//
+// It recomputes the candidates on every call: the full-walk oracle's
+// reference for headRequest, which the engine calls instead.
 func (e *engine) bestRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws *workerScratch) (request, bool) {
 	id := e.inQ.peek(invc)
 	pkt := &e.pool[id]
@@ -884,6 +929,122 @@ func (e *engine) bestRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws 
 	return best, found
 }
 
+// Head-cache states (hcLen) and sizes.
+const (
+	hcUnseen = 0 // not evaluated since it became the head
+	hcSeen   = 1 // evaluated, not cached: priced from Candidates
+	hcCached = 2 // hcLen - hcCached packed entries at hcOff
+
+	hcMaxLen     = 255 - hcCached // the longest list hcLen can hold
+	hcArenaPerVC = 2              // arena entries per input VC of a switch
+	hcMaxOffset  = 1 << 16        // hcOff is a uint16
+)
+
+// hcPack packs one candidate into a head-cache entry: the local output
+// port in bits 24-31, the VC in 16-23 and the penalty cost, as an int16,
+// in 0-15. ok is false when a field does not fit.
+func hcPack(port, vc int, pcost int64) (uint32, bool) {
+	if uint(port) > 255 || uint(vc) > 255 || pcost != int64(int16(pcost)) {
+		return 0, false
+	}
+	return uint32(port)<<24 | uint32(vc)<<16 | uint32(uint16(pcost)), true
+}
+
+// headRequest is bestRequest over the head cache: the same candidates in
+// the same order with one tie-break draw each, so the same request. A
+// head's first evaluation prices Mechanism.Candidates and marks it seen,
+// its second also fills its list (fillHead), and every later one until it
+// pops prices the packed entries. Most heads at low load are granted on
+// their first evaluation and never pay for a fill. An ejecting head has a
+// single candidate and bypasses the cache.
+func (e *engine) headRequest(sw, gport, invc int32, curVC int, tr *rng.Rand, ws *workerScratch) (request, bool) {
+	id := e.inQ.peek(invc)
+	pkt := &e.pool[id]
+	gpBase := sw * int32(e.P)
+	if pkt.st.Dst == sw {
+		out := gpBase + int32(e.R) + int32(pkt.dstLocal)
+		return request{
+			cost: e.qCost(out, 0, true) + e.penaltyCost(0), tie: uint32(tr.Uint64()),
+			invc: invc, inPort: gport, outPort: out, pkt: id, eject: true,
+		}, true
+	}
+	var (
+		bestCost int64
+		bestTie  uint32
+		bestOut  int32
+		bestVC   int
+		found    bool
+	)
+	if n := int(e.hcLen[invc]); n >= hcCached {
+		off := int(sw)*e.hcCap + int(e.hcOff[invc])
+		for _, h := range e.hcArena[off : off+n-hcCached] {
+			out, vc := gpBase+int32(h>>24), int(h>>16&0xff)
+			cost := e.qCost(out, vc, false) + int64(int16(h))
+			tie := uint32(tr.Uint64())
+			if !found || cost < bestCost || (cost == bestCost && tie < bestTie) {
+				bestCost, bestTie, bestOut, bestVC, found = cost, tie, out, vc, true
+			}
+		}
+	} else {
+		ws.cands = e.mech.Candidates(sw, &pkt.st, curVC, &ws.rscr, ws.cands[:0])
+		if n == hcUnseen {
+			e.hcLen[invc] = hcSeen
+		} else {
+			e.fillHead(sw, invc, ws.cands)
+		}
+		for _, c := range ws.cands {
+			out := gpBase + int32(c.Port)
+			cost := e.qCost(out, c.VC, false) + e.penaltyCost(c.Penalty)
+			tie := uint32(tr.Uint64())
+			if !found || cost < bestCost || (cost == bestCost && tie < bestTie) {
+				bestCost, bestTie, bestOut, bestVC, found = cost, tie, out, c.VC, true
+			}
+		}
+	}
+	if !found {
+		return request{}, false
+	}
+	return request{
+		cost: bestCost, tie: bestTie, invc: invc, inPort: gport,
+		outPort: bestOut, pkt: id, vc: int8(bestVC),
+	}, true
+}
+
+// fillHead caches cands as the head list of input VC invc in switch sw's
+// arena region. A region without room for the list first resets the whole
+// switch's cache. A list that hcLen or hcPack cannot hold leaves the head
+// uncached: it is priced from Candidates on every evaluation.
+func (e *engine) fillHead(sw, invc int32, cands []routing.Candidate) {
+	n := len(cands)
+	if n > hcMaxLen || n > e.hcCap {
+		return
+	}
+	top := int(e.hcTop[sw])
+	if top+n > e.hcCap {
+		vcs := e.P * e.V
+		clear(e.hcLen[int(sw)*vcs : (int(sw)+1)*vcs])
+		top = 0
+	}
+	dst := e.hcArena[int(sw)*e.hcCap+top:][:n]
+	for i, c := range cands {
+		h, ok := hcPack(c.Port, c.VC, e.penaltyCost(c.Penalty))
+		if !ok {
+			return
+		}
+		dst[i] = h
+	}
+	e.hcTop[sw] = uint32(top + n)
+	e.hcOff[invc] = uint16(top)
+	e.hcLen[invc] = uint8(hcCached + n)
+}
+
+// dropHeads empties the head cache: a table rebuild changes what
+// Candidates returns, and a restored engine starts without a cache.
+func (e *engine) dropHeads() {
+	clear(e.hcLen)
+	clear(e.hcTop)
+}
+
 // commitSwitch applies switch sw's arbitration winners: the write half of
 // the allocation step. The only state it touches outside the switch is the
 // credit sum of the input port a grant sends into, which no other switch
@@ -899,6 +1060,7 @@ func (e *engine) commitSwitch(sw int32) {
 			e.pq[e.up[rq.outPort]].credSum--
 		}
 		e.inQ.pop(rq.invc)
+		e.hcLen[rq.invc] = hcUnseen // the next head has a list of its own
 		// The port's V ring headers are adjacent 4-byte words (ring.go): the
 		// whole-port check reads the cache line the pop just wrote.
 		if e.inQ.len(rq.invc) == 0 && e.inQ.allEmpty(rq.inPort*V, e.V) {
@@ -935,52 +1097,46 @@ func (e *engine) transmitSwitch(sw int32) {
 	// retry: the earliest serializer release over ports that still hold
 	// queued output packets after this cycle's pops.
 	retry := nwNever
-	xmitPort := func(p int) {
-		gport := gpBase + int32(p)
-		if e.outQ.len(gport) == 0 {
-			return
-		}
-		if e.outBusy[gport] > e.now {
-			if e.outBusy[gport] < retry {
-				retry = e.outBusy[gport]
+	// Visit the occupied output ports (the full walk: every port): a
+	// cleared bit is an empty buffer, which the full scan skips on its
+	// first check anyway.
+	for i := 0; i < e.maskWords; i++ {
+		for m := e.scanWord(e.outMask, sw, i, 0); m != 0; m &= m - 1 {
+			p := i<<6 + bits.TrailingZeros64(m)
+			gport := gpBase + int32(p)
+			if e.outQ.len(gport) == 0 {
+				continue
 			}
-			return
+			if e.outBusy[gport] > e.now {
+				retry = min(retry, e.outBusy[gport])
+				continue
+			}
+			id, vc := e.outQ.popVC(gport)
+			e.pq[gport].outTotal--
+			left := e.outQ.len(gport)
+			if left == 0 {
+				w, b := e.maskBit(sw, p)
+				e.outMask[w] &^= b
+			}
+			e.outBusy[gport] = e.now + serial
+			if left > 0 {
+				retry = min(retry, e.outBusy[gport])
+			}
+			e.outVCCount[gport*V+int32(vc)]--
+			e.swProgressed[sw] = true
+			if p >= e.R {
+				// Ejection: the server consumes the packet after serialization.
+				e.scheduleSw(sw, arriveDelay, event{kind: evDeliver, pkt: id})
+				continue
+			}
+			if e.now >= e.warmStart && e.now < e.warmEnd {
+				e.winLinkBusy[sw] += serial
+			}
+			e.outbox[sw] = append(e.outbox[sw], timedEvent{
+				at: e.now + arriveDelay,
+				ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
+			})
 		}
-		id, vc := e.outQ.popVC(gport)
-		e.pq[gport].outTotal--
-		left := e.outQ.len(gport)
-		if left == 0 {
-			w, b := e.maskBit(sw, p)
-			e.outMask[w] &^= b
-		}
-		e.outBusy[gport] = e.now + serial
-		if left > 0 && e.outBusy[gport] < retry {
-			retry = e.outBusy[gport]
-		}
-		e.outVCCount[gport*V+int32(vc)]--
-		e.swProgressed[sw] = true
-		if p >= e.R {
-			// Ejection: the server consumes the packet after serialization.
-			e.scheduleSw(sw, arriveDelay, event{kind: evDeliver, pkt: id})
-			return
-		}
-		if e.now >= e.warmStart && e.now < e.warmEnd {
-			e.winLinkBusy[sw] += serial
-		}
-		e.outbox[sw] = append(e.outbox[sw], timedEvent{
-			at: e.now + arriveDelay,
-			ev: event{kind: evArrive, a: e.up[gport]*V + int32(vc), pkt: id},
-		})
-	}
-	if e.fullWalk {
-		for p := 0; p < e.P; p++ {
-			xmitPort(p)
-		}
-	} else {
-		// Visit only the occupied output ports, in the same ascending order
-		// the full scan would: a cleared bit is an empty buffer, which the
-		// full scan skips on its first check anyway.
-		e.maskWalk(e.outMask, sw, xmitPort)
 	}
 	e.act.retry[sw] = min(e.act.retry[sw], retry)
 }

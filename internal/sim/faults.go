@@ -31,9 +31,9 @@ func sortFaultSchedule(events []FaultEvent) ([]FaultEvent, error) {
 }
 
 // applyDueFaults fails every link scheduled at or before the current cycle
-// and rebuilds the mechanism's tables once. It returns an error when a
-// fault names a non-link, an already-failed link, or disconnects the
-// network (table rebuild fails).
+// and rebuilds the mechanism's tables once, which empties the head cache.
+// It returns an error when a fault names a non-link, an already-failed
+// link, or disconnects the network (table rebuild fails).
 func (e *engine) applyDueFaults() error {
 	applied := false
 	for e.nextFault < len(e.faultSchedule) && e.faultSchedule[e.nextFault].Cycle <= e.now {
@@ -50,6 +50,7 @@ func (e *engine) applyDueFaults() error {
 	if err := e.mech.Rebuild(e.nw); err != nil {
 		return fmt.Errorf("sim: table rebuild after fault at cycle %d: %w", e.now, err)
 	}
+	e.dropHeads()
 	return nil
 }
 

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/routing"
+)
 
 // verifyInvariants audits the engine's flow-control accounting. It is
 // enabled by Config.CheckInvariants and panics with a diagnostic on the
@@ -115,6 +119,49 @@ func (e *engine) auditPorts() error {
 			return fmt.Errorf("sim: mask word %d of switch %d is (in %#x, out %#x, inj %#x), the rings say (%#x, %#x, %#x) at cycle %d",
 				w%e.maskWords, w/e.maskWords, e.inMask[w], e.outMask[w], e.injMask[w],
 				inWant[w], outWant[w], injWant[w], e.now)
+		}
+	}
+	return e.auditHeads()
+}
+
+// auditHeads holds the head cache to what it stands for: an empty input VC
+// has no head state, and a cached list lies inside its switch's handed-out
+// region and equals, entry for entry, the packed Candidates of the VC's
+// current head. A stale or corrupted list would price the head off routes
+// it no longer has, and bit-identity would be lost without a trace.
+func (e *engine) auditHeads() error {
+	var scr routing.Scratch
+	var cands []routing.Candidate
+	V, vcs := int32(e.V), int32(e.P*e.V)
+	for invc := int32(0); invc < int32(len(e.hcLen)); invc++ {
+		n := int(e.hcLen[invc])
+		if e.inQ.len(invc) == 0 {
+			if n != hcUnseen {
+				return fmt.Errorf("sim: head cache state %d on empty input VC %d at cycle %d", n, invc, e.now)
+			}
+			continue
+		}
+		if n < hcCached {
+			continue
+		}
+		n -= hcCached
+		sw, off := invc/vcs, int(e.hcOff[invc])
+		if off+n > int(e.hcTop[sw]) {
+			return fmt.Errorf("sim: head cache of input VC %d: %d entries at %d pass switch %d's top %d at cycle %d",
+				invc, n, off, sw, e.hcTop[sw], e.now)
+		}
+		pkt := &e.pool[e.inQ.peek(invc)]
+		cands = e.mech.Candidates(sw, &pkt.st, int(invc%V), &scr, cands[:0])
+		got := e.hcArena[int(sw)*e.hcCap+off:][:n]
+		if pkt.st.Dst == sw || len(cands) != n {
+			return fmt.Errorf("sim: head cache of input VC %d holds %d entries, its head (bound for switch %d) has %d candidates at cycle %d",
+				invc, n, pkt.st.Dst, len(cands), e.now)
+		}
+		for i, c := range cands {
+			if want, ok := hcPack(c.Port, c.VC, e.penaltyCost(c.Penalty)); !ok || got[i] != want {
+				return fmt.Errorf("sim: head cache of input VC %d, entry %d is %#x, Candidates says %#x at cycle %d",
+					invc, i, got[i], want, e.now)
+			}
 		}
 	}
 	return nil

@@ -79,7 +79,9 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 // sender-indexed ledger fire on a credit the receiver has no slot for, on a
 // negative credit and on a drifted credit sum, each naming both ends. The
 // same port audit fires on an injMask bit out of step with its server's
-// queue in either direction, and passes a queued packet whose bit is set.
+// queue in either direction, and passes a queued packet whose bit is set;
+// it fires on a corrupted head-cache entry and on head state left on an
+// empty input VC, and passes an intact cached head.
 func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit := func(name, want string, corrupt func(e *engine, gport, far int32)) {
 		t.Run(name, func(t *testing.T) {
@@ -129,6 +131,43 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 		e.injMask[w] |= b
 		e.verifyPorts()
 	})
+	// The head cache: an entry that no longer packs what Candidates says
+	// of the head, and head state on an input VC that holds no packet.
+	audit("head-entry-corrupt", "head cache of input VC", func(e *engine, gport, far int32) {
+		invc := cacheHead(e, gport)
+		sw := gport / int32(e.P)
+		e.hcArena[int(sw)*e.hcCap+int(e.hcOff[invc])] ^= 1 << 16 // another VC
+	})
+	audit("head-state-on-empty-vc", "head cache state", func(e *engine, gport, far int32) {
+		e.hcLen[gport*int32(e.V)+2] = hcSeen
+	})
+	t.Run("head-intact", func(t *testing.T) {
+		e := ledgerEngine(t)
+		if invc := cacheHead(e, int32(4*e.P+1)); e.hcLen[invc] <= hcCached {
+			t.Fatalf("after two evaluations the head of input VC %d is in state %d, want a cached list", invc, e.hcLen[invc])
+		}
+		e.verifyPorts()
+	})
+}
+
+// cacheHead queues one packet bound for switch 0 in input VC 1 of link
+// port gport, with the credit its sender spent on it, and prices the head
+// twice, which caches its candidate list. It returns the input VC.
+func cacheHead(e *engine, gport int32) int32 {
+	V := int32(e.V)
+	sw := gport / int32(e.P)
+	invc := gport*V + 1
+	id := e.allocPacket()
+	e.mech.Init(&e.pool[id].st, sw, 0, e.r)
+	e.inQ.push(invc, id)
+	w, b := e.maskBit(sw, int(gport%int32(e.P)))
+	e.inMask[w] |= b
+	e.credits[e.up[gport]*V+1]--
+	e.pq[gport].credSum--
+	for range 2 {
+		e.headRequest(sw, gport, invc, 1, &e.tie[sw], &e.ws[0])
+	}
+	return invc
 }
 
 // snapshotFromPR12 is a hyperx-ckpt/1 snapshot written by the engine of the

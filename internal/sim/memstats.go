@@ -15,9 +15,10 @@ type MemStats struct {
 	Switches int
 	// ArenaBytes is the engine-owned array and slab footprint at
 	// construction: everything sized by the network (rings and their
-	// slabs, calendars, credit ledgers, counters, the staging arenas and
-	// the activity tracking words). The packet pool and the per-server
-	// arrival calendar grow with offered traffic and are excluded.
+	// slabs, calendars, credit ledgers, counters, the staging arenas, the
+	// head cache and the activity tracking words). The packet pool and the
+	// per-server arrival calendar grow with offered traffic and are
+	// excluded.
 	ArenaBytes int64
 	// StagingCapBytes is the slab capacity reserved for the per-cycle
 	// staging arenas (granted/outbox/freed); included in
@@ -72,6 +73,7 @@ func (e *engine) memStats() MemStats {
 	b += sliceBytes(e.inMask)
 	b += sliceBytes(e.outMask)
 	b += sliceBytes(e.injMask)
+	b += sliceBytes(e.hcArena) + sliceBytes(e.hcOff) + sliceBytes(e.hcLen) + sliceBytes(e.hcTop)
 	b += sliceBytes(e.penCost)
 	b += e.outQ.bytes()
 	b += sliceBytes(e.outReserved)

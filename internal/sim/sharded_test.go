@@ -37,10 +37,19 @@ func shardMech(t *testing.T, name string, nw *topo.Network) routing.Mechanism {
 			t.Fatal(err)
 		}
 		return mech
+	case "EscapeOnly":
+		mech, err := core.NewEscapeOnly(nw, 0, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mech
 	default:
 		return buildMech(t, name, nw)
 	}
 }
+
+// allMechanisms names the nine mechanisms shardMech builds.
+var allMechanisms = []string{"Minimal", "Valiant", "OmniWAR", "Polarized", "DOR", "DAL", "OmniSP", "PolSP", "EscapeOnly"}
 
 // shardWorkerCounts are the worker counts every sharded regression runs at:
 // the sequential reference, a mid division of the switch array and one
@@ -111,17 +120,43 @@ func runAtWorkers(t *testing.T, name string, opts RunOptions) {
 // TestShardedBitIdenticalAllMechanisms is the core regression of the
 // sharded engine: for every mechanism, any worker count produces exactly
 // the sequential Result — latencies, throughput, hop counts, Jain index,
-// escape fractions, everything.
+// escape fractions, everything. The full-walk oracle recomputes every
+// head's candidates, so the same comparison holds the head cache to them,
+// and a second leg does so across two mid-run table rebuilds, each of
+// which empties the cache (a mechanism that cannot route around the
+// faults must fail the same way on both walks).
 func TestShardedBitIdenticalAllMechanisms(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, nil)
 	pat := uniformOn(t, h, 4)
-	for _, name := range []string{"Minimal", "Valiant", "OmniWAR", "Polarized", "DOR", "DAL", "OmniSP", "PolSP"} {
+	seq := topo.RandomFaultSequence(h, 7)
+	for _, name := range allMechanisms {
 		t.Run(name, func(t *testing.T) {
 			runAtWorkers(t, name, RunOptions{
 				Net: nw, ServersPerSwitch: 4, Mechanism: shardMech(t, name, nw),
 				Pattern: pat, Load: 0.7, WarmupCycles: 500, MeasureCycles: 1500, Seed: 42,
 			})
+			cfg := DefaultConfig()
+			cfg.CheckInvariants = true // auditHeads: no list survives a rebuild stale
+			faulted := func(workers int, fullWalk bool) string {
+				runNW := topo.NewNetwork(h, topo.NewFaultSet())
+				res, err := Run(RunOptions{
+					Net: runNW, ServersPerSwitch: 4, Mechanism: shardMech(t, name, runNW),
+					Pattern: pat, Load: 0.9, MeasureCycles: 1500, Seed: 42, Config: cfg,
+					Workers: workers, fullWalk: fullWalk,
+					FaultSchedule: []FaultEvent{{Cycle: 400, Edge: seq[0]}, {Cycle: 900, Edge: seq[1]}},
+				})
+				if err != nil {
+					return err.Error()
+				}
+				return string(res.AppendBinary(nil))
+			}
+			ref := faulted(1, true)
+			for _, w := range []int{1, 4} {
+				if got := faulted(w, false); got != ref {
+					t.Errorf("%s with two mid-run faults, workers=%d: the cached engine diverged from the full walk", name, w)
+				}
+			}
 		})
 	}
 }

@@ -761,15 +761,17 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // exact function of the installed primaries and so is not in the format:
 // per port, the packed allocation words (output occupancy, the credit sum
 // of the port's own input buffers) and its bits of the three occupancy
-// masks. auditPorts states each of these identities its own way
-// (invariants.go) — which is what licenses leaving them out — and
-// applySnapshot runs it right after, so a mistake here refuses snapshots
-// instead of resuming them into a different simulation.
+// masks; the head cache, derived too, starts empty. auditPorts states each
+// of these identities its own way (invariants.go) — which is what licenses
+// leaving them out — and applySnapshot runs it right after, so a mistake
+// here refuses snapshots instead of resuming them into a different
+// simulation.
 func (e *engine) rebuildDerived() {
 	P, V, R, K := int32(e.P), int32(e.V), int32(e.R), int32(e.K)
 	clear(e.inMask)
 	clear(e.outMask)
 	clear(e.injMask)
+	e.dropHeads()
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		sw, p := gp/P, gp%P
 		w, b := e.maskBit(sw, int(p))
