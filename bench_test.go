@@ -2,8 +2,9 @@ package hyperx
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation at laptop scale and reports the headline numbers as custom
-// benchmark metrics, plus ablations over the design choices called out in
-// DESIGN.md and microbenchmarks of the hot substrate paths.
+// benchmark metrics, plus ablations over the paper's design choices (the
+// escape subnetwork's shortcuts, the SurePath VC budget, the penalty
+// weight) and microbenchmarks of the hot substrate paths.
 //
 //	go test -bench=. -benchmem
 //

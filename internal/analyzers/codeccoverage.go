@@ -78,6 +78,7 @@ var codecTargets = []codecTarget{
 			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",
 			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
 			"injMask":       "rebuilt by rebuildDerived: injQ.len > 0 per server port; audited by auditPorts",
+			"evMask":        "rebuilt by rebuildDerived: a bit per nonempty calendar slot per switch; audited by auditPorts",
 			"hcArena":       "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
 			"hcOff":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
 			"hcLen":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",

@@ -16,7 +16,7 @@ import (
 //
 // A switch is *quiescent* exactly when
 //
-//	evWork[sw] == 0   no events anywhere on its calendar wheel, and
+//	evMask[sw] == 0   no event in any slot of its calendar, and
 //	!holdsPackets(sw) empty input VCs, output buffers and injection queues
 //	                  (no bit of the switch's inMask, outMask and injMask).
 //
@@ -27,23 +27,23 @@ import (
 // state or draw from its tie-break RNG stream. Compaction books it at the
 // min of two components:
 //
-//	evNext  the earliest pending calendar-wheel event (exact; lowered
-//	        by scheduleSw and the transmit merge, re-scanned from the
-//	        wheel by the event phase after a drain)
-//	retry   the earliest cycle a queued head can advance, built by the
-//	        three queue phases in their fixed order on every switch of
-//	        the walk. Inject assigns it — the earliest injBusy expiry
-//	        over non-empty injection queues (a credit-starved injection
-//	        head unblocks only via this switch's own evCredit/evArrive
-//	        chain, which evNext already bounds). Allocate lowers it with
-//	        its verdict on the queued input heads: now+1 ("hot") if any
-//	        head was *eligible* this cycle and not granted — it drew
-//	        tie-break randomness, so every subsequent cycle must run —
-//	        else the earliest inBusyUntil of a non-empty input VC on an
-//	        unsaturated port (a saturated port unblocks when an evCredit
-//	        of its own returns a crossbar slot, which evNext already
-//	        bounds). Transmit lowers it with the earliest outBusy expiry
-//	        over ports with queued output packets.
+//	nextEvent  the earliest pending calendar event (exact; read off the
+//	           calendar word evMask, whose slot bits scheduleSw and the
+//	           transmit merge set and the event phase clears)
+//	retry      the earliest cycle a queued head can advance, built by the
+//	           three queue phases in their fixed order on every switch of
+//	           the walk. Inject assigns it — the earliest injBusy expiry
+//	           over non-empty injection queues (a credit-starved injection
+//	           head unblocks only via this switch's own evCredit/evArrive
+//	           chain, which nextEvent already bounds). Allocate lowers it with
+//	           its verdict on the queued input heads: now+1 ("hot") if any
+//	           head was *eligible* this cycle and not granted — it drew
+//	           tie-break randomness, so every subsequent cycle must run —
+//	           else the earliest inBusyUntil of a non-empty input VC on an
+//	           unsaturated port (a saturated port unblocks when an evCredit
+//	           of its own returns a crossbar slot, which nextEvent already
+//	           bounds). Transmit lowers it with the earliest outBusy expiry
+//	           over ports with queued output packets.
 //
 // Why the hot/parked split keeps bit-identity: the only randomness a
 // switch draws per cycle is one tie per candidate of each *eligible* head
@@ -63,7 +63,7 @@ import (
 //
 // Ownership of the bookkeeping mirrors the phase ownership argument in
 // shard.go: during the parallel phases a switch only ever adjusts its own
-// counters, mask words and next-work components (indexed by its own id),
+// calendar word, mask words and retry word (indexed by its own id),
 // so no word is written by two goroutines in a phase — the same
 // indexed-write rule hxlint's shardsafe analyzer enforces. The booking — the nextWork word
 // and its bit on the timing wheel — is written only by the sequential
@@ -79,16 +79,10 @@ import (
 // switch it walked), so the two share one bookkeeping path and differ
 // only where engine.fullWalk is tested.
 type activityState struct {
-	// evWork counts pending calendar events per switch (which of its
-	// queues hold packets is the engine's inMask, outMask and injMask).
-	// The wheel's slots could answer "any event pending" too, but only by
-	// a scan of up to horizon slots per skipped event phase; the count
-	// answers it in one load.
-	evWork []int32
-	// The two next-work components (see the file comment). nwNever means
-	// "no locally provable work".
-	evNext []int64
-	retry  []int64
+	// retry is the queue phases' next-work component (see the file
+	// comment; the other, nextEvent, is read off the engine's evMask).
+	// nwNever means "no locally provable work".
+	retry []int64
 	// nextWork is each switch's booked visit: the cycle it next runs the
 	// phases, nwNever while it is parked. Compaction books the fold of the
 	// two components; traffic generation and the transmit merge only ever
@@ -118,15 +112,12 @@ const nwNever = int64(1) << 62
 
 func newActivityState(switches int, span int64) *activityState {
 	a := &activityState{
-		evWork:   make([]int32, switches),
-		evNext:   make([]int64, switches),
 		retry:    make([]int64, switches),
 		nextWork: make([]int64, switches),
 		booked:   make([]uint64, span*int64((switches+63)/64)),
 		span:     span,
 	}
 	for i := 0; i < switches; i++ {
-		a.evNext[i] = nwNever
 		a.retry[i] = nwNever
 		a.nextWork[i] = nwNever
 	}
@@ -172,14 +163,6 @@ func (a *activityState) list(t int64, dst []int32) []int32 {
 	return dst
 }
 
-// actEvNext lowers switch sw's earliest-event cache to at. Callers are sw
-// itself (scheduleSw inside a phase) or the sequential transmit merge.
-func (e *engine) actEvNext(sw int32, at int64) {
-	if a := e.act; at < a.evNext[sw] {
-		a.evNext[sw] = at
-	}
-}
-
 // actWake marks sw due this cycle. Sequential steps only (traffic
 // generation): the switch must run the remaining phases of the current
 // cycle exactly as the full walk would, so it is booked into the current
@@ -191,19 +174,6 @@ func (e *engine) actWake(sw int32) {
 		a.book(sw, e.now)
 		a.woke = true
 	}
-}
-
-// actRemoteEvent accounts an event the transmit merge just put on tgt's
-// calendar for cycle at. It is the one cross-switch lowering: the target
-// may be parked, and compaction only refolds the switches it walked, so
-// the booking must move to the new earliest event here (sequential, so
-// the write is safe; events land strictly in the future, so a parked
-// target stays parked this cycle, and a due one keeps its current visit
-// until compaction refolds it).
-func (e *engine) actRemoteEvent(tgt int32, at int64) {
-	e.act.evWork[tgt]++
-	e.actEvNext(tgt, at)
-	e.act.book(tgt, at)
 }
 
 // actBuildDue opens a cycle: it lists the current wheel slot into the due
@@ -235,13 +205,13 @@ func (e *engine) actMergeWoken() {
 // parked switch ran nothing, so its components are unchanged and its
 // booking still equals their minimum — the one cross-switch lowering, a
 // transmit merge routing an event onto a parked calendar, books the
-// earlier visit itself (actRemoteEvent).
+// earlier visit itself (mergeTransmit).
 func (e *engine) actCompact() {
 	a := e.act
 	for _, sw := range e.walk() {
 		a.unbook(sw)
-		if a.evWork[sw] != 0 || e.holdsPackets(sw) {
-			a.book(sw, min(a.evNext[sw], a.retry[sw]))
+		if e.evMask[sw] != 0 || e.holdsPackets(sw) {
+			a.book(sw, min(e.nextEvent(sw), a.retry[sw]))
 		}
 	}
 }
@@ -295,25 +265,9 @@ scan:
 	return best, true
 }
 
-// nextWheelEvent scans switch sw's calendar wheel for its earliest
-// pending event cycle, nwNever when the wheel is empty. Called by the
-// event phase only when the drained slot was the cached earliest — so the
-// scan cost amortizes to O(1) per event, and no per-cycle code walks the
-// whole wheel anymore.
-func (e *engine) nextWheelEvent(sw int32) int64 {
-	if e.act.evWork[sw] == 0 {
-		return nwNever
-	}
-	if c := e.wheelFirst(sw); c != nwNever {
-		return c
-	}
-	panic(fmt.Sprintf("sim: switch %d has evWork %d but an empty wheel at cycle %d",
-		sw, e.act.evWork[sw], e.now))
-}
-
-// wheelFirst scans switch sw's calendar wheel forward from the next cycle
-// and returns the first cycle with a pending event, nwNever when every
-// future slot is empty.
+// wheelFirst scans switch sw's calendar forward from the next cycle and
+// returns the first cycle with a pending event, nwNever when every future
+// slot is empty: the audit's slot-by-slot reference for nextEvent.
 func (e *engine) wheelFirst(sw int32) int64 {
 	base := int64(sw) * e.horizon
 	for off := int64(1); off < e.horizon; off++ {
@@ -325,21 +279,10 @@ func (e *engine) wheelFirst(sw int32) int64 {
 	return nwNever
 }
 
-// wheelEvents counts the events pending anywhere on switch sw's calendar
-// wheel: the ground truth of evWork[sw].
-func (e *engine) wheelEvents(sw int32) int32 {
-	var n int32
-	base := int64(sw) * e.horizon
-	for _, slot := range e.events[base : base+e.horizon] {
-		n += int32(len(slot))
-	}
-	return n
-}
-
 // verifyActivity audits the activity bookkeeping against the ground
-// truth: recomputed event counts per switch (auditPorts checks the
-// occupancy masks just before), a booking for every switch with work, the
-// exact evNext (against a full calendar-wheel scan), the folded
+// truth (auditPorts checks the occupancy masks and the calendar words
+// slot by slot just before): a booking for every switch with work, the
+// exact nextEvent (against a scan of the calendar's slots), the folded
 // per-switch minimum, the timing wheel's one bit per booking, and — the safety direction of
 // the skip proof — that no switch's next-work time sleeps past a provable
 // local obligation: a queued output head's busy expiry, a queued input
@@ -353,16 +296,12 @@ func (e *engine) verifyActivity() {
 	a := e.act
 	booked := 0
 	for sw := 0; sw < e.S; sw++ {
-		evn, evNext := e.wheelEvents(int32(sw)), e.wheelFirst(int32(sw))
+		first, evm := e.wheelFirst(int32(sw)), e.evMask[sw]
 		qn := e.queuedPackets(sw)
 		nw := a.nextWork[sw]
-		if a.evWork[sw] != evn {
-			panic(fmt.Sprintf("sim: event counter of switch %d is %d, actual %d at cycle %d",
-				sw, a.evWork[sw], evn, e.now))
-		}
-		if a.evNext[sw] != evNext {
-			panic(fmt.Sprintf("sim: switch %d caches evNext %d, wheel says %d at cycle %d",
-				sw, a.evNext[sw], evNext, e.now))
+		if got := e.nextEvent(int32(sw)); got != first {
+			panic(fmt.Sprintf("sim: switch %d's calendar word %#x says its next event is at %d, its slots say %d at cycle %d",
+				sw, evm, got, first, e.now))
 		}
 		if nw != nwNever {
 			// Every booking is in the future, within the wheel's span, and
@@ -378,7 +317,7 @@ func (e *engine) verifyActivity() {
 					sw, nw, e.now))
 			}
 		}
-		if evn+qn == 0 {
+		if evm == 0 && qn == 0 {
 			if nw != nwNever || a.retry[sw] != nwNever {
 				panic(fmt.Sprintf("sim: quiescent switch %d holds next-work state (%d; retry %d) at cycle %d",
 					sw, nw, a.retry[sw], e.now))
@@ -386,10 +325,10 @@ func (e *engine) verifyActivity() {
 			continue
 		}
 		if nw == nwNever {
-			panic(fmt.Sprintf("sim: switch %d has work (ev %d, qu %d) but no booked wheel visit at cycle %d",
-				sw, evn, qn, e.now))
+			panic(fmt.Sprintf("sim: switch %d has work (calendar %#x, qu %d) but no booked wheel visit at cycle %d",
+				sw, evm, qn, e.now))
 		}
-		if fold := min(evNext, a.retry[sw]); nw != fold {
+		if fold := min(first, a.retry[sw]); nw != fold {
 			panic(fmt.Sprintf("sim: switch %d folded next-work %d, components say %d at cycle %d",
 				sw, nw, fold, e.now))
 		}
@@ -414,7 +353,7 @@ func (e *engine) verifyActivity() {
 // provable are exempt because they cannot be parked: an eligible input
 // head (even one starved of downstream credits) forces retry = now+1,
 // and a credit-starved injection head waits on this switch's own
-// evCredit/evArrive chain, which evNext bounds.
+// evCredit/evArrive chain, which nextEvent bounds.
 func (e *engine) auditNextWorkBounds(sw int32, nw int64) {
 	for p := 0; p < e.P; p++ {
 		gp := sw*int32(e.P) + int32(p)
@@ -429,7 +368,7 @@ func (e *engine) auditNextWorkBounds(sw int32, nw int64) {
 			}
 		}
 		if int(e.inInflight[gp]) >= e.cfg.XbarSpeedup {
-			continue // unblocks via a pending evCredit; evNext bounds it
+			continue // unblocks via a pending evCredit; nextEvent bounds it
 		}
 		for vc := 0; vc < e.V; vc++ {
 			invc := gp*int32(e.V) + int32(vc)

@@ -33,10 +33,15 @@ func runBytes(t testing.TB, o RunOptions) []byte {
 // radix past 64 ports (two occupancy-mask words per switch), the
 // activity-tracked engine (with its dirty sets, per-switch next-work times,
 // event-calendar fast-forward and head cache) produces byte-for-byte the
-// Result of the full-walk engine, at several worker counts.
+// Result of the full-walk engine, at several worker counts. Every third
+// check runs 40-phit packets with CheckInvariants on: an event horizon of
+// exactly 64 slots, where a switch's calendar word is full and nextEvent's
+// rotation wraps by a whole word.
 func TestActivityOnOffBitIdentical(t *testing.T) {
 	dimChoices := [][]int{{3, 3}, {4, 4}, {2, 2, 2}, {3, 3, 3}}
+	checks := 0
 	check := func(seed uint64) bool {
+		checks++
 		r := rng.New(seed)
 		dims := dimChoices[r.Intn(len(dimChoices))]
 		per, mode := 2, r.Intn(4)
@@ -80,6 +85,12 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 			o.WarmupCycles = int64(r.Intn(200))
 			o.MeasureCycles = 2000 + int64(r.Intn(1500))
 		}
+		long := checks%3 == 0
+		if long {
+			o.Config = DefaultConfig()
+			o.Config.PacketPhits = 40
+			o.Config.CheckInvariants = true
+		}
 		// Each run gets a private network and mechanism: fault schedules
 		// mutate the network's fault set.
 		fresh := func(workers int, noAct bool, ck *CheckpointOptions) ([]byte, bool) {
@@ -108,7 +119,7 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 					continue
 				}
 				if !bytes.Equal(ref, got) {
-					t.Logf("seed %d (%v): workers=%d activity=%v diverged", seed, dims, workers, !noAct)
+					t.Logf("seed %d (%v, 40-phit packets %v): workers=%d activity=%v diverged", seed, dims, long, workers, !noAct)
 					return false
 				}
 			}
@@ -129,7 +140,7 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 			return false
 		}
 		if !bytes.Equal(ref, got) {
-			t.Logf("seed %d (%v): checkpointing run diverged", seed, dims)
+			t.Logf("seed %d (%v, 40-phit packets %v): checkpointing run diverged", seed, dims, long)
 			return false
 		}
 		if len(snaps) == 0 {
@@ -141,7 +152,7 @@ func TestActivityOnOffBitIdentical(t *testing.T) {
 			return false
 		}
 		if !bytes.Equal(ref, resumed) {
-			t.Logf("seed %d (%v): snapshot resume diverged", seed, dims)
+			t.Logf("seed %d (%v, 40-phit packets %v): snapshot resume diverged", seed, dims, long)
 			return false
 		}
 		return true

@@ -188,7 +188,14 @@ type engine struct {
 	free []int32
 
 	// Calendar queues, one per switch: slot sw*horizon + cycle%horizon.
+	// evMask[sw] is the switch's calendar in one word: bit t is set iff its
+	// slot t holds an event. It is the engine's only record of pending
+	// events: scheduleSw and the transmit merge set a bit where they
+	// append, the event phase clears it where it drains the slot, and
+	// nextEvent reads the earliest pending cycle off it. One word per
+	// switch is why newEngine refuses a horizon past maxHorizon.
 	events  [][]event
+	evMask  []uint64
 	horizon int64
 
 	// Per-switch state for the sharded phases, laid out struct-of-arrays:
@@ -294,6 +301,21 @@ func carveStaging[T any](n, capacity int) [][]T {
 // int8 fields (events, requests, output-buffer entries).
 const maxVCs = 127
 
+// maxHorizon is the longest calendar the engine keeps: evMask holds one
+// bit per slot in a uint64 (Table 2's configuration needs 28).
+const maxHorizon = 64
+
+// calendarError refuses a Config whose event horizon — the slots of one
+// switch's calendar — does not fit an evMask word.
+func calendarError(horizon int64) error {
+	if horizon > maxHorizon {
+		return fmt.Errorf("sim: the event horizon of %d cycles (PacketPhits, LinkLatency, "+
+			"the crossbar transfer, XbarLatency and 2) exceeds the %d slots a calendar word holds",
+			horizon, maxHorizon)
+	}
+	return nil
+}
+
 // tieStreamBase offsets the per-switch tie-break RNG stream ids away from
 // the generation stream (0x51) in the run seed's substream space.
 const tieStreamBase = 0x100
@@ -305,10 +327,13 @@ func newEngine(o RunOptions) (*engine, error) {
 			o.Mechanism.Name(), v, maxVCs)
 	}
 	injCap := max(o.Config.InjQueuePkts, o.BurstPackets)
+	c := o.Config
+	horizon := int64(c.PacketPhits+c.LinkLatency) + c.xferCycles() + int64(c.XbarLatency) + 2
 	if err := errors.Join(
-		ringCapError("InputBufPkts", o.Config.InputBufPkts),
-		ringCapError("OutputBufPkts", o.Config.OutputBufPkts),
+		ringCapError("InputBufPkts", c.InputBufPkts),
+		ringCapError("OutputBufPkts", c.OutputBufPkts),
 		ringCapError("the injection queue (InjQueuePkts or BurstPackets)", injCap),
+		calendarError(horizon),
 	); err != nil {
 		return nil, err
 	}
@@ -384,8 +409,9 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.injBusy = make([]int64, nServers)
 	e.genPhits = make([]int64, nServers)
 
-	e.horizon = int64(e.cfg.PacketPhits+e.cfg.LinkLatency) + e.cfg.xferCycles() + int64(e.cfg.XbarLatency) + 2
+	e.horizon = horizon
 	e.events = make([][]event, int64(e.S)*e.horizon)
+	e.evMask = make([]uint64, e.S)
 
 	e.tie = make([]rng.Rand, e.S)
 	for sw := range e.tie {
@@ -468,14 +494,29 @@ func (e *engine) scanWord(mask []uint64, sw int32, i, lo int) uint64 {
 	return m
 }
 
-// scheduleSw enqueues an event on switch sw's calendar at now+delay. Every
-// caller schedules onto its own switch (cross-switch arrivals go through
-// the outbox merge), so the event-work counter stays switch-owned.
+// scheduleSw enqueues an event on switch sw's calendar at now+delay. Inside
+// a phase every caller schedules onto its own switch (cross-switch
+// arrivals go through the outbox, which the sequential transmit merge
+// schedules), so the calendar word stays switch-owned.
 func (e *engine) scheduleSw(sw int32, delay int64, ev event) {
-	slot := int64(sw)*e.horizon + (e.now+delay)%e.horizon
+	t := (e.now + delay) % e.horizon
+	slot := int64(sw)*e.horizon + t
 	e.events[slot] = append(e.events[slot], ev)
-	e.act.evWork[sw]++
-	e.actEvNext(sw, e.now+delay)
+	e.evMask[sw] |= 1 << t
+}
+
+// nextEvent is the cycle of switch sw's earliest pending calendar event
+// after now, nwNever when its calendar is empty: evMask rotated within the
+// horizon so that slot now+1 is bit 0, and its lowest set bit. (At horizon
+// 64 the rotation is the identity or a shift by less than 64; a shift by
+// 64 yields 0 in Go, so the wrapped half vanishes as it should.)
+func (e *engine) nextEvent(sw int32) int64 {
+	m := e.evMask[sw]
+	if m == 0 {
+		return nwNever
+	}
+	s := uint((e.now + 1) % e.horizon)
+	return e.now + 1 + int64(bits.TrailingZeros64(m>>s|m<<(uint(e.horizon)-s)))
 }
 
 // allocPacket takes a packet from the pool (sequential phases only).
@@ -542,22 +583,18 @@ func (e *engine) generate(src int32) bool {
 // goes back to the sender's ledger entry, which only this switch writes in
 // this phase (shard.go).
 func (e *engine) processEventsSwitch(sw int32) {
-	a := e.act
-	if a.evWork[sw] == 0 && !e.fullWalk {
-		// Not a single event of sw's is scheduled anywhere in the wheel, so
-		// this cycle's slot is provably empty: skip the slot load and the
-		// rescan. (The full walk drains the empty slot anyway: it stays the
-		// plain reference the A/B bit-identity tests compare against.)
-		if a.evNext[sw] <= e.now {
-			a.evNext[sw] = nwNever
-		}
+	t := e.now % e.horizon
+	if e.evMask[sw]&(1<<t) == 0 && !e.fullWalk {
+		// This cycle's slot is empty: skip the slot load. (The full walk
+		// drains the empty slot anyway: it stays the plain reference the
+		// A/B bit-identity tests compare against.)
 		return
 	}
+	e.evMask[sw] &^= 1 << t
 	gpBase := sw * int32(e.P)
-	slot := int64(sw)*e.horizon + e.now%e.horizon
+	slot := int64(sw)*e.horizon + t
 	evs := e.events[slot]
 	e.events[slot] = evs[:0]
-	a.evWork[sw] -= int32(len(evs))
 	for _, ev := range evs {
 		switch ev.kind {
 		case evArrive:
@@ -599,12 +636,6 @@ func (e *engine) processEventsSwitch(sw int32) {
 			e.deliverSw(sw, ev.pkt)
 		}
 	}
-	// If the drained slot was the cached earliest event, find the new one.
-	// Anything scheduled later this cycle (inject/commit) lowers the cache
-	// again through scheduleSw/actEvNext.
-	if a.evNext[sw] <= e.now {
-		a.evNext[sw] = e.nextWheelEvent(sw)
-	}
 }
 
 // deliverSw retires a packet at its destination server, accumulating into
@@ -635,7 +666,7 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 	// retry: the earliest injection-link release over servers that still
 	// hold packets afterward. A head blocked on credits contributes nothing:
 	// its space frees only through this switch's own evCredit/evArrive event
-	// chain, which evNext already bounds (see the skip proof in activity.go).
+	// chain, which nextEvent already bounds (see the skip proof in activity.go).
 	retry := nwNever
 	// Visit the servers with queued packets (the full walk: every server),
 	// server port p = R+s for server s.
@@ -764,7 +795,7 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 	// provable local time: commit is about to make each granted VC busy
 	// until now+xfer, so a queued successor head retries then, and the
 	// other heads wait on busy-untils recorded here. Heads on saturated
-	// ports wake through a pending evCredit, which evNext bounds.
+	// ports wake through a pending evCredit, which nextEvent bounds.
 	retry := nwNever
 	nEligible := 0
 	for i := 0; i < e.maskWords; i++ {

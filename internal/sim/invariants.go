@@ -42,15 +42,16 @@ func (e *engine) verifyPorts() {
 }
 
 // auditPorts is the per-port half of the audit — the credit ledger, the
-// occupancy counts and the three masks, buffer and crossbar bounds — in
-// error form. A mask bit out of step with its rings would silently skip a
-// scan with real work in it, or park a switch that holds packets: a
-// determinism bug, not just a perf bug. Unlike the activity and arrival
-// audits it holds at any inter-cycle point, a freshly restored snapshot
-// included: applySnapshot refuses a snapshot that fails it. It states
-// every identity from the rings and the ledger itself and never calls
-// rebuildDerived, so it stays an independent reference for what a restore
-// rebuilds.
+// occupancy counts and the three masks, buffer and crossbar bounds, and
+// each switch's calendar word — in error form. A mask bit out of step with
+// its rings, or a calendar bit with its slot, would silently skip a scan
+// or an event drain with real work in it, or park a switch that holds
+// packets or events: a determinism bug, not just a perf bug. Unlike the
+// activity and arrival audits it holds at any inter-cycle point, a freshly
+// restored snapshot included: applySnapshot refuses a snapshot that fails
+// it. It states every identity from the rings, the ledger and the slots
+// itself and never calls rebuildDerived, so it stays an independent
+// reference for what a restore rebuilds.
 func (e *engine) auditPorts() error {
 	V, P, R, K := int32(e.V), int32(e.P), int32(e.R), int32(e.K)
 	// The occupancy masks the rings call for, compared with the engine's
@@ -119,6 +120,20 @@ func (e *engine) auditPorts() error {
 			return fmt.Errorf("sim: mask word %d of switch %d is (in %#x, out %#x, inj %#x), the rings say (%#x, %#x, %#x) at cycle %d",
 				w%e.maskWords, w/e.maskWords, e.inMask[w], e.outMask[w], e.injMask[w],
 				inWant[w], outWant[w], injWant[w], e.now)
+		}
+	}
+	// The calendar words the slots call for: bit t iff slot t holds an
+	// event, and no bit at or past the horizon.
+	for sw := 0; sw < e.S; sw++ {
+		var want uint64
+		for t, slot := range e.events[int64(sw)*e.horizon:][:e.horizon] {
+			if len(slot) > 0 {
+				want |= 1 << t
+			}
+		}
+		if e.evMask[sw] != want {
+			return fmt.Errorf("sim: calendar word of switch %d is %#x, its slots say %#x at cycle %d",
+				sw, e.evMask[sw], want, e.now)
 		}
 	}
 	return e.auditHeads()

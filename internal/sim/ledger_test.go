@@ -81,7 +81,9 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 // same port audit fires on an injMask bit out of step with its server's
 // queue in either direction, and passes a queued packet whose bit is set;
 // it fires on a corrupted head-cache entry and on head state left on an
-// empty input VC, and passes an intact cached head.
+// empty input VC, and passes an intact cached head. It fires on a calendar
+// bit over an empty slot and on an event in a slot whose bit is clear, and
+// passes a calendar kept by scheduleSw.
 func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit := func(name, want string, corrupt func(e *engine, gport, far int32)) {
 		t.Run(name, func(t *testing.T) {
@@ -140,6 +142,25 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 	})
 	audit("head-state-on-empty-vc", "head cache state", func(e *engine, gport, far int32) {
 		e.hcLen[gport*int32(e.V)+2] = hcSeen
+	})
+	// The calendar word: bit t of evMask[sw] stands for slot t of the
+	// switch's calendar.
+	audit("calendar-bit-on-empty-slot", "calendar word", func(e *engine, gport, far int32) {
+		e.evMask[gport/int32(e.P)] |= 1 << 3
+	})
+	audit("calendar-event-without-bit", "calendar word", func(e *engine, gport, far int32) {
+		slot := int64(gport/int32(e.P))*e.horizon + 5
+		e.events[slot] = append(e.events[slot], event{kind: evDeliver, pkt: e.allocPacket()})
+	})
+	t.Run("calendar-intact", func(t *testing.T) {
+		e := ledgerEngine(t)
+		sw := int32(4)
+		e.scheduleSw(sw, 3, event{kind: evDeliver, pkt: e.allocPacket()})
+		e.scheduleSw(sw, e.horizon-1, event{kind: evDeliver, pkt: e.allocPacket()})
+		if e.evMask[sw] == 0 {
+			t.Fatal("scheduleSw left the calendar word clear")
+		}
+		e.verifyPorts()
 	})
 	t.Run("head-intact", func(t *testing.T) {
 		e := ledgerEngine(t)

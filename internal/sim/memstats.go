@@ -82,7 +82,7 @@ func (e *engine) memStats() MemStats {
 	b += e.injQ.bytes()
 	b += sliceBytes(e.injBusy)
 	b += sliceBytes(e.genPhits)
-	b += arenaBytes(e.events)
+	b += arenaBytes(e.events) + sliceBytes(e.evMask)
 	b += sliceBytes(e.tie)
 	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) + arenaBytes(e.freed)
 	b += staging
@@ -93,8 +93,7 @@ func (e *engine) memStats() MemStats {
 		sliceBytes(e.winLastDelivery)
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
 	a := e.act
-	b += sliceBytes(a.evWork) + sliceBytes(a.evNext) + sliceBytes(a.retry) +
-		sliceBytes(a.nextWork) + sliceBytes(a.booked)
+	b += sliceBytes(a.retry) + sliceBytes(a.nextWork) + sliceBytes(a.booked)
 	return MemStats{
 		Switches:        e.S,
 		ArenaBytes:      b,

@@ -93,8 +93,9 @@ func TestJumpLandsOnReleaseExpiry(t *testing.T) {
 	if e.inInflight[gp] != 0 {
 		t.Fatalf("release not applied at the jump target: inInflight = %d", e.inInflight[gp])
 	}
-	if e.act.evNext[sw] != nwNever {
-		t.Fatalf("evNext = %d after draining the only event, want nwNever", e.act.evNext[sw])
+	if e.evMask[sw] != 0 || e.nextEvent(sw) != nwNever {
+		t.Fatalf("calendar word %#x (next event %d) after draining the only event, want empty",
+			e.evMask[sw], e.nextEvent(sw))
 	}
 	e.verifyInvariants() // the credit went back with the slot
 	// The switch went quiescent and left the wheel: the very next jump is

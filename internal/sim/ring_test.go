@@ -151,7 +151,8 @@ func TestRingPanicsOnOverflow(t *testing.T) {
 // TestOversizedQueuesRefusedBeforeAllocating: a capacity the 16-bit ring
 // header cannot count is an error from newEngine, not a wrapped counter —
 // and it is reported before anything network-sized is allocated (the input
-// slab alone would be 168 MB at the refused size on this 4x4).
+// slab alone would be 168 MB at the refused size on this 4x4). So is an
+// event horizon past the 64 slots of a switch's calendar word.
 func TestOversizedQueuesRefusedBeforeAllocating(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, nil)
@@ -168,6 +169,10 @@ func TestOversizedQueuesRefusedBeforeAllocating(t *testing.T) {
 		{"output", "OutputBufPkts", func(o *RunOptions) { o.Config.OutputBufPkts = maxRingCap + 1 }},
 		{"injection", "InjQueuePkts", func(o *RunOptions) { o.Config.InjQueuePkts = maxRingCap + 1 }},
 		{"burst", "BurstPackets", func(o *RunOptions) { o.BurstPackets = maxRingCap + 1 }},
+		// 40 + 2 + 20 (crossbar transfer at speedup 2) + 1 + 2 = 65 slots.
+		{"horizon", "event horizon of 65 cycles", func(o *RunOptions) {
+			o.Config.PacketPhits, o.Config.LinkLatency = 40, 2
+		}},
 	}
 	for _, tc := range cases {
 		o := base

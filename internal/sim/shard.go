@@ -326,15 +326,20 @@ func (e *engine) mergeRetire() {
 // commit/transmit phases. Targets that were quiescent are (re)activated
 // here — the only place one switch creates work for another. Only the
 // switches of walk() ran the phases, so only they can hold staging.
+//
+// Booking the target is the one cross-switch lowering: it may be parked,
+// and compaction only refolds the switches it walked, so its visit moves
+// to the new event here (sequential, so the write is safe; events land
+// strictly in the future, so a parked target stays parked this cycle, and
+// a due one keeps its current visit until compaction refolds it).
 func (e *engine) mergeTransmit() {
 	PV := int32(e.P * e.V)
 	for _, sw := range e.walk() {
 		outbox := e.outbox[sw]
 		for _, te := range outbox {
 			tgt := te.ev.a / PV
-			slot := int64(tgt)*e.horizon + te.at%e.horizon
-			e.events[slot] = append(e.events[slot], te.ev)
-			e.actRemoteEvent(tgt, te.at)
+			e.scheduleSw(tgt, te.at-e.now, te.ev)
+			e.act.book(tgt, te.at)
 		}
 		e.outbox[sw] = outbox[:0]
 		if e.swProgressed[sw] {

@@ -47,6 +47,12 @@ const snapshotCodecVersion = 2
 // against. Callers treat it as "no usable checkpoint" and restart from zero.
 var ErrBadSnapshot = errors.New("sim: bad snapshot")
 
+// ErrSnapshotTrailer is wrapped beside ErrBadSnapshot when a checkpoint
+// inflates but fails its checksum trailer: the file is torn or corrupt,
+// not of another format or run. Its text continues ErrBadSnapshot's
+// ("sim: bad snapshot: N bytes fail the checksum trailer ...").
+var ErrSnapshotTrailer = errors.New("fail the checksum trailer (torn or corrupt checkpoint)")
+
 // ErrCheckpointed is returned by Run when CheckpointOptions.Interrupt was
 // raised: the run stopped at an inter-cycle point after shipping a final
 // snapshot through Sink, and holds no result. It signals a graceful drain,
@@ -410,10 +416,6 @@ func inflateSnapshot(snap []byte, limit int64) ([]byte, error) {
 	return sealed, nil
 }
 
-// errSnapshotTrailer marks, alongside ErrBadSnapshot, a snapshot that
-// inflated but fails its checksum trailer.
-var errSnapshotTrailer = errors.New("fail the checksum trailer (torn or corrupt checkpoint)")
-
 // restoreSnapshot inflates, verifies and applies a sealSnapshot buffer to
 // a freshly constructed engine. All rejection paths wrap ErrBadSnapshot.
 func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
@@ -423,7 +425,7 @@ func (e *engine) restoreSnapshot(snap []byte, o RunOptions) error {
 	}
 	body, ok := wire.Open(sealed)
 	if !ok {
-		return fmt.Errorf("%w: %d bytes %w", ErrBadSnapshot, len(sealed), errSnapshotTrailer)
+		return fmt.Errorf("%w: %d bytes %w", ErrBadSnapshot, len(sealed), ErrSnapshotTrailer)
 	}
 	st, err := decodeSnapshotState(body)
 	if err != nil {
@@ -761,17 +763,23 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // exact function of the installed primaries and so is not in the format:
 // per port, the packed allocation words (output occupancy, the credit sum
 // of the port's own input buffers) and its bits of the three occupancy
-// masks; the head cache, derived too, starts empty. auditPorts states each
-// of these identities its own way (invariants.go) — which is what licenses
-// leaving them out — and applySnapshot runs it right after, so a mistake
-// here refuses snapshots instead of resuming them into a different
-// simulation.
+// masks; per switch, its calendar word (a bit per nonempty slot); the head
+// cache, derived too, starts empty. auditPorts states each of these
+// identities its own way (invariants.go) — which is what licenses leaving
+// them out — and applySnapshot runs it right after, so a mistake here
+// refuses snapshots instead of resuming them into a different simulation.
 func (e *engine) rebuildDerived() {
 	P, V, R, K := int32(e.P), int32(e.V), int32(e.R), int32(e.K)
 	clear(e.inMask)
 	clear(e.outMask)
 	clear(e.injMask)
+	clear(e.evMask)
 	e.dropHeads()
+	for i, slot := range e.events {
+		if len(slot) > 0 {
+			e.evMask[int64(i)/e.horizon] |= 1 << (int64(i) % e.horizon)
+		}
+	}
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		sw, p := gp/P, gp%P
 		w, b := e.maskBit(sw, int(p))
@@ -797,38 +805,28 @@ func (e *engine) rebuildDerived() {
 // conservatively booking (book) every switch that holds any work into the
 // timing wheel's slot of the restored cycle, so the first resumed cycle
 // lists them all as due. Snapshots deliberately carry NO activity state —
-// the timing wheel, the due list and the two next-work components are
-// derived bookkeeping — which is what makes a snapshot independent of the
+// the timing wheel, the due list and the retry words are derived
+// bookkeeping — which is what makes a snapshot independent of the
 // worker count and the walk (due list or full-walk oracle) of both the run
 // that took it and the run that resumes it.
 //
 // Correctness of the conservative booking: visiting a switch early is
 // always safe (the parked-switch skip proof runs in both directions — an
 // extra visit to a switch whose real work lies in the future mutates
-// nothing and draws no randomness), and on that first due visit every phase
-// recomputes its own share of the next-work components exactly (the event
-// phase rescans its calendar, inject/allocate/transmit re-derive the retry
-// word), so the end-of-cycle compaction books the exact next-work time
-// and the engine is back on the uninterrupted run's trajectory. The
-// CheckInvariants audits only run after a full cycle, when the components
-// are exact again.
+// nothing and draws no randomness), and on that first due visit the
+// inject/allocate/transmit phases re-derive the retry word exactly (the
+// calendar word, rebuilt by rebuildDerived, is exact already), so the
+// end-of-cycle compaction books the exact next-work time and the engine
+// is back on the uninterrupted run's trajectory. The CheckInvariants
+// audits only run after a full cycle, when the components are exact
+// again.
 func (e *engine) rebuildActivity() {
 	a := newActivityState(e.S, e.horizon+2)
 	e.act = a
-	for sw := 0; sw < e.S; sw++ {
-		evn := e.wheelEvents(int32(sw))
-		held := e.holdsPackets(int32(sw))
-		a.evWork[sw] = evn
-		if evn == 0 && !held {
-			continue // quiescent: stays parked at nwNever, unbooked
+	for sw := int32(0); sw < int32(e.S); sw++ {
+		if e.evMask[sw] != 0 || e.holdsPackets(sw) {
+			a.book(sw, e.now)
 		}
-		if evn > 0 {
-			a.evNext[sw] = e.now
-		}
-		if held {
-			a.retry[sw] = e.now
-		}
-		a.book(int32(sw), e.now)
 	}
 }
 
