@@ -74,7 +74,9 @@ var codecTargets = []codecTarget{
 			"fullWalk":      "the tests' full-walk oracle flag, set at construction; a snapshot restores under either walk",
 			"all":           "the full-walk oracle's list of every switch id, built at construction",
 			"maskWords":     "derived from the radix at construction",
-			"pq":            "rebuilt by rebuildDerived: outQ.len+outReserved and the credit sum of the port's input VCs; audited by auditPorts",
+			"pq":            "rebuilt by rebuildDerived: outQ.len plus the port's pending evXferDones, and the credit sum of the port's input VCs; audited by auditPorts",
+			"inInflight":    "rebuilt by rebuildDerived: the port's pending evCredits, one per transfer out of it; audited by auditPorts",
+			"outVCCount":    "rebuilt by rebuildDerived: the port's queued packets tagged with the VC plus its pending evXferDones on it; audited by auditPorts",
 			"inMask":        "rebuilt by rebuildDerived: some input VC of the port nonempty; audited by auditPorts",
 			"outMask":       "rebuilt by rebuildDerived: outQ.len > 0 per port; audited by auditPorts",
 			"injMask":       "rebuilt by rebuildDerived: injQ.len > 0 per server port; audited by auditPorts",
@@ -95,6 +97,8 @@ var codecTargets = []codecTarget{
 			"swLost":        "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swProgressed":  "per-cycle flag, false at the inter-cycle point; asserted by captureSnapshot",
 			"faultSchedule": "supplied by RunOptions; only the cursor nextFault is engine state",
+			"logOneMinusGenProb": "recomputed by applySnapshot from the run's Load through arrivalLog, the helper initArrivals caches it with; " +
+				"the header's Load must match the run's bit for bit",
 		},
 	},
 	{
@@ -105,6 +109,11 @@ var codecTargets = []codecTarget{
 		encode:   []string{"snapshotState.walk"},
 		decode:   []string{"snapshotState.walk"},
 	},
+	// The engine's element types the snapshot holds as they are: the same
+	// walk codes each of their fields.
+	{pkg: "repro/internal/sim", typeName: "packet", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
+	{pkg: "repro/internal/sim", typeName: "event", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
+	{pkg: "repro/internal/sim", typeName: "arrival", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
 	{
 		// Two structs whose codec methods share a name: the registry's
 		// Recv.Name keys must tell them apart.

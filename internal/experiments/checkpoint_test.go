@@ -62,10 +62,10 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 
 // TestRunCheckpointedBadResumeFallsBack: a resume snapshot the engine
 // refuses restarts the run from zero instead of failing or corrupting it —
-// a torn one, a gzip bomb (8 MB of zeros in a few KB), and an intact
-// hyperx-ckpt/1 one (internal/sim's negative seed, refused at the codec
-// byte), passed as the .ckpt file that holds it, which is what a worker of
-// the previous format hands over in a mixed fleet.
+// a torn one, a gzip bomb (8 MB of zeros in a few KB), and intact
+// hyperx-ckpt/1 and hyperx-ckpt/2 ones (internal/sim's negative seeds,
+// refused at the codec byte), each passed as the .ckpt file that holds it,
+// which is what a worker of an older format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	t.Parallel()
 	spec := ckptSpec()
@@ -73,7 +73,11 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt1, err := os.ReadFile("../sim/testdata/ckpt1-pr12-4x4-polsp-2faults.gz")
+	ckpt1, err := os.ReadFile("../sim/testdata/ckpt1-4x4-polsp-2faults.gz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt2, err := os.ReadFile("../sim/testdata/ckpt2-4x4-polsp-2faults.gz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +89,7 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		resume []byte
-	}{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}, {"hyperx-ckpt/1", ckpt1}} {
+	}{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}, {"hyperx-ckpt/1", ckpt1}, {"hyperx-ckpt/2", ckpt2}} {
 		res, err := Runner{}.RunSpecVia(&spec, tc.resume, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

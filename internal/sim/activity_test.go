@@ -273,7 +273,7 @@ func TestWheelAuditsCatchDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+		e.initArrivals(o.Load)
 		if err := e.loop(o, func() bool { return e.now >= e.warmEnd }, func() error { return nil }); err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestFullWalkVisitsEverySwitchEveryCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+		e.initArrivals(o.Load)
 		all := make([]int32, e.S)
 		for sw := range all {
 			all[sw] = int32(sw)
@@ -505,7 +505,7 @@ func handcraftedCalendarEngine(t *testing.T, o RunOptions, base int64, overrides
 	}
 	e.warmStart = o.WarmupCycles
 	e.warmEnd = o.WarmupCycles + o.MeasureCycles
-	e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+	e.initArrivals(o.Load)
 	for i := range e.arrQ {
 		e.arrQ[i] = arrival{at: base, server: int32(i)}
 	}

@@ -52,15 +52,15 @@ func arrivalBefore(a, b arrival) bool {
 	return a.at < b.at || (a.at == b.at && a.server < b.server)
 }
 
-// maxArrivalGap clamps geometric draws so a pathologically small genProb
+// maxArrivalGap clamps geometric draws so a pathologically small p
 // (e.g. 1e-300) cannot overflow the int64 cycle arithmetic; a gap this
 // long never fires within any run's cycle budget.
 const maxArrivalGap = int64(1) << 61
 
 // sampleArrivalGap draws the number of idle cycles before the next arrival
-// of one server: Geom(genProb) via CDF inversion. The uniform is taken as
+// of one server: Geom(p) via CDF inversion. The uniform is taken as
 // 1-Float64() so it lies in (0, 1] — ln(0) would yield an infinite gap.
-// For genProb == 1, ln(1-p) is -Inf and the quotient is +0: an arrival
+// For p == 1, ln(1-p) is -Inf and the quotient is +0: an arrival
 // every cycle, as it should be.
 func (e *engine) sampleArrivalGap() int64 {
 	u := 1 - e.r.Float64()
@@ -71,12 +71,18 @@ func (e *engine) sampleArrivalGap() int64 {
 	return int64(g)
 }
 
-// initArrivals seeds the calendar: one first-arrival draw per server, in
-// server order (the deterministic consumption contract), then a heapify
-// that consumes no randomness.
-func (e *engine) initArrivals(genProb float64) {
-	e.genProb = genProb
-	e.logOneMinusGenProb = math.Log1p(-genProb)
+// arrivalLog is ln(1-p), the divisor of every gap draw, for a server's
+// per-cycle generation probability p = load / PacketPhits. Both
+// initArrivals and a snapshot restore take it from here, so they agree.
+func (e *engine) arrivalLog(load float64) float64 {
+	return math.Log1p(-(load / float64(e.cfg.PacketPhits)))
+}
+
+// initArrivals seeds the calendar for an offered load: one first-arrival
+// draw per server, in server order (the deterministic consumption
+// contract), then a heapify that consumes no randomness.
+func (e *engine) initArrivals(load float64) {
+	e.logOneMinusGenProb = e.arrivalLog(load)
 	n := e.S * e.K
 	e.arrQ = make([]arrival, n)
 	for g := 0; g < n; g++ {

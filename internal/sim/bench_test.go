@@ -33,11 +33,11 @@ func loadedPaperEngine(b testing.TB) *engine {
 		b.Fatal(err)
 	}
 	e.warmStart, e.warmEnd = 0, 1<<62
-	genProb := o.Load / float64(e.cfg.PacketPhits)
+	p := o.Load / float64(e.cfg.PacketPhits)
 	nServers := int32(e.S * e.K)
 	gen := func() {
 		for g := int32(0); g < nServers; g++ {
-			if e.r.Float64() < genProb {
+			if e.r.Float64() < p {
 				e.generate(g)
 			}
 		}
@@ -157,11 +157,12 @@ func BenchmarkAllocationStep(b *testing.B) {
 			granted = 0
 			for i := range reqs {
 				rq := &reqs[i]
+				total := int(e.pq[rq.outPort].outTotal) // queued + crossing into the port
 				if e.inInflight[rq.inPort]+inUsed[rq.inPort] >= speedup ||
-					int8(e.outReserved[rq.outPort])+outUsed[rq.outPort] >= speedup {
+					int8(total-e.outQ.len(rq.outPort))+outUsed[rq.outPort] >= speedup {
 					continue
 				}
-				if e.outQ.len(rq.outPort)+int(e.outReserved[rq.outPort])+int(outResv[rq.outPort]) >= e.cfg.OutputBufPkts {
+				if total+int(outResv[rq.outPort]) >= e.cfg.OutputBufPkts {
 					continue
 				}
 				if !rq.eject {
@@ -216,7 +217,7 @@ func BenchmarkSaturatedPlateau(b *testing.B) {
 					b.Fatal(err)
 				}
 				e.warmStart, e.warmEnd = 0, warm+timed
-				e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+				e.initArrivals(o.Load)
 				noOverrun := func() error { return nil }
 				if err := e.loop(o, func() bool { return e.now >= warm }, noOverrun); err != nil {
 					b.Fatal(err)

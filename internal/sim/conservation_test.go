@@ -76,7 +76,7 @@ func TestPacketConservationEveryCycle(t *testing.T) {
 						}
 					}
 				} else {
-					e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+					e.initArrivals(o.Load)
 				}
 				for ; e.now < cycles; e.now++ {
 					if err := e.applyDueFaults(); err != nil {

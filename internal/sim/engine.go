@@ -105,19 +105,19 @@ type engine struct {
 	up []int32
 
 	// pq packs the two per-gport words the allocation cost function reads
-	// — total output occupancy (outQ.len()+outReserved) and the credit sum
-	// of the port's own input buffers — into one entry, so each qCost call
-	// touches a single cache line instead of two arrays. qCost dominates
-	// the allocate phase and runs once per route candidate of every
-	// eligible head, so the scattered loads it issues are the per-cycle
-	// cost floor at low load.
+	// — total output occupancy (outQ.len() plus the transfers crossing the
+	// crossbar into the port) and the credit sum of the port's own input
+	// buffers — into one entry, so each qCost call touches a single cache
+	// line instead of two arrays. qCost dominates the allocate phase and
+	// runs once per route candidate of every eligible head, so the
+	// scattered loads it issues are the per-cycle cost floor at low load.
 	pq []portq
 
 	// Input side. inQ, outQ and injQ are ring sets (ring.go): one ring per
 	// input VC, per global port and per server.
 	inQ         ringSet
 	inBusyUntil []int64
-	inInflight  []int8 // per global port: outgoing crossbar transfers
+	inInflight  []int8 // per global port: outgoing crossbar transfers (its pending evCredits)
 
 	// credits is the credit ledger, indexed by the SENDER's (gport, vc):
 	// credits[gp*V+vc] is the free space of the input buffer that output
@@ -171,13 +171,13 @@ type engine struct {
 	// costs are bit-identical to computing them on demand.
 	penCost []int64
 
-	// Output side. outReserved is also the port's count of incoming
-	// crossbar transfers: a grant reserves its output slot when it enters
-	// the crossbar and converts it when it leaves.
-	outQ        ringSet // per global port: (packet, VC) pairs
-	outReserved []int16 // granted transfers not yet in outQ
-	outVCCount  []int16 // per gport*V+vc: queued+reserved packets for that VC
-	outBusy     []int64 // link serialization busy-until
+	// Output side. A grant reserves its output slot when it enters the
+	// crossbar (pq.outTotal) and converts it when it leaves (evXferDone), so
+	// the port's incoming transfers are pq.outTotal - outQ.len(gport): its
+	// pending evXferDones.
+	outQ       ringSet // per global port: (packet, VC) pairs
+	outVCCount []int16 // per gport*V+vc: queued packets tagged vc plus pending evXferDones on vc
+	outBusy    []int64 // link serialization busy-until
 
 	// Servers.
 	injQ    ringSet
@@ -241,9 +241,9 @@ type engine struct {
 	ws []workerScratch
 
 	// Open-loop geometric generation (arrivals.go): the per-server arrival
-	// calendar and the cached sampling constants. nil/zero in burst mode.
+	// calendar and the cached sampling constant (arrivalLog of the run's
+	// Load). nil/zero in burst mode.
 	arrQ               []arrival
-	genProb            float64
 	logOneMinusGenProb float64
 
 	// Mid-run fault schedule.
@@ -400,7 +400,6 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.hcOff = make([]uint16, SP*e.V)
 	e.hcLen = make([]uint8, SP*e.V)
 	e.hcTop = make([]uint32, e.S)
-	e.outReserved = make([]int16, SP)
 	e.outVCCount = make([]int16, SP*e.V)
 	e.outBusy = make([]int64, SP)
 
@@ -606,7 +605,6 @@ func (e *engine) processEventsSwitch(sw int32) {
 		case evXferDone:
 			// The reserve converts into a queued packet, so outTotal is
 			// unchanged — except on a dead port, where the packet is lost.
-			e.outReserved[ev.a]--
 			if e.portDead[ev.a] {
 				// The link failed while the packet crossed the switch.
 				e.pq[ev.a].outTotal--
@@ -716,7 +714,7 @@ func (e *engine) injectSwitch(sw int32, ws *workerScratch) {
 // portq packs the per-gport words of the allocation cost function (see
 // the engine field comment).
 type portq struct {
-	outTotal int16 // outQ.len() + outReserved
+	outTotal int16 // outQ.len() + the pending evXferDones into the port
 	// credSum is the sum of credits over the port's own INPUT VCs: the
 	// free space of the buffers this port receives into, i.e. of the
 	// reverse direction of its link. In the sender-indexed ledger that is
@@ -892,10 +890,13 @@ func (e *engine) allocateSwitch(sw int32, ws *workerScratch) {
 }
 
 // outSlots is how many grants output gport can take this cycle: the
-// crossbar slots it has left or its free buffer space, whichever is fewer.
-// Allocation changes neither, so the figure holds for the whole phase.
+// crossbar slots it has left (the speedup less the transfers into it,
+// outTotal less what is queued) or its free buffer space, whichever is
+// fewer. Allocation changes neither, so the figure holds for the whole
+// phase.
 func (e *engine) outSlots(gport int32) int {
-	return min(e.cfg.XbarSpeedup-int(e.outReserved[gport]), e.cfg.OutputBufPkts-int(e.pq[gport].outTotal))
+	total := int(e.pq[gport].outTotal)
+	return min(e.cfg.XbarSpeedup-total+e.outQ.len(gport), e.cfg.OutputBufPkts-total)
 }
 
 // refused reports whether arbitration must turn rq down whatever else its
@@ -1100,7 +1101,6 @@ func (e *engine) commitSwitch(sw int32) {
 		}
 		e.inBusyUntil[rq.invc] = e.now + xfer
 		e.inInflight[rq.inPort]++
-		e.outReserved[rq.outPort]++
 		e.pq[rq.outPort].outTotal++
 		e.outVCCount[rq.outPort*V+int32(rq.vc)]++
 		if !rq.eject {

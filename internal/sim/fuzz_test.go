@@ -39,11 +39,13 @@ func FuzzDecodeResult(f *testing.F) {
 func FuzzDecodeSnapshotState(f *testing.F) {
 	_, snaps := collectSnapshots(f, snapshotRun(f, topo.MustHyperX(4, 4)), 400)
 	f.Add(snapshotBody(f, snaps[0]))
-	ckpt1, err := os.ReadFile(snapshotFromPR12)
-	if err != nil {
-		f.Fatal(err)
+	for _, old := range oldSnapshots {
+		snap, err := os.ReadFile(old.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snapshotBody(f, snap)) // an older format: refused at the codec byte
 	}
-	f.Add(snapshotBody(f, ckpt1)) // hyperx-ckpt/1: refused at the codec byte
 	f.Add(appendSnapshotState(nil, &snapshotState{Magic: SnapshotVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)

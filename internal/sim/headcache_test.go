@@ -36,7 +36,7 @@ func saturatedEngine(t *testing.T, name string, pat func(h *topo.HyperX) traffic
 		t.Fatal(err)
 	}
 	e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-	e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+	e.initArrivals(o.Load)
 	return e, o
 }
 

@@ -41,17 +41,19 @@ func (e *engine) verifyPorts() {
 	}
 }
 
-// auditPorts is the per-port half of the audit — the credit ledger, the
-// occupancy counts and the three masks, buffer and crossbar bounds, and
-// each switch's calendar word — in error form. A mask bit out of step with
-// its rings, or a calendar bit with its slot, would silently skip a scan
-// or an event drain with real work in it, or park a switch that holds
-// packets or events: a determinism bug, not just a perf bug. Unlike the
-// activity and arrival audits it holds at any inter-cycle point, a freshly
-// restored snapshot included: applySnapshot refuses a snapshot that fails
-// it. It states every identity from the rings, the ledger and the slots
-// itself and never calls rebuildDerived, so it stays an independent
-// reference for what a restore rebuilds.
+// auditPorts is the per-port half of the audit — the credit ledger and
+// its conservation per live link, the occupancy and crossbar counts and
+// the three masks, buffer and crossbar bounds, and each switch's calendar
+// word — in error form. A mask bit out of step with its rings, or a
+// calendar bit with its slot, would silently skip a scan or an event
+// drain with real work in it, or park a switch that holds packets or
+// events: a determinism bug, not just a perf bug; a drifted count would
+// silently misprice qCost. Unlike the activity and arrival audits it
+// holds at any inter-cycle point, a freshly restored snapshot included:
+// applySnapshot refuses a snapshot that fails it. It states every identity
+// from the rings, the ledger and the slots itself and never calls
+// rebuildDerived, so it stays an independent reference for what a restore
+// rebuilds.
 func (e *engine) auditPorts() error {
 	V, P, R, K := int32(e.V), int32(e.P), int32(e.R), int32(e.K)
 	// The occupancy masks the rings call for, compared with the engine's
@@ -60,16 +62,27 @@ func (e *engine) auditPorts() error {
 	inWant := make([]uint64, len(e.inMask))
 	outWant := make([]uint64, len(e.outMask))
 	injWant := make([]uint64, len(e.injMask))
-	for gp := int32(0); gp < int32(e.S)*P; gp++ {
-		// Credit bounds, per-port sum consistency and link conservation.
-		var sum int32
-		sw, p := gp/P, gp%P
-		w, b := e.maskBit(sw, int(p))
-		for v := int32(0); v < V; v++ {
-			if e.inQ.len(gp*V+v) > 0 {
-				inWant[w] |= b
+	// What the calendars hold pending: per input VC, the arrivals into it
+	// and the credits it still owes (one per transfer out of it that has
+	// not left); per output (port, VC), the transfers crossing into it, to
+	// which the port walk adds the packets the output queues on the VC.
+	SPV := int32(e.S) * P * V
+	arriving, owed, outVC := make([]int32, SPV), make([]int32, SPV), make([]int32, SPV)
+	for _, slot := range e.events {
+		for _, ev := range slot {
+			switch ev.kind {
+			case evArrive:
+				arriving[ev.a]++
+			case evCredit:
+				owed[ev.a]++
+			case evXferDone:
+				outVC[ev.a*V+int32(ev.vc)]++
 			}
 		}
+	}
+	for gp := int32(0); gp < int32(e.S)*P; gp++ {
+		sw, p := gp/P, gp%P
+		w, b := e.maskBit(sw, int(p))
 		if e.outQ.len(gp) > 0 {
 			outWant[w] |= b
 		}
@@ -79,40 +92,52 @@ func (e *engine) auditPorts() error {
 		// The ledger is indexed by sender: the credits for gp's input VCs are
 		// the entries of the port at the far end of its link, and a sender
 		// never holds more credits than its receiver has free slots.
+		var sum int32
 		sender := e.up[gp]
 		for v := int32(0); v < V; v++ {
+			if e.inQ.len(gp*V+v) > 0 {
+				inWant[w] |= b
+			}
 			c := e.credits[sender*V+v]
 			if c < 0 || int(c) > e.cfg.InputBufPkts-e.inQ.len(gp*V+v) {
 				return fmt.Errorf("sim: credits[%d,%d] = %d for input VC (%d,%d) holding %d of %d packets at cycle %d",
 					sender, v, c, gp, v, e.inQ.len(gp*V+v), e.cfg.InputBufPkts, e.now)
 			}
 			sum += int32(c)
-			if e.outVCCount[gp*V+v] < 0 {
-				return fmt.Errorf("sim: outVCCount[%d,%d] = %d negative at cycle %d",
-					gp, v, e.outVCCount[gp*V+v], e.now)
-			}
 		}
 		if sum != int32(e.pq[gp].credSum) {
 			return fmt.Errorf("sim: credSum[%d] = %d, but the credits for its input VCs (ledger of port %d) sum to %d at cycle %d",
 				gp, e.pq[gp].credSum, sender, sum, e.now)
 		}
-		// Output buffer occupancy within capacity.
-		if occ := e.outQ.len(gp) + int(e.outReserved[gp]); occ > e.cfg.OutputBufPkts {
-			return fmt.Errorf("sim: output %d holds %d > %d packets at cycle %d",
-				gp, occ, e.cfg.OutputBufPkts, e.now)
+		// The crossbar counts: the transfers out of the port are the
+		// credits its input VCs owe, its output holds per VC what it queues
+		// plus what crosses into it, and each of the three sits within its
+		// bound.
+		queued := int32(e.outQ.len(gp))
+		for j := 0; j < int(queued); j++ {
+			outVC[gp*V+int32(e.outQ.tag[e.outQ.slot(gp, j)])]++
 		}
-		if got := e.outQ.len(gp) + int(e.outReserved[gp]); int(e.pq[gp].outTotal) != got {
+		var out, holds int32
+		for v := gp * V; v < (gp+1)*V; v++ {
+			out += owed[v]
+			holds += outVC[v]
+			if int32(e.outVCCount[v]) != outVC[v] {
+				return fmt.Errorf("sim: outVCCount[%d,%d] = %d, but the port holds %d packets of the VC, queued or crossing into it, at cycle %d",
+					gp, v-gp*V, e.outVCCount[v], outVC[v], e.now)
+			}
+		}
+		if int32(e.inInflight[gp]) != out {
+			return fmt.Errorf("sim: inInflight[%d] = %d, but its input VCs owe %d credits on the calendar at cycle %d",
+				gp, e.inInflight[gp], out, e.now)
+		}
+		if int32(e.pq[gp].outTotal) != holds {
 			return fmt.Errorf("sim: outTotal[%d] = %d, actual %d at cycle %d — a drifted total "+
 				"would silently misprice every allocation through this output",
-				gp, e.pq[gp].outTotal, got, e.now)
+				gp, e.pq[gp].outTotal, holds, e.now)
 		}
-		// Crossbar concurrency within speedup: outReserved counts the
-		// transfers into the port, inInflight those out of it.
-		if e.outReserved[gp] < 0 || int(e.outReserved[gp]) > e.cfg.XbarSpeedup {
-			return fmt.Errorf("sim: outReserved[%d] = %d at cycle %d", gp, e.outReserved[gp], e.now)
-		}
-		if e.inInflight[gp] < 0 || int(e.inInflight[gp]) > e.cfg.XbarSpeedup {
-			return fmt.Errorf("sim: inInflight[%d] = %d at cycle %d", gp, e.inInflight[gp], e.now)
+		if in := holds - queued; int(holds) > e.cfg.OutputBufPkts || int(in) > e.cfg.XbarSpeedup || int(out) > e.cfg.XbarSpeedup {
+			return fmt.Errorf("sim: port %d holds %d of %d packets, %d crossing into it and %d out of it with a speedup of %d at cycle %d",
+				gp, holds, e.cfg.OutputBufPkts, in, out, e.cfg.XbarSpeedup, e.now)
 		}
 	}
 	for w := range inWant {
@@ -134,6 +159,30 @@ func (e *engine) auditPorts() error {
 		if e.evMask[sw] != want {
 			return fmt.Errorf("sim: calendar word of switch %d is %#x, its slots say %#x at cycle %d",
 				sw, e.evMask[sw], want, e.now)
+		}
+	}
+	// Credit conservation per live link: every credit sender s has spent
+	// on VC v stands for a packet between its output and input VC v at the
+	// far end up[s] — queued or crossing into s (outVCCount), on the link
+	// (a pending evArrive), in the input buffer, or crossing out of it with
+	// its slot not yet freed (an owed credit). A server port's credits
+	// meter its own input VCs, and its output ejects without spending any,
+	// so the first term is dropped there. A dead link is exempt: the
+	// packets lost on it never return their credits.
+	for s := int32(0); s < int32(e.S)*P; s++ {
+		if e.portDead[s] {
+			continue
+		}
+		far := e.up[s]
+		for v := int32(0); v < V; v++ {
+			held := arriving[far*V+v] + int32(e.inQ.len(far*V+v)) + owed[far*V+v]
+			if s%P < R {
+				held += int32(e.outVCCount[s*V+v])
+			}
+			if spent := int32(e.cfg.InputBufPkts) - int32(e.credits[s*V+v]); spent != held {
+				return fmt.Errorf("sim: credit conservation on port %d VC %d: %d credits spent, %d packets behind them toward port %d at cycle %d",
+					s, v, spent, held, far, e.now)
+			}
 		}
 	}
 	return e.auditHeads()

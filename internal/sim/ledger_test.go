@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
@@ -50,11 +51,18 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 	}
 	const vc, other = 1, 2
 	base := e.qCost(gport, vc, false)
+	// Each credit spent below stands for a packet: one on the link, bound
+	// for the input VC at the far end, a pending evArrive there.
+	onLink := func(from, v int32) {
+		to := e.up[from]
+		e.scheduleSw(to/int32(e.P), 1, event{kind: evArrive, a: to*V + v, pkt: e.allocPacket()})
+	}
 
 	// The sender spends a credit of the requested queue: its downstream
 	// buffer holds one more packet, counted once in qs.
 	e.credits[gport*V+vc]--
 	e.pq[far].credSum--
+	onLink(gport, vc)
 	if got := e.qCost(gport, vc, false); got != base+1 {
 		t.Errorf("a packet in the requested queue's downstream buffer moved Q by %d, want 1", got-base)
 	}
@@ -62,6 +70,7 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 	// port's queues". The engine does not read it.
 	e.credits[gport*V+other]--
 	e.pq[far].credSum--
+	onLink(gport, other)
 	if got := e.qCost(gport, vc, false); got != base+1 {
 		t.Errorf("a packet in another VC's downstream buffer moved Q by %d, want 0 (hyperx-sim/4)", got-base-1)
 	}
@@ -69,15 +78,20 @@ func TestQCostReadsWhichBuffers(t *testing.T) {
 	// into gport's own input buffer. That is what the term reads.
 	e.credits[far*V+other]--
 	e.pq[gport].credSum--
+	onLink(far, other)
 	if got := e.qCost(gport, vc, false); got != base+2 {
 		t.Errorf("a packet bound for the port's own input buffer moved Q by %d, want 1 (hyperx-sim/4)", got-base-1)
 	}
-	e.verifyPorts() // the three edits kept the ledger coherent
+	e.verifyPorts() // the three edits kept the ledger coherent and every credit conserved
 }
 
 // TestLedgerAuditsCatchDrift: the CheckInvariants audits of the
 // sender-indexed ledger fire on a credit the receiver has no slot for, on a
-// negative credit and on a drifted credit sum, each naming both ends. The
+// negative credit and on a drifted credit sum, each naming both ends, and
+// on a credit spent on a live link with no packet behind it. They fire on
+// an outgoing crossbar count one above the calendar's owed credits and on
+// a per-VC output count off its queued tags plus transfers, both inside
+// every bound (an audit of bounds alone passes all three). The
 // same port audit fires on an injMask bit out of step with its server's
 // queue in either direction, and passes a queued packet whose bit is set;
 // it fires on a corrupted head-cache entry and on head state left on an
@@ -111,6 +125,16 @@ func TestLedgerAuditsCatchDrift(t *testing.T) {
 	audit("credSum-drift", "credSum[", func(e *engine, gport, far int32) {
 		e.credits[gport*int32(e.V)]-- // spent by gport, so far's sum should drop
 		e.pq[gport].credSum--         // ... not gport's own
+	})
+	audit("credit-spent-without-packet", "credit conservation", func(e *engine, gport, far int32) {
+		e.credits[gport*int32(e.V)+1]-- // the sum follows: only the packet is missing
+		e.pq[far].credSum--
+	})
+	audit("inInflight-without-credit-event", "inInflight[", func(e *engine, gport, far int32) {
+		e.inInflight[gport]++ // one transfer out of the port, within the speedup of 2, owes no credit
+	})
+	audit("outVCCount-drift", "outVCCount[", func(e *engine, gport, far int32) {
+		e.outVCCount[gport*int32(e.V)+1]++ // the port queues nothing and nothing crosses into it
 	})
 	// injMask: bit R+s of gport's switch stands for server s's queue.
 	injBit := func(e *engine, gport int32, s int) (int32, int, uint64) {
@@ -191,33 +215,38 @@ func cacheHead(e *engine, gport int32) int32 {
 	return invc
 }
 
-// snapshotFromPR12 is a hyperx-ckpt/1 snapshot written by the engine of the
-// commit before the sender-indexed ledger: 4x4 PolSP, four VCs, four
-// servers per switch, load 0.9, seed 77, links RandomFaultSequence(h, 7)[0]
-// and [1] failing at cycles 400 and 800, taken at cycle 804, as a .ckpt file
-// of that engine held it: gzip over the sealed codec, the form Resume takes.
-// It is the negative seed of the format: what an old worker or an old
-// checkpoint directory still holds. resultFromPR12 is the SHA-256 of the
-// Result bytes that commit produced for the uninterrupted run.
-const (
-	snapshotFromPR12 = "testdata/ckpt1-pr12-4x4-polsp-2faults.gz"
-	resultFromPR12   = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
-)
+// oldSnapshots are snapshots of the formats before this one, one per
+// format, each written by the last engine of its format as a .ckpt file of
+// that engine held it: gzip over the sealed codec, the form Resume takes.
+// All are of one run — 4x4 PolSP, four VCs, four servers per switch, load
+// 0.9, seed 77, links RandomFaultSequence(h, 7)[0] and [1] failing at
+// cycles 400 and 800 — taken at cycle 804. They are the negative seeds of
+// the format: what an old worker or an old checkpoint directory still
+// holds. hyperx-ckpt/1 is from the engine before the sender-indexed ledger,
+// whose Result bytes for the uninterrupted run have the SHA-256
+// resultOfCkpt1Run; hyperx-ckpt/2 also stored the crossbar counts, the
+// per-VC output counts, the arrival sampling constants and two checked
+// copies.
+var oldSnapshots = []struct {
+	codec byte // the leading byte of the body
+	path  string
+}{
+	{1, "testdata/ckpt1-4x4-polsp-2faults.gz"},
+	{2, "testdata/ckpt2-4x4-polsp-2faults.gz"},
+}
 
-// TestCkpt1SnapshotRefused: a hyperx-ckpt/1 snapshot — intact, its trailer
-// valid, taken under this very spec — is refused with ErrBadSnapshot at the
-// codec's leading byte, before any field is read, by the decoder, by
-// restoreSnapshot and by Run; nothing of the format's old fields (the
-// receiver-ordered credits, the release list, the legacy byte) is
-// understood any more. The run it checkpointed still produces the old
-// engine's Result from zero, which is what the refusal costs: a restart,
-// never a result (JobSpec-level fallback: experiments'
-// TestRunCheckpointedBadResumeFallsBack).
-func TestCkpt1SnapshotRefused(t *testing.T) {
-	snap, err := os.ReadFile(snapshotFromPR12)
-	if err != nil {
-		t.Fatal(err)
-	}
+const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
+
+// TestOldSnapshotFormatsRefused: a snapshot of an older format — intact, its
+// trailer valid, taken under this very spec — is refused with
+// ErrBadSnapshot at the codec's leading byte, before any field is read, by
+// the decoder, by restoreSnapshot and by Run; nothing of an old format's
+// fields (hyperx-ckpt/1's receiver-ordered credits and release list,
+// hyperx-ckpt/2's stored counts and copies) is understood any more. The run
+// they checkpointed still produces the old engine's Result from zero,
+// which is what a refusal costs: a restart, never a result (JobSpec-level
+// fallback: experiments' TestRunCheckpointedBadResumeFallsBack).
+func TestOldSnapshotFormatsRefused(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	seq := topo.RandomFaultSequence(h, 7)
 	opts := func() RunOptions {
@@ -232,36 +261,45 @@ func TestCkpt1SnapshotRefused(t *testing.T) {
 		}
 	}
 
-	sealed, err := inflateSnapshot(snap, maxSnapshotBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, ok := wire.Open(sealed)
-	if !ok {
-		t.Fatal("the fixture fails its own trailer: it no longer shows a refusal behind the checksum")
-	}
-	if _, err := decodeSnapshotState(body); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "codec version 1") {
-		t.Errorf("decoding the ckpt/1 body: %v, want ErrBadSnapshot naming codec version 1", err)
-	}
-	o := opts()
-	e, err := newEngine(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.restoreSnapshot(snap, o); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("restoreSnapshot of the ckpt/1 fixture: %v, want ErrBadSnapshot", err)
-	}
-	if e.now != 0 || len(e.pool) != 0 || o.Net.Faults.Len() != 0 {
-		t.Errorf("the refused snapshot left a trace: now %d, pool %d, %d faults replayed", e.now, len(e.pool), o.Net.Faults.Len())
-	}
-	o = opts()
-	o.Checkpoint = &CheckpointOptions{Resume: snap}
-	if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
-		t.Errorf("Run resumed from the ckpt/1 fixture: %v, want ErrBadSnapshot", err)
+	for _, old := range oldSnapshots {
+		t.Run(fmt.Sprintf("ckpt%d", old.codec), func(t *testing.T) {
+			snap, err := os.ReadFile(old.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := inflateSnapshot(snap, maxSnapshotBytes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, ok := wire.Open(sealed)
+			if !ok {
+				t.Fatal("the fixture fails its own trailer: it no longer shows a refusal behind the checksum")
+			}
+			want := fmt.Sprintf("codec version %d", old.codec)
+			if _, err := decodeSnapshotState(body); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+				t.Errorf("decoding the body: %v, want ErrBadSnapshot naming %s", err, want)
+			}
+			o := opts()
+			e, err := newEngine(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e.restoreSnapshot(snap, o); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("restoreSnapshot of the fixture: %v, want ErrBadSnapshot", err)
+			}
+			if e.now != 0 || len(e.pool) != 0 || o.Net.Faults.Len() != 0 {
+				t.Errorf("the refused snapshot left a trace: now %d, pool %d, %d faults replayed", e.now, len(e.pool), o.Net.Faults.Len())
+			}
+			o = opts()
+			o.Checkpoint = &CheckpointOptions{Resume: snap}
+			if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+				t.Errorf("Run resumed from the fixture: %v, want ErrBadSnapshot", err)
+			}
+		})
 	}
 
 	sum := sha256.Sum256(runBytes(t, opts()))
-	if got := hex.EncodeToString(sum[:]); got != resultFromPR12 {
-		t.Errorf("uninterrupted run: Result digest %s, the old engine's was %s", got, resultFromPR12)
+	if got := hex.EncodeToString(sum[:]); got != resultOfCkpt1Run {
+		t.Errorf("uninterrupted run: Result digest %s, the old engine's was %s", got, resultOfCkpt1Run)
 	}
 }

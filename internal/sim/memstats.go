@@ -76,7 +76,6 @@ func (e *engine) memStats() MemStats {
 	b += sliceBytes(e.hcArena) + sliceBytes(e.hcOff) + sliceBytes(e.hcLen) + sliceBytes(e.hcTop)
 	b += sliceBytes(e.penCost)
 	b += e.outQ.bytes()
-	b += sliceBytes(e.outReserved)
 	b += sliceBytes(e.outVCCount)
 	b += sliceBytes(e.outBusy)
 	b += e.injQ.bytes()

@@ -183,7 +183,7 @@ func Run(o RunOptions) (*Result, error) {
 func (e *engine) runOpenLoop(o RunOptions) (*Result, error) {
 	if e.arrQ == nil {
 		// Tests may pre-seed a handcrafted calendar; a real Run never does.
-		e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+		e.initArrivals(o.Load)
 	}
 	done := func() bool { return e.now >= e.warmEnd }
 	if err := e.loop(o, done, func() error { return nil }); err != nil {

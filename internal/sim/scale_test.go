@@ -65,8 +65,8 @@ func TestEngineMemoryBudgets(t *testing.T) {
 		polsp          bool
 		pinned, budget float64 // bytes per switch
 	}{
-		{side: 8, polsp: true, pinned: 12_059, budget: 13_265},
-		{side: 16, polsp: false, pinned: 21_081, budget: 23_189},
+		{side: 8, polsp: true, pinned: 12_001, budget: 13_201},
+		{side: 16, polsp: false, pinned: 20_975, budget: 23_072},
 	} {
 		if tc.side > 8 && testing.Short() {
 			continue // 77 MB of arenas

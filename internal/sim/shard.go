@@ -35,7 +35,7 @@ import (
 //
 //   - Input-side state (inQ, inBusyUntil, inInflight) is read and written
 //     only by its own switch in every phase.
-//   - Output-side state (outQ, outReserved, outVCCount, outBusy) likewise.
+//   - Output-side state (outQ, outVCCount, outBusy) likewise.
 //   - A credit ledger entry credits[gport*V+vc] lives in the index range
 //     of the SENDER, the switch whose output (gport, vc) it meters, next to
 //     that output's outVCCount. It is written by the receiver only in

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/routing"
 	"repro/internal/wire"
 )
 
@@ -24,23 +23,22 @@ import (
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
 //
-// hyperx-ckpt/2 carries primary state only. A field of the engine is NOT in
-// the format when verifyInvariants audits it as an exact function of fields
-// that are (the three occupancy masks, the packed allocation words), or
-// when the spec and the fault cursor fix it (dead ports, the live-link
-// count): a restore rebuilds those (markLinkDead, rebuildDerived) and then
-// audits the result (auditPorts) instead of trusting what a file or a peer
-// says they are.
-// Two fields of the format copy another and have no engine field behind
-// them: OutInflight is OutReserved and WinDeliveredPhits is
-// WinDeliveredPkts x PacketPhits. Capture fills each from the counter it
-// copies, and a restore refuses a snapshot whose copies disagree.
-const SnapshotVersion = "hyperx-ckpt/2"
+// hyperx-ckpt/3 carries primary state only. A field of the engine is NOT in
+// the format when auditPorts states it as an exact function of fields that
+// are — the occupancy masks and the packed allocation words of the rings
+// and the ledger; the calendar words, the crossbar counts (inInflight,
+// pq.outTotal) and outVCCount of the calendar slots and the output-ring
+// tags — or when the run fixes it: the dead ports and the live-link count
+// (the spec and the fault cursor), the arrival sampling constant (Load, a
+// header field). A restore rebuilds those (markLinkDead, rebuildDerived)
+// and then audits the result (auditPorts) instead of trusting what a file
+// or a peer says they are.
+const SnapshotVersion = "hyperx-ckpt/3"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
-// resultCodecVersion. It moves with SnapshotVersion, so a hyperx-ckpt/1
-// file is refused at its first byte.
-const snapshotCodecVersion = 2
+// resultCodecVersion. It moves with SnapshotVersion, so a hyperx-ckpt/1 or
+// hyperx-ckpt/2 file is refused at its first byte.
+const snapshotCodecVersion = 3
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -111,40 +109,18 @@ func burstMaxCycles(o RunOptions) int64 {
 	return maxCycles
 }
 
-// packetSnap is the serialized form of one pool entry. The pool is captured
-// verbatim including free entries: a recycled packet inherits whatever stale
-// fields the original run would have seen, so packet ids and pool growth
-// stay bit-identical after a restore.
-type packetSnap struct {
-	Birth    int64
-	DstLocal int16
-	InWindow bool
-	St       routing.PacketState
-}
-
-// eventSnap is the serialized form of one calendar-wheel event.
-type eventSnap struct {
-	Kind int8
-	VC   int8
-	A    int32
-	Pkt  int32
-}
-
-// arrivalSnap is the serialized form of one arrival-calendar entry.
-type arrivalSnap struct {
-	At     int64
-	Server int32
-}
-
 // snapshotState is the primary state of a run paused at the inter-cycle
 // point, flat and enumerable (what is left out, and why, is at
 // SnapshotVersion). Ring buffers are flattened in pop order, the calendar
 // wheel slot by slot (valid because the header pins horizon and now), the
 // credit ledger in engine order (by sender), and the two RNG families as
-// raw xoshiro256** state words so restored streams resume mid-sequence. The
+// raw xoshiro256** state words so restored streams resume mid-sequence.
+// The packet pool, the calendar's events and the arrival heap are the
+// engine's own element types, whose fields walk codes one by one. The
 // codeccoverage analyzer holds the codec's walk to every field of this
-// struct, and captureSnapshot and applySnapshot to every field of the
-// engine that is neither rebuilt nor exempt.
+// struct and of those three element types, and captureSnapshot and
+// applySnapshot to every field of the engine that is neither rebuilt nor
+// exempt.
 type snapshotState struct {
 	// Self-check header: a snapshot can never be resumed against the wrong
 	// format, engine semantics, spec, seed, topology shape or Table 2 point.
@@ -156,6 +132,7 @@ type snapshotState struct {
 	Horizon            int64
 	WarmStart, WarmEnd int64
 	Burst              int64
+	Load               float64 // fixes the arrival sampling constant; compared bit for bit
 	CfgInputBufPkts    int64
 	CfgOutputBufPkts   int64
 	CfgPacketPhits     int64
@@ -179,45 +156,40 @@ type snapshotState struct {
 	InQData     []int32 // flattened in pop order
 	InBusyUntil []int64
 	Credits     []int16
-	InInflight  []int8
 
 	// Output side.
-	OutQLens    []int32 // per global port
-	OutQPkt     []int32 // flattened in pop order
-	OutQVC      []int8
-	OutReserved []int16
-	OutVCCount  []int16
-	OutBusy     []int64
-	OutInflight []int8
+	OutQLens []int32 // per global port
+	OutQPkt  []int32 // flattened in pop order
+	OutQVC   []int8
+	OutBusy  []int64
 
 	// Servers.
 	InjQLens []int32
 	InjQData []int32
 	InjBusy  []int64
 
-	// Packet pool, verbatim.
-	Pool []packetSnap
+	// Packet pool, verbatim including free entries: a recycled packet
+	// inherits whatever stale fields the original run would have seen, so
+	// packet ids and pool growth stay bit-identical after a restore.
+	Pool []packet
 	Free []int32
 
 	// Calendar wheel, slot by slot.
 	EventLens []int32
-	Events    []eventSnap
+	Events    []event
 
 	// Cumulative per-switch window counters.
-	WinDeliveredPkts  []int64
-	WinDeliveredPhits []int64
-	WinLatencySum     []int64
-	WinHopSum         []int64
-	WinEscapedPkts    []int64
-	WinLinkBusy       []int64
-	WinLastDelivery   []int64
-	GenPhits          []int64
+	WinDeliveredPkts []int64
+	WinLatencySum    []int64
+	WinHopSum        []int64
+	WinEscapedPkts   []int64
+	WinLinkBusy      []int64
+	WinLastDelivery  []int64
+	GenPhits         []int64
 
 	// Open-loop arrival calendar, heap layout verbatim (heapify order is
 	// deterministic, so preserving the array preserves the pop sequence).
-	ArrQ               []arrivalSnap
-	GenProb            float64
-	LogOneMinusGenProb float64
+	ArrQ []arrival
 
 	// Throughput series, including the open bucket.
 	HasSeries       bool
@@ -260,33 +232,11 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	outQLens, outQPkt, outQVC := e.outQ.flatten()
 	injQLens, injQData, _ := e.injQ.flatten()
 
-	pool := make([]packetSnap, len(e.pool))
-	for i, p := range e.pool {
-		pool[i] = packetSnap{Birth: p.birth, DstLocal: p.dstLocal, InWindow: p.inWindow, St: p.st}
-	}
-
-	// The format's two copies (see SnapshotVersion).
-	xbarIn := make([]int8, len(e.outReserved))
-	for gp, n := range e.outReserved {
-		xbarIn[gp] = int8(n)
-	}
-	windowPhits := make([]int64, e.S)
-	for sw, n := range e.winDeliveredPkts {
-		windowPhits[sw] = n * int64(e.cfg.PacketPhits)
-	}
-
 	eventLens := make([]int32, len(e.events))
-	var evs []eventSnap
+	var evs []event
 	for i, slot := range e.events {
 		eventLens[i] = int32(len(slot))
-		for _, ev := range slot {
-			evs = append(evs, eventSnap{Kind: ev.kind, VC: ev.vc, A: ev.a, Pkt: ev.pkt})
-		}
-	}
-
-	arr := make([]arrivalSnap, len(e.arrQ))
-	for i, a := range e.arrQ {
-		arr[i] = arrivalSnap{At: a.at, Server: a.server}
+		evs = append(evs, slot...)
 	}
 
 	var series metrics.SeriesState
@@ -309,6 +259,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		Horizon:   e.horizon,
 		WarmStart: e.warmStart, WarmEnd: e.warmEnd,
 		Burst: int64(o.BurstPackets),
+		Load:  o.Load,
 
 		CfgInputBufPkts:  int64(e.cfg.InputBufPkts),
 		CfgOutputBufPkts: int64(e.cfg.OutputBufPkts),
@@ -330,38 +281,31 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		InQData:     inQData,
 		InBusyUntil: slices.Clone(e.inBusyUntil),
 		Credits:     slices.Clone(e.credits),
-		InInflight:  slices.Clone(e.inInflight),
 
-		OutQLens:    outQLens,
-		OutQPkt:     outQPkt,
-		OutQVC:      outQVC,
-		OutReserved: slices.Clone(e.outReserved),
-		OutVCCount:  slices.Clone(e.outVCCount),
-		OutBusy:     slices.Clone(e.outBusy),
-		OutInflight: xbarIn,
+		OutQLens: outQLens,
+		OutQPkt:  outQPkt,
+		OutQVC:   outQVC,
+		OutBusy:  slices.Clone(e.outBusy),
 
 		InjQLens: injQLens,
 		InjQData: injQData,
 		InjBusy:  slices.Clone(e.injBusy),
 
-		Pool: pool,
+		Pool: slices.Clone(e.pool),
 		Free: slices.Clone(e.free),
 
 		EventLens: eventLens,
 		Events:    evs,
 
-		WinDeliveredPkts:  slices.Clone(e.winDeliveredPkts),
-		WinDeliveredPhits: windowPhits,
-		WinLatencySum:     slices.Clone(e.winLatencySum),
-		WinHopSum:         slices.Clone(e.winHopSum),
-		WinEscapedPkts:    slices.Clone(e.winEscapedPkts),
-		WinLinkBusy:       slices.Clone(e.winLinkBusy),
-		WinLastDelivery:   slices.Clone(e.winLastDelivery),
-		GenPhits:          slices.Clone(e.genPhits),
+		WinDeliveredPkts: slices.Clone(e.winDeliveredPkts),
+		WinLatencySum:    slices.Clone(e.winLatencySum),
+		WinHopSum:        slices.Clone(e.winHopSum),
+		WinEscapedPkts:   slices.Clone(e.winEscapedPkts),
+		WinLinkBusy:      slices.Clone(e.winLinkBusy),
+		WinLastDelivery:  slices.Clone(e.winLastDelivery),
+		GenPhits:         slices.Clone(e.genPhits),
 
-		ArrQ:               arr,
-		GenProb:            e.genProb,
-		LogOneMinusGenProb: e.logOneMinusGenProb,
+		ArrQ: slices.Clone(e.arrQ),
 
 		HasSeries:       hasSeries,
 		SeriesBucket:    series.Bucket,
@@ -478,7 +422,8 @@ func (r *ringSet) load(lens, data []int32, tags []int8) {
 // the primaries; the fault prefix the capturing run had applied, marks only
 // (markLinkDead) with one BFS rebuild; rebuildDerived and rebuildActivity;
 // and the port audit, so a snapshot whose credits, buffers or crossbar
-// counts break a bound is refused rather than resumed. Every refusal wraps
+// counts break a bound, or whose spent credits have no packet behind them,
+// is refused rather than resumed. Every refusal wraps
 // ErrBadSnapshot. An engine that refused after installing is garbage, and
 // its network and mechanism have seen the fault replay: the caller builds
 // all three afresh.
@@ -523,6 +468,9 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Burst != int64(o.BurstPackets) {
 		return badf("burst %d, want %d", st.Burst, o.BurstPackets)
 	}
+	if math.Float64bits(st.Load) != math.Float64bits(o.Load) {
+		return badf("offered load %v, want %v", st.Load, o.Load)
+	}
 	wantWS, wantWE := o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
 	if o.BurstPackets > 0 {
 		wantWS, wantWE = 0, burstMaxCycles(o)+1
@@ -544,12 +492,10 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 			}
 		}
 	}
-	if len(st.OutQLens) != SP || len(st.OutReserved) != SP || len(st.OutBusy) != SP ||
-		len(st.OutInflight) != SP || len(st.InInflight) != SP {
+	if len(st.OutQLens) != SP || len(st.OutBusy) != SP {
 		return badf("per-port array lengths do not match %d global ports", SP)
 	}
-	if len(st.InQLens) != SP*e.V || len(st.InBusyUntil) != SP*e.V ||
-		len(st.Credits) != SP*e.V || len(st.OutVCCount) != SP*e.V {
+	if len(st.InQLens) != SP*e.V || len(st.InBusyUntil) != SP*e.V || len(st.Credits) != SP*e.V {
 		return badf("per-VC array lengths do not match %d input VCs", SP*e.V)
 	}
 	if len(st.InjQLens) != nServers || len(st.InjBusy) != nServers || len(st.GenPhits) != nServers {
@@ -558,7 +504,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if len(st.EventLens) != int(int64(e.S)*e.horizon) {
 		return badf("event wheel has %d slots, want %d", len(st.EventLens), int64(e.S)*e.horizon)
 	}
-	if len(st.WinDeliveredPkts) != e.S || len(st.WinDeliveredPhits) != e.S ||
+	if len(st.WinDeliveredPkts) != e.S ||
 		len(st.WinLatencySum) != e.S || len(st.WinHopSum) != e.S ||
 		len(st.WinEscapedPkts) != e.S || len(st.WinLinkBusy) != e.S ||
 		len(st.WinLastDelivery) != e.S {
@@ -596,24 +542,12 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
 		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
 	}
-	// The two copies the format carries must agree with what they copy:
-	// only the originals are installed.
-	for gp, n := range st.OutReserved {
-		if int16(st.OutInflight[gp]) != n {
-			return badf("output %d has %d transfers reserved but %d in the crossbar", gp, n, st.OutInflight[gp])
-		}
-	}
-	for sw, n := range st.WinDeliveredPkts {
-		if st.WinDeliveredPhits[sw] != n*int64(e.cfg.PacketPhits) {
-			return badf("switch %d delivered %d packets in the window but %d phits", sw, n, st.WinDeliveredPhits[sw])
-		}
-	}
-
 	// The resumed run indexes with these unchecked: every packet id — in a
 	// ring, on the free list, on the wheel — names a pool entry, every
 	// output-buffer entry a VC, and every event is of a known kind and
 	// targets an input VC or an output (port, VC) of the switch whose
-	// calendar it is on.
+	// calendar it is on; below, the arrival calendar lists every server of
+	// the run once.
 	inPool := func(ids ...int32) bool {
 		for _, id := range ids {
 			if id < 0 || int(id) >= len(st.Pool) {
@@ -636,18 +570,18 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	for slot, n := range st.EventLens {
 		sw := int32(int64(slot) / e.horizon)
 		for _, ev := range st.Events[cursor : cursor+int(n)] {
-			var lo, hi int32 // what ev.A indexes
-			switch ev.Kind {
+			var lo, hi int32 // what ev.a indexes
+			switch ev.kind {
 			case evArrive, evCredit: // an input VC of sw
 				lo, hi = sw*PV, (sw+1)*PV
-			case evXferDone: // an output port of sw, and ev.VC of it
+			case evXferDone: // an output port of sw, and ev.vc of it
 				lo, hi = sw*P, (sw+1)*P
-			case evDeliver: // a server of sw; ev.A is unused
+			case evDeliver: // a server of sw; ev.a is unused
 			default:
-				return badf("event of unknown kind %d on the calendar of switch %d", ev.Kind, sw)
+				return badf("event of unknown kind %d on the calendar of switch %d", ev.kind, sw)
 			}
-			if (ev.Kind != evDeliver && (ev.A < lo || ev.A >= hi)) || ev.VC < 0 || int(ev.VC) >= e.V ||
-				(ev.Kind != evCredit && !inPool(ev.Pkt)) {
+			if (ev.kind != evDeliver && (ev.a < lo || ev.a >= hi)) || ev.vc < 0 || int(ev.vc) >= e.V ||
+				(ev.kind != evCredit && !inPool(ev.pkt)) {
 				return badf("event %+v on the calendar of switch %d targets another switch, a VC past %d or a packet outside the pool", ev, sw, e.V)
 			}
 		}
@@ -660,6 +594,16 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 	if len(st.ArrQ) != wantArr {
 		return badf("arrival calendar holds %d servers, want %d", len(st.ArrQ), wantArr)
+	}
+	// A server twice (and so another never), or a broken heap, would not
+	// index out of range: it would resume into another run's traffic.
+	listed := make([]bool, wantArr)
+	for i, a := range st.ArrQ {
+		if a.server < 0 || int(a.server) >= wantArr || listed[a.server] ||
+			(i > 0 && arrivalBefore(a, st.ArrQ[(i-1)/2])) {
+			return badf("arrival calendar entry %d (server %d) is out of range, repeated or out of heap order", i, a.server)
+		}
+		listed[a.server] = true
 	}
 	if st.HasSeries != (o.SeriesBucket > 0) {
 		return badf("series presence %v, want %v", st.HasSeries, o.SeriesBucket > 0)
@@ -691,29 +635,20 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	e.inQ.load(st.InQLens, st.InQData, nil)
 	copy(e.inBusyUntil, st.InBusyUntil)
 	copy(e.credits, st.Credits)
-	copy(e.inInflight, st.InInflight)
 
 	e.outQ.load(st.OutQLens, st.OutQPkt, st.OutQVC)
-	copy(e.outReserved, st.OutReserved)
-	copy(e.outVCCount, st.OutVCCount)
 	copy(e.outBusy, st.OutBusy)
 
 	e.injQ.load(st.InjQLens, st.InjQData, nil)
 	copy(e.injBusy, st.InjBusy)
 
-	e.pool = e.pool[:0]
-	for _, p := range st.Pool {
-		e.pool = append(e.pool, packet{birth: p.Birth, dstLocal: p.DstLocal, inWindow: p.InWindow, st: p.St})
-	}
+	e.pool = append(e.pool[:0], st.Pool...)
 	e.free = append(e.free[:0], st.Free...)
 
 	cursor = 0
-	for i := range e.events {
-		e.events[i] = e.events[i][:0]
-		for _, ev := range st.Events[cursor : cursor+int(st.EventLens[i])] {
-			e.events[i] = append(e.events[i], event{kind: ev.Kind, vc: ev.VC, a: ev.A, pkt: ev.Pkt})
-		}
-		cursor += int(st.EventLens[i])
+	for i, n := range st.EventLens {
+		e.events[i] = append(e.events[i][:0], st.Events[cursor:cursor+int(n)]...)
+		cursor += int(n)
 	}
 
 	copy(e.winDeliveredPkts, st.WinDeliveredPkts)
@@ -724,13 +659,9 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	copy(e.winLastDelivery, st.WinLastDelivery)
 	copy(e.genPhits, st.GenPhits)
 
-	e.genProb = st.GenProb
-	e.logOneMinusGenProb = st.LogOneMinusGenProb
-	if len(st.ArrQ) > 0 {
-		e.arrQ = make([]arrival, len(st.ArrQ))
-		for i, a := range st.ArrQ {
-			e.arrQ[i] = arrival{at: a.At, server: a.Server}
-		}
+	if o.BurstPackets == 0 {
+		e.arrQ = slices.Clone(st.ArrQ)
+		e.logOneMinusGenProb = e.arrivalLog(o.Load)
 	}
 
 	if st.HasSeries {
@@ -762,36 +693,53 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 // rebuildDerived recomputes, after a restore, every engine word that is an
 // exact function of the installed primaries and so is not in the format:
 // per port, the packed allocation words (output occupancy, the credit sum
-// of the port's own input buffers) and its bits of the three occupancy
-// masks; per switch, its calendar word (a bit per nonempty slot); the head
-// cache, derived too, starts empty. auditPorts states each of these
-// identities its own way (invariants.go) — which is what licenses leaving
-// them out — and applySnapshot runs it right after, so a mistake here
-// refuses snapshots instead of resuming them into a different simulation.
+// of the port's own input buffers), its bits of the three occupancy masks
+// and its crossbar counts — an evCredit per transfer out of it
+// (inInflight), an evXferDone per transfer into it, by VC with what it
+// queues (outVCCount); per switch, its calendar word (a bit per nonempty
+// slot); the head cache, derived too, starts empty. auditPorts states each
+// of these identities its own way (invariants.go) — which is what licenses
+// leaving them out — and applySnapshot runs it right after, so a mistake
+// here refuses snapshots instead of resuming them into a different
+// simulation.
 func (e *engine) rebuildDerived() {
 	P, V, R, K := int32(e.P), int32(e.V), int32(e.R), int32(e.K)
 	clear(e.inMask)
 	clear(e.outMask)
 	clear(e.injMask)
 	clear(e.evMask)
+	clear(e.pq)
+	clear(e.inInflight)
+	clear(e.outVCCount)
 	e.dropHeads()
 	for i, slot := range e.events {
 		if len(slot) > 0 {
 			e.evMask[int64(i)/e.horizon] |= 1 << (int64(i) % e.horizon)
 		}
+		for _, ev := range slot {
+			switch ev.kind {
+			case evCredit:
+				e.inInflight[ev.a/V]++
+			case evXferDone:
+				e.pq[ev.a].outTotal++
+				e.outVCCount[ev.a*V+int32(ev.vc)]++
+			}
+		}
 	}
 	for gp := int32(0); gp < int32(e.S)*P; gp++ {
 		sw, p := gp/P, gp%P
 		w, b := e.maskBit(sw, int(p))
-		var credSum int16
 		for v := int32(0); v < V; v++ {
 			if e.inQ.len(gp*V+v) > 0 {
 				e.inMask[w] |= b
 			}
-			credSum += e.credits[e.up[gp]*V+v]
+			e.pq[gp].credSum += e.credits[e.up[gp]*V+v]
 		}
 		queued := e.outQ.len(gp)
-		e.pq[gp] = portq{outTotal: int16(queued + int(e.outReserved[gp])), credSum: credSum}
+		e.pq[gp].outTotal += int16(queued)
+		for j := 0; j < queued; j++ {
+			e.outVCCount[gp*V+int32(e.outQ.tag[e.outQ.slot(gp, j)])]++
+		}
 		if queued > 0 {
 			e.outMask[w] |= b
 		}

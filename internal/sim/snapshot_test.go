@@ -6,12 +6,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/metrics"
 	"repro/internal/topo"
@@ -178,7 +180,7 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the hyperx-ckpt/2 bytes themselves: the
+// TestSnapshotBytesGolden pins the hyperx-ckpt/3 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
 // equals a literal. The digests are of the sealed bytes inside the gzip
@@ -202,14 +204,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	ref, snaps := collectSnapshots(t, opts(), 250)
 	want := []string{
-		"175f4950010aa119fae552c3cbf647f01c27b0c247dc42d6043eb1655fdecb8c",
-		"691aa958f0753ee179f75518b1b8acfa13ad36eb12888cf2bae97aed47abd11a",
-		"dfb122ab414526e36722d545b5e8d3b1a078f4e593ad9916fa299cfadfbd06a1",
-		"34c66867f87dc72f4909ee47544a1a002fc358de1532bf181d10315e33304262",
-		"8973d4381110fdcdc9f791831e1a6cf75b355e62eb59870ceb2afd05cfe190f6",
-		"128210b709d59f81bb4190dd5dbceef93d88958e0e80eee1ffd986874fce973a",
-		"af389df2c9f475977cff92cacf87f506c297953cb11c07db40b1a482d081eab2",
-		"1388059c78495941e1d6534a970b27afbef0c7c06167b081b1026a1215198e98",
+		"557285e593236ab42a0d41a25faf0da1463035bc5286abe7757b0b26095ddfa6",
+		"9e2d02e8424e40479ea6cb425f1c52ef03dd467b0d489e042266620ac4a52a46",
+		"3222d452554afade711d8d9794d41c927d295cf6a7984f574ddf6661f40e18d6",
+		"5230bac44e64a157c0069589154691429932dfd20bf9088d36c5f050b7d93f5b",
+		"115df9b1f325294135325400949e653fca82485c7afae7f19db9fad0dd88aab8",
+		"850c96b97d4a1405da1d3c9310e4beb919c6fe55f3e1c8b11e3b59352ef5d08e",
+		"e966ed2157cfb58550c793464e29ab4689ab82d2ccfd545998a88c2cc8576982",
+		"91eafccbb1e4edf7a19c256627633ad5dd75dfd769dabb7c3759cffc55919411",
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
@@ -509,7 +511,7 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 	}
 	e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
 	e.series = metrics.NewThroughputSeries(o.SeriesBucket, e.S*e.K)
-	e.initArrivals(o.Load / float64(e.cfg.PacketPhits))
+	e.initArrivals(o.Load)
 	for ; e.now < 300; e.now++ {
 		e.stepCycle(e.generateArrivals)
 	}
@@ -520,7 +522,7 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 
 	engine := sliceSpans(reflect.ValueOf(e).Elem(), "engine", map[uintptr]bool{}, nil)
 	snap := sliceSpans(reflect.ValueOf(st).Elem(), "snapshotState", map[uintptr]bool{}, nil)
-	if len(snap) < 30 {
+	if len(snap) < 25 {
 		t.Fatalf("only %d non-empty slices in the capture: the walk no longer sees the state", len(snap))
 	}
 	for _, s := range snap {
@@ -682,6 +684,12 @@ func fillSnapshotDistinct(t *testing.T, v reflect.Value, next *int64) {
 	t.Helper()
 	for i := 0; i < v.NumField(); i++ {
 		f := v.Field(i)
+		if !f.CanSet() {
+			// A field of an engine element type (packet, event, arrival):
+			// reflect reads an unexported field but sets it only through
+			// its address.
+			f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		}
 		*next++
 		switch f.Kind() {
 		case reflect.Struct:
@@ -737,8 +745,8 @@ func fillSnapshotDistinct(t *testing.T, v reflect.Value, next *int64) {
 // TestSnapshotCodecCoversEveryField is the runtime half of the snapshot
 // codeccoverage contract (the analyzer proves both halves mention every
 // field; this proves the bytes carry them): a reflection-filled
-// snapshotState — every field, including the nested packet, event, release
-// and arrival structs, set to a distinct value — must round-trip
+// snapshotState — every field, including those of the engine's packet,
+// event and arrival elements, set to a distinct value — must round-trip
 // bit-exactly through the binary codec.
 func TestSnapshotCodecCoversEveryField(t *testing.T) {
 	st := &snapshotState{}
@@ -777,13 +785,14 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // whose state could not have come from an engine is refused with
 // ErrBadSnapshot, never resumed. Two layers, in restore order. What the
 // resumed run would index with unchecked — packet ids in rings, on the free
-// list and on the wheel, event kinds and targets, output-buffer VCs — and
-// a copy the format carries that disagrees with its original is refused
-// before anything is installed. What breaks a flow-control bound
-// once installed — a credit its receiver has no slot for, a crossbar count
-// past the speedup, an output buffer past its capacity — is refused by the
-// port audit that follows rebuildDerived; that engine is garbage, and Run
-// hands none back. The untouched snapshot passes both.
+// list and on the wheel, event kinds and targets, output-buffer VCs,
+// arrival servers — is refused before anything is installed. What breaks a
+// flow-control bound once installed — a credit its receiver has no slot
+// for, a credit spent with no packet behind it, a calendar whose transfers
+// push the counts rebuildDerived takes from it past the speedup or an
+// output buffer past its capacity — is refused by the port audit that
+// follows rebuildDerived; that engine is garbage, and Run hands none back.
+// The untouched snapshot passes both.
 func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	_, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
@@ -791,14 +800,25 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		t.Fatal("no snapshots shipped")
 	}
 	body := snapshotBody(t, snaps[0])
-	firstEvent := func(st *snapshotState, kind int8) *eventSnap {
+	firstEvent := func(st *snapshotState, kind int8) int {
 		for i := range st.Events {
-			if st.Events[i].Kind == kind {
-				return &st.Events[i]
+			if st.Events[i].kind == kind {
+				return i
 			}
 		}
 		t.Fatalf("no event of kind %d on the wheel: the snapshot no longer covers that case", kind)
-		return nil
+		return 0
+	}
+	// pileOn puts n more copies of the first event of a kind in its slot.
+	pileOn := func(st *snapshotState, kind int8, n int) {
+		i := firstEvent(st, kind)
+		for slot, end := 0, 0; ; slot++ {
+			if end += int(st.EventLens[slot]); i < end {
+				st.EventLens[slot] += int32(n)
+				break
+			}
+		}
+		st.Events = slices.Insert(st.Events, i, slices.Repeat(st.Events[i:i+1], n)...)
 	}
 	cfg := DefaultConfig()
 	cases := []struct {
@@ -818,24 +838,29 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 			}
 		}},
 		{"output-buffer VC past V", false, func(st *snapshotState) { st.OutQVC[0] = int8(st.V) }},
-		{"unknown event kind", false, func(st *snapshotState) { st.Events[0].Kind = evDeliver + 1 }},
-		{"event packet past the pool", false, func(st *snapshotState) { firstEvent(st, evArrive).Pkt = int32(len(st.Pool)) }},
-		{"arrival on another switch", false, func(st *snapshotState) { firstEvent(st, evArrive).A += int32(st.P * st.V) }},
-		{"transfer into another switch", false, func(st *snapshotState) { firstEvent(st, evXferDone).A += int32(st.P) }},
-		{"transfer on VC past V", false, func(st *snapshotState) { firstEvent(st, evXferDone).VC = int8(st.V) }},
+		{"unknown event kind", false, func(st *snapshotState) { st.Events[0].kind = evDeliver + 1 }},
+		{"event packet past the pool", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].pkt = int32(len(st.Pool)) }},
+		{"arrival on another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].a += int32(st.P * st.V) }},
+		{"transfer into another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].a += int32(st.P) }},
+		{"transfer on VC past V", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].vc = int8(st.V) }},
 		{"series where the run has none", false, func(st *snapshotState) { st.SeriesBucket = 100 }},
-		{"crossbar copy disagrees", false, func(st *snapshotState) { st.OutInflight[0]++ }},
-		{"window phits copy disagrees", false, func(st *snapshotState) { st.WinDeliveredPhits[0]++ }},
+		{"offered load of another run", false, func(st *snapshotState) { st.Load = math.Nextafter(st.Load, 1) }},
+		{"arrival for a server past the run's", false, func(st *snapshotState) { st.ArrQ[0].server = int32(len(st.ArrQ)) }},
+		{"arrival calendar lists a server twice", false, func(st *snapshotState) { st.ArrQ[1].server = st.ArrQ[0].server }},
+		{"arrival calendar out of heap order", false, func(st *snapshotState) { st.ArrQ[1].at = st.ArrQ[0].at - 1 }},
 
 		{"credit without slot", true, func(st *snapshotState) { st.Credits[0] = int16(cfg.InputBufPkts) + 1 }},
 		{"negative credit", true, func(st *snapshotState) { st.Credits[0] = -1 }},
-		{"crossbar count past the speedup", true, func(st *snapshotState) { st.InInflight[0] = int8(cfg.XbarSpeedup) + 1 }},
-		{"output past its capacity", true, func(st *snapshotState) {
-			// Both copies, so the two agree and the audit is what refuses.
-			st.OutReserved[0] = int16(cfg.OutputBufPkts) + 1
-			st.OutInflight[0] = int8(cfg.OutputBufPkts) + 1
+		{"credit spent with no packet behind it", true, func(st *snapshotState) {
+			i := slices.Index(st.Credits, int16(cfg.InputBufPkts)) // an idle output VC
+			st.Credits[i]--
 		}},
-		{"negative output VC count", true, func(st *snapshotState) { st.OutVCCount[0] = -1 }},
+		// The counts rebuildDerived takes off the calendar: a transfer
+		// into one port, or out of one, past the speedup, and an output
+		// with more packets crossing into it than it has slots.
+		{"third transfer into a port", true, func(st *snapshotState) { pileOn(st, evXferDone, cfg.XbarSpeedup) }},
+		{"third transfer out of a port", true, func(st *snapshotState) { pileOn(st, evCredit, cfg.XbarSpeedup) }},
+		{"output past its capacity", true, func(st *snapshotState) { pileOn(st, evXferDone, cfg.OutputBufPkts) }},
 	}
 	for _, tc := range cases {
 		st, err := decodeSnapshotState(body)
@@ -877,28 +902,33 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 }
 
 // derivedState is every engine word a restore rebuilds instead of reading:
-// what rebuildDerived writes, plus the two functions of the fault cursor
-// that the markLinkDead replay writes.
+// what rebuildDerived writes, the two functions of the fault cursor that
+// the markLinkDead replay writes, and the arrival sampling constant.
 type derivedState struct {
 	PQ                       []portq
 	InMask, OutMask, InjMask []uint64
 	EvMask                   []uint64
+	InInflight               []int8
+	OutVCCount               []int16
 	PortDead                 []bool
 	LiveDirLinks             int64
+	LogOneMinusGenProb       float64
 }
 
 func (e *engine) derivedState() derivedState {
 	return derivedState{
 		PQ: slices.Clone(e.pq), InMask: slices.Clone(e.inMask), OutMask: slices.Clone(e.outMask),
 		InjMask: slices.Clone(e.injMask), EvMask: slices.Clone(e.evMask),
+		InInflight: slices.Clone(e.inInflight), OutVCCount: slices.Clone(e.outVCCount),
 		PortDead: slices.Clone(e.portDead), LiveDirLinks: e.liveDirLinks,
+		LogOneMinusGenProb: e.logOneMinusGenProb,
 	}
 }
 
 // TestRestoreRebuildsDerivedState is the engine-to-engine statement of the
-// hyperx-ckpt/2 rule: none of the derived words travel (the calendar words
-// included), and after a restore every one of them equals the capturing
-// engine's at the capture point —
+// hyperx-ckpt/3 rule: none of the derived words travel (the calendar words
+// and the crossbar counts included), and after a restore every one of them
+// equals the capturing engine's at the capture point —
 // with and without a replayed fault, with one occupancy-mask word per
 // switch (P <= 64) and with two (P > 64). The capturing engine is ticked by
 // hand, cycle by cycle, so the test holds it at the capture point.
@@ -936,7 +966,7 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 			if src.maskWords != tc.words {
 				t.Fatalf("P = %d: %d mask words per switch, want %d", src.P, src.maskWords, tc.words)
 			}
-			src.initArrivals(o.Load / float64(src.cfg.PacketPhits))
+			src.initArrivals(o.Load)
 			for ; src.now < 304; src.now++ { // four cycles past the first fault
 				if err := src.applyDueFaults(); err != nil {
 					t.Fatal(err)
@@ -946,9 +976,10 @@ func TestRestoreRebuildsDerivedState(t *testing.T) {
 			}
 			want := src.derivedState()
 			pending := slices.ContainsFunc(want.EvMask, func(m uint64) bool { return m != 0 })
-			if src.inFlight() == 0 || !pending || (len(tc.faults) > 0) != slices.Contains(want.PortDead, true) {
-				t.Fatalf("capture point holds %d packets, pending events %v, dead port %v: it no longer covers the case",
-					src.inFlight(), pending, slices.Contains(want.PortDead, true))
+			crossing := slices.ContainsFunc(want.InInflight, func(n int8) bool { return n != 0 })
+			if src.inFlight() == 0 || !pending || !crossing || (len(tc.faults) > 0) != slices.Contains(want.PortDead, true) {
+				t.Fatalf("capture point holds %d packets, pending events %v, crossbar transfers %v, dead port %v: it no longer covers the case",
+					src.inFlight(), pending, crossing, slices.Contains(want.PortDead, true))
 			}
 			// Server bits sit in the last mask word of a switch too: with
 			// two words, some switch's servers past port 63 hold packets.

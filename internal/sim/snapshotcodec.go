@@ -15,7 +15,9 @@ import (
 // gzip layer are applied by sealSnapshot, above this layer.
 
 // walk names every snapshotState field once, in layout order, for both
-// directions of the codec. A new field goes here and bumps SnapshotVersion.
+// directions of the codec, and every field of the engine's packet, event
+// and arrival elements the state holds. A new field of any of them goes
+// here and bumps SnapshotVersion.
 func (st *snapshotState) walk(c *wire.Coder) {
 	c.String(&st.Magic)
 	c.String(&st.Engine)
@@ -30,6 +32,7 @@ func (st *snapshotState) walk(c *wire.Coder) {
 	c.I64(&st.WarmStart)
 	c.I64(&st.WarmEnd)
 	c.I64(&st.Burst)
+	c.F64(&st.Load)
 	c.I64(&st.CfgInputBufPkts)
 	c.I64(&st.CfgOutputBufPkts)
 	c.I64(&st.CfgPacketPhits)
@@ -53,15 +56,11 @@ func (st *snapshotState) walk(c *wire.Coder) {
 	wire.Ints(c, &st.InQData)
 	wire.Ints(c, &st.InBusyUntil)
 	wire.Ints(c, &st.Credits)
-	wire.Ints(c, &st.InInflight)
 
 	wire.Ints(c, &st.OutQLens)
 	wire.Ints(c, &st.OutQPkt)
 	wire.Ints(c, &st.OutQVC)
-	wire.Ints(c, &st.OutReserved)
-	wire.Ints(c, &st.OutVCCount)
 	wire.Ints(c, &st.OutBusy)
-	wire.Ints(c, &st.OutInflight)
 
 	wire.Ints(c, &st.InjQLens)
 	wire.Ints(c, &st.InjQData)
@@ -69,34 +68,33 @@ func (st *snapshotState) walk(c *wire.Coder) {
 
 	for i := range wire.Len(c, &st.Pool, 8+2+1+7*4+1+1+1+1) {
 		p := &st.Pool[i]
-		c.I64(&p.Birth)
-		c.I16(&p.DstLocal)
-		c.Bool(&p.InWindow)
-		c.I32(&p.St.Src)
-		c.I32(&p.St.Dst)
-		c.I32(&p.St.Hops)
-		c.I32(&p.St.Deroutes)
-		c.I32(&p.St.MinHops)
-		c.I32(&p.St.DerouteMask)
-		c.I32(&p.St.Intermediate)
-		c.I8(&p.St.Phase)
-		c.Bool(&p.St.CloserToSrc)
-		c.Bool(&p.St.InEscape)
-		c.I8(&p.St.EscPhase)
+		c.I64(&p.birth)
+		c.I16(&p.dstLocal)
+		c.Bool(&p.inWindow)
+		c.I32(&p.st.Src)
+		c.I32(&p.st.Dst)
+		c.I32(&p.st.Hops)
+		c.I32(&p.st.Deroutes)
+		c.I32(&p.st.MinHops)
+		c.I32(&p.st.DerouteMask)
+		c.I32(&p.st.Intermediate)
+		c.I8(&p.st.Phase)
+		c.Bool(&p.st.CloserToSrc)
+		c.Bool(&p.st.InEscape)
+		c.I8(&p.st.EscPhase)
 	}
 	wire.Ints(c, &st.Free)
 
 	wire.Ints(c, &st.EventLens)
 	for i := range wire.Len(c, &st.Events, 1+1+4+4) {
 		ev := &st.Events[i]
-		c.I8(&ev.Kind)
-		c.I8(&ev.VC)
-		c.I32(&ev.A)
-		c.I32(&ev.Pkt)
+		c.I8(&ev.kind)
+		c.I8(&ev.vc)
+		c.I32(&ev.a)
+		c.I32(&ev.pkt)
 	}
 
 	wire.Ints(c, &st.WinDeliveredPkts)
-	wire.Ints(c, &st.WinDeliveredPhits)
 	wire.Ints(c, &st.WinLatencySum)
 	wire.Ints(c, &st.WinHopSum)
 	wire.Ints(c, &st.WinEscapedPkts)
@@ -106,11 +104,9 @@ func (st *snapshotState) walk(c *wire.Coder) {
 
 	for i := range wire.Len(c, &st.ArrQ, 8+4) {
 		a := &st.ArrQ[i]
-		c.I64(&a.At)
-		c.I32(&a.Server)
+		c.I64(&a.at)
+		c.I32(&a.server)
 	}
-	c.F64(&st.GenProb)
-	c.F64(&st.LogOneMinusGenProb)
 
 	c.Bool(&st.HasSeries)
 	c.I64(&st.SeriesBucket)
