@@ -97,6 +97,12 @@ var codecTargets = []codecTarget{
 			"swLost":        "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swProgressed":  "per-cycle flag, false at the inter-cycle point; asserted by captureSnapshot",
 			"faultSchedule": "supplied by RunOptions; only the cursor nextFault is engine state",
+			"S":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-switch array lengths (TieRNG, Win)",
+			"R":             "the topology shape, fixed by the spec at construction; pinned on restore as P - K by the per-port and per-server array lengths",
+			"K":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-server array lengths (InjQLens, InjBusy, GenPhits)",
+			"P":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-port array lengths (OutQLens, OutBusy)",
+			"V":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-VC array lengths (InQLens, InBusyUntil, Credits)",
+			"horizon":       "the calendar horizon, fixed by Config at construction; pinned on restore by the calendar's slot count (EventLens)",
 			"logOneMinusGenProb": "recomputed by applySnapshot from the run's Load through arrivalLog, the helper initArrivals caches it with; " +
 				"the header's Load must match the run's bit for bit",
 		},
@@ -113,6 +119,7 @@ var codecTargets = []codecTarget{
 	// walk codes each of their fields.
 	{pkg: "repro/internal/sim", typeName: "packet", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
 	{pkg: "repro/internal/sim", typeName: "event", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
+	{pkg: "repro/internal/sim", typeName: "window", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
 	{pkg: "repro/internal/sim", typeName: "arrival", encode: []string{"snapshotState.walk"}, decode: []string{"snapshotState.walk"}, unexported: true},
 	{
 		// Two structs whose codec methods share a name: the registry's

@@ -23,7 +23,6 @@ package cache
 
 import (
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -93,26 +92,29 @@ func (s *Store) entryPath(key, ext string) (string, error) {
 	return s.engine + sep + key[:2] + sep + key[2:] + ext, nil
 }
 
-// writeAtomic writes what write produces to p through a .tmp- file beside
-// it and a rename, so a crash mid-write leaves either the previous file or
-// a temp file the next GCCheckpoints sweeps up, never a torn p.
-func writeAtomic(p string, write func(io.Writer) error) error {
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
+// WriteFileAtomic writes data to path (creating its directory if needed)
+// through a .tmp- file beside it and a rename, so a concurrent reader never
+// sees a partial file and a crash mid-write leaves either the previous file
+// or a temp file — which, in a store, the next GCCheckpoints sweeps up —
+// never a torn path.
+func WriteFileAtomic(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(p), ".tmp-*")
+	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := write(tmp); err != nil {
+	if _, err := tmp.Write(data); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
-	if err := os.Rename(tmp.Name(), p); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return nil
@@ -189,10 +191,7 @@ func (s *Store) Put(key string, res *sim.Result) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(p, func(w io.Writer) error {
-		_, err := w.Write(wire.Seal(res.AppendBinary(nil)))
-		return err
-	})
+	return WriteFileAtomic(p, wire.Seal(res.AppendBinary(nil)))
 }
 
 // GetCheckpoint returns the stored engine snapshot for key, byte for byte
@@ -218,10 +217,7 @@ func (s *Store) PutCheckpoint(key string, snap []byte) error {
 	if err != nil {
 		return err
 	}
-	return writeAtomic(p, func(w io.Writer) error {
-		_, err := w.Write(snap)
-		return err
-	})
+	return WriteFileAtomic(p, snap)
 }
 
 // RemoveCheckpoint deletes the checkpoint for key, if any. Called when a
@@ -239,14 +235,18 @@ func (s *Store) RemoveCheckpoint(key string) error {
 }
 
 // GCCheckpoints prunes orphaned checkpoint files from the kept engine
-// subtrees: a .ckpt whose spec already has a cached terminal .res will
-// never be resumed (Get always wins), and a leftover .tmp- file is an
-// interrupted atomic write. Stale-engine checkpoints fall with their
-// subtree in GC. Returns the number of files removed and the bytes
-// reclaimed.
+// subtree, the only one the running engine writes: a .ckpt whose spec
+// already has a cached terminal .res will never be resumed (Get always
+// wins), and a leftover .tmp- file is an interrupted atomic write.
+// Stale-engine checkpoints fall with their subtree in GC, and whatever
+// else the directory holds is not the store's to judge. Returns the
+// number of files removed and the bytes reclaimed.
 func (s *Store) GCCheckpoints() (removed int, reclaimed int64, err error) {
-	err = filepath.WalkDir(s.dir, func(path string, d os.DirEntry, werr error) error {
+	err = filepath.WalkDir(s.engine, func(path string, d os.DirEntry, werr error) error {
 		if werr != nil {
+			if path == s.engine && os.IsNotExist(werr) {
+				return nil // nothing stored under this engine yet
+			}
 			return werr
 		}
 		if d.IsDir() {

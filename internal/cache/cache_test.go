@@ -311,12 +311,28 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // TestGCCheckpoints: a checkpoint whose spec has a cached terminal result
 // is orphaned and reaped (with its bytes tallied); a checkpoint for an
 // unfinished spec survives; a stale-engine checkpoint falls with its
-// subtree in plain GC.
+// subtree in plain GC. A directory of the user's beside the store's —
+// one holding files that merely look like the store's (a .tmp- draft, a
+// .ckpt with a .res beside it) — loses nothing to either, and a store
+// with nothing under its engine yet has nothing to prune.
 func TestGCCheckpoints(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if removed, reclaimed, err := s.GCCheckpoints(); removed != 0 || reclaimed != 0 || err != nil {
+		t.Errorf("GCCheckpoints on an empty store = %d, %d, %v; want 0, 0, nil", removed, reclaimed, err)
+	}
+	plots := filepath.Join(dir, "plots")
+	if err := os.MkdirAll(plots, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	foreign := []string{"fig10.png", ".tmp-draft", "a.ckpt", "a.res"}
+	for _, name := range foreign {
+		if err := os.WriteFile(filepath.Join(plots, name), []byte(name), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	doneKey, liveKey := testKey(7), testKey(8)
 	if err := s.PutCheckpoint(doneKey, []byte("finished")); err != nil {
@@ -355,6 +371,14 @@ func TestGCCheckpoints(t *testing.T) {
 	}
 	if _, err := os.Stat(filepath.Join(dir, "hyperx-sim_1")); !os.IsNotExist(err) {
 		t.Error("stale engine checkpoint subtree survived GC")
+	}
+	if _, _, err := s.GCCheckpoints(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(plots, name)); err != nil {
+			t.Errorf("GC deleted %s from a directory the store does not own: %v", name, err)
+		}
 	}
 }
 

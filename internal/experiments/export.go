@@ -6,9 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 	"strconv"
+
+	"repro/internal/cache"
 )
 
 // This file is the structured result export: one CSV per figure or table,
@@ -18,31 +19,15 @@ import (
 // unchanged grid — e.g. from a warm result cache — produces byte-identical
 // files.
 
-// writeFileAtomic writes data to dir/filename (creating dir if needed)
-// via a temp file and rename, so a concurrent reader never sees a partial
-// table. It returns the written path.
-func writeFileAtomic(dir, filename string, data []byte) (string, error) {
+// exportFile writes data to dir/filename, atomically (so a concurrent
+// reader never sees a partial table), and returns the written path.
+func exportFile(dir, filename string, data []byte) (string, error) {
 	if dir == "" {
 		return "", fmt.Errorf("experiments: empty export directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", fmt.Errorf("experiments: %w", err)
-	}
 	path := filepath.Join(dir, filename)
-	tmp, err := os.CreateTemp(dir, ".tmp-*"+filepath.Ext(filename))
-	if err != nil {
-		return "", fmt.Errorf("experiments: %w", err)
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("experiments: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("experiments: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", fmt.Errorf("experiments: %w", err)
+	if err := cache.WriteFileAtomic(path, data); err != nil {
+		return "", err
 	}
 	return path, nil
 }
@@ -57,7 +42,7 @@ func WriteCSV(dir, name string, header []string, rows [][]string) (string, error
 	if err := w.WriteAll(rows); err != nil {
 		return "", fmt.Errorf("experiments: %w", err)
 	}
-	return writeFileAtomic(dir, name+".csv", buf.Bytes())
+	return exportFile(dir, name+".csv", buf.Bytes())
 }
 
 // WriteJSONL writes header+rows to dir/name.jsonl as one JSON object per
@@ -85,7 +70,7 @@ func WriteJSONL(dir, name string, header []string, rows [][]string) (string, err
 		}
 		buf.WriteString("}\n")
 	}
-	return writeFileAtomic(dir, name+".jsonl", buf.Bytes())
+	return exportFile(dir, name+".jsonl", buf.Bytes())
 }
 
 // jsonlCell types a CSV cell for JSONL: cells produced by csvF/csvI are

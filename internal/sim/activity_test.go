@@ -362,8 +362,8 @@ func TestFullWalkVisitsEverySwitchEveryCycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		lastWalk()
-		if e.totalDelivered == 0 {
-			t.Fatalf("fullWalk=%v: no traffic delivered; the regime exercises nothing", fullWalk)
+		if e.foldWindow().deliveredPkts == 0 {
+			t.Fatalf("fullWalk=%v: no traffic delivered in the window; the regime exercises nothing", fullWalk)
 		}
 		if fullWalk {
 			if skipped != 0 || stepped != e.warmEnd {

@@ -135,33 +135,40 @@ func (e *engine) arrSiftDown(i int) {
 	}
 }
 
-// verifyArrivals audits the arrival calendar against its contract: every
-// server appears exactly once, the heap order holds at every node, and —
-// since the audit runs after the generation phase — no entry is due at or
-// before the current cycle (a due entry left behind would silently drop
-// that server's traffic). Enabled by Config.CheckInvariants alongside the
-// flow-control and activity audits.
+// checkArrivals states the arrival calendar's contract: it lists each of
+// servers exactly once, the heap order holds at every node, and no entry
+// is due at or before cycle after (a due entry left behind would silently
+// drop that server's traffic). The audit holds the engine's calendar to it
+// after each generation phase (verifyArrivals), a restore a snapshot's
+// before installing it (applySnapshot).
+func checkArrivals(q []arrival, servers int, after int64) error {
+	if len(q) != servers {
+		return fmt.Errorf("arrival calendar holds %d servers, want %d", len(q), servers)
+	}
+	listed := make([]bool, servers)
+	for i, a := range q {
+		switch {
+		case a.server < 0 || int(a.server) >= servers || listed[a.server]:
+			return fmt.Errorf("arrival calendar entry %d names server %d: out of range or repeated", i, a.server)
+		case i > 0 && arrivalBefore(a, q[(i-1)/2]):
+			return fmt.Errorf("arrival calendar entry %d (server %d) is out of heap order", i, a.server)
+		case a.at <= after:
+			return fmt.Errorf("server %d's arrival at cycle %d is due at or before cycle %d", a.server, a.at, after)
+		}
+		listed[a.server] = true
+	}
+	return nil
+}
+
+// verifyArrivals panics on the first violation of the arrival calendar's
+// contract (checkArrivals) after the generation phase of cycle now.
+// Enabled by Config.CheckInvariants alongside the flow-control and
+// activity audits; a burst's calendar is empty, and skipped.
 func (e *engine) verifyArrivals() {
 	if e.arrQ == nil {
 		return
 	}
-	if len(e.arrQ) != e.S*e.K {
-		panic(fmt.Sprintf("sim: arrival calendar holds %d servers, want %d", len(e.arrQ), e.S*e.K))
-	}
-	seen := make([]bool, len(e.arrQ))
-	for i, a := range e.arrQ {
-		if a.server < 0 || int(a.server) >= len(seen) || seen[a.server] {
-			panic(fmt.Sprintf("sim: arrival calendar entry %d has bad or duplicate server %d", i, a.server))
-		}
-		seen[a.server] = true
-		if a.at <= e.now {
-			panic(fmt.Sprintf("sim: server %d's arrival at cycle %d still pending after generation at cycle %d",
-				a.server, a.at, e.now))
-		}
-		if i > 0 {
-			if p := (i - 1) / 2; arrivalBefore(a, e.arrQ[p]) {
-				panic(fmt.Sprintf("sim: arrival heap order violated at index %d (cycle %d)", i, e.now))
-			}
-		}
+	if err := checkArrivals(e.arrQ, e.S*e.K, e.now); err != nil {
+		panic(fmt.Sprintf("sim: %v after generation at cycle %d", err, e.now))
 	}
 }

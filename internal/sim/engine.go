@@ -222,20 +222,15 @@ type engine struct {
 	freed   [][]int32      // packet ids retired this cycle
 
 	// Per-cycle counters, folded and reset by the merge steps. Every
-	// delivered packet is PacketPhits phits, so the packet counts are all the
-	// merge needs for the in-flight count and the throughput series too.
+	// delivered packet is PacketPhits phits, so the delivered count is all
+	// the merge needs for the throughput series.
 	swDelivered  []int64
 	swLost       []int64
 	swProgressed []bool
 
-	// Cumulative per-switch window counters, folded once in result(). The
-	// delivered phits are winDeliveredPkts x PacketPhits.
-	winDeliveredPkts []int64
-	winLatencySum    []int64
-	winHopSum        []int64
-	winEscapedPkts   []int64
-	winLinkBusy      []int64
-	winLastDelivery  []int64
+	// Cumulative measurement record of every switch, folded once in
+	// result() (foldWindow).
+	win []window
 
 	// Per-worker scratch for the sharded phases.
 	ws []workerScratch
@@ -255,15 +250,25 @@ type engine struct {
 	now          int64
 	lastProgress int64
 
-	// Measurement. The per-switch window counters above are summed once, by
-	// result() (foldWindowCounters); these are maintained by the sequential
-	// phases.
+	// Measurement. The per-switch window records above are summed once, by
+	// result() (foldWindow); these are maintained by the sequential phases.
 	warmStart, warmEnd int64 // measurement window [warmStart, warmEnd)
 	liveDirLinks       int64 // directed live switch-to-switch links
 	genPhits           []int64
 	stalledGenPkts     int64
-	totalDelivered     int64 // across all time (burst completion)
 	series             *metrics.ThroughputSeries
+}
+
+// window is one switch's cumulative measurement record, written only by
+// that switch's phases, and — from foldWindow — their sum over switches.
+// The delivered phits are deliveredPkts x PacketPhits, so they have no field.
+type window struct {
+	deliveredPkts int64 // inside the measurement window, as are the next four
+	latencySum    int64
+	hopSum        int64
+	escapedPkts   int64
+	linkBusy      int64 // switch-link busy cycles
+	lastDelivery  int64 // cycle of the switch's last delivery, window or not; the fold takes the max
 }
 
 // workerScratch is the reusable buffer set of one worker; nothing in it
@@ -429,12 +434,7 @@ func newEngine(o RunOptions) (*engine, error) {
 	e.swDelivered = make([]int64, e.S)
 	e.swLost = make([]int64, e.S)
 	e.swProgressed = make([]bool, e.S)
-	e.winDeliveredPkts = make([]int64, e.S)
-	e.winLatencySum = make([]int64, e.S)
-	e.winHopSum = make([]int64, e.S)
-	e.winEscapedPkts = make([]int64, e.S)
-	e.winLinkBusy = make([]int64, e.S)
-	e.winLastDelivery = make([]int64, e.S)
+	e.win = make([]window, e.S)
 
 	e.ws = make([]workerScratch, e.workers)
 	for w := range e.ws {
@@ -643,13 +643,14 @@ func (e *engine) deliverSw(sw, id int32) {
 	pkt := &e.pool[id]
 	e.swDelivered[sw]++
 	e.swProgressed[sw] = true
-	e.winLastDelivery[sw] = e.now
+	w := &e.win[sw]
+	w.lastDelivery = e.now
 	if e.now >= e.warmStart && e.now < e.warmEnd {
-		e.winDeliveredPkts[sw]++
-		e.winLatencySum[sw] += e.now - pkt.birth
-		e.winHopSum[sw] += int64(pkt.st.Hops)
+		w.deliveredPkts++
+		w.latencySum += e.now - pkt.birth
+		w.hopSum += int64(pkt.st.Hops)
 		if pkt.st.InEscape {
-			e.winEscapedPkts[sw]++
+			w.escapedPkts++
 		}
 	}
 	e.freed[sw] = append(e.freed[sw], id)
@@ -1161,7 +1162,7 @@ func (e *engine) transmitSwitch(sw int32) {
 				continue
 			}
 			if e.now >= e.warmStart && e.now < e.warmEnd {
-				e.winLinkBusy[sw] += serial
+				e.win[sw].linkBusy += serial
 			}
 			e.outbox[sw] = append(e.outbox[sw], timedEvent{
 				at: e.now + arriveDelay,

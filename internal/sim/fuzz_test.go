@@ -46,7 +46,7 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 		}
 		f.Add(snapshotBody(f, snap)) // an older format: refused at the codec byte
 	}
-	f.Add(appendSnapshotState(nil, &snapshotState{Magic: SnapshotVersion}))
+	f.Add(appendSnapshotState(nil, &snapshotState{Engine: EngineVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
 		if err != nil {

@@ -226,13 +226,16 @@ func cacheHead(e *engine, gport int32) int32 {
 // whose Result bytes for the uninterrupted run have the SHA-256
 // resultOfCkpt1Run; hyperx-ckpt/2 also stored the crossbar counts, the
 // per-VC output counts, the arrival sampling constants and two checked
-// copies.
+// copies; hyperx-ckpt/3 also stored the format name, the topology shape
+// and calendar horizon, the series presence and server count, a burst's
+// delivered total and six per-switch window arrays.
 var oldSnapshots = []struct {
 	codec byte // the leading byte of the body
 	path  string
 }{
 	{1, "testdata/ckpt1-4x4-polsp-2faults.gz"},
 	{2, "testdata/ckpt2-4x4-polsp-2faults.gz"},
+	{3, "testdata/ckpt3-4x4-polsp-2faults.gz"},
 }
 
 const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
@@ -242,7 +245,8 @@ const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d4
 // ErrBadSnapshot at the codec's leading byte, before any field is read, by
 // the decoder, by restoreSnapshot and by Run; nothing of an old format's
 // fields (hyperx-ckpt/1's receiver-ordered credits and release list,
-// hyperx-ckpt/2's stored counts and copies) is understood any more. The run
+// hyperx-ckpt/2's stored counts and copies, hyperx-ckpt/3's restated
+// header and parallel window arrays) is understood any more. The run
 // they checkpointed still produces the old engine's Result from zero,
 // which is what a refusal costs: a restart, never a result (JobSpec-level
 // fallback: experiments' TestRunCheckpointedBadResumeFallsBack).

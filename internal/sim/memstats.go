@@ -86,10 +86,7 @@ func (e *engine) memStats() MemStats {
 	staging := arenaBytes(e.granted) + arenaBytes(e.outbox) + arenaBytes(e.freed)
 	b += staging
 	b += sliceBytes(e.swDelivered) + sliceBytes(e.swLost) + sliceBytes(e.swProgressed)
-	b += sliceBytes(e.winDeliveredPkts) +
-		sliceBytes(e.winLatencySum) + sliceBytes(e.winHopSum) +
-		sliceBytes(e.winEscapedPkts) + sliceBytes(e.winLinkBusy) +
-		sliceBytes(e.winLastDelivery)
+	b += sliceBytes(e.win)
 	b += int64(len(e.ws)) * int64(unsafe.Sizeof(workerScratch{}))
 	a := e.act
 	b += sliceBytes(a.retry) + sliceBytes(a.nextWork) + sliceBytes(a.booked)

@@ -290,12 +290,14 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 			}
 		}
 	}
-	total := int64(o.BurstPackets) * int64(nServers)
-	done := func() bool { return e.totalDelivered+e.lostPkts >= total }
+	// The free list is the record of live packets: the burst is done when
+	// none is left, every packet delivered or lost.
+	done := func() bool { return e.inFlight() == 0 }
 	overrun := func() error {
 		if e.now > maxCycles {
+			total := int64(o.BurstPackets) * int64(nServers)
 			return fmt.Errorf("sim: burst did not complete within %d cycles (%d/%d delivered)",
-				maxCycles, e.totalDelivered, total)
+				maxCycles, total-e.lostPkts-e.inFlight(), total)
 		}
 		return nil
 	}
@@ -303,11 +305,11 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 		return nil, err
 	}
 	res, w := e.result(o)
-	res.CompletionTime = w.lastDeliveryCycle
+	res.CompletionTime = w.lastDelivery
 	// Normalize window metrics over the actual duration.
-	res.AcceptedLoad = float64(w.deliveredPhits) / float64(e.S*e.K) / float64(w.lastDeliveryCycle)
-	if e.liveDirLinks > 0 && w.lastDeliveryCycle > 0 {
-		res.LinkUtilization = float64(w.linkBusyCycles) / float64(e.liveDirLinks) / float64(w.lastDeliveryCycle)
+	res.AcceptedLoad = float64(w.deliveredPkts*int64(e.cfg.PacketPhits)) / float64(e.S*e.K) / float64(w.lastDelivery)
+	if e.liveDirLinks > 0 && w.lastDelivery > 0 {
+		res.LinkUtilization = float64(w.linkBusy) / float64(e.liveDirLinks) / float64(w.lastDelivery)
 	}
 	return res, nil
 }
@@ -326,10 +328,10 @@ func (e *engine) checkWatchdog() error {
 }
 
 // result assembles the metrics from the engine's counters and the fold of
-// the per-switch window counters, which it also returns: burst mode
+// the per-switch window records, which it also returns: burst mode
 // renormalizes over the completion time.
-func (e *engine) result(o RunOptions) (*Result, windowTotals) {
-	w := e.foldWindowCounters()
+func (e *engine) result(o RunOptions) (*Result, window) {
+	w := e.foldWindow()
 	res := &Result{
 		OfferedLoad:        o.Load,
 		StalledGenerations: e.stalledGenPkts,
@@ -345,9 +347,9 @@ func (e *engine) result(o RunOptions) (*Result, windowTotals) {
 	}
 	res.GeneratedPackets = gen / int64(e.cfg.PacketPhits)
 	if o.MeasureCycles > 0 {
-		res.AcceptedLoad = float64(w.deliveredPhits) / float64(e.S*e.K) / float64(o.MeasureCycles)
+		res.AcceptedLoad = float64(w.deliveredPkts*int64(e.cfg.PacketPhits)) / float64(e.S*e.K) / float64(o.MeasureCycles)
 		if e.liveDirLinks > 0 {
-			res.LinkUtilization = float64(w.linkBusyCycles) / float64(e.liveDirLinks) / float64(o.MeasureCycles)
+			res.LinkUtilization = float64(w.linkBusy) / float64(e.liveDirLinks) / float64(o.MeasureCycles)
 		}
 	}
 	if w.deliveredPkts > 0 {

@@ -294,16 +294,15 @@ func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
 }
 
 // mergeRetire folds the per-switch retirement staging of this cycle into
-// the run totals: the delivered and lost counts, the packet free list (and
-// so the in-flight count), the optional throughput series (PacketPhits per
-// delivered packet) and the progress stamp. Walking switches in index
+// the run totals: the lost count, the packet free list (and so the
+// in-flight count, on which a burst ends), the optional throughput series
+// (PacketPhits per delivered packet) and the progress stamp. Walking switches in index
 // order keeps the free list (and so packet-id reuse) independent of
 // scheduling; only switches that ran the event phase can hold staging, so
 // walk() covers everything.
 func (e *engine) mergeRetire() {
 	for _, sw := range e.walk() {
 		if d, l := e.swDelivered[sw], e.swLost[sw]; d+l != 0 {
-			e.totalDelivered += d
 			e.lostPkts += l
 			if d > 0 && e.series != nil {
 				e.series.Record(e.now, d*int64(e.cfg.PacketPhits))
@@ -390,30 +389,17 @@ func (e *engine) stepCycle(generate func()) {
 	e.actCompact()
 }
 
-// windowTotals is the sum over switches of the cumulative measurement
-// counters: what result() turns into the window metrics.
-type windowTotals struct {
-	deliveredPkts, deliveredPhits int64 // phits: PacketPhits per packet
-	latencySum, hopSum            int64
-	escapedPkts                   int64
-	linkBusyCycles                int64 // switch-link busy cycles inside the window
-	lastDeliveryCycle             int64
-}
-
-// foldWindowCounters sums the per-switch measurement counters; result()
-// calls it once per run. Each counter family is a flat array, so the fold
-// is a handful of dense linear sums instead of a strided struct walk. The
-// totals are a value, not engine state: the per-switch arrays are what a
-// snapshot carries, so a resumed run folds the same sums.
-func (e *engine) foldWindowCounters() (w windowTotals) {
-	for sw := 0; sw < e.S; sw++ {
-		w.deliveredPkts += e.winDeliveredPkts[sw]
-		w.latencySum += e.winLatencySum[sw]
-		w.hopSum += e.winHopSum[sw]
-		w.escapedPkts += e.winEscapedPkts[sw]
-		w.linkBusyCycles += e.winLinkBusy[sw]
-		w.lastDeliveryCycle = max(w.lastDeliveryCycle, e.winLastDelivery[sw])
+// foldWindow sums the per-switch measurement records; result() calls it
+// once per run. The sum is a value, not engine state: the per-switch
+// records are what a snapshot carries, so a resumed run folds the same sums.
+func (e *engine) foldWindow() (sum window) {
+	for _, w := range e.win {
+		sum.deliveredPkts += w.deliveredPkts
+		sum.latencySum += w.latencySum
+		sum.hopSum += w.hopSum
+		sum.escapedPkts += w.escapedPkts
+		sum.linkBusy += w.linkBusy
+		sum.lastDelivery = max(sum.lastDelivery, w.lastDelivery)
 	}
-	w.deliveredPhits = w.deliveredPkts * int64(e.cfg.PacketPhits)
-	return w
+	return sum
 }

@@ -23,22 +23,28 @@ import (
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
 //
-// hyperx-ckpt/3 carries primary state only. A field of the engine is NOT in
-// the format when auditPorts states it as an exact function of fields that
-// are — the occupancy masks and the packed allocation words of the rings
-// and the ledger; the calendar words, the crossbar counts (inInflight,
-// pq.outTotal) and outVCCount of the calendar slots and the output-ring
-// tags — or when the run fixes it: the dead ports and the live-link count
-// (the spec and the fault cursor), the arrival sampling constant (Load, a
-// header field). A restore rebuilds those (markLinkDead, rebuildDerived)
-// and then audits the result (auditPorts) instead of trusting what a file
-// or a peer says they are.
-const SnapshotVersion = "hyperx-ckpt/3"
+// hyperx-ckpt/4 carries primary state only, each fact once. A field of the
+// engine is NOT in the format when auditPorts states it as an exact
+// function of fields that are — the occupancy masks and the packed
+// allocation words of the rings and the ledger; the calendar words, the
+// crossbar counts (inInflight, pq.outTotal) and outVCCount of the calendar
+// slots and the output-ring tags — or when the run fixes it: the dead
+// ports and the live-link count (the spec and the fault cursor), the
+// arrival sampling constant (Load, a header field), whether a throughput
+// series is kept and over how many servers (SeriesBucket and the server
+// count). A restore rebuilds those (markLinkDead, rebuildDerived) and then
+// audits the result (auditPorts) instead of trusting what a file or a peer
+// says they are. Nor does the format restate what it already pins: the
+// codec byte is the format, the lengths of the per-switch, per-port,
+// per-VC, per-server and calendar arrays are the shape (S, P, V, K and
+// the horizon), and a burst's delivered count is the preload less the
+// lost packets and the live ones, which the free list counts.
+const SnapshotVersion = "hyperx-ckpt/4"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
-// resultCodecVersion. It moves with SnapshotVersion, so a hyperx-ckpt/1 or
-// hyperx-ckpt/2 file is refused at its first byte.
-const snapshotCodecVersion = 3
+// resultCodecVersion. It moves with SnapshotVersion, so a file of an
+// earlier format (hyperx-ckpt/1 to /3) is refused at its first byte.
+const snapshotCodecVersion = 4
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -112,24 +118,22 @@ func burstMaxCycles(o RunOptions) int64 {
 // snapshotState is the primary state of a run paused at the inter-cycle
 // point, flat and enumerable (what is left out, and why, is at
 // SnapshotVersion). Ring buffers are flattened in pop order, the calendar
-// wheel slot by slot (valid because the header pins horizon and now), the
-// credit ledger in engine order (by sender), and the two RNG families as
-// raw xoshiro256** state words so restored streams resume mid-sequence.
-// The packet pool, the calendar's events and the arrival heap are the
-// engine's own element types, whose fields walk codes one by one. The
-// codeccoverage analyzer holds the codec's walk to every field of this
-// struct and of those three element types, and captureSnapshot and
-// applySnapshot to every field of the engine that is neither rebuilt nor
-// exempt.
+// wheel slot by slot (valid because its length pins the horizon and the
+// header pins now), the credit ledger in engine order (by sender), and the
+// two RNG families as raw xoshiro256** state words so restored streams
+// resume mid-sequence. The packet pool, the calendar's events, the window
+// records and the arrival heap are the engine's own element types, whose
+// fields walk codes one by one. The codeccoverage analyzer holds the
+// codec's walk to every field of this struct and of those four element
+// types, and captureSnapshot and applySnapshot to every field of the
+// engine that is neither rebuilt nor exempt.
 type snapshotState struct {
 	// Self-check header: a snapshot can never be resumed against the wrong
-	// format, engine semantics, spec, seed, topology shape or Table 2 point.
-	Magic              string
+	// engine semantics, spec, seed, run shape or Table 2 point. The format
+	// is the codec byte's to refuse, the topology shape the array lengths'.
 	Engine             string
 	SpecHash           string
 	Seed               uint64
-	S, R, K, P, V      int64
-	Horizon            int64
 	WarmStart, WarmEnd int64
 	Burst              int64
 	Load               float64 // fixes the arrival sampling constant; compared bit for bit
@@ -143,9 +147,9 @@ type snapshotState struct {
 	CfgPenaltyWeight   float64
 
 	// Time, progress, cumulative scalars and the fault cursor.
-	Now, LastProgress                        int64
-	TotalDelivered, LostPkts, StalledGenPkts int64
-	NextFault                                int64
+	Now, LastProgress        int64
+	LostPkts, StalledGenPkts int64
+	NextFault                int64
 
 	// RNG streams: raw state words (4 per stream), not seeds.
 	GenRNG []uint64 // generation stream
@@ -178,23 +182,18 @@ type snapshotState struct {
 	EventLens []int32
 	Events    []event
 
-	// Cumulative per-switch window counters.
-	WinDeliveredPkts []int64
-	WinLatencySum    []int64
-	WinHopSum        []int64
-	WinEscapedPkts   []int64
-	WinLinkBusy      []int64
-	WinLastDelivery  []int64
-	GenPhits         []int64
+	// Cumulative measurement: one window record per switch, and the
+	// generated phits per server.
+	Win      []window
+	GenPhits []int64
 
 	// Open-loop arrival calendar, heap layout verbatim (heapify order is
 	// deterministic, so preserving the array preserves the pop sequence).
 	ArrQ []arrival
 
-	// Throughput series, including the open bucket.
-	HasSeries       bool
+	// Throughput series, including the open bucket; all zero when the run
+	// keeps none.
 	SeriesBucket    int64
-	SeriesServers   int64
 	SeriesCur       int64
 	SeriesCurBucket int64
 	SeriesPoints    []metrics.SeriesPoint
@@ -240,8 +239,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	}
 
 	var series metrics.SeriesState
-	hasSeries := e.series != nil
-	if hasSeries {
+	if e.series != nil {
 		series = e.series.State()
 	}
 
@@ -251,12 +249,9 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 	}
 
 	return &snapshotState{
-		Magic:    SnapshotVersion,
-		Engine:   EngineVersion,
-		SpecHash: specHash,
-		Seed:     o.Seed,
-		S:        int64(e.S), R: int64(e.R), K: int64(e.K), P: int64(e.P), V: int64(e.V),
-		Horizon:   e.horizon,
+		Engine:    EngineVersion,
+		SpecHash:  specHash,
+		Seed:      o.Seed,
 		WarmStart: e.warmStart, WarmEnd: e.warmEnd,
 		Burst: int64(o.BurstPackets),
 		Load:  o.Load,
@@ -271,7 +266,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		CfgPenaltyWeight: e.cfg.PenaltyWeight,
 
 		Now: e.now, LastProgress: e.lastProgress,
-		TotalDelivered: e.totalDelivered, LostPkts: e.lostPkts, StalledGenPkts: e.stalledGenPkts,
+		LostPkts: e.lostPkts, StalledGenPkts: e.stalledGenPkts,
 		NextFault: int64(e.nextFault),
 
 		GenRNG: genState[:],
@@ -297,19 +292,12 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		EventLens: eventLens,
 		Events:    evs,
 
-		WinDeliveredPkts: slices.Clone(e.winDeliveredPkts),
-		WinLatencySum:    slices.Clone(e.winLatencySum),
-		WinHopSum:        slices.Clone(e.winHopSum),
-		WinEscapedPkts:   slices.Clone(e.winEscapedPkts),
-		WinLinkBusy:      slices.Clone(e.winLinkBusy),
-		WinLastDelivery:  slices.Clone(e.winLastDelivery),
-		GenPhits:         slices.Clone(e.genPhits),
+		Win:      slices.Clone(e.win),
+		GenPhits: slices.Clone(e.genPhits),
 
 		ArrQ: slices.Clone(e.arrQ),
 
-		HasSeries:       hasSeries,
 		SeriesBucket:    series.Bucket,
-		SeriesServers:   series.Servers,
 		SeriesCur:       series.Cur,
 		SeriesCurBucket: series.CurBucket,
 		SeriesPoints:    series.Points,
@@ -418,7 +406,9 @@ func (r *ringSet) load(lens, data []int32, tags []int8) {
 // RunOptions the snapshot was taken under (same network with its static
 // fault set, mechanism, pattern, seed): the snapshot carries no topology or
 // routing tables, only the primary simulation state. Restore is, in order:
-// the header, length and range checks, before which nothing is installed;
+// the header, length and range checks, before which nothing is installed
+// (the lengths are what pin the topology shape and the calendar horizon,
+// and the arrival calendar is held to its whole contract, checkArrivals);
 // the primaries; the fault prefix the capturing run had applied, marks only
 // (markLinkDead) with one BFS rebuild; rebuildDerived and rebuildActivity;
 // and the port audit, so a snapshot whose credits, buffers or crossbar
@@ -430,9 +420,6 @@ func (r *ringSet) load(lens, data []int32, tags []int8) {
 func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	badf := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
-	}
-	if st.Magic != SnapshotVersion {
-		return badf("format %q, want %q", st.Magic, SnapshotVersion)
 	}
 	if st.Engine != EngineVersion {
 		return badf("engine %q, want %q", st.Engine, EngineVersion)
@@ -446,14 +433,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 	if st.Seed != o.Seed {
 		return badf("seed %d, want %d", st.Seed, o.Seed)
-	}
-	if st.S != int64(e.S) || st.R != int64(e.R) || st.K != int64(e.K) ||
-		st.P != int64(e.P) || st.V != int64(e.V) {
-		return badf("topology shape S=%d R=%d K=%d P=%d V=%d, want S=%d R=%d K=%d P=%d V=%d",
-			st.S, st.R, st.K, st.P, st.V, e.S, e.R, e.K, e.P, e.V)
-	}
-	if st.Horizon != e.horizon {
-		return badf("horizon %d, want %d", st.Horizon, e.horizon)
 	}
 	if st.CfgInputBufPkts != int64(e.cfg.InputBufPkts) ||
 		st.CfgOutputBufPkts != int64(e.cfg.OutputBufPkts) ||
@@ -504,11 +483,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if len(st.EventLens) != int(int64(e.S)*e.horizon) {
 		return badf("event wheel has %d slots, want %d", len(st.EventLens), int64(e.S)*e.horizon)
 	}
-	if len(st.WinDeliveredPkts) != e.S ||
-		len(st.WinLatencySum) != e.S || len(st.WinHopSum) != e.S ||
-		len(st.WinEscapedPkts) != e.S || len(st.WinLinkBusy) != e.S ||
-		len(st.WinLastDelivery) != e.S {
-		return badf("per-switch array lengths do not match %d switches", e.S)
+	if len(st.Win) != e.S {
+		return badf("%d window records, want one per switch of %d", len(st.Win), e.S)
 	}
 	// Flattened rings: every length within the ring's capacity (the wheel's
 	// slots have none), and the lengths account for exactly the entries.
@@ -547,7 +523,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	// output-buffer entry a VC, and every event is of a known kind and
 	// targets an input VC or an output (port, VC) of the switch whose
 	// calendar it is on; below, the arrival calendar lists every server of
-	// the run once.
+	// the run once (checkArrivals).
 	inPool := func(ids ...int32) bool {
 		for _, id := range ids {
 			if id < 0 || int(id) >= len(st.Pool) {
@@ -588,40 +564,28 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		cursor += int(n)
 	}
 
+	// A server twice (and so another never), a broken heap or an arrival
+	// before the restored cycle would not index out of range: it would
+	// resume into another run's traffic. Every capture holds the last
+	// bound, since the fast-forward never jumps past an arrival.
 	wantArr := 0
 	if o.BurstPackets == 0 {
 		wantArr = nServers
 	}
-	if len(st.ArrQ) != wantArr {
-		return badf("arrival calendar holds %d servers, want %d", len(st.ArrQ), wantArr)
+	if err := checkArrivals(st.ArrQ, wantArr, st.Now-1); err != nil {
+		return badf("%v", err)
 	}
-	// A server twice (and so another never), or a broken heap, would not
-	// index out of range: it would resume into another run's traffic.
-	listed := make([]bool, wantArr)
-	for i, a := range st.ArrQ {
-		if a.server < 0 || int(a.server) >= wantArr || listed[a.server] ||
-			(i > 0 && arrivalBefore(a, st.ArrQ[(i-1)/2])) {
-			return badf("arrival calendar entry %d (server %d) is out of range, repeated or out of heap order", i, a.server)
-		}
-		listed[a.server] = true
-	}
-	if st.HasSeries != (o.SeriesBucket > 0) {
-		return badf("series presence %v, want %v", st.HasSeries, o.SeriesBucket > 0)
-	}
-	series := metrics.SeriesState{
-		Bucket: st.SeriesBucket, Servers: st.SeriesServers,
-		Cur: st.SeriesCur, CurBucket: st.SeriesCurBucket, Points: st.SeriesPoints,
-	}
-	if st.HasSeries && (series.Bucket != o.SeriesBucket || series.Servers != int64(nServers)) ||
-		!st.HasSeries && (series.Bucket|series.Servers|series.Cur|series.CurBucket != 0 || len(series.Points) > 0) {
-		return badf("throughput series of bucket %d over %d servers, the run's is bucket %d over %d",
-			series.Bucket, series.Servers, o.SeriesBucket, nServers)
+	// A non-positive SeriesBucket keeps no series, and then every series
+	// field is zero.
+	wantBucket := max(o.SeriesBucket, 0)
+	if st.SeriesBucket != wantBucket ||
+		wantBucket == 0 && (st.SeriesCur|st.SeriesCurBucket != 0 || len(st.SeriesPoints) > 0) {
+		return badf("throughput series of bucket %d, the run's is bucket %d", st.SeriesBucket, wantBucket)
 	}
 
 	// Validation passed: install the primaries. Scalars first.
 	e.now = st.Now
 	e.lastProgress = st.LastProgress
-	e.totalDelivered = st.TotalDelivered
 	e.lostPkts = st.LostPkts
 	e.stalledGenPkts = st.StalledGenPkts
 	e.nextFault = int(st.NextFault)
@@ -651,12 +615,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		cursor += int(n)
 	}
 
-	copy(e.winDeliveredPkts, st.WinDeliveredPkts)
-	copy(e.winLatencySum, st.WinLatencySum)
-	copy(e.winHopSum, st.WinHopSum)
-	copy(e.winEscapedPkts, st.WinEscapedPkts)
-	copy(e.winLinkBusy, st.WinLinkBusy)
-	copy(e.winLastDelivery, st.WinLastDelivery)
+	copy(e.win, st.Win)
 	copy(e.genPhits, st.GenPhits)
 
 	if o.BurstPackets == 0 {
@@ -664,8 +623,11 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		e.logOneMinusGenProb = e.arrivalLog(o.Load)
 	}
 
-	if st.HasSeries {
-		e.series = metrics.RestoreThroughputSeries(series)
+	if wantBucket > 0 {
+		e.series = metrics.RestoreThroughputSeries(metrics.SeriesState{
+			Bucket: st.SeriesBucket, Servers: int64(nServers),
+			Cur: st.SeriesCur, CurBucket: st.SeriesCurBucket, Points: st.SeriesPoints,
+		})
 	}
 
 	// Replay the fault edges the capturing run had applied: the marks only

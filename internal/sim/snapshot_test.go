@@ -180,7 +180,7 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the hyperx-ckpt/3 bytes themselves: the
+// TestSnapshotBytesGolden pins the hyperx-ckpt/4 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
 // equals a literal. The digests are of the sealed bytes inside the gzip
@@ -204,14 +204,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	ref, snaps := collectSnapshots(t, opts(), 250)
 	want := []string{
-		"557285e593236ab42a0d41a25faf0da1463035bc5286abe7757b0b26095ddfa6",
-		"9e2d02e8424e40479ea6cb425f1c52ef03dd467b0d489e042266620ac4a52a46",
-		"3222d452554afade711d8d9794d41c927d295cf6a7984f574ddf6661f40e18d6",
-		"5230bac44e64a157c0069589154691429932dfd20bf9088d36c5f050b7d93f5b",
-		"115df9b1f325294135325400949e653fca82485c7afae7f19db9fad0dd88aab8",
-		"850c96b97d4a1405da1d3c9310e4beb919c6fe55f3e1c8b11e3b59352ef5d08e",
-		"e966ed2157cfb58550c793464e29ab4689ab82d2ccfd545998a88c2cc8576982",
-		"91eafccbb1e4edf7a19c256627633ad5dd75dfd769dabb7c3759cffc55919411",
+		"64b8dcc1c9fceab2e1f9ba5a47095d30728f19c8a44e1289571cb001bdbeadb6",
+		"5b13cc5bb7b22d3dfa65ca261bc528a56dd4c3a712c151547ab2668bc3685d94",
+		"732dec452d77df7d209148dd1ecd60be598bf388f8efa68ff0ffd64baebd37bb",
+		"d59743c61b656be9cdbc9cc079a3c213b40f39e8bc6fc6b1cb262647719b2f2f",
+		"e6d133ad05b0d66725a82b6df635699f396facb902a5369e095975462f22736a",
+		"f5cec93494dc1fea5cfa59bb25595c50cf22a0589f098d1be5a6d23895e96ec0",
+		"a0c988a97f878809c214193fe53d247aa3802e0e342b9bca6d128a46e9847028",
+		"aec90050ba838b502dd1b0ca6c80cef380d44f1562c3dae9631daaa89637e769",
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
@@ -522,7 +522,7 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 
 	engine := sliceSpans(reflect.ValueOf(e).Elem(), "engine", map[uintptr]bool{}, nil)
 	snap := sliceSpans(reflect.ValueOf(st).Elem(), "snapshotState", map[uintptr]bool{}, nil)
-	if len(snap) < 25 {
+	if len(snap) < 20 {
 		t.Fatalf("only %d non-empty slices in the capture: the walk no longer sees the state", len(snap))
 	}
 	for _, s := range snap {
@@ -587,7 +587,6 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 		{"wrong seed", false, func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
 		// Re-sealed, so only the header check can refuse them.
 		{"engine hyperx-sim/3", false, reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
-		{"format hyperx-ckpt/1", false, reseal(func(st *snapshotState) { st.Magic = "hyperx-ckpt/1" })},
 	}
 	for _, tc := range cases {
 		o := snapshotRun(t, h)
@@ -766,7 +765,7 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	if _, err := decodeSnapshotState(nil); !errors.Is(err, ErrBadSnapshot) {
 		t.Error("empty buffer accepted")
 	}
-	st := &snapshotState{Magic: SnapshotVersion, GenRNG: []uint64{1, 2, 3, 4}}
+	st := &snapshotState{Engine: EngineVersion, GenRNG: []uint64{1, 2, 3, 4}}
 	enc := appendSnapshotState(nil, st)
 	if _, err := decodeSnapshotState(enc[:len(enc)-1]); !errors.Is(err, ErrBadSnapshot) {
 		t.Error("truncated buffer accepted")
@@ -786,7 +785,7 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // ErrBadSnapshot, never resumed. Two layers, in restore order. What the
 // resumed run would index with unchecked — packet ids in rings, on the free
 // list and on the wheel, event kinds and targets, output-buffer VCs,
-// arrival servers — is refused before anything is installed. What breaks a
+// arrival servers and cycles — is refused before anything is installed. What breaks a
 // flow-control bound once installed — a credit its receiver has no slot
 // for, a credit spent with no packet behind it, a calendar whose transfers
 // push the counts rebuildDerived takes from it past the speedup or an
@@ -821,6 +820,13 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		st.Events = slices.Insert(st.Events, i, slices.Repeat(st.Events[i:i+1], n)...)
 	}
 	cfg := DefaultConfig()
+	// The run's shape, which the snapshot's array lengths pin.
+	so := snapshotRun(t, h)
+	so.Config = cfg
+	shape, err := newEngine(so)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name    string
 		audited bool // refused by the port audit, after the install
@@ -837,17 +843,18 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 				st.Free = append(st.Free, 0)
 			}
 		}},
-		{"output-buffer VC past V", false, func(st *snapshotState) { st.OutQVC[0] = int8(st.V) }},
+		{"output-buffer VC past V", false, func(st *snapshotState) { st.OutQVC[0] = int8(shape.V) }},
 		{"unknown event kind", false, func(st *snapshotState) { st.Events[0].kind = evDeliver + 1 }},
 		{"event packet past the pool", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].pkt = int32(len(st.Pool)) }},
-		{"arrival on another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].a += int32(st.P * st.V) }},
-		{"transfer into another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].a += int32(st.P) }},
-		{"transfer on VC past V", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].vc = int8(st.V) }},
+		{"arrival on another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].a += int32(shape.P * shape.V) }},
+		{"transfer into another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].a += int32(shape.P) }},
+		{"transfer on VC past V", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].vc = int8(shape.V) }},
 		{"series where the run has none", false, func(st *snapshotState) { st.SeriesBucket = 100 }},
 		{"offered load of another run", false, func(st *snapshotState) { st.Load = math.Nextafter(st.Load, 1) }},
 		{"arrival for a server past the run's", false, func(st *snapshotState) { st.ArrQ[0].server = int32(len(st.ArrQ)) }},
 		{"arrival calendar lists a server twice", false, func(st *snapshotState) { st.ArrQ[1].server = st.ArrQ[0].server }},
 		{"arrival calendar out of heap order", false, func(st *snapshotState) { st.ArrQ[1].at = st.ArrQ[0].at - 1 }},
+		{"arrival before the restored cycle", false, func(st *snapshotState) { st.ArrQ[0].at = st.Now - 5 }},
 
 		{"credit without slot", true, func(st *snapshotState) { st.Credits[0] = int16(cfg.InputBufPkts) + 1 }},
 		{"negative credit", true, func(st *snapshotState) { st.Credits[0] = -1 }},
@@ -926,7 +933,7 @@ func (e *engine) derivedState() derivedState {
 }
 
 // TestRestoreRebuildsDerivedState is the engine-to-engine statement of the
-// hyperx-ckpt/3 rule: none of the derived words travel (the calendar words
+// format's primary-state rule: none of the derived words travel (the calendar words
 // and the crossbar counts included), and after a restore every one of them
 // equals the capturing engine's at the capture point —
 // with and without a replayed fault, with one occupancy-mask word per

@@ -15,20 +15,13 @@ import (
 // gzip layer are applied by sealSnapshot, above this layer.
 
 // walk names every snapshotState field once, in layout order, for both
-// directions of the codec, and every field of the engine's packet, event
-// and arrival elements the state holds. A new field of any of them goes
-// here and bumps SnapshotVersion.
+// directions of the codec, and every field of the engine's packet, event,
+// window and arrival elements the state holds. A new field of any of them
+// goes here and bumps SnapshotVersion.
 func (st *snapshotState) walk(c *wire.Coder) {
-	c.String(&st.Magic)
 	c.String(&st.Engine)
 	c.String(&st.SpecHash)
 	c.U64(&st.Seed)
-	c.I64(&st.S)
-	c.I64(&st.R)
-	c.I64(&st.K)
-	c.I64(&st.P)
-	c.I64(&st.V)
-	c.I64(&st.Horizon)
 	c.I64(&st.WarmStart)
 	c.I64(&st.WarmEnd)
 	c.I64(&st.Burst)
@@ -44,7 +37,6 @@ func (st *snapshotState) walk(c *wire.Coder) {
 
 	c.I64(&st.Now)
 	c.I64(&st.LastProgress)
-	c.I64(&st.TotalDelivered)
 	c.I64(&st.LostPkts)
 	c.I64(&st.StalledGenPkts)
 	c.I64(&st.NextFault)
@@ -94,12 +86,15 @@ func (st *snapshotState) walk(c *wire.Coder) {
 		c.I32(&ev.pkt)
 	}
 
-	wire.Ints(c, &st.WinDeliveredPkts)
-	wire.Ints(c, &st.WinLatencySum)
-	wire.Ints(c, &st.WinHopSum)
-	wire.Ints(c, &st.WinEscapedPkts)
-	wire.Ints(c, &st.WinLinkBusy)
-	wire.Ints(c, &st.WinLastDelivery)
+	for i := range wire.Len(c, &st.Win, 6*8) {
+		w := &st.Win[i]
+		c.I64(&w.deliveredPkts)
+		c.I64(&w.latencySum)
+		c.I64(&w.hopSum)
+		c.I64(&w.escapedPkts)
+		c.I64(&w.linkBusy)
+		c.I64(&w.lastDelivery)
+	}
 	wire.Ints(c, &st.GenPhits)
 
 	for i := range wire.Len(c, &st.ArrQ, 8+4) {
@@ -108,9 +103,7 @@ func (st *snapshotState) walk(c *wire.Coder) {
 		c.I32(&a.server)
 	}
 
-	c.Bool(&st.HasSeries)
 	c.I64(&st.SeriesBucket)
-	c.I64(&st.SeriesServers)
 	c.I64(&st.SeriesCur)
 	c.I64(&st.SeriesCurBucket)
 	for i := range wire.Len(c, &st.SeriesPoints, 8+8) {
