@@ -170,9 +170,10 @@ func PaperShape(h *Topology, root int32, kind ShapeKind) ([]Edge, error) {
 }
 
 // NewMechanism constructs one of the paper's mechanisms by name: "Minimal",
-// "Valiant", "OmniWAR", "Polarized", "DOR", "OmniSP" or "PolSP", with vcs
-// virtual channels per port (the paper uses 2n). root pins the escape
-// subnetwork root of the SurePath configurations.
+// "Valiant", "OmniWAR", "Polarized", "DOR", "DAL", "EscapeOnly", "OmniSP"
+// or "PolSP", with vcs virtual channels per port (the paper uses 2n). root
+// pins the escape subnetwork root of the SurePath configurations and of
+// EscapeOnly.
 func NewMechanism(name string, nw *Network, vcs int, root int32) (Mechanism, error) {
 	return experiments.BuildMechanism(name, nw, vcs, root)
 }

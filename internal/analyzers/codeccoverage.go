@@ -89,6 +89,9 @@ var codecTargets = []codecTarget{
 			"portDead":      "a function of the spec and the fault cursor; applySnapshot replays markLinkDead for the applied prefix",
 			"liveDirLinks":  "a function of the spec and the fault cursor; counted at construction, lowered by the markLinkDead replay",
 			"penCost":       "derived from Config at construction",
+			"cfg":           "supplied by RunOptions at construction; its seven integer fields and PenaltyWeight are in the run identity (runIdentity), which a restore compares whole",
+			"warmStart":     "set by Run from RunOptions (measureWindow); the window is in the run identity (runIdentity), which a restore compares whole",
+			"warmEnd":       "set by Run from RunOptions (measureWindow); the window is in the run identity (runIdentity), which a restore compares whole",
 			"up":            "static far-end port map, derived from the topology at construction",
 			"granted":       "stale after commit; reset by the next allocate phase before any read, so restored empty",
 			"outbox":        "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",
@@ -104,7 +107,7 @@ var codecTargets = []codecTarget{
 			"V":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-VC array lengths (InQLens, InBusyUntil, Credits)",
 			"horizon":       "the calendar horizon, fixed by Config at construction; pinned on restore by the calendar's slot count (EventLens)",
 			"logOneMinusGenProb": "recomputed by applySnapshot from the run's Load through arrivalLog, the helper initArrivals caches it with; " +
-				"the header's Load must match the run's bit for bit",
+				"the load is in the run identity (runIdentity) as its bit pattern, which a restore compares whole",
 		},
 	},
 	{

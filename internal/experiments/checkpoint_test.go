@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -63,8 +64,8 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 // TestRunCheckpointedBadResumeFallsBack: a resume snapshot the engine
 // refuses restarts the run from zero instead of failing or corrupting it —
 // a torn one, a gzip bomb (8 MB of zeros in a few KB), and intact
-// hyperx-ckpt/1 and hyperx-ckpt/2 ones (internal/sim's negative seeds,
-// refused at the codec byte), each passed as the .ckpt file that holds it,
+// hyperx-ckpt/1, /2 and /4 ones (internal/sim's negative seeds, refused at
+// the codec byte), each passed as the .ckpt file that holds it,
 // which is what a worker of an older format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	t.Parallel()
@@ -73,23 +74,24 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt1, err := os.ReadFile("../sim/testdata/ckpt1-4x4-polsp-2faults.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckpt2, err := os.ReadFile("../sim/testdata/ckpt2-4x4-polsp-2faults.gz")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var bomb bytes.Buffer
 	zw := gzip.NewWriter(&bomb)
 	if _, err := zw.Write(make([]byte, 8<<20)); err != nil || zw.Close() != nil {
 		t.Fatal("cannot build the gzip bomb")
 	}
-	for _, tc := range []struct {
+	type resume struct {
 		name   string
 		resume []byte
-	}{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}, {"hyperx-ckpt/1", ckpt1}, {"hyperx-ckpt/2", ckpt2}} {
+	}
+	cases := []resume{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}}
+	for _, n := range []int{1, 2, 4} {
+		old, err := os.ReadFile(fmt.Sprintf("../sim/testdata/ckpt%d-4x4-polsp-2faults.gz", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases, resume{fmt.Sprintf("hyperx-ckpt/%d", n), old})
+	}
+	for _, tc := range cases {
 		res, err := Runner{}.RunSpecVia(&spec, tc.resume, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

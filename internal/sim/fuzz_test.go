@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/topo"
@@ -46,7 +47,7 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 		}
 		f.Add(snapshotBody(f, snap)) // an older format: refused at the codec byte
 	}
-	f.Add(appendSnapshotState(nil, &snapshotState{Engine: EngineVersion}))
+	f.Add(appendSnapshotState(nil, &snapshotState{Run: EngineVersion}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
 		if err != nil {
@@ -65,25 +66,47 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 
 // fuzzRestoreRun is the run FuzzRestoreSnapshot restores into: the 4x4 PolSP
 // of the snapshot tests with one scheduled link failure, so a fault cursor
-// of 0 and of 1 are both replayable.
+// of 0 and of 1 are both replayable, with the audits on.
 func fuzzRestoreRun(t testing.TB) RunOptions {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, topo.NewFaultSet())
+	cfg := DefaultConfig()
+	cfg.CheckInvariants = true
 	return RunOptions{
 		Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
 		Pattern: uniformOn(t, h, 4),
-		Load:    0.7, WarmupCycles: 300, MeasureCycles: 1200, Seed: 77, Config: DefaultConfig(),
+		Load:    0.7, WarmupCycles: 300, MeasureCycles: 1200, Seed: 77, Config: cfg,
 		FaultSchedule: []FaultEvent{{Cycle: 500, Edge: topo.RandomFaultSequence(h, 7)[0]}},
 	}
 }
 
+// fuzzRestoreSteps is how many cycles FuzzRestoreSnapshot runs an accepted
+// restore for.
+const fuzzRestoreSteps = 128
+
+// mutatedBody decodes a shipped snapshot, changes one thing and re-encodes
+// it: a seed one field away from a real state, behind no checksum.
+func mutatedBody(t testing.TB, snap []byte, change func(st *snapshotState)) []byte {
+	t.Helper()
+	st, err := decodeSnapshotState(snapshotBody(t, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	change(st)
+	return appendSnapshotState(nil, st)
+}
+
 // FuzzRestoreSnapshot is the restore-level target: any body through the
 // decoder and applySnapshot on a fresh engine. The contract is an error
-// wrapping ErrBadSnapshot, or an engine on which the port audit is clean
-// and which captures back to the state it was given — never a panic. (The
+// wrapping ErrBadSnapshot, or an engine on which the port audit is clean,
+// which captures back to the state it was given, and which then runs
+// fuzzRestoreSteps cycles, audited after each — never a panic. (The
 // comparison is against the canonical re-encoding of the decoded state: a
-// bool byte of 2 decodes as true and is written back as 1.) Seeds: the
-// snapshots of one run, taken before and after its scheduled fault.
+// bool byte of 2 decodes as true and is written back as 1.) A run may end
+// those cycles on the watchdog, since a state can say its last progress was
+// long ago. Seeds: the snapshots of one run, taken before and after its
+// scheduled fault, and states one field away from them — a credit, a ring
+// length, an arrival cycle, the fault cursor either way.
 func FuzzRestoreSnapshot(f *testing.F) {
 	_, snaps := collectSnapshots(f, fuzzRestoreRun(f), 400)
 	if len(snaps) < 2 {
@@ -92,6 +115,19 @@ func FuzzRestoreSnapshot(f *testing.F) {
 	for _, snap := range snaps {
 		f.Add(snapshotBody(f, snap))
 	}
+	before, after := snaps[0], snaps[1]
+	for _, change := range []func(st *snapshotState){
+		func(st *snapshotState) { st.Credits[0]-- },
+		func(st *snapshotState) {
+			st.InQLens[slices.IndexFunc(st.InQLens, func(n int32) bool { return n > 0 })]--
+		},
+		func(st *snapshotState) { st.ArrQ[len(st.ArrQ)-1].at += 100 },
+		func(st *snapshotState) { st.ArrQ[0].at = st.Now },
+		func(st *snapshotState) { st.NextFault = 1 },
+	} {
+		f.Add(mutatedBody(f, before, change))
+	}
+	f.Add(mutatedBody(f, after, func(st *snapshotState) { st.NextFault = 0 }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
 		if err != nil {
@@ -118,6 +154,22 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		}
 		if got := appendSnapshotState(nil, e.captureSnapshot(o)); !bytes.Equal(got, want) {
 			t.Fatalf("restore then capture changed the snapshot (%d bytes in, %d out)", len(want), len(got))
+		}
+		// The cycle loop's steps, audited after every cycle instead of
+		// every 64th.
+		for end := min(e.now+fuzzRestoreSteps, e.warmEnd); e.now < end; e.now++ {
+			if err := e.applyDueFaults(); err != nil {
+				t.Fatalf("a restored run failed at cycle %d: %v", e.now, err)
+			}
+			e.stepCycle(e.generateArrivals)
+			e.verifyInvariants()
+			if err := e.checkWatchdog(); err != nil {
+				if !errors.Is(err, ErrDeadlock) {
+					t.Fatal(err)
+				}
+				break
+			}
+			e.fastForward()
 		}
 	})
 }

@@ -87,48 +87,57 @@ func headStates(e *engine) (seen, cached int) {
 // seen and cached. Each time the cached allocator's request and the
 // reference's must be the same request after the same number of draws,
 // and the head's state must step unseen -> seen -> cached (ejecting heads
-// bypass the cache and stay unseen).
+// bypass the cache and stay unseen). Two regimes: the permutation to a
+// neighbour, whose heads route, and uniform traffic, whose servers each
+// receive their full rate, so heads at their destination wait on a full
+// server port.
 func TestHeadRequestMatchesBestRequest(t *testing.T) {
-	e, o := saturatedEngine(t, "PolSP", neighbour4, RunOptions{MeasureCycles: 1000, Seed: 3})
-	runTo(t, e, o, 400, nil)
-	e.dropHeads()
-	ws := &e.ws[0]
-	checked, cachedLists := 0, 0
-	V := int32(e.V)
-	for invc := int32(0); invc < int32(len(e.hcLen)); invc++ {
-		if e.inQ.len(invc) == 0 {
-			continue
-		}
-		gport := invc / V
-		sw := gport / int32(e.P)
-		ejects := e.pool[e.inQ.peek(invc)].st.Dst == sw
-		for round, wantState := range []uint8{hcSeen, hcCached, hcCached} {
-			refTie, gotTie := e.tie[sw], e.tie[sw]
-			want, wantOK := e.bestRequest(sw, gport, invc, int(invc%V), &refTie, ws)
-			got, gotOK := e.headRequest(sw, gport, invc, int(invc%V), &gotTie, ws)
-			if got != want || gotOK != wantOK || gotTie != refTie {
-				t.Fatalf("input VC %d, evaluation %d: headRequest %+v (%v), bestRequest %+v (%v), tie streams equal %v",
-					invc, round+1, got, gotOK, want, wantOK, gotTie == refTie)
+	checked, cachedLists, ejecting := 0, 0, 0
+	for _, pat := range []func(h *topo.HyperX) traffic.Pattern{neighbour4, uniform4} {
+		e, o := saturatedEngine(t, "PolSP", pat, RunOptions{MeasureCycles: 1000, Seed: 3})
+		runTo(t, e, o, 400, nil)
+		e.dropHeads()
+		ws := &e.ws[0]
+		V := int32(e.V)
+		for invc := int32(0); invc < int32(len(e.hcLen)); invc++ {
+			if e.inQ.len(invc) == 0 {
+				continue
 			}
-			state := e.hcLen[invc]
-			switch {
-			case ejects && state != hcUnseen:
-				t.Fatalf("ejecting head of input VC %d left state %d", invc, state)
-			case !ejects && wantState == hcSeen && state != hcSeen:
-				t.Fatalf("input VC %d after its first evaluation: state %d, want seen", invc, state)
-			case !ejects && wantState == hcCached && state < hcCached:
-				t.Fatalf("input VC %d after evaluation %d: state %d, want a cached list", invc, round+1, state)
+			gport := invc / V
+			sw := gport / int32(e.P)
+			ejects := e.pool[e.inQ.peek(invc)].st.Dst == sw
+			for round, wantState := range []uint8{hcSeen, hcCached, hcCached} {
+				refTie, gotTie := e.tie[sw], e.tie[sw]
+				want, wantOK := e.bestRequest(sw, gport, invc, int(invc%V), &refTie, ws)
+				got, gotOK := e.headRequest(sw, gport, invc, int(invc%V), &gotTie, ws)
+				if got != want || gotOK != wantOK || gotTie != refTie {
+					t.Fatalf("input VC %d, evaluation %d: headRequest %+v (%v), bestRequest %+v (%v), tie streams equal %v",
+						invc, round+1, got, gotOK, want, wantOK, gotTie == refTie)
+				}
+				state := e.hcLen[invc]
+				switch {
+				case ejects && state != hcUnseen:
+					t.Fatalf("ejecting head of input VC %d left state %d", invc, state)
+				case !ejects && wantState == hcSeen && state != hcSeen:
+					t.Fatalf("input VC %d after its first evaluation: state %d, want seen", invc, state)
+				case !ejects && wantState == hcCached && state < hcCached:
+					t.Fatalf("input VC %d after evaluation %d: state %d, want a cached list", invc, round+1, state)
+				}
+			}
+			checked++
+			if ejects {
+				ejecting++
+			}
+			if e.hcLen[invc] >= hcCached {
+				cachedLists++
 			}
 		}
-		checked++
-		if e.hcLen[invc] >= hcCached {
-			cachedLists++
-		}
+		e.verifyPorts()
 	}
-	if checked < 50 || cachedLists < 20 {
-		t.Fatalf("priced %d heads and cached %d lists: the saturated network no longer exercises the cache", checked, cachedLists)
+	if checked < 50 || cachedLists < 20 || ejecting < 1 {
+		t.Fatalf("priced %d heads, %d of them ejecting, and cached %d lists: the saturated networks no longer exercise the cache and its bypass",
+			checked, ejecting, cachedLists)
 	}
-	e.verifyPorts()
 }
 
 // TestHeadCacheResetsKeepResults shrinks one engine's arena regions to a

@@ -155,15 +155,14 @@ func Run(o RunOptions) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.warmStart = o.WarmupCycles
-	e.warmEnd = o.WarmupCycles + o.MeasureCycles
+	e.warmStart, e.warmEnd = measureWindow(o)
 	if o.SeriesBucket > 0 {
 		e.series = metrics.NewThroughputSeries(o.SeriesBucket, e.S*e.K)
 	}
 	if o.Checkpoint != nil && len(o.Checkpoint.Resume) > 0 {
 		// Restore replaces the whole mutable state — including e.now, the
-		// window bounds, the series and the fault cursor — so the loops
-		// below continue mid-run instead of starting at cycle zero.
+		// series and the fault cursor — so the loops below continue mid-run
+		// instead of starting at cycle zero.
 		if err := e.restoreSnapshot(o.Checkpoint.Resume, o); err != nil {
 			return nil, err
 		}
@@ -173,6 +172,28 @@ func Run(o RunOptions) (*Result, error) {
 		return e.runBurst(o)
 	}
 	return e.runOpenLoop(o)
+}
+
+// burstMaxCycles is the burst-mode cycle budget of a run (the RunOptions
+// default rule), shared by runBurst's overrun check and measureWindow.
+func burstMaxCycles(o RunOptions) int64 {
+	maxCycles := o.MaxCycles
+	if maxCycles == 0 {
+		maxCycles = 100 * (o.WarmupCycles + o.MeasureCycles)
+		if maxCycles < 10_000_000 {
+			maxCycles = 10_000_000
+		}
+	}
+	return maxCycles
+}
+
+// measureWindow is the measurement window [start, end) of a run: after the
+// warmup for the open loop, and every cycle up to the budget for a burst.
+func measureWindow(o RunOptions) (start, end int64) {
+	if o.BurstPackets > 0 {
+		return 0, burstMaxCycles(o) + 1
+	}
+	return o.WarmupCycles, o.WarmupCycles + o.MeasureCycles
 }
 
 // runOpenLoop is the standard warmup+measurement experiment with Bernoulli
@@ -276,8 +297,6 @@ func (e *engine) fastForward() {
 // runBurst preloads every injection queue and runs to completion.
 func (e *engine) runBurst(o RunOptions) (*Result, error) {
 	maxCycles := burstMaxCycles(o)
-	// Measure everything in burst mode.
-	e.warmStart, e.warmEnd = 0, maxCycles+1
 	nServers := int32(e.S * e.K)
 	if o.Checkpoint == nil || len(o.Checkpoint.Resume) == 0 {
 		// The preload is part of the serialized state: a restored run's

@@ -23,28 +23,29 @@ import (
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
 //
-// hyperx-ckpt/4 carries primary state only, each fact once. A field of the
+// hyperx-ckpt/5 carries primary state only, each fact once. A field of the
 // engine is NOT in the format when auditPorts states it as an exact
 // function of fields that are — the occupancy masks and the packed
 // allocation words of the rings and the ledger; the calendar words, the
 // crossbar counts (inInflight, pq.outTotal) and outVCCount of the calendar
 // slots and the output-ring tags — or when the run fixes it: the dead
 // ports and the live-link count (the spec and the fault cursor), the
-// arrival sampling constant (Load, a header field), whether a throughput
-// series is kept and over how many servers (SeriesBucket and the server
-// count). A restore rebuilds those (markLinkDead, rebuildDerived) and then
-// audits the result (auditPorts) instead of trusting what a file or a peer
-// says they are. Nor does the format restate what it already pins: the
-// codec byte is the format, the lengths of the per-switch, per-port,
-// per-VC, per-server and calendar arrays are the shape (S, P, V, K and
-// the horizon), and a burst's delivered count is the preload less the
-// lost packets and the live ones, which the free list counts.
-const SnapshotVersion = "hyperx-ckpt/4"
+// arrival sampling constant (the load), the measurement window, whether a
+// throughput series is kept, its bucket and over how many servers (the
+// run's options and the server count). A restore rebuilds those
+// (markLinkDead, rebuildDerived) and then audits the result (auditPorts)
+// instead of trusting what a file or a peer says they are. Nor does the
+// format restate what it already pins: the codec byte is the format, the
+// lengths of the per-switch, per-port, per-VC, per-server and calendar
+// arrays are the shape (S, P, V, K and the horizon), one identity line
+// (runIdentity) is the run, and a burst's delivered count is the preload
+// less the lost packets and the live ones, which the free list counts.
+const SnapshotVersion = "hyperx-ckpt/5"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
 // resultCodecVersion. It moves with SnapshotVersion, so a file of an
-// earlier format (hyperx-ckpt/1 to /3) is refused at its first byte.
-const snapshotCodecVersion = 4
+// earlier format (hyperx-ckpt/1 to /4) is refused at its first byte.
+const snapshotCodecVersion = 5
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -77,9 +78,9 @@ type CheckpointOptions struct {
 	// have passed since the last one. Zero disables cycle checkpointing.
 	// Tests use this for deterministic checkpoint placement.
 	EveryCycles int64
-	// SpecHash is folded into the snapshot header and verified on resume, so
-	// a checkpoint can never be applied to a different job spec. Empty is
-	// allowed (and matches only empty).
+	// SpecHash is folded into the snapshot's run identity and verified on
+	// resume, so a checkpoint can never be applied to a different job spec.
+	// Empty is allowed (and matches only empty).
 	SpecHash string
 	// Resume, when non-empty, restores the engine from this snapshot before
 	// the first cycle instead of starting from zero. It takes the bytes a
@@ -102,24 +103,34 @@ type CheckpointOptions struct {
 	Interrupt *atomic.Bool
 }
 
-// burstMaxCycles is the burst-mode cycle budget of a run (the RunOptions
-// default rule), shared by runBurst and the snapshot header validation.
-func burstMaxCycles(o RunOptions) int64 {
-	maxCycles := o.MaxCycles
-	if maxCycles == 0 {
-		maxCycles = 100 * (o.WarmupCycles + o.MeasureCycles)
-		if maxCycles < 10_000_000 {
-			maxCycles = 10_000_000
-		}
+// runIdentity is the one statement of which run a snapshot belongs to,
+// written at capture and compared whole on restore: the engine semantics,
+// the job spec, the seed, the burst size, the offered load, the measurement
+// window, the series bucket and the Table 2 microarchitecture. It leaves
+// out what the snapshot's array lengths pin (the topology shape) and what
+// never moves a result (the worker count, the watchdog, the audits, the
+// checkpoint triggers), so a resume may differ in those. The two floats
+// are written as their IEEE bit patterns: they must match bit for bit.
+func runIdentity(o RunOptions) string {
+	specHash := ""
+	if o.Checkpoint != nil {
+		specHash = o.Checkpoint.SpecHash
 	}
-	return maxCycles
+	start, end := measureWindow(o)
+	c := o.Config
+	return fmt.Sprintf("%s spec=%q seed=%d burst=%d load=%#x window=[%d,%d) series=%d "+
+		"inbuf=%d outbuf=%d phits=%d link=%d xbar=%d speedup=%d injq=%d penalty=%#x",
+		EngineVersion, specHash, o.Seed, o.BurstPackets, math.Float64bits(o.Load), start, end, max(o.SeriesBucket, 0),
+		c.InputBufPkts, c.OutputBufPkts, c.PacketPhits, c.LinkLatency, c.XbarLatency, c.XbarSpeedup, c.InjQueuePkts,
+		math.Float64bits(c.PenaltyWeight))
 }
 
 // snapshotState is the primary state of a run paused at the inter-cycle
 // point, flat and enumerable (what is left out, and why, is at
-// SnapshotVersion). Ring buffers are flattened in pop order, the calendar
-// wheel slot by slot (valid because its length pins the horizon and the
-// header pins now), the credit ledger in engine order (by sender), and the
+// SnapshotVersion): one identity line, then the 28 fields only the run
+// itself could have produced. Ring buffers are flattened in pop order, the
+// calendar wheel slot by slot (valid because its length pins the horizon
+// and Now the cycle), the credit ledger in engine order (by sender), and the
 // two RNG families as raw xoshiro256** state words so restored streams
 // resume mid-sequence. The packet pool, the calendar's events, the window
 // records and the arrival heap are the engine's own element types, whose
@@ -128,23 +139,11 @@ func burstMaxCycles(o RunOptions) int64 {
 // types, and captureSnapshot and applySnapshot to every field of the
 // engine that is neither rebuilt nor exempt.
 type snapshotState struct {
-	// Self-check header: a snapshot can never be resumed against the wrong
-	// engine semantics, spec, seed, run shape or Table 2 point. The format
-	// is the codec byte's to refuse, the topology shape the array lengths'.
-	Engine             string
-	SpecHash           string
-	Seed               uint64
-	WarmStart, WarmEnd int64
-	Burst              int64
-	Load               float64 // fixes the arrival sampling constant; compared bit for bit
-	CfgInputBufPkts    int64
-	CfgOutputBufPkts   int64
-	CfgPacketPhits     int64
-	CfgLinkLatency     int64
-	CfgXbarLatency     int64
-	CfgXbarSpeedup     int64
-	CfgInjQueuePkts    int64
-	CfgPenaltyWeight   float64
+	// Run is the identity line of the run the snapshot belongs to
+	// (runIdentity): a snapshot is never resumed against another engine
+	// semantics, spec, seed, run shape or Table 2 point. The format is the
+	// codec byte's to refuse, the topology shape the array lengths'.
+	Run string
 
 	// Time, progress, cumulative scalars and the fault cursor.
 	Now, LastProgress        int64
@@ -192,8 +191,7 @@ type snapshotState struct {
 	ArrQ []arrival
 
 	// Throughput series, including the open bucket; all zero when the run
-	// keeps none.
-	SeriesBucket    int64
+	// keeps none. Its bucket width is the run's (Run names it).
 	SeriesCur       int64
 	SeriesCurBucket int64
 	SeriesPoints    []metrics.SeriesPoint
@@ -243,27 +241,8 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		series = e.series.State()
 	}
 
-	specHash := ""
-	if o.Checkpoint != nil {
-		specHash = o.Checkpoint.SpecHash
-	}
-
 	return &snapshotState{
-		Engine:    EngineVersion,
-		SpecHash:  specHash,
-		Seed:      o.Seed,
-		WarmStart: e.warmStart, WarmEnd: e.warmEnd,
-		Burst: int64(o.BurstPackets),
-		Load:  o.Load,
-
-		CfgInputBufPkts:  int64(e.cfg.InputBufPkts),
-		CfgOutputBufPkts: int64(e.cfg.OutputBufPkts),
-		CfgPacketPhits:   int64(e.cfg.PacketPhits),
-		CfgLinkLatency:   int64(e.cfg.LinkLatency),
-		CfgXbarLatency:   int64(e.cfg.XbarLatency),
-		CfgXbarSpeedup:   int64(e.cfg.XbarSpeedup),
-		CfgInjQueuePkts:  int64(e.cfg.InjQueuePkts),
-		CfgPenaltyWeight: e.cfg.PenaltyWeight,
+		Run: runIdentity(o),
 
 		Now: e.now, LastProgress: e.lastProgress,
 		LostPkts: e.lostPkts, StalledGenPkts: e.stalledGenPkts,
@@ -297,7 +276,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 		ArrQ: slices.Clone(e.arrQ),
 
-		SeriesBucket:    series.Bucket,
 		SeriesCur:       series.Cur,
 		SeriesCurBucket: series.CurBucket,
 		SeriesPoints:    series.Points,
@@ -406,7 +384,7 @@ func (r *ringSet) load(lens, data []int32, tags []int8) {
 // RunOptions the snapshot was taken under (same network with its static
 // fault set, mechanism, pattern, seed): the snapshot carries no topology or
 // routing tables, only the primary simulation state. Restore is, in order:
-// the header, length and range checks, before which nothing is installed
+// the run identity, length and range checks, before which nothing is installed
 // (the lengths are what pin the topology shape and the calendar horizon,
 // and the arrival calendar is held to its whole contract, checkArrivals);
 // the primaries; the fault prefix the capturing run had applied, marks only
@@ -421,41 +399,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	badf := func(format string, args ...any) error {
 		return fmt.Errorf("%w: %s", ErrBadSnapshot, fmt.Sprintf(format, args...))
 	}
-	if st.Engine != EngineVersion {
-		return badf("engine %q, want %q", st.Engine, EngineVersion)
-	}
-	specHash := ""
-	if o.Checkpoint != nil {
-		specHash = o.Checkpoint.SpecHash
-	}
-	if st.SpecHash != specHash {
-		return badf("spec hash %q, want %q", st.SpecHash, specHash)
-	}
-	if st.Seed != o.Seed {
-		return badf("seed %d, want %d", st.Seed, o.Seed)
-	}
-	if st.CfgInputBufPkts != int64(e.cfg.InputBufPkts) ||
-		st.CfgOutputBufPkts != int64(e.cfg.OutputBufPkts) ||
-		st.CfgPacketPhits != int64(e.cfg.PacketPhits) ||
-		st.CfgLinkLatency != int64(e.cfg.LinkLatency) ||
-		st.CfgXbarLatency != int64(e.cfg.XbarLatency) ||
-		st.CfgXbarSpeedup != int64(e.cfg.XbarSpeedup) ||
-		st.CfgInjQueuePkts != int64(e.cfg.InjQueuePkts) ||
-		math.Float64bits(st.CfgPenaltyWeight) != math.Float64bits(e.cfg.PenaltyWeight) {
-		return badf("microarchitecture config differs from the run's")
-	}
-	if st.Burst != int64(o.BurstPackets) {
-		return badf("burst %d, want %d", st.Burst, o.BurstPackets)
-	}
-	if math.Float64bits(st.Load) != math.Float64bits(o.Load) {
-		return badf("offered load %v, want %v", st.Load, o.Load)
-	}
-	wantWS, wantWE := o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-	if o.BurstPackets > 0 {
-		wantWS, wantWE = 0, burstMaxCycles(o)+1
-	}
-	if st.WarmStart != wantWS || st.WarmEnd != wantWE {
-		return badf("window [%d,%d), want [%d,%d)", st.WarmStart, st.WarmEnd, wantWS, wantWE)
+	if want := runIdentity(o); st.Run != want {
+		return badf("snapshot of the run [%s], resumed under [%s]", st.Run, want)
 	}
 
 	SP := e.S * e.P
@@ -515,8 +460,17 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Now < 0 {
 		return badf("cycle %d is negative", st.Now)
 	}
-	if st.NextFault < 0 || st.NextFault > int64(len(e.faultSchedule)) {
-		return badf("fault cursor %d outside schedule of %d events", st.NextFault, len(e.faultSchedule))
+	// The loop applies a fault at the top of its cycle, after the
+	// checkpoint, and the fast-forward stops at every fault's cycle: a
+	// capture has applied exactly the faults scheduled before it.
+	due := int64(0)
+	for _, ev := range e.faultSchedule {
+		if ev.Cycle < st.Now {
+			due++
+		}
+	}
+	if st.NextFault != due {
+		return badf("fault cursor %d, but %d of the %d scheduled faults fall before cycle %d", st.NextFault, due, len(e.faultSchedule), st.Now)
 	}
 	// The resumed run indexes with these unchecked: every packet id — in a
 	// ring, on the free list, on the wheel — names a pool entry, every
@@ -539,6 +493,17 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	for _, vc := range st.OutQVC {
 		if vc < 0 || int(vc) >= e.V {
 			return badf("an output buffer holds a packet on VC %d of %d", vc, e.V)
+		}
+	}
+	// The mechanisms index their tables with a packet's switches and pick
+	// VCs off its hop counts, and delivery indexes a server with its
+	// destination: every pool entry, live or free, was a generated packet.
+	isSwitch := func(sw int32) bool { return sw >= 0 && int(sw) < e.S }
+	for i := range st.Pool {
+		p := &st.Pool[i]
+		if !isSwitch(p.st.Src) || !isSwitch(p.st.Dst) || !isSwitch(p.st.Intermediate) ||
+			p.dstLocal < 0 || int(p.dstLocal) >= e.K || p.st.Hops < 0 || p.st.Deroutes < 0 || p.st.MinHops < 0 {
+			return badf("packet %d %+v names a switch or server outside the network, or a negative hop count", i, *p)
 		}
 	}
 	P, PV := int32(e.P), int32(e.P*e.V)
@@ -577,10 +542,8 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	}
 	// A non-positive SeriesBucket keeps no series, and then every series
 	// field is zero.
-	wantBucket := max(o.SeriesBucket, 0)
-	if st.SeriesBucket != wantBucket ||
-		wantBucket == 0 && (st.SeriesCur|st.SeriesCurBucket != 0 || len(st.SeriesPoints) > 0) {
-		return badf("throughput series of bucket %d, the run's is bucket %d", st.SeriesBucket, wantBucket)
+	if o.SeriesBucket <= 0 && (st.SeriesCur|st.SeriesCurBucket != 0 || len(st.SeriesPoints) > 0) {
+		return badf("a throughput series where the run keeps none")
 	}
 
 	// Validation passed: install the primaries. Scalars first.
@@ -589,7 +552,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	e.lostPkts = st.LostPkts
 	e.stalledGenPkts = st.StalledGenPkts
 	e.nextFault = int(st.NextFault)
-	e.warmStart, e.warmEnd = st.WarmStart, st.WarmEnd
 
 	e.r.SetState([4]uint64(st.GenRNG))
 	for sw := range e.tie {
@@ -623,9 +585,9 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		e.logOneMinusGenProb = e.arrivalLog(o.Load)
 	}
 
-	if wantBucket > 0 {
+	if o.SeriesBucket > 0 {
 		e.series = metrics.RestoreThroughputSeries(metrics.SeriesState{
-			Bucket: st.SeriesBucket, Servers: int64(nServers),
+			Bucket: o.SeriesBucket, Servers: int64(nServers),
 			Cur: st.SeriesCur, CurBucket: st.SeriesCurBucket, Points: st.SeriesPoints,
 		})
 	}

@@ -180,7 +180,7 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the hyperx-ckpt/4 bytes themselves: the
+// TestSnapshotBytesGolden pins the hyperx-ckpt/5 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
 // equals a literal. The digests are of the sealed bytes inside the gzip
@@ -204,14 +204,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	ref, snaps := collectSnapshots(t, opts(), 250)
 	want := []string{
-		"64b8dcc1c9fceab2e1f9ba5a47095d30728f19c8a44e1289571cb001bdbeadb6",
-		"5b13cc5bb7b22d3dfa65ca261bc528a56dd4c3a712c151547ab2668bc3685d94",
-		"732dec452d77df7d209148dd1ecd60be598bf388f8efa68ff0ffd64baebd37bb",
-		"d59743c61b656be9cdbc9cc079a3c213b40f39e8bc6fc6b1cb262647719b2f2f",
-		"e6d133ad05b0d66725a82b6df635699f396facb902a5369e095975462f22736a",
-		"f5cec93494dc1fea5cfa59bb25595c50cf22a0589f098d1be5a6d23895e96ec0",
-		"a0c988a97f878809c214193fe53d247aa3802e0e342b9bca6d128a46e9847028",
-		"aec90050ba838b502dd1b0ca6c80cef380d44f1562c3dae9631daaa89637e769",
+		"3a32a16842dcc76d77db918e1c6141460c2e601116087a479ac06e95e96a3920",
+		"9d23521154ffd4aa3ffa869ef844c758dfa32cd38c005e2edc3598c662e7e9c6",
+		"507a6fb9632b684cacfcae3c04396d73931994b4ea02b877e2bd15f9baf3af7a",
+		"a0bac6416b668fd87bf58279c36aea8d0126b61ae3630b7ea6e460b7aa3699bc",
+		"f3caeee994cbd4849e07f7b89293455f9ab46e6eebf20a8228dab7f023069fb1",
+		"dd4ee44f9a777bac7482966a72d3eb872835248e372926400635c9d8faae1ac5",
+		"d28fdbedb8c4d5e72a0d5e457fb207efe1497f1859c415b94f611206c9ad3d9c",
+		"a3ca251b1f0b29701e89ba0c9562544a3c8c25df19d41a8031f9f3503efab1ac",
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
@@ -535,9 +535,9 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 }
 
 // TestSnapshotRejectsCorrupt locks in the torn-checkpoint defense: a
-// truncated file, a flipped byte, a gzip bomb, or a header that does not
-// match the run must all be rejected with ErrBadSnapshot (so callers fall
-// back to a restart from zero), never applied. Damage to the sealed bytes
+// truncated file, a flipped byte, a gzip bomb, or a run identity that does
+// not match the run must all be rejected with ErrBadSnapshot (so callers
+// fall back to a restart from zero), never applied. Damage to the sealed bytes
 // behind an intact gzip layer is the checksum trailer's to refuse.
 func TestSnapshotRejectsCorrupt(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
@@ -585,8 +585,10 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			return s
 		}},
 		{"wrong seed", false, func(o *RunOptions, s []byte) []byte { o.Seed++; return s }},
-		// Re-sealed, so only the header check can refuse them.
-		{"engine hyperx-sim/3", false, reseal(func(st *snapshotState) { st.Engine = "hyperx-sim/3" })},
+		// Re-sealed, so only the identity check can refuse them.
+		{"engine hyperx-sim/3", false, reseal(func(st *snapshotState) {
+			st.Run = strings.Replace(st.Run, EngineVersion, "hyperx-sim/3", 1)
+		})},
 	}
 	for _, tc := range cases {
 		o := snapshotRun(t, h)
@@ -597,6 +599,113 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 			t.Errorf("%s: resume returned %v, want ErrBadSnapshot", tc.name, err)
 		} else if errors.Is(err, ErrSnapshotTrailer) != tc.trailer {
 			t.Errorf("%s: refused by %v, want the checksum trailer to be the one refusing: %v", tc.name, err, tc.trailer)
+		}
+	}
+}
+
+// TestSnapshotNamesItsRun: a snapshot resumes under its own run, and under
+// a run that differs only in what never moves a result — the worker count,
+// the watchdog, the audits, the checkpoint triggers — to the uninterrupted
+// run's bytes. A run that differs in one component of its identity refuses
+// it with ErrBadSnapshot, and the refusal prints both identity lines, which
+// differ in exactly that component's field.
+func TestSnapshotNamesItsRun(t *testing.T) {
+	h := topo.MustHyperX(4, 4)
+	bases := map[string]func() RunOptions{
+		"open-loop": func() RunOptions {
+			o := snapshotRun(t, h)
+			o.SeriesBucket = 200
+			o.Config = DefaultConfig()
+			o.Checkpoint = &CheckpointOptions{SpecHash: "5e3a"}
+			return o
+		},
+		"burst": func() RunOptions {
+			o := snapshotBurstRun(t, h)
+			o.Config = DefaultConfig()
+			o.Checkpoint = &CheckpointOptions{SpecHash: "5e3a"}
+			return o
+		},
+	}
+	refs, snaps := map[string][]byte{}, map[string][]byte{}
+	for name, base := range bases {
+		o := base()
+		refs[name] = runBytes(t, o)
+		o.Checkpoint.EveryCycles = 200
+		o.Checkpoint.Sink = func(s []byte) error {
+			if snaps[name] == nil {
+				snaps[name] = s
+			}
+			return nil
+		}
+		runBytes(t, o)
+		if snaps[name] == nil {
+			t.Fatalf("%s: no snapshot shipped", name)
+		}
+	}
+
+	for _, tc := range []struct {
+		base, name string
+		change     func(o *RunOptions)
+	}{
+		{"open-loop", "workers", func(o *RunOptions) { o.Workers = 4 }},
+		{"open-loop", "watchdog", func(o *RunOptions) { o.Config.WatchdogCycles = 7 * o.Config.WatchdogCycles }},
+		{"open-loop", "audits", func(o *RunOptions) { o.Config.CheckInvariants = true }},
+		{"open-loop", "checkpoint triggers", func(o *RunOptions) {
+			o.Checkpoint.EveryCycles, o.Checkpoint.Every = 150, time.Hour
+			o.Checkpoint.Sink = func([]byte) error { return nil }
+		}},
+		{"burst", "workers", func(o *RunOptions) { o.Workers = 4 }},
+		{"burst", "watchdog", func(o *RunOptions) { o.Config.WatchdogCycles = 0 }},
+		{"burst", "audits", func(o *RunOptions) { o.Config.CheckInvariants = true }},
+	} {
+		o := bases[tc.base]()
+		tc.change(&o)
+		o.Checkpoint.Resume = snaps[tc.base]
+		if got := runBytes(t, o); !bytes.Equal(got, refs[tc.base]) {
+			t.Errorf("%s resumed under other %s: the result differs from the uninterrupted run's", tc.base, tc.name)
+		}
+	}
+
+	ulp := func(f float64) float64 { return math.Nextafter(f, math.Inf(1)) }
+	for _, tc := range []struct {
+		base, name string
+		change     func(o *RunOptions)
+	}{
+		{"open-loop", "seed", func(o *RunOptions) { o.Seed++ }},
+		{"open-loop", "spec hash", func(o *RunOptions) { o.Checkpoint.SpecHash = "5e3b" }},
+		{"open-loop", "load", func(o *RunOptions) { o.Load = ulp(o.Load) }},
+		{"open-loop", "warmup", func(o *RunOptions) { o.WarmupCycles++ }},
+		{"open-loop", "measure", func(o *RunOptions) { o.MeasureCycles++ }},
+		{"open-loop", "series bucket", func(o *RunOptions) { o.SeriesBucket++ }},
+		{"open-loop", "no series", func(o *RunOptions) { o.SeriesBucket = 0 }},
+		{"open-loop", "InputBufPkts", func(o *RunOptions) { o.Config.InputBufPkts++ }},
+		{"open-loop", "OutputBufPkts", func(o *RunOptions) { o.Config.OutputBufPkts++ }},
+		{"open-loop", "PacketPhits", func(o *RunOptions) { o.Config.PacketPhits++ }},
+		{"open-loop", "LinkLatency", func(o *RunOptions) { o.Config.LinkLatency++ }},
+		{"open-loop", "XbarLatency", func(o *RunOptions) { o.Config.XbarLatency++ }},
+		{"open-loop", "XbarSpeedup", func(o *RunOptions) { o.Config.XbarSpeedup++ }},
+		{"open-loop", "InjQueuePkts", func(o *RunOptions) { o.Config.InjQueuePkts++ }},
+		{"open-loop", "PenaltyWeight", func(o *RunOptions) { o.Config.PenaltyWeight = ulp(o.Config.PenaltyWeight) }},
+		{"burst", "burst size", func(o *RunOptions) { o.BurstPackets-- }},
+		{"burst", "burst MaxCycles", func(o *RunOptions) { o.MaxCycles = 5000 }},
+	} {
+		o := bases[tc.base]()
+		was := strings.Fields(runIdentity(o))
+		tc.change(&o)
+		now := strings.Fields(runIdentity(o))
+		differ := 0
+		for i := range min(len(was), len(now)) {
+			if was[i] != now[i] {
+				differ++
+			}
+		}
+		if len(was) != len(now) || differ != 1 {
+			t.Errorf("%s, other %s: the identity lines differ in %d fields, want one:\n%q\n%q", tc.base, tc.name, differ, was, now)
+		}
+		o.Checkpoint.Resume = snaps[tc.base]
+		_, err := Run(o)
+		if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), strings.Join(now, " ")) {
+			t.Errorf("%s resumed under other %s: %v, want ErrBadSnapshot naming this run", tc.base, tc.name, err)
 		}
 	}
 }
@@ -765,7 +874,7 @@ func TestSnapshotCodecErrors(t *testing.T) {
 	if _, err := decodeSnapshotState(nil); !errors.Is(err, ErrBadSnapshot) {
 		t.Error("empty buffer accepted")
 	}
-	st := &snapshotState{Engine: EngineVersion, GenRNG: []uint64{1, 2, 3, 4}}
+	st := &snapshotState{Run: EngineVersion, GenRNG: []uint64{1, 2, 3, 4}}
 	enc := appendSnapshotState(nil, st)
 	if _, err := decodeSnapshotState(enc[:len(enc)-1]); !errors.Is(err, ErrBadSnapshot) {
 		t.Error("truncated buffer accepted")
@@ -794,7 +903,15 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // The untouched snapshot passes both.
 func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
-	_, snaps := collectSnapshots(t, snapshotRun(t, h), 400)
+	// snapshotRun with a link failure scheduled after the first snapshot.
+	run := func() RunOptions {
+		o := snapshotRun(t, h)
+		o.Net = topo.NewNetwork(h, topo.NewFaultSet())
+		o.Mechanism = buildMech(t, "PolSP", o.Net)
+		o.FaultSchedule = []FaultEvent{{Cycle: 1000, Edge: topo.RandomFaultSequence(h, 7)[0]}}
+		return o
+	}
+	_, snaps := collectSnapshots(t, run(), 400)
 	if len(snaps) == 0 {
 		t.Fatal("no snapshots shipped")
 	}
@@ -821,12 +938,14 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	// The run's shape, which the snapshot's array lengths pin.
-	so := snapshotRun(t, h)
+	so := run()
 	so.Config = cfg
 	shape, err := newEngine(so)
 	if err != nil {
 		t.Fatal(err)
 	}
+	other := so
+	other.Load = math.Nextafter(so.Load, 1)
 	cases := []struct {
 		name    string
 		audited bool // refused by the port audit, after the install
@@ -849,12 +968,16 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		{"arrival on another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].a += int32(shape.P * shape.V) }},
 		{"transfer into another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].a += int32(shape.P) }},
 		{"transfer on VC past V", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].vc = int8(shape.V) }},
-		{"series where the run has none", false, func(st *snapshotState) { st.SeriesBucket = 100 }},
-		{"offered load of another run", false, func(st *snapshotState) { st.Load = math.Nextafter(st.Load, 1) }},
+		{"series where the run has none", false, func(st *snapshotState) { st.SeriesCur = 100 }},
+		{"offered load of another run", false, func(st *snapshotState) { st.Run = runIdentity(other) }},
 		{"arrival for a server past the run's", false, func(st *snapshotState) { st.ArrQ[0].server = int32(len(st.ArrQ)) }},
 		{"arrival calendar lists a server twice", false, func(st *snapshotState) { st.ArrQ[1].server = st.ArrQ[0].server }},
 		{"arrival calendar out of heap order", false, func(st *snapshotState) { st.ArrQ[1].at = st.ArrQ[0].at - 1 }},
 		{"arrival before the restored cycle", false, func(st *snapshotState) { st.ArrQ[0].at = st.Now - 5 }},
+		{"fault applied before its cycle", false, func(st *snapshotState) { st.NextFault = 1 }},
+		{"packet bound for a switch past the network's", false, func(st *snapshotState) { st.Pool[st.InQData[0]].st.Dst = int32(shape.S) }},
+		{"packet bound for a server past its switch's", false, func(st *snapshotState) { st.Pool[st.InQData[0]].dstLocal = int16(shape.K) }},
+		{"packet with a negative hop count", false, func(st *snapshotState) { st.Pool[st.InQData[0]].st.Hops = -1 }},
 
 		{"credit without slot", true, func(st *snapshotState) { st.Credits[0] = int16(cfg.InputBufPkts) + 1 }},
 		{"negative credit", true, func(st *snapshotState) { st.Credits[0] = -1 }},
@@ -875,7 +998,7 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 			t.Fatal(err)
 		}
 		tc.mutate(st)
-		o := snapshotRun(t, h)
+		o := run()
 		o.Config = cfg
 		e, err := newEngine(o)
 		if err != nil {
@@ -900,7 +1023,7 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		}
 		// The same bytes through the public path: re-sealed, so only the
 		// consistency checks can refuse them.
-		o = snapshotRun(t, h)
+		o = run()
 		o.Checkpoint = &CheckpointOptions{Resume: sealSnapshot(st)}
 		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: Run resumed it: %v", tc.name, err)

@@ -19,21 +19,7 @@ import (
 // window and arrival elements the state holds. A new field of any of them
 // goes here and bumps SnapshotVersion.
 func (st *snapshotState) walk(c *wire.Coder) {
-	c.String(&st.Engine)
-	c.String(&st.SpecHash)
-	c.U64(&st.Seed)
-	c.I64(&st.WarmStart)
-	c.I64(&st.WarmEnd)
-	c.I64(&st.Burst)
-	c.F64(&st.Load)
-	c.I64(&st.CfgInputBufPkts)
-	c.I64(&st.CfgOutputBufPkts)
-	c.I64(&st.CfgPacketPhits)
-	c.I64(&st.CfgLinkLatency)
-	c.I64(&st.CfgXbarLatency)
-	c.I64(&st.CfgXbarSpeedup)
-	c.I64(&st.CfgInjQueuePkts)
-	c.F64(&st.CfgPenaltyWeight)
+	c.String(&st.Run)
 
 	c.I64(&st.Now)
 	c.I64(&st.LastProgress)
@@ -103,7 +89,6 @@ func (st *snapshotState) walk(c *wire.Coder) {
 		c.I32(&a.server)
 	}
 
-	c.I64(&st.SeriesBucket)
 	c.I64(&st.SeriesCur)
 	c.I64(&st.SeriesCurBucket)
 	for i := range wire.Len(c, &st.SeriesPoints, 8+8) {
