@@ -86,8 +86,8 @@ var codecTargets = []codecTarget{
 			"hcLen":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
 			"hcTop":         "head cache, a function of the head packets and the tables; emptied by rebuildDerived (dropHeads), refilled on demand; audited by auditPorts",
 			"hcCap":         "head-cache region size, derived from the radix and the VC count at construction",
-			"portDead":      "a function of the spec and the fault cursor; applySnapshot replays markLinkDead for the applied prefix",
-			"liveDirLinks":  "a function of the spec and the fault cursor; counted at construction, lowered by the markLinkDead replay",
+			"portDead":      "a function of the spec and the schedule's faults before Now; applySnapshot replays markLinkDead over that prefix",
+			"nextFault":     "derived on restore from Now and the schedule: applySnapshot counts the scheduled faults before Now as it replays them",
 			"penCost":       "derived from Config at construction",
 			"cfg":           "supplied by RunOptions at construction; its seven integer fields and PenaltyWeight are in the run identity (runIdentity), which a restore compares whole",
 			"warmStart":     "set by Run from RunOptions (measureWindow); the window is in the run identity (runIdentity), which a restore compares whole",
@@ -99,7 +99,7 @@ var codecTargets = []codecTarget{
 			"swDelivered":   "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swLost":        "per-cycle counter, zero at the inter-cycle point; asserted by captureSnapshot",
 			"swProgressed":  "per-cycle flag, false at the inter-cycle point; asserted by captureSnapshot",
-			"faultSchedule": "supplied by RunOptions; only the cursor nextFault is engine state",
+			"faultSchedule": "supplied by RunOptions; with Now it fixes the cursor nextFault, so neither is in the format",
 			"S":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-switch array lengths (TieRNG, Win)",
 			"R":             "the topology shape, fixed by the spec at construction; pinned on restore as P - K by the per-port and per-server array lengths",
 			"K":             "the topology shape, fixed by the spec at construction; pinned on restore by the per-server array lengths (InjQLens, InjBusy, GenPhits)",

@@ -59,16 +59,13 @@ func (r Runner) checkpointThrough(specHash string, resume []byte, sink func([]by
 // runLocal executes the spec in this process. With a checkpoint policy and
 // somewhere to keep snapshots, the run resumes from any stored checkpoint
 // for this spec, ships periodic snapshots into the store, and drops the
-// checkpoint once it finishes — otherwise it is a plain uninterrupted run.
+// checkpoint once it finishes — otherwise it is a plain uninterrupted run:
+// runVia with no resume and no sink, which ships nothing.
 // key is the spec's hash when the run checkpoints (runSpec computed it).
 func (r Runner) runLocal(s *JobSpec, key string) (*sim.Result, error) {
 	store := r.snapshots()
 	if r.Checkpoint == nil || store == nil {
-		o, err := s.buildRun(r)
-		if err != nil {
-			return nil, err
-		}
-		return sim.Run(o)
+		return r.runVia(s, key, nil, nil)
 	}
 	resume, _ := store.GetCheckpoint(key)
 	res, err := r.runVia(s, key, resume, func(snap []byte) error {

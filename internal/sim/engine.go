@@ -253,7 +253,6 @@ type engine struct {
 	// Measurement. The per-switch window records above are summed once, by
 	// result() (foldWindow); these are maintained by the sequential phases.
 	warmStart, warmEnd int64 // measurement window [warmStart, warmEnd)
-	liveDirLinks       int64 // directed live switch-to-switch links
 	genPhits           []int64
 	stalledGenPkts     int64
 	series             *metrics.ThroughputSeries
@@ -379,9 +378,6 @@ func newEngine(o RunOptions) (*engine, error) {
 			}
 			nbr := h.PortNeighbor(sw, p)
 			e.up[gp] = nbr*int32(e.P) + int32(h.PortTo(nbr, sw))
-			if e.nw.PortAlive(sw, p) {
-				e.liveDirLinks++
-			}
 		}
 	}
 	e.inQ = newRingSet(SP*e.V, e.cfg.InputBufPkts, false)

@@ -68,13 +68,17 @@ func (e *engine) failLink(edge topo.Edge) error {
 }
 
 // markLinkDead is the half of a link failure that is a function of the
-// fault schedule alone: the edge joins the network's fault set, its two
-// ports are dead, the live-link count drops by two. A snapshot restore
-// replays it for the faults the capturing run had applied; the drain is in
-// the snapshot's queues already. It returns the link's two global ports.
+// fault schedule alone: the edge joins the network's fault set and its two
+// ports are dead. A snapshot restore replays it for the faults the
+// capturing run had applied; the drain is in the snapshot's queues
+// already. It returns the link's two global ports, or an error for an
+// edge that is no link of the network or has failed already.
 func (e *engine) markLinkDead(edge topo.Edge) ([2]int32, error) {
 	h := e.nw.H
-	pU := h.PortTo(edge.U, edge.V)
+	pU := -1
+	if min(edge.U, edge.V) >= 0 && max(edge.U, edge.V) < int32(e.S) {
+		pU = h.PortTo(edge.U, edge.V)
+	}
 	if pU < 0 {
 		return [2]int32{}, fmt.Errorf("sim: fault (%d,%d) is not a link of %s", edge.U, edge.V, h)
 	}
@@ -88,7 +92,6 @@ func (e *engine) markLinkDead(edge topo.Edge) ([2]int32, error) {
 	}
 	for _, gp := range ends {
 		e.portDead[gp] = true
-		e.liveDirLinks--
 	}
 	return ends, nil
 }

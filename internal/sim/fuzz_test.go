@@ -65,8 +65,9 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 }
 
 // fuzzRestoreRun is the run FuzzRestoreSnapshot restores into: the 4x4 PolSP
-// of the snapshot tests with one scheduled link failure, so a fault cursor
-// of 0 and of 1 are both replayable, with the audits on.
+// of the snapshot tests with one scheduled link failure, so a restore
+// derives a fault cursor of 0 or 1 from the cycle it resumes at, with the
+// audits on.
 func fuzzRestoreRun(t testing.TB) RunOptions {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, topo.NewFaultSet())
@@ -76,9 +77,12 @@ func fuzzRestoreRun(t testing.TB) RunOptions {
 		Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
 		Pattern: uniformOn(t, h, 4),
 		Load:    0.7, WarmupCycles: 300, MeasureCycles: 1200, Seed: 77, Config: cfg,
-		FaultSchedule: []FaultEvent{{Cycle: 500, Edge: topo.RandomFaultSequence(h, 7)[0]}},
+		FaultSchedule: []FaultEvent{{Cycle: fuzzFaultCycle, Edge: topo.RandomFaultSequence(h, 7)[0]}},
 	}
 }
+
+// fuzzFaultCycle is when fuzzRestoreRun's link fails.
+const fuzzFaultCycle = 500
 
 // fuzzRestoreSteps is how many cycles FuzzRestoreSnapshot runs an accepted
 // restore for.
@@ -100,13 +104,15 @@ func mutatedBody(t testing.TB, snap []byte, change func(st *snapshotState)) []by
 // decoder and applySnapshot on a fresh engine. The contract is an error
 // wrapping ErrBadSnapshot, or an engine on which the port audit is clean,
 // which captures back to the state it was given, and which then runs
-// fuzzRestoreSteps cycles, audited after each — never a panic. (The
+// fuzzRestoreSteps cycles, audited after each, to the same state as a
+// second fresh engine restored from the same bytes — never a panic. (The
 // comparison is against the canonical re-encoding of the decoded state: a
 // bool byte of 2 decodes as true and is written back as 1.) A run may end
 // those cycles on the watchdog, since a state can say its last progress was
 // long ago. Seeds: the snapshots of one run, taken before and after its
 // scheduled fault, and states one field away from them — a credit, a ring
-// length, an arrival cycle, the fault cursor either way.
+// length, an arrival cycle, a cycle across the fault's either way (so the
+// derived fault cursor moves).
 func FuzzRestoreSnapshot(f *testing.F) {
 	_, snaps := collectSnapshots(f, fuzzRestoreRun(f), 400)
 	if len(snaps) < 2 {
@@ -123,11 +129,11 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		},
 		func(st *snapshotState) { st.ArrQ[len(st.ArrQ)-1].at += 100 },
 		func(st *snapshotState) { st.ArrQ[0].at = st.Now },
-		func(st *snapshotState) { st.NextFault = 1 },
+		func(st *snapshotState) { st.Now = fuzzFaultCycle + 1 },
 	} {
 		f.Add(mutatedBody(f, before, change))
 	}
-	f.Add(mutatedBody(f, after, func(st *snapshotState) { st.NextFault = 0 }))
+	f.Add(mutatedBody(f, after, func(st *snapshotState) { st.Now = fuzzFaultCycle }))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
 		if err != nil {
@@ -137,13 +143,17 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			return
 		}
 		want := appendSnapshotState(nil, st)
-		o := fuzzRestoreRun(t)
-		e, err := newEngine(o)
-		if err != nil {
-			t.Fatal(err)
+		restore := func(st *snapshotState) (*engine, RunOptions, error) {
+			o := fuzzRestoreRun(t)
+			e, err := newEngine(o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+			return e, o, e.applySnapshot(st, o)
 		}
-		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-		if err := e.applySnapshot(st, o); err != nil {
+		e, o, err := restore(st)
+		if err != nil {
 			if !errors.Is(err, ErrBadSnapshot) {
 				t.Fatalf("restore error does not wrap ErrBadSnapshot: %v", err)
 			}
@@ -156,20 +166,34 @@ func FuzzRestoreSnapshot(f *testing.F) {
 			t.Fatalf("restore then capture changed the snapshot (%d bytes in, %d out)", len(want), len(got))
 		}
 		// The cycle loop's steps, audited after every cycle instead of
-		// every 64th.
-		for end := min(e.now+fuzzRestoreSteps, e.warmEnd); e.now < end; e.now++ {
-			if err := e.applyDueFaults(); err != nil {
-				t.Fatalf("a restored run failed at cycle %d: %v", e.now, err)
-			}
-			e.stepCycle(e.generateArrivals)
-			e.verifyInvariants()
-			if err := e.checkWatchdog(); err != nil {
-				if !errors.Is(err, ErrDeadlock) {
-					t.Fatal(err)
+		// every 64th; then the state they reach.
+		step := func(e *engine, o RunOptions) []byte {
+			for end := min(e.now+fuzzRestoreSteps, e.warmEnd); e.now < end; e.now++ {
+				if err := e.applyDueFaults(); err != nil {
+					t.Fatalf("a restored run failed at cycle %d: %v", e.now, err)
 				}
-				break
+				e.stepCycle(e.generateArrivals)
+				e.verifyInvariants()
+				if err := e.checkWatchdog(); err != nil {
+					if !errors.Is(err, ErrDeadlock) {
+						t.Fatal(err)
+					}
+					break
+				}
+				e.fastForward()
 			}
-			e.fastForward()
+			return appendSnapshotState(nil, e.captureSnapshot(o))
+		}
+		again, err := decodeSnapshotState(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, twinOpts, err := restore(again)
+		if err != nil {
+			t.Fatalf("the same bytes restored once and were refused the second time: %v", err)
+		}
+		if got, want := step(e, o), step(twin, twinOpts); !bytes.Equal(got, want) {
+			t.Fatalf("two engines restored from the same bytes stepped to different states (%d and %d bytes)", len(got), len(want))
 		}
 	})
 }

@@ -230,7 +230,8 @@ func cacheHead(e *engine, gport int32) int32 {
 // and calendar horizon, the series presence and server count, a burst's
 // delivered total and six per-switch window arrays; hyperx-ckpt/4 also
 // stored the run it belongs to as sixteen header fields, where /5 writes
-// one identity line.
+// one identity line; hyperx-ckpt/5 also stored the fault cursor, which /6
+// derives from the cycle and the schedule.
 var oldSnapshots = []struct {
 	codec byte // the leading byte of the body
 	path  string
@@ -239,6 +240,7 @@ var oldSnapshots = []struct {
 	{2, "testdata/ckpt2-4x4-polsp-2faults.gz"},
 	{3, "testdata/ckpt3-4x4-polsp-2faults.gz"},
 	{4, "testdata/ckpt4-4x4-polsp-2faults.gz"},
+	{5, "testdata/ckpt5-4x4-polsp-2faults.gz"},
 }
 
 const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
@@ -250,7 +252,7 @@ const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d4
 // fields (hyperx-ckpt/1's receiver-ordered credits and release list,
 // hyperx-ckpt/2's stored counts and copies, hyperx-ckpt/3's restated
 // header and parallel window arrays, hyperx-ckpt/4's sixteen-field
-// header) is understood any more. The run
+// header, hyperx-ckpt/5's fault cursor) is understood any more. The run
 // they checkpointed still produces the old engine's Result from zero,
 // which is what a refusal costs: a restart, never a result (JobSpec-level
 // fallback: experiments' TestRunCheckpointedBadResumeFallsBack).

@@ -90,6 +90,14 @@ func TestFaultScheduleValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("non-link fault accepted")
 	}
+	// A switch outside the network, either end.
+	for _, edge := range []topo.Edge{{U: 0, V: 27}, {U: -1, V: 1}} {
+		bad = base
+		bad.FaultSchedule = []FaultEvent{{Cycle: 10, Edge: edge}}
+		if _, err := Run(bad); err == nil {
+			t.Errorf("fault %v outside the network accepted", edge)
+		}
+	}
 	// Duplicate fault.
 	bad = base
 	bad.Net = topo.NewNetwork(h, nil)
@@ -266,14 +274,21 @@ func TestFaultScheduleGoldenBytes(t *testing.T) {
 		if !resumed[name] {
 			continue
 		}
-		_, snaps := collectSnapshots(t, runs[name](1), 250)
+		o := runs[name](1)
+		_, snaps := collectSnapshots(t, o, 250)
 		var snap []byte
 		for _, s := range snaps {
 			st, err := decodeSnapshotState(snapshotBody(t, s))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.NextFault == 2 {
+			applied := 0 // the scheduled faults before the snapshot's cycle
+			for _, ev := range o.FaultSchedule {
+				if ev.Cycle < st.Now {
+					applied++
+				}
+			}
+			if applied == 2 {
 				snap = s
 				break
 			}
@@ -281,7 +296,7 @@ func TestFaultScheduleGoldenBytes(t *testing.T) {
 		if snap == nil {
 			t.Fatalf("%s: none of %d snapshots lies between the second and the third fault", name, len(snaps))
 		}
-		o := runs[name](4)
+		o = runs[name](4)
 		o.Checkpoint = &CheckpointOptions{Resume: snap}
 		if got := fmt.Sprintf("%x", sha256.Sum256(runBytes(t, o))); got != want {
 			t.Errorf("%s resumed after the second fault: result bytes hash to %s, pinned %s", name, got, want)

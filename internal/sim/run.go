@@ -327,8 +327,8 @@ func (e *engine) runBurst(o RunOptions) (*Result, error) {
 	res.CompletionTime = w.lastDelivery
 	// Normalize window metrics over the actual duration.
 	res.AcceptedLoad = float64(w.deliveredPkts*int64(e.cfg.PacketPhits)) / float64(e.S*e.K) / float64(w.lastDelivery)
-	if e.liveDirLinks > 0 && w.lastDelivery > 0 {
-		res.LinkUtilization = float64(w.linkBusy) / float64(e.liveDirLinks) / float64(w.lastDelivery)
+	if w.lastDelivery > 0 {
+		res.LinkUtilization = e.linkUtilization(w.linkBusy, w.lastDelivery)
 	}
 	return res, nil
 }
@@ -344,6 +344,20 @@ func (e *engine) checkWatchdog() error {
 			ErrDeadlock, e.inFlight(), e.now-e.lastProgress, e.now)
 	}
 	return nil
+}
+
+// linkUtilization is the busy share of the live switch-to-switch link ports
+// over cycles, each link counted at both ends. Which links are up is the
+// network's fault set, the one record markLinkDead writes.
+func (e *engine) linkUtilization(busy, cycles int64) float64 {
+	live := 0
+	for sw := range int32(e.S) {
+		live += e.nw.AliveDegree(sw)
+	}
+	if live == 0 {
+		return 0
+	}
+	return float64(busy) / float64(live) / float64(cycles)
 }
 
 // result assembles the metrics from the engine's counters and the fold of
@@ -367,9 +381,7 @@ func (e *engine) result(o RunOptions) (*Result, window) {
 	res.GeneratedPackets = gen / int64(e.cfg.PacketPhits)
 	if o.MeasureCycles > 0 {
 		res.AcceptedLoad = float64(w.deliveredPkts*int64(e.cfg.PacketPhits)) / float64(e.S*e.K) / float64(o.MeasureCycles)
-		if e.liveDirLinks > 0 {
-			res.LinkUtilization = float64(w.linkBusy) / float64(e.liveDirLinks) / float64(o.MeasureCycles)
-		}
+		res.LinkUtilization = e.linkUtilization(w.linkBusy, o.MeasureCycles)
 	}
 	if w.deliveredPkts > 0 {
 		res.AvgLatency = float64(w.latencySum) / float64(w.deliveredPkts)

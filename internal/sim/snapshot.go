@@ -23,13 +23,13 @@ import (
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
 //
-// hyperx-ckpt/5 carries primary state only, each fact once. A field of the
+// hyperx-ckpt/6 carries primary state only, each fact once. A field of the
 // engine is NOT in the format when auditPorts states it as an exact
 // function of fields that are — the occupancy masks and the packed
 // allocation words of the rings and the ledger; the calendar words, the
 // crossbar counts (inInflight, pq.outTotal) and outVCCount of the calendar
-// slots and the output-ring tags — or when the run fixes it: the dead
-// ports and the live-link count (the spec and the fault cursor), the
+// slots and the output-ring tags — or when the run fixes it: the fault
+// cursor and the dead ports (the schedule's faults before Now), the
 // arrival sampling constant (the load), the measurement window, whether a
 // throughput series is kept, its bucket and over how many servers (the
 // run's options and the server count). A restore rebuilds those
@@ -40,12 +40,12 @@ import (
 // arrays are the shape (S, P, V, K and the horizon), one identity line
 // (runIdentity) is the run, and a burst's delivered count is the preload
 // less the lost packets and the live ones, which the free list counts.
-const SnapshotVersion = "hyperx-ckpt/5"
+const SnapshotVersion = "hyperx-ckpt/6"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
 // resultCodecVersion. It moves with SnapshotVersion, so a file of an
-// earlier format (hyperx-ckpt/1 to /4) is refused at its first byte.
-const snapshotCodecVersion = 5
+// earlier format (hyperx-ckpt/1 to /5) is refused at its first byte.
+const snapshotCodecVersion = 6
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -67,8 +67,7 @@ var ErrCheckpointed = errors.New("sim: run checkpointed before completion")
 // CheckpointOptions configures mid-run snapshots for one simulation.
 // Snapshots are taken only at the sequential inter-cycle point (top of the
 // cycle loop), so they never perturb the sharded phases, and a restored run
-// is bit-identical to an uninterrupted one for any worker count and either
-// activity setting.
+// is bit-identical to an uninterrupted one for any worker count.
 type CheckpointOptions struct {
 	// Every ships a snapshot when at least this much wall-clock time has
 	// passed since the last one (checked every few cycles). Zero disables
@@ -127,7 +126,7 @@ func runIdentity(o RunOptions) string {
 
 // snapshotState is the primary state of a run paused at the inter-cycle
 // point, flat and enumerable (what is left out, and why, is at
-// SnapshotVersion): one identity line, then the 28 fields only the run
+// SnapshotVersion): one identity line, then the 27 fields only the run
 // itself could have produced. Ring buffers are flattened in pop order, the
 // calendar wheel slot by slot (valid because its length pins the horizon
 // and Now the cycle), the credit ledger in engine order (by sender), and the
@@ -145,10 +144,9 @@ type snapshotState struct {
 	// codec byte's to refuse, the topology shape the array lengths'.
 	Run string
 
-	// Time, progress, cumulative scalars and the fault cursor.
+	// Time, progress and cumulative scalars.
 	Now, LastProgress        int64
 	LostPkts, StalledGenPkts int64
-	NextFault                int64
 
 	// RNG streams: raw state words (4 per stream), not seeds.
 	GenRNG []uint64 // generation stream
@@ -246,7 +244,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 		Now: e.now, LastProgress: e.lastProgress,
 		LostPkts: e.lostPkts, StalledGenPkts: e.stalledGenPkts,
-		NextFault: int64(e.nextFault),
 
 		GenRNG: genState[:],
 		TieRNG: tieRNG,
@@ -460,18 +457,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Now < 0 {
 		return badf("cycle %d is negative", st.Now)
 	}
-	// The loop applies a fault at the top of its cycle, after the
-	// checkpoint, and the fast-forward stops at every fault's cycle: a
-	// capture has applied exactly the faults scheduled before it.
-	due := int64(0)
-	for _, ev := range e.faultSchedule {
-		if ev.Cycle < st.Now {
-			due++
-		}
-	}
-	if st.NextFault != due {
-		return badf("fault cursor %d, but %d of the %d scheduled faults fall before cycle %d", st.NextFault, due, len(e.faultSchedule), st.Now)
-	}
 	// The resumed run indexes with these unchecked: every packet id — in a
 	// ring, on the free list, on the wheel — names a pool entry, every
 	// output-buffer entry a VC, and every event is of a known kind and
@@ -551,7 +536,6 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	e.lastProgress = st.LastProgress
 	e.lostPkts = st.LostPkts
 	e.stalledGenPkts = st.StalledGenPkts
-	e.nextFault = int(st.NextFault)
 
 	e.r.SetState([4]uint64(st.GenRNG))
 	for sw := range e.tie {
@@ -592,15 +576,19 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		})
 	}
 
-	// Replay the fault edges the capturing run had applied: the marks only
-	// (fault set, dead ports, link count) — the drains are in the rings and
-	// the lost-packet count already — then the routing tables, once.
-	for _, ev := range e.faultSchedule[:st.NextFault] {
-		if _, err := e.markLinkDead(ev.Edge); err != nil {
-			return badf("fault cursor %d does not replay on this schedule: %v", st.NextFault, err)
+	// The loop applies a fault at the top of its cycle, after the
+	// checkpoint, and the fast-forward stops at every fault's cycle: a
+	// capture has applied exactly the faults scheduled before it, which
+	// the sorted schedule lists first. Replay those: the marks only (fault
+	// set, dead ports) — the drains are in the rings and the lost-packet
+	// count already — then the routing tables, once.
+	for e.nextFault < len(e.faultSchedule) && e.faultSchedule[e.nextFault].Cycle < st.Now {
+		if _, err := e.markLinkDead(e.faultSchedule[e.nextFault].Edge); err != nil {
+			return badf("the faults before cycle %d do not replay on this schedule: %v", st.Now, err)
 		}
+		e.nextFault++
 	}
-	if st.NextFault > 0 {
+	if e.nextFault > 0 {
 		if err := e.mech.Rebuild(e.nw); err != nil {
 			return fmt.Errorf("sim: table rebuild on snapshot restore: %w", err)
 		}

@@ -180,7 +180,7 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the hyperx-ckpt/5 bytes themselves: the
+// TestSnapshotBytesGolden pins the hyperx-ckpt/6 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
 // equals a literal. The digests are of the sealed bytes inside the gzip
@@ -204,14 +204,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	ref, snaps := collectSnapshots(t, opts(), 250)
 	want := []string{
-		"3a32a16842dcc76d77db918e1c6141460c2e601116087a479ac06e95e96a3920",
-		"9d23521154ffd4aa3ffa869ef844c758dfa32cd38c005e2edc3598c662e7e9c6",
-		"507a6fb9632b684cacfcae3c04396d73931994b4ea02b877e2bd15f9baf3af7a",
-		"a0bac6416b668fd87bf58279c36aea8d0126b61ae3630b7ea6e460b7aa3699bc",
-		"f3caeee994cbd4849e07f7b89293455f9ab46e6eebf20a8228dab7f023069fb1",
-		"dd4ee44f9a777bac7482966a72d3eb872835248e372926400635c9d8faae1ac5",
-		"d28fdbedb8c4d5e72a0d5e457fb207efe1497f1859c415b94f611206c9ad3d9c",
-		"a3ca251b1f0b29701e89ba0c9562544a3c8c25df19d41a8031f9f3503efab1ac",
+		"d57c190b123cd214d49539005a2b943c06dd3261abceee5f0f7f467d56fb1a6c",
+		"3b91d872ea40c1afc984fde8c795de1e3a17407ee4fe204b5c256c65dcddd1bc",
+		"dc2db68d45c62398c0cc65d39cfc0e135c73af2ee0c4d026b5ee6c5b59afae7d",
+		"9e5f2e6e285f2defafe0dd891d9c75494c97473336e2d498cbb5b7c566efc350",
+		"1b63dc9aec53a805eed4a074ba3e91afc462d052fcea5a7c74d5d575c719ba11",
+		"8e1df10075d8e1b80005eb876ecf3d1407b3e2f07403ed45e124e7403fc796a5",
+		"b5c72f26f82bc55bdc4e77a284f6c18d646bdc182b0302047abf12328b588b5b",
+		"70c669f92609ba1ff4c7c12c8d406e5190c140334004a694c478daf8edb051a4",
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
@@ -900,7 +900,8 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // push the counts rebuildDerived takes from it past the speedup or an
 // output buffer past its capacity — is refused by the port audit that
 // follows rebuildDerived; that engine is garbage, and Run hands none back.
-// The untouched snapshot passes both.
+// The untouched snapshot passes both, and is refused under a schedule with
+// a fault before its cycle that the restore's replay cannot apply.
 func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
 	// snapshotRun with a link failure scheduled after the first snapshot.
@@ -974,7 +975,6 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		{"arrival calendar lists a server twice", false, func(st *snapshotState) { st.ArrQ[1].server = st.ArrQ[0].server }},
 		{"arrival calendar out of heap order", false, func(st *snapshotState) { st.ArrQ[1].at = st.ArrQ[0].at - 1 }},
 		{"arrival before the restored cycle", false, func(st *snapshotState) { st.ArrQ[0].at = st.Now - 5 }},
-		{"fault applied before its cycle", false, func(st *snapshotState) { st.NextFault = 1 }},
 		{"packet bound for a switch past the network's", false, func(st *snapshotState) { st.Pool[st.InQData[0]].st.Dst = int32(shape.S) }},
 		{"packet bound for a server past its switch's", false, func(st *snapshotState) { st.Pool[st.InQData[0]].dstLocal = int16(shape.K) }},
 		{"packet with a negative hop count", false, func(st *snapshotState) { st.Pool[st.InQData[0]].st.Hops = -1 }},
@@ -1029,19 +1029,55 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 			t.Errorf("%s: Run resumed it: %v", tc.name, err)
 		}
 	}
+
+	// The fault cursor is not in the format: a restore replays the faults
+	// its own schedule puts before Now. An intact snapshot resumed under a
+	// schedule whose early faults do not replay is refused, not a panic.
+	seq := topo.RandomFaultSequence(h, 7)
+	for _, tc := range []struct {
+		name     string
+		schedule []FaultEvent
+	}{
+		{"fault before the capture names a non-link", []FaultEvent{{Cycle: 100, Edge: topo.NewEdge(h.ID([]int{0, 0}), h.ID([]int{1, 1}))}}},
+		{"fault before the capture names a failed link", []FaultEvent{{Cycle: 100, Edge: seq[0]}, {Cycle: 200, Edge: seq[0]}}},
+		{"fault before the capture names a switch outside the network", []FaultEvent{{Cycle: 100, Edge: topo.Edge{U: 0, V: int32(shape.S)}}}},
+	} {
+		st, err := decodeSnapshotState(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := run()
+		o.Config = cfg
+		o.FaultSchedule = tc.schedule
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
+		if err := e.applySnapshot(st, o); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "do not replay") {
+			t.Errorf("%s: applySnapshot returned %v, want ErrBadSnapshot from the fault replay", tc.name, err)
+		}
+		o = run()
+		o.FaultSchedule = tc.schedule
+		o.Checkpoint = &CheckpointOptions{Resume: snaps[0]}
+		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("%s: Run resumed it: %v", tc.name, err)
+		}
+	}
 }
 
 // derivedState is every engine word a restore rebuilds instead of reading:
-// what rebuildDerived writes, the two functions of the fault cursor that
-// the markLinkDead replay writes, and the arrival sampling constant.
+// what rebuildDerived writes, the fault cursor and the dead ports that the
+// markLinkDead replay of the faults before Now writes, and the arrival
+// sampling constant.
 type derivedState struct {
 	PQ                       []portq
 	InMask, OutMask, InjMask []uint64
 	EvMask                   []uint64
 	InInflight               []int8
 	OutVCCount               []int16
+	FaultCursor              int
 	PortDead                 []bool
-	LiveDirLinks             int64
 	LogOneMinusGenProb       float64
 }
 
@@ -1050,7 +1086,7 @@ func (e *engine) derivedState() derivedState {
 		PQ: slices.Clone(e.pq), InMask: slices.Clone(e.inMask), OutMask: slices.Clone(e.outMask),
 		InjMask: slices.Clone(e.injMask), EvMask: slices.Clone(e.evMask),
 		InInflight: slices.Clone(e.inInflight), OutVCCount: slices.Clone(e.outVCCount),
-		PortDead: slices.Clone(e.portDead), LiveDirLinks: e.liveDirLinks,
+		FaultCursor: e.nextFault, PortDead: slices.Clone(e.portDead),
 		LogOneMinusGenProb: e.logOneMinusGenProb,
 	}
 }

@@ -25,7 +25,6 @@ func (st *snapshotState) walk(c *wire.Coder) {
 	c.I64(&st.LastProgress)
 	c.I64(&st.LostPkts)
 	c.I64(&st.StalledGenPkts)
-	c.I64(&st.NextFault)
 
 	wire.Ints(c, &st.GenRNG)
 	wire.Ints(c, &st.TieRNG)
