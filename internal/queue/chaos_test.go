@@ -171,8 +171,8 @@ func TestWorkersAreIndependent(t *testing.T) {
 	}
 }
 
-// TestSilentWorkerLosesJobs: a worker that handshakes with heartbeat
-// support and then falls silent (a wedged process, a dead host behind a
+// TestSilentWorkerLosesJobs: a worker that handshakes and then falls
+// silent (a wedged process, a dead host behind a
 // live TCP window) is severed after a few missed intervals; its job
 // requeues and a healthy worker completes it to the bit-identical result.
 func TestSilentWorkerLosesJobs(t *testing.T) {
@@ -189,14 +189,14 @@ func TestSilentWorkerLosesJobs(t *testing.T) {
 	}
 	defer srv.Close()
 
-	// The silent worker: a real hello (offering heartbeats), then nothing.
+	// The silent worker: a real hello, then nothing — not one heartbeat.
 	silent, err := net.Dial("tcp", srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer silent.Close()
-	if err := writeMessage(silent, &message{Type: "hello", Slots: 1,
-		Engine: sim.EngineVersion, Name: "silent-worker", CkptCap: true, HBCap: true}); err != nil {
+	if err := writeMessage(silent, &message{Type: "hello", Proto: protoVersion, Slots: 1,
+		Engine: sim.EngineVersion, Name: "silent-worker"}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -10,9 +10,10 @@
 //
 // Protocol (one JSON object per line, both directions):
 //
-//	worker -> server  {"type":"hello","slots":N,"engine":"<version>","name":"w123-1","ckptCap":true,"hbCap":true}
-//	server -> worker  {"type":"hello-ack","engine":"<version>","bye":true,"ckptCap":true,"hb":2000,"lease":120000}
-//	server -> worker  {"type":"job","id":7,"fence":1,"spec":{...},"ckpt":"<base64>"}  (up to N outstanding; ckpt optional)
+//	worker -> server  {"type":"hello","proto":"hyperx-queue/2","slots":N,"engine":"<version>","name":"w123-1"}
+//	server -> worker  {"type":"hello-ack","proto":"hyperx-queue/2","engine":"<version>","hb":2000,"lease":120000}
+//	server -> worker  {"type":"error","error":"..."}           (handshake refused)
+//	server -> worker  {"type":"job","id":7,"fence":1,"spec":{...},"ckpt":"<base64>"}  (up to N outstanding; ckpt: the job's last snapshot, if any)
 //	worker -> server  {"type":"ckpt","id":7,"fence":1,"ckpt":"<base64>"}  (periodic snapshot, at least every half lease)
 //	worker -> server  {"type":"result","id":7,"fence":1,"result":"<base64>","sum":"<hex sha256>"}
 //	worker -> server  {"type":"result","id":7,"fence":1,"error":"..."}    (job failed)
@@ -27,24 +28,21 @@
 // result is the sim result codec, with its SHA-256 in sum. A payload that
 // is not base64 fails the frame's parse: a corrupt frame (see below).
 //
-// The version both sides advertise is sim.EngineVersion. A worker whose
-// engine version differs is rejected at the handshake — mixed engines
-// would merge semantically divergent rows.
+// Nothing is negotiated: the hello and the hello-ack each name the one
+// protocol word, protoVersion, and either side refuses a peer that names
+// another or none, as builds before the word did. The server also refuses
+// a worker whose engine version (sim.EngineVersion) differs — mixed
+// engines would merge semantically divergent rows.
 // A job error is final (it is deterministic) and propagates to the
 // caller; every transport fault instead re-dispatches the job, so the
 // merged grid stays bit-identical to an undisturbed local run.
 //
-// The hello-ack is the capability negotiation: it advertises that this
-// server ends runs with a "bye" frame, accepts checkpoint streams, names
-// the job lease in milliseconds, and — when the worker offered hbCap —
-// names the heartbeat interval the worker must keep. The lease is one
-// fixed term for every job, and a worker ships a ckpt frame for each
-// running job at least every half lease: it caps its wall-clock checkpoint
-// trigger at lease/2 (withinLease), so a run of any length keeps its
-// lease. A worker that finds no lease in the ack (an older server) keeps
-// its own checkpoint policy. Every server a worker of this engine version
-// can reach sends the ack and the bye, so to a worker a hangup without bye
-// is always a fault: WorkLoop reconnects.
+// Every worker beats at the hello-ack's interval. The lease the ack names
+// is one fixed term for every job, and a worker ships a ckpt frame for
+// each running job at least every half lease: it caps its wall-clock
+// checkpoint trigger at lease/2 (withinLease), so a run of any length
+// keeps its lease. The server ends every run with a bye frame, so to a
+// worker a hangup without bye is always a fault: WorkLoop reconnects.
 //
 // One owner per connection: on both sides a reader goroutine only parses
 // lines into frames, and one loop (session.go, worker.go) owns the
@@ -64,16 +62,18 @@
 //   - Worker hang (stuck job, livelocked host): each dispatched job holds
 //     the hello-ack's fixed lease; checkpoint frames renew it, heartbeats
 //     do not (a beating heart proves the link, not progress). An expired
-//     lease re-dispatches the job elsewhere (sweep). A worker that stops sending frames entirely
-//     for several heartbeat intervals has its connection severed, which
-//     requeues everything it held (the reader's deadline, then end).
+//     lease re-dispatches the job elsewhere (sweep). A worker that stops
+//     sending frames entirely for several heartbeat intervals has its
+//     connection severed, which requeues everything it held (the reader's
+//     deadline, then end); a connection that never sends its hello is
+//     closed the same way.
 //   - Zombie results: every dispatch carries a fencing token; a result or
 //     checkpoint frame whose token does not match the current dispatch
 //     (a revoked worker finishing late) is counted and dropped (handle).
 //   - Corrupt frames: results carry a SHA-256 of their payload; a frame
-//     that fails the checksum, its encoding, or its codec is a transport
-//     fault — the link is severed and the jobs re-dispatched — never a
-//     job verdict (handle, then end).
+//     without the checksum, or failing it, its encoding or its codec, is
+//     a transport fault — the link is severed and the jobs re-dispatched
+//     — never a job verdict (handle, then end).
 //   - Poison jobs: a job whose attempts cost too many distinct workers
 //     their lives is quarantined with its full attempt history
 //     (experiments.QuarantineError) instead of re-queued; the rest of the
@@ -109,25 +109,27 @@ import (
 	"repro/internal/sim"
 )
 
+// protoVersion names the line protocol below. Hello and hello-ack both
+// carry it, and each side refuses a peer that names another.
+const protoVersion = "hyperx-queue/2"
+
 // message is the single wire frame of the protocol; Type selects which
 // fields are meaningful.
 type message struct {
-	Type    string          `json:"type"`
-	Slots   int             `json:"slots,omitempty"`
-	Engine  string          `json:"engine,omitempty"`
-	Name    string          `json:"name,omitempty"`    // hello: worker identity for attempt accounting
-	Bye     bool            `json:"bye,omitempty"`     // hello-ack: server ends runs with a bye frame
-	CkptCap bool            `json:"ckptCap,omitempty"` // hello / hello-ack: mid-run checkpoint support
-	HBCap   bool            `json:"hbCap,omitempty"`   // hello: worker can keep a heartbeat
-	HB      int64           `json:"hb,omitempty"`      // hello-ack: heartbeat interval, milliseconds
-	Lease   int64           `json:"lease,omitempty"`   // hello-ack: job lease, milliseconds
-	ID      int64           `json:"id,omitempty"`
-	Fence   int64           `json:"fence,omitempty"` // job: dispatch token; echoed on ckpt/result
-	Spec    json.RawMessage `json:"spec,omitempty"`
-	Ckpt    []byte          `json:"ckpt,omitempty"`   // ckpt frame / job resume: an engine snapshot as sim's Sink shipped it
-	Result  []byte          `json:"result,omitempty"` // result: the sim result codec bytes
-	Sum     string          `json:"sum,omitempty"`    // result: hex SHA-256 of the raw result bytes
-	Error   string          `json:"error,omitempty"`
+	Type   string          `json:"type"`
+	Proto  string          `json:"proto,omitempty"` // hello / hello-ack: protoVersion
+	Slots  int             `json:"slots,omitempty"`
+	Engine string          `json:"engine,omitempty"`
+	Name   string          `json:"name,omitempty"`  // hello: worker identity for attempt accounting
+	HB     int64           `json:"hb,omitempty"`    // hello-ack: heartbeat interval, milliseconds
+	Lease  int64           `json:"lease,omitempty"` // hello-ack: job lease, milliseconds
+	ID     int64           `json:"id,omitempty"`
+	Fence  int64           `json:"fence,omitempty"` // job: dispatch token; echoed on ckpt/result
+	Spec   json.RawMessage `json:"spec,omitempty"`
+	Ckpt   []byte          `json:"ckpt,omitempty"`   // ckpt frame / job resume: an engine snapshot as sim's Sink shipped it
+	Result []byte          `json:"result,omitempty"` // result: the sim result codec bytes
+	Sum    string          `json:"sum,omitempty"`    // result: hex SHA-256 of the raw result bytes
+	Error  string          `json:"error,omitempty"`
 }
 
 // readMessage decodes one line-delimited frame.
@@ -157,16 +159,17 @@ type inbound struct {
 	err error
 }
 
-// readFrames is a connection's reader goroutine: it parses up to n lines
-// (n < 0: all) into frames for the owner and stops after the error that
-// ended the stream. quiet > 0 bounds the wait for each frame: the peer
-// promised heartbeats, so a longer silence is a dead process or host
-// behind a live TCP window. A failed read closes the connection, because
-// the owner may be stuck in a write to that same dead peer and only the
-// failing write lets it end the session. done releases a reader whose
-// owner has left.
-func readFrames(conn net.Conn, r *bufio.Reader, quiet time.Duration, n int, frames chan<- inbound, done <-chan struct{}) {
-	for ; n != 0; n-- {
+// readFrames is a connection's reader goroutine: it parses lines into
+// frames for the owner and stops after the error that ended the stream.
+// quiet > 0 bounds the wait for each frame, the first one included. The
+// server reads a worker under it: a worker beats, so a longer silence is
+// a dead process or host behind a live TCP window, or a peer that never
+// says hello. A failed read closes the connection, because the owner may
+// be stuck in a write to that same dead peer and only the failing write
+// lets it end the session. done releases a reader whose owner has left.
+func readFrames(conn net.Conn, quiet time.Duration, frames chan<- inbound, done <-chan struct{}) {
+	r := bufio.NewReader(conn)
+	for {
 		if quiet > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(quiet))
 		}
@@ -212,8 +215,8 @@ func encodeOutcome(reply *message, res *sim.Result, err error) {
 }
 
 // decodeOutcome turns a result frame into the pending job's outcome.
-// ok == false flags transport corruption — a checksum mismatch,
-// undecodable result bytes — which is a fault of the link, never a
+// ok == false flags transport corruption — a missing or mismatched
+// checksum, undecodable result bytes — which is a fault of the link, never a
 // verdict on the job. (A payload that is not base64 never gets here: the
 // frame fails to parse.) Job errors carry only the worker marker;
 // the submitting side (ExecuteJobs) prefixes the job label.
@@ -221,11 +224,8 @@ func decodeOutcome(msg *message) (outcome, bool) {
 	if msg.Error != "" {
 		return outcome{err: fmt.Errorf("on worker: %s", msg.Error)}, true
 	}
-	if msg.Sum != "" {
-		sum := sha256.Sum256(msg.Result)
-		if hex.EncodeToString(sum[:]) != msg.Sum {
-			return outcome{}, false
-		}
+	if sum := sha256.Sum256(msg.Result); hex.EncodeToString(sum[:]) != msg.Sum {
+		return outcome{}, false
 	}
 	res, err := sim.DecodeResult(msg.Result)
 	if err != nil {

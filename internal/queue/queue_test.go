@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -141,10 +143,20 @@ func TestServeWorkerJobError(t *testing.T) {
 	}
 }
 
+// The /1 hello and ack: the handshake lines of the builds before the
+// protocol word, capability bits and all. Pinned so that a fleet of mixed
+// builds is shown refused both ways.
+const (
+	helloV1 = `{"type":"hello","slots":2,"engine":"hyperx-sim/4","name":"w123-1","ckptCap":true,"hbCap":true}`
+	ackV1   = `{"type":"hello-ack","engine":"hyperx-sim/4","bye":true,"ckptCap":true,"hb":2000,"lease":120000}`
+)
+
 // TestWorkerEngineMismatch: the handshake rejects a worker advertising a
 // different engine version (it would merge divergent rows) — an unknown
 // one, and the hyperx-sim/3 that an older build's worker advertises when
-// started on its retired per-cycle-generation engine.
+// started on its retired per-cycle-generation engine — or speaking another
+// queue protocol, as the /1 hello does. The error frame names both sides'
+// words.
 func TestWorkerEngineMismatch(t *testing.T) {
 	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
@@ -152,28 +164,38 @@ func TestWorkerEngineMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	for _, engine := range []string{"ancient-sim/0", "hyperx-sim/3"} {
+	hello := func(engine string) string {
+		line, _ := json.Marshal(message{Type: "hello", Proto: protoVersion, Slots: 1, Engine: engine})
+		return string(line)
+	}
+	for _, tc := range []struct {
+		hello string
+		want  []string
+	}{
+		{hello("ancient-sim/0"), []string{`engine "ancient-sim/0"`, strconv.Quote(sim.EngineVersion)}},
+		{hello("hyperx-sim/3"), []string{`engine "hyperx-sim/3"`, strconv.Quote(sim.EngineVersion)}},
+		{helloV1, []string{`queue protocol ""`, strconv.Quote(protoVersion)}},
+	} {
 		conn, err := net.Dial("tcp", srv.Addr())
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer conn.Close()
-		hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: engine})
-		if _, err := conn.Write(append(hello, '\n')); err != nil {
+		if _, err := conn.Write([]byte(tc.hello + "\n")); err != nil {
 			t.Fatal(err)
 		}
 		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-		buf := make([]byte, 4096)
-		n, err := conn.Read(buf)
-		if err != nil {
-			t.Fatalf("%s: no rejection frame: %v", engine, err)
-		}
 		var msg message
-		if err := json.Unmarshal(buf[:n], &msg); err != nil {
-			t.Fatal(err)
+		if err := readMessage(bufio.NewReader(conn), &msg); err != nil {
+			t.Fatalf("%s: no rejection frame: %v", tc.hello, err)
 		}
-		if msg.Type != "error" || !strings.Contains(msg.Error, "engine version") {
-			t.Fatalf("%s: expected engine rejection, got %+v", engine, msg)
+		if msg.Type != "error" {
+			t.Fatalf("%s: expected a rejection, got %+v", tc.hello, msg)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(msg.Error, want) {
+				t.Errorf("%s: rejection %q does not name %s", tc.hello, msg.Error, want)
+			}
 		}
 	}
 }
@@ -265,33 +287,27 @@ func TestWorkerReconnectsAfterServerRestart(t *testing.T) {
 	}
 }
 
-// TestHelloAckAdvertisesBye: the server's first frame after a valid hello
-// is the capability ack promising the bye shutdown frame — what lets a
-// worker treat every hangup without bye as a fault — and naming the job
-// lease its checkpoint frames must beat.
-func TestHelloAckAdvertisesBye(t *testing.T) {
+// TestHelloAckNamesProtocol: the server's first frame after a valid hello
+// is the ack naming the protocol word, the heartbeat interval the worker
+// keeps and the job lease its checkpoint frames must beat — exactly this
+// line, with no capability bits.
+func TestHelloAckNamesProtocol(t *testing.T) {
 	t.Parallel()
 	srv, err := Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := dialHello(t, srv.Addr(), message{Slots: 1})
 	defer conn.Close()
-	hello, _ := json.Marshal(message{Type: "hello", Slots: 1, Engine: sim.EngineVersion})
-	if _, err := conn.Write(append(hello, '\n')); err != nil {
-		t.Fatal(err)
-	}
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	var msg message
-	if err := readMessage(bufio.NewReader(conn), &msg); err != nil {
+	line, err := bufio.NewReader(conn).ReadString('\n')
+	if err != nil {
 		t.Fatalf("no ack frame: %v", err)
 	}
-	if msg.Type != "hello-ack" || !msg.Bye || msg.Engine != sim.EngineVersion || msg.Lease <= 0 {
-		t.Fatalf("expected hello-ack advertising bye and a lease, got %+v", msg)
+	want := fmt.Sprintf(`{"type":"hello-ack","proto":"hyperx-queue/2","engine":%q,"hb":2000,"lease":120000}`+"\n", sim.EngineVersion)
+	if line != want {
+		t.Fatalf("ack\n got %s want %s", line, want)
 	}
 }
 
@@ -342,33 +358,64 @@ func TestWorkLoopGivesUpWithoutServer(t *testing.T) {
 	}
 }
 
-// TestWorkLoopRejectionIsFinal: an engine-version rejection must not be
-// retried — the mismatch cannot resolve itself.
+// TestWorkLoopRejectionIsFinal: a refused handshake must not be retried —
+// the mismatch cannot resolve itself. The server may refuse the hello
+// with an error frame, or the worker refuses the ack: the /1 ack of a
+// build before the protocol word, or one naming no heartbeat interval or
+// no lease, which would leave it nothing to beat at (a panic, for a
+// ticker) and no lease to checkpoint within. Each is ErrRejected after
+// one session.
 func TestWorkLoopRejectionIsFinal(t *testing.T) {
 	t.Parallel()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	line := func(msg message) string {
+		data, _ := json.Marshal(msg)
+		return string(data)
 	}
-	defer ln.Close()
-	dials := make(chan struct{}, 16)
-	go func() {
-		for {
-			conn, err := ln.Accept()
+	ack := func(hb, lease int64) string {
+		return line(message{Type: "hello-ack", Proto: protoVersion, Engine: sim.EngineVersion, HB: hb, Lease: lease})
+	}
+	for _, tc := range []struct{ name, answer string }{
+		{"error frame", line(message{Type: "error", Error: "engine version mismatch"})},
+		{"v1 ack", ackV1},
+		{"hb 0", ack(0, 120000)},
+		{"lease 0", ack(2000, 0)},
+		{"hb negative", ack(-2000, 120000)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			dials <- struct{}{}
-			rej, _ := json.Marshal(message{Type: "error", Error: "engine version mismatch"})
-			conn.Write(append(rej, '\n'))
-			conn.Close()
-		}
-	}()
-	err = WorkLoop(ln.Addr().String(), slots(1))
-	if err == nil || !errors.Is(err, ErrRejected) {
-		t.Fatalf("want ErrRejected, got %v", err)
-	}
-	if len(dials) != 1 {
-		t.Errorf("worker dialed %d times after a rejection, want 1", len(dials))
+			defer ln.Close()
+			dials := make(chan struct{}, 16)
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					dials <- struct{}{}
+					_, _ = bufio.NewReader(conn).ReadString('\n') // the hello
+					_, _ = conn.Write([]byte(tc.answer + "\n"))
+					conn.Close()
+				}
+			}()
+			w := testWorker(t, slots(1))
+			w.schedule = compressed()
+			done := make(chan error, 1)
+			go func() { done <- w.loop(ln.Addr().String()) }()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrRejected) {
+					t.Fatalf("want ErrRejected, got %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("the worker took the answer and kept reconnecting")
+			}
+			if len(dials) != 1 {
+				t.Errorf("worker dialed %d times after a refused handshake, want 1", len(dials))
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -30,8 +29,6 @@ type session struct {
 	s       *Server
 	conn    net.Conn
 	worker  string             // identity charged with the custodies that fail
-	resumes bool               // the worker takes resume snapshots (hello ckptCap)
-	quiet   time.Duration      // silence that severs a worker which promised to beat; 0: it did not
 	slots   int                // as advertised; 0 until the handshake is done
 	free    int                // slots without a job: free + len(held) + revoked == slots
 	held    map[int64]*pending // jobs the worker holds, by id
@@ -62,8 +59,10 @@ func (s *Server) serveWorker(conn net.Conn) {
 	}()
 	ss := &session{s: s, conn: conn, held: make(map[int64]*pending)}
 	defer ss.end()
-	frames, r := make(chan inbound), bufio.NewReader(conn)
-	go readFrames(conn, r, 0, 1, frames, done) // the hello, which says whether silence will mean anything
+	// A worker beats from its ack on, and a peer silent for longer than
+	// the misses allow — a peer that never says hello included — is gone.
+	frames := make(chan inbound)
+	go readFrames(conn, s.opts.heartbeat*heartbeatMissFactor, frames, done)
 	select {
 	case in := <-frames:
 		if in.err != nil || !ss.greet(&in.msg) {
@@ -72,7 +71,6 @@ func (s *Server) serveWorker(conn net.Conn) {
 	case <-s.closed:
 		return
 	}
-	go readFrames(conn, r, ss.quiet, -1, frames, done)
 	tick := time.NewTicker(sweepTick(s.opts.heartbeat))
 	defer tick.Stop()
 	for {
@@ -105,31 +103,26 @@ func (s *Server) serveWorker(conn net.Conn) {
 	}
 }
 
-// greet answers the worker's hello with a rejection or with the ack that
-// opens the session. The ack is the capability negotiation — it promises
-// the bye frame, accepts checkpoint streams, names the job lease the
-// worker's ckpt frames must beat, and the heartbeat interval if the worker
-// can beat — and goes out before any job, so the worker knows all session
-// long that a hangup without bye is a fault.
+// greet answers the worker's hello with a rejection — another protocol or
+// another engine, and the error frame names both sides' words — or with
+// the ack that opens the session. The ack names the heartbeat interval the
+// worker keeps and the job lease its ckpt frames must beat, and goes out
+// before any job.
 func (ss *session) greet(hello *message) bool {
 	if hello.Type != "hello" || hello.Slots < 1 {
 		return false
 	}
-	if hello.Engine != sim.EngineVersion {
-		_ = writeMessage(ss.conn, &message{Type: "error",
-			Error: fmt.Sprintf("engine version %q, server runs %q", hello.Engine, sim.EngineVersion)})
+	if hello.Proto != protoVersion || hello.Engine != sim.EngineVersion {
+		_ = writeMessage(ss.conn, &message{Type: "error", Error: fmt.Sprintf(
+			"hello names queue protocol %q and engine %q; this server speaks %q on %q",
+			hello.Proto, hello.Engine, protoVersion, sim.EngineVersion)})
 		return false
 	}
-	ss.resumes = hello.CkptCap
 	if ss.worker = hello.Name; ss.worker == "" {
 		ss.worker = ss.conn.RemoteAddr().String()
 	}
-	ack := &message{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true,
-		Lease: ss.s.opts.lease.Milliseconds()}
-	if hello.HBCap {
-		ack.HB = ss.s.opts.heartbeat.Milliseconds()
-		ss.quiet = ss.s.opts.heartbeat * heartbeatMissFactor
-	}
+	ack := &message{Type: "hello-ack", Proto: protoVersion, Engine: sim.EngineVersion,
+		HB: ss.s.opts.heartbeat.Milliseconds(), Lease: ss.s.opts.lease.Milliseconds()}
 	if err := writeMessage(ss.conn, ack); err != nil {
 		ss.torn = true
 		return false
@@ -153,7 +146,7 @@ func (ss *session) handle(msg *message) bool {
 		ss.bye = true
 	case "ckpt":
 		p := ss.held[msg.ID]
-		if p == nil || (msg.Fence != 0 && msg.Fence != p.fence) {
+		if p == nil || msg.Fence != p.fence {
 			if len(msg.Ckpt) > 0 {
 				s.zombies.Add(1)
 			}
@@ -178,7 +171,7 @@ func (ss *session) handle(msg *message) bool {
 			return false
 		}
 		p := ss.held[msg.ID]
-		if p == nil || (msg.Fence != 0 && msg.Fence != p.fence) {
+		if p == nil || msg.Fence != p.fence {
 			// A dispatch this frame does not match anymore: the lease
 			// was revoked and the job re-dispatched. Drop the late
 			// answer; the current custody decides. The revoked run is
@@ -210,12 +203,9 @@ func (ss *session) dispatch(p *pending) bool {
 	p.deadline = time.Now().Add(ss.s.opts.lease)
 	ss.held[p.id] = p
 	ss.free--
-	job := &message{Type: "job", ID: p.id, Fence: p.fence, Spec: data}
-	if ss.resumes {
-		// Hand a requeued job its last snapshot so this worker resumes
-		// where the lost one left off.
-		job.Ckpt = p.ckpt
-	}
+	// A requeued job carries its last snapshot, so this worker resumes
+	// where the lost one left off.
+	job := &message{Type: "job", ID: p.id, Fence: p.fence, Spec: data, Ckpt: p.ckpt}
 	if err := writeMessage(ss.conn, job); err != nil {
 		ss.torn = true
 		return false

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"path/filepath"
@@ -127,7 +129,7 @@ func dialHello(t *testing.T, addr string, hello message) net.Conn {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hello.Type, hello.Engine = "hello", sim.EngineVersion
+	hello.Type, hello.Proto, hello.Engine = "hello", protoVersion, sim.EngineVersion
 	if err := writeMessage(conn, &hello); err != nil {
 		t.Fatal(err)
 	}
@@ -137,15 +139,34 @@ func dialHello(t *testing.T, addr string, hello message) net.Conn {
 // TestHugeSlotsHelloCostsNoGoroutines: the slot count is a length the
 // peer chooses, so the server must not spend anything per unit of it. A
 // hello advertising a billion slots, then a hangup, leaves the server
-// serving real workers with its goroutine count back at the baseline.
+// serving real workers with its goroutine count back at the baseline. A
+// connection that never says hello costs nothing for long either: the
+// silence deadline closes it after heartbeatMissFactor heartbeats, and
+// it never became a session to tally.
 func TestHugeSlotsHelloCostsNoGoroutines(t *testing.T) {
 	// Not parallel: it counts the goroutines of the whole process.
-	srv, err := Serve("127.0.0.1:0")
+	srv, err := ServeWith("127.0.0.1:0", ServeOpts{heartbeat: 25 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := runtime.NumGoroutine()
+
+	mute, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	mute.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := mute.Read(make([]byte, 1)); !errors.Is(err, io.EOF) {
+		t.Fatalf("a connection that never says hello read %d bytes, %v; want the server to close it", n, err)
+	}
+	waitFor(t, 5*time.Second, "the mute connection's goroutines to end", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+	if st := srv.Stats(); st.Crashed != 0 || st.Drained != 0 {
+		t.Errorf("a connection that never said hello was tallied as a session: %+v", st)
+	}
 
 	conn := dialHello(t, srv.Addr(), message{Slots: 1_000_000_000})
 	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -196,7 +217,7 @@ func TestSilentWorkerSeveredMidWrite(t *testing.T) {
 	// The job waits in the queue before the worker exists, so the session
 	// takes it straight after the handshake, inside the silence deadline.
 	srv.jobs <- bigPending(1)
-	silent := dialHello(t, srv.Addr(), message{Slots: 1, Name: "silent-nonreader", CkptCap: true, HBCap: true})
+	silent := dialHello(t, srv.Addr(), message{Slots: 1, Name: "silent-nonreader"})
 	defer silent.Close()
 	waitFor(t, 10*time.Second, "the silent, non-reading worker to be severed and its job requeued", func() bool {
 		st := srv.Stats()
@@ -205,8 +226,9 @@ func TestSilentWorkerSeveredMidWrite(t *testing.T) {
 }
 
 // TestCloseReturnsDespiteStuckWrite: Close must not wait on a session
-// that is stuck writing to a worker which stopped reading (and never
-// promised heartbeats, so nothing else would sever it).
+// that is stuck writing to a worker which stopped reading. It returns
+// within the close grace, long before the worker's silence (four
+// heartbeats of the default two seconds) would sever the link.
 func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
 	t.Parallel()
 	srv, err := ServeWith("127.0.0.1:0", ServeOpts{closeGrace: 100 * time.Millisecond})
@@ -214,7 +236,7 @@ func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.jobs <- bigPending(1)
-	stuck := dialHello(t, srv.Addr(), message{Slots: 1, CkptCap: true})
+	stuck := dialHello(t, srv.Addr(), message{Slots: 1})
 	defer stuck.Close()
 	// The worker reads the ack and one byte of the job frame, then nothing:
 	// the session is now inside a write no socket buffer can take.
@@ -238,7 +260,8 @@ func TestCloseReturnsDespiteStuckWrite(t *testing.T) {
 // the frame carries decodes to an error or a value — never a panic. A
 // snapshot payload is opaque here: it parses as base64 or fails the frame.
 // The decoded frame then goes through a session holding one custody, whose
-// slot accounting must hold after every frame.
+// slot accounting must hold after every frame. The seeds are this
+// protocol's frames and the /1 hello and ack.
 func FuzzFrame(f *testing.F) {
 	spec := testSpecs()[0]
 	specJSON, err := spec.EncodeJSON()
@@ -253,8 +276,8 @@ func FuzzFrame(f *testing.F) {
 	result := &message{Type: "result", ID: 7, Fence: 1}
 	encodeOutcome(result, res, nil)
 	for _, msg := range []*message{
-		{Type: "hello", Slots: 2, Engine: sim.EngineVersion, Name: "w123-1", CkptCap: true, HBCap: true},
-		{Type: "hello-ack", Engine: sim.EngineVersion, Bye: true, CkptCap: true, HB: 2000, Lease: 120000},
+		{Type: "hello", Proto: protoVersion, Slots: 2, Engine: sim.EngineVersion, Name: "w123-1"},
+		{Type: "hello-ack", Proto: protoVersion, Engine: sim.EngineVersion, HB: 2000, Lease: 120000},
 		{Type: "job", ID: 7, Fence: 1, Spec: specJSON, Ckpt: snap},
 		{Type: "ckpt", ID: 7, Fence: 1, Ckpt: snap},
 		result,
@@ -270,6 +293,8 @@ func FuzzFrame(f *testing.F) {
 		}
 		f.Add(line)
 	}
+	f.Add([]byte(helloV1))
+	f.Add([]byte(ackV1))
 	f.Fuzz(func(t *testing.T, line []byte) {
 		var msg message
 		if err := readMessage(bufio.NewReader(bytes.NewReader(append(line, '\n'))), &msg); err != nil {
@@ -340,80 +365,123 @@ func TestFramesMatchLiteralEncoding(t *testing.T) {
 	}
 }
 
-// TestNonBase64CheckpointIsCorruptFrame: a ckpt frame whose payload is not
-// base64 is a corrupt frame, like any other line that does not parse. The
-// session severs the link and counts it; the job the worker held requeues
-// without the undecodable snapshot, which reaches neither the store nor
-// the next worker, and that worker completes the job from zero.
-func TestNonBase64CheckpointIsCorruptFrame(t *testing.T) {
+// TestRefusedFrames: frames only a broken peer or a build of another
+// protocol sends are refused, and the job they name still completes on the
+// next worker, from zero, to the local run's bytes. A ckpt frame whose
+// payload is not base64 and a result frame without its checksum are
+// corrupt, like any line that does not parse: the session is severed and
+// counted, and its job requeues. A frame with fence 0 matches no dispatch:
+// it is a zombie, and neither finishes the job nor keeps its snapshot. No
+// refused snapshot reaches the store or the next worker.
+func TestRefusedFrames(t *testing.T) {
 	t.Parallel()
-	store, err := cache.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
 	spec := testSpecs()[0]
 	ref, err := slots(1).RunSpec(&spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type result struct {
-		res *sim.Result
-		err error
-	}
-	execDone := make(chan result, 1)
-	go func() {
-		res, err := srv.Execute(&spec)
-		execDone <- result{res, err}
-	}()
-
-	conn := dialHello(t, srv.Addr(), message{Slots: 1, Name: "garbler", CkptCap: true})
-	defer conn.Close()
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	r := bufio.NewReader(conn)
-	var ack, job message
-	if err := readMessage(r, &ack); err != nil || ack.Type != "hello-ack" {
-		t.Fatalf("no ack: %+v %v", ack, err)
-	}
-	if err := readMessage(r, &job); err != nil || job.Type != "job" {
-		t.Fatalf("no job: %+v %v", job, err)
-	}
-	frame := fmt.Sprintf(`{"type":"ckpt","id":%d,"fence":%d,"ckpt":"not base64!"}`+"\n", job.ID, job.Fence)
-	if _, err := conn.Write([]byte(frame)); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, 10*time.Second, "the corrupt frame to sever the session and requeue its job", func() bool {
-		st := srv.Stats()
-		return st.CorruptFrames == 1 && st.Crashed == 1 && st.Requeues == 1
-	})
-	if st := srv.Stats(); st.CheckpointFrames != 0 || st.PersistFailures != 0 {
-		t.Errorf("the undecodable snapshot was taken: %d ckpt frames, %d persist failures", st.CheckpointFrames, st.PersistFailures)
-	}
-	if _, ok := store.GetCheckpoint(spec.Hash()); ok {
-		t.Error("the undecodable snapshot reached the store")
-	}
-
-	w := testWorker(t, slots(1))
-	w.onResume = func(n int) { t.Errorf("the requeued job carried a %d-byte resume snapshot", n) }
-	workerDone := make(chan error, 1)
-	go func() { workerDone <- w.loop(srv.Addr()) }()
-	select {
-	case got := <-execDone:
-		if got.err != nil {
-			t.Fatal(got.err)
+	result := &message{Type: "result"}
+	encodeOutcome(result, ref, nil)
+	line := func(msg *message) string {
+		data, err := json.Marshal(msg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got.res.AppendBinary(nil), ref.AppendBinary(nil)) {
-			t.Error("the requeued job's result differs from a local run")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("the requeued job never completed")
+		return string(data)
 	}
-	srv.Close()
-	if err := <-workerDone; err != nil {
-		t.Errorf("worker exit: %v", err)
+	for _, tc := range []struct {
+		name            string
+		frame           func(job *message) string
+		corrupt, zombie int64
+	}{
+		{"non-base64 ckpt", func(job *message) string {
+			return fmt.Sprintf(`{"type":"ckpt","id":%d,"fence":%d,"ckpt":"not base64!"}`, job.ID, job.Fence)
+		}, 1, 0},
+		{"result without sum", func(job *message) string {
+			return line(&message{Type: "result", ID: job.ID, Fence: job.Fence, Result: result.Result})
+		}, 1, 0},
+		{"result with fence 0", func(job *message) string {
+			return line(&message{Type: "result", ID: job.ID, Result: result.Result, Sum: result.Sum})
+		}, 0, 1},
+		{"ckpt with fence 0", func(job *message) string {
+			return line(&message{Type: "ckpt", ID: job.ID, Ckpt: []byte("a snapshot")})
+		}, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			store, err := cache.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := ServeWith("127.0.0.1:0", ServeOpts{Store: store})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			execDone := make(chan outcome, 1)
+			go func() {
+				res, err := srv.Execute(&spec)
+				execDone <- outcome{res, err}
+			}()
+
+			conn := dialHello(t, srv.Addr(), message{Slots: 1, Name: "refused"})
+			defer conn.Close()
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+			r := bufio.NewReader(conn)
+			var ack, job message
+			if err := readMessage(r, &ack); err != nil || ack.Type != "hello-ack" {
+				t.Fatalf("no ack: %+v %v", ack, err)
+			}
+			if err := readMessage(r, &job); err != nil || job.Type != "job" {
+				t.Fatalf("no job: %+v %v", job, err)
+			}
+			if _, err := conn.Write([]byte(tc.frame(&job) + "\n")); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 10*time.Second, "the frame to be refused", func() bool {
+				st := srv.Stats()
+				return st.CorruptFrames+st.ZombiesDropped > 0
+			})
+			conn.Close() // a zombie leaves the session open; a corrupt frame has ended it
+			waitFor(t, 10*time.Second, "the session to end and requeue its job", func() bool {
+				st := srv.Stats()
+				return st.Crashed == 1 && st.Requeues == 1
+			})
+			st := srv.Stats()
+			if st.CorruptFrames != tc.corrupt || st.ZombiesDropped != tc.zombie {
+				t.Errorf("%d corrupt and %d zombie frames, want %d and %d", st.CorruptFrames, st.ZombiesDropped, tc.corrupt, tc.zombie)
+			}
+			if st.CheckpointFrames != 0 || st.PersistFailures != 0 {
+				t.Errorf("the refused frame's snapshot was taken: %d ckpt frames, %d persist failures", st.CheckpointFrames, st.PersistFailures)
+			}
+			if _, ok := store.GetCheckpoint(spec.Hash()); ok {
+				t.Error("the refused frame's snapshot reached the store")
+			}
+			select {
+			case got := <-execDone:
+				t.Fatalf("the refused frame finished the job: %+v", got)
+			default:
+			}
+
+			w := testWorker(t, slots(1))
+			w.onResume = func(n int) { t.Errorf("the requeued job carried a %d-byte resume snapshot", n) }
+			workerDone := make(chan error, 1)
+			go func() { workerDone <- w.loop(srv.Addr()) }()
+			select {
+			case got := <-execDone:
+				if got.err != nil {
+					t.Fatal(got.err)
+				}
+				if !bytes.Equal(got.res.AppendBinary(nil), ref.AppendBinary(nil)) {
+					t.Error("the requeued job's result differs from a local run")
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("the requeued job never completed")
+			}
+			srv.Close()
+			if err := <-workerDone; err != nil {
+				t.Errorf("worker exit: %v", err)
+			}
+		})
 	}
 }

@@ -1,7 +1,6 @@
 package queue
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -15,9 +14,9 @@ import (
 	"repro/internal/sim"
 )
 
-// ErrRejected marks a handshake rejection (engine-version mismatch): the
-// condition is permanent for this worker build, so WorkLoop gives up
-// instead of retrying.
+// ErrRejected marks a handshake rejection — the server refused the hello,
+// or its ack speaks another protocol: the condition is permanent for this
+// worker build, so WorkLoop gives up instead of retrying.
 var ErrRejected = errors.New("queue: server rejected worker")
 
 // errWorkerKilled ends the session of a worker whose onJob seam killed it
@@ -123,8 +122,8 @@ func Work(addr string, slots int) error {
 // than ending the worker, so a restarted server finds its fleet intact —
 // trickling back rather than stampeding. It returns nil once a server
 // completes a run (a bye frame) or this worker has drained, the rejection
-// error if the handshake is refused (an engine mismatch will not fix
-// itself), or the last connection error after the schedule's maxDown
+// error if the handshake is refused (another protocol or engine will not
+// fix itself), or the last connection error after the schedule's maxDown
 // consecutive attempts that never heard from a server.
 func WorkLoop(addr string, r experiments.Runner) error {
 	w, err := newWorker(r)
@@ -187,8 +186,8 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 	defer conn.Close()
 	jobs := &jobPort{w: w, up: make(chan *message), sem: make(chan struct{}, slots), done: make(chan struct{})}
 	defer close(jobs.done)
-	if err := writeMessage(conn, &message{Type: "hello", Slots: slots,
-		Engine: sim.EngineVersion, Name: w.name, CkptCap: true, HBCap: true}); err != nil {
+	if err := writeMessage(conn, &message{Type: "hello", Proto: protoVersion, Slots: slots,
+		Engine: sim.EngineVersion, Name: w.name}); err != nil {
 		return false, false, fmt.Errorf("queue: %w", err)
 	}
 	// Room for all the server may have outstanding — the ack, a job per
@@ -196,13 +195,35 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 	// is writing. Without it a server writing a large job frame and a
 	// worker writing a large ckpt frame could each wait for the other.
 	frames := make(chan inbound, slots+2)
-	go readFrames(conn, bufio.NewReader(conn), 0, -1, frames, jobs.done)
+	go readFrames(conn, 0, frames, jobs.done)
+
+	// The first frame settles the session: the ack, a refusal, or the bye
+	// of a server that finished its run while the hello was on the wire.
+	in := <-frames
+	if in.err != nil {
+		if isEOF(in.err) {
+			return false, false, nil // hangup without bye
+		}
+		return false, false, fmt.Errorf("queue: %w", in.err)
+	}
+	ack := &in.msg
+	switch {
+	case ack.Type == "bye":
+		return true, true, nil
+	case ack.Type == "error":
+		return false, true, fmt.Errorf("%w: %s", ErrRejected, ack.Error)
+	case ack.Type != "hello-ack" || ack.Proto != protoVersion || ack.HB <= 0 || ack.Lease <= 0:
+		return false, true, fmt.Errorf("%w: %s of queue protocol %q, hb %d ms, lease %d ms; worker speaks %q",
+			ErrRejected, ack.Type, ack.Proto, ack.HB, ack.Lease, protoVersion)
+	}
+	// This session's jobs run under the server's lease, and the worker
+	// beats until the session ends: heartbeats prove the process lives
+	// even while a long job occupies every slot.
+	r := withinLease(w.r, time.Duration(ack.Lease)*time.Millisecond)
+	beat := time.NewTicker(time.Duration(ack.HB) * time.Millisecond)
+	defer beat.Stop()
 
 	owed := 0 // jobs accepted and not yet over
-	// How this session's jobs run, as the hello-ack settles it: whether
-	// they stream checkpoints, and through which Runner.
-	serverCkpt, r := false, w.r
-	var beat <-chan time.Time
 	// Graceful drain: once r.Drain is raised (the worker process caught
 	// SIGTERM/SIGINT), in-flight runs stop at their next inter-cycle point
 	// and ship a final ckpt frame; when the last job is over the loop
@@ -216,29 +237,13 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 		case in := <-frames:
 			if in.err != nil {
 				if isEOF(in.err) {
-					return false, heard, nil // hangup without bye
+					return false, true, nil // hangup without bye
 				}
-				return false, heard, fmt.Errorf("queue: %w", in.err)
+				return false, true, fmt.Errorf("queue: %w", in.err)
 			}
-			heard = true
 			switch msg := &in.msg; msg.Type {
-			case "hello-ack":
-				serverCkpt = msg.CkptCap
-				if msg.Lease > 0 {
-					r = withinLease(w.r, time.Duration(msg.Lease)*time.Millisecond)
-				}
-				if msg.HB > 0 && beat == nil {
-					// The server asked for heartbeats: beat until the
-					// session ends. They prove the process lives even
-					// while a long job occupies every slot.
-					t := time.NewTicker(time.Duration(msg.HB) * time.Millisecond)
-					defer t.Stop()
-					beat = t.C
-				}
 			case "bye":
-				return true, heard, nil // server finished the run
-			case "error":
-				return false, heard, fmt.Errorf("%w: %s", ErrRejected, msg.Error)
+				return true, true, nil // server finished the run
 			case "job":
 				if w.r.Draining() {
 					// Never start new work while draining; the unanswered
@@ -250,18 +255,18 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 				var hold time.Duration
 				if err == nil && w.onJob != nil {
 					if hold, err = w.onJob(spec); err != nil {
-						return false, heard, err
+						return false, true, err
 					}
 				}
 				owed++
 				wg.Add(1)
-				go func(r experiments.Runner, ckpt bool) {
+				go func() {
 					defer wg.Done()
 					// Held here, not in the loop, so heartbeats keep flowing
 					// while the job sits.
 					time.Sleep(hold)
-					jobs.run(r, msg, spec, err, ckpt)
-				}(r, serverCkpt)
+					jobs.run(r, msg, spec, err)
+				}()
 			}
 		case msg := <-jobs.up:
 			if msg != nil {
@@ -270,12 +275,12 @@ func (w *worker) session(addr string) (over, heard bool, err error) {
 			if msg == nil || msg.Type == "result" {
 				owed-- // answered, or drained and left for the server to requeue
 			}
-		case <-beat:
+		case <-beat.C:
 			_ = writeMessage(conn, &message{Type: "hb"})
 		case <-drain.C:
 			if w.r.Draining() && owed == 0 {
 				_ = writeMessage(conn, &message{Type: "bye"})
-				return true, heard, nil // the drain hangup is this worker's end of run
+				return true, true, nil // the drain hangup is this worker's end of run
 			}
 		}
 	}
@@ -316,10 +321,9 @@ func (jp *jobPort) send(msg *message) {
 }
 
 // run is one job goroutine: it waits for a slot, runs the spec through r —
-// resuming from the job frame's snapshot, and shipping checkpoints if the
-// server takes them — and hands every frame it produces up to the session
-// loop.
-func (jp *jobPort) run(r experiments.Runner, job *message, spec *experiments.JobSpec, specErr error, ckpt bool) {
+// resuming from the job frame's snapshot, if any, and shipping its
+// checkpoints — and hands every frame it produces up to the session loop.
+func (jp *jobPort) run(r experiments.Runner, job *message, spec *experiments.JobSpec, specErr error) {
 	if h := jp.w.onResume; h != nil && len(job.Ckpt) > 0 {
 		h(len(job.Ckpt))
 	}
@@ -331,13 +335,11 @@ func (jp *jobPort) run(r experiments.Runner, job *message, spec *experiments.Job
 	}
 	var res *sim.Result
 	runErr := specErr
-	if runErr == nil && ckpt {
+	if runErr == nil {
 		res, runErr = r.RunSpecVia(spec, job.Ckpt, func(snap []byte) error {
 			jp.send(&message{Type: "ckpt", ID: job.ID, Fence: job.Fence, Ckpt: snap})
 			return nil
 		})
-	} else if runErr == nil {
-		res, runErr = r.RunSpec(spec)
 	}
 	if errors.Is(runErr, sim.ErrCheckpointed) {
 		// Drained mid-run: the final snapshot is already on the wire.
