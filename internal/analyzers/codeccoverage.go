@@ -92,6 +92,7 @@ var codecTargets = []codecTarget{
 			"cfg":           "supplied by RunOptions at construction; its seven integer fields and PenaltyWeight are in the run identity (runIdentity), which a restore compares whole",
 			"warmStart":     "set by Run from RunOptions (measureWindow); the window is in the run identity (runIdentity), which a restore compares whole",
 			"warmEnd":       "set by Run from RunOptions (measureWindow); the window is in the run identity (runIdentity), which a restore compares whole",
+			"seriesBucket":  "set by newEngine from RunOptions; the bucket is in the run identity (runIdentity), which a restore compares whole",
 			"up":            "static far-end port map, derived from the topology at construction",
 			"granted":       "stale after commit; reset by the next allocate phase before any read, so restored empty",
 			"outbox":        "per-cycle staging, empty at the inter-cycle point; asserted empty by captureSnapshot",

@@ -64,7 +64,7 @@ func TestRunSpecCheckpointedResume(t *testing.T) {
 // TestRunCheckpointedBadResumeFallsBack: a resume snapshot the engine
 // refuses restarts the run from zero instead of failing or corrupting it —
 // a torn one, a gzip bomb (8 MB of zeros in a few KB), and intact
-// hyperx-ckpt/1, /2, /4 and /5 ones (internal/sim's negative seeds, refused at
+// hyperx-ckpt/1, /2, /4, /5 and /6 ones (internal/sim's negative seeds, refused at
 // the codec byte), each passed as the .ckpt file that holds it,
 // which is what a worker of an older format hands over in a mixed fleet.
 func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
@@ -84,7 +84,7 @@ func TestRunCheckpointedBadResumeFallsBack(t *testing.T) {
 		resume []byte
 	}
 	cases := []resume{{"torn", []byte("torn checkpoint")}, {"gzip bomb", bomb.Bytes()}}
-	for _, n := range []int{1, 2, 4, 5} {
+	for _, n := range []int{1, 2, 4, 5, 6} {
 		old, err := os.ReadFile(fmt.Sprintf("../sim/testdata/ckpt%d-4x4-polsp-2faults.gz", n))
 		if err != nil {
 			t.Fatal(err)

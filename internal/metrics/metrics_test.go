@@ -63,37 +63,3 @@ func TestMean(t *testing.T) {
 		t.Errorf("mean = %v", m)
 	}
 }
-
-func TestThroughputSeries(t *testing.T) {
-	s := NewThroughputSeries(100, 2) // 2 servers, 100-cycle buckets
-	s.Record(10, 160)                // bucket 0
-	s.Record(50, 160)
-	s.Record(150, 320) // bucket 1
-	s.Record(350, 160) // bucket 3, bucket 2 empty
-	pts := s.Points()
-	if len(pts) != 4 {
-		t.Fatalf("got %d points, want 4", len(pts))
-	}
-	// Bucket 0: 320 phits / (100 cycles * 2 servers) = 1.6.
-	if math.Abs(pts[0].Accepted-1.6) > 1e-12 || pts[0].Cycle != 100 {
-		t.Errorf("bucket 0 = %+v", pts[0])
-	}
-	if math.Abs(pts[1].Accepted-1.6) > 1e-12 {
-		t.Errorf("bucket 1 = %+v", pts[1])
-	}
-	if pts[2].Accepted != 0 {
-		t.Errorf("bucket 2 = %+v", pts[2])
-	}
-	if math.Abs(pts[3].Accepted-0.8) > 1e-12 || pts[3].Cycle != 400 {
-		t.Errorf("bucket 3 = %+v", pts[3])
-	}
-}
-
-func TestThroughputSeriesMinBucket(t *testing.T) {
-	s := NewThroughputSeries(0, 1) // clamps to 1
-	s.Record(0, 16)
-	pts := s.Points()
-	if len(pts) != 1 || pts[0].Accepted != 16 {
-		t.Errorf("points = %+v", pts)
-	}
-}

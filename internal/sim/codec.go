@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 
-	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -49,15 +48,9 @@ func (r *Result) walk(c *wire.Coder) {
 	c.I64(&r.Cycles)
 	c.I64(&r.CompletionTime)
 	for i := range wire.Len(c, &r.Series, 8+8) {
-		walkSeriesPoint(c, &r.Series[i])
+		c.I64(&r.Series[i].Cycle)
+		c.F64(&r.Series[i].Accepted)
 	}
-}
-
-// walkSeriesPoint is the 8+8-byte layout of one throughput series point,
-// shared by the result and the snapshot codec.
-func walkSeriesPoint(c *wire.Coder, p *metrics.SeriesPoint) {
-	c.I64(&p.Cycle)
-	c.F64(&p.Accepted)
 }
 
 // AppendBinary appends a stable binary encoding of the result to b and

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/metrics"
 	"repro/internal/rng"
 	"repro/internal/routing"
 	"repro/internal/topo"
@@ -255,7 +254,13 @@ type engine struct {
 	warmStart, warmEnd int64 // measurement window [warmStart, warmEnd)
 	genPhits           []int64
 	stalledGenPkts     int64
-	series             *metrics.ThroughputSeries
+
+	// Throughput series (kept when seriesBucket > 0, the run's
+	// SeriesBucket): the phits delivered in each seriesBucket-cycle bucket,
+	// up to the last bucket with a delivery. result() divides them into
+	// Result.Series.
+	seriesBucket int64
+	series       []int64
 }
 
 // window is one switch's cumulative measurement record, written only by
@@ -351,6 +356,8 @@ func newEngine(o RunOptions) (*engine, error) {
 		R:    h.SwitchRadix(),
 		K:    o.ServersPerSwitch,
 		V:    o.Mechanism.VCs(),
+
+		seriesBucket: max(o.SeriesBucket, 0),
 	}
 	e.P = e.R + e.K
 	e.workers = o.Workers

@@ -66,8 +66,8 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 
 // fuzzRestoreRun is the run FuzzRestoreSnapshot restores into: the 4x4 PolSP
 // of the snapshot tests with one scheduled link failure, so a restore
-// derives a fault cursor of 0 or 1 from the cycle it resumes at, with the
-// audits on.
+// derives a fault cursor of 0 or 1 from the cycle it resumes at, and a
+// throughput series, with the audits on.
 func fuzzRestoreRun(t testing.TB) RunOptions {
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, topo.NewFaultSet())
@@ -77,12 +77,17 @@ func fuzzRestoreRun(t testing.TB) RunOptions {
 		Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
 		Pattern: uniformOn(t, h, 4),
 		Load:    0.7, WarmupCycles: 300, MeasureCycles: 1200, Seed: 77, Config: cfg,
+		SeriesBucket:  fuzzSeriesBucket,
 		FaultSchedule: []FaultEvent{{Cycle: fuzzFaultCycle, Edge: topo.RandomFaultSequence(h, 7)[0]}},
 	}
 }
 
 // fuzzFaultCycle is when fuzzRestoreRun's link fails.
 const fuzzFaultCycle = 500
+
+// fuzzSeriesBucket is fuzzRestoreRun's series bucket. It does not divide
+// the 400-cycle snapshot interval, so each snapshot's last bucket is open.
+const fuzzSeriesBucket = 150
 
 // fuzzRestoreSteps is how many cycles FuzzRestoreSnapshot runs an accepted
 // restore for.
@@ -112,7 +117,9 @@ func mutatedBody(t testing.TB, snap []byte, change func(st *snapshotState)) []by
 // long ago. Seeds: the snapshots of one run, taken before and after its
 // scheduled fault, and states one field away from them — a credit, a ring
 // length, an arrival cycle, a cycle across the fault's either way (so the
-// derived fault cursor moves).
+// derived fault cursor moves), and one fact of the series: a bucket past
+// the restored cycle, a trailing empty bucket, a negative count, a count
+// that is not a whole number of packets.
 func FuzzRestoreSnapshot(f *testing.F) {
 	_, snaps := collectSnapshots(f, fuzzRestoreRun(f), 400)
 	if len(snaps) < 2 {
@@ -130,10 +137,20 @@ func FuzzRestoreSnapshot(f *testing.F) {
 		func(st *snapshotState) { st.ArrQ[len(st.ArrQ)-1].at += 100 },
 		func(st *snapshotState) { st.ArrQ[0].at = st.Now },
 		func(st *snapshotState) { st.Now = fuzzFaultCycle + 1 },
+		func(st *snapshotState) {
+			st.Series = append(st.Series, make([]int64, st.Now/fuzzSeriesBucket)...)
+			st.Series = append(st.Series, st.Series[0])
+		},
+		func(st *snapshotState) { st.Series = append(st.Series, 0) },
+		func(st *snapshotState) { st.Series[0] = -st.Series[0] },
+		func(st *snapshotState) { st.Series[len(st.Series)-1]-- },
 	} {
 		f.Add(mutatedBody(f, before, change))
 	}
-	f.Add(mutatedBody(f, after, func(st *snapshotState) { st.Now = fuzzFaultCycle }))
+	f.Add(mutatedBody(f, after, func(st *snapshotState) {
+		st.Now = fuzzFaultCycle
+		st.Series = st.Series[:(st.Now-1)/fuzzSeriesBucket+1] // the buckets before the earlier cycle
+	}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := decodeSnapshotState(data)
 		if err != nil {

@@ -231,7 +231,9 @@ func cacheHead(e *engine, gport int32) int32 {
 // delivered total and six per-switch window arrays; hyperx-ckpt/4 also
 // stored the run it belongs to as sixteen header fields, where /5 writes
 // one identity line; hyperx-ckpt/5 also stored the fault cursor, which /6
-// derives from the cycle and the schedule.
+// derives from the cycle and the schedule; hyperx-ckpt/6 stored the
+// throughput series as float points, an open bucket and its index, where
+// /7 stores one phit count per bucket.
 var oldSnapshots = []struct {
 	codec byte // the leading byte of the body
 	path  string
@@ -241,6 +243,7 @@ var oldSnapshots = []struct {
 	{3, "testdata/ckpt3-4x4-polsp-2faults.gz"},
 	{4, "testdata/ckpt4-4x4-polsp-2faults.gz"},
 	{5, "testdata/ckpt5-4x4-polsp-2faults.gz"},
+	{6, "testdata/ckpt6-4x4-polsp-2faults.gz"},
 }
 
 const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d42d0f020b52"
@@ -252,7 +255,8 @@ const resultOfCkpt1Run = "3386a774bdb6ac55b00e120be695b8f7cedfa43513bc7fed4508d4
 // fields (hyperx-ckpt/1's receiver-ordered credits and release list,
 // hyperx-ckpt/2's stored counts and copies, hyperx-ckpt/3's restated
 // header and parallel window arrays, hyperx-ckpt/4's sixteen-field
-// header, hyperx-ckpt/5's fault cursor) is understood any more. The run
+// header, hyperx-ckpt/5's fault cursor, hyperx-ckpt/6's float series) is
+// understood any more. The run
 // they checkpointed still produces the old engine's Result from zero,
 // which is what a refusal costs: a restart, never a result (JobSpec-level
 // fallback: experiments' TestRunCheckpointedBadResumeFallsBack).

@@ -156,9 +156,6 @@ func Run(o RunOptions) (*Result, error) {
 		return nil, err
 	}
 	e.warmStart, e.warmEnd = measureWindow(o)
-	if o.SeriesBucket > 0 {
-		e.series = metrics.NewThroughputSeries(o.SeriesBucket, e.S*e.K)
-	}
 	if o.Checkpoint != nil && len(o.Checkpoint.Resume) > 0 {
 		// Restore replaces the whole mutable state — including e.now, the
 		// series and the fault cursor — so the loops below continue mid-run
@@ -388,8 +385,14 @@ func (e *engine) result(o RunOptions) (*Result, window) {
 		res.AvgHops = float64(w.hopSum) / float64(w.deliveredPkts)
 		res.EscapeFraction = float64(w.escapedPkts) / float64(w.deliveredPkts)
 	}
-	if e.series != nil {
-		res.Series = e.series.Points()
+	if len(e.series) > 0 {
+		res.Series = make([]metrics.SeriesPoint, len(e.series))
+		for i, phits := range e.series {
+			res.Series[i] = metrics.SeriesPoint{
+				Cycle:    int64(i+1) * e.seriesBucket,
+				Accepted: float64(phits) / float64(e.seriesBucket*int64(e.S*e.K)),
+			}
+		}
 	}
 	return res, w
 }

@@ -296,7 +296,8 @@ func (e *engine) forEachDue(fn func(sw int32, ws *workerScratch)) {
 // mergeRetire folds the per-switch retirement staging of this cycle into
 // the run totals: the lost count, the packet free list (and so the
 // in-flight count, on which a burst ends), the optional throughput series
-// (PacketPhits per delivered packet) and the progress stamp. Walking switches in index
+// (PacketPhits per delivered packet, in the bucket of this cycle) and the
+// progress stamp. Walking switches in index
 // order keeps the free list (and so packet-id reuse) independent of
 // scheduling; only switches that ran the event phase can hold staging, so
 // walk() covers everything.
@@ -304,8 +305,12 @@ func (e *engine) mergeRetire() {
 	for _, sw := range e.walk() {
 		if d, l := e.swDelivered[sw], e.swLost[sw]; d+l != 0 {
 			e.lostPkts += l
-			if d > 0 && e.series != nil {
-				e.series.Record(e.now, d*int64(e.cfg.PacketPhits))
+			if d > 0 && e.seriesBucket > 0 {
+				b := int(e.now / e.seriesBucket)
+				if b >= len(e.series) {
+					e.series = append(e.series, make([]int64, b+1-len(e.series))...)
+				}
+				e.series[b] += d * int64(e.cfg.PacketPhits)
 			}
 			e.swDelivered[sw], e.swLost[sw] = 0, 0
 		}

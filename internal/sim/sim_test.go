@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/routing"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -276,6 +277,13 @@ func TestTinyBuffersNoDeadlock(t *testing.T) {
 	}
 }
 
+// TestBurstModeCompletes runs a burst to completion under two series
+// buckets: 500 cycles, and one cycle, whose first bucket (cycle 0, before
+// any packet can cross a link) is a gap. Each series point's Cycle is the
+// end of its bucket and its Accepted the bucket's whole-packet phit count
+// over bucket x servers; a gap reads 0, the series ends at the bucket of
+// the last delivery (the completion time), and the counts add up to the
+// delivered phits.
 func TestBurstModeCompletes(t *testing.T) {
 	h := topo.MustHyperX(3, 3)
 	nw := topo.NewNetwork(h, nil)
@@ -284,30 +292,46 @@ func TestBurstModeCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(RunOptions{
-		Net: nw, ServersPerSwitch: 3, Mechanism: buildMech(t, "PolSP", nw),
-		Pattern: pat, BurstPackets: 20, SeriesBucket: 500, Seed: 17,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantPkts := int64(20 * sv.Count())
-	if res.DeliveredPackets != wantPkts {
-		t.Errorf("delivered %d, want %d", res.DeliveredPackets, wantPkts)
-	}
-	if res.CompletionTime <= 0 || res.CompletionTime > 100000 {
-		t.Errorf("completion time %d", res.CompletionTime)
-	}
-	if len(res.Series) == 0 {
-		t.Error("no throughput series recorded")
-	}
-	// The series integrates to the total delivered phits.
-	var phits float64
-	for _, p := range res.Series {
-		phits += p.Accepted * 500 * float64(sv.Count())
-	}
-	if math.Abs(phits-float64(wantPkts*16)) > 1 {
-		t.Errorf("series integrates to %.0f phits, want %d", phits, wantPkts*16)
+	const phitsPerPkt = 16
+	for _, bucket := range []int64{500, 1} {
+		res, err := Run(RunOptions{
+			Net: nw, ServersPerSwitch: 3, Mechanism: buildMech(t, "PolSP", nw),
+			Pattern: pat, BurstPackets: 20, SeriesBucket: bucket, Seed: 17,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantPkts := int64(20 * sv.Count())
+		if res.DeliveredPackets != wantPkts {
+			t.Errorf("bucket %d: delivered %d, want %d", bucket, res.DeliveredPackets, wantPkts)
+		}
+		if res.CompletionTime <= 0 || res.CompletionTime > 100000 {
+			t.Errorf("bucket %d: completion time %d", bucket, res.CompletionTime)
+		}
+		if n := int64(len(res.Series)); n == 0 || n-1 != res.CompletionTime/bucket {
+			t.Fatalf("bucket %d: %d series points, want the %d up to the bucket of the last delivery at cycle %d",
+				bucket, n, res.CompletionTime/bucket+1, res.CompletionTime)
+		}
+		if res.Series[len(res.Series)-1].Accepted == 0 {
+			t.Errorf("bucket %d: the series ends in an empty bucket", bucket)
+		}
+		if bucket == 1 && res.Series[0] != (metrics.SeriesPoint{Cycle: 1, Accepted: 0}) {
+			t.Errorf("bucket 1: cycle 0 delivered nothing, its point is %+v", res.Series[0])
+		}
+		// Every point is a whole number of packets over bucket x servers,
+		// and they add up to the delivered phits.
+		var phits int64
+		for i, p := range res.Series {
+			pkts := int64(math.Round(p.Accepted * float64(bucket*int64(sv.Count())) / phitsPerPkt))
+			want := metrics.SeriesPoint{Cycle: int64(i+1) * bucket, Accepted: float64(pkts*phitsPerPkt) / float64(bucket*int64(sv.Count()))}
+			if p != want {
+				t.Fatalf("bucket %d: point %d is %+v, want %+v", bucket, i, p, want)
+			}
+			phits += pkts * phitsPerPkt
+		}
+		if phits != wantPkts*phitsPerPkt {
+			t.Errorf("bucket %d: series adds up to %d phits, want %d", bucket, phits, wantPkts*phitsPerPkt)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/wire"
 )
 
@@ -23,7 +22,7 @@ import (
 // untouched. A checkpoint is only ever an optimization — losing one costs a
 // restart from zero, never a wrong result.
 //
-// hyperx-ckpt/6 carries primary state only, each fact once. A field of the
+// hyperx-ckpt/7 carries primary state only, each fact once. A field of the
 // engine is NOT in the format when auditPorts states it as an exact
 // function of fields that are — the occupancy masks and the packed
 // allocation words of the rings and the ledger; the calendar words, the
@@ -38,14 +37,17 @@ import (
 // format restate what it already pins: the codec byte is the format, the
 // lengths of the per-switch, per-port, per-VC, per-server and calendar
 // arrays are the shape (S, P, V, K and the horizon), one identity line
-// (runIdentity) is the run, and a burst's delivered count is the preload
-// less the lost packets and the live ones, which the free list counts.
-const SnapshotVersion = "hyperx-ckpt/6"
+// (runIdentity) is the run, a burst's delivered count is the preload less
+// the lost packets and the live ones, which the free list counts, and the
+// throughput series is its per-bucket phit counts: a bucket's cycle and
+// accepted load are the bucket width's arithmetic, and its length says
+// which bucket is open.
+const SnapshotVersion = "hyperx-ckpt/7"
 
 // snapshotCodecVersion is the leading byte of the binary layout, mirroring
 // resultCodecVersion. It moves with SnapshotVersion, so a file of an
-// earlier format (hyperx-ckpt/1 to /5) is refused at its first byte.
-const snapshotCodecVersion = 6
+// earlier format (hyperx-ckpt/1 to /6) is refused at its first byte.
+const snapshotCodecVersion = 7
 
 // ErrBadSnapshot is returned (wrapped) when a checkpoint fails its checksum,
 // decodes inconsistently, or does not match the run it is being resumed
@@ -126,7 +128,7 @@ func runIdentity(o RunOptions) string {
 
 // snapshotState is the primary state of a run paused at the inter-cycle
 // point, flat and enumerable (what is left out, and why, is at
-// SnapshotVersion): one identity line, then the 27 fields only the run
+// SnapshotVersion): one identity line, then the 25 fields only the run
 // itself could have produced. Ring buffers are flattened in pop order, the
 // calendar wheel slot by slot (valid because its length pins the horizon
 // and Now the cycle), the credit ledger in engine order (by sender), and the
@@ -188,11 +190,10 @@ type snapshotState struct {
 	// deterministic, so preserving the array preserves the pop sequence).
 	ArrQ []arrival
 
-	// Throughput series, including the open bucket; all zero when the run
-	// keeps none. Its bucket width is the run's (Run names it).
-	SeriesCur       int64
-	SeriesCurBucket int64
-	SeriesPoints    []metrics.SeriesPoint
+	// Throughput series: the phits delivered in each bucket, up to the last
+	// bucket with a delivery; empty when the run keeps none. Its bucket
+	// width is the run's (Run names it).
+	Series []int64
 }
 
 // captureSnapshot packs the engine into a snapshotState. It must be called
@@ -234,11 +235,6 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 		evs = append(evs, slot...)
 	}
 
-	var series metrics.SeriesState
-	if e.series != nil {
-		series = e.series.State()
-	}
-
 	return &snapshotState{
 		Run: runIdentity(o),
 
@@ -273,9 +269,7 @@ func (e *engine) captureSnapshot(o RunOptions) *snapshotState {
 
 		ArrQ: slices.Clone(e.arrQ),
 
-		SeriesCur:       series.Cur,
-		SeriesCurBucket: series.CurBucket,
-		SeriesPoints:    series.Points,
+		Series: slices.Clone(e.series),
 	}
 }
 
@@ -457,6 +451,24 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if st.Now < 0 {
 		return badf("cycle %d is negative", st.Now)
 	}
+	// The cumulative counters start at zero and only grow: a negative one,
+	// or window records whose sums wrap, would resume into a negative loss
+	// count or latency.
+	if st.LostPkts < 0 || st.StalledGenPkts < 0 || slices.ContainsFunc(st.GenPhits, func(g int64) bool { return g < 0 }) {
+		return badf("a negative lost, stalled or generated count")
+	}
+	var sum window
+	for sw, w := range st.Win {
+		sum.deliveredPkts += w.deliveredPkts
+		sum.latencySum += w.latencySum
+		sum.hopSum += w.hopSum
+		sum.escapedPkts += w.escapedPkts
+		sum.linkBusy += w.linkBusy
+		if min(w.deliveredPkts, w.latencySum, w.hopSum, w.escapedPkts, w.linkBusy,
+			sum.deliveredPkts, sum.latencySum, sum.hopSum, sum.escapedPkts, sum.linkBusy) < 0 {
+			return badf("the window record of switch %d %+v, or the sum up to it, holds a negative count", sw, w)
+		}
+	}
 	// The resumed run indexes with these unchecked: every packet id — in a
 	// ring, on the free list, on the wheel — names a pool entry, every
 	// output-buffer entry a VC, and every event is of a known kind and
@@ -525,10 +537,22 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 	if err := checkArrivals(st.ArrQ, wantArr, st.Now-1); err != nil {
 		return badf("%v", err)
 	}
-	// A non-positive SeriesBucket keeps no series, and then every series
-	// field is zero.
-	if o.SeriesBucket <= 0 && (st.SeriesCur|st.SeriesCurBucket != 0 || len(st.SeriesPoints) > 0) {
-		return badf("a throughput series where the run keeps none")
+	// The series is the merge's: kept only when the run has a bucket, every
+	// bucket a whole number of packets, and ending at the bucket of a
+	// delivery before the restored cycle. A longer series would resume
+	// into another run's rows.
+	if n := int64(len(st.Series)); n > 0 {
+		if e.seriesBucket == 0 {
+			return badf("a throughput series where the run keeps none")
+		}
+		if st.Series[n-1] == 0 || st.Now < 1 || n-1 > (st.Now-1)/e.seriesBucket {
+			return badf("the throughput series ends in bucket %d with %d phits: not the bucket of a delivery before cycle %d", n-1, st.Series[n-1], st.Now)
+		}
+		for i, phits := range st.Series {
+			if phits < 0 || phits%int64(e.cfg.PacketPhits) != 0 {
+				return badf("throughput series bucket %d holds %d phits, not a whole number of %d-phit packets", i, phits, e.cfg.PacketPhits)
+			}
+		}
 	}
 
 	// Validation passed: install the primaries. Scalars first.
@@ -569,12 +593,7 @@ func (e *engine) applySnapshot(st *snapshotState, o RunOptions) error {
 		e.logOneMinusGenProb = e.arrivalLog(o.Load)
 	}
 
-	if o.SeriesBucket > 0 {
-		e.series = metrics.RestoreThroughputSeries(metrics.SeriesState{
-			Bucket: o.SeriesBucket, Servers: int64(nServers),
-			Cur: st.SeriesCur, CurBucket: st.SeriesCurBucket, Points: st.SeriesPoints,
-		})
-	}
+	e.series = append(e.series[:0], st.Series...)
 
 	// The loop applies a fault at the top of its cycle, after the
 	// checkpoint, and the fast-forward stops at every fault's cycle: a

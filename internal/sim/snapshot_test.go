@@ -15,7 +15,6 @@ import (
 	"time"
 	"unsafe"
 
-	"repro/internal/metrics"
 	"repro/internal/topo"
 	"repro/internal/wire"
 )
@@ -180,7 +179,7 @@ func TestSnapshotResumeMidRunFaults(t *testing.T) {
 	}
 }
 
-// TestSnapshotBytesGolden pins the hyperx-ckpt/6 bytes themselves: the
+// TestSnapshotBytesGolden pins the hyperx-ckpt/7 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
 // equals a literal. The digests are of the sealed bytes inside the gzip
@@ -204,14 +203,14 @@ func TestSnapshotBytesGolden(t *testing.T) {
 	}
 	ref, snaps := collectSnapshots(t, opts(), 250)
 	want := []string{
-		"d57c190b123cd214d49539005a2b943c06dd3261abceee5f0f7f467d56fb1a6c",
-		"3b91d872ea40c1afc984fde8c795de1e3a17407ee4fe204b5c256c65dcddd1bc",
-		"dc2db68d45c62398c0cc65d39cfc0e135c73af2ee0c4d026b5ee6c5b59afae7d",
-		"9e5f2e6e285f2defafe0dd891d9c75494c97473336e2d498cbb5b7c566efc350",
-		"1b63dc9aec53a805eed4a074ba3e91afc462d052fcea5a7c74d5d575c719ba11",
-		"8e1df10075d8e1b80005eb876ecf3d1407b3e2f07403ed45e124e7403fc796a5",
-		"b5c72f26f82bc55bdc4e77a284f6c18d646bdc182b0302047abf12328b588b5b",
-		"70c669f92609ba1ff4c7c12c8d406e5190c140334004a694c478daf8edb051a4",
+		"a2dbf6a07416ef04b3030468553eaae744800cbf5962d1d74f8148f9da147a25",
+		"c23b45adfeb6f5575b57e3b74eb597373b4bbe6fc5487a1b82be6d833508bd89",
+		"b20024a9651822456eb051808bc2285a549fbffc66f875397ad0a0a90853ad2b",
+		"28c5061c1caa26fd489dd806728cf346a916d356d8f7a6c6e21624b238472ad3",
+		"d6251aece21fbbc76a3784707cc7642df1422b444e0611fa70b829ef13cf3da5",
+		"58e04405c9de2783e8d29073a72c1bcca1afadc74eff96d8c50091fd8e270864",
+		"ce27cd5c13adfaf0d816ce257c88a18d879f6e5202d229e694e963e28347d3f6",
+		"7284a128d9b45da848f0f0047bcb2458a1d320997d0f57c08325b83d88617484",
 	}
 	got := make([]string, len(snaps))
 	for i, s := range snaps {
@@ -510,7 +509,6 @@ func TestCapturedSnapshotSharesNoEngineMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.warmStart, e.warmEnd = o.WarmupCycles, o.WarmupCycles+o.MeasureCycles
-	e.series = metrics.NewThroughputSeries(o.SeriesBucket, e.S*e.K)
 	e.initArrivals(o.Load)
 	for ; e.now < 300; e.now++ {
 		e.stepCycle(e.generateArrivals)
@@ -894,7 +892,10 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // ErrBadSnapshot, never resumed. Two layers, in restore order. What the
 // resumed run would index with unchecked — packet ids in rings, on the free
 // list and on the wheel, event kinds and targets, output-buffer VCs,
-// arrival servers and cycles — is refused before anything is installed. What breaks a
+// arrival servers and cycles — and what it would resume into another run's
+// rows with — a negative counter, a throughput series past the restored
+// cycle, ending in an empty bucket or counting part of a packet, or one the
+// run does not keep — is refused before anything is installed. What breaks a
 // flow-control bound once installed — a credit its receiver has no slot
 // for, a credit spent with no packet behind it, a calendar whose transfers
 // push the counts rebuildDerived takes from it past the speedup or an
@@ -904,12 +905,14 @@ func TestSnapshotCodecErrors(t *testing.T) {
 // a fault before its cycle that the restore's replay cannot apply.
 func TestSnapshotRejectsInconsistentState(t *testing.T) {
 	h := topo.MustHyperX(4, 4)
-	// snapshotRun with a link failure scheduled after the first snapshot.
+	// snapshotRun with a link failure scheduled after the first snapshot
+	// and a throughput series whose fourth bucket ends at that snapshot.
 	run := func() RunOptions {
 		o := snapshotRun(t, h)
 		o.Net = topo.NewNetwork(h, topo.NewFaultSet())
 		o.Mechanism = buildMech(t, "PolSP", o.Net)
 		o.FaultSchedule = []FaultEvent{{Cycle: 1000, Edge: topo.RandomFaultSequence(h, 7)[0]}}
+		o.SeriesBucket = 100
 		return o
 	}
 	_, snaps := collectSnapshots(t, run(), 400)
@@ -969,7 +972,21 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		{"arrival on another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evArrive)].a += int32(shape.P * shape.V) }},
 		{"transfer into another switch", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].a += int32(shape.P) }},
 		{"transfer on VC past V", false, func(st *snapshotState) { st.Events[firstEvent(st, evXferDone)].vc = int8(shape.V) }},
-		{"series where the run has none", false, func(st *snapshotState) { st.SeriesCur = 100 }},
+		{"series bucket past the restored cycle", false, func(st *snapshotState) { st.Series = append(st.Series, int64(cfg.PacketPhits)) }},
+		{"series ending in an empty bucket", false, func(st *snapshotState) { st.Series[len(st.Series)-1] = 0 }},
+		{"negative series count", false, func(st *snapshotState) { st.Series[0] = -st.Series[0] }},
+		{"series count of part of a packet", false, func(st *snapshotState) { st.Series[0]++ }},
+		{"negative lost count", false, func(st *snapshotState) { st.LostPkts = -5 }},
+		{"negative stalled count", false, func(st *snapshotState) { st.StalledGenPkts = -1 }},
+		{"negative generated phits", false, func(st *snapshotState) { st.GenPhits[0] = -int64(cfg.PacketPhits) }},
+		{"negative delivered count", false, func(st *snapshotState) { st.Win[0].deliveredPkts = -1 }},
+		{"negative latency sum", false, func(st *snapshotState) { st.Win[0].latencySum = -1e6 }},
+		{"negative hop sum after positive ones", false, func(st *snapshotState) { st.Win[len(st.Win)-1].hopSum = -1 }},
+		{"negative escaped count", false, func(st *snapshotState) { st.Win[0].escapedPkts = -1 }},
+		{"negative link-busy count", false, func(st *snapshotState) { st.Win[0].linkBusy = -1 }},
+		{"latency sums that wrap", false, func(st *snapshotState) {
+			st.Win[0].latencySum, st.Win[1].latencySum = math.MaxInt64, 1
+		}},
 		{"offered load of another run", false, func(st *snapshotState) { st.Run = runIdentity(other) }},
 		{"arrival for a server past the run's", false, func(st *snapshotState) { st.ArrQ[0].server = int32(len(st.ArrQ)) }},
 		{"arrival calendar lists a server twice", false, func(st *snapshotState) { st.ArrQ[1].server = st.ArrQ[0].server }},
@@ -1027,6 +1044,39 @@ func TestSnapshotRejectsInconsistentState(t *testing.T) {
 		o.Checkpoint = &CheckpointOptions{Resume: sealSnapshot(st)}
 		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
 			t.Errorf("%s: Run resumed it: %v", tc.name, err)
+		}
+	}
+
+	// A series only where the run keeps one: the state resumed under the
+	// run without a bucket, its identity line rewritten to match, is
+	// refused.
+	{
+		bare := func() RunOptions {
+			o := run()
+			o.SeriesBucket = 0
+			return o
+		}
+		st, err := decodeSnapshotState(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(st.Series) == 0 {
+			t.Fatal("the snapshot holds no series: it no longer covers the case")
+		}
+		o := bare()
+		o.Config = cfg
+		st.Run = runIdentity(o)
+		e, err := newEngine(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.applySnapshot(st, o); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "keeps none") {
+			t.Errorf("series under a run without one: applySnapshot returned %v, want ErrBadSnapshot from the series check", err)
+		}
+		o = bare()
+		o.Checkpoint = &CheckpointOptions{Resume: sealSnapshot(st)}
+		if _, err := Run(o); !errors.Is(err, ErrBadSnapshot) {
+			t.Errorf("series under a run without one: Run resumed it: %v", err)
 		}
 	}
 

@@ -88,11 +88,7 @@ func (st *snapshotState) walk(c *wire.Coder) {
 		c.I32(&a.server)
 	}
 
-	c.I64(&st.SeriesCur)
-	c.I64(&st.SeriesCurBucket)
-	for i := range wire.Len(c, &st.SeriesPoints, 8+8) {
-		walkSeriesPoint(c, &st.SeriesPoints[i])
-	}
+	wire.Ints(c, &st.Series)
 }
 
 // appendSnapshotState appends the binary encoding of st to b.
