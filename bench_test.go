@@ -701,7 +701,7 @@ func BenchmarkSingleRunSequential8x8x8(b *testing.B) { benchSingleRun8x8x8(b, 1)
 
 // BenchmarkSingleRunSharded8x8x8 runs the same point with the switch array
 // domain-decomposed over one worker per CPU; the Result is bit-identical to
-// the sequential run (see internal/sim/sharded_test.go).
+// the sequential run (see TestEngineModesBitIdentical in internal/sim).
 func BenchmarkSingleRunSharded8x8x8(b *testing.B) {
 	benchSingleRun8x8x8(b, runtime.GOMAXPROCS(0))
 }

@@ -6,11 +6,9 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rng"
 	"repro/internal/topo"
 	"repro/internal/traffic"
 )
@@ -25,237 +23,6 @@ func runBytes(t testing.TB, o RunOptions) []byte {
 		t.Fatalf("run (activity=%v, workers=%d): %v", !o.fullWalk, o.Workers, err)
 	}
 	return res.AppendBinary(nil)
-}
-
-// TestActivityOnOffBitIdentical is the tentpole property test: across
-// random small topologies, the nine mechanisms, open-loop, burst and
-// mid-flight-skip modes, series buckets, mid-run fault schedules and a
-// radix past 64 ports (two occupancy-mask words per switch), the
-// activity-tracked engine (with its dirty sets, per-switch next-work times,
-// event-calendar fast-forward and head cache) produces byte-for-byte the
-// Result of the full-walk engine, at several worker counts. Every third
-// check runs 40-phit packets with CheckInvariants on: an event horizon of
-// exactly 64 slots, where a switch's calendar word is full and nextEvent's
-// rotation wraps by a whole word.
-func TestActivityOnOffBitIdentical(t *testing.T) {
-	dimChoices := [][]int{{3, 3}, {4, 4}, {2, 2, 2}, {3, 3, 3}}
-	checks := 0
-	check := func(seed uint64) bool {
-		checks++
-		r := rng.New(seed)
-		dims := dimChoices[r.Intn(len(dimChoices))]
-		per, mode := 2, r.Intn(4)
-		if r.Intn(4) == 0 {
-			// P = 2 + 63 > 64: two occupancy-mask words per switch, so the
-			// multi-word mask walk meets the full scan. Sparse traffic only:
-			// at 252 servers the denser modes cost tens of small seeds, and
-			// two faults would cut the 2x2 ring.
-			dims, per, mode = []int{2, 2}, 63, 3
-		}
-		h := topo.MustHyperX(dims...)
-		seq := topo.RandomFaultSequence(h, seed)
-		// Any of the nine mechanisms; the fault schedules of mode 2 go to
-		// those built to route around faults.
-		name := allMechanisms[r.Intn(len(allMechanisms))]
-		if mode == 2 {
-			name = []string{"OmniSP", "PolSP", "EscapeOnly"}[r.Intn(3)]
-		}
-		o := RunOptions{ServersPerSwitch: per, Seed: seed}
-		switch mode {
-		case 0: // open loop
-			o.Load = 0.1 + 0.8*r.Float64()
-			o.WarmupCycles = int64(r.Intn(300))
-			o.MeasureCycles = 600 + int64(r.Intn(900))
-		case 1: // burst with a throughput series: exercises fast-forward
-			o.BurstPackets = 2 + r.Intn(6)
-			o.SeriesBucket = 100 + int64(r.Intn(400))
-		case 2: // open loop with a mid-run fault schedule
-			o.Load = 0.3 + 0.4*r.Float64()
-			o.MeasureCycles = 1200
-			o.FaultSchedule = []FaultEvent{
-				{Cycle: 200 + int64(r.Intn(200)), Edge: seq[0]},
-				{Cycle: 600 + int64(r.Intn(200)), Edge: seq[1]},
-			}
-		default:
-			// Mid-flight skips: load so sparse that most cycles between an
-			// injection and its delivery have every switch parked on a
-			// future next-work time, so the run jumps with packets in
-			// flight — the regime the event-calendar engine exists for.
-			o.Load = 0.005 + 0.02*r.Float64()
-			o.WarmupCycles = int64(r.Intn(200))
-			o.MeasureCycles = 2000 + int64(r.Intn(1500))
-		}
-		long := checks%3 == 0
-		if long {
-			o.Config = DefaultConfig()
-			o.Config.PacketPhits = 40
-			o.Config.CheckInvariants = true
-		}
-		// Each run gets a private network and mechanism: fault schedules
-		// mutate the network's fault set.
-		fresh := func(workers int, noAct bool, ck *CheckpointOptions) ([]byte, bool) {
-			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			mech := shardMech(t, name, nw)
-			pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, seed)
-			if err != nil {
-				return nil, false
-			}
-			run := o
-			run.Net, run.Mechanism, run.Pattern = nw, mech, pat
-			run.Workers = workers
-			run.fullWalk = noAct
-			run.Checkpoint = ck
-			return runBytes(t, run), true
-		}
-		var ref []byte
-		for _, workers := range []int{1, 4} {
-			for _, noAct := range []bool{false, true} {
-				got, ok := fresh(workers, noAct, nil)
-				if !ok {
-					return false
-				}
-				if ref == nil {
-					ref = got
-					continue
-				}
-				if !bytes.Equal(ref, got) {
-					t.Logf("seed %d (%v, 40-phit packets %v): workers=%d activity=%v diverged", seed, dims, long, workers, !noAct)
-					return false
-				}
-			}
-		}
-		// Snapshot/restore leg: checkpoint the same configuration at a
-		// pseudo-random cycle interval, then resume one of the shipped
-		// snapshots in a fresh engine — under a randomly different worker
-		// count and activity setting — and require the exact ref bytes.
-		var snaps [][]byte
-		got, ok := fresh(1, false, &CheckpointOptions{
-			EveryCycles: 40 + int64(r.Intn(400)),
-			Sink: func(s []byte) error {
-				snaps = append(snaps, s)
-				return nil
-			},
-		})
-		if !ok {
-			return false
-		}
-		if !bytes.Equal(ref, got) {
-			t.Logf("seed %d (%v, 40-phit packets %v): checkpointing run diverged", seed, dims, long)
-			return false
-		}
-		if len(snaps) == 0 {
-			return true // run too short for the drawn interval
-		}
-		resumed, ok := fresh(1+r.Intn(8), r.Intn(2) == 0,
-			&CheckpointOptions{Resume: snaps[r.Intn(len(snaps))]})
-		if !ok {
-			return false
-		}
-		if !bytes.Equal(ref, resumed) {
-			t.Logf("seed %d (%v, 40-phit packets %v): snapshot resume diverged", seed, dims, long)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestActivityBookkeepingAudited runs loaded, bursty and faulty
-// configurations with CheckInvariants on: verifyActivity recomputes every
-// switch's event and queue counts from the ground truth each audit and
-// panics on any drift, so this catches a missed counter hook anywhere in
-// the engine.
-func TestActivityBookkeepingAudited(t *testing.T) {
-	h := topo.MustHyperX(4, 4)
-	pat := uniformOn(t, h, 4)
-	cfg := DefaultConfig()
-	cfg.CheckInvariants = true
-	seq := topo.RandomFaultSequence(h, 11)
-
-	t.Run("OpenLoopFaults", func(t *testing.T) {
-		nw := topo.NewNetwork(h, topo.NewFaultSet())
-		mech, err := core.New(nw, core.PolarizedRoutes, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(RunOptions{
-			Net: nw, ServersPerSwitch: 4, Mechanism: mech, Pattern: pat,
-			Load: 0.8, WarmupCycles: 200, MeasureCycles: 1800, Seed: 5, Workers: 4,
-			Config: cfg,
-			FaultSchedule: []FaultEvent{
-				{Cycle: 400, Edge: seq[0]},
-				{Cycle: 900, Edge: seq[1]},
-			},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	t.Run("BurstDrain", func(t *testing.T) {
-		nw := topo.NewNetwork(h, nil)
-		mech, err := core.New(nw, core.OmniRoutes, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(RunOptions{
-			Net: nw, ServersPerSwitch: 4, Mechanism: mech, Pattern: pat,
-			BurstPackets: 6, SeriesBucket: 250, Seed: 6, Workers: 4, Config: cfg,
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The oracle keeps the same bookkeeping while walking every switch:
-	// every switch is refolded and re-booked each cycle, and the audit
-	// must hold all the same.
-	t.Run("FullWalk", func(t *testing.T) {
-		nw := topo.NewNetwork(h, topo.NewFaultSet())
-		mech, err := core.New(nw, core.PolarizedRoutes, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := Run(RunOptions{
-			Net: nw, ServersPerSwitch: 4, Mechanism: mech, Pattern: pat,
-			Load: 0.4, WarmupCycles: 200, MeasureCycles: 1200, Seed: 7, Workers: 4,
-			Config: cfg, fullWalk: true,
-			FaultSchedule: []FaultEvent{{Cycle: 500, Edge: seq[2]}},
-		}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// 4x4 fits one wheel word per slot; 5x5x3 is 75 switches, two words
-	// per slot with the second one partly used, so the due list, the jump
-	// scan and the audit's bit count cross a word boundary.
-	t.Run("MultiWordWheel", func(t *testing.T) {
-		h := topo.MustHyperX(5, 5, 3)
-		pat := uniformOn(t, h, 2)
-		seq := topo.RandomFaultSequence(h, 13)
-		for _, workers := range []int{1, 4} {
-			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			mech, err := core.New(nw, core.PolarizedRoutes, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Run(RunOptions{
-				Net: nw, ServersPerSwitch: 2, Mechanism: mech, Pattern: pat,
-				Load: 0.3, WarmupCycles: 200, MeasureCycles: 1200, Seed: 8, Workers: workers,
-				Config:        cfg,
-				FaultSchedule: []FaultEvent{{Cycle: 600, Edge: seq[0]}},
-			}); err != nil {
-				t.Fatalf("open loop, workers=%d: %v", workers, err)
-			}
-			nw = topo.NewNetwork(h, nil)
-			if mech, err = core.New(nw, core.OmniRoutes, 4); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := Run(RunOptions{
-				Net: nw, ServersPerSwitch: 2, Mechanism: mech, Pattern: pat,
-				BurstPackets: 4, Seed: 9, Workers: workers, Config: cfg,
-			}); err != nil {
-				t.Fatalf("burst drain, workers=%d: %v", workers, err)
-			}
-		}
-	})
 }
 
 // TestWheelAuditsCatchDrift: verifyActivity holds the timing wheel to one

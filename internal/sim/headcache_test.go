@@ -18,7 +18,7 @@ func saturatedOptions(t *testing.T, name string, pat func(h *topo.HyperX) traffi
 	t.Helper()
 	h := topo.MustHyperX(4, 4)
 	nw := topo.NewNetwork(h, topo.NewFaultSet())
-	o.Net, o.Mechanism, o.Pattern = nw, shardMech(t, name, nw), pat(h)
+	o.Net, o.Mechanism, o.Pattern = nw, buildMech(t, name, nw), pat(h)
 	o.ServersPerSwitch, o.Load = 4, 1.0
 	if o.Config == (Config{}) {
 		o.Config = DefaultConfig()

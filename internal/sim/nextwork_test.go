@@ -1,61 +1,18 @@
 package sim
 
 import (
-	"bytes"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
-// Edge cases of the event-calendar jump rule. The property test in
-// activity_test.go samples these regimes randomly; the tests here pin the
-// three ways a jump can go wrong deterministically: a fault landing
-// inside a stretch the engine wants to skip, a pending release (an
-// evCredit) due at the exact jump target, and a credit-starved head whose wake-up only a
-// remote switch can provide.
-
-// TestJumpFaultInsideSkipStretch schedules faults at fixed cycles in a
-// load regime so sparse that the engine jumps with packets in flight most
-// of the time. The fault cycles bound every jump (fastForwardTarget), so
-// the rebuilt tables must take effect at exactly the same cycle as under
-// the full per-cycle walk — byte-identical results, at 1 and 4 workers.
-func TestJumpFaultInsideSkipStretch(t *testing.T) {
-	h := topo.MustHyperX(3, 3, 3)
-	seq := topo.RandomFaultSequence(h, 23)
-	const per = 2
-	var ref []byte
-	for _, workers := range []int{1, 4} {
-		for _, noAct := range []bool{false, true} {
-			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			mech, err := core.New(nw, core.PolarizedRoutes, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pat, err := traffic.NewRandomServerPermutation(h.Switches()*per, 23)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runBytes(t, RunOptions{
-				Net: nw, ServersPerSwitch: per, Mechanism: mech, Pattern: pat,
-				Load: 0.006, WarmupCycles: 100, MeasureCycles: 2500, Seed: 23,
-				Workers: workers, fullWalk: noAct,
-				FaultSchedule: []FaultEvent{
-					{Cycle: 777, Edge: seq[0]},
-					{Cycle: 1234, Edge: seq[1]},
-				},
-			})
-			if ref == nil {
-				ref = got
-				continue
-			}
-			if !bytes.Equal(ref, got) {
-				t.Fatalf("workers=%d activity=%v diverged from reference", workers, !noAct)
-			}
-		}
-	}
-}
+// Edge cases of the event-calendar jump rule. TestEngineModesBitIdentical
+// holds jumps to the full walk, a fault inside a skipped stretch included
+// (its 3x3x3 sparse row); the tests here pin two more ways a jump can go
+// wrong on handcrafted engines: a pending release (an evCredit) due at the
+// exact jump target, and a credit-starved head whose wake-up only a remote
+// switch can provide.
 
 // TestJumpLandsOnReleaseExpiry parks a handcrafted engine on a single
 // pending evCredit — the event that returns an input port's crossbar slot

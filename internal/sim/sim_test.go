@@ -12,10 +12,16 @@ import (
 	"repro/internal/traffic"
 )
 
-// buildMech constructs a named mechanism on nw with the 2n-VC budget.
+// buildMech constructs a named mechanism on nw: the ladders and SurePath
+// over 2n VCs on an n-dimensional HyperX (8 on a torus or dragonfly, room
+// for the ladders' longest routes), DOR over 4, DAL over 6 and the
+// escape-only baseline over one.
 func buildMech(t testing.TB, name string, nw *topo.Network) routing.Mechanism {
 	t.Helper()
-	vcs := 2 * hx(nw).NDims()
+	vcs := 8
+	if h, ok := nw.H.(*topo.HyperX); ok {
+		vcs = 2 * h.NDims()
+	}
 	var (
 		mech routing.Mechanism
 		err  error
@@ -38,10 +44,22 @@ func buildMech(t testing.TB, name string, nw *topo.Network) routing.Mechanism {
 		if alg, err = routing.NewPolarized(nw); err == nil {
 			mech, err = routing.NewLadder(alg, vcs, 1, "Polarized")
 		}
+	case "DOR":
+		var alg *routing.DORAlg
+		if alg, err = routing.NewDOR(nw); err == nil {
+			mech, err = routing.NewLadder(alg, 4, 1, "DOR")
+		}
+	case "DAL":
+		var alg *routing.DALAlg
+		if alg, err = routing.NewDAL(nw); err == nil {
+			mech, err = routing.NewLadder(alg, 6, 1, "DAL")
+		}
 	case "OmniSP":
 		mech, err = core.New(nw, core.OmniRoutes, vcs)
 	case "PolSP":
 		mech, err = core.New(nw, core.PolarizedRoutes, vcs)
+	case "EscapeOnly":
+		mech, err = core.NewEscapeOnly(nw, 0, 0, 1)
 	default:
 		t.Fatalf("unknown mechanism %q", name)
 	}
@@ -106,6 +124,21 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestNegativeWorkersRejected locks in option validation.
+func TestNegativeWorkersRejected(t *testing.T) {
+	h := topo.MustHyperX(3, 3)
+	nw := topo.NewNetwork(h, nil)
+	pat := uniformOn(t, h, 3)
+	_, err := Run(RunOptions{
+		Net: nw, ServersPerSwitch: 3, Mechanism: buildMech(t, "Minimal", nw),
+		Pattern: pat, Load: 0.5, WarmupCycles: 10, MeasureCycles: 10, Seed: 1,
+		Workers: -1,
+	})
+	if err == nil {
+		t.Fatal("negative Workers accepted")
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	good := DefaultConfig()
 	if err := good.Validate(); err != nil {
@@ -130,34 +163,25 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestDeterminism: a different seed must (overwhelmingly) give a different
+// run. That the same seed gives the same bytes is the repeat column of
+// TestEngineModesBitIdentical.
 func TestDeterminism(t *testing.T) {
 	h := topo.MustHyperX(3, 3)
 	nw := topo.NewNetwork(h, nil)
 	pat := uniformOn(t, h, 3)
-	run := func() *Result {
+	run := func(seed uint64) *Result {
 		res, err := Run(RunOptions{
 			Net: nw, ServersPerSwitch: 3, Mechanism: buildMech(t, "PolSP", nw),
-			Pattern: pat, Load: 0.7, WarmupCycles: 500, MeasureCycles: 1000, Seed: 42,
+			Pattern: pat, Load: 0.7, WarmupCycles: 500, MeasureCycles: 1000, Seed: seed,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	a, b := run(), run()
-	if a.AcceptedLoad != b.AcceptedLoad || a.AvgLatency != b.AvgLatency ||
-		a.DeliveredPackets != b.DeliveredPackets || a.JainIndex != b.JainIndex {
-		t.Fatalf("same seed diverged: %+v vs %+v", a, b)
-	}
-	// Different seed must (overwhelmingly) differ.
-	res2, err := Run(RunOptions{
-		Net: nw, ServersPerSwitch: 3, Mechanism: buildMech(t, "PolSP", nw),
-		Pattern: pat, Load: 0.7, WarmupCycles: 500, MeasureCycles: 1000, Seed: 43,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res2.DeliveredPackets == a.DeliveredPackets && res2.AvgLatency == a.AvgLatency {
+	a, b := run(42), run(43)
+	if a.DeliveredPackets == b.DeliveredPackets && a.AvgLatency == b.AvgLatency {
 		t.Error("different seeds produced identical runs (suspicious)")
 	}
 }
@@ -477,6 +501,3 @@ func TestZeroWatchdogDisablesDetection(t *testing.T) {
 		t.Errorf("ran %d cycles, want 2100", res.Cycles)
 	}
 }
-
-// hx unwraps the test network's HyperX for coordinate helpers.
-func hx(nw *topo.Network) *topo.HyperX { return nw.H.(*topo.HyperX) }

@@ -75,110 +75,6 @@ func snapshotBody(t testing.TB, snap []byte) []byte {
 	return body
 }
 
-// TestSnapshotResumeBitIdentical is the core restore contract: run to
-// cycle C, snapshot, restore in a fresh engine — under a different worker
-// count and the opposite activity setting — and run to the end; the Result
-// codec bytes must equal the uninterrupted run's, for every shipped
-// snapshot. It also pins how many snapshots a run ships: the due-at-end
-// inputs end at a multiple of their interval (1500 = 5 x 300, 416 = 4 x
-// 104), so a snapshot falls due at the very cycle the run ends, and the
-// loop's end check must come before its checkpoint.
-func TestSnapshotResumeBitIdentical(t *testing.T) {
-	h := topo.MustHyperX(4, 4)
-	for _, tc := range []struct {
-		name  string
-		opts  func(testing.TB, *topo.HyperX) RunOptions
-		every int64
-		want  int // snapshots shipped
-	}{
-		{"open-loop", snapshotRun, 350, 4},
-		{"open-loop/due-at-end", snapshotRun, 300, 4},
-		{"burst/due-at-end", snapshotBurstRun, 104, 3},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ref := runBytes(t, tc.opts(t, h))
-			got, snaps := collectSnapshots(t, tc.opts(t, h), tc.every)
-			if !bytes.Equal(ref, got) {
-				t.Fatal("run with periodic checkpoints diverged from the plain run")
-			}
-			if len(snaps) != tc.want {
-				t.Fatalf("shipped %d snapshots every %d cycles, want %d", len(snaps), tc.every, tc.want)
-			}
-			res, err := DecodeResult(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, snap := range snaps {
-				st, err := decodeSnapshotState(snapshotBody(t, snap))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Now >= res.Cycles {
-					t.Fatalf("snapshot %d taken at cycle %d, the run ends at %d", i, st.Now, res.Cycles)
-				}
-				for _, workers := range []int{1, 4, 8} {
-					for _, noAct := range []bool{false, true} {
-						o := tc.opts(t, h)
-						o.Workers = workers
-						o.fullWalk = noAct
-						o.Checkpoint = &CheckpointOptions{Resume: snap}
-						if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
-							t.Fatalf("snapshot %d resumed at workers=%d activity=%v diverged", i, workers, !noAct)
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestSnapshotResumeMidRunFaults pins the fault-schedule path: a snapshot
-// taken between two scheduled link failures must restore the drained ports,
-// the lost-packet accounting and the fault cursor, and replay the already-
-// applied edge into the fresh network before resuming. The second schedule
-// fails its links two cycles and one cycle before a snapshot, so that one
-// is taken while the receivers behind the dead ports still owe credits to
-// the dead ports' ledger entries; every resume runs audited, at the
-// capturing run's worker count and at another.
-func TestSnapshotResumeMidRunFaults(t *testing.T) {
-	h := topo.MustHyperX(4, 4)
-	seq := topo.RandomFaultSequence(h, 7)
-	for _, failAt := range [][2]int64{{400, 1300}, {298, 1199}} {
-		opts := func() RunOptions {
-			// Each run mutates its network's fault set, so every run — the
-			// reference, the checkpointing run and each resume — gets a fresh
-			// network and mechanism.
-			nw := topo.NewNetwork(h, topo.NewFaultSet())
-			return RunOptions{
-				Net: nw, ServersPerSwitch: 4, Mechanism: buildMech(t, "PolSP", nw),
-				Pattern: uniformOn(t, h, 4),
-				Load:    0.7, WarmupCycles: 0, MeasureCycles: 2000, Seed: 77,
-				FaultSchedule: []FaultEvent{
-					{Cycle: failAt[0], Edge: seq[0]},
-					{Cycle: failAt[1], Edge: seq[1]},
-				},
-			}
-		}
-		ref := runBytes(t, opts())
-		_, snaps := collectSnapshots(t, opts(), 300)
-		if len(snaps) < 3 {
-			t.Fatalf("expected several snapshots, got %d", len(snaps))
-		}
-		for i, snap := range snaps {
-			for _, workers := range []int{1, 4} {
-				o := opts()
-				o.Workers = workers
-				o.Config = DefaultConfig()
-				o.Config.CheckInvariants = true
-				o.Checkpoint = &CheckpointOptions{Resume: snap}
-				if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
-					t.Fatalf("faults at %v: snapshot %d resumed at workers=%d diverged", failAt, i, workers)
-				}
-			}
-		}
-	}
-}
-
 // TestSnapshotBytesGolden pins the hyperx-ckpt/7 bytes themselves: the
 // SHA-256 of every snapshot of one fixed run — 4x4 PolSP at load 0.9 with a
 // throughput series and one mid-run fault, a snapshot every 250 cycles —
@@ -231,26 +127,6 @@ func TestSnapshotBytesGolden(t *testing.T) {
 		o.Checkpoint = &CheckpointOptions{Resume: snap}
 		if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
 			t.Errorf("snapshot %d diverged on resume", i)
-		}
-	}
-}
-
-// TestSnapshotResumeBurst covers completion-time mode: the preload must be
-// skipped on resume (the remaining burst lives in the serialized queues)
-// and the completion cycle must match the uninterrupted run.
-func TestSnapshotResumeBurst(t *testing.T) {
-	h := topo.MustHyperX(4, 4)
-	ref := runBytes(t, snapshotBurstRun(t, h))
-	_, snaps := collectSnapshots(t, snapshotBurstRun(t, h), 200)
-	if len(snaps) == 0 {
-		t.Fatal("burst run shipped no snapshots")
-	}
-	for i, snap := range snaps {
-		o := snapshotBurstRun(t, h)
-		o.Workers = 8
-		o.Checkpoint = &CheckpointOptions{Resume: snap}
-		if resumed := runBytes(t, o); !bytes.Equal(ref, resumed) {
-			t.Fatalf("burst snapshot %d diverged on resume", i)
 		}
 	}
 }
