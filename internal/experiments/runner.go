@@ -58,17 +58,18 @@ func runJobs[T any](workers, n int, progress func(done, total int), job func(ind
 		workers = n
 	}
 	errs := make([]error, n)
-	var done atomic.Int64
+	var next, done atomic.Int64
 	if progress != nil {
 		progress(0, n) // grid start, before any worker reports
 	}
-	indices := make(chan int)
+	// Workers claim indices off one shared counter, in enumeration order, so
+	// no goroutine but the workers needs a CPU while the grid runs.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range indices {
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
 				results[i], errs[i] = job(i)
 				if progress != nil {
 					progress(int(done.Add(1)), n)
@@ -76,10 +77,6 @@ func runJobs[T any](workers, n int, progress func(done, total int), job func(ind
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		indices <- i
-	}
-	close(indices)
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err

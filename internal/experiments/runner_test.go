@@ -9,39 +9,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cache"
 	"repro/internal/sim"
 )
-
-func TestRunJobsOrderAndBounds(t *testing.T) {
-	var inFlight, peak atomic.Int32
-	results, err := RunJobs(3, 20, func(i int) (int, error) {
-		cur := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		for {
-			old := peak.Load()
-			if cur <= old || peak.CompareAndSwap(old, cur) {
-				break
-			}
-		}
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range results {
-		if r != i*i {
-			t.Fatalf("result %d = %d, want %d (order not preserved)", i, r, i*i)
-		}
-	}
-	if p := peak.Load(); p > 3 {
-		t.Errorf("pool ran %d jobs concurrently, bound is 3", p)
-	}
-	if _, err := RunJobs[int](4, 0, nil); err != nil {
-		t.Errorf("empty job list: %v", err)
-	}
-}
 
 func TestRunJobsErrorPropagation(t *testing.T) {
 	boom := errors.New("boom")
@@ -84,6 +56,67 @@ func TestRunJobsCollectsAllErrors(t *testing.T) {
 	if strings.Index(text, "job 0") > strings.Index(text, "job 3") ||
 		strings.Index(text, "job 3") > strings.Index(text, "job 6") {
 		t.Errorf("errors out of job order: %v", err)
+	}
+}
+
+// TestRunJobsClaimsEachIndexOnce: workers claim indices off the shared
+// counter, so every index runs exactly once, results land in job order and
+// no more jobs run at once than there are workers — with many more jobs than
+// workers, with more workers than jobs, and with no jobs at all.
+func TestRunJobsClaimsEachIndexOnce(t *testing.T) {
+	t.Parallel()
+	for _, c := range []struct{ workers, n int }{{3, 20}, {8, 10000}, {16, 5}, {4, 0}} {
+		runs := make([]atomic.Int32, c.n)
+		var inFlight, peak atomic.Int32
+		results, err := RunJobs(c.workers, c.n, func(i int) (int, error) {
+			cur := inFlight.Add(1)
+			defer inFlight.Add(-1)
+			for old := peak.Load(); cur > old && !peak.CompareAndSwap(old, cur); old = peak.Load() {
+			}
+			runs[i].Add(1)
+			return i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d n=%d: %v", c.workers, c.n, err)
+		}
+		for i := range runs {
+			if got := runs[i].Load(); got != 1 {
+				t.Fatalf("workers=%d n=%d: index %d ran %d times, want once", c.workers, c.n, i, got)
+			}
+			if results[i] != i {
+				t.Fatalf("workers=%d n=%d: result %d = %d (order not preserved)", c.workers, c.n, i, results[i])
+			}
+		}
+		if p := peak.Load(); int(p) > min(c.workers, c.n) {
+			t.Errorf("workers=%d n=%d: %d jobs ran at once", c.workers, c.n, p)
+		}
+	}
+}
+
+// BenchmarkRunJobsDispatch is the pool's own per-job cost: a two-worker
+// RunJobs over 1000 jobs that return at once, and over 1000 that spin for
+// ~5 µs each (about a warm cache hit). ns/job is the grid's time per job.
+func BenchmarkRunJobsDispatch(b *testing.B) {
+	const n = 1000
+	spin := func(i int) (int, error) {
+		for start := time.Now(); time.Since(start) < 5*time.Microsecond; {
+		}
+		return i, nil
+	}
+	for _, c := range []struct {
+		name string
+		job  func(int) (int, error)
+	}{{"noop", func(i int) (int, error) { return i, nil }}, {"5us", spin}} {
+		b.Run(c.name, func(b *testing.B) {
+			job := c.job
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := RunJobs(2, n, job); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/job")
+		})
 	}
 }
 

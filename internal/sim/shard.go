@@ -61,8 +61,8 @@ import (
 //
 // Because every per-switch computation depends only on switch-owned state
 // and the merges walk switches in index order, the run is bit-identical for
-// any worker count — the regression tests in sharded_test.go lock this in
-// for every mechanism, against the full-walk oracle too.
+// any worker count — TestEngineModesBitIdentical (modes_test.go) locks this
+// in for every mechanism, against the full-walk oracle too.
 
 // spinYieldEvery bounds busy-waiting: every this many spin iterations the
 // waiter yields its P so GC assists and (on small machines) the other
